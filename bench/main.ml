@@ -73,21 +73,22 @@ let protocol_tests () =
   [
     Test.make ~name:"push/regular-1024"
       (Staged.stage (fun () ->
-           P.Push.run (Rng.of_int (next_seed ())) g ~source:0 ~max_rounds ()));
+           P.Engine.push (Rng.of_int (next_seed ())) g ~source:0 ~max_rounds ()));
     Test.make ~name:"push-pull/regular-1024"
       (Staged.stage (fun () ->
-           P.Push_pull.run (Rng.of_int (next_seed ())) g ~source:0 ~max_rounds ()));
+           P.Engine.push_pull (Rng.of_int (next_seed ())) g ~source:0 ~max_rounds ()));
     Test.make ~name:"visit-exchange/regular-1024"
       (Staged.stage (fun () ->
-           P.Visit_exchange.run (Rng.of_int (next_seed ())) g ~source:0 ~agents
+           P.Engine.visit_exchange (Rng.of_int (next_seed ())) g ~source:0 ~agents
              ~max_rounds ()));
     Test.make ~name:"meet-exchange/regular-1024"
       (Staged.stage (fun () ->
-           P.Meet_exchange.run (Rng.of_int (next_seed ())) g ~source:0 ~agents
+           P.Engine.meet_exchange (Rng.of_int (next_seed ())) g ~source:0 ~agents
              ~max_rounds ()));
     Test.make ~name:"combined/regular-1024"
       (Staged.stage (fun () ->
-           P.Combined.run (Rng.of_int (next_seed ())) g ~source:0 ~agents ~max_rounds ()));
+           P.Engine.combined (Rng.of_int (next_seed ())) g ~source:0 ~agents
+             ~max_rounds ()));
     Test.make ~name:"quasi-push/regular-1024"
       (Staged.stage (fun () ->
            P.Quasi_push.run (Rng.of_int (next_seed ())) g ~source:0 ~max_rounds ()));
@@ -101,7 +102,7 @@ let protocol_tests () =
       (Staged.stage (fun () -> P.Flood.run g ~source:0 ~max_rounds ()));
     Test.make ~name:"async-push/regular-1024"
       (Staged.stage (fun () ->
-           P.Async_push.run (Rng.of_int (next_seed ())) g
+           P.Async_engine.push (Rng.of_int (next_seed ())) g
              ~variant:P.Async_push.Async_push ~source:0 ~max_time:1e6));
   ]
 

@@ -55,8 +55,8 @@ let write_markdown_report path profile seed elapsed results =
   close_out oc;
   Printf.printf "wrote markdown report to %s\n" path
 
-let run list_only profile_text seed csv_dir markdown metrics jobs engine
-    walkers_text trace_path ids =
+let run list_only profile_text seed csv_dir markdown metrics jobs walkers_text
+    trace_path ids =
   if list_only then begin
     list_experiments ();
     `Ok ()
@@ -68,10 +68,7 @@ let run list_only profile_text seed csv_dir markdown metrics jobs engine
     | None ->
         `Error
           (false, Printf.sprintf "bad --walkers %S (dense|sparse|auto)" walkers_text)
-    | Some walkers ->
-    if (not engine) && walkers <> Rumor_sim.Protocol.Dense then
-      `Error (false, "--walkers requires --engine")
-    else begin
+    | Some walkers -> (
     let profile =
       match profile_text with
       | "quick" -> Ok Experiments.Quick
@@ -88,12 +85,11 @@ let run list_only profile_text seed csv_dir markdown metrics jobs engine
           let results =
             match metrics with
             | None ->
-                Experiments.run_all ?ids ?trace ~jobs ~engine ~walkers profile
-                  ~seed
+                Experiments.run_all ?ids ?trace ~jobs ~walkers profile ~seed
             | Some path ->
                 Rumor_obs.Run_record.with_jsonl_file path (fun sink ->
-                    Experiments.run_all ?ids ?trace ~metrics:sink ~jobs ~engine
-                      ~walkers profile ~seed)
+                    Experiments.run_all ?ids ?trace ~metrics:sink ~jobs ~walkers
+                      profile ~seed)
           in
           (match (trace, trace_path) with
           | Some tr, Some path ->
@@ -136,8 +132,7 @@ let run list_only profile_text seed csv_dir markdown metrics jobs engine
           `Ok ()
         with
         | Invalid_argument m -> `Error (false, m)
-        | Sys_error m -> `Error (false, "cannot write metrics: " ^ m))
-    end
+        | Sys_error m -> `Error (false, "cannot write metrics: " ^ m)))
   end
 
 let list_arg =
@@ -174,21 +169,12 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let engine_arg =
-  let doc =
-    "Route measured cells through the engine kernels (flat-frontier rounds; \
-     calendar-queue DES for the async protocols, e.g. A9's async column).  \
-     Tables and metrics are bit-identical to the default path; only \
-     wall-clock changes."
-  in
-  Arg.(value & flag & info [ "engine" ] ~doc)
-
 let walkers_arg =
   let doc =
-    "With --engine, the walker representation for engine cells: dense \
-     (default, bit-identical), sparse or auto (count-compressed occupancy; \
-     seed-deterministic, gated distributionally by A10).  A10 always \
-     measures both representations regardless of this flag."
+    "The walker representation for the agent-based cells: dense (default), \
+     sparse or auto (count-compressed occupancy; seed-deterministic, gated \
+     distributionally by A10).  A10 always measures both representations \
+     regardless of this flag; E10's combined protocol rejects sparse."
   in
   Arg.(value & opt string "dense" & info [ "walkers" ] ~docv:"MODE" ~doc)
 
@@ -212,7 +198,7 @@ let cmd =
     Term.(
       ret
         (const run $ list_arg $ profile_arg $ seed_arg $ csv_arg $ markdown_arg
-       $ metrics_arg $ jobs_arg $ engine_arg $ walkers_arg $ trace_arg
+       $ metrics_arg $ jobs_arg $ walkers_arg $ trace_arg
        $ ids_arg))
 
 let () = exit (Cmd.eval cmd)

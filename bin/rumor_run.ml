@@ -53,7 +53,7 @@ let laziness_of_string = function
   | other -> Error (Printf.sprintf "bad laziness %S (off|on|auto)" other)
 
 let run graph_text protocols source_override seed reps max_rounds alpha lazy_text
-    show_curve metrics_path jobs engine shards walkers_text trace_path =
+    show_curve metrics_path jobs shards walkers_text trace_path =
   let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m) in
   let* spec =
     match Graph_spec.parse graph_text with Ok s -> Ok s | Error m -> Error m
@@ -67,20 +67,12 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
     if shards >= 1 then Ok ()
     else Error (Printf.sprintf "bad --shards %d (want >= 1)" shards)
   in
-  let* () =
-    if engine || shards = 1 then Ok ()
-    else Error "--shards requires --engine"
-  in
   let* walkers =
     match Protocol.walkers_of_string walkers_text with
     | Some w -> Ok w
     | None ->
         Error
           (Printf.sprintf "bad --walkers %S (dense|sparse|auto)" walkers_text)
-  in
-  let* () =
-    if engine || walkers = Protocol.Dense then Ok ()
-    else Error "--walkers requires --engine"
   in
   let* protocol_specs =
     List.fold_left
@@ -95,6 +87,15 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
   in
   let protocol_specs =
     match protocol_specs with [] -> [ Protocol.Push ] | specs -> specs
+  in
+  let* () =
+    (* Protocol.run refuses this combination; say so before any work *)
+    let combined = function Protocol.Combined _ -> true | _ -> false in
+    if walkers = Protocol.Sparse && List.exists combined protocol_specs then
+      Error
+        (Printf.sprintf "bad --walkers %S (combined has dense walkers only)"
+           walkers_text)
+    else Ok ()
   in
   let trace = Option.map (fun _ -> Trace.create ()) trace_path in
   (* describe the graph once; under --trace this probe build contributes the
@@ -139,7 +140,7 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
           in
           let m =
             Replicate.broadcast_times ?sink ?trace
-              ~graph_name:(Graph_spec.to_string spec) ~jobs ~engine ~walkers
+              ~graph_name:(Graph_spec.to_string spec) ~jobs ~walkers
               ~shards ~seed ~reps ~graph ~spec:p ~max_rounds ()
           in
           let s = m.Replicate.summary in
@@ -249,30 +250,22 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let engine_arg =
-  let doc =
-    "Use the flat engine kernels: flat-frontier rounds for push, push-pull, \
-     visit-exchange and meet-exchange, the calendar-queue DES for the \
-     async-* protocols (others fall back).  Bit-identical to the default \
-     path at --shards 1; required for million-node graphs."
-  in
-  Arg.(value & flag & info [ "engine" ] ~doc)
-
 let shards_arg =
   let doc =
-    "With --engine, draw each round's randomness from $(docv) per-round \
-     generator splits.  Results depend only on (seed, shards), never on \
-     --jobs."
+    "Draw each round's randomness from $(docv) per-round generator splits \
+     (push, push-pull, visit-exchange, meet-exchange, combined).  Results \
+     depend only on (seed, shards), never on --jobs."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let walkers_arg =
   let doc =
-    "With --engine, the walker representation for visit-exchange, \
-     meet-exchange and async-meet-exchange: dense (per-agent positions, \
-     bit-identical to the legacy path), sparse (count-compressed per-vertex \
-     occupancy — seed-deterministic but not bit-identical; required for \
-     10^7 agents), or auto (sparse above the agent-count threshold)."
+    "The walker representation for visit-exchange, meet-exchange and \
+     async-meet-exchange: dense (per-agent positions), sparse \
+     (count-compressed per-vertex occupancy — seed-deterministic, a \
+     different sample path than dense; required for 10^7 agents), or auto \
+     (sparse above the agent-count threshold).  Combined runs dense walkers \
+     only and rejects sparse."
   in
   Arg.(value & opt string "dense" & info [ "walkers" ] ~docv:"MODE" ~doc)
 
@@ -302,6 +295,6 @@ let cmd =
       ret
         (const run $ graph_arg $ protocol_arg $ source_arg $ seed_arg $ reps_arg
        $ max_rounds_arg $ alpha_arg $ lazy_arg $ curve_arg $ metrics_arg
-       $ jobs_arg $ engine_arg $ shards_arg $ walkers_arg $ trace_arg))
+       $ jobs_arg $ shards_arg $ walkers_arg $ trace_arg))
 
 let () = exit (Cmd.eval cmd)

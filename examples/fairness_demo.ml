@@ -40,11 +40,11 @@ let () =
 
   traffic_of "push-pull" (fun traffic ->
       ignore
-        (P.Push_pull.run ~traffic (Rng.of_int 1) g ~source:ds.Gen_paper.ds_leaf_a
+        (P.Engine.push_pull ~traffic (Rng.of_int 1) g ~source:ds.Gen_paper.ds_leaf_a
            ~max_rounds:rounds ()));
   traffic_of "visit-exchange" (fun traffic ->
       ignore
-        (P.Visit_exchange.run ~traffic (Rng.of_int 2) g ~source:ds.Gen_paper.ds_leaf_a
+        (P.Engine.visit_exchange ~traffic (Rng.of_int 2) g ~source:ds.Gen_paper.ds_leaf_a
            ~agents:(Linear 1.0) ~max_rounds:rounds ()));
 
   Format.printf

@@ -5,8 +5,8 @@
 
    This is the 60-second tour of the public API:
    - Rumor_graph.Gen_random / Gen_basic / Gen_paper build graphs;
-   - Rumor_protocols.{Push, Push_pull, Visit_exchange, Meet_exchange} run
-     one protocol each and return a Run_result.t;
+   - Rumor_protocols.Engine.{push, push_pull, visit_exchange,
+     meet_exchange} run one protocol each and return a Run_result.t;
    - everything is deterministic given the Rng seed. *)
 
 module Rng = Rumor_prob.Rng
@@ -32,15 +32,15 @@ let () =
     Format.printf "  %-14s %a@." name P.Run_result.pp r
   in
   Format.printf "broadcast times (ln n = %.1f):@." (log (float_of_int (Graph.n g)));
-  show "push" (P.Push.run (Rng.of_int 1) g ~source ~max_rounds ());
-  show "push-pull" (P.Push_pull.run (Rng.of_int 2) g ~source ~max_rounds ());
+  show "push" (P.Engine.push (Rng.of_int 1) g ~source ~max_rounds ());
+  show "push-pull" (P.Engine.push_pull (Rng.of_int 2) g ~source ~max_rounds ());
   show "visit-exchange"
-    (P.Visit_exchange.run (Rng.of_int 3) g ~source ~agents ~max_rounds ());
+    (P.Engine.visit_exchange (Rng.of_int 3) g ~source ~agents ~max_rounds ());
   show "meet-exchange"
-    (P.Meet_exchange.run_auto (Rng.of_int 4) g ~source ~agents ~max_rounds ());
+    (P.Engine.meet_exchange (Rng.of_int 4) g ~source ~agents ~max_rounds ());
 
   (* the informed-count curve shows the classic logistic shape *)
-  let r = P.Push.run (Rng.of_int 5) g ~source ~max_rounds () in
+  let r = P.Engine.push (Rng.of_int 5) g ~source ~max_rounds () in
   Format.printf "@.push informed-count curve:@.";
   Array.iteri
     (fun t c ->

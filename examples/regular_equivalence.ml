@@ -27,11 +27,11 @@ let measure_family name graphs =
       let seeds = List.init 7 (fun i -> i + 1) in
       let push seed =
         P.Run_result.time_exn
-          (P.Push.run (Rng.of_int seed) g ~source:0 ~max_rounds:1_000_000 ())
+          (P.Engine.push (Rng.of_int seed) g ~source:0 ~max_rounds:1_000_000 ())
       in
       let visitx seed =
         P.Run_result.time_exn
-          (P.Visit_exchange.run (Rng.of_int (1000 + seed)) g ~source:0
+          (P.Engine.visit_exchange (Rng.of_int (1000 + seed)) g ~source:0
              ~agents:(Linear 1.0) ~max_rounds:1_000_000 ())
       in
       let tp = mean push seeds and tv = mean visitx seeds in

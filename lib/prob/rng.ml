@@ -1,12 +1,25 @@
 (* xoshiro256** with SplitMix64 seeding (Blackman & Vigna).  All arithmetic
-   is on Int64 with wrap-around semantics, which OCaml's Int64 provides. *)
+   is on Int64 with wrap-around semantics, which OCaml's Int64 provides.
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+   The 256-bit state is four native-endian 64-bit words in a 32-byte Bytes
+   (s0 at offset 0 .. s3 at 24) rather than a record of mutable int64
+   fields: a record field holds a boxed Int64, so every state update would
+   allocate, while the unchecked Bytes accessors below load and store
+   unboxed values — a draw allocates nothing once [bits64] is inlined into
+   its caller. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
+  g
 
 (* --- SplitMix64: used to expand a single seed into initial state --- *)
 
@@ -29,25 +42,28 @@ let create seed =
      zero only for one input each, so four simultaneous zeros cannot happen,
      but guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    make 1L 2L 3L 4L
+  else make s0 s1 s2 s3
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy g = Bytes.copy g
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] bits64 g =
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 (Int64.logxor s2 t);
+  set64 g 24 (rotl s3 45);
   result
 
 let split g = create (bits64 g)
@@ -65,6 +81,9 @@ let split_n g n =
     children
   end
 
+(* 61 uniform bits of the next output, as a non-negative native int *)
+let[@inline] draw61 g = Int64.to_int (Int64.logand (bits64 g) 0x1FFFFFFFFFFFFFFFL)
+
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then
@@ -73,13 +92,12 @@ let int g bound =
   else begin
     (* rejection sampling on 61 bits to avoid modulo bias (61 keeps the
        limit arithmetic comfortably inside OCaml's 63-bit native int) *)
-    let mask = 0x1FFFFFFFFFFFFFFFL in
     let limit = (1 lsl 61) / bound * bound in
-    let rec draw () =
-      let r = Int64.to_int (Int64.logand (bits64 g) mask) in
-      if r >= limit then draw () else r mod bound
-    in
-    draw ()
+    let r = ref (draw61 g) in
+    while !r >= limit do
+      r := draw61 g
+    done;
+    !r mod bound
   end
 
 let int_in g lo hi =

@@ -7,8 +7,8 @@ module Exp_stream = Rumor_des.Exp_stream
 module Obs = Rumor_obs.Instrument
 module Trace = Rumor_obs.Trace
 
-(* Million-event hot path for the two asynchronous DES kernels.  Same
-   processes as Async_push / Async_meet_exchange, re-expressed over flat
+(* The asynchronous DES kernels: continuous-time push / push-pull (the
+   Async_push model) and meet-exchange (Async_meet_exchange), over flat
    state: a Bitset informed set, an unboxed event loop (Queue_intf.pop_into
    — no [Some (time, payload)] per ring), intrusive int-array agent lists,
    and Exp(1) clock gaps pre-drawn in batches (Exp_stream) instead of one
@@ -17,13 +17,15 @@ module Trace = Rumor_obs.Trace
    Determinism contract: both kernels follow the clock-stream contract
    documented in Async_push's mli — the first [rng] operation splits off
    the clock generator, gaps are consumed from it in schedule order, all
-   other draws stay on [rng] in event order.  Because the legacy modules
-   implement the identical contract, every result field (continuous
-   broadcast time, ring count, integer-mark curve, obs streams) is
-   bit-identical to the legacy run on the same seed, for either queue
-   backend and any batch size.  test/test_async_engine.ml pins this. *)
+   other draws stay on [rng] in event order.  Every result field
+   (continuous broadcast time, ring count, integer-mark curve, obs
+   streams) is therefore a pure function of the seed, for either queue
+   backend and any batch size; the golden digests in
+   test/golden_kernels.ml pin it bit for bit. *)
 
-(* same sparse trace cadence as the legacy DES loops *)
+(* Sampling the queue/informed series every event would swamp the trace —
+   the DES loops sample every 2^10 rings (a power of two so the test mask
+   is exact), plus once at loop exit. *)
 let trace_sample_mask = 1023
 
 let[@inline] des_sample trace ~rings ~queue_size ~informed =
@@ -48,6 +50,35 @@ let[@inline] des_loop_end trace ~informed ~rings =
         (Rumor_obs.Counters.counter (Trace.counters tr) "rings")
         rings
 
+(* Integer-mark curve shared by the DES loops: the curve value at mark m
+   is the informed count after every event with time <= m.  Marks strictly
+   below the current event's time are emitted just before the event
+   applies (the DES pops in time order, so at that point every earlier
+   event has been processed). *)
+let[@inline] curve_marks curve next_mark ~now ~count =
+  while now > float_of_int !next_mark do
+    Curve_buf.push curve count;
+    incr next_mark
+  done
+
+let curve_hint max_time =
+  if max_time >= 1e15 then max_int else int_of_float (Float.ceil max_time)
+
+(* completion: pad with the final count up to mark ceil(finish) *)
+let curve_finish curve ~finish ~count =
+  let last = int_of_float (Float.ceil finish) in
+  while Curve_buf.length curve < last + 1 do
+    Curve_buf.push curve count
+  done;
+  last
+
+(* cap: every integer mark <= max_time is determined, pad through it *)
+let curve_cap curve next_mark ~max_time ~count =
+  while float_of_int !next_mark <= max_time do
+    Curve_buf.push curve count;
+    incr next_mark
+  done
+
 module Make (Q : Rumor_des.Queue_intf.S) = struct
   (* lint: hot *)
   let push ?obs ?trace ~batch rng g ~variant ~source ~max_time (queue : int Q.t) =
@@ -63,7 +94,7 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
         for u = 0 to n - 1 do
           schedule u 0.0
         done);
-    let curve = Curve_buf.create ~hint:(Async_push.curve_hint max_time) in
+    let curve = Curve_buf.create ~hint:(curve_hint max_time) in
     Curve_buf.push curve !informed_count;
     let next_mark = ref 1 in
     let slot = ref 0 in
@@ -79,7 +110,7 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
         incr rings;
         des_sample trace ~rings:!rings ~queue_size:(Q.size queue)
           ~informed:!informed_count;
-        Async_push.curve_marks curve next_mark ~now ~count:!informed_count;
+        curve_marks curve next_mark ~now ~count:!informed_count;
         let u = !slot in
         let v = Graph.random_neighbor g rng u in
         Obs.contact obs u v;
@@ -107,8 +138,8 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
       end
     done;
     (match !finish_time with
-    | Some f -> ignore (Async_push.curve_finish curve ~finish:f ~count:!informed_count)
-    | None -> Async_push.curve_cap curve next_mark ~max_time ~count:!informed_count);
+    | Some f -> ignore (curve_finish curve ~finish:f ~count:!informed_count)
+    | None -> curve_cap curve next_mark ~max_time ~count:!informed_count);
     des_loop_end trace ~informed:!informed_count ~rings:!rings;
     {
       Async_push.broadcast_time = !finish_time;
@@ -126,12 +157,11 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
     let k = Array.length pos in
     let informed = Bitset.create (max k 1) in
     let informed_count = ref 0 in
-    (* Intrusive per-vertex agent lists in three int arrays, replicating
-       the legacy module's cons lists move for move: insertion is at the
-       head and removal keeps the relative order of the others, so the
-       traversal order (and with it the obs contact stream) is identical
-       to [a :: agents_at.(v)] / [List.filter].  Built by ascending agent
-       id exactly like the legacy [Array.iteri] fold. *)
+    (* Intrusive per-vertex agent lists in three int arrays: insertion is
+       at the head and removal keeps the relative order of the others (the
+       order of [a :: agents_at.(v)] / [List.filter] on cons lists), which
+       fixes the traversal order and with it the obs contact stream.
+       Built by ascending agent id. *)
     let head = Array.make (max n 1) (-1) in
     let next = Array.make (max k 1) (-1) in
     let prev = Array.make (max k 1) (-1) in
@@ -172,7 +202,7 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
     for a = 0 to k - 1 do
       schedule a 0.0
     done;
-    let curve = Curve_buf.create ~hint:(Async_push.curve_hint max_time) in
+    let curve = Curve_buf.create ~hint:(curve_hint max_time) in
     Curve_buf.push curve !informed_count;
     let next_mark = ref 1 in
     let slot = ref 0 in
@@ -188,7 +218,7 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
         incr rings;
         des_sample trace ~rings:!rings ~queue_size:(Q.size queue)
           ~informed:!informed_count;
-        Async_push.curve_marks curve next_mark ~now ~count:!informed_count;
+        curve_marks curve next_mark ~now ~count:!informed_count;
         let a = !slot in
         let u = pos.(a) in
         let v =
@@ -217,8 +247,8 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
     done;
     let finish = if !informed_count = k && Option.is_none !finish then Some 0.0 else !finish in
     (match finish with
-    | Some f -> ignore (Async_push.curve_finish curve ~finish:f ~count:!informed_count)
-    | None -> Async_push.curve_cap curve next_mark ~max_time ~count:!informed_count);
+    | Some f -> ignore (curve_finish curve ~finish:f ~count:!informed_count)
+    | None -> curve_cap curve next_mark ~max_time ~count:!informed_count);
     des_loop_end trace ~informed:!informed_count ~rings:!rings;
     {
       Async_meet_exchange.broadcast_time = finish;
@@ -270,7 +300,7 @@ let meet_exchange_sparse ?trace ~batch ~lazy_walk rng g ~source ~agents
   in
   exchange_at source;
   let rate = float_of_int k in
-  let curve = Curve_buf.create ~hint:(Async_push.curve_hint max_time) in
+  let curve = Curve_buf.create ~hint:(curve_hint max_time) in
   Curve_buf.push curve !informed_count;
   let next_mark = ref 1 in
   let rings = ref 0 in
@@ -286,7 +316,7 @@ let meet_exchange_sparse ?trace ~batch ~lazy_walk rng g ~source ~agents
       now := t;
       incr rings;
       des_sample trace ~rings:!rings ~queue_size:0 ~informed:!informed_count;
-      Async_push.curve_marks curve next_mark ~now:t ~count:!informed_count;
+      curve_marks curve next_mark ~now:t ~count:!informed_count;
       (* the ringing walker: vertex ∝ occupancy, class by the count split;
          the Fenwick residual is already uniform on the vertex's population *)
       let u, residual = Rumor_prob.Fenwick.find fw (Rng.int rng k) in
@@ -320,8 +350,8 @@ let meet_exchange_sparse ?trace ~batch ~lazy_walk rng g ~source ~agents
     else None
   in
   (match finish with
-  | Some f -> ignore (Async_push.curve_finish curve ~finish:f ~count:!informed_count)
-  | None -> Async_push.curve_cap curve next_mark ~max_time ~count:!informed_count);
+  | Some f -> ignore (curve_finish curve ~finish:f ~count:!informed_count)
+  | None -> curve_cap curve next_mark ~max_time ~count:!informed_count);
   des_loop_end trace ~informed:!informed_count ~rings:!rings;
   {
     Async_meet_exchange.broadcast_time = finish;
@@ -368,7 +398,7 @@ let meet_exchange ?obs ?trace ?lazy_walk ?(walkers = Sparse_walkers.Dense)
   if not (max_time > 0.0) then
     invalid_arg "Async_engine.meet_exchange: max_time must be positive";
   if batch < 1 then invalid_arg "Async_engine.meet_exchange: batch < 1";
-  (* resolved before any rng draw, exactly like the legacy module *)
+  (* resolved before any rng draw *)
   let lazy_walk =
     match lazy_walk with
     | Some b -> b

@@ -1,9 +1,7 @@
-(** Million-event asynchronous engine: the DES kernels of {!Async_push}
-    and {!Async_meet_exchange} over a calendar-queue scheduler, flat
-    state, and batched Poisson clocks.
-
-    What changes relative to the legacy modules — and what provably
-    cannot change:
+(** The asynchronous DES kernels: continuous-time push and push–pull
+    (the {!Async_push} model) and continuous-time meet-exchange
+    ({!Async_meet_exchange}), over a calendar-queue scheduler, flat state,
+    and batched Poisson clocks.
 
     - {b Scheduler}: events live in {!Rumor_des.Calendar_queue}
       (amortized O(1) per ring) or {!Rumor_des.Event_queue} (O(log n)),
@@ -16,19 +14,17 @@
       the batch, so results are batch-independent.
     - {b State}: informed sets are {!Bitset}s, the event loop pops
       through [pop_into] (no per-ring boxing), and meet-exchange keeps
-      its per-vertex agent sets as intrusive int-array lists replicating
-      the legacy cons-list order move for move.
+      its per-vertex agent sets as intrusive int-array lists.
 
-    Consequently a run here is bit-identical — broadcast time, ring
-    count, integer-mark curve, and the full [?obs] contact/walker-move
-    stream — to the legacy module's run on the same seed, for every
-    [?queue] and [?batch].  test/test_async_engine.ml and a CI diff step
-    enforce this.
+    Consequently a run — broadcast time, ring count, integer-mark curve,
+    and the full [?obs] contact/walker-move stream — is a pure function of
+    the seed for every [?queue] and [?batch]; golden digests in the test
+    suite pin it.  The model has no rounds, so [?obs] fires no round
+    hooks.
 
-    [?trace] mirrors the legacy instrumentation: one
-    ["async_engine.<kernel>.loop"] span, ["queue"]/["informed"] counter
-    samples every 1024 rings, and a final ["rings"] registry total; it
-    never consumes randomness. *)
+    [?trace] records one ["async_engine.<kernel>.loop"] span,
+    ["queue"]/["informed"] counter samples every 1024 rings, and a final
+    ["rings"] registry total; it never consumes randomness. *)
 
 type queue =
   | Heap  (** {!Rumor_des.Event_queue}: no resize machinery, better
@@ -51,9 +47,10 @@ val push :
   source:int ->
   max_time:float ->
   Async_push.result
-(** Engine counterpart of {!Async_push.run}; bit-identical to it on the
-    same seed.  [?stats] (when provided) receives the calendar queue's
-    final geometry, or [None] under [?queue:Heap].
+(** [push rng g ~variant ~source ~max_time] simulates until all vertices
+    are informed or continuous time exceeds [max_time].  [?obs] receives
+    one [on_contact] per clock ring.  [?stats] (when provided) receives
+    the calendar queue's final geometry, or [None] under [?queue:Heap].
     @raise Invalid_argument on a bad source, non-positive [max_time] or
     [batch < 1]. *)
 
@@ -71,9 +68,11 @@ val meet_exchange :
   agents:Rumor_agents.Placement.spec ->
   max_time:float ->
   Async_meet_exchange.result
-(** Engine counterpart of {!Async_meet_exchange.run}; bit-identical to it
-    on the same seed.  An omitted [lazy_walk] resolves to the graph's
-    bipartiteness, like the legacy module.
+(** [meet_exchange rng g ~source ~agents ~max_time] simulates until every
+    agent is informed or continuous time exceeds [max_time].  An omitted
+    [lazy_walk] resolves to the graph's bipartiteness (see
+    {!Async_meet_exchange}).  [?obs] receives [on_walker_move] (one per
+    ring) and [on_contact] (one per newly informed agent).
 
     [?walkers] ({!Sparse_walkers.Dense} by default) selects the walker
     representation.  Sparse mode compresses walkers into per-vertex

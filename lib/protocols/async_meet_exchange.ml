@@ -1,14 +1,3 @@
-module Rng = Rumor_prob.Rng
-module Dist = Rumor_prob.Dist
-module Graph = Rumor_graph.Graph
-module Placement = Rumor_agents.Placement
-module Event_queue = Rumor_des.Event_queue
-module Obs = Rumor_obs.Instrument
-module Trace = Rumor_obs.Trace
-
-(* same sparse sampling cadence as Async_push's DES loop *)
-let trace_sample_mask = 1023
-
 type result = {
   broadcast_time : float option;
   rings : int;
@@ -24,119 +13,3 @@ let to_run_result r =
   Run_result.make ~all_agents_informed:broadcast_time ~broadcast_time
     ~rounds_run:(Array.length r.curve - 1)
     ~informed_curve:r.curve ~contacts:r.informed ()
-
-let run ?obs ?trace ?lazy_walk rng g ~source ~agents ~max_time =
-  let n = Graph.n g in
-  if source < 0 || source >= n then
-    invalid_arg "Async_meet_exchange.run: source out of range";
-  if not (max_time > 0.0) then
-    invalid_arg "Async_meet_exchange.run: max_time must be positive";
-  (* Continuous time already breaks the bipartite parity trap, but the
-     default mirrors the synchronous protocol's safety convention so that
-     direct callers comparing the two processes study the same walk law:
-     lazy iff the graph is bipartite, overridable explicitly. *)
-  let lazy_walk =
-    match lazy_walk with
-    | Some b -> b
-    | None -> Rumor_graph.Algo.is_bipartite g
-  in
-  (* Clock-stream contract (see Async_push's mli): split the dedicated
-     clock generator before any other draw.  Placement and walk draws stay
-     on [rng] in event order, clock gaps on [clock] in schedule order —
-     the same consumption order as Async_engine's batched stream. *)
-  let clock = Rng.split rng in
-  let pos = Placement.place rng agents g in
-  let k = Array.length pos in
-  let informed = Array.make k false in
-  let informed_count = ref 0 in
-  (* per-vertex doubly-indexed membership so co-located agents are found in
-     O(occupants): agents_at.(v) is an unordered dense list *)
-  let agents_at = Array.make n [] in
-  Array.iteri (fun a v -> agents_at.(v) <- a :: agents_at.(v)) pos;
-  let source_active = ref true in
-  let inform v a =
-    if not informed.(a) then begin
-      informed.(a) <- true;
-      incr informed_count;
-      Obs.contact obs v a
-    end
-  in
-  (* exchange at vertex v: if anyone there is informed (or v is the still-
-     active source), everyone there becomes informed *)
-  let exchange_at v =
-    let any_informed = List.exists (fun a -> informed.(a)) agents_at.(v) in
-    let source_hit =
-      !source_active && v = source && not (List.is_empty agents_at.(v))
-    in
-    if any_informed || source_hit then begin
-      List.iter (inform v) agents_at.(v);
-      if source_hit then source_active := false
-    end
-  in
-  exchange_at source;
-  let queue = Event_queue.create () in
-  let schedule a now = Event_queue.push queue (now +. Dist.exponential clock 1.0) a in
-  for a = 0 to k - 1 do
-    schedule a 0.0
-  done;
-  let curve = Curve_buf.create ~hint:(Async_push.curve_hint max_time) in
-  Curve_buf.push curve !informed_count;
-  let next_mark = ref 1 in
-  let rings = ref 0 in
-  let finish = ref None in
-  let running = ref (!informed_count < k) in
-  (match trace with
-  | None -> ()
-  | Some tr -> Trace.begin_span tr "async_meet_exchange.loop");
-  while !running do
-    match Event_queue.pop queue with
-    | None -> running := false
-    | Some (now, a) ->
-        if now > max_time then running := false
-        else begin
-          incr rings;
-          (match trace with
-          | None -> ()
-          | Some tr ->
-              if !rings land trace_sample_mask = 0 then begin
-                Trace.counter tr "queue" (Event_queue.size queue);
-                Trace.counter tr "informed" !informed_count
-              end);
-          Async_push.curve_marks curve next_mark ~now ~count:!informed_count;
-          let u = pos.(a) in
-          let v =
-            if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
-          in
-          if v <> u then begin
-            agents_at.(u) <- List.filter (fun b -> b <> a) agents_at.(u);
-            agents_at.(v) <- a :: agents_at.(v);
-            pos.(a) <- v
-          end;
-          Obs.walker_move obs ~agent:a ~from_:u ~to_:v;
-          exchange_at v;
-          if !informed_count = k then begin
-            finish := Some now;
-            running := false
-          end
-          else schedule a now
-        end
-  done;
-  let finish = if !informed_count = k && !finish = None then Some 0.0 else !finish in
-  (match finish with
-  | Some f -> ignore (Async_push.curve_finish curve ~finish:f ~count:!informed_count)
-  | None -> Async_push.curve_cap curve next_mark ~max_time ~count:!informed_count);
-  (match trace with
-  | None -> ()
-  | Some tr ->
-      Trace.end_span tr;
-      Trace.counter tr "informed" !informed_count;
-      Rumor_obs.Counters.add
-        (Rumor_obs.Counters.counter (Trace.counters tr) "rings")
-        !rings);
-  {
-    broadcast_time = finish;
-    rings = !rings;
-    informed = !informed_count;
-    agents = k;
-    curve = Curve_buf.contents curve;
-  }

@@ -1,24 +1,3 @@
-module Rng = Rumor_prob.Rng
-module Dist = Rumor_prob.Dist
-module Graph = Rumor_graph.Graph
-module Event_queue = Rumor_des.Event_queue
-module Obs = Rumor_obs.Instrument
-module Trace = Rumor_obs.Trace
-
-(* Sampling the queue/informed series every event would swamp the trace —
-   the DES loops sample every 2^10 rings (a power of two so the test mask
-   is exact), plus once at loop exit. *)
-let trace_sample_mask = 1023
-
-let[@inline] des_sample trace ~rings ~queue_size ~informed =
-  match trace with
-  | None -> ()
-  | Some tr ->
-      if rings land trace_sample_mask = 0 then begin
-        Trace.counter tr "queue" queue_size;
-        Trace.counter tr "informed" informed
-      end
-
 type variant = Async_push | Async_push_pull
 
 type result = {
@@ -28,122 +7,8 @@ type result = {
   curve : int array;
 }
 
-(* Integer-mark curve shared by the legacy loops and Async_engine: the
-   curve value at mark m is the informed count after every event with
-   time <= m.  Marks strictly below the current event's time are emitted
-   just before the event applies (the DES pops in time order, so at that
-   point every earlier event has been processed). *)
-let[@inline] curve_marks curve next_mark ~now ~count =
-  while now > float_of_int !next_mark do
-    Curve_buf.push curve count;
-    incr next_mark
-  done
-
-let curve_hint max_time =
-  if max_time >= 1e15 then max_int else int_of_float (Float.ceil max_time)
-
-(* completion: pad with the final count up to mark ceil(finish) *)
-let curve_finish curve ~finish ~count =
-  let last = int_of_float (Float.ceil finish) in
-  while Curve_buf.length curve < last + 1 do
-    Curve_buf.push curve count
-  done;
-  last
-
-(* cap: every integer mark <= max_time is determined, pad through it *)
-let curve_cap curve next_mark ~max_time ~count =
-  while float_of_int !next_mark <= max_time do
-    Curve_buf.push curve count;
-    incr next_mark
-  done
-
 let to_run_result r =
   Run_result.make
     ~broadcast_time:(Option.map (fun t -> int_of_float (Float.ceil t)) r.broadcast_time)
     ~rounds_run:(Array.length r.curve - 1)
     ~informed_curve:r.curve ~contacts:r.rings ()
-
-let run ?obs ?trace rng g ~variant ~source ~max_time =
-  let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Async_push.run: source out of range";
-  if not (max_time > 0.0) then invalid_arg "Async_push.run: max_time must be positive";
-  (* Clock-stream contract (see the mli): the first operation on [rng]
-     splits off a dedicated generator for the Poisson clocks.  Every
-     exponential gap comes from [clock] in schedule order and every other
-     draw (neighbor picks) from [rng] in event order, which is exactly the
-     consumption order of Async_engine's batched clock stream — so engine
-     and legacy runs are bit-identical on the same seed. *)
-  let clock = Rng.split rng in
-  let informed = Array.make n false in
-  let informed_count = ref 1 in
-  informed.(source) <- true;
-  let queue = Event_queue.create () in
-  let schedule u now = Event_queue.push queue (now +. Dist.exponential clock 1.0) u in
-  (* push only needs clocks on informed vertices; push-pull needs everyone *)
-  (match variant with
-  | Async_push -> schedule source 0.0
-  | Async_push_pull ->
-      for u = 0 to n - 1 do
-        schedule u 0.0
-      done);
-  let curve = Curve_buf.create ~hint:(curve_hint max_time) in
-  Curve_buf.push curve !informed_count;
-  let next_mark = ref 1 in
-  let rings = ref 0 in
-  let finish_time = ref None in
-  let running = ref true in
-  (match trace with
-  | None -> ()
-  | Some tr -> Trace.begin_span tr "async_push.loop");
-  while !running do
-    match Event_queue.pop queue with
-    | None -> running := false
-    | Some (now, u) ->
-        if now > max_time then running := false
-        else begin
-          incr rings;
-          des_sample trace ~rings:!rings ~queue_size:(Event_queue.size queue)
-            ~informed:!informed_count;
-          curve_marks curve next_mark ~now ~count:!informed_count;
-          let v = Graph.random_neighbor g rng u in
-          Obs.contact obs u v;
-          (match variant with
-          | Async_push ->
-              if not informed.(v) then begin
-                informed.(v) <- true;
-                incr informed_count;
-                schedule v now
-              end
-          | Async_push_pull ->
-              if informed.(u) && not informed.(v) then begin
-                informed.(v) <- true;
-                incr informed_count
-              end
-              else if informed.(v) && not informed.(u) then begin
-                informed.(u) <- true;
-                incr informed_count
-              end);
-          if !informed_count = n then begin
-            finish_time := Some now;
-            running := false
-          end
-          else schedule u now
-        end
-  done;
-  (match !finish_time with
-  | Some f -> ignore (curve_finish curve ~finish:f ~count:!informed_count)
-  | None -> curve_cap curve next_mark ~max_time ~count:!informed_count);
-  (match trace with
-  | None -> ()
-  | Some tr ->
-      Trace.end_span tr;
-      Trace.counter tr "informed" !informed_count;
-      Rumor_obs.Counters.add
-        (Rumor_obs.Counters.counter (Trace.counters tr) "rings")
-        !rings);
-  {
-    broadcast_time = !finish_time;
-    rings = !rings;
-    informed = !informed_count;
-    curve = Curve_buf.contents curve;
-  }

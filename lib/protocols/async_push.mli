@@ -1,10 +1,13 @@
-(** Asynchronous rumor spreading (the Section 2 variants).
+(** Asynchronous rumor spreading (the Section 2 variants): the model and
+    its result type; {!Async_engine.push} runs it.
 
     In the asynchronous model every vertex acts at the arrival times of an
     independent unit-rate Poisson process: when its clock rings, the vertex
     samples a random neighbor and pushes (or, for push-pull, exchanges).
     Time is continuous; one unit of time corresponds to one expected ring
-    per vertex, i.e. to one synchronous round's worth of activity.
+    per vertex, i.e. to one synchronous round's worth of activity.  Push
+    only needs clocks on informed vertices, so a run costs
+    O(total rings) events.
 
     The paper's related work (Sauerwald [41]; Giakkoupis–Nazari–Woelfel
     [27], Angel et al. [4]) shows asynchronous push has the same broadcast
@@ -13,22 +16,16 @@
     Ablation A5 checks the regular-graph equivalence empirically, and
     experiment A9 the sync/async agreement at Theorem granularity.
 
-    Implemented by discrete-event simulation over {!Rumor_des.Event_queue}:
-    only informed vertices need clocks for push, so a run costs
-    O(n log n + total rings).  For million-node runs use
-    {!Async_engine}, the calendar-queue kernel with batched clocks; it is
-    bit-identical to this module on the same seed.
-
     {2 Clock-stream contract}
 
-    The reference RNG-consumption order, which both this module and
-    {!Async_engine} implement exactly: the first operation on [rng]
-    splits off a dedicated clock generator ({!Rumor_prob.Rng.split});
-    every Exp(1) clock gap is drawn from that clock stream in schedule
-    order, and every other draw (here: uniform neighbor picks) comes from
-    [rng] itself in event order.  Batching clock draws then cannot change
-    any result, because the k-th scheduled gap is the clock stream's k-th
-    sample no matter how eagerly it was generated. *)
+    The RNG-consumption order both DES kernels of {!Async_engine}
+    implement: the first operation on [rng] splits off a dedicated clock
+    generator ({!Rumor_prob.Rng.split}); every Exp(1) clock gap is drawn
+    from that clock stream in schedule order, and every other draw
+    (neighbor picks, placement, walk steps) comes from [rng] itself in
+    event order.  Batching clock draws then cannot change any result,
+    because the k-th scheduled gap is the clock stream's k-th sample no
+    matter how eagerly it was generated. *)
 
 type variant = Async_push | Async_push_pull
 
@@ -44,47 +41,8 @@ type result = {
           it ends at the last integer mark [<= max_time]. *)
 }
 
-val run :
-  ?obs:Rumor_obs.Instrument.t ->
-  ?trace:Rumor_obs.Trace.t ->
-  Rumor_prob.Rng.t ->
-  Rumor_graph.Graph.t ->
-  variant:variant ->
-  source:int ->
-  max_time:float ->
-  result
-(** [run rng g ~variant ~source ~max_time] simulates until all vertices are
-    informed or continuous time exceeds [max_time].  The model has no
-    rounds, so [obs] only receives [on_contact] (one per clock ring).
-    [trace] wraps the event loop in an ["async_push.loop"] span, samples
-    the ["queue"]/["informed"] counter series every 1024 rings, and adds
-    the ring total to the registry; it never consumes randomness.
-    @raise Invalid_argument on a bad source or non-positive [max_time]. *)
-
 val to_run_result : result -> Run_result.t
 (** Project onto the synchronous result type: [broadcast_time] rounds up
     to an integer round count, [informed_curve] is the [curve] field,
     [rounds_run] is the curve length minus one, and [contacts] counts one
     contact per ring. *)
-
-(** {2 Integer-mark curve plumbing}
-
-    Shared by this module, {!Async_meet_exchange} and {!Async_engine} so
-    all four async loops emit byte-identical curves for the same event
-    sequence.  The curve value at mark [m] is the informed count after
-    every event with time [<= m]. *)
-
-val curve_hint : float -> int
-(** Curve-buffer size hint for a [max_time] cap. *)
-
-val curve_marks : Curve_buf.t -> int ref -> now:float -> count:int -> unit
-(** Emit every integer mark strictly below [now] (the next event's time)
-    with the pre-event [count], advancing the mark cursor. *)
-
-val curve_finish : Curve_buf.t -> finish:float -> count:int -> int
-(** Pad a completed run's curve with [count] through mark [ceil finish];
-    returns that final mark. *)
-
-val curve_cap : Curve_buf.t -> int ref -> max_time:float -> count:int -> unit
-(** Pad a capped run's curve with [count] through the last integer mark
-    [<= max_time]. *)

@@ -14,11 +14,11 @@ let create n =
   Bytes.make ((n + 7) lsr 3) '\000'
 
 (* lint: hot *)
-let mem t i =
+let[@inline] mem t i =
   Char.code (Bytes.unsafe_get t (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 (* lint: hot *)
-let add t i =
+let[@inline] add t i =
   let byte = i lsr 3 in
   Bytes.unsafe_set t byte
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t byte) lor (1 lsl (i land 7))))

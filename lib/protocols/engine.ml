@@ -7,20 +7,19 @@ module Placement = Rumor_agents.Placement
 module Pool = Rumor_par.Pool
 module Par = Rumor_par.Parallel_for
 
-(* Million-node hot path for the four core round kernels.  Same protocols as
-   Push / Push_pull / Visit_exchange / Meet_exchange, re-expressed over flat
-   state: a Bitset per informed set (1 bit per vertex or agent), a dense
-   frontier/position array, and growable Curve_buf curves, so per-run memory
-   is O(n + m + rounds run) words and the inner loops touch only flat arrays.
+(* The synchronous round kernels — push, push-pull, visit-exchange,
+   meet-exchange and combined — over flat state: a Bitset per informed set
+   (1 bit per vertex or agent), a dense frontier/position array, and
+   growable Curve_buf curves, so per-run memory is O(n + m + rounds run)
+   words and the inner loops touch only flat arrays.
 
-   Determinism contract (extends PR 5's replication contract to intra-round
-   parallelism):
+   Determinism contract:
 
-   - [shards = 1] (the default) consumes the caller's [rng] in exactly the
-     same order as the legacy kernel, so every field of the result — curves,
-     contact counts, tau arrays, observation streams — is bit-identical to
-     the corresponding [Push.run] / [Push_pull.run] / ... call on the same
-     seed.  The equivalence suite in test/test_engine.ml pins this.
+   - [shards = 1] (the default) draws every random choice from the
+     caller's [rng] in one fixed order, so every field of the result —
+     curves, contact counts, tau arrays, observation streams — is a pure
+     function of the seed.  The golden digests in test/golden_kernels.ml
+     pin that order bit for bit.
 
    - [shards = S > 1] re-keys randomness per round: the round's random
      choices are drawn from [Rng.split_n rng S], child [s] covering the
@@ -70,6 +69,19 @@ let check_common ~who ~n ~source ~max_rounds ~shards =
   if max_rounds < 0 then invalid_arg (who ^ ": negative round cap");
   if shards < 1 then invalid_arg (who ^ ": shards < 1")
 
+(* [?tau] out-parameter: each party's informing round, [max_int] until
+   informed.  Parties are what the kernel's informed curve counts:
+   vertices, or agents for meet-exchange. *)
+let reset_tau ~who ~parties = function
+  | Some tau ->
+      if Array.length tau <> parties then
+        invalid_arg (who ^ ": tau length <> number of parties");
+      Array.fill tau 0 parties max_int
+  | None -> ()
+
+let[@inline] set_tau tau party round =
+  match tau with Some tau -> tau.(party) <- round | None -> ()
+
 (* ------------------------------------------------------------------ push *)
 
 (* lint: hot *)
@@ -79,12 +91,8 @@ let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
   check_common ~who:"Engine.push" ~n ~source ~max_rounds ~shards;
   if not (failure_prob >= 0.0 && failure_prob < 1.0) then
     invalid_arg "Engine.push: failure_prob outside [0, 1)";
-  (match tau with
-  | Some tau ->
-      if Array.length tau <> n then invalid_arg "Engine.push: tau length <> n";
-      Array.fill tau 0 n max_int;
-      tau.(source) <- 0
-  | None -> ());
+  reset_tau ~who:"Engine.push" ~parties:n tau;
+  set_tau tau source 0;
   let informed = Bitset.create n in
   (* order.(0 .. count-1) lists informed vertices in informing order; the
      first [active] of them push this round *)
@@ -97,70 +105,63 @@ let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
   Curve_buf.push curve 1;
   let t = ref 0 in
   let want_failures = not (Float.equal failure_prob 0.0) in
-  (* one contact's worth of merge, shared by both paths *)
-  let deliver ~round u v delivered =
-    incr contacts;
-    Obs.contact obs u v;
-    (match traffic with Some tr -> Traffic.record tr u v | None -> ());
-    if delivered && not (Bitset.mem informed v) then begin
-      Bitset.add informed v;
-      (match tau with Some tau -> tau.(v) <- round | None -> ());
-      order.(!count) <- v;
-      incr count
-    end
-  in
-  if shards = 1 then
-    while !count < n && !t < max_rounds do
-      incr t;
-      Obs.round_start obs !t;
-      span_begin_arg trace "push.round" !t;
-      let c0 = !contacts in
-      let active = !count in
-      for i = 0 to active - 1 do
-        let u = order.(i) in
-        let v = Graph.random_neighbor g rng u in
-        let delivered = (not want_failures) || not (Rng.bernoulli rng failure_prob) in
-        deliver ~round:!t u v delivered
-      done;
-      Curve_buf.push curve !count;
-      trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
-      Obs.round_end obs ~round:!t ~informed:!count ~contacts:!contacts
-    done
-  else begin
-    let pool = get_pool pool in
-    let picks = Array.make n 0 in
-    let failed = if want_failures then Bytes.make n '\000' else Bytes.empty in
-    while !count < n && !t < max_rounds do
-      incr t;
-      Obs.round_start obs !t;
-      span_begin_arg trace "push.round" !t;
-      let c0 = !contacts in
-      let active = !count in
-      let rngs = Rng.split_n rng shards in
-      (* shards read only the frozen active prefix of [order] and write
-         disjoint slots of [picks]/[failed]; all shared-state updates wait
-         for the sequential merge below *)
-      let (_ : unit array) =
-        Par.parallel_for ?trace ~label:"push.draw" pool ~n:active ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
-          (fun ~shard ~lo ~hi ->
-            let r = rngs.(shard) in
-            for i = lo to hi - 1 do
-              picks.(i) <- Graph.random_neighbor g r order.(i);
-              if want_failures then
-                Bytes.set failed i (if Rng.bernoulli r failure_prob then '\001' else '\000')
-            done)
+  (* sharded rounds pre-draw every pick (and failure coin) into these, one
+     split child per shard; sequential rounds draw inline in the merge *)
+  let sharded = shards > 1 in
+  let picks = if sharded then Array.make n 0 else [||] in
+  let failed = if sharded && want_failures then Bytes.make n '\000' else Bytes.empty in
+  let pool = if sharded then Some (get_pool pool) else None in
+  while !count < n && !t < max_rounds do
+    incr t;
+    let round = !t in
+    Obs.round_start obs round;
+    span_begin_arg trace "push.round" round;
+    let c0 = !contacts in
+    let active = !count in
+    (match pool with
+    | None -> ()
+    | Some pool ->
+        let rngs = Rng.split_n rng shards in
+        (* shards read only the frozen active prefix of [order] and write
+           disjoint slots of [picks]/[failed]; all shared-state updates wait
+           for the sequential merge below *)
+        let (_ : unit array) =
+          Par.parallel_for ?trace ~label:"push.draw" pool ~n:active ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
+            (fun ~shard ~lo ~hi ->
+              let r = rngs.(shard) in
+              for i = lo to hi - 1 do
+                picks.(i) <- Graph.random_neighbor g r order.(i);
+                if want_failures then
+                  Bytes.set failed i (if Rng.bernoulli r failure_prob then '\001' else '\000')
+              done)
+        in
+        span_begin trace "push.merge");
+    (* the merge: one contact per active vertex, in frontier order; the
+       contact counters stay plain local refs (no closure captures them) *)
+    for i = 0 to active - 1 do
+      let u = order.(i) in
+      let v = if sharded then picks.(i) else Graph.random_neighbor g rng u in
+      let delivered =
+        (not want_failures)
+        ||
+        if sharded then Char.code (Bytes.get failed i) = 0
+        else not (Rng.bernoulli rng failure_prob)
       in
-      span_begin trace "push.merge";
-      for i = 0 to active - 1 do
-        let delivered = (not want_failures) || Char.code (Bytes.get failed i) = 0 in
-        deliver ~round:!t order.(i) picks.(i) delivered
-      done;
-      span_end trace;
-      Curve_buf.push curve !count;
-      trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
-      Obs.round_end obs ~round:!t ~informed:!count ~contacts:!contacts
-    done
-  end;
+      incr contacts;
+      Obs.contact obs u v;
+      (match traffic with Some tr -> Traffic.record tr u v | None -> ());
+      if delivered && not (Bitset.mem informed v) then begin
+        Bitset.add informed v;
+        set_tau tau v round;
+        order.(!count) <- v;
+        incr count
+      end
+    done;
+    if sharded then span_end trace;
+    Curve_buf.push curve !count;
+    trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
+    Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
+  done;
   let rounds_run = !t in
   let broadcast_time = if !count = n then Some rounds_run else None in
   Run_result.make ~broadcast_time ~rounds_run
@@ -184,64 +185,52 @@ let push_pull ?traffic ?obs ?trace ?(shards = 1) ?pool rng g ~source
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve 1;
   let t = ref 0 in
-  let exchange u v =
-    incr contacts;
-    Obs.contact obs u v;
-    (match traffic with Some tr -> Traffic.record tr u v | None -> ());
-    let u_before = Bitset.mem before u and v_before = Bitset.mem before v in
-    if u_before && not (Bitset.mem informed v) then begin
-      Bitset.add informed v;
-      incr count
-    end
-    else if v_before && not (Bitset.mem informed u) then begin
-      Bitset.add informed u;
-      incr count
-    end
-  in
-  if shards = 1 then
-    while !count < n && !t < max_rounds do
-      incr t;
-      let round = !t in
-      Obs.round_start obs round;
-      span_begin_arg trace "push_pull.round" round;
-      let c0 = !contacts in
-      Bitset.snapshot ~src:informed ~dst:before;
-      for u = 0 to n - 1 do
-        exchange u (Graph.random_neighbor g rng u)
-      done;
-      Curve_buf.push curve !count;
-      trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
-      Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
-    done
-  else begin
-    let pool = get_pool pool in
-    let picks = Array.make n 0 in
-    while !count < n && !t < max_rounds do
-      incr t;
-      let round = !t in
-      Obs.round_start obs round;
-      span_begin_arg trace "push_pull.round" round;
-      let c0 = !contacts in
-      let rngs = Rng.split_n rng shards in
-      let (_ : unit array) =
-        Par.parallel_for ?trace ~label:"push_pull.draw" pool ~n ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
-          (fun ~shard ~lo ~hi ->
-            let r = rngs.(shard) in
-            for u = lo to hi - 1 do
-              picks.(u) <- Graph.random_neighbor g r u
-            done)
-      in
-      span_begin trace "push_pull.merge";
-      Bitset.snapshot ~src:informed ~dst:before;
-      for u = 0 to n - 1 do
-        exchange u picks.(u)
-      done;
-      span_end trace;
-      Curve_buf.push curve !count;
-      trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
-      Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
-    done
-  end;
+  let sharded = shards > 1 in
+  let picks = if sharded then Array.make n 0 else [||] in
+  let pool = if sharded then Some (get_pool pool) else None in
+  while !count < n && !t < max_rounds do
+    incr t;
+    let round = !t in
+    Obs.round_start obs round;
+    span_begin_arg trace "push_pull.round" round;
+    let c0 = !contacts in
+    (match pool with
+    | None -> ()
+    | Some pool ->
+        let rngs = Rng.split_n rng shards in
+        let (_ : unit array) =
+          Par.parallel_for ?trace ~label:"push_pull.draw" pool ~n ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
+            (fun ~shard ~lo ~hi ->
+              let r = rngs.(shard) in
+              for u = lo to hi - 1 do
+                picks.(u) <- Graph.random_neighbor g r u
+              done)
+        in
+        span_begin trace "push_pull.merge");
+    Bitset.snapshot ~src:informed ~dst:before;
+    (* every vertex calls one neighbor; inlined rather than a per-contact
+       closure so [count]/[contacts] stay unboxed *)
+    for u = 0 to n - 1 do
+      let v = if sharded then picks.(u) else Graph.random_neighbor g rng u in
+      incr contacts;
+      Obs.contact obs u v;
+      (match traffic with Some tr -> Traffic.record tr u v | None -> ());
+      if Bitset.mem before u then begin
+        if not (Bitset.mem informed v) then begin
+          Bitset.add informed v;
+          incr count
+        end
+      end
+      else if Bitset.mem before v && not (Bitset.mem informed u) then begin
+        Bitset.add informed u;
+        incr count
+      end
+    done;
+    if sharded then span_end trace;
+    Curve_buf.push curve !count;
+    trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
+    Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
+  done;
   let rounds_run = !t in
   let broadcast_time = if !count = n then Some rounds_run else None in
   Run_result.make ~broadcast_time ~rounds_run
@@ -263,8 +252,8 @@ let place_agents ~who rng g agents =
   pos
 
 (* One synchronized walker round over a flat position array, consuming [rng]
-   in exactly Walkers.step's order: per agent, the lazy coin (if lazy) then
-   the neighbor draw. *)
+   in agent order: per agent, the lazy coin (if lazy) then the neighbor
+   draw (the order of Walkers.step). *)
 (* lint: hot *)
 let move_agents_seq ?traffic ?obs ~lazy_walk rng g pos =
   for a = 0 to Array.length pos - 1 do
@@ -315,7 +304,7 @@ let move_agents_sharded ?traffic ?obs ?trace ~lazy_walk ~shards pool rng g pos
    identity is erased; A10 gates the distributional agreement); fires the
    aggregate occupancy hook instead of per-agent contact/walker_move. *)
 (* lint: hot *)
-let visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
+let visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     ~max_rounds () =
   let n = Graph.n g in
   let w =
@@ -354,6 +343,7 @@ let visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
         && not (Bitset.mem vertex_informed v)
       then begin
         Bitset.add vertex_informed v;
+        set_tau tau v round;
         incr informed_vertices;
         incr contacts;
         last_vertex_round := round
@@ -389,8 +379,8 @@ let visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-    ~source ~agents ~max_rounds () =
+let visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+    g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.visit_exchange" rng g agents in
   let k = Array.length pos in
@@ -443,6 +433,7 @@ let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
         let v = pos.(a) in
         if not (Bitset.mem vertex_informed v) then begin
           Bitset.add vertex_informed v;
+          set_tau tau v round;
           incr informed_vertices;
           incr contacts;
           last_vertex_round := round;
@@ -481,20 +472,22 @@ let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
     ~informed_curve:(Curve_buf.contents curve)
     ~contacts:!contacts ()
 
-let visit_exchange ?traffic ?obs ?trace ?(lazy_walk = false)
+let visit_exchange ?traffic ?obs ?trace ?tau ?(lazy_walk = false)
     ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
     ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.visit_exchange" ~n ~source ~max_rounds ~shards;
+  reset_tau ~who:"Engine.visit_exchange" ~parties:n tau;
+  set_tau tau source 0;
   if Sparse_walkers.use_sparse walkers agents g then begin
     if Option.is_some traffic then
       invalid_arg "Engine.visit_exchange: traffic recording requires dense walkers";
-    visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
+    visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
   end
   else
-    visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-      ~source ~agents ~max_rounds ()
+    visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+      g ~source ~agents ~max_rounds ()
 
 (* --------------------------------------------------------- meet-exchange *)
 
@@ -559,11 +552,12 @@ let meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-    ~source ~agents ~max_rounds () =
+let meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+    g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.meet_exchange" rng g agents in
   let k = Array.length pos in
+  reset_tau ~who:"Engine.meet_exchange" ~parties:k tau;
   let agent_informed = Bitset.create k in
   let agent_before = Bitset.create k in
   (* counting-sort buckets, same layout and (stable) agent order as
@@ -590,6 +584,7 @@ let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
   for a = 0 to k - 1 do
     if pos.(a) = source then begin
       Bitset.add agent_informed a;
+      set_tau tau a 0;
       incr informed;
       incr contacts;
       Obs.contact obs source a
@@ -632,6 +627,7 @@ let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
         let a = ids.(i) in
         if not (Bitset.mem agent_informed a) then begin
           Bitset.add agent_informed a;
+          set_tau tau a round;
           incr informed;
           incr contacts;
           Obs.contact obs source a
@@ -640,7 +636,10 @@ let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
       source_active := false
     end;
     (* meetings: a vertex holding some previously informed agent informs
-       every agent standing on it *)
+       every agent standing on it.  Chains within a round cannot occur: an
+       agent informed this round shares its vertex with the (< round)-
+       informed agent that informed it, so any third co-located agent is
+       informed by that same witness directly. *)
     for v = 0 to n - 1 do
       if starts.(v + 1) - starts.(v) >= 2 then begin
         witness := false;
@@ -652,6 +651,7 @@ let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
             let a = ids.(i) in
             if not (Bitset.mem agent_informed a) then begin
               Bitset.add agent_informed a;
+              set_tau tau a round;
               incr informed;
               incr contacts;
               Obs.contact obs v a
@@ -671,13 +671,15 @@ let meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
     ~informed_curve:(Curve_buf.contents curve)
     ~contacts:!contacts ()
 
-let meet_exchange ?traffic ?obs ?trace ?lazy_walk
+let meet_exchange ?traffic ?obs ?trace ?tau ?lazy_walk
     ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
     ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.meet_exchange" ~n ~source ~max_rounds ~shards;
-  (* same unsafe-default fix as Meet_exchange: an omitted [lazy_walk]
-     resolves by testing bipartiteness *)
+  (* unsafe-default fix: on a bipartite graph the non-lazy process can
+     deadlock (walks in opposite parity classes never meet), so an omitted
+     [lazy_walk] resolves by testing bipartiteness — the Lazy_auto
+     convention of Rumor_sim.Protocol *)
   let lazy_walk =
     match lazy_walk with
     | Some b -> b
@@ -686,19 +688,21 @@ let meet_exchange ?traffic ?obs ?trace ?lazy_walk
   if Sparse_walkers.use_sparse walkers agents g then begin
     if Option.is_some traffic then
       invalid_arg "Engine.meet_exchange: traffic recording requires dense walkers";
+    if Option.is_some tau then
+      invalid_arg "Engine.meet_exchange: per-agent tau requires dense walkers";
     meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
   end
   else
-    meet_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-      ~source ~agents ~max_rounds ()
+    meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+      g ~source ~agents ~max_rounds ()
 
 (* --------------------------------------------------------------- combined *)
 
-(* Engine path for the Combined protocol: the push-pull frontier half and
-   the visit-exchange walker half composed in one round loop, consuming the
-   rng in exactly Combined.run's order at [shards = 1] (placement draws,
-   then per round: n push-pull picks, k walker moves). *)
+(* The combined protocol: the push-pull frontier half and the
+   visit-exchange walker half composed in one round loop, consuming the rng
+   at [shards = 1] as placement draws, then per round n push-pull picks
+   and k walker moves. *)
 (* lint: hot *)
 let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
     ~source ~agents ~max_rounds () =
@@ -722,8 +726,7 @@ let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
   let picks = if shards = 1 then [||] else Array.make n 0 in
   let moves = if shards = 1 then [||] else Array.make k 0 in
   let pool = if shards = 1 then None else Some (get_pool pool) in
-  (* hoisted closures: allocated once per run, not per round like the
-     legacy kernel's *)
+  (* hoisted closures: allocated once per run, not per round *)
   let inform_vertex round v =
     if vertex_time.(v) = max_int then begin
       vertex_time.(v) <- round;

@@ -1,18 +1,25 @@
-(** Million-node hot-path engine for the four core round kernels.
+(** The synchronous round kernels: push, push–pull, visit-exchange,
+    meet-exchange and their combination (Section 3 of the paper).
 
-    Same protocols as {!Push}, {!Push_pull}, {!Visit_exchange} and
-    {!Meet_exchange}, re-expressed over flat state: informed sets live in
-    {!Bitset}s (1 bit per vertex/agent), the push frontier and walker
-    positions are dense [int array]s over the CSR graph, and curves grow in
+    Every kernel works over flat state: informed sets live in {!Bitset}s
+    (1 bit per vertex/agent), the push frontier and walker positions are
+    dense [int array]s over the CSR graph, and curves grow in
     {!Curve_buf}s — per-run memory is O(n + m + rounds run) words and a run
     at n = 10^7 is a few GB dominated by the graph itself.
 
+    Rounds are counted as in the paper: round 0 is the initial state
+    (source informed, agents placed) and every kernel fires the
+    {!Rumor_obs.Instrument} round hooks once per simulated round
+    [1 .. rounds_run], plus one [on_contact] per communication that its
+    [contacts] counter counts.
+
     {2 Determinism}
 
-    - [?shards:1] (the default) consumes the caller's [rng] in exactly the
-      legacy kernel's order, so the whole {!Run_result} — curves, contact
-      counts, optional [tau] array, and the [?obs]/[?traffic] streams — is
-      bit-identical to the corresponding legacy run on the same seed.
+    - [?shards:1] (the default) draws every random choice from the
+      caller's [rng] in a fixed order, so the whole {!Run_result} —
+      curves, contact counts, optional [tau] array, and the
+      [?obs]/[?traffic] streams — is a pure function of the seed.  The
+      golden digests in the test suite pin that order.
     - [?shards:S] with [S > 1] draws each round's random choices from
       [Rng.split_n rng S], one child per contiguous shard
       ({!Rumor_par.Parallel_for} geometry), and applies all state updates in
@@ -35,6 +42,7 @@
     All kernels raise [Invalid_argument] on an out-of-range [source], a
     negative [max_rounds], or [shards < 1].  [?pool] defaults to a
     sequential one-job pool and is only consulted when [shards > 1].
+    [?traffic] accumulates one use per contact edge ({!Traffic}).
 
     {2 Sparse walkers}
 
@@ -66,9 +74,22 @@ val push :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Synchronous push.  [?tau], when given, must have length [n] and is
-    filled with each vertex's informing round ([max_int] if never informed)
-    — the engine counterpart of [Push.informed_times].
+(** The push protocol (Demers et al.).  Round 0 informs the source; in
+    every round [t >= 1] each vertex informed in a previous round samples a
+    uniformly random neighbor and sends it the rumor.  Broadcast completes
+    when all vertices are informed.  Work per round is O(informed
+    vertices), so a run costs O(sum of the informed curve).
+
+    [failure_prob] (default 0) drops each transmission independently with
+    that probability — the random-failure model of Elsässer–Sauerwald [22],
+    which the paper's Lemma 4 proof relies on ("random failures of
+    transmission with probability 1/l do not change the broadcast time
+    asymptotically").  Failed contacts still count towards [contacts] and
+    [traffic] (the call happens; the payload is lost).
+
+    [?tau], when given, must have length [n] and is filled with each
+    vertex's informing round [tau_u] ([max_int] if never informed) — the
+    quantity the Section 5 coupling argument reasons about.
     @raise Invalid_argument also if [failure_prob] is outside [0, 1) or
     [tau] has the wrong length. *)
 
@@ -84,12 +105,17 @@ val push_pull :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Synchronous push–pull. *)
+(** The push–pull protocol (Karp et al.).  In every round [t >= 1],
+    {e every} vertex — informed or not — samples a uniformly random
+    neighbor, and if exactly one endpoint of the resulting contact was
+    informed before round [t], the other endpoint becomes informed.  Each
+    vertex's call counts as one contact (n contacts per round). *)
 
 val visit_exchange :
   ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
+  ?tau:int array ->
   ?lazy_walk:bool ->
   ?walkers:Sparse_walkers.mode ->
   ?shards:int ->
@@ -101,13 +127,32 @@ val visit_exchange :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Visit-Exchange over flat walker arrays ([?lazy_walk] defaults to
-    [false], as in {!Visit_exchange}). *)
+(** The visit-exchange protocol.  A set of agents, placed by [agents],
+    performs independent simple random walks.  Round 0 informs the source
+    vertex and every agent standing on it.  In each round [t >= 1] all
+    agents take one step in parallel; then
+
+    - an agent informed in a {e previous} round informs the vertex it now
+      stands on, and
+    - an uninformed agent standing on a vertex that is informed (in a
+      previous round, or in the current round by some informed agent)
+      becomes informed.
+
+    Broadcast completes when all vertices are informed (the broadcast time
+    is the round the last vertex was informed); the round at which all
+    {e agents} are informed is reported as [all_agents_informed] (Theorem
+    23 needs it), and the run continues until both hold.  Contacts count
+    one per agent–vertex information transfer, in either direction.
+    [?lazy_walk] (default [false]) makes every walk stay put with
+    probability 1/2 each round.  [?tau] is filled with each vertex's
+    informing round [t_u], exactly as on {!push}, for either walker
+    representation. *)
 
 val meet_exchange :
   ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
+  ?tau:int array ->
   ?lazy_walk:bool ->
   ?walkers:Sparse_walkers.mode ->
   ?shards:int ->
@@ -119,8 +164,30 @@ val meet_exchange :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Meet-Exchange; an omitted [?lazy_walk] resolves to bipartiteness of the
-    graph, exactly as {!Meet_exchange.run}. *)
+(** The meet-exchange protocol.  Only agents store information.  Round 0
+    informs every agent standing on the source; if there is none, the
+    {e first} agents to visit the source later become informed (all of
+    them, if several arrive simultaneously), after which the source stops
+    informing.  In each round, whenever two agents meet on a vertex and
+    exactly one of them was informed in a previous round, the other
+    becomes informed.  Broadcast completes when all {e agents} are
+    informed, and the informed curve counts agents.  Contacts count one per
+    agent→agent transfer plus one per source→agent transfer.
+
+    On bipartite graphs the non-lazy process can fail to complete (walks in
+    opposite parity classes never meet), where the paper requires lazy
+    walks for an a.s.-finite broadcast time.  An omitted [?lazy_walk]
+    therefore resolves automatically: lazy iff
+    {!Rumor_graph.Algo.is_bipartite} holds (the [Lazy_auto] convention of
+    [Rumor_sim.Protocol]).  Pass [~lazy_walk:false] explicitly to opt back
+    into the non-lazy process, e.g. to exhibit the parity trap.
+
+    [?tau] is indexed by the parties the curve counts — here agents, in
+    placement order — and must have one entry per placed agent
+    ({!Rumor_agents.Placement.count}); it is filled with each agent's
+    informing round ([max_int] if never informed).  Sparse walkers erase
+    agent identity, so [?tau] with sparse walkers raises
+    [Invalid_argument]. *)
 
 val combined :
   ?obs:Rumor_obs.Instrument.t ->
@@ -135,8 +202,17 @@ val combined :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** The Combined protocol (push–pull frontier half + visit-exchange walker
-    half in one round) on the engine's flat state; bit-identical to
-    {!Combined.run} at [?shards:1] on the same seed, obs stream included.
-    [?lazy_walk] defaults to [false], as in the legacy module.  Dense
-    walkers only — the sparse representation has no combined kernel. *)
+(** Push–pull and visit-exchange run side by side on a shared informed
+    set.  The paper's introduction observes that "agent-based information
+    dissemination, separately or in combination with push-pull, can
+    significantly improve the broadcast time": each mechanism covers the
+    other's bad cases (push–pull is slow on the double star,
+    visit-exchange on the heavy binary tree).  Each round executes one
+    push–pull round (all n calls, against the informed-before-this-round
+    state) and then one visit-exchange round, and a vertex is informed as
+    soon as either informs it; agents learn from vertices as in
+    {!visit_exchange}.  Experiment E10 checks that the combination is
+    logarithmic on both families.  Same conventions as {!visit_exchange}
+    ([?lazy_walk] defaults to [false]); the informed curve counts
+    vertices.  Dense walkers only — the sparse representation has no
+    combined kernel. *)

@@ -10,13 +10,6 @@ module P = Rumor_protocols
 
 type profile = Quick | Full
 
-type t = {
-  id : string;
-  title : string;
-  paper_ref : string;
-  run : profile -> seed:int -> Table.t list;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -28,58 +21,29 @@ let reps profile = pick profile ~quick:5 ~full:15
 (* Decorrelated per-cell seeds so adding a column does not shift others. *)
 let cell_seed seed i j = (seed * 1_000_003) + (i * 7919) + j
 
-(* Dynamically-scoped metrics sink: [with_metrics_sink] installs it around a
-   whole suite run so every measured cell emits run records without
-   threading a sink through each experiment closure. *)
-let metrics_sink : Rumor_obs.Run_record.sink option ref = ref None
+(* What a suite run threads into every measured cell: [run_all] builds
+   it once and each experiment passes it on to [measure_cell]. *)
+type config = {
+  metrics : Rumor_obs.Run_record.sink option;
+      (** receives every measured cell's run records *)
+  jobs : int;  (** replication parallelism; results are identical for any *)
+  walkers : Protocol.walkers;  (** walker representation of the cells *)
+  trace : Rumor_obs.Trace.t option;  (** suite-wide tracer *)
+}
 
-let with_metrics_sink sink f =
-  let saved = !metrics_sink in
-  metrics_sink := Some sink;
-  Fun.protect ~finally:(fun () -> metrics_sink := saved) f
+let default_config =
+  { metrics = None; jobs = 1; walkers = Protocol.Dense; trace = None }
 
-(* Same dynamic-scoping trick for the replication parallelism degree, so
-   experiment closures need no threading either; cell results are identical
-   for every setting (see Replicate). *)
-let current_jobs = ref 1
+type t = {
+  id : string;
+  title : string;
+  paper_ref : string;
+  run : config -> profile -> seed:int -> Table.t list;
+}
 
-let with_jobs jobs f =
-  let saved = !current_jobs in
-  current_jobs := jobs;
-  Fun.protect ~finally:(fun () -> current_jobs := saved) f
-
-(* And for the engine flag: measured cells are bit-identical either way
-   (shards stay at 1), so this too is a pure performance choice. *)
-let current_engine = ref false
-
-let with_engine engine f =
-  let saved = !current_engine in
-  current_engine := engine;
-  Fun.protect ~finally:(fun () -> current_engine := saved) f
-
-(* And for the walker representation: with the dense default every engine
-   cell keeps the bit-identical contract; [Sparse]/[Auto] are opt-in and
-   gated distributionally by A10. *)
-let current_walkers : Protocol.walkers ref = ref Protocol.Dense
-
-let with_walkers walkers f =
-  let saved = !current_walkers in
-  current_walkers := walkers;
-  Fun.protect ~finally:(fun () -> current_walkers := saved) f
-
-(* And for the tracer: every measured cell's replications record into the
-   one suite-wide tracer (spans never change results, see Replicate). *)
-let current_trace : Rumor_obs.Trace.t option ref = ref None
-
-let with_trace trace f =
-  let saved = !current_trace in
-  current_trace := Some trace;
-  Fun.protect ~finally:(fun () -> current_trace := saved) f
-
-let measure_cell ~seed ~reps ~graph ~spec ~max_rounds =
-  Replicate.broadcast_times ?sink:!metrics_sink ~jobs:!current_jobs
-    ?trace:!current_trace ~engine:!current_engine ~walkers:!current_walkers
-    ~seed ~reps ~graph ~spec ~max_rounds ()
+let measure_cell cfg ~seed ~reps ~graph ~spec ~max_rounds =
+  Replicate.broadcast_times ?sink:cfg.metrics ~jobs:cfg.jobs ?trace:cfg.trace
+    ~walkers:cfg.walkers ~seed ~reps ~graph ~spec ~max_rounds ()
 
 let time_cell (m : Replicate.measurement) =
   let s = m.summary in
@@ -87,7 +51,7 @@ let time_cell (m : Replicate.measurement) =
   if m.capped > 0 then Printf.sprintf ">=%s (%d capped)" text m.capped else text
 
 (* A standard sweep: rows indexed by a size label, columns by protocol. *)
-let sweep_table ~title ~claim ~paper_row ~seed ~reps ~max_rounds ~specs ~notes rows =
+let sweep_table cfg ~title ~claim ~paper_row ~seed ~reps ~max_rounds ~specs ~notes rows =
   let header = "n" :: List.map Protocol.name specs in
   let means = Array.make_matrix (List.length rows) (List.length specs) 0.0 in
   let table_rows =
@@ -97,7 +61,7 @@ let sweep_table ~title ~claim ~paper_row ~seed ~reps ~max_rounds ~specs ~notes r
           List.mapi
             (fun j spec ->
               let m =
-                measure_cell ~seed:(cell_seed seed i j) ~reps ~graph ~spec
+                measure_cell cfg ~seed:(cell_seed seed i j) ~reps ~graph ~spec
                   ~max_rounds:(max_rounds nval)
               in
               means.(i).(j) <- Replicate.mean m;
@@ -132,7 +96,7 @@ let comb = Protocol.combined ~alpha ()
 (* E1: star graph (Fig 1a, Lemma 2)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let e1_run profile ~seed =
+let e1_run cfg profile ~seed =
   let leaves = pick profile ~quick:[ 128; 256; 512; 1024 ] ~full:[ 128; 256; 512; 1024; 2048; 4096 ] in
   let rows =
     List.map
@@ -142,7 +106,7 @@ let e1_run profile ~seed =
       leaves
   in
   [
-    sweep_table ~title:"E1: star S_n, source = center"
+    sweep_table cfg ~title:"E1: star S_n, source = center"
       ~claim:
         "Lemma 2: E[T_push] = Omega(n log n); T_ppull <= 2; T_visitx, T_meetx = \
          O(log n) w.h.p."
@@ -159,7 +123,7 @@ let e1_run profile ~seed =
 (* E2: double star (Fig 1b, Lemma 3)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let e2_run profile ~seed =
+let e2_run cfg profile ~seed =
   let leaves = pick profile ~quick:[ 128; 256; 512; 1024 ] ~full:[ 128; 256; 512; 1024; 2048; 4096 ] in
   let rows =
     List.map
@@ -173,7 +137,7 @@ let e2_run profile ~seed =
       leaves
   in
   [
-    sweep_table ~title:"E2: double star S2_n, source = a leaf"
+    sweep_table cfg ~title:"E2: double star S2_n, source = a leaf"
       ~claim:
         "Lemma 3: E[T_ppull] = Omega(n); T_visitx, T_meetx = O(log n) w.h.p."
       ~paper_row:
@@ -193,7 +157,7 @@ let e2_run profile ~seed =
 (* E3: heavy binary tree (Fig 1c, Lemma 4)                             *)
 (* ------------------------------------------------------------------ *)
 
-let e3_run profile ~seed =
+let e3_run cfg profile ~seed =
   let levels = pick profile ~quick:[ 8; 9; 10; 11 ] ~full:[ 8; 9; 10; 11; 12; 13 ] in
   let rows =
     List.map
@@ -207,7 +171,7 @@ let e3_run profile ~seed =
       levels
   in
   [
-    sweep_table ~title:"E3: heavy binary tree B_n, source = a leaf"
+    sweep_table cfg ~title:"E3: heavy binary tree B_n, source = a leaf"
       ~claim:
         "Lemma 4: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); T_meetx = \
          O(log n) w.h.p. for a leaf source"
@@ -228,7 +192,7 @@ let e3_run profile ~seed =
 (* E4: Siamese heavy binary trees (Fig 1d, Lemma 8)                    *)
 (* ------------------------------------------------------------------ *)
 
-let e4_run profile ~seed =
+let e4_run cfg profile ~seed =
   let levels = pick profile ~quick:[ 8; 9; 10; 11 ] ~full:[ 8; 9; 10; 11; 12 ] in
   let rows =
     List.map
@@ -242,7 +206,7 @@ let e4_run profile ~seed =
       levels
   in
   [
-    sweep_table ~title:"E4: Siamese heavy binary trees D_n, source = a left leaf"
+    sweep_table cfg ~title:"E4: Siamese heavy binary trees D_n, source = a left leaf"
       ~claim:
         "Lemma 8: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); \
          E[T_meetx] = Omega(n)"
@@ -263,7 +227,7 @@ let e4_run profile ~seed =
 (* E5: cycle of stars of cliques (Fig 1e, Lemma 9)                     *)
 (* ------------------------------------------------------------------ *)
 
-let e5_run profile ~seed =
+let e5_run cfg profile ~seed =
   let ks = pick profile ~quick:[ 6; 8; 10; 12 ] ~full:[ 6; 8; 10; 12; 14; 16 ] in
   let measurements =
     List.mapi
@@ -273,11 +237,11 @@ let e5_run profile ~seed =
         let graph _rng = (csc.Gen_paper.csc_graph, csc.Gen_paper.csc_a_clique_vertex) in
         let cap = 500 * k * k in
         let mv =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:vx ~max_rounds:cap
         in
         let mm =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:mx ~max_rounds:cap
         in
         (k, n, mv, mm))
@@ -335,17 +299,17 @@ let ilog2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-let e6_family_table ~title ~seed ~profile rows =
+let e6_family_table cfg ~title ~seed ~profile rows =
   let specs = [ Protocol.push; vx ] in
   let measurements =
     List.mapi
       (fun i (label, _nval, graph) ->
         let mp =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:(List.nth specs 0) ~max_rounds:100_000
         in
         let mv =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:(List.nth specs 1) ~max_rounds:100_000
         in
         (label, mp, mv))
@@ -372,7 +336,7 @@ let e6_family_table ~title ~seed ~profile rows =
     ~header:[ "n (d)"; "push"; "visit-exchange"; "push/visitx" ]
     table_rows
 
-let e6_run profile ~seed =
+let e6_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096; 8192 ] in
   let rr_rows =
     List.map
@@ -403,9 +367,9 @@ let e6_run profile ~seed =
       neck_sizes
   in
   [
-    e6_family_table ~title:"E6a: random d-regular, d = max(6, log2 n)" ~seed ~profile rr_rows;
-    e6_family_table ~title:"E6b: hypercube (d = log2 n exactly)" ~seed:(seed + 1) ~profile hc_rows;
-    e6_family_table
+    e6_family_table cfg ~title:"E6a: random d-regular, d = max(6, log2 n)" ~seed ~profile rr_rows;
+    e6_family_table cfg ~title:"E6b: hypercube (d = log2 n exactly)" ~seed:(seed + 1) ~profile hc_rows;
+    e6_family_table cfg
       ~title:"E6c: necklace of 16-cliques (15-regular, diameter Theta(n)): both protocols polynomial, ratio still constant"
       ~seed:(seed + 2) ~profile neck_rows;
   ]
@@ -414,7 +378,7 @@ let e6_run profile ~seed =
 (* E7: visit-exchange vs meet-exchange on regular graphs (Theorem 23)  *)
 (* ------------------------------------------------------------------ *)
 
-let e7_run profile ~seed =
+let e7_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096 ] in
   let measurements =
     List.mapi
@@ -422,11 +386,11 @@ let e7_run profile ~seed =
         let d = max 6 (ilog2 n) in
         let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
         let mvx =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:vx ~max_rounds:100_000
         in
         let mmx =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:mx ~max_rounds:100_000
         in
         (n, d, mvx, mmx))
@@ -466,7 +430,7 @@ let e7_run profile ~seed =
 (* E8: logarithmic lower bounds (Theorems 24, 25)                      *)
 (* ------------------------------------------------------------------ *)
 
-let e8_run profile ~seed =
+let e8_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096; 8192 ] in
   let measurements =
     List.mapi
@@ -474,11 +438,11 @@ let e8_run profile ~seed =
         let d = max 6 (ilog2 n) in
         let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
         let mvx =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:vx ~max_rounds:100_000
         in
         let mmx =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:mx ~max_rounds:100_000
         in
         (n, d, mvx, mmx))
@@ -547,9 +511,13 @@ let e9b_table profile ~seed =
         for _ = 1 to trials do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let tau = P.Push.informed_times rng g ~source:0 ~max_rounds:(100 * n) in
-          let dvx =
-            P.Visit_exchange.run_detailed rng g ~source:0
+          let tau = Array.make n 0 in
+          let (_ : P.Run_result.t) =
+            P.Engine.push ~tau rng g ~source:0 ~max_rounds:(100 * n) ()
+          in
+          let vertex_time = Array.make n 0 in
+          let (_ : P.Run_result.t) =
+            P.Engine.visit_exchange ~tau:vertex_time rng g ~source:0
               ~agents:(Placement.Linear alpha) ~max_rounds:(100 * n) ()
           in
           let ln_n = log (float_of_int n) in
@@ -559,7 +527,7 @@ let e9b_table profile ~seed =
                 let ratio = float_of_int tu /. (float_of_int tau.(u) +. ln_n) in
                 if ratio > !worst_ratio then worst_ratio := ratio
               end)
-            dvx.P.Visit_exchange.vertex_time;
+            vertex_time;
           let t_run =
             P.Tweaked_visit_exchange.run_t_visit_exchange rng g ~source:0
               ~agents:(Placement.Linear alpha) ~gamma:6.0 ~max_rounds:(100 * n) ()
@@ -601,7 +569,7 @@ let e9b_table profile ~seed =
     ~header:[ "n (d)"; "runs"; "max t/(tau+ln n)"; "t-clamp"; "r-clamp" ]
     rows
 
-let e9_run profile ~seed =
+let e9_run _cfg profile ~seed =
   let ns = pick profile ~quick:[ 128; 256; 512 ] ~full:[ 128; 256; 512; 1024; 2048 ] in
   let trials = pick profile ~quick:3 ~full:10 in
   let rows =
@@ -678,7 +646,7 @@ let e9_run profile ~seed =
 (* E10: the push-pull + visit-exchange combination (Section 1)         *)
 (* ------------------------------------------------------------------ *)
 
-let e10_run profile ~seed =
+let e10_run cfg profile ~seed =
   let reps = reps profile in
   let size = pick profile ~quick:1024 ~full:4096 in
   let levels = pick profile ~quick:11 ~full:13 in
@@ -704,7 +672,7 @@ let e10_run profile ~seed =
           List.mapi
             (fun j spec ->
               let m =
-                measure_cell ~seed:(cell_seed seed i j) ~reps ~graph ~spec
+                measure_cell cfg ~seed:(cell_seed seed i j) ~reps ~graph ~spec
                   ~max_rounds:(60 * n)
               in
               time_cell m)
@@ -735,7 +703,7 @@ let e10_run profile ~seed =
 (* A1: agent density (Section 9 open problem)                          *)
 (* ------------------------------------------------------------------ *)
 
-let a1_run profile ~seed =
+let a1_run cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
   let d = max 6 (ilog2 n) in
   let alphas = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
@@ -744,12 +712,12 @@ let a1_run profile ~seed =
     List.mapi
       (fun i a ->
         let mvx =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:(Protocol.visit_exchange ~alpha:a ())
             ~max_rounds:100_000
         in
         let mmx =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:(Protocol.meet_exchange ~alpha:a ())
             ~max_rounds:100_000
         in
@@ -776,7 +744,7 @@ let a1_run profile ~seed =
 (* A2: lazy vs non-lazy walks on a bipartite graph (Section 3)         *)
 (* ------------------------------------------------------------------ *)
 
-let a2_run profile ~seed =
+let a2_run cfg profile ~seed =
   let leaves = pick profile ~quick:512 ~full:2048 in
   let graph _rng = (Gen_basic.star ~leaves, 0) in
   let cap = 2000 in
@@ -790,7 +758,7 @@ let a2_run profile ~seed =
     List.mapi
       (fun i (label, spec) ->
         let m =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec ~max_rounds:cap
         in
         [
@@ -823,7 +791,7 @@ let a2_run profile ~seed =
 (* A3: stationary vs one-agent-per-vertex placement (Section 1)        *)
 (* ------------------------------------------------------------------ *)
 
-let a3_run profile ~seed =
+let a3_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 512; 1024 ] ~full:[ 512; 1024; 2048; 4096 ] in
   let rows =
     List.mapi
@@ -831,11 +799,11 @@ let a3_run profile ~seed =
         let d = max 6 (ilog2 n) in
         let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
         let m_st =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:vx ~max_rounds:100_000
         in
         let m_opv =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:(Protocol.Visit_exchange { agents = Placement.One_per_vertex; laziness = Protocol.Lazy_off })
             ~max_rounds:100_000
         in
@@ -860,7 +828,7 @@ let a3_run profile ~seed =
 (* A4: bandwidth fairness (Section 1)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let a4_run profile ~seed =
+let a4_run _cfg profile ~seed =
   let leaves = pick profile ~quick:256 ~full:1024 in
   let ds = Gen_paper.double_star ~leaves_per_star:leaves in
   let g = ds.Gen_paper.ds_graph in
@@ -920,7 +888,7 @@ let a4_run profile ~seed =
 (* A5: synchronous vs asynchronous rumor spreading (Section 2)         *)
 (* ------------------------------------------------------------------ *)
 
-let a5_run profile ~seed =
+let a5_run _cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024 ] ~full:[ 256; 512; 1024; 2048; 4096 ] in
   let reps = reps profile in
   let rows =
@@ -932,18 +900,18 @@ let a5_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r = P.Push.run rng g ~source:0 ~max_rounds:100_000 () in
+          let r = P.Engine.push rng g ~source:0 ~max_rounds:100_000 () in
           Stats.add_int sync (P.Run_result.time_exn r);
           (match
-             (P.Async_push.run rng g ~variant:P.Async_push.Async_push ~source:0
+             (P.Async_engine.push rng g ~variant:P.Async_push.Async_push ~source:0
                 ~max_time:1e6)
                .P.Async_push.broadcast_time
            with
           | Some t -> Stats.add async_p t
           | None -> ());
           match
-            (P.Async_push.run rng g ~variant:P.Async_push.Async_push_pull ~source:0
-               ~max_time:1e6)
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull
+               ~source:0 ~max_time:1e6)
               .P.Async_push.broadcast_time
           with
           | Some t -> Stats.add async_pp t
@@ -981,7 +949,7 @@ let a5_run profile ~seed =
 (* A6: dynamic agents under churn (Section 9 future work)              *)
 (* ------------------------------------------------------------------ *)
 
-let a6_run profile ~seed =
+let a6_run _cfg profile ~seed =
   let n = pick profile ~quick:512 ~full:2048 in
   let reps = reps profile in
   let d = max 6 (ilog2 n) in
@@ -1043,7 +1011,7 @@ let a6_run profile ~seed =
 (* A7: push under random transmission failures ([22], used by Lemma 4) *)
 (* ------------------------------------------------------------------ *)
 
-let a7_run profile ~seed =
+let a7_run _cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
   let d = max 6 (ilog2 n) in
   let reps = reps profile in
@@ -1056,7 +1024,9 @@ let a7_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r = P.Push.run ~failure_prob rng g ~source:0 ~max_rounds:(100 * n) () in
+          let r =
+            P.Engine.push ~failure_prob rng g ~source:0 ~max_rounds:(100 * n) ()
+          in
           Stats.add_int stats (P.Run_result.time_exn r)
         done;
         let t = Stats.mean stats in
@@ -1102,7 +1072,7 @@ let a7_run profile ~seed =
 (* R1: sub-linear agents on random regular graphs (Section 9; [14])    *)
 (* ------------------------------------------------------------------ *)
 
-let r1_run profile ~seed =
+let r1_run cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
   let d = max 6 (ilog2 n) in
   let ks = pick profile ~quick:[ 8; 16; 32; 64; 128 ] ~full:[ 8; 16; 32; 64; 128; 256; 512 ] in
@@ -1115,7 +1085,7 @@ let r1_run profile ~seed =
             { agents = Placement.Stationary k; laziness = Protocol.Lazy_auto }
         in
         let m =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
             ~max_rounds:(200 * n)
         in
         let t = Replicate.mean m in
@@ -1150,7 +1120,7 @@ let r1_run profile ~seed =
 (* R2: sub-linear agents on the torus (Section 9; [39], [35])          *)
 (* ------------------------------------------------------------------ *)
 
-let r2_run profile ~seed =
+let r2_run cfg profile ~seed =
   let side = pick profile ~quick:24 ~full:48 in
   let n = side * side in
   let ks = pick profile ~quick:[ 4; 16; 64; 256 ] ~full:[ 4; 16; 64; 256; 1024 ] in
@@ -1163,7 +1133,7 @@ let r2_run profile ~seed =
             { agents = Placement.Stationary k; laziness = Protocol.Lazy_auto }
         in
         let m =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
             ~max_rounds:(500 * n)
         in
         let t = Replicate.mean m in
@@ -1198,7 +1168,7 @@ let r2_run profile ~seed =
 (* R3: quasirandom vs fully random push (Section 2; [19])              *)
 (* ------------------------------------------------------------------ *)
 
-let r3_run profile ~seed =
+let r3_run cfg profile ~seed =
   let families =
     let sizes = pick profile ~quick:[ 256; 1024 ] ~full:[ 256; 1024; 4096 ] in
     List.concat_map
@@ -1219,11 +1189,11 @@ let r3_run profile ~seed =
     List.mapi
       (fun i (label, _n, graph) ->
         let m_push =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:Protocol.push ~max_rounds:1_000_000
         in
         let m_quasi =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:Protocol.quasi_push ~max_rounds:1_000_000
         in
         [
@@ -1257,7 +1227,7 @@ let r3_run profile ~seed =
 (* R4: COBRA walks — branching factor sweep (Section 2; [7], [36])     *)
 (* ------------------------------------------------------------------ *)
 
-let r4_run profile ~seed =
+let r4_run cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
   let d = max 6 (ilog2 n) in
   let branchings = [ 1; 2; 3; 4 ] in
@@ -1266,7 +1236,7 @@ let r4_run profile ~seed =
       (fun i branching ->
         let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
         let m =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:(Protocol.Cobra { branching })
             ~max_rounds:(200 * n)
         in
@@ -1301,7 +1271,7 @@ let r4_run profile ~seed =
 (* R5: the frog model vs the paper's agent protocols (Section 2; [3])  *)
 (* ------------------------------------------------------------------ *)
 
-let r5_run profile ~seed =
+let r5_run cfg profile ~seed =
   let families =
     let n = pick profile ~quick:1024 ~full:4096 in
     let d = max 6 (ilog2 n) in
@@ -1331,7 +1301,7 @@ let r5_run profile ~seed =
           List.mapi
             (fun j spec ->
               let m =
-                measure_cell ~seed:(cell_seed seed i j) ~reps:(reps profile) ~graph
+                measure_cell cfg ~seed:(cell_seed seed i j) ~reps:(reps profile) ~graph
                   ~spec ~max_rounds:cap
               in
               time_cell m)
@@ -1362,7 +1332,7 @@ let r5_run profile ~seed =
 (* R6: push-pull vs the conductance bound (Section 2; [11])            *)
 (* ------------------------------------------------------------------ *)
 
-let r6_run profile ~seed =
+let r6_run cfg profile ~seed =
   let families =
     [
       ("complete n=128", Gen_basic.complete 128, 0);
@@ -1382,7 +1352,7 @@ let r6_run profile ~seed =
         let phi = Rumor_graph.Spectral.conductance_sweep ~iterations:2000 g in
         let bound = log (float_of_int n) /. phi in
         let m =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile)
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile)
             ~graph:(fun _rng -> (g, source))
             ~spec:Protocol.push_pull ~max_rounds:(1000 * n)
         in
@@ -1419,7 +1389,7 @@ let r6_run profile ~seed =
 (* R7: meet-exchange vs the exact meeting time (Section 2; [16])       *)
 (* ------------------------------------------------------------------ *)
 
-let r7_run profile ~seed =
+let r7_run _cfg profile ~seed =
   let families =
     [
       ("complete n=24", Gen_basic.complete 24, false);
@@ -1441,7 +1411,7 @@ let r7_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let r =
-            P.Meet_exchange.run ~lazy_walk rng g ~source:0
+            P.Engine.meet_exchange ~lazy_walk rng g ~source:0
               ~agents:(Placement.Stationary 2)
               ~max_rounds:(int_of_float (2000.0 *. meeting))
               ()
@@ -1484,7 +1454,7 @@ let r7_run profile ~seed =
 (* R8: a stream of rumors over one agent population (Section 1)        *)
 (* ------------------------------------------------------------------ *)
 
-let r8_run profile ~seed =
+let r8_run _cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
   let d = max 6 (ilog2 n) in
   let reps = reps profile in
@@ -1513,7 +1483,7 @@ let r8_run profile ~seed =
       r.P.Multi_rumor.per_rumor_time;
     (* baseline: one isolated rumor on the same graph *)
     let b =
-      P.Visit_exchange.run rng g ~source:0 ~agents:(Placement.Linear alpha)
+      P.Engine.visit_exchange rng g ~source:0 ~agents:(Placement.Linear alpha)
         ~max_rounds:100_000 ()
     in
     Stats.add_int single_stats (P.Run_result.time_exn b)
@@ -1555,7 +1525,7 @@ let r8_run profile ~seed =
 (* A8: continuous vs synchronized meet-exchange ([33], [34])           *)
 (* ------------------------------------------------------------------ *)
 
-let a8_run profile ~seed =
+let a8_run _cfg profile ~seed =
   let reps = reps profile in
   let n = pick profile ~quick:256 ~full:1024 in
   let families =
@@ -1580,21 +1550,21 @@ let a8_run profile ~seed =
           (* ~lazy_walk:false on purpose: A8 studies the pure continuous
              process, where parity needs no lazy fix. *)
           (match
-             (P.Async_meet_exchange.run ~lazy_walk:false rng g ~source
+             (P.Async_engine.meet_exchange ~lazy_walk:false rng g ~source
                 ~agents:(Placement.Linear alpha) ~max_time:1e6)
                .P.Async_meet_exchange.broadcast_time
            with
           | Some t -> Stats.add cont t
           | None -> ());
           let d =
-            P.Meet_exchange.run ~lazy_walk:true rng g ~source
+            P.Engine.meet_exchange ~lazy_walk:true rng g ~source
               ~agents:(Placement.Linear alpha) ~max_rounds:100_000 ()
           in
           (match d.P.Run_result.broadcast_time with
           | Some t -> Stats.add_int disc t
           | None -> ());
           let nl =
-            P.Meet_exchange.run ~lazy_walk:false rng g ~source
+            P.Engine.meet_exchange ~lazy_walk:false rng g ~source
               ~agents:(Placement.Linear alpha) ~max_rounds:2000 ()
           in
           if nl.P.Run_result.broadcast_time <> None then incr disc_nonlazy_completed
@@ -1637,12 +1607,12 @@ let a8_run profile ~seed =
    asynchronous push matches synchronous push asymptotically on regular
    graphs, and both are Theta(log n) on G(n,p) above the connectivity
    threshold — so the mean async/sync ratio must sit inside a fixed
-   constant band.  Unlike A5 (which calls the legacy module directly),
-   both columns here go through Protocol/measure_cell, so running the
-   suite with --engine pushes the async column through Async_engine's
-   calendar-queue/batched-clock path; the verdict column then doubles as
-   a Theorem-level regression check on the engine itself. *)
-let a9_run profile ~seed =
+   constant band.  Unlike A5 (which calls the kernels directly), both
+   columns here go through Protocol/measure_cell, so the async column runs
+   on Async_engine's calendar-queue/batched-clock path exactly as every
+   other suite cell does; the verdict column doubles as a Theorem-level
+   regression check on that kernel. *)
+let a9_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512 ] ~full:[ 512; 1024; 2048; 4096 ] in
   let reps = reps profile in
   let lo = 1.0 /. 3.0 and hi = 3.0 in
@@ -1676,11 +1646,11 @@ let a9_run profile ~seed =
                let i = (mi * List.length ns) + ni in
                let graph = graph_of_n n in
                let m_sync =
-                 measure_cell ~seed:(cell_seed seed i 0) ~reps ~graph
+                 measure_cell cfg ~seed:(cell_seed seed i 0) ~reps ~graph
                    ~spec:Protocol.push ~max_rounds:100_000
                in
                let m_async =
-                 measure_cell ~seed:(cell_seed seed i 1) ~reps ~graph
+                 measure_cell cfg ~seed:(cell_seed seed i 1) ~reps ~graph
                    ~spec:Protocol.async_push ~max_rounds:100_000
                in
                let ratio = Replicate.mean m_async /. Replicate.mean m_sync in
@@ -1710,8 +1680,8 @@ let a9_run profile ~seed =
           Printf.sprintf
             "verdict is ok iff the mean async/sync ratio lies in [%.2f, %.2f] \
              — the constant band the asymptotic agreement predicts" lo hi;
-          "with --engine the async column runs on the calendar-queue DES \
-           engine (Async_engine), making this a Theorem-level engine check";
+          "the async column runs on the calendar-queue DES kernel \
+           (Async_engine), making this a Theorem-level check of that kernel";
         ]
       ~title:"A9: sync vs async push on G(n,p) and random regular"
       ~claim:
@@ -1734,7 +1704,7 @@ let a9_run profile ~seed =
    the golden ratio phi as the (generous) band edge — any representation
    bug (mass leak, lost witness, wrong self-loop slot) blows far past
    it, while honest sampling noise at these reps sits well inside. *)
-let a10_run profile ~seed =
+let a10_run cfg profile ~seed =
   let n = pick profile ~quick:256 ~full:1024 in
   let reps = reps profile in
   let seeds_per_cell = 3 in
@@ -1765,14 +1735,13 @@ let a10_run profile ~seed =
     ]
   in
   let specs = [ ("visit-exchange", vx); ("meet-exchange", mx) ] in
-  (* Both columns force the engine path; only [walkers] differs.  The same
-     cell seed drives the dense and sparse measurement of a pair, so the
-     comparison is paired: same graphs, same placements, independent walk
-     randomness past the divergence point. *)
+  (* The two columns differ only in [walkers], which overrides the suite's
+     setting.  The same cell seed drives the dense and sparse measurement
+     of a pair, so the comparison is paired: same graphs, same placements,
+     independent walk randomness past the divergence point. *)
   let measure_walkers ~walkers ~seed ~graph ~spec =
-    Replicate.broadcast_times ?sink:!metrics_sink ~jobs:!current_jobs
-      ?trace:!current_trace ~engine:true ~walkers ~seed ~reps ~graph ~spec
-      ~max_rounds:(100 * n) ()
+    measure_cell { cfg with walkers } ~seed ~reps ~graph ~spec
+      ~max_rounds:(100 * n)
   in
   let rows =
     List.concat
@@ -1842,7 +1811,7 @@ let a10_run profile ~seed =
 (* R9: social-network models — push-pull beats push ([12], [17])       *)
 (* ------------------------------------------------------------------ *)
 
-let r9_run profile ~seed =
+let r9_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 512; 1024; 2048 ] ~full:[ 512; 1024; 2048; 4096; 8192 ] in
   let m = 4 in
   let rows =
@@ -1850,15 +1819,15 @@ let r9_run profile ~seed =
       (fun i n ->
         let graph rng = (Gen_random.preferential_attachment rng ~n ~m, 0) in
         let m_push =
-          measure_cell ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
             ~spec:Protocol.push ~max_rounds:(100 * n)
         in
         let m_ppull =
-          measure_cell ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
             ~spec:Protocol.push_pull ~max_rounds:(100 * n)
         in
         let m_vx =
-          measure_cell ~seed:(cell_seed seed i 2) ~reps:(reps profile) ~graph
+          measure_cell cfg ~seed:(cell_seed seed i 2) ~reps:(reps profile) ~graph
             ~spec:vx ~max_rounds:(100 * n)
         in
         [
@@ -1932,8 +1901,8 @@ let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> String.uppercase_ascii e.id = id) all
 
-let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(engine = false)
-    ?(walkers = Protocol.Dense) profile ~seed =
+let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
+    profile ~seed =
   let selected =
     match ids with
     | None -> all
@@ -1946,24 +1915,15 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(engine = false)
           wanted
   in
   let run_one e =
-    let go () =
-      match metrics with
-      | None -> e.run profile ~seed
-      | Some sink ->
-          (* label each record with the experiment id, which is more useful
-             downstream than the anonymous per-cell graph closures *)
-          with_metrics_sink
-            (fun r -> sink { r with Rumor_obs.Run_record.graph = e.id })
-            (fun () -> e.run profile ~seed)
+    (* label each record with the experiment id, which is more useful
+       downstream than the anonymous per-cell graph closures *)
+    let metrics =
+      Option.map
+        (fun sink r -> sink { r with Rumor_obs.Run_record.graph = e.id })
+        metrics
     in
+    let cfg = { metrics; jobs; walkers; trace } in
     (* one span per experiment, so the trace timeline reads as E1, E2, ... *)
-    Rumor_obs.Trace.with_span trace e.id go
+    Rumor_obs.Trace.with_span trace e.id (fun () -> e.run cfg profile ~seed)
   in
-  let with_opt_trace f =
-    match trace with None -> f () | Some tr -> with_trace tr f
-  in
-  with_opt_trace (fun () ->
-      with_engine engine (fun () ->
-          with_walkers walkers (fun () ->
-              with_jobs jobs (fun () ->
-                  List.map (fun e -> (e, run_one e)) selected))))
+  List.map (fun e -> (e, run_one e)) selected

@@ -20,11 +20,24 @@ type profile =
   | Quick  (** small grids, few replications: seconds per experiment *)
   | Full   (** the grids reported in EXPERIMENTS.md: minutes overall *)
 
+(** What a suite run threads into every replicated cell measurement
+    ({!Replicate.broadcast_times}). *)
+type config = {
+  metrics : Rumor_obs.Run_record.sink option;
+      (** receives one {!Rumor_obs.Run_record.t} per replication *)
+  jobs : int;  (** replication domains; tables are identical for any value *)
+  walkers : Protocol.walkers;  (** walker representation of the cells *)
+  trace : Rumor_obs.Trace.t option;  (** records every cell's reps *)
+}
+
+val default_config : config
+(** No sink, one job, dense walkers, no tracer. *)
+
 type t = {
-  id : string;         (** "E1" ... "E10", "A1" ... "A4" *)
+  id : string;         (** "E1" ... "E10", "A1" ... "A10", "R1" ... "R9" *)
   title : string;
   paper_ref : string;  (** e.g. "Fig 1(b), Lemma 3" *)
-  run : profile -> seed:int -> Table.t list;
+  run : config -> profile -> seed:int -> Table.t list;
 }
 
 val all : t list
@@ -38,13 +51,13 @@ val run_all :
   ?metrics:Rumor_obs.Run_record.sink ->
   ?trace:Rumor_obs.Trace.t ->
   ?jobs:int ->
-  ?engine:bool ->
   ?walkers:Protocol.walkers ->
   profile ->
   seed:int ->
   (t * Table.t list) list
-(** Run the selected (default: all) experiments and collect their tables.
-    When [metrics] is given, every replicated cell measurement emits one
+(** Run the selected (default: all) experiments and collect their tables,
+    each with a {!config} built from the optional arguments.  When
+    [metrics] is given, every replicated cell measurement emits one
     {!Rumor_obs.Run_record.t} to it, with the record's [graph] field set to
     the experiment id (experiments build their graphs from closures, so the
     id is the most useful label available).
@@ -55,39 +68,14 @@ val run_all :
     measurements parallelize; the invariant-checking experiments (E9, A5–A8,
     R7, R8) drive their own sequential loops and ignore it.
 
-    [engine] (default [false]) routes every measured cell through the
-    flat-frontier kernels ({!Replicate.broadcast_times}'s [~engine]); cells
-    are bit-identical either way, so the flag only changes wall-clock.
-
-    [walkers] (default [Dense]) selects the walker representation for
-    engine cells ({!Replicate.broadcast_times}'s [?walkers]); only
-    meaningful with [engine].  [Sparse]/[Auto]-resolved-sparse cells are
-    seed-deterministic but not bit-identical to dense — the A10 gate
-    bounds the distributional drift.  A10 itself ignores this and always
-    measures both representations explicitly.
+    [walkers] (default [Dense]) selects the walker representation for the
+    agent-based cells ({!Protocol.run}'s [?walkers]).  [Sparse] or
+    [Auto]-resolved-sparse cells are seed-deterministic but sample a
+    different path than dense — the A10 gate bounds the distributional
+    drift, and A10 itself always measures both representations.  [Sparse]
+    is refused ([Invalid_argument]) by the combined protocol, which E10
+    measures.
 
     [trace] records every experiment as a span named by its id, with each
     measured cell's per-rep instrumentation underneath
     ({!Replicate.broadcast_times}'s [?trace]); results are unchanged. *)
-
-val with_metrics_sink : Rumor_obs.Run_record.sink -> (unit -> 'a) -> 'a
-(** [with_metrics_sink sink f] installs [sink] for the dynamic extent of
-    [f]: every cell measured by any experiment run within emits its run
-    records there.  Restores the previous sink afterwards, even on raise. *)
-
-val with_jobs : int -> (unit -> 'a) -> 'a
-(** [with_jobs jobs f] sets the replication parallelism degree for the
-    dynamic extent of [f], like {!with_metrics_sink} does for the sink. *)
-
-val with_engine : bool -> (unit -> 'a) -> 'a
-(** [with_engine on f] routes measured cells through the engine kernels for
-    the dynamic extent of [f] (same scoping as {!with_jobs}). *)
-
-val with_walkers : Protocol.walkers -> (unit -> 'a) -> 'a
-(** [with_walkers w f] sets the engine walker representation for measured
-    cells within [f] (same scoping as {!with_jobs}; no effect unless the
-    engine flag is also on). *)
-
-val with_trace : Rumor_obs.Trace.t -> (unit -> 'a) -> 'a
-(** [with_trace tr f] records every cell measured within [f] into [tr]
-    (same scoping as {!with_jobs}). *)

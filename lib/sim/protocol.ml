@@ -62,60 +62,16 @@ let resolve_lazy laziness g =
   | Lazy_on -> true
   | Lazy_auto -> Rumor_graph.Algo.is_bipartite g
 
-let engine_capable = function
-  | Push | Push_pull | Visit_exchange _ | Meet_exchange _ | Combined _ -> true
-  | Async_push | Async_push_pull | Async_meet_exchange _ -> true
-  | Pull | Quasi_push | Cobra _ | Frog _ | Flood -> false
-
 type walkers = P.Sparse_walkers.mode = Dense | Sparse | Auto
 
 let walkers_name = P.Sparse_walkers.mode_to_string
 let walkers_of_string = P.Sparse_walkers.mode_of_string
 
-let run ?traffic ?obs spec rng g ~source ~max_rounds =
-  match spec with
-  | Push -> P.Push.run ?traffic ?obs rng g ~source ~max_rounds ()
-  | Push_pull -> P.Push_pull.run ?traffic ?obs rng g ~source ~max_rounds ()
-  | Pull -> P.Pull.run ?traffic ?obs rng g ~source ~max_rounds ()
-  | Visit_exchange { agents; laziness } ->
-      let lazy_walk = resolve_lazy laziness g in
-      P.Visit_exchange.run ?traffic ?obs ~lazy_walk rng g ~source ~agents
-        ~max_rounds ()
-  | Meet_exchange { agents; laziness } ->
-      let lazy_walk = resolve_lazy laziness g in
-      P.Meet_exchange.run ?traffic ?obs ~lazy_walk rng g ~source ~agents
-        ~max_rounds ()
-  | Combined { agents; laziness } ->
-      let lazy_walk = resolve_lazy laziness g in
-      P.Combined.run ?obs ~lazy_walk rng g ~source ~agents ~max_rounds ()
-  | Quasi_push -> P.Quasi_push.run ?obs rng g ~source ~max_rounds ()
-  | Cobra { branching } ->
-      (P.Cobra.run ?obs rng g ~source ~branching ~max_rounds ()).P.Cobra.run_result
-  | Frog { frogs_per_vertex } ->
-      (P.Frog.run ?obs ~frogs_per_vertex rng g ~source ~max_rounds ())
-        .P.Frog.run_result
-  | Flood -> P.Flood.run ?obs g ~source ~max_rounds ()
-  (* the continuous-time processes read [max_rounds] as a time horizon;
-     like Combined they have no bandwidth model, so [traffic] is ignored *)
-  | Async_push ->
-      P.Async_push.to_run_result
-        (P.Async_push.run ?obs rng g ~variant:P.Async_push.Async_push ~source
-           ~max_time:(float_of_int max_rounds))
-  | Async_push_pull ->
-      P.Async_push.to_run_result
-        (P.Async_push.run ?obs rng g ~variant:P.Async_push.Async_push_pull
-           ~source ~max_time:(float_of_int max_rounds))
-  | Async_meet_exchange { agents; laziness } ->
-      let lazy_walk = resolve_lazy laziness g in
-      P.Async_meet_exchange.to_run_result
-        (P.Async_meet_exchange.run ?obs ~lazy_walk rng g ~source ~agents
-           ~max_time:(float_of_int max_rounds))
-
-let run_engine ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
+let run ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
     ~max_rounds =
   (* one top-level span per run, named after the protocol; the kernels hang
      their per-round spans under it *)
-  Rumor_obs.Trace.with_span trace ("engine." ^ name spec) (fun () ->
+  Rumor_obs.Trace.with_span trace ("run." ^ name spec) (fun () ->
       match spec with
       | Push ->
           P.Engine.push ?traffic ?obs ?trace ?shards ?pool rng g ~source
@@ -132,14 +88,25 @@ let run_engine ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
           P.Engine.meet_exchange ?traffic ?obs ?trace ~lazy_walk ?walkers
             ?shards ?pool rng g ~source ~agents ~max_rounds ()
       | Combined { agents; laziness } ->
-          (* dense walkers only: the sparse representation has no combined
-             kernel, so [walkers] is not forwarded here *)
+          (* the sparse representation has no combined kernel: an explicit
+             request is refused rather than silently run dense *)
+          if walkers = Some Sparse then
+            invalid_arg "Protocol.run: combined has no sparse-walker kernel";
           let lazy_walk = resolve_lazy laziness g in
           P.Engine.combined ?obs ?trace ~lazy_walk ?shards ?pool rng g ~source
             ~agents ~max_rounds ()
-      (* the DES kernels are sequential: [shards]/[pool] are irrelevant (and
-         ignored), and like [run] the continuous processes have no traffic
-         model.  Bit-identical to [run] either way — see Async_engine. *)
+      | Pull -> P.Pull.run ?traffic ?obs rng g ~source ~max_rounds ()
+      | Quasi_push -> P.Quasi_push.run ?obs rng g ~source ~max_rounds ()
+      | Cobra { branching } ->
+          (P.Cobra.run ?obs rng g ~source ~branching ~max_rounds ())
+            .P.Cobra.run_result
+      | Frog { frogs_per_vertex } ->
+          (P.Frog.run ?obs ~frogs_per_vertex rng g ~source ~max_rounds ())
+            .P.Frog.run_result
+      | Flood -> P.Flood.run ?obs g ~source ~max_rounds ()
+      (* the continuous-time processes read [max_rounds] as a time horizon
+         and have no bandwidth model ([traffic] is ignored); the DES kernels
+         are sequential, so [shards]/[pool] are ignored too *)
       | Async_push ->
           P.Async_push.to_run_result
             (P.Async_engine.push ?obs ?trace rng g
@@ -154,8 +121,4 @@ let run_engine ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
           let lazy_walk = resolve_lazy laziness g in
           P.Async_meet_exchange.to_run_result
             (P.Async_engine.meet_exchange ?obs ?trace ~lazy_walk ?walkers rng g
-               ~source ~agents ~max_time:(float_of_int max_rounds))
-      | (Pull | Quasi_push | Cobra _ | Frog _ | Flood) as other ->
-          (* no engine kernel (yet): fall back to the legacy implementation,
-             which consumes the rng identically for every [shards] value *)
-          run ?traffic ?obs other rng g ~source ~max_rounds)
+               ~source ~agents ~max_time:(float_of_int max_rounds)))

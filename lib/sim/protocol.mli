@@ -54,46 +54,19 @@ val name : spec -> string
     "pull", "meet-exchange", "combined", "quasi-push", "cobra", "frog",
     "flood", "async-push", "async-push-pull", "async-meet-exchange". *)
 
-val run :
-  ?traffic:Rumor_protocols.Traffic.t ->
-  ?obs:Rumor_obs.Instrument.t ->
-  spec ->
-  Rumor_prob.Rng.t ->
-  Rumor_graph.Graph.t ->
-  source:int ->
-  max_rounds:int ->
-  Rumor_protocols.Run_result.t
-(** Dispatch to the matching protocol implementation.  [traffic] is
-    honoured by push, push-pull, pull, visit-exchange and meet-exchange;
-    the remaining processes ignore it.  [obs] is honoured by every
-    protocol: each fires {!Rumor_obs.Instrument} hooks once per round plus
-    one [on_contact] per communication (and [on_walker_move] per agent step
-    for the agent-based processes).
-
-    The continuous-time specs ([Async_push], [Async_push_pull],
-    [Async_meet_exchange]) read [max_rounds] as the time horizon
-    [max_time = float max_rounds] and project the DES result through
-    [to_run_result]: [broadcast_time] is the rounded-up continuous time,
-    the curve samples the informed count at integer times.  They have no
-    round structure, so [obs] fires no [on_round_start] hooks. *)
-
-val engine_capable : spec -> bool
-(** Whether {!run_engine} has a flat kernel for this spec (push,
-    push-pull, visit-exchange, meet-exchange, combined, and the three
-    continuous-time specs via {!Rumor_protocols.Async_engine}). *)
-
 type walkers = Rumor_protocols.Sparse_walkers.mode = Dense | Sparse | Auto
-(** Walker representation for the agent-based engine kernels — see
+(** Walker representation for the agent-based kernels — see
     {!Rumor_protocols.Engine}.  [Dense] keeps per-agent positions and the
-    bit-identical-to-legacy contract; [Sparse] switches to count-compressed
-    per-vertex occupancy (seed-deterministic, distributionally equivalent —
-    gated by experiment A10 — but not bit-identical); [Auto] picks sparse
-    above {!Rumor_protocols.Sparse_walkers.auto_threshold} agents. *)
+    full per-agent observation stream; [Sparse] switches to
+    count-compressed per-vertex occupancy (seed-deterministic,
+    distributionally equivalent — gated by experiment A10 — but a
+    different sample path); [Auto] picks sparse above
+    {!Rumor_protocols.Sparse_walkers.auto_threshold} agents. *)
 
 val walkers_name : walkers -> string
 val walkers_of_string : string -> walkers option
 
-val run_engine :
+val run :
   ?traffic:Rumor_protocols.Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
@@ -106,20 +79,34 @@ val run_engine :
   source:int ->
   max_rounds:int ->
   Rumor_protocols.Run_result.t
-(** Like {!run} but dispatching the four core kernels to
-    {!Rumor_protocols.Engine} (flat frontier arrays + bitset informed-state;
-    memory O(n + m + rounds run)).  With the default [?shards:1] the result
-    is bit-identical to {!run} on the same seed; [shards > 1] re-keys
-    randomness per round ({!Rumor_prob.Rng.split_n}, one child per shard)
-    and is a pure function of (seed, shards), independent of [?pool]'s
-    parallelism.  The continuous-time specs dispatch to
-    {!Rumor_protocols.Async_engine} (calendar queue + batched clocks),
-    which is sequential and bit-identical to {!run} on the same seed for
-    every [shards] value ([shards]/[pool] are ignored).  Specs without an
-    engine kernel fall back to {!run}.
-    [walkers] (default [Dense]) selects the walker representation for
-    visit-exchange, meet-exchange and async-meet-exchange; the other specs
-    (including combined, which is dense-only) ignore it.
-    [trace] wraps the whole run in an ["engine.<name>"] span and threads
-    through to the kernel's per-round instrumentation
-    ({!Rumor_protocols.Engine}); it never changes the result. *)
+(** Dispatch to the protocol's kernel: {!Rumor_protocols.Engine} for push,
+    push-pull, visit-exchange, meet-exchange and combined,
+    {!Rumor_protocols.Async_engine} for the continuous-time specs, and the
+    protocol's own module for pull, quasi-push, cobra, frog and flood.
+
+    [traffic] is honoured by push, push-pull, pull, visit-exchange and
+    meet-exchange; the remaining processes ignore it.  [obs] is honoured
+    by every protocol: each fires {!Rumor_obs.Instrument} hooks once per
+    round plus one [on_contact] per communication (and [on_walker_move]
+    per agent step for the agent-based processes).
+
+    [shards] (default 1) re-keys the round kernels' randomness per round
+    ({!Rumor_prob.Rng.split_n}, one child per shard); the result is a pure
+    function of (seed, shards), independent of [pool]'s parallelism.  The
+    DES kernels and the single-kernel protocols are sequential and ignore
+    [shards]/[pool].  [walkers] (default [Dense]) selects the walker
+    representation for visit-exchange, meet-exchange and
+    async-meet-exchange; combined has dense walkers only, so an explicit
+    [Sparse] raises [Invalid_argument] for it ([Auto] resolves to dense).
+    The other specs ignore it.
+
+    The continuous-time specs ([Async_push], [Async_push_pull],
+    [Async_meet_exchange]) read [max_rounds] as the time horizon
+    [max_time = float max_rounds] and project the DES result through
+    [to_run_result]: [broadcast_time] is the rounded-up continuous time,
+    the curve samples the informed count at integer times.  They have no
+    round structure, so [obs] fires no [on_round_start] hooks.
+
+    [trace] wraps the whole run in a ["run.<name>"] span and threads
+    through to the kernel's per-round instrumentation; it never changes
+    the result. *)

@@ -70,7 +70,6 @@ val broadcast_times :
   ?graph_name:string ->
   ?jobs:int ->
   ?trace:Rumor_obs.Trace.t ->
-  ?engine:bool ->
   ?walkers:Protocol.walkers ->
   ?shards:int ->
   seed:int ->
@@ -93,19 +92,16 @@ val broadcast_times :
 
     [?trace] threads through {!measure}'s per-rep spans and on into the
     graph build (a ["graph.build"] span per replication) and the protocol
-    run (engine per-round instrumentation via {!Protocol.run_engine}, or a
-    single ["run.<protocol>"] span on the legacy path).
+    run ({!Protocol.run}'s span and the kernels' per-round
+    instrumentation).
 
-    [~engine:true] routes each replication through {!Protocol.run_engine}
-    (the flat-frontier kernels) instead of {!Protocol.run}; with the default
-    [?shards] (1) every record is bit-identical to the legacy path, so
-    flipping the flag is a pure performance choice.  [?shards] with
-    [engine] re-keys randomness per round as documented on
-    {!Protocol.run_engine}; the sharded work itself runs sequentially
-    inside each replication (the [?jobs] pool already owns the domains).
-    [?walkers] (engine path only) selects the walker representation for the
-    agent-based kernels; [Sparse]/[Auto]-resolved-sparse runs stay
-    seed-deterministic but are not bit-identical to the dense records. *)
+    [?walkers] and [?shards] are passed to {!Protocol.run}: [?shards]
+    re-keys randomness per round as documented there, and the sharded
+    work itself runs sequentially inside each replication (the [?jobs]
+    pool already owns the domains); [?walkers] selects the walker
+    representation for the agent-based kernels, where [Sparse] (or
+    [Auto] resolved to sparse) gives seed-deterministic records on a
+    different sample path than the dense default. *)
 
 val mean : measurement -> float
 val median : measurement -> float

@@ -1,7 +1,7 @@
-(* Tests for Rumor_protocols.Async_engine: the calendar-queue/batched-clock
-   kernels must be bit-identical to the legacy Async_push /
-   Async_meet_exchange modules on the same seed — results, curves, and the
-   full observation stream — for either queue backend and any batch. *)
+(* Tests for Rumor_protocols.Async_engine beyond the golden digests
+   (test_golden.ml, calendar queue): the heap backend and every clock
+   batch size must reproduce the same run — results, curves, and the full
+   observation stream — plus the sparse path, projection and validation. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
@@ -23,7 +23,6 @@ let families () =
   ]
 
 let seeds = [ 1; 42; 9001 ]
-let queues = [ ("heap", Async_engine.Heap); ("calendar", Async_engine.Calendar) ]
 
 let check_push_result label (a : P.Async_push.result) (b : P.Async_push.result) =
   Alcotest.(check (option (float 0.0)))
@@ -62,54 +61,31 @@ let stream_obs () =
   in
   (obs, events)
 
-(* ------------------------------------------ push / push-pull bit-identity *)
+(* -------------------------------------------- queue backend identity *)
 
-let test_push_matches_legacy () =
+let test_push_heap_matches_calendar () =
   List.iter
     (fun (name, g) ->
       List.iter
         (fun seed ->
           List.iter
             (fun variant ->
-              let legacy_obs, legacy_events = stream_obs () in
-              let legacy =
-                P.Async_push.run ~obs:legacy_obs (Rng.of_int seed) g ~variant
-                  ~source:0 ~max_time:1e6
+              let run queue =
+                let obs, events = stream_obs () in
+                let r =
+                  Async_engine.push ~obs ~queue (Rng.of_int seed) g ~variant ~source:0
+                    ~max_time:1e6
+                in
+                (r, !events)
               in
-              List.iter
-                (fun (qname, queue) ->
-                  let engine_obs, engine_events = stream_obs () in
-                  let engine =
-                    Async_engine.push ~obs:engine_obs ~queue (Rng.of_int seed) g
-                      ~variant ~source:0 ~max_time:1e6
-                  in
-                  let label = Printf.sprintf "%s %s seed=%d" name qname seed in
-                  check_push_result label legacy engine;
-                  Alcotest.(check bool)
-                    (label ^ ": obs stream") true
-                    (!legacy_events = !engine_events))
-                queues)
+              let heap, heap_events = run Async_engine.Heap in
+              let cal, cal_events = run Async_engine.Calendar in
+              let label = Printf.sprintf "%s seed=%d" name seed in
+              check_push_result label heap cal;
+              Alcotest.(check bool) (label ^ ": obs stream") true (heap_events = cal_events))
             [ P.Async_push.Async_push; P.Async_push.Async_push_pull ])
         seeds)
     (families ())
-
-let test_push_capped_matches_legacy () =
-  (* a short horizon exercises the cap path and its curve padding *)
-  let g = Gen.path 12 in
-  List.iter
-    (fun seed ->
-      let legacy =
-        P.Async_push.run (Rng.of_int seed) g ~variant:P.Async_push.Async_push
-          ~source:0 ~max_time:2.5
-      in
-      let engine =
-        Async_engine.push (Rng.of_int seed) g ~variant:P.Async_push.Async_push
-          ~source:0 ~max_time:2.5
-      in
-      check_push_result (Printf.sprintf "capped seed=%d" seed) legacy engine;
-      Alcotest.(check bool) "capped run" true
-        (Option.is_none engine.P.Async_push.broadcast_time))
-    seeds
 
 let test_push_batch_independent () =
   let g = Gen_random.erdos_renyi (Rng.of_int 5) ~n:48 ~p:0.2 in
@@ -127,58 +103,29 @@ let test_push_batch_independent () =
 
 let agent_specs = [ Placement.Stationary 12; Placement.One_per_vertex ]
 
-let test_meet_exchange_matches_legacy () =
+let test_meet_exchange_heap_matches_calendar () =
   List.iter
     (fun (name, g) ->
       List.iter
         (fun seed ->
           List.iter
             (fun agents ->
-              (* omitted lazy_walk exercises the bipartite auto-default in
-                 both implementations *)
-              let legacy_obs, legacy_events = stream_obs () in
-              let legacy =
-                P.Async_meet_exchange.run ~obs:legacy_obs (Rng.of_int seed) g
-                  ~source:0 ~agents ~max_time:20_000.0
+              let run queue =
+                let obs, events = stream_obs () in
+                let r =
+                  Async_engine.meet_exchange ~obs ~queue (Rng.of_int seed) g ~source:0
+                    ~agents ~max_time:20_000.0
+                in
+                (r, !events)
               in
-              List.iter
-                (fun (qname, queue) ->
-                  let engine_obs, engine_events = stream_obs () in
-                  let engine =
-                    Async_engine.meet_exchange ~obs:engine_obs ~queue
-                      (Rng.of_int seed) g ~source:0 ~agents ~max_time:20_000.0
-                  in
-                  let label = Printf.sprintf "me %s %s seed=%d" name qname seed in
-                  check_meet_result label legacy engine;
-                  Alcotest.(check bool)
-                    (label ^ ": obs stream") true
-                    (!legacy_events = !engine_events))
-                queues)
+              let heap, heap_events = run Async_engine.Heap in
+              let cal, cal_events = run Async_engine.Calendar in
+              let label = Printf.sprintf "me %s seed=%d" name seed in
+              check_meet_result label heap cal;
+              Alcotest.(check bool) (label ^ ": obs stream") true (heap_events = cal_events))
             agent_specs)
         seeds)
     (families ())
-
-let test_meet_exchange_lazy_override_matches () =
-  (* K2 with lazy off is the parity-trap family the async model resolves;
-     lazy on exercises the stay coin on the shared rng *)
-  let g = Gen.complete 2 in
-  List.iter
-    (fun lazy_walk ->
-      List.iter
-        (fun seed ->
-          let legacy =
-            P.Async_meet_exchange.run ~lazy_walk (Rng.of_int seed) g ~source:0
-              ~agents:Placement.One_per_vertex ~max_time:20_000.0
-          in
-          let engine =
-            Async_engine.meet_exchange ~lazy_walk (Rng.of_int seed) g ~source:0
-              ~agents:Placement.One_per_vertex ~max_time:20_000.0
-          in
-          check_meet_result
-            (Printf.sprintf "K2 lazy=%b seed=%d" lazy_walk seed)
-            legacy engine)
-        seeds)
-    [ false; true ]
 
 let test_meet_exchange_batch_independent () =
   let g = Gen.torus ~rows:5 ~cols:5 in
@@ -292,15 +239,11 @@ let test_meet_exchange_sparse () =
 
 let suite =
   [
-    Alcotest.test_case "push/push-pull match legacy (queues, obs)" `Quick
-      test_push_matches_legacy;
-    Alcotest.test_case "capped push matches legacy" `Quick
-      test_push_capped_matches_legacy;
+    Alcotest.test_case "push/push-pull: heap = calendar (obs)" `Quick
+      test_push_heap_matches_calendar;
     Alcotest.test_case "push is batch-independent" `Quick test_push_batch_independent;
-    Alcotest.test_case "meet-exchange matches legacy (queues, obs)" `Quick
-      test_meet_exchange_matches_legacy;
-    Alcotest.test_case "meet-exchange lazy override matches" `Quick
-      test_meet_exchange_lazy_override_matches;
+    Alcotest.test_case "meet-exchange: heap = calendar (obs)" `Quick
+      test_meet_exchange_heap_matches_calendar;
     Alcotest.test_case "meet-exchange is batch-independent" `Quick
       test_meet_exchange_batch_independent;
     Alcotest.test_case "sparse meet-exchange completes deterministically" `Quick

@@ -1,5 +1,5 @@
-(* Tests for Rumor_protocols.Async_meet_exchange (continuous-time
-   meet-exchange, the [33, 34] variant). *)
+(* Tests for continuous-time meet-exchange (the [33, 34] variant, run by
+   Rumor_protocols.Async_engine.meet_exchange). *)
 
 module Rng = Rumor_prob.Rng
 module Gen = Rumor_graph.Gen_basic
@@ -7,7 +7,8 @@ module Placement = Rumor_agents.Placement
 module Amx = Rumor_protocols.Async_meet_exchange
 
 let run ?(agents = Placement.Linear 1.0) ?(max_time = 1e6) seed g source =
-  Amx.run (Rng.of_int seed) g ~source ~agents ~max_time
+  Rumor_protocols.Async_engine.meet_exchange (Rng.of_int seed) g ~source ~agents
+    ~max_time
 
 let test_completes_on_small_graphs () =
   List.iter
@@ -70,7 +71,7 @@ let test_comparable_to_discrete_on_clique () =
     let total = ref 0 in
     for seed = 0 to 9 do
       let r =
-        Rumor_protocols.Meet_exchange.run ~lazy_walk:false (Rng.of_int (4880 + seed)) g
+        Rumor_protocols.Engine.meet_exchange ~lazy_walk:false (Rng.of_int (4880 + seed)) g
           ~source:0 ~agents:(Placement.Linear 1.0) ~max_rounds:100_000 ()
       in
       total := !total + Rumor_protocols.Run_result.time_exn r

@@ -1,4 +1,5 @@
-(* Tests for Rumor_protocols.Async_push. *)
+(* Tests for continuous-time push and push-pull (the Async_push model, run
+   by Rumor_protocols.Async_engine.push). *)
 
 module Rng = Rumor_prob.Rng
 module Gen = Rumor_graph.Gen_basic
@@ -6,7 +7,7 @@ module Gen_random = Rumor_graph.Gen_random
 module Async = Rumor_protocols.Async_push
 
 let run ?(variant = Async.Async_push) ?(max_time = 1e6) seed g source =
-  Async.run (Rng.of_int seed) g ~variant ~source ~max_time
+  Rumor_protocols.Async_engine.push (Rng.of_int seed) g ~variant ~source ~max_time
 
 let test_completes_on_small_graphs () =
   List.iter
@@ -76,7 +77,7 @@ let test_async_sync_equivalence_on_regular () =
         total :=
           !total
           + Rumor_protocols.Run_result.time_exn
-              (Rumor_protocols.Push.run (Rng.of_int s) g ~source:0 ~max_rounds:100_000 ()))
+              (Rumor_protocols.Engine.push (Rng.of_int s) g ~source:0 ~max_rounds:100_000 ()))
       seeds;
     float_of_int !total /. float_of_int (List.length seeds)
   in

@@ -1,14 +1,14 @@
-(* Tests for Rumor_protocols.Combined. *)
+(* Tests for the combined kernel, Rumor_protocols.Engine.combined. *)
 
 module Rng = Rumor_prob.Rng
 module Gen = Rumor_graph.Gen_basic
 module Gen_paper = Rumor_graph.Gen_paper
 module Placement = Rumor_agents.Placement
-module Combined = Rumor_protocols.Combined
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?(max_rounds = 1_000_000) seed g source =
-  Combined.run (Rng.of_int seed) g ~source ~agents:(Placement.Linear 1.0) ~max_rounds ()
+  Engine.combined (Rng.of_int seed) g ~source ~agents:(Placement.Linear 1.0) ~max_rounds ()
 
 let test_completes_on_small_graphs () =
   List.iter

@@ -1,6 +1,7 @@
-(* Tests for Rumor_protocols.Engine: the flat-frontier/bitset kernels must
-   be bit-identical to the legacy kernels at shards = 1, and a pure function
-   of (seed, shards) — never of the pool's jobs — at shards > 1. *)
+(* Tests for Rumor_protocols.Engine beyond the golden digests
+   (test_golden.ml): sparse walkers, sharded determinism — a pure function
+   of (seed, shards), never of the pool's jobs — allocation bounds and
+   argument validation. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
@@ -26,8 +27,7 @@ let check_same_result label (a : Run_result.t) (b : Run_result.t) =
     (label ^ ": all_agents_informed") a.Run_result.all_agents_informed
     b.Run_result.all_agents_informed
 
-(* the graph families the equivalence sweep runs over: regular and not,
-   bipartite and not, dense and sparse *)
+(* regular and not, bipartite and not, dense and sparse *)
 let families () =
   [
     ("complete16", Gen.complete 16);
@@ -39,137 +39,6 @@ let families () =
   ]
 
 let seeds = [ 1; 42; 9001 ]
-
-(* --------------------------- shards = 1 bit-identity with legacy kernels *)
-
-let test_push_matches_legacy () =
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          let legacy =
-            P.Push.run (Rng.of_int seed) g ~source:0 ~max_rounds:100_000 ()
-          in
-          let engine =
-            Engine.push (Rng.of_int seed) g ~source:0 ~max_rounds:100_000 ()
-          in
-          check_same_result (Printf.sprintf "push %s seed=%d" name seed) legacy engine)
-        seeds)
-    (families ())
-
-let test_push_failure_prob_matches_legacy () =
-  let g = Gen.complete 24 in
-  List.iter
-    (fun seed ->
-      let legacy =
-        P.Push.run ~failure_prob:0.3 (Rng.of_int seed) g ~source:3
-          ~max_rounds:100_000 ()
-      in
-      let engine =
-        Engine.push ~failure_prob:0.3 (Rng.of_int seed) g ~source:3
-          ~max_rounds:100_000 ()
-      in
-      check_same_result (Printf.sprintf "push fp seed=%d" seed) legacy engine)
-    seeds
-
-let test_push_tau_matches_informed_times () =
-  List.iter
-    (fun (name, g) ->
-      let n = Graph.n g in
-      let tau_legacy =
-        P.Push.informed_times (Rng.of_int 55) g ~source:0 ~max_rounds:100_000
-      in
-      let tau = Array.make n 0 in
-      let (_ : Run_result.t) =
-        Engine.push ~tau (Rng.of_int 55) g ~source:0 ~max_rounds:100_000 ()
-      in
-      Alcotest.(check (array int)) (name ^ ": tau") tau_legacy tau)
-    (families ())
-
-let test_push_pull_matches_legacy () =
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          let legacy =
-            P.Push_pull.run (Rng.of_int seed) g ~source:1 ~max_rounds:100_000 ()
-          in
-          let engine =
-            Engine.push_pull (Rng.of_int seed) g ~source:1 ~max_rounds:100_000 ()
-          in
-          check_same_result
-            (Printf.sprintf "push_pull %s seed=%d" name seed)
-            legacy engine)
-        seeds)
-    (families ())
-
-let agent_specs = [ Placement.Stationary 12; Placement.One_per_vertex ]
-
-let test_visit_exchange_matches_legacy () =
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          List.iter
-            (fun agents ->
-              List.iter
-                (fun lazy_walk ->
-                  let legacy =
-                    P.Visit_exchange.run ~lazy_walk (Rng.of_int seed) g ~source:0
-                      ~agents ~max_rounds:100_000 ()
-                  in
-                  let engine =
-                    Engine.visit_exchange ~lazy_walk (Rng.of_int seed) g ~source:0
-                      ~agents ~max_rounds:100_000 ()
-                  in
-                  check_same_result
-                    (Printf.sprintf "ve %s seed=%d lazy=%b" name seed lazy_walk)
-                    legacy engine)
-                [ false; true ])
-            agent_specs)
-        seeds)
-    (families ())
-
-let test_meet_exchange_matches_legacy () =
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          (* omitted lazy_walk exercises the bipartiteness auto-default in
-             both implementations *)
-          let legacy =
-            P.Meet_exchange.run (Rng.of_int seed) g ~source:0
-              ~agents:(Placement.Stationary 14) ~max_rounds:20_000 ()
-          in
-          let engine =
-            Engine.meet_exchange (Rng.of_int seed) g ~source:0
-              ~agents:(Placement.Stationary 14) ~max_rounds:20_000 ()
-          in
-          check_same_result (Printf.sprintf "me %s seed=%d" name seed) legacy engine)
-        seeds)
-    (families ())
-
-let test_combined_matches_legacy () =
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          List.iter
-            (fun lazy_walk ->
-              let legacy =
-                P.Combined.run ~lazy_walk (Rng.of_int seed) g ~source:0
-                  ~agents:(Placement.Stationary 12) ~max_rounds:100_000 ()
-              in
-              let engine =
-                Engine.combined ~lazy_walk (Rng.of_int seed) g ~source:0
-                  ~agents:(Placement.Stationary 12) ~max_rounds:100_000 ()
-              in
-              check_same_result
-                (Printf.sprintf "combined %s seed=%d lazy=%b" name seed lazy_walk)
-                legacy engine)
-            [ false; true ])
-        seeds)
-    (families ())
 
 (* ----------------------------------------------- sparse walker kernels *)
 
@@ -270,10 +139,10 @@ let test_sparse_rejects_traffic () =
            ~agents:(Placement.Stationary 6) ~max_rounds:10 ()))
 
 let test_walkers_auto_resolution () =
-  (* below the threshold Auto is the dense path: bit-identical to legacy *)
+  (* below the threshold Auto is the dense path *)
   let g = Gen.complete 16 in
-  let legacy =
-    P.Visit_exchange.run ~lazy_walk:false (Rng.of_int 5) g ~source:0
+  let dense =
+    Engine.visit_exchange ~lazy_walk:false (Rng.of_int 5) g ~source:0
       ~agents:(Placement.Stationary 12) ~max_rounds:100_000 ()
   in
   let auto =
@@ -281,60 +150,59 @@ let test_walkers_auto_resolution () =
       (Rng.of_int 5) g ~source:0 ~agents:(Placement.Stationary 12)
       ~max_rounds:100_000 ()
   in
-  check_same_result "auto below threshold = dense = legacy" legacy auto
+  check_same_result "auto below threshold = dense" dense auto
 
-(* ------------------------------------- observation and traffic streams *)
+(* ------------------------------------------------------ tau out-params *)
 
-let record_obs run =
-  let rec_ = Instrument.Recorder.create () in
-  let r = run (Instrument.Recorder.instrument rec_) in
-  (r, rec_)
+(* [tau] must be consistent with the curve: entry r of the informed curve
+   counts the parties whose informing round is <= r *)
+let check_tau_against_curve label tau (r : Run_result.t) =
+  Alcotest.(check (option int))
+    (label ^ ": broadcast time = max tau")
+    r.Run_result.broadcast_time
+    (Some (Array.fold_left max 0 tau));
+  Array.iteri
+    (fun round informed ->
+      let by_round = Array.fold_left (fun c t -> if t <= round then c + 1 else c) 0 tau in
+      Alcotest.(check int) (Printf.sprintf "%s: curve at round %d" label round) informed
+        by_round)
+    r.Run_result.informed_curve
 
-let test_push_obs_stream_matches_legacy () =
+let test_visit_exchange_tau () =
+  List.iter
+    (fun walkers ->
+      List.iter
+        (fun (name, g) ->
+          let tau = Array.make (Graph.n g) (-1) in
+          let r =
+            Engine.visit_exchange ~walkers ~tau (Rng.of_int 3) g ~source:0
+              ~agents:(Placement.Stationary 12) ~max_rounds:100_000 ()
+          in
+          let label = name ^ " " ^ P.Sparse_walkers.mode_to_string walkers in
+          Alcotest.(check int) (label ^ ": source at round 0") 0 tau.(0);
+          check_tau_against_curve label tau r)
+        (families ()))
+    [ P.Sparse_walkers.Dense; P.Sparse_walkers.Sparse ]
+
+let test_meet_exchange_tau () =
+  (* per-agent rounds, in placement order *)
   let g = Gen.torus ~rows:5 ~cols:5 in
-  let r1, o1 =
-    record_obs (fun obs ->
-        P.Push.run ~obs (Rng.of_int 7) g ~source:0 ~max_rounds:100_000 ())
+  let agents = Placement.Stationary 14 in
+  let tau = Array.make (Placement.count agents g) (-1) in
+  let r =
+    Engine.meet_exchange ~tau (Rng.of_int 21) g ~source:0 ~agents
+      ~max_rounds:20_000 ()
   in
-  let r2, o2 =
-    record_obs (fun obs ->
-        Engine.push ~obs (Rng.of_int 7) g ~source:0 ~max_rounds:100_000 ())
-  in
-  check_same_result "push obs" r1 r2;
-  Alcotest.(check int) "contacts seen" (Instrument.Recorder.contacts o1)
-    (Instrument.Recorder.contacts o2);
-  Alcotest.(check (array int)) "per-round curve" (Instrument.Recorder.curve o1)
-    (Instrument.Recorder.curve o2)
-
-let test_walker_obs_stream_matches_legacy () =
-  let g = Gen.complete 10 in
-  let r1, o1 =
-    record_obs (fun obs ->
-        P.Visit_exchange.run ~obs (Rng.of_int 8) g ~source:0
-          ~agents:(Placement.Stationary 8) ~max_rounds:100_000 ())
-  in
-  let r2, o2 =
-    record_obs (fun obs ->
-        Engine.visit_exchange ~obs (Rng.of_int 8) g ~source:0
-          ~agents:(Placement.Stationary 8) ~max_rounds:100_000 ())
-  in
-  check_same_result "ve obs" r1 r2;
-  Alcotest.(check int) "walker moves" (Instrument.Recorder.walker_moves o1)
-    (Instrument.Recorder.walker_moves o2);
-  Alcotest.(check int) "contacts seen" (Instrument.Recorder.contacts o1)
-    (Instrument.Recorder.contacts o2)
-
-let test_traffic_matches_legacy () =
-  let g = Gen.complete 12 in
-  let t1 = Traffic.create g and t2 = Traffic.create g in
-  let r1 =
-    P.Push_pull.run ~traffic:t1 (Rng.of_int 9) g ~source:0 ~max_rounds:100_000 ()
-  in
-  let r2 =
-    Engine.push_pull ~traffic:t2 (Rng.of_int 9) g ~source:0 ~max_rounds:100_000 ()
-  in
-  check_same_result "pp traffic" r1 r2;
-  Alcotest.(check (array int)) "per-edge loads" (Traffic.loads t1) (Traffic.loads t2)
+  check_tau_against_curve "torus5x5" tau r;
+  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "wrong length" true
+    (bad (fun () ->
+         Engine.meet_exchange ~tau:(Array.make 3 0) (Rng.of_int 21) g ~source:0
+           ~agents ~max_rounds:10 ()));
+  Alcotest.(check bool) "sparse has no agent identity" true
+    (bad (fun () ->
+         Engine.meet_exchange ~walkers:P.Sparse_walkers.Sparse ~tau (Rng.of_int 21)
+           g ~source:0 ~agents ~max_rounds:10 ()))
 
 (* --------------------------------------------- sharded-path determinism *)
 
@@ -393,10 +261,12 @@ let test_huge_cap_completes () =
   let g = Gen.path 40 in
   let before = Gc.allocated_bytes () in
   let r = Engine.push (Rng.of_int 17) g ~source:0 ~max_rounds:max_int () in
-  let r2 = P.Push.run (Rng.of_int 17) g ~source:0 ~max_rounds:max_int () in
+  let r2 = Engine.push_pull (Rng.of_int 17) g ~source:0 ~max_rounds:max_int () in
   let allocated = Gc.allocated_bytes () -. before in
-  check_same_result "huge cap" r r2;
+  let r_capped = Engine.push (Rng.of_int 17) g ~source:0 ~max_rounds:100_000 () in
+  check_same_result "huge cap = ordinary cap" r_capped r;
   Alcotest.(check bool) "completed" true (Run_result.completed r);
+  Alcotest.(check bool) "push-pull completed" true (Run_result.completed r2);
   (* two complete path-40 runs allocate well under a megabyte; an O(cap)
      curve would be ~70 TB here *)
   Alcotest.(check bool)
@@ -452,66 +322,56 @@ let test_disabled_trace_allocation_free () =
   (* Two disjoint edges: push from 0 can never reach {2, 3}, so the run is
      capped after exactly max_rounds rounds, and running two caps that
      differ by many rounds isolates the marginal allocation per round.
-     Random draws dominate that figure (both kernels make the same two
-     neighbor draws per round here), so the engine's marginal cost is
-     compared against the legacy kernel's rather than an absolute bound:
-     the per-draw cost cancels and what remains is the engine's own
-     per-round overhead, which the disabled [?trace] plumbing must not
-     grow — a with_span closure or per-round [Some] cells at the three
-     trace sites per round would move it. *)
+     Minor-heap words are counted exactly (unlike [Gc.allocated_bytes],
+     which nets out promotions and so depends on GC timing).  The random
+     draws allocate (boxed Int64 generator state), so the kernel is
+     compared against a bare loop making the same two neighbor draws per
+     round: what remains is the kernel's own per-round overhead, which the
+     disabled [?trace] plumbing must not grow — a with_span closure or
+     [Some] cells at the three trace sites per round would each add at
+     least 16 B. *)
   let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
+  let minor_bytes f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, 8.0 *. (Gc.minor_words () -. before))
+  in
   let marginal run =
     ignore (run 16);
     (* warm-up pays one-time allocation *)
-    let r1, a1 = run 2_000 in
-    let r2, a2 = run 12_000 in
-    Alcotest.(check bool) "short run capped" false (Run_result.completed r1);
-    Alcotest.(check bool) "long run capped" false (Run_result.completed r2);
-    Alcotest.(check int) "short rounds" 2_000 r1.Run_result.rounds_run;
-    Alcotest.(check int) "long rounds" 12_000 r2.Run_result.rounds_run;
+    let a1 = run 2_000 in
+    let a2 = run 12_000 in
     (a2 -. a1) /. 10_000.0
   in
-  let timed f cap =
-    let before = Gc.allocated_bytes () in
-    let r = f cap in
-    (r, Gc.allocated_bytes () -. before)
+  let kernel =
+    marginal (fun cap ->
+        let r, a =
+          minor_bytes (fun () -> Engine.push (Rng.of_int 5) g ~source:0 ~max_rounds:cap ())
+        in
+        Alcotest.(check bool) "run capped" false (Run_result.completed r);
+        Alcotest.(check int) "rounds run" cap r.Run_result.rounds_run;
+        a)
   in
-  let engine =
-    marginal
-      (timed (fun cap ->
-           Engine.push (Rng.of_int 5) g ~source:0 ~max_rounds:cap ()))
-  in
-  let legacy =
-    marginal
-      (timed (fun cap ->
-           P.Push.run (Rng.of_int 5) g ~source:0 ~max_rounds:cap ()))
+  let draws =
+    marginal (fun cap ->
+        snd
+          (minor_bytes (fun () ->
+               let rng = Rng.of_int 5 in
+               for _ = 1 to cap do
+                 ignore (Sys.opaque_identity (Graph.random_neighbor g rng 0));
+                 ignore (Sys.opaque_identity (Graph.random_neighbor g rng 1))
+               done)))
   in
   Alcotest.(check bool)
     (Printf.sprintf
-       "engine per-round allocation overhead %.1f B (engine %.1f, legacy %.1f) \
-        < 256 B"
-       (engine -. legacy) engine legacy)
+       "kernel per-round allocation overhead %.1f B (kernel %.1f, draws %.1f) \
+        < 16 B"
+       (kernel -. draws) kernel draws)
     true
-    (engine -. legacy < 256.0)
+    (kernel -. draws < 16.0)
 
 let suite =
   [
-    Alcotest.test_case "push = legacy (seeds x families)" `Quick test_push_matches_legacy;
-    Alcotest.test_case "push + failures = legacy" `Quick
-      test_push_failure_prob_matches_legacy;
-    Alcotest.test_case "push tau = informed_times" `Quick
-      test_push_tau_matches_informed_times;
-    Alcotest.test_case "push_pull = legacy (seeds x families)" `Quick
-      test_push_pull_matches_legacy;
-    Alcotest.test_case "visit_exchange = legacy (specs x lazy)" `Quick
-      test_visit_exchange_matches_legacy;
-    Alcotest.test_case "meet_exchange = legacy (auto lazy)" `Quick
-      test_meet_exchange_matches_legacy;
-    Alcotest.test_case "push obs stream = legacy" `Quick
-      test_push_obs_stream_matches_legacy;
-    Alcotest.test_case "walker obs stream = legacy" `Quick
-      test_walker_obs_stream_matches_legacy;
-    Alcotest.test_case "per-edge traffic = legacy" `Quick test_traffic_matches_legacy;
     Alcotest.test_case "sharded: jobs cannot change output" `Quick
       test_sharded_jobs_invariant;
     Alcotest.test_case "sharded runs complete" `Quick test_sharded_runs_complete;
@@ -523,8 +383,6 @@ let suite =
     Alcotest.test_case "max_int cap: walkers" `Quick test_huge_cap_walkers;
     Alcotest.test_case "argument validation" `Quick test_validation;
     Alcotest.test_case "curve buffer" `Quick test_curve_buf;
-    Alcotest.test_case "combined = legacy (seeds x families x lazy)" `Quick
-      test_combined_matches_legacy;
     Alcotest.test_case "sparse visit-exchange completes deterministically" `Quick
       test_sparse_visit_exchange_completes;
     Alcotest.test_case "sparse meet-exchange completes deterministically" `Quick
@@ -533,4 +391,7 @@ let suite =
     Alcotest.test_case "sparse rejects traffic" `Quick test_sparse_rejects_traffic;
     Alcotest.test_case "auto below threshold is dense" `Quick
       test_walkers_auto_resolution;
+    Alcotest.test_case "visit-exchange tau (dense, sparse)" `Quick
+      test_visit_exchange_tau;
+    Alcotest.test_case "meet-exchange per-agent tau" `Quick test_meet_exchange_tau;
   ]

@@ -46,7 +46,7 @@ let test_run_all_unknown_id_rejected () =
 let run_one id =
   match Experiments.find id with
   | None -> Alcotest.failf "experiment %s missing" id
-  | Some e -> e.Experiments.run Experiments.Quick ~seed:3
+  | Some e -> e.Experiments.run Experiments.default_config Experiments.Quick ~seed:3
 
 let test_e9_invariants_zero () =
   match run_one "E9" with

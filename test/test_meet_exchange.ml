@@ -1,41 +1,44 @@
-(* Tests for Rumor_protocols.Meet_exchange. *)
+(* Tests for the meet-exchange kernel, Rumor_protocols.Engine.meet_exchange. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Placement = Rumor_agents.Placement
-module Mx = Rumor_protocols.Meet_exchange
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
+
+(* the run plus each agent's informing round, in placement order *)
+let run_tau ?lazy_walk seed g ~source ~agents ~max_rounds =
+  let tau = Array.make (Placement.count agents g) 0 in
+  let r =
+    Engine.meet_exchange ?lazy_walk ~tau (Rng.of_int seed) g ~source ~agents
+      ~max_rounds ()
+  in
+  (r, tau)
 
 let test_agents_at_source_informed_at_zero () =
   let g = Gen.complete 8 in
-  let d =
-    Mx.run_detailed (Rng.of_int 151) g ~source:2
-      ~agents:(Placement.All_at (2, 4))
-      ~max_rounds:10_000 ()
+  let r, tau =
+    run_tau 151 g ~source:2 ~agents:(Placement.All_at (2, 4)) ~max_rounds:10_000
   in
-  Alcotest.(check (option int)) "pickup at round 0" (Some 0) d.Mx.first_pickup;
-  Array.iter (fun t -> Alcotest.(check int) "informed at 0" 0 t) d.Mx.agent_time;
-  Alcotest.(check (option int)) "broadcast at 0" (Some 0)
-    d.Mx.result.Run_result.broadcast_time
+  Array.iter (fun t -> Alcotest.(check int) "informed at 0" 0 t) tau;
+  Alcotest.(check (option int)) "broadcast at 0" (Some 0) r.Run_result.broadcast_time
 
 let test_first_visitor_picks_up () =
   (* all agents start away from the source, so the pickup happens at >= 1 *)
   let g = Gen.complete 8 in
-  let d =
-    Mx.run_detailed (Rng.of_int 152) g ~source:0
-      ~agents:(Placement.All_at (3, 5))
-      ~max_rounds:10_000 ()
+  let r, tau =
+    run_tau 152 g ~source:0 ~agents:(Placement.All_at (3, 5)) ~max_rounds:10_000
   in
-  match d.Mx.first_pickup with
-  | None -> Alcotest.fail "rumor never picked up"
-  | Some r -> Alcotest.(check bool) "pickup after round 0" true (r >= 1)
+  Alcotest.(check bool) "rumor picked up" true (Run_result.completed r);
+  (* the earliest informing round is the source's hand-off *)
+  Alcotest.(check bool) "pickup after round 0" true (Array.fold_left min max_int tau >= 1)
 
 let test_completes_on_non_bipartite () =
   List.iter
     (fun (g, s) ->
       let r =
-        Mx.run (Rng.of_int 153) g ~source:s ~agents:(Placement.Linear 1.0)
+        Engine.meet_exchange (Rng.of_int 153) g ~source:s ~agents:(Placement.Linear 1.0)
           ~max_rounds:1_000_000 ()
       in
       Alcotest.(check bool) "completed" true (Run_result.completed r))
@@ -46,7 +49,7 @@ let test_bipartite_non_lazy_can_stall () =
      forever and never meet *)
   let g = Gen.complete 2 in
   let r =
-    Mx.run ~lazy_walk:false (Rng.of_int 154) g ~source:0
+    Engine.meet_exchange ~lazy_walk:false (Rng.of_int 154) g ~source:0
       ~agents:Placement.One_per_vertex ~max_rounds:1000 ()
   in
   Alcotest.(check (option int)) "never completes" None r.Run_result.broadcast_time
@@ -54,16 +57,17 @@ let test_bipartite_non_lazy_can_stall () =
 let test_bipartite_lazy_completes () =
   let g = Gen.complete 2 in
   let r =
-    Mx.run ~lazy_walk:true (Rng.of_int 155) g ~source:0 ~agents:Placement.One_per_vertex
+    Engine.meet_exchange ~lazy_walk:true (Rng.of_int 155) g ~source:0 ~agents:Placement.One_per_vertex
       ~max_rounds:100_000 ()
   in
   Alcotest.(check bool) "lazy walks complete" true (Run_result.completed r)
 
-let test_run_auto_detects_bipartite () =
-  (* the star is bipartite; run_auto must choose lazy walks and complete *)
+let test_default_lazy_detects_bipartite () =
+  (* the star is bipartite; an omitted lazy_walk must choose lazy walks and
+     complete *)
   let g = Gen.star ~leaves:16 in
   let r =
-    Mx.run_auto (Rng.of_int 156) g ~source:0 ~agents:(Placement.Linear 1.0)
+    Engine.meet_exchange (Rng.of_int 156) g ~source:0 ~agents:(Placement.Linear 1.0)
       ~max_rounds:100_000 ()
   in
   Alcotest.(check bool) "completed via auto-lazy" true (Run_result.completed r)
@@ -71,60 +75,40 @@ let test_run_auto_detects_bipartite () =
 let test_curve_counts_agents () =
   let g = Gen.complete 12 in
   let agents = 20 in
-  let d =
-    Mx.run_detailed (Rng.of_int 157) g ~source:0
+  let r =
+    Engine.meet_exchange (Rng.of_int 157) g ~source:0
       ~agents:(Placement.Stationary agents) ~max_rounds:100_000 ()
   in
-  let curve = d.Mx.result.Run_result.informed_curve in
+  let curve = r.Run_result.informed_curve in
   Alcotest.(check int) "final curve = all agents" agents
     curve.(Array.length curve - 1);
   for i = 1 to Array.length curve - 1 do
     if curve.(i) < curve.(i - 1) then Alcotest.fail "curve not monotone"
   done
 
-let test_source_informs_only_once () =
-  (* after the pickup, agents visiting the source do NOT get informed from
-     it: with exactly two agents that never meet, one stays uninformed even
-     if it visits the source afterwards.  Construct this deterministically:
-     a path 0-1-2 with agents at 1 (picked up quickly) is too stochastic, so
-     instead check the documented field: pickup happens once. *)
-  let g = Gen.cycle 9 in
-  let d =
-    Mx.run_detailed (Rng.of_int 158) g ~source:0 ~agents:(Placement.Stationary 6)
-      ~max_rounds:1_000_000 ()
-  in
-  (* every informed agent's time is >= the pickup round *)
-  match d.Mx.first_pickup with
-  | None -> Alcotest.fail "no pickup"
-  | Some pickup ->
-      Array.iter
-        (fun t ->
-          if t < pickup then Alcotest.failf "agent informed at %d before pickup %d" t pickup)
-        d.Mx.agent_time
-
 let test_meeting_requires_prior_round_information () =
   (* agents informed in the same round they meet do not chain within the
-     round; equivalently no agent_time can be smaller than the minimum
-     co-location round with an already-informed agent.  We check the weaker
-     but deterministic invariant: agent times are finite and >= pickup. *)
+     round; equivalently no agent's informing round can be smaller than the
+     minimum co-location round with an already-informed agent.  We check
+     the weaker but deterministic invariant: every agent's round is
+     finite. *)
   let g = Gen.complete 10 in
-  let d =
-    Mx.run_detailed (Rng.of_int 159) g ~source:0 ~agents:(Placement.Stationary 15)
-      ~max_rounds:100_000 ()
+  let _, tau =
+    run_tau 159 g ~source:0 ~agents:(Placement.Stationary 15) ~max_rounds:100_000
   in
-  Array.iter (fun t -> if t = max_int then Alcotest.fail "uninformed agent") d.Mx.agent_time
+  Array.iter (fun t -> if t = max_int then Alcotest.fail "uninformed agent") tau
 
 let test_round_cap () =
   let g = Gen.cycle 15 in
   let r =
-    Mx.run (Rng.of_int 160) g ~source:0 ~agents:(Placement.Stationary 2) ~max_rounds:2 ()
+    Engine.meet_exchange (Rng.of_int 160) g ~source:0 ~agents:(Placement.Stationary 2) ~max_rounds:2 ()
   in
   Alcotest.(check int) "rounds" 2 r.Run_result.rounds_run
 
 let test_all_agents_equals_broadcast () =
   let g = Gen.complete 9 in
   let r =
-    Mx.run (Rng.of_int 161) g ~source:0 ~agents:(Placement.Stationary 12)
+    Engine.meet_exchange (Rng.of_int 161) g ~source:0 ~agents:(Placement.Stationary 12)
       ~max_rounds:100_000 ()
   in
   Alcotest.(check (option int)) "all_agents_informed mirrors broadcast"
@@ -138,7 +122,7 @@ let prop_completes_with_lazy_walks =
       let rng = Rng.of_int (n * 41) in
       let g = Rumor_graph.Gen_random.random_regular_connected rng ~n ~d:4 in
       let r =
-        Mx.run ~lazy_walk:true rng g ~source:0 ~agents:(Placement.Linear 1.0)
+        Engine.meet_exchange ~lazy_walk:true rng g ~source:0 ~agents:(Placement.Linear 1.0)
           ~max_rounds:1_000_000 ()
       in
       Run_result.completed r)
@@ -151,9 +135,9 @@ let suite =
     Alcotest.test_case "completes on non-bipartite" `Quick test_completes_on_non_bipartite;
     Alcotest.test_case "bipartite non-lazy stalls" `Quick test_bipartite_non_lazy_can_stall;
     Alcotest.test_case "bipartite lazy completes" `Quick test_bipartite_lazy_completes;
-    Alcotest.test_case "run_auto detects bipartite" `Quick test_run_auto_detects_bipartite;
+    Alcotest.test_case "default lazy detects bipartite" `Quick
+      test_default_lazy_detects_bipartite;
     Alcotest.test_case "curve counts agents" `Quick test_curve_counts_agents;
-    Alcotest.test_case "no informing before pickup" `Quick test_source_informs_only_once;
     Alcotest.test_case "all agents eventually informed" `Quick
       test_meeting_requires_prior_round_information;
     Alcotest.test_case "round cap" `Quick test_round_cap;

@@ -53,7 +53,7 @@ let test_hooks_fire_rounds_run () =
 let test_recorder_matches_run_result () =
   let rec_ = Obs.Recorder.create () in
   let r =
-    P.Push.run ~obs:(Obs.Recorder.instrument rec_) (Rng.of_int 7)
+    P.Engine.push ~obs:(Obs.Recorder.instrument rec_) (Rng.of_int 7)
       (Gen.complete 32) ~source:0 ~max_rounds:10_000 ()
   in
   (* Run_result's curve has the round-0 state prepended *)
@@ -82,7 +82,7 @@ let test_pair_duplicates_hooks () =
   let rec_a = Obs.Recorder.create () and rec_b = Obs.Recorder.create () in
   let solo = Obs.Recorder.create () in
   let run obs =
-    P.Visit_exchange.run ~obs (Rng.of_int 13) (Gen.complete 12) ~source:0
+    P.Engine.visit_exchange ~obs (Rng.of_int 13) (Gen.complete 12) ~source:0
       ~agents:(Rumor_agents.Placement.Stationary 12) ~max_rounds:10_000 ()
   in
   let paired =
@@ -122,7 +122,7 @@ let test_pair_calls_left_then_right () =
 
 let test_nop_does_not_change_result () =
   let run obs =
-    P.Push_pull.run ?obs (Rng.of_int 97) (Gen.complete 40) ~source:0
+    P.Engine.push_pull ?obs (Rng.of_int 97) (Gen.complete 40) ~source:0
       ~max_rounds:10_000 ()
   in
   let plain = run None and instrumented = run (Some Obs.nop) in
@@ -134,7 +134,7 @@ let test_nop_does_not_change_result () =
 let test_walker_moves_counted () =
   let rec_ = Obs.Recorder.create () in
   let r =
-    P.Visit_exchange.run ~obs:(Obs.Recorder.instrument rec_) (Rng.of_int 3)
+    P.Engine.visit_exchange ~obs:(Obs.Recorder.instrument rec_) (Rng.of_int 3)
       (Gen.complete 16) ~source:0 ~agents:(Rumor_agents.Placement.Stationary 16)
       ~max_rounds:10_000 ()
   in
@@ -149,7 +149,7 @@ let test_meetx_even_cycle_terminates () =
   (* an even cycle is bipartite: the old non-lazy default could trap agents
      in parity classes forever; the Lazy_auto default must terminate *)
   let r =
-    P.Meet_exchange.run (Rng.of_int 5) (Gen.cycle 16) ~source:0
+    P.Engine.meet_exchange (Rng.of_int 5) (Gen.cycle 16) ~source:0
       ~agents:(Rumor_agents.Placement.Stationary 8) ~max_rounds:200_000 ()
   in
   Alcotest.(check bool) "completes under the bipartite-aware default" true
@@ -158,7 +158,7 @@ let test_meetx_even_cycle_terminates () =
 let test_async_meetx_k2_default () =
   let g = Gen.complete 2 in
   let r =
-    P.Async_meet_exchange.run (Rng.of_int 6) g ~source:0
+    P.Async_engine.meet_exchange (Rng.of_int 6) g ~source:0
       ~agents:(Rumor_agents.Placement.Stationary 2) ~max_time:1e6
   in
   Alcotest.(check bool) "continuous K2 completes" true
@@ -180,7 +180,6 @@ let sample_record =
     informed_curve = [| 1; 2; 4; 8 |];
     wall_seconds = 0.125;
     gc = { Run_record.minor_words = 10.0; major_words = 2.0; promoted_words = 1.0 };
-    engine = false;
     shards = 1;
   }
 
@@ -222,41 +221,50 @@ let test_record_json_null_when_capped () =
     (contains "\"broadcast_time\":null");
   Alcotest.(check bool) "capped true" true (contains "\"capped\":true")
 
-(* The engine/shards fields round-trip through to_json/of_json, and a
-   record written before they existed still parses (absent reads as the
-   legacy path: engine false, shards 1). *)
-let test_record_engine_fields_roundtrip () =
-  let r = { sample_record with Run_record.engine = true; shards = 4 } in
+(* The shards field round-trips through to_json/of_json, and a record
+   written before it existed still parses (absent reads as 1). *)
+let test_record_shards_roundtrip () =
+  let r = { sample_record with Run_record.shards = 4 } in
   match Run_record.of_json (Run_record.to_json r) with
   | Error msg -> Alcotest.failf "round-trip: %s" msg
   | Ok back ->
-      Alcotest.(check bool) "engine" true back.Run_record.engine;
       Alcotest.(check int) "shards" 4 back.Run_record.shards;
       Alcotest.(check string) "full round-trip" (Run_record.to_json r)
         (Run_record.to_json back)
 
-let test_record_engine_fields_absent () =
+let test_record_shards_absent () =
   let json = Run_record.to_json sample_record in
-  (* strip the trailing ,"engine":...,"shards":...} to get a legacy line *)
-  let cut =
-    match String.index_opt json ',' with
-    | None -> Alcotest.fail "unexpected JSON shape"
-    | Some _ ->
-        let marker = ",\"engine\":" in
-        let ml = String.length marker in
-        let jl = String.length json in
-        let rec find i =
-          if i + ml > jl then Alcotest.fail "no engine field emitted"
-          else if String.sub json i ml = marker then i
-          else find (i + 1)
-        in
-        String.sub json 0 (find 0) ^ "}"
+  (* strip the trailing ,"shards":...} to get a first-release line *)
+  let marker = ",\"shards\":" in
+  let ml = String.length marker and jl = String.length json in
+  let rec find i =
+    if i + ml > jl then Alcotest.fail "no shards field emitted"
+    else if String.sub json i ml = marker then i
+    else find (i + 1)
   in
-  match Run_record.of_json cut with
-  | Error msg -> Alcotest.failf "legacy record rejected: %s" msg
+  match Run_record.of_json (String.sub json 0 (find 0) ^ "}") with
+  | Error msg -> Alcotest.failf "first-release record rejected: %s" msg
+  | Ok back -> Alcotest.(check int) "shards defaults 1" 1 back.Run_record.shards
+
+(* Records written while both kernel paths existed carry an "engine" flag:
+   they still load, the flag is ignored, and it is not written back. *)
+let test_record_engine_field_ignored () =
+  let line =
+    "{\"seed\":218,\"rep\":3,\"graph\":\"star:8\",\"protocol\":\"push\",\
+     \"vertices\":8,\"broadcast_time\":5,\"rounds_run\":5,\"capped\":false,\
+     \"contacts\":40,\"informed_curve\":[1,2,4,8],\"wall_seconds\":0.125,\
+     \"gc\":{\"minor_words\":10,\"major_words\":2,\"promoted_words\":1},\
+     \"engine\":true,\"shards\":2}"
+  in
+  match Run_record.of_json line with
+  | Error msg -> Alcotest.failf "pre-change record rejected: %s" msg
   | Ok back ->
-      Alcotest.(check bool) "engine defaults false" false back.Run_record.engine;
-      Alcotest.(check int) "shards defaults 1" 1 back.Run_record.shards
+      Alcotest.(check int) "shards" 2 back.Run_record.shards;
+      Alcotest.(check (array int)) "curve" [| 1; 2; 4; 8 |]
+        back.Run_record.informed_curve;
+      Alcotest.(check string) "re-serialised without the engine flag"
+        (Run_record.to_json { sample_record with Run_record.shards = 2 })
+        (Run_record.to_json back)
 
 let test_jsonl_file_roundtrip () =
   let path = Filename.temp_file "rumor_obs_test" ".jsonl" in
@@ -345,7 +353,7 @@ let test_sink_gets_one_record_per_rep () =
     records
 
 let capped_push ~trace:_ ~rep:_ rng =
-  P.Push.run rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
+  P.Engine.push rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
 
 let test_on_capped_keep_default () =
   let m = Replicate.measure ~seed:216 ~reps:4 capped_push in
@@ -391,10 +399,12 @@ let suite =
     Alcotest.test_case "record JSON fields" `Quick test_record_json_fields;
     Alcotest.test_case "record JSON capped null" `Quick
       test_record_json_null_when_capped;
-    Alcotest.test_case "record engine fields roundtrip" `Quick
-      test_record_engine_fields_roundtrip;
-    Alcotest.test_case "record engine fields absent" `Quick
-      test_record_engine_fields_absent;
+    Alcotest.test_case "record shards field roundtrip" `Quick
+      test_record_shards_roundtrip;
+    Alcotest.test_case "record shards field absent" `Quick
+      test_record_shards_absent;
+    Alcotest.test_case "pre-change record with engine flag parses" `Quick
+      test_record_engine_field_ignored;
     Alcotest.test_case "JSONL file roundtrip" `Quick test_jsonl_file_roundtrip;
     Alcotest.test_case "JSONL append flag" `Quick test_jsonl_append_flag;
     Alcotest.test_case "sink gets one record per rep" `Quick

@@ -178,7 +178,7 @@ let test_sink_order_ascending_under_jobs () =
 
 let test_capped_fail_deterministic_under_jobs () =
   let capped ~trace:_ ~rep:_ rng =
-    Rumor_protocols.Push.run rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
+    Rumor_protocols.Engine.push rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
   in
   match Replicate.measure ~on_capped:`Fail ~jobs:4 ~seed:406 ~reps:5 capped with
   | (_ : Replicate.measurement) -> Alcotest.fail "expected Replicate.Capped"

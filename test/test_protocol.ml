@@ -25,23 +25,37 @@ let test_names () =
   Alcotest.(check string) "async-meetx" "async-meet-exchange"
     (Protocol.name (Protocol.async_meet_exchange ()))
 
-let test_engine_capable () =
-  List.iter
-    (fun (spec, expected) ->
-      Alcotest.(check bool) (Protocol.name spec) expected
-        (Protocol.engine_capable spec))
-    [
-      (Protocol.push, true);
-      (Protocol.push_pull, true);
-      (Protocol.visit_exchange (), true);
-      (Protocol.meet_exchange (), true);
-      (Protocol.async_push, true);
-      (Protocol.async_push_pull, true);
-      (Protocol.async_meet_exchange (), true);
-      (Protocol.combined (), true);
-      (Protocol.pull, false);
-      (Protocol.flood, false);
-    ]
+(* the sparse representation has no combined kernel: an explicit Sparse is
+   refused instead of silently running dense walkers, while Auto (and the
+   agent-based specs that do have a sparse kernel) still run *)
+let test_combined_rejects_sparse () =
+  let g = Gen.complete 16 in
+  let run ?walkers spec =
+    Protocol.run ?walkers spec (Rng.of_int 206) g ~source:0 ~max_rounds:100_000
+  in
+  (match run ~walkers:Protocol.Sparse (Protocol.combined ()) with
+  | _ -> Alcotest.fail "combined accepted sparse walkers"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "combined with auto walkers completes" true
+    (Run_result.completed (run ~walkers:Protocol.Auto (Protocol.combined ())));
+  Alcotest.(check bool) "visit-exchange with sparse walkers completes" true
+    (Run_result.completed (run ~walkers:Protocol.Sparse (Protocol.visit_exchange ())))
+
+(* the CLI refuses the same combination up front, as a usage error *)
+let run_exe = Filename.concat (Filename.concat ".." "bin") "rumor_run.exe"
+
+let test_cli_rejects_sparse_combined () =
+  let exit_code protocol walkers =
+    Sys.command
+      (Filename.quote_command run_exe
+         [ "--graph"; "star:20"; "-p"; protocol; "--walkers"; walkers; "--reps"; "1" ]
+         ~stdout:"/dev/null" ~stderr:"/dev/null")
+  in
+  Alcotest.(check int) "combined + sparse is a usage error" 124
+    (exit_code "combined" "sparse");
+  Alcotest.(check int) "combined + auto runs" 0 (exit_code "combined" "auto");
+  Alcotest.(check int) "visit-exchange + sparse runs" 0
+    (exit_code "visit-exchange" "sparse")
 
 let test_dispatch_matches_direct_push () =
   let g = Gen.torus ~rows:5 ~cols:5 in
@@ -49,7 +63,7 @@ let test_dispatch_matches_direct_push () =
     Protocol.run Protocol.push (Rng.of_int 201) g ~source:0 ~max_rounds:10_000
   in
   let direct =
-    Rumor_protocols.Push.run (Rng.of_int 201) g ~source:0 ~max_rounds:10_000 ()
+    Rumor_protocols.Engine.push (Rng.of_int 201) g ~source:0 ~max_rounds:10_000 ()
   in
   Alcotest.(check (option int)) "same result" direct.Run_result.broadcast_time
     via_dispatch.Run_result.broadcast_time
@@ -76,30 +90,40 @@ let test_all_protocols_complete () =
       Protocol.async_meet_exchange ();
     ]
 
-(* the async specs must agree between run (legacy modules) and run_engine
-   (Async_engine DES) on the same seed — the sim-layer face of the
-   bit-identity that test_async_engine.ml pins at the protocol layer *)
-let test_async_dispatch_matches_engine () =
+(* the async specs are the Async_engine DES kernels projected through
+   to_run_result, with [max_rounds] read as the time horizon *)
+let test_async_dispatch_matches_direct () =
   let g = Gen.torus ~rows:5 ~cols:5 in
+  let module P = Rumor_protocols in
   List.iter
-    (fun spec ->
+    (fun (spec, direct) ->
       let a = Protocol.run spec (Rng.of_int 205) g ~source:0 ~max_rounds:10_000 in
-      let b =
-        Protocol.run_engine spec (Rng.of_int 205) g ~source:0 ~max_rounds:10_000
-      in
+      let b = direct (Rng.of_int 205) in
       let label = Protocol.name spec in
       Alcotest.(check (option int))
-        (label ^ ": broadcast_time") a.Run_result.broadcast_time
-        b.Run_result.broadcast_time;
+        (label ^ ": broadcast_time") b.Run_result.broadcast_time
+        a.Run_result.broadcast_time;
       Alcotest.(check (array int))
-        (label ^ ": curve") a.Run_result.informed_curve
-        b.Run_result.informed_curve;
-      Alcotest.(check int) (label ^ ": contacts") a.Run_result.contacts
-        b.Run_result.contacts)
+        (label ^ ": curve") b.Run_result.informed_curve
+        a.Run_result.informed_curve;
+      Alcotest.(check int) (label ^ ": contacts") b.Run_result.contacts
+        a.Run_result.contacts)
     [
-      Protocol.async_push;
-      Protocol.async_push_pull;
-      Protocol.async_meet_exchange ();
+      ( Protocol.async_push,
+        fun rng ->
+          P.Async_push.to_run_result
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push ~source:0
+               ~max_time:10_000.0) );
+      ( Protocol.async_push_pull,
+        fun rng ->
+          P.Async_push.to_run_result
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull
+               ~source:0 ~max_time:10_000.0) );
+      ( Protocol.async_meet_exchange (),
+        fun rng ->
+          P.Async_meet_exchange.to_run_result
+            (P.Async_engine.meet_exchange rng g ~source:0
+               ~agents:(Placement.Linear 1.0) ~max_time:10_000.0) );
     ]
 
 let test_lazy_auto_on_bipartite () =
@@ -140,10 +164,13 @@ let test_alpha_scales_agent_count () =
 let suite =
   [
     Alcotest.test_case "names" `Quick test_names;
-    Alcotest.test_case "engine capability" `Quick test_engine_capable;
+    Alcotest.test_case "combined rejects sparse walkers" `Quick
+      test_combined_rejects_sparse;
+    Alcotest.test_case "rumor_run rejects sparse combined" `Quick
+      test_cli_rejects_sparse_combined;
     Alcotest.test_case "dispatch matches direct call" `Quick test_dispatch_matches_direct_push;
-    Alcotest.test_case "async dispatch matches engine" `Quick
-      test_async_dispatch_matches_engine;
+    Alcotest.test_case "async dispatch matches direct call" `Quick
+      test_async_dispatch_matches_direct;
     Alcotest.test_case "all protocols complete" `Quick test_all_protocols_complete;
     Alcotest.test_case "lazy auto on bipartite" `Quick test_lazy_auto_on_bipartite;
     Alcotest.test_case "lazy off stalls on bipartite" `Quick test_lazy_off_on_bipartite_stalls;

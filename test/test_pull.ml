@@ -3,7 +3,7 @@
 module Rng = Rumor_prob.Rng
 module Gen = Rumor_graph.Gen_basic
 module Pull = Rumor_protocols.Pull
-module Push = Rumor_protocols.Push
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?(max_rounds = 1_000_000) seed g source =
@@ -30,7 +30,7 @@ let test_star_from_leaf_slow_start () =
   for seed = 0 to 9 do
     total_pull := !total_pull + Run_result.time_exn (run (4730 + seed) g 3);
     let pp =
-      Rumor_protocols.Push_pull.run (Rng.of_int (4740 + seed)) g ~source:3
+      Engine.push_pull (Rng.of_int (4740 + seed)) g ~source:3
         ~max_rounds:1_000_000 ()
     in
     total_pp := !total_pp + Run_result.time_exn pp

@@ -1,14 +1,14 @@
-(* Tests for Rumor_protocols.Push. *)
+(* Tests for the push kernel, Rumor_protocols.Engine.push. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Algo = Rumor_graph.Algo
-module Push = Rumor_protocols.Push
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?traffic seed g source =
-  Push.run ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
+  Engine.push ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
 
 let test_k2_exact () =
   let g = Gen.complete 2 in
@@ -72,7 +72,7 @@ let test_contacts_counted () =
 
 let test_round_cap () =
   let g = Gen.path 100 in
-  let r = Push.run (Rng.of_int 107) g ~source:0 ~max_rounds:5 () in
+  let r = Engine.push (Rng.of_int 107) g ~source:0 ~max_rounds:5 () in
   Alcotest.(check (option int)) "capped" None r.Run_result.broadcast_time;
   Alcotest.(check int) "ran exactly cap" 5 r.Run_result.rounds_run;
   Alcotest.(check bool) "time_exn raises" true
@@ -83,7 +83,7 @@ let test_round_cap () =
 
 let test_zero_cap () =
   let g = Gen.complete 4 in
-  let r = Push.run (Rng.of_int 108) g ~source:0 ~max_rounds:0 () in
+  let r = Engine.push (Rng.of_int 108) g ~source:0 ~max_rounds:0 () in
   Alcotest.(check (option int)) "capped immediately" None r.Run_result.broadcast_time
 
 let test_source_out_of_range () =
@@ -95,7 +95,10 @@ let test_source_out_of_range () =
 
 let test_informed_times () =
   let g = Gen.star ~leaves:6 in
-  let tau = Push.informed_times (Rng.of_int 110) g ~source:0 ~max_rounds:100_000 in
+  let tau = Array.make (Graph.n g) 0 in
+  let (_ : Run_result.t) =
+    Engine.push ~tau (Rng.of_int 110) g ~source:0 ~max_rounds:100_000 ()
+  in
   Alcotest.(check int) "source at round 0" 0 tau.(0);
   Array.iteri
     (fun v t ->
@@ -122,9 +125,9 @@ let test_star_push_is_coupon_collector_slow () =
 
 let test_failure_prob_zero_matches_plain () =
   let g = Gen.complete 32 in
-  let r1 = Push.run (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 () in
+  let r1 = Engine.push (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 () in
   let r2 =
-    Push.run ~failure_prob:0.0 (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 ()
+    Engine.push ~failure_prob:0.0 (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 ()
   in
   Alcotest.(check (option int)) "identical stream with p = 0"
     r1.Run_result.broadcast_time r2.Run_result.broadcast_time
@@ -138,7 +141,7 @@ let test_failure_prob_slows_by_inverse_rate () =
     let total = ref 0 in
     for seed = 0 to 19 do
       let r =
-        Push.run ~failure_prob (Rng.of_int (1140 + seed)) g ~source:0
+        Engine.push ~failure_prob (Rng.of_int (1140 + seed)) g ~source:0
           ~max_rounds:100_000 ()
       in
       total := !total + Run_result.time_exn r
@@ -155,7 +158,7 @@ let test_failure_prob_slows_by_inverse_rate () =
 let test_failure_prob_invalid () =
   let g = Gen.complete 4 in
   try
-    ignore (Push.run ~failure_prob:1.0 (Rng.of_int 115) g ~source:0 ~max_rounds:10 ());
+    ignore (Engine.push ~failure_prob:1.0 (Rng.of_int 115) g ~source:0 ~max_rounds:10 ());
     Alcotest.fail "p = 1 accepted"
   with Invalid_argument _ -> ()
 
@@ -180,7 +183,7 @@ let prop_completes_on_connected_regular =
       let n = 2 * half in
       let rng = Rng.of_int (n * 13) in
       let g = Rumor_graph.Gen_random.random_regular_connected rng ~n ~d:3 in
-      let r = Push.run rng g ~source:0 ~max_rounds:100_000 () in
+      let r = Engine.push rng g ~source:0 ~max_rounds:100_000 () in
       Run_result.completed r)
 
 let suite =

@@ -1,14 +1,14 @@
-(* Tests for Rumor_protocols.Push_pull. *)
+(* Tests for the push-pull kernel, Rumor_protocols.Engine.push_pull. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Algo = Rumor_graph.Algo
-module Push_pull = Rumor_protocols.Push_pull
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?traffic seed g source =
-  Push_pull.run ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
+  Engine.push_pull ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
 
 let test_k2_exact () =
   let r = run 121 (Gen.complete 2) 0 in
@@ -57,7 +57,7 @@ let test_curve_monotone () =
 
 let test_round_cap () =
   let g = Gen.path 200 in
-  let r = Push_pull.run (Rng.of_int 125) g ~source:0 ~max_rounds:3 () in
+  let r = Engine.push_pull (Rng.of_int 125) g ~source:0 ~max_rounds:3 () in
   Alcotest.(check (option int)) "capped" None r.Run_result.broadcast_time;
   Alcotest.(check int) "rounds" 3 r.Run_result.rounds_run
 
@@ -67,7 +67,7 @@ let test_faster_than_push_on_star () =
   let pp = Run_result.time_exn (run 126 g 0) in
   let p =
     Run_result.time_exn
-      (Rumor_protocols.Push.run (Rng.of_int 126) g ~source:0 ~max_rounds:1_000_000 ())
+      (Rumor_protocols.Engine.push (Rng.of_int 126) g ~source:0 ~max_rounds:1_000_000 ())
   in
   Alcotest.(check bool)
     (Printf.sprintf "push-pull %d << push %d" pp p)
@@ -88,7 +88,7 @@ let prop_completes_and_bounded_by_push =
       let n = 2 * half in
       let rng = Rng.of_int (n * 31) in
       let g = Rumor_graph.Gen_random.random_regular_connected rng ~n ~d:4 in
-      let r = Push_pull.run rng g ~source:0 ~max_rounds:100_000 () in
+      let r = Engine.push_pull rng g ~source:0 ~max_rounds:100_000 () in
       Run_result.completed r)
 
 let suite =

@@ -5,7 +5,7 @@ module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Algo = Rumor_graph.Algo
 module Quasi = Rumor_protocols.Quasi_push
-module Push = Rumor_protocols.Push
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?(max_rounds = 1_000_000) seed g source =
@@ -37,7 +37,7 @@ let test_beats_random_push_on_star () =
   let g = Gen.star ~leaves:l in
   let quasi = Run_result.time_exn (run 414 g 0) in
   let random =
-    Run_result.time_exn (Push.run (Rng.of_int 414) g ~source:0 ~max_rounds:1_000_000 ())
+    Run_result.time_exn (Engine.push (Rng.of_int 414) g ~source:0 ~max_rounds:1_000_000 ())
   in
   Alcotest.(check bool)
     (Printf.sprintf "quasi %d < random %d" quasi random)
@@ -72,7 +72,7 @@ let test_comparable_to_push_on_regular () =
   let quasi = mean (fun s -> Run_result.time_exn (run s g 0)) in
   let random =
     mean (fun s ->
-        Run_result.time_exn (Push.run (Rng.of_int s) g ~source:0 ~max_rounds:100_000 ()))
+        Run_result.time_exn (Engine.push (Rng.of_int s) g ~source:0 ~max_rounds:100_000 ()))
   in
   let ratio = quasi /. random in
   Alcotest.(check bool)

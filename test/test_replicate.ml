@@ -6,7 +6,7 @@ module Replicate = Rumor_sim.Replicate
 module Protocol = Rumor_sim.Protocol
 
 let push_on_clique ~trace:_ ~rep:_ rng =
-  Rumor_protocols.Push.run rng (Gen.complete 32) ~source:0 ~max_rounds:10_000 ()
+  Rumor_protocols.Engine.push rng (Gen.complete 32) ~source:0 ~max_rounds:10_000 ()
 
 let test_rep_count () =
   let m = Replicate.measure ~seed:211 ~reps:7 push_on_clique in
@@ -35,7 +35,7 @@ let test_replications_vary () =
 
 let test_capped_counted () =
   let f ~trace:_ ~rep:_ rng =
-    Rumor_protocols.Push.run rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
+    Rumor_protocols.Engine.push rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
   in
   let m = Replicate.measure ~seed:216 ~reps:4 f in
   Alcotest.(check int) "all capped" 4 m.Replicate.capped;
@@ -72,64 +72,60 @@ let test_graph_resampled_per_replication () =
   Alcotest.(check (array (float 1e-9))) "reproducible with random graphs"
     m1.Replicate.times m2.Replicate.times
 
-(* The engine path must be invisible in every observable: identical
-   measurements AND an identical sink stream (records carry the informed
-   curve, so this also pins per-round dynamics), up to per-rep timing and
-   the engine/shards provenance fields, which are the one deliberate
-   difference and are pinned separately below. *)
-let test_engine_sink_stream_identical () =
-  let detimed (r : Rumor_obs.Run_record.t) =
-    Rumor_obs.Run_record.to_json
-      {
-        r with
-        Rumor_obs.Run_record.wall_seconds = 0.0;
-        gc = { minor_words = 0.0; major_words = 0.0; promoted_words = 0.0 };
-        engine = false;
-        shards = 1;
-      }
-  in
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
+  scan 0
+
+(* Each record is exactly the run Protocol.run makes on that rep's split
+   generator (records carry the informed curve, so this also pins
+   per-round dynamics), written in rep order; [shards] is recorded as
+   given, and the retired [engine] provenance flag is no longer written. *)
+let test_sink_stream_matches_direct_runs () =
   let graph rng =
     (Rumor_graph.Gen_random.random_regular_connected rng ~n:48 ~d:4, 0)
   in
+  let reps = 4 and seed = 220 in
   List.iter
     (fun spec ->
-      let run ~engine =
-        let records = ref [] in
-        let m =
-          Replicate.broadcast_times
-            ~sink:(fun r -> records := r :: !records)
-            ~graph_name:"rr:48,4" ~engine ~seed:220 ~reps:4 ~graph ~spec
-            ~max_rounds:100_000 ()
-        in
-        let raw = List.rev !records in
-        (m, List.map detimed raw, raw)
-      in
-      let legacy, legacy_records, legacy_raw = run ~engine:false in
-      let engine, engine_records, engine_raw = run ~engine:true in
       List.iter
-        (fun (r : Rumor_obs.Run_record.t) ->
-          Alcotest.(check bool)
-            (Protocol.name spec ^ ": legacy records say engine=false")
-            false r.Rumor_obs.Run_record.engine)
-        legacy_raw;
-      List.iter
-        (fun (r : Rumor_obs.Run_record.t) ->
-          Alcotest.(check bool)
-            (Protocol.name spec ^ ": engine records say engine=true")
-            true r.Rumor_obs.Run_record.engine)
-        engine_raw;
-      Alcotest.(check (array (float 0.0)))
-        (Protocol.name spec ^ ": times identical")
-        legacy.Replicate.times engine.Replicate.times;
-      Alcotest.(check (list string))
-        (Protocol.name spec ^ ": sink stream identical (sans timing)")
-        legacy_records engine_records)
+        (fun shards ->
+          let records = ref [] in
+          let (_ : Replicate.measurement) =
+            Replicate.broadcast_times
+              ~sink:(fun r -> records := r :: !records)
+              ~graph_name:"rr:48,4" ?shards ~seed ~reps ~graph ~spec
+              ~max_rounds:100_000 ()
+          in
+          let rngs = Rumor_prob.Rng.split_n (Rumor_prob.Rng.of_int seed) reps in
+          List.iteri
+            (fun rep (r : Rumor_obs.Run_record.t) ->
+              let label = Printf.sprintf "%s rep %d" (Protocol.name spec) rep in
+              let g, source = graph rngs.(rep) in
+              let direct =
+                Protocol.run ?shards spec rngs.(rep) g ~source ~max_rounds:100_000
+              in
+              Alcotest.(check int) (label ^ ": rep order") rep r.Rumor_obs.Run_record.rep;
+              Alcotest.(check (array int))
+                (label ^ ": curve") direct.Rumor_protocols.Run_result.informed_curve
+                r.Rumor_obs.Run_record.informed_curve;
+              Alcotest.(check int) (label ^ ": contacts") direct.Rumor_protocols.Run_result.contacts
+                r.Rumor_obs.Run_record.contacts;
+              Alcotest.(check int)
+                (label ^ ": shards")
+                (Option.value shards ~default:1)
+                r.Rumor_obs.Run_record.shards;
+              let json = Rumor_obs.Run_record.to_json r in
+              Alcotest.(check bool)
+                (label ^ ": no engine field") false
+                (contains json "\"engine\""))
+            (List.rev !records))
+        [ None; Some 3 ])
     [
       Protocol.push;
       Protocol.push_pull;
       Protocol.visit_exchange ();
       Protocol.meet_exchange ();
-      (* not engine-capable: must silently fall back to the legacy path *)
       Protocol.pull;
     ]
 
@@ -144,6 +140,6 @@ let suite =
     Alcotest.test_case "broadcast_times wrapper" `Quick test_broadcast_times_wrapper;
     Alcotest.test_case "random graphs reproducible" `Quick
       test_graph_resampled_per_replication;
-    Alcotest.test_case "engine path: identical sink stream" `Quick
-      test_engine_sink_stream_identical;
+    Alcotest.test_case "sink stream = direct protocol runs" `Quick
+      test_sink_stream_matches_direct_runs;
   ]

@@ -84,7 +84,6 @@ let sample_record =
     informed_curve = [| 1; 2; 4; 8 |];
     wall_seconds = 0.125;
     gc = { Run_record.minor_words = 10.0; major_words = 2.0; promoted_words = 1.0 };
-    engine = false;
     shards = 1;
   }
 
@@ -190,7 +189,6 @@ let record ?(graph = "g") ?(protocol = "p") ?(rep = 0) ?broadcast_time
     informed_curve = curve;
     wall_seconds = wall;
     gc = { Run_record.minor_words = minor; major_words = major; promoted_words = promoted };
-    engine = false;
     shards = 1;
   }
 

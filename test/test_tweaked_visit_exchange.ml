@@ -165,7 +165,7 @@ let test_r_faster_or_equal_than_plain () =
     let total = ref 0 in
     for seed = 0 to 9 do
       let r =
-        Rumor_protocols.Visit_exchange.run (Rng.of_int (4700 + seed)) g ~source:0
+        Rumor_protocols.Engine.visit_exchange (Rng.of_int (4700 + seed)) g ~source:0
           ~agents:(Placement.Linear 1.0) ~max_rounds:1_000_000 ()
       in
       total := !total + Run_result.time_exn r

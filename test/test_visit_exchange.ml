@@ -1,18 +1,25 @@
-(* Tests for Rumor_protocols.Visit_exchange. *)
+(* Tests for the visit-exchange kernel, Rumor_protocols.Engine.visit_exchange. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Algo = Rumor_graph.Algo
 module Placement = Rumor_agents.Placement
-module Vx = Rumor_protocols.Visit_exchange
+module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
 let run ?lazy_walk ?(agents = Placement.Linear 1.0) seed g source =
-  Vx.run ?lazy_walk (Rng.of_int seed) g ~source ~agents ~max_rounds:1_000_000 ()
+  Engine.visit_exchange ?lazy_walk (Rng.of_int seed) g ~source ~agents
+    ~max_rounds:1_000_000 ()
 
-let run_detailed ?(agents = Placement.Linear 1.0) seed g source =
-  Vx.run_detailed (Rng.of_int seed) g ~source ~agents ~max_rounds:1_000_000 ()
+(* the run plus each vertex's informing round *)
+let run_tau rng g source ~max_rounds =
+  let tau = Array.make (Graph.n g) 0 in
+  let r =
+    Engine.visit_exchange ~tau rng g ~source ~agents:(Placement.Linear 1.0)
+      ~max_rounds ()
+  in
+  (r, tau)
 
 let test_completes_on_small_graphs () =
   List.iter
@@ -28,60 +35,55 @@ let test_completes_on_small_graphs () =
     ]
 
 let test_vertex_time_source_zero () =
-  let d = run_detailed 132 (Gen.complete 10) 4 in
-  Alcotest.(check int) "source informed at 0" 0 d.Vx.vertex_time.(4)
+  let _, tau = run_tau (Rng.of_int 132) (Gen.complete 10) 4 ~max_rounds:1_000_000 in
+  Alcotest.(check int) "source informed at 0" 0 tau.(4)
 
 let test_vertex_times_respect_distance () =
   (* information travels along edges one hop per round, so t_v >= dist(s, v) *)
   List.iter
     (fun (g, s) ->
-      let d = run_detailed 133 g s in
+      let _, tau = run_tau (Rng.of_int 133) g s ~max_rounds:1_000_000 in
       let dist = Algo.bfs_distances g s in
       Array.iteri
         (fun v tv ->
           if tv < dist.(v) then
             Alcotest.failf "vertex %d informed at %d < distance %d" v tv dist.(v))
-        d.Vx.vertex_time)
+        tau)
     [ (Gen.path 15, 0); (Gen.cycle 16, 0); (Gen.torus ~rows:5 ~cols:5, 0) ]
 
 let test_agents_on_source_informed_at_zero () =
   let g = Gen.star ~leaves:8 in
-  let d =
-    Vx.run_detailed (Rng.of_int 134) g ~source:0
+  let r =
+    Engine.visit_exchange (Rng.of_int 134) g ~source:0
       ~agents:(Placement.All_at (0, 5))
       ~max_rounds:10_000 ()
   in
-  Array.iteri
-    (fun a t -> Alcotest.(check int) (Printf.sprintf "agent %d at round 0" a) 0 t)
-    d.Vx.agent_time
+  Alcotest.(check (option int)) "every agent at round 0" (Some 0)
+    r.Run_result.all_agents_informed;
+  Alcotest.(check int) "one source-to-agent contact each" 5
+    (r.Run_result.contacts - (Graph.n g - 1))
 
 let test_agent_informed_only_on_informed_vertex () =
-  (* whenever an agent is informed, the vertex it stood on was informed at
-     that round or earlier *)
   let g = Gen.torus ~rows:4 ~cols:4 in
-  let d = run_detailed 135 g 0 in
-  Array.iter
-    (fun t_agent ->
-      Alcotest.(check bool) "agent time finite" true (t_agent < max_int))
-    d.Vx.agent_time
+  let r = run 135 g 0 in
+  Alcotest.(check bool) "every agent informed" true
+    (Option.is_some r.Run_result.all_agents_informed)
 
 let test_all_agents_informed_at_broadcast () =
   let g = Gen.complete 16 in
-  let d = run_detailed 136 g 0 in
-  (match d.Vx.result.Run_result.all_agents_informed with
+  let result = run 136 g 0 in
+  match result.Run_result.all_agents_informed with
   | None -> Alcotest.fail "agents never all informed"
   | Some r ->
-      let bt = Run_result.time_exn d.Vx.result in
-      Alcotest.(check bool) "agents done by broadcast round" true (r <= bt));
-  Array.iter (fun t -> if t = max_int then Alcotest.fail "agent left uninformed")
-    d.Vx.agent_time
+      let bt = Run_result.time_exn result in
+      Alcotest.(check bool) "agents done by broadcast round" true (r <= bt)
 
 let test_single_agent_eventually_covers () =
   (* one agent on a small cycle: broadcast equals a cover-time-like quantity
      but must terminate *)
   let g = Gen.cycle 6 in
   let r =
-    Vx.run (Rng.of_int 137) g ~source:0 ~agents:(Placement.Stationary 1)
+    Engine.visit_exchange (Rng.of_int 137) g ~source:0 ~agents:(Placement.Stationary 1)
       ~max_rounds:1_000_000 ()
   in
   Alcotest.(check bool) "completed" true (Run_result.completed r)
@@ -99,7 +101,8 @@ let test_curve_monotone_and_bounded () =
 let test_round_cap () =
   let g = Gen.path 100 in
   let r =
-    Vx.run (Rng.of_int 139) g ~source:0 ~agents:(Placement.Stationary 2) ~max_rounds:4 ()
+    Engine.visit_exchange (Rng.of_int 139) g ~source:0 ~agents:(Placement.Stationary 2)
+      ~max_rounds:4 ()
   in
   Alcotest.(check (option int)) "capped" None r.Run_result.broadcast_time;
   Alcotest.(check int) "rounds" 4 r.Run_result.rounds_run
@@ -144,14 +147,11 @@ let prop_vertex_times_distance_bound =
       let n = 2 * half in
       let rng = Rng.of_int (n * 37) in
       let g = Rumor_graph.Gen_random.random_regular_connected rng ~n ~d:4 in
-      let d =
-        Vx.run_detailed rng g ~source:0 ~agents:(Placement.Linear 1.0)
-          ~max_rounds:100_000 ()
-      in
+      let r, tau = run_tau rng g 0 ~max_rounds:100_000 in
       let dist = Algo.bfs_distances g 0 in
       let ok = ref true in
-      Array.iteri (fun v tv -> if tv < dist.(v) then ok := false) d.Vx.vertex_time;
-      !ok && Run_result.completed d.Vx.result)
+      Array.iteri (fun v tv -> if tv < dist.(v) then ok := false) tau;
+      !ok && Run_result.completed r)
 
 let suite =
   [
