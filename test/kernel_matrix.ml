@@ -96,6 +96,7 @@ type kernels = {
   async_meet_exchange :
     obs:Instrument.t ->
     lazy_walk:bool option ->
+    walkers:P.Sparse_walkers.mode ->
     seed:int ->
     Graph.t ->
     source:int ->
@@ -297,8 +298,24 @@ let cells k =
                 (Printf.sprintf "async-meet-exchange %s seed=%d %s" fname seed aname)
                 (fun obs buf ->
                   add_meet_result buf
-                    (k.async_meet_exchange ~obs ~lazy_walk:None ~seed g ~source:0
-                       ~agents ~max_time:20_000.0));
+                    (k.async_meet_exchange ~obs ~lazy_walk:None
+                       ~walkers:P.Sparse_walkers.Dense ~seed g ~source:0 ~agents
+                       ~max_time:20_000.0));
+            ]))
+  in
+  (* the count-compressed kernel: one rate-k clock over a Fenwick index;
+     it fires no per-agent hooks, so the digest is the result alone *)
+  let async_meet_exchange_sparse =
+    per_family_seed (fun fname g seed ->
+        for_each agent_specs (fun (aname, agents) ->
+            [
+              cell
+                (Printf.sprintf "async-meet-exchange %s seed=%d %s walkers=sparse" fname
+                   seed aname) (fun obs buf ->
+                  add_meet_result buf
+                    (k.async_meet_exchange ~obs ~lazy_walk:None
+                       ~walkers:P.Sparse_walkers.Sparse ~seed g ~source:0 ~agents
+                       ~max_time:20_000.0));
             ]))
   in
   (* K2 with lazy off is the parity trap the continuous model resolves;
@@ -312,8 +329,9 @@ let cells k =
                 (Printf.sprintf "async-meet-exchange K2 lazy=%b seed=%d" lazy_walk seed)
                 (fun obs buf ->
                   add_meet_result buf
-                    (k.async_meet_exchange ~obs ~lazy_walk:(Some lazy_walk) ~seed g
-                       ~source:0 ~agents:Placement.One_per_vertex ~max_time:20_000.0));
+                    (k.async_meet_exchange ~obs ~lazy_walk:(Some lazy_walk)
+                       ~walkers:P.Sparse_walkers.Dense ~seed g ~source:0
+                       ~agents:Placement.One_per_vertex ~max_time:20_000.0));
             ]))
   in
   List.concat
@@ -327,5 +345,6 @@ let cells k =
       async_push;
       async_push_capped;
       async_meet_exchange;
+      async_meet_exchange_sparse;
       async_meet_exchange_k2;
     ]

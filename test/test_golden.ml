@@ -44,9 +44,9 @@ let kernels =
       (fun ~obs ~seed g ~variant ~source ~max_time ->
         Async_engine.push ~obs (Rng.of_int seed) g ~variant ~source ~max_time);
     async_meet_exchange =
-      (fun ~obs ~lazy_walk ~seed g ~source ~agents ~max_time ->
-        Async_engine.meet_exchange ~obs ?lazy_walk (Rng.of_int seed) g ~source
-          ~agents ~max_time);
+      (fun ~obs ~lazy_walk ~walkers ~seed g ~source ~agents ~max_time ->
+        Async_engine.meet_exchange ~obs ?lazy_walk ~walkers (Rng.of_int seed) g
+          ~source ~agents ~max_time);
   }
 
 let golden = Hashtbl.of_seq (List.to_seq Golden_kernels.digests)
