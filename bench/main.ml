@@ -324,9 +324,9 @@ let run_engine_bench ?trace ~scale ~push_scale ~shards () =
 (* ------------------------------------------------------------------ *)
 
 (* Brown's classic hold-model benchmark: prefill the queue with n pending
-   events, then time pop+reschedule cycles at steady state — exactly the
-   access pattern of the async kernels, which reschedule the popped clock
-   on (almost) every ring.  Exp(1) gaps are pre-drawn so the numbers
+   events, then time pop+reschedule cycles at steady state — the access
+   pattern of a per-clock event-queue simulation, which reschedules the
+   popped clock on every event.  Exp(1) gaps are pre-drawn so the numbers
    isolate the scheduler from the sampler; each entry's time_ns is ns per
    hold operation, so `rumor_report compare` ratios read directly as
    scheduler speedups. *)
@@ -388,11 +388,10 @@ let run_des_bench ?trace ~scale ~push_scale () =
              ] ))
          sizes)
   in
-  (* end-to-end demonstration: asynchronous push over the full DES engine at
-     paper scale, one run per queue backend (results are bit-identical, so
-     the ratio is pure scheduler) *)
-  let push_entries, push_meta =
-    if push_scale <= 0 then ([], [])
+  (* end-to-end demonstration: asynchronous push at paper scale, one run
+     of the superposed-clock kernel (no event queue) *)
+  let push_entries =
+    if push_scale <= 0 then []
     else begin
       let t0 = Clock.now_s () in
       let g = engine_graph ~seed:4048 push_scale in
@@ -400,51 +399,26 @@ let run_des_bench ?trace ~scale ~push_scale () =
       Printf.printf "er:%d — %d edges, built in %s\n" push_scale
         (Rumor_graph.Graph.num_edges g)
         (human_ns build_ns);
-      let timed queue =
-        let t0 = Clock.now_s () in
-        let stats = ref None in
-        let r =
-          P.Async_engine.push ?trace ~queue ~stats (Rng.of_int 35) g
-            ~variant:P.Async_push.Async_push ~source:0 ~max_time:1e6
-        in
-        (Clock.elapsed_ns ~since_s:t0, r, !stats)
+      let t0 = Clock.now_s () in
+      let r =
+        P.Async_engine.push ?trace (Rng.of_int 35) g
+          ~variant:P.Async_push.Async_push ~source:0 ~max_time:1e6
       in
-      let heap_ns, heap_r, _ = timed P.Async_engine.Heap in
-      let cal_ns, cal_r, cal_stats = timed P.Async_engine.Calendar in
-      assert (heap_r = cal_r);
-      let rings = float_of_int (max cal_r.P.Async_push.rings 1) in
-      Printf.printf
-        "async-push er:%d   heap %s (%.1f ns/ring)   calendar %s (%.1f \
-         ns/ring)   %d rings, informed %d\n"
-        push_scale (human_ns heap_ns) (heap_ns /. rings) (human_ns cal_ns)
-        (cal_ns /. rings) cal_r.P.Async_push.rings cal_r.P.Async_push.informed;
-      ( [
-          entry
-            (Printf.sprintf "des/async-push/graph-build/er-%d" push_scale)
-            build_ns;
-          entry (Printf.sprintf "des/async-push/heap/er-%d" push_scale) heap_ns;
-          entry
-            (Printf.sprintf "des/async-push/calendar/er-%d" push_scale)
-            cal_ns;
-          entry
-            (Printf.sprintf "des/async-push/calendar/er-%d/ns-per-ring"
-               push_scale)
-            (cal_ns /. rings);
-        ],
-        match cal_stats with
-        | None -> []
-        | Some s ->
-            [
-              ( Printf.sprintf "des/async-push/er-%d/resizes" push_scale,
-                string_of_int s.Calendar_queue.resizes );
-              ( Printf.sprintf "des/async-push/er-%d/buckets" push_scale,
-                string_of_int s.Calendar_queue.buckets );
-              ( Printf.sprintf "des/async-push/er-%d/width" push_scale,
-                Printf.sprintf "%.6g" s.Calendar_queue.width );
-            ] )
+      let run_ns = Clock.elapsed_ns ~since_s:t0 in
+      let rings = float_of_int (max r.P.Async_push.rings 1) in
+      Printf.printf "async-push er:%d   %s (%.1f ns/ring)   %d rings, informed %d\n"
+        push_scale (human_ns run_ns) (run_ns /. rings) r.P.Async_push.rings
+        r.P.Async_push.informed;
+      [
+        entry (Printf.sprintf "des/async-push/graph-build/er-%d" push_scale) build_ns;
+        entry (Printf.sprintf "des/async-push/er-%d" push_scale) run_ns;
+        entry
+          (Printf.sprintf "des/async-push/er-%d/ns-per-ring" push_scale)
+          (run_ns /. rings);
+      ]
     end
   in
-  (List.concat hold_entries @ push_entries, List.concat hold_meta @ push_meta)
+  (List.concat hold_entries @ push_entries, List.concat hold_meta)
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: walker representations (dense per-agent vs sparse counts)   *)
@@ -749,9 +723,8 @@ let des_push_scale_arg =
     value & opt int 0
     & info [ "des-push-scale" ] ~docv:"N"
         ~doc:
-          "Also run the async-push DES engine end to end on G(n, 1.25 ln n \
-           / n) at this vertex count, once per queue backend (e.g. \
-           1000000); 0 (default) skips it.")
+          "Also run async push end to end on G(n, 1.25 ln n / n) at this \
+           vertex count (e.g. 1000000); 0 (default) skips it.")
 
 let walkers_scale_arg =
   Arg.(

@@ -69,7 +69,7 @@ let rec poisson g lambda =
     let half = lambda /. 2.0 in
     poisson g half + poisson g (lambda -. half)
 
-let exponential g rate =
+let[@inline] exponential g rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate <= 0";
   let u = 1.0 -. Rng.float g 1.0 in
   -.log u /. rate

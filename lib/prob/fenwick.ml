@@ -1,12 +1,17 @@
 type t = {
   tree : int array; (* 1-indexed partial sums; slot i covers i - lsb(i) + 1 .. i *)
   n : int;
+  top : int; (* largest power of two <= max n 1: find's first step *)
   mutable total : int;
 }
 
 let create n =
   if n < 0 then invalid_arg "Fenwick.create: n < 0";
-  { tree = Array.make (n + 1) 0; n; total = 0 }
+  let top = ref 1 in
+  while !top * 2 <= n do
+    top := !top * 2
+  done;
+  { tree = Array.make (n + 1) 0; n; top = !top; total = 0 }
 
 let size t = t.n
 let total t = t.total
@@ -45,15 +50,12 @@ let get t i = prefix t (i + 1) - prefix t i
 
 (* Binary-lifting descent: find the leaf holding rank r without a search
    over prefix sums — O(log n) array reads, no allocation. *)
-let find t r =
+(* lint: hot *)
+let find_into t r ~residual =
   if r < 0 || r >= t.total then invalid_arg "Fenwick.find: rank out of range";
-  let pow = ref 1 in
-  while !pow * 2 <= t.n do
-    pow := !pow * 2
-  done;
   let idx = ref 0 in
   let rem = ref r in
-  let step = ref !pow in
+  let step = ref t.top in
   while !step > 0 do
     let next = !idx + !step in
     if next <= t.n && t.tree.(next) <= !rem then begin
@@ -62,4 +64,10 @@ let find t r =
     end;
     step := !step / 2
   done;
-  (!idx, !rem)
+  residual := !rem;
+  !idx
+
+let find t r =
+  let residual = ref 0 in
+  let i = find_into t r ~residual in
+  (i, !residual)

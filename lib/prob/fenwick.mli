@@ -2,7 +2,8 @@
     sample a vertex with probability proportional to its walker occupancy in
     the count-compressed asynchronous meet-exchange kernel: [find t r] with
     [r] uniform on [0, total t) picks index [i] with probability
-    [get t i / total t], in O(log n) with no allocation.
+    [get t i / total t], in O(log n); {!find_into} does so with no
+    allocation.
 
     Counts must stay non-negative; [add] with a delta that would drive a
     slot negative is not checked (the walker kernels only move existing
@@ -37,5 +38,10 @@ val find : t -> int -> (int * int)
 (** [find t r] for [0 <= r < total t] returns [(i, residual)] where [i] is
     the unique index with [prefix t i <= r < prefix t (i+1)] and
     [residual = r - prefix t i] (uniform on the slot's count when [r] is
-    uniform — callers reuse it as a second draw).
+    uniform — callers reuse it as a second draw).  Allocates the pair.
+    @raise Invalid_argument if [r] is outside [0, total t). *)
+
+val find_into : t -> int -> residual:int ref -> int
+(** [find_into t r ~residual] is [find t r] without the pair: it returns
+    [i] and stores the residual in [residual]; O(log n), no allocation.
     @raise Invalid_argument if [r] is outside [0, total t). *)

@@ -104,7 +104,7 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g x =
+let[@inline] float g x =
   (* 53 random bits mapped to [0,1), scaled by x *)
   let bits = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   bits *. (1.0 /. 9007199254740992.0) *. x

@@ -6,8 +6,8 @@
     samples a random neighbor and pushes (or, for push-pull, exchanges).
     Time is continuous; one unit of time corresponds to one expected ring
     per vertex, i.e. to one synchronous round's worth of activity.  Push
-    only needs clocks on informed vertices, so a run costs
-    O(total rings) events.
+    only needs clocks on informed vertices, so a run costs O(total rings)
+    time.
 
     The paper's related work (Sauerwald [41]; Giakkoupis–Nazari–Woelfel
     [27], Angel et al. [4]) shows asynchronous push has the same broadcast
@@ -18,14 +18,13 @@
 
     {2 Clock-stream contract}
 
-    The RNG-consumption order both DES kernels of {!Async_engine}
-    implement: the first operation on [rng] splits off a dedicated clock
-    generator ({!Rumor_prob.Rng.split}); every Exp(1) clock gap is drawn
-    from that clock stream in schedule order, and every other draw
-    (neighbor picks, placement, walk steps) comes from [rng] itself in
-    event order.  Batching clock draws then cannot change any result,
-    because the k-th scheduled gap is the clock stream's k-th sample no
-    matter how eagerly it was generated. *)
+    The RNG-consumption order both kernels of {!Async_engine} implement:
+    the first operation on [rng] splits off a dedicated clock generator
+    ({!Rumor_prob.Rng.split}); each ring draws one Exp(1) gap from that
+    clock generator and divides it by the current total rate (|I| for
+    push, n for push–pull, the agent count for meet-exchange), and every
+    other draw (the ringer, neighbor picks, placement, walk steps) comes
+    from [rng] itself in event order. *)
 
 type variant = Async_push | Async_push_pull
 

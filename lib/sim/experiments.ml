@@ -1603,15 +1603,15 @@ let a8_run _cfg profile ~seed =
 (* A9: sync/async push agree to a constant (Section 2, [41])           *)
 (* ------------------------------------------------------------------ *)
 
-(* The DES engine's end-to-end sanity gate.  Sauerwald [41] shows
+(* The async kernel's end-to-end sanity gate.  Sauerwald [41] shows
    asynchronous push matches synchronous push asymptotically on regular
    graphs, and both are Theta(log n) on G(n,p) above the connectivity
    threshold — so the mean async/sync ratio must sit inside a fixed
    constant band.  Unlike A5 (which calls the kernels directly), both
    columns here go through Protocol/measure_cell, so the async column runs
-   on Async_engine's calendar-queue/batched-clock path exactly as every
-   other suite cell does; the verdict column doubles as a Theorem-level
-   regression check on that kernel. *)
+   on Async_engine's superposed-clock kernel exactly as every other suite
+   cell does; the verdict column doubles as a Theorem-level regression
+   check on that kernel. *)
 let a9_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512 ] ~full:[ 512; 1024; 2048; 4096 ] in
   let reps = reps profile in
@@ -1680,7 +1680,7 @@ let a9_run cfg profile ~seed =
           Printf.sprintf
             "verdict is ok iff the mean async/sync ratio lies in [%.2f, %.2f] \
              — the constant band the asymptotic agreement predicts" lo hi;
-          "the async column runs on the calendar-queue DES kernel \
+          "the async column runs on the superposed-clock kernel \
            (Async_engine), making this a Theorem-level check of that kernel";
         ]
       ~title:"A9: sync vs async push on G(n,p) and random regular"

@@ -1,6 +1,6 @@
 (* The fixed kernel matrix the golden digests in Golden_kernels cover.
 
-   Every cell runs one round or DES kernel on one (family, seed, variant)
+   Every cell runs one round or async kernel on one (family, seed, variant)
    with a stream-recording instrument (and a traffic accumulator where the
    kernel supports one) attached, and reduces the full outcome to an MD5
    digest: every Instrument event in firing order, the result record, the

@@ -63,6 +63,35 @@ let test_find_matches_brute () =
     Alcotest.(check int) (Printf.sprintf "find %d residual" r) bres res
   done
 
+(* find_into is find without the pair: same index and residual at every
+   rank, over sizes straddling powers of two (the descent's first step is
+   cached at creation), and no allocation *)
+let test_find_into () =
+  let rng = Rng.of_int 85 in
+  for n = 1 to 70 do
+    let c = Array.init n (fun _ -> Rng.int rng 4) in
+    c.(Rng.int rng n) <- 1;
+    let t = Fenwick.of_counts c in
+    let residual = ref (-1) in
+    for r = 0 to Fenwick.total t - 1 do
+      let i, res = Fenwick.find t r in
+      Alcotest.(check int) (Printf.sprintf "n=%d r=%d index" n r) i
+        (Fenwick.find_into t r ~residual);
+      Alcotest.(check int) (Printf.sprintf "n=%d r=%d residual" n r) res !residual
+    done
+  done;
+  let t = Fenwick.of_counts (Array.init 10_000 (fun i -> 1 + (i mod 3))) in
+  let total = Fenwick.total t in
+  let residual = ref 0 and sink = ref 0 in
+  let before = Gc.minor_words () in
+  for r = 0 to total - 1 do
+    sink := !sink + Fenwick.find_into t r ~residual
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d finds allocate %.0f words" total words)
+    true (words < 64.0 && !sink > 0)
+
 let test_find_is_proportional () =
   let rng = Rng.of_int 83 in
   let c = [| 1; 0; 4; 5 |] in
@@ -113,6 +142,7 @@ let suite =
       test_of_counts_matches_brute;
     Alcotest.test_case "add updates prefixes" `Quick test_add_updates;
     Alcotest.test_case "find matches brute force" `Quick test_find_matches_brute;
+    Alcotest.test_case "find_into = find, allocation-free" `Quick test_find_into;
     Alcotest.test_case "find samples proportionally" `Quick
       test_find_is_proportional;
     Alcotest.test_case "invalid args" `Quick test_invalid;

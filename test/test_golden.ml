@@ -1,9 +1,9 @@
-(* Golden digests for the round and DES kernels: every cell of
+(* Golden digests for the round and async kernels: every cell of
    Kernel_matrix — result record, full Instrument event stream, traffic
    loads and informing rounds — must reproduce the digest recorded in
-   Golden_kernels bit for bit.  The digests were recorded from the
-   reference kernels these replaced, so they pin the exact random-draw
-   order of every kernel. *)
+   Golden_kernels bit for bit, so they pin the exact random-draw order of
+   every kernel (see Golden_kernels for which cells were recorded from
+   which implementation). *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
