@@ -61,46 +61,52 @@ let run graph_text seed dot edges analysis timing trace_path out =
       let trace = Option.map (fun _ -> Trace.create ()) trace_path in
       let started = Clock.now_s () in
       let allocated_before = Gc.allocated_bytes () in
-      let g, source = Graph_spec.build ?trace rng spec in
-      let build_seconds = Clock.elapsed_s ~since:started in
-      let build_allocated = Gc.allocated_bytes () -. allocated_before in
-      if timing then begin
-        (* the CSR footprint is what a simulation keeps resident; the
-           allocation figure shows the streaming builders' small surplus *)
-        let words = Graph.n g + 1 + (2 * Graph.num_edges g) in
-        Printf.printf "build: %.3fs, CSR %.1f MB, %.1f MB allocated on the way\n"
-          build_seconds
-          (float_of_int (8 * words) /. 1e6)
-          (build_allocated /. 1e6)
-      end;
-      if dot then output (Graph_io.to_dot g) out
-      else if edges then output (Graph_io.to_edge_list g) out
-      else begin
-        Printf.printf "%s\n" (Format.asprintf "%a" Graph.pp g);
-        Printf.printf "default source: %d\n" source;
-        Printf.printf "connected: %b\n" (Algo.is_connected g);
-        Printf.printf "bipartite: %b\n" (Algo.is_bipartite g);
-        if Algo.is_connected g then
-          if Graph.n g <= 4096 then
-            Printf.printf "diameter: %d\n" (Algo.diameter g)
-          else
-            Printf.printf "diameter (double-sweep lower bound): %d\n"
-              (Algo.diameter_lower_bound g);
-        Printf.printf "degree histogram:\n";
-        List.iter
-          (fun (d, c) -> Printf.printf "  degree %d: %d vertices\n" d c)
-          (Algo.degree_histogram g);
-        if analysis && Algo.is_connected g then print_analysis g
-      end;
-      (match (trace, trace_path) with
-      | Some tr, Some path -> (
-          match write_trace tr path with
-          | () ->
-              Printf.printf "wrote trace (%d events) to %s\n" (Trace.events tr)
-                path;
-              `Ok ()
-          | exception Sys_error m -> `Error (false, "cannot write trace: " ^ m))
-      | _ -> `Ok ())
+      match Graph_spec.build ?trace rng spec with
+      | exception Invalid_argument m ->
+          (* a generator rejecting its parameters (cycle:0) is a usage error *)
+          `Error
+            (false,
+             Printf.sprintf "bad --graph %s: %s" (Graph_spec.to_string spec) m)
+      | g, source -> (
+          let build_seconds = Clock.elapsed_s ~since:started in
+          let build_allocated = Gc.allocated_bytes () -. allocated_before in
+          if timing then begin
+            (* the CSR footprint is what a simulation keeps resident; the
+               allocation figure shows the streaming builders' small surplus *)
+            let words = Graph.n g + 1 + (2 * Graph.num_edges g) in
+            Printf.printf "build: %.3fs, CSR %.1f MB, %.1f MB allocated on the way\n"
+              build_seconds
+              (float_of_int (8 * words) /. 1e6)
+              (build_allocated /. 1e6)
+          end;
+          if dot then output (Graph_io.to_dot g) out
+          else if edges then output (Graph_io.to_edge_list g) out
+          else begin
+            Printf.printf "%s\n" (Format.asprintf "%a" Graph.pp g);
+            Printf.printf "default source: %d\n" source;
+            Printf.printf "connected: %b\n" (Algo.is_connected g);
+            Printf.printf "bipartite: %b\n" (Algo.is_bipartite g);
+            if Algo.is_connected g then
+              if Graph.n g <= 4096 then
+                Printf.printf "diameter: %d\n" (Algo.diameter g)
+              else
+                Printf.printf "diameter (double-sweep lower bound): %d\n"
+                  (Algo.diameter_lower_bound g);
+            Printf.printf "degree histogram:\n";
+            List.iter
+              (fun (d, c) -> Printf.printf "  degree %d: %d vertices\n" d c)
+              (Algo.degree_histogram g);
+            if analysis && Algo.is_connected g then print_analysis g
+          end;
+          (match (trace, trace_path) with
+          | Some tr, Some path -> (
+              match write_trace tr path with
+              | () ->
+                  Printf.printf "wrote trace (%d events) to %s\n" (Trace.events tr)
+                    path;
+                  `Ok ()
+              | exception Sys_error m -> `Error (false, "cannot write trace: " ^ m))
+          | _ -> `Ok ()))
 
 let graph_arg =
   let doc = "Graph specification (see rumor_run --help for the families)." in

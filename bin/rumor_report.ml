@@ -5,13 +5,12 @@
      rumor_report summary m.jsonl
      rumor_report baseline m.jsonl --out BENCH_baseline.json
      rumor_report check new.jsonl --baseline BENCH_baseline.json --tolerance 25
-     rumor_report compare BENCH_1.json BENCH_2.json *)
+     rumor_report compare old.jsonl new.jsonl *)
 
 open Cmdliner
 module Run_record = Rumor_obs.Run_record
 module Aggregate = Rumor_obs.Aggregate
 module Baseline = Rumor_obs.Baseline
-module Bench_record = Rumor_obs.Bench_record
 module Json = Rumor_obs.Json
 module Table = Rumor_sim.Table
 module Sparkline = Rumor_sim.Sparkline
@@ -23,14 +22,9 @@ exception Fail of string
 let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Input detection: a metrics file is either JSONL run records, a      *)
-(* baseline snapshot, or a bench snapshot.                              *)
+(* Input detection: a metrics file is either JSONL run records or a    *)
+(* baseline snapshot; either way it is read as an aggregate.            *)
 (* ------------------------------------------------------------------ *)
-
-type input =
-  | Records of Run_record.t list
-  | Snapshot of Aggregate.t
-  | Bench of Bench_record.t
 
 let read_file path =
   match
@@ -42,40 +36,29 @@ let read_file path =
   | text -> text
   | exception Sys_error msg -> failf "%s" msg
 
-let load_input path =
+let load_aggregate path =
   let text = read_file path in
   match Json.parse_result (String.trim text) with
   | Ok j -> (
-      (* the whole file is one JSON value: a snapshot of some kind, or a
+      (* the whole file is one JSON value: a baseline snapshot, or a
          single-record JSONL file *)
       match Json.member "schema" j with
-      | Some (Json.String "rumor-bench/1") -> (
-          match Bench_record.of_json text with
-          | Ok b -> Bench b
-          | Error msg -> failf "%s: %s" path msg)
       | Some (Json.String "rumor-baseline/1") -> (
           match Baseline.of_json text with
-          | Ok a -> Snapshot a
+          | Ok a -> a
           | Error msg -> failf "%s" msg)
       | Some (Json.String other) -> failf "%s: unsupported schema %S" path other
       | _ -> (
           match Run_record.of_json (String.trim text) with
-          | Ok r -> Records [ r ]
+          | Ok r -> Aggregate.of_records [ r ]
           | Error msg -> failf "%s: %s" path msg))
   | Error _ -> (
       (* multiple lines: JSONL *)
       match Run_record.read_jsonl path with
-      | records -> Records records
+      | [] -> failf "%s: no records" path
+      | records -> Aggregate.of_records records
       | exception Run_record.Jsonl_error { path; line; msg } ->
           failf "%s:%d: %s" path line msg)
-
-let aggregate_of_input path = function
-  | Records [] -> failf "%s: no records" path
-  | Records rs -> Aggregate.of_records rs
-  | Snapshot a -> a
-  | Bench _ ->
-      failf "%s: bench snapshot where run records or a baseline were expected"
-        path
 
 (* ------------------------------------------------------------------ *)
 (* Formatting helpers                                                   *)
@@ -145,7 +128,7 @@ let print_check_report report =
 (* ------------------------------------------------------------------ *)
 
 let summary path ascii width =
-  let agg = aggregate_of_input path (load_input path) in
+  let agg = load_aggregate path in
   let rows =
     List.map
       (fun (g : Aggregate.group) ->
@@ -215,56 +198,14 @@ let summary path ascii width =
 (* compare                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let compare_bench (base : Bench_record.t) (current : Bench_record.t) =
-  let d = Bench_record.diff ~base ~current in
-  let rows =
-    List.map
-      (fun (delta : Bench_record.delta) ->
-        [
-          delta.Bench_record.name;
-          fmt_ns delta.Bench_record.base_ns;
-          fmt_ns delta.Bench_record.current_ns;
-          fmt_ratio delta.Bench_record.ratio;
-        ])
-      d.Bench_record.deltas
-  in
-  Table.print
-    (Table.make
-       ~title:
-         (Printf.sprintf "microbenchmarks: seed %d (jobs %d) -> seed %d (jobs %d)"
-            base.Bench_record.seed base.Bench_record.jobs
-            current.Bench_record.seed current.Bench_record.jobs)
-       ~claim:"" ~aligns:[ Table.Left ]
-       ~header:[ "benchmark"; "old"; "new"; "ratio" ]
-       rows);
-  List.iter (Printf.printf "missing in new run: %s\n") d.Bench_record.missing;
-  List.iter (Printf.printf "new benchmark: %s\n") d.Bench_record.added;
-  (* run metadata (e.g. the DES benches' calendar geometry), old vs new *)
-  let print_meta label (t : Bench_record.t) =
-    match t.Bench_record.meta with
-    | [] -> ()
-    | meta ->
-        Printf.printf "%s meta:\n" label;
-        List.iter (fun (k, v) -> Printf.printf "  %s = %s\n" k v) meta
-  in
-  print_meta "old" base;
-  print_meta "new" current;
-  0
-
 let compare_files old_path new_path tolerance_pct =
-  let old_input = load_input old_path and new_input = load_input new_path in
-  match (old_input, new_input) with
-  | Bench b, Bench c -> compare_bench b c
-  | Bench _, _ | _, Bench _ ->
-      failf "cannot compare a bench snapshot against run records"
-  | _ ->
-      let tol = tolerances_of_pct tolerance_pct in
-      let baseline = aggregate_of_input old_path old_input in
-      let current = aggregate_of_input new_path new_input in
-      let report = Baseline.check ~tol ~baseline ~current () in
-      print_check_report report;
-      (* compare is informational: only malformed input exits nonzero *)
-      0
+  let tol = tolerances_of_pct tolerance_pct in
+  let baseline = load_aggregate old_path in
+  let current = load_aggregate new_path in
+  let report = Baseline.check ~tol ~baseline ~current () in
+  print_check_report report;
+  (* compare is informational: only malformed input exits nonzero *)
+  0
 
 (* ------------------------------------------------------------------ *)
 (* check / baseline                                                     *)
@@ -272,16 +213,14 @@ let compare_files old_path new_path tolerance_pct =
 
 let check path baseline_path tolerance_pct =
   let tol = tolerances_of_pct tolerance_pct in
-  let baseline =
-    aggregate_of_input baseline_path (load_input baseline_path)
-  in
-  let current = aggregate_of_input path (load_input path) in
+  let baseline = load_aggregate baseline_path in
+  let current = load_aggregate path in
   let report = Baseline.check ~tol ~baseline ~current () in
   print_check_report report;
   if Baseline.passed report then 0 else 1
 
 let make_baseline path out =
-  let agg = aggregate_of_input path (load_input path) in
+  let agg = load_aggregate path in
   Baseline.save out agg;
   Printf.printf "wrote baseline of %d group(s) to %s\n" (List.length agg) out;
   0
@@ -561,10 +500,7 @@ let summary_cmd =
       $ file_pos ~docv:"FILE.jsonl" 0 $ ascii $ width)
 
 let compare_cmd =
-  let doc =
-    "diff two metrics files (JSONL runs, baseline snapshots, or BENCH \
-     microbenchmark snapshots)"
-  in
+  let doc = "diff two metrics files (JSONL runs or baseline snapshots)" in
   Cmd.v
     (Cmd.info "compare" ~doc)
     Term.(
@@ -635,8 +571,7 @@ let cmd =
       `S Manpage.s_description;
       `P
         "Consumes the JSONL files written by the $(b,--metrics) flag of \
-         rumor_run, rumor_experiments and bench/main.exe, plus the \
-         BENCH_<seed>.json microbenchmark snapshots: groups records by \
+         rumor_run and rumor_experiments: groups records by \
          (graph, protocol), reports mean/median/p90/p99, and gates new runs \
          against saved baselines.";
       `S Manpage.s_examples;

@@ -52,6 +52,14 @@ let laziness_of_string = function
   | "auto" -> Ok Protocol.Lazy_auto
   | other -> Error (Printf.sprintf "bad laziness %S (off|on|auto)" other)
 
+(* A generator rejects parameters outside its domain (cycle:0, an odd n*d
+   for random-regular) with Invalid_argument; report it as a usage error. *)
+let build_graph ?trace rng spec =
+  match Graph_spec.build ?trace rng spec with
+  | built -> Ok built
+  | exception Invalid_argument m ->
+      Error (Printf.sprintf "bad --graph %s: %s" (Graph_spec.to_string spec) m)
+
 let run graph_text protocols source_override seed reps max_rounds alpha lazy_text
     show_curve metrics_path jobs shards walkers_text trace_path =
   let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m) in
@@ -59,6 +67,10 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
     match Graph_spec.parse graph_text with Ok s -> Ok s | Error m -> Error m
   in
   let* laziness = laziness_of_string lazy_text in
+  let* () =
+    if reps >= 1 then Ok ()
+    else Error (Printf.sprintf "bad --reps %d (want >= 1)" reps)
+  in
   let* () =
     if jobs >= 0 then Ok ()
     else Error (Printf.sprintf "bad --jobs %d (want >= 0; 0 = all cores)" jobs)
@@ -101,7 +113,7 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
   (* describe the graph once; under --trace this probe build contributes the
      builder phase spans (edge-gen / CSR fill / sort) *)
   let probe_rng = Rng.of_int seed in
-  let g0, default_source = Graph_spec.build ?trace probe_rng spec in
+  let* g0, default_source = build_graph ?trace probe_rng spec in
   Printf.printf "graph %s: %s\n" (Graph_spec.to_string spec)
     (Format.asprintf "%a" Rumor_graph.Graph.pp g0);
   let source = Option.value source_override ~default:default_source in

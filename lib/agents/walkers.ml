@@ -58,39 +58,3 @@ let step_with w f =
     f a from to_
   done;
   w.round <- w.round + 1
-
-module Buckets = struct
-  type b = {
-    starts : int array;  (* length n+1: prefix sums of per-vertex counts *)
-    ids : int array;     (* length = agent count: agent ids grouped by vertex *)
-  }
-
-  let create w =
-    {
-      starts = Array.make (Graph.n w.graph + 1) 0;
-      ids = Array.make (Array.length w.pos) 0;
-    }
-
-  let refresh b w =
-    let n = Graph.n w.graph in
-    Array.fill b.starts 0 (n + 1) 0;
-    (* counting sort keyed by vertex; stable in agent order *)
-    Array.iter (fun v -> b.starts.(v + 1) <- b.starts.(v + 1) + 1) w.pos;
-    for v = 0 to n - 1 do
-      b.starts.(v + 1) <- b.starts.(v + 1) + b.starts.(v)
-    done;
-    let cursor = Array.copy b.starts in
-    Array.iteri
-      (fun a v ->
-        b.ids.(cursor.(v)) <- a;
-        cursor.(v) <- cursor.(v) + 1)
-      w.pos
-
-  let count_at b v = b.starts.(v + 1) - b.starts.(v)
-  let agents_at b v i = b.ids.(b.starts.(v) + i)
-
-  let iter_at b v f =
-    for i = b.starts.(v) to b.starts.(v + 1) - 1 do
-      f b.ids.(i)
-    done
-end

@@ -41,27 +41,3 @@ val step : t -> unit
 val step_with : t -> (int -> int -> int -> unit) -> unit
 (** [step_with w f] is {!step} but calls [f agent from to_] for every agent
     after its move (lazy stays report [from = to_]). *)
-
-(** {1 Per-round vertex buckets}
-
-    meet-exchange needs, each round, the set of agents co-located at each
-    vertex.  [Buckets] computes this grouping in O(agents + n) with no
-    allocation after the first call. *)
-module Buckets : sig
-  type b
-
-  val create : t -> b
-  (** Allocate bucket storage sized for [t]'s graph and population. *)
-
-  val refresh : b -> t -> unit
-  (** Recompute the grouping from the walker's current positions. *)
-
-  val agents_at : b -> int -> int -> int
-  (** [agents_at b v i] is the [i]-th agent on vertex [v], in increasing
-      agent order, [0 <= i < count_at b v]. *)
-
-  val count_at : b -> int -> int
-
-  val iter_at : b -> int -> (int -> unit) -> unit
-  (** Iterate the agents on a vertex in increasing agent order. *)
-end

@@ -1,4 +1,3 @@
 let now_s () = Unix.gettimeofday ()
 let now_us () = 1e6 *. Unix.gettimeofday ()
 let elapsed_s ~since = Unix.gettimeofday () -. since
-let elapsed_ns ~since_s = 1e9 *. (Unix.gettimeofday () -. since_s)

@@ -22,7 +22,3 @@ val now_us : unit -> float
 
 val elapsed_s : since:float -> float
 (** [elapsed_s ~since:t0] is [now_s () -. t0]. *)
-
-val elapsed_ns : since_s:float -> float
-(** Elapsed nanoseconds since a [now_s] reading — the unit
-    {!Bench_record} entries are stored in. *)

@@ -1,7 +1,7 @@
 (** A minimal JSON reader/writer for the observability pipeline.
 
     Covers exactly the JSON subset the repo emits ({!Run_record.to_json},
-    {!Baseline}, {!Bench_record}): objects, arrays, strings (with the
+    {!Baseline}, {!Trace}): objects, arrays, strings (with the
     standard escapes plus [\uXXXX], including surrogate pairs), numbers,
     booleans and [null].  Numbers without a fraction or exponent parse as
     {!Int} when they fit in an OCaml [int], otherwise as {!Float}.

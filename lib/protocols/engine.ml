@@ -560,8 +560,9 @@ let meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
   reset_tau ~who:"Engine.meet_exchange" ~parties:k tau;
   let agent_informed = Bitset.create k in
   let agent_before = Bitset.create k in
-  (* counting-sort buckets, same layout and (stable) agent order as
-     Walkers.Buckets, with the cursor array reused across rounds *)
+  (* counting sort of agents by vertex, stable in agent order: [starts] is
+     the prefix sum of per-vertex counts and [ids] the grouped agent ids;
+     the cursor array is reused across rounds *)
   let starts = Array.make (n + 1) 0 in
   let cursor = Array.make (n + 1) 0 in
   let ids = Array.make k 0 in

@@ -41,21 +41,58 @@ let test_combined_rejects_sparse () =
   Alcotest.(check bool) "visit-exchange with sparse walkers completes" true
     (Run_result.completed (run ~walkers:Protocol.Sparse (Protocol.visit_exchange ())))
 
-(* the CLI refuses the same combination up front, as a usage error *)
-let run_exe = Filename.concat (Filename.concat ".." "bin") "rumor_run.exe"
+(* the CLI refuses the same combination up front, as a usage error; so
+   are bad graph parameters and replicate counts, each reported on one
+   line rather than as an escaped exception *)
+let bin_exe name = Filename.concat (Filename.concat ".." "bin") name
+
+(* exit code and stderr lines of [exe argv] *)
+let run_cli exe argv =
+  let err = Filename.temp_file "rumor_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command (bin_exe exe) argv ~stdout:"/dev/null"
+             ~stderr:err)
+      in
+      let lines =
+        In_channel.with_open_bin err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      (code, lines))
 
 let test_cli_rejects_sparse_combined () =
-  let exit_code protocol walkers =
-    Sys.command
-      (Filename.quote_command run_exe
-         [ "--graph"; "star:20"; "-p"; protocol; "--walkers"; walkers; "--reps"; "1" ]
-         ~stdout:"/dev/null" ~stderr:"/dev/null")
+  let exit_code argv = fst (run_cli "rumor_run.exe" argv) in
+  let walkers protocol w =
+    [ "--graph"; "star:20"; "-p"; protocol; "--walkers"; w; "--reps"; "1" ]
   in
   Alcotest.(check int) "combined + sparse is a usage error" 124
-    (exit_code "combined" "sparse");
-  Alcotest.(check int) "combined + auto runs" 0 (exit_code "combined" "auto");
+    (exit_code (walkers "combined" "sparse"));
+  Alcotest.(check int) "combined + auto runs" 0
+    (exit_code (walkers "combined" "auto"));
   Alcotest.(check int) "visit-exchange + sparse runs" 0
-    (exit_code "visit-exchange" "sparse")
+    (exit_code (walkers "visit-exchange" "sparse"));
+  let usage_error exe argv =
+    let code, lines = run_cli exe argv in
+    let label = String.concat " " (exe :: argv) in
+    Alcotest.(check int) (label ^ " exits 124") 124 code;
+    match lines with
+    | [ line ] ->
+        let prefix = Filename.chop_suffix exe ".exe" ^ ": " in
+        Alcotest.(check bool) (label ^ " names the tool") true
+          (String.starts_with ~prefix line);
+        Alcotest.(check bool) (label ^ " is no internal error") false
+          (String.starts_with ~prefix:(prefix ^ "internal error") line)
+    | _ -> Alcotest.failf "%s: want one stderr line, got %d" label
+             (List.length lines)
+  in
+  usage_error "rumor_run.exe" [ "--graph"; "cycle:0" ];
+  usage_error "rumor_run.exe" [ "--graph"; "random-regular:5,3" ];
+  usage_error "rumor_run.exe" [ "--graph"; "star:20"; "--reps"; "0" ];
+  usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ]
 
 let test_dispatch_matches_direct_push () =
   let g = Gen.torus ~rows:5 ~cols:5 in

@@ -1,13 +1,12 @@
 (* Tests for the analysis half of the observability stack: the Json
    parser, Run_record round-trips, read_jsonl error reporting, Aggregate
-   group math, Baseline verdicts, and Bench_record diffs — plus an
-   end-to-end exit-code check of the rumor_report CLI. *)
+   group math and Baseline verdicts — plus an end-to-end exit-code check
+   of the rumor_report CLI. *)
 
 module Json = Rumor_obs.Json
 module Run_record = Rumor_obs.Run_record
 module Aggregate = Rumor_obs.Aggregate
 module Baseline = Rumor_obs.Baseline
-module Bench_record = Rumor_obs.Bench_record
 module Stats = Rumor_prob.Stats
 
 (* --- Json ------------------------------------------------------------- *)
@@ -332,63 +331,6 @@ let test_baseline_save_load () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file succeeded"
 
-(* --- Bench_record ----------------------------------------------------- *)
-
-let test_bench_record_roundtrip_and_diff () =
-  let base =
-    {
-      Bench_record.seed = 1;
-      jobs = 1;
-      meta = [];
-      entries =
-        [
-          { Bench_record.name = "rumor/push"; time_ns = 100.0; r_square = 0.99 };
-          { Bench_record.name = "rumor/gone"; time_ns = 5.0; r_square = 0.5 };
-        ];
-    }
-  in
-  (match Bench_record.of_json (Bench_record.to_json base) with
-  | Ok b -> Alcotest.(check bool) "bench json roundtrip" true (b = base)
-  | Error msg -> Alcotest.fail msg);
-  (* snapshots written before the jobs field existed read back as jobs = 1 *)
-  (match
-     Bench_record.of_json
-       {|{"schema":"rumor-bench/1","seed":3,"entries":[]}|}
-   with
-  | Ok b ->
-      Alcotest.(check int) "missing jobs defaults to 1" 1 b.Bench_record.jobs;
-      Alcotest.(check (list (pair string string)))
-        "missing meta defaults to []" [] b.Bench_record.meta
-  | Error msg -> Alcotest.fail msg);
-  (* and the meta map round-trips when present *)
-  (let with_meta =
-     { base with Bench_record.meta = [ ("des/resizes", "3"); ("w", "0.5") ] }
-   in
-   match Bench_record.of_json (Bench_record.to_json with_meta) with
-   | Ok b -> Alcotest.(check bool) "meta roundtrip" true (b = with_meta)
-   | Error msg -> Alcotest.fail msg);
-  let current =
-    {
-      Bench_record.seed = 2;
-      jobs = 4;
-      meta = [];
-      entries =
-        [
-          { Bench_record.name = "rumor/push"; time_ns = 150.0; r_square = 0.98 };
-          { Bench_record.name = "rumor/new"; time_ns = 7.0; r_square = 0.9 };
-        ];
-    }
-  in
-  let d = Bench_record.diff ~base ~current in
-  (match d.Bench_record.deltas with
-  | [ delta ] ->
-      Alcotest.(check string) "matched by name" "rumor/push"
-        delta.Bench_record.name;
-      Alcotest.(check (float 1e-9)) "ratio" 1.5 delta.Bench_record.ratio
-  | _ -> Alcotest.fail "expected one delta");
-  Alcotest.(check (list string)) "missing" [ "rumor/gone" ] d.Bench_record.missing;
-  Alcotest.(check (list string)) "added" [ "rumor/new" ] d.Bench_record.added
-
 (* --- the CLI gate, end to end ----------------------------------------- *)
 
 let report_exe = Filename.concat (Filename.concat ".." "bin") "rumor_report.exe"
@@ -424,7 +366,14 @@ let test_cli_check_exit_codes () =
               (run [ "check"; jsonl; "--baseline"; baseline ]);
             Alcotest.(check int)
               "a huge uniform tolerance lets the same run pass" 0
-              (run [ "check"; jsonl; "--baseline"; baseline; "--tolerance"; "150" ])))
+              (run [ "check"; jsonl; "--baseline"; baseline; "--tolerance"; "150" ]);
+            (* a file of an unknown schema, such as rumor-bench/1, is
+               malformed input: exit 2 *)
+            Out_channel.with_open_bin baseline (fun oc ->
+                output_string oc
+                  {|{"schema":"rumor-bench/1","seed":1,"entries":[]}|});
+            Alcotest.(check int) "compare on a rumor-bench/1 file exits 2" 2
+              (run [ "compare"; baseline; baseline ])))
 
 let suite =
   [
@@ -453,8 +402,6 @@ let suite =
     Alcotest.test_case "baseline snapshot roundtrip" `Quick
       test_baseline_snapshot_roundtrip;
     Alcotest.test_case "baseline save/load" `Quick test_baseline_save_load;
-    Alcotest.test_case "bench record roundtrip and diff" `Quick
-      test_bench_record_roundtrip_and_diff;
     Alcotest.test_case "rumor_report check exit codes" `Quick
       test_cli_check_exit_codes;
   ]

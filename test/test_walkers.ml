@@ -120,37 +120,6 @@ let test_rejects_agent_on_isolated_vertex () =
     Alcotest.fail "isolated start accepted"
   with Invalid_argument _ -> ()
 
-let test_buckets_group_by_vertex () =
-  let g = Gen.complete 6 in
-  let w = make 90 g (Placement.Stationary 25) in
-  let b = Walkers.Buckets.create w in
-  for _ = 1 to 10 do
-    Walkers.step w;
-    Walkers.Buckets.refresh b w;
-    (* bucket counts agree with occupancy, members are at the right vertex,
-       and ids within a bucket are increasing *)
-    for v = 0 to 5 do
-      Alcotest.(check int) "count matches occupancy" (Walkers.occupancy w v)
-        (Walkers.Buckets.count_at b v);
-      let last = ref (-1) in
-      Walkers.Buckets.iter_at b v (fun a ->
-          Alcotest.(check int) "member is on vertex" v (Walkers.position w a);
-          Alcotest.(check bool) "ids increasing" true (a > !last);
-          last := a)
-    done
-  done
-
-let test_buckets_agents_at_indexing () =
-  let g = Gen.path 3 in
-  let w = Walkers.create (Rng.of_int 91) g [| 1; 1; 0 |] in
-  let b = Walkers.Buckets.create w in
-  Walkers.Buckets.refresh b w;
-  Alcotest.(check int) "two agents at 1" 2 (Walkers.Buckets.count_at b 1);
-  Alcotest.(check int) "first by id" 0 (Walkers.Buckets.agents_at b 1 0);
-  Alcotest.(check int) "second by id" 1 (Walkers.Buckets.agents_at b 1 1);
-  Alcotest.(check int) "agent at 0" 2 (Walkers.Buckets.agents_at b 0 0);
-  Alcotest.(check int) "nobody at 2" 0 (Walkers.Buckets.count_at b 2)
-
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -162,6 +131,4 @@ let suite =
     Alcotest.test_case "step_with reports moves" `Quick test_step_with_reports_moves;
     Alcotest.test_case "uniform neighbor choice" `Quick test_walk_is_uniform_over_neighbors;
     Alcotest.test_case "rejects isolated start" `Quick test_rejects_agent_on_isolated_vertex;
-    Alcotest.test_case "buckets group by vertex" `Quick test_buckets_group_by_vertex;
-    Alcotest.test_case "buckets indexing" `Quick test_buckets_agents_at_indexing;
   ]

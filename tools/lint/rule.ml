@@ -1,11 +1,10 @@
 (* The rule interface: what a lint rule sees and what it produces. *)
 
-type scope = Lib | Bin | Bench | Test | Other
+type scope = Lib | Bin | Test | Other
 
 let scope_of_string = function
   | "lib" -> Some Lib
   | "bin" -> Some Bin
-  | "bench" -> Some Bench
   | "test" -> Some Test
   | "other" -> Some Other
   | _ -> None
@@ -13,7 +12,6 @@ let scope_of_string = function
 let scope_to_string = function
   | Lib -> "lib"
   | Bin -> "bin"
-  | Bench -> "bench"
   | Test -> "test"
   | Other -> "other"
 

@@ -1,6 +1,6 @@
 (** The rule interface: what a lint rule sees and what it produces. *)
 
-type scope = Lib | Bin | Bench | Test | Other
+type scope = Lib | Bin | Test | Other
 
 val scope_of_string : string -> scope option
 val scope_to_string : scope -> string

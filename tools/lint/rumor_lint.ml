@@ -87,10 +87,10 @@ let spec =
   [
     ( "--root",
       Arg.Set_string root,
-      "DIR resolve lib/bin/bench/test scopes relative to DIR (default .)" );
+      "DIR resolve lib/bin/test scopes relative to DIR (default .)" );
     ( "--scope",
       Arg.String set_scope,
-      "S force scope for all inputs: lib|bin|bench|test|other (default: from \
+      "S force scope for all inputs: lib|bin|test|other (default: from \
        path)" );
     ( "--only",
       Arg.String set_only,
@@ -386,7 +386,7 @@ let () =
   (match !paths with
   | [] ->
       prerr_endline
-        "rumor_lint: no inputs (try: rumor_lint lib bin bench test)";
+        "rumor_lint: no inputs (try: rumor_lint lib bin test)";
       exit 2
   | _ :: _ -> ());
   let parse_rules =
