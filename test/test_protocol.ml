@@ -94,6 +94,23 @@ let test_cli_rejects_sparse_combined () =
   usage_error "rumor_run.exe" [ "--graph"; "star:20"; "--reps"; "0" ];
   usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ]
 
+(* the success path of the same CLIs: rumor_graphgen --edges -o writes an
+   edge list that reads back as the generated graph *)
+let test_graphgen_writes_edge_list () =
+  let out = Filename.temp_file "rumor_graphgen" ".edges" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code, errs =
+        run_cli "rumor_graphgen.exe" [ "--graph"; "cycle:7"; "--edges"; "-o"; out ]
+      in
+      Alcotest.(check int) "exits 0" 0 code;
+      Alcotest.(check (list string)) "nothing on stderr" [] errs;
+      let module Graph_io = Rumor_graph.Graph_io in
+      Alcotest.(check string) "edge list of cycle:7"
+        (Graph_io.to_edge_list (Gen.cycle 7))
+        (Graph_io.to_edge_list (Graph_io.load out)))
+
 let test_dispatch_matches_direct_push () =
   let g = Gen.torus ~rows:5 ~cols:5 in
   let via_dispatch =
@@ -205,6 +222,8 @@ let suite =
       test_combined_rejects_sparse;
     Alcotest.test_case "rumor_run rejects sparse combined" `Quick
       test_cli_rejects_sparse_combined;
+    Alcotest.test_case "rumor_graphgen writes an edge list" `Quick
+      test_graphgen_writes_edge_list;
     Alcotest.test_case "dispatch matches direct call" `Quick test_dispatch_matches_direct_push;
     Alcotest.test_case "async dispatch matches direct call" `Quick
       test_async_dispatch_matches_direct;

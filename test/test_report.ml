@@ -375,6 +375,47 @@ let test_cli_check_exit_codes () =
             Alcotest.(check int) "compare on a rumor-bench/1 file exits 2" 2
               (run [ "compare"; baseline; baseline ])))
 
+(* compare and summary read every input kind [load_aggregate] accepts: a
+   JSONL file, a single-record file and a baseline snapshot; a file with
+   no records is malformed input *)
+let test_cli_compare_and_summary_inputs () =
+  if not (Sys.file_exists report_exe) then Alcotest.skip ()
+  else
+    with_temp_file (fun jsonl ->
+        with_temp_file (fun single ->
+            with_temp_file (fun baseline ->
+                with_temp_file (fun empty ->
+                    Run_record.with_jsonl_file jsonl (fun sink ->
+                        for i = 0 to 3 do
+                          sink (record ~rep:i ~broadcast_time:10 ~contacts:100
+                                  ~wall:0.010 ~minor:1000.0 ())
+                        done);
+                    (* one record, twice as slow: compare reports but does
+                       not fail *)
+                    Run_record.with_jsonl_file single (fun sink ->
+                        sink (record ~broadcast_time:10 ~contacts:100
+                                ~wall:0.020 ~minor:1000.0 ()));
+                    let run args =
+                      Sys.command
+                        (Filename.quote_command report_exe args
+                           ~stdout:"/dev/null" ~stderr:"/dev/null")
+                    in
+                    Alcotest.(check int) "baseline subcommand succeeds" 0
+                      (run [ "baseline"; jsonl; "-o"; baseline ]);
+                    Alcotest.(check int) "compare JSONL with itself" 0
+                      (run [ "compare"; jsonl; jsonl ]);
+                    Alcotest.(check int)
+                      "compare a snapshot with a slower single record" 0
+                      (run [ "compare"; baseline; single ]);
+                    Alcotest.(check int) "summary of a JSONL file" 0
+                      (run [ "summary"; jsonl ]);
+                    Alcotest.(check int) "summary of a single record" 0
+                      (run [ "summary"; single ]);
+                    Alcotest.(check int) "compare with an empty file exits 2" 2
+                      (run [ "compare"; jsonl; empty ]);
+                    Alcotest.(check int) "summary of a missing file exits 2" 2
+                      (run [ "summary"; empty ^ ".missing" ])))))
+
 let suite =
   [
     Alcotest.test_case "json values" `Quick test_json_values;
@@ -404,4 +445,6 @@ let suite =
     Alcotest.test_case "baseline save/load" `Quick test_baseline_save_load;
     Alcotest.test_case "rumor_report check exit codes" `Quick
       test_cli_check_exit_codes;
+    Alcotest.test_case "rumor_report compare/summary inputs" `Quick
+      test_cli_compare_and_summary_inputs;
   ]

@@ -120,6 +120,19 @@ let test_rejects_agent_on_isolated_vertex () =
     Alcotest.fail "isolated start accepted"
   with Invalid_argument _ -> ()
 
+let test_step_with_agent_order () =
+  (* every agent moves exactly once per round, in agent-index order *)
+  let g = Gen.torus ~rows:3 ~cols:3 in
+  let w = make 90 g (Placement.Stationary 25) in
+  for _ = 1 to 5 do
+    let next = ref 0 in
+    Walkers.step_with w (fun a _ _ ->
+        Alcotest.(check int) "agent order" !next a;
+        incr next);
+    Alcotest.(check int) "one call per agent" 25 !next
+  done;
+  Alcotest.(check int) "round counter" 5 (Walkers.round w)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -129,6 +142,7 @@ let suite =
     Alcotest.test_case "lazy walk stays ~half the time" `Quick test_lazy_walk_sometimes_stays;
     Alcotest.test_case "non-lazy always moves" `Quick test_non_lazy_always_moves;
     Alcotest.test_case "step_with reports moves" `Quick test_step_with_reports_moves;
+    Alcotest.test_case "step_with agent order" `Quick test_step_with_agent_order;
     Alcotest.test_case "uniform neighbor choice" `Quick test_walk_is_uniform_over_neighbors;
     Alcotest.test_case "rejects isolated start" `Quick test_rejects_agent_on_isolated_vertex;
   ]
