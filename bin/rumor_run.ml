@@ -272,12 +272,13 @@ let shards_arg =
 
 let walkers_arg =
   let doc =
-    "The walker representation for visit-exchange, meet-exchange and \
-     async-meet-exchange: dense (per-agent positions), sparse \
-     (count-compressed per-vertex occupancy — seed-deterministic, a \
-     different sample path than dense; required for 10^7 agents), or auto \
-     (sparse above the agent-count threshold).  Combined runs dense walkers \
-     only and rejects sparse."
+    "The walker representation for visit-exchange and meet-exchange: \
+     dense (per-agent positions), sparse (count-compressed per-vertex \
+     occupancy — seed-deterministic, a different sample path than dense; \
+     required for 10^7 agents), or auto (sparse above the agent-count \
+     threshold).  Combined runs dense walkers only and rejects sparse.  \
+     Async-meet-exchange has one kernel, so every mode gives it the same \
+     run."
   in
   Arg.(value & opt string "dense" & info [ "walkers" ] ~docv:"MODE" ~doc)
 

@@ -1,9 +1,9 @@
-(** Fenwick (binary indexed) tree over non-negative integer counts, used to
-    sample a vertex with probability proportional to its walker occupancy in
-    the count-compressed asynchronous meet-exchange kernel: [find t r] with
-    [r] uniform on [0, total t) picks index [i] with probability
+(** Fenwick (binary indexed) tree over non-negative integer counts, to
+    sample an index with probability proportional to its count: [find t r]
+    with [r] uniform on [0, total t) picks index [i] with probability
     [get t i / total t], in O(log n); {!find_into} does so with no
-    allocation.
+    allocation.  No kernel uses it; perfbench's [prob.fenwick_find_ns]
+    probe times it.
 
     Counts must stay non-negative; [add] with a delta that would drive a
     slot negative is not checked (the walker kernels only move existing

@@ -1,6 +1,5 @@
 module Rng = Rumor_prob.Rng
 module Dist = Rumor_prob.Dist
-module Fenwick = Rumor_prob.Fenwick
 module Graph = Rumor_graph.Graph
 module Placement = Rumor_agents.Placement
 module Obs = Rumor_obs.Instrument
@@ -16,8 +15,7 @@ module Trace = Rumor_obs.Trace
    - async push: rate |I|, the ringer uniform over the informed vertices
      (an append-only array in informing order);
    - async push-pull: rate n, the ringer [Rng.int rng n];
-   - meet-exchange: rate k, the ringer uniform over the agents — by agent
-     id (dense) or through a Fenwick index over per-vertex counts (sparse).
+   - meet-exchange: rate k, the ringer [Rng.int rng k] by agent id.
 
    Determinism contract: both kernels follow the clock-stream contract
    documented in Async_push's mli — the first [rng] operation splits off
@@ -157,55 +155,71 @@ let push ?obs ?trace rng g ~variant ~source ~max_time =
     curve = Curve_buf.contents curve;
   }
 
+(* Meet-exchange keeps no per-agent class.  After every ring each occupied
+   vertex holds only informed agents or only uninformed ones, because an
+   arrival at a vertex of the other class informs everyone there at once;
+   so an agent's class is one bit of its vertex, and a meeting is an O(1)
+   test on the arrival vertex.  [cell.(v)] packs both into one int:
+   2 * (agents at v) + (1 if they are informed).  The draws are the
+   per-agent ones — the ringer by id, then the lazy coin and the
+   neighbour — so [?walkers] has nothing left to select. *)
 (* lint: hot *)
-let meet_exchange_dense ?obs ?trace ~lazy_walk rng g ~source ~agents ~max_time =
+let meet_exchange ?obs ?trace ?lazy_walk ?walkers:(_ : Sparse_walkers.mode option)
+    rng g ~source ~agents ~max_time =
   let n = Graph.n g in
+  if source < 0 || source >= n then
+    invalid_arg "Async_engine.meet_exchange: source out of range";
+  if not (max_time > 0.0) then
+    invalid_arg "Async_engine.meet_exchange: max_time must be positive";
+  (* resolved before any rng draw *)
+  let lazy_walk =
+    match lazy_walk with
+    | Some b -> b
+    | None -> Rumor_graph.Algo.is_bipartite g
+  in
   let clock = Rng.split rng in
   let pos = Placement.place rng agents g in
   let k = Array.length pos in
-  let informed = Bitset.create (max k 1) in
-  let informed_count = ref 0 in
-  (* Intrusive per-vertex agent lists in three int arrays: insertion is
-     at the head and removal keeps the relative order of the others (the
-     order of [a :: agents_at.(v)] / [List.filter] on cons lists), which
-     fixes the traversal order and with it the obs contact stream.
-     Built by ascending agent id. *)
-  let head = Array.make (max n 1) (-1) in
-  let next = Array.make (max k 1) (-1) in
-  let prev = Array.make (max k 1) (-1) in
-  for a = 0 to k - 1 do
-    let v = pos.(a) in
-    let h = head.(v) in
-    next.(a) <- h;
-    if h >= 0 then prev.(h) <- a;
-    head.(v) <- a
-  done;
-  let source_active = ref true in
-  let inform v a =
-    if not (Bitset.mem informed a) then begin
-      Bitset.add informed a;
-      incr informed_count;
-      Obs.contact obs v a
-    end
-  in
-  let rec any_informed a =
-    a >= 0 && (Bitset.mem informed a || any_informed next.(a))
-  in
-  let rec inform_all v a =
+  (* a graph with positive min degree (cached) has no isolated vertex *)
+  if Graph.min_degree g = 0 then
+    Array.iter
+      (fun v ->
+        if Graph.degree g v = 0 then
+          invalid_arg "Async_engine.meet_exchange: agent on isolated vertex")
+      pos;
+  let cell = Array.make n 0 in
+  Array.iter (fun v -> cell.(v) <- cell.(v) + 2) pos;
+  (* With [?obs] attached, intrusive per-vertex agent lists in three int
+     arrays fix the order of the contact stream: insertion at the head,
+     removal keeping the relative order of the others, built by ascending
+     agent id, and the agents at a vertex informed in list order. *)
+  let listed = Option.is_some obs in
+  let head = Array.make (if listed then n else 0) (-1) in
+  let next = Array.make (if listed then k else 0) (-1) in
+  let prev = Array.make (if listed then k else 0) (-1) in
+  if listed then
+    for a = 0 to k - 1 do
+      let v = pos.(a) in
+      let h = head.(v) in
+      next.(a) <- h;
+      if h >= 0 then prev.(h) <- a;
+      head.(v) <- a
+    done;
+  let rec contacts_from v a =
     if a >= 0 then begin
-      inform v a;
-      inform_all v next.(a)
+      Obs.contact obs v a;
+      contacts_from v next.(a)
     end
   in
-  let exchange_at v =
-    let any = any_informed head.(v) in
-    let source_hit = !source_active && v = source && head.(v) >= 0 in
-    if any || source_hit then begin
-      inform_all v head.(v);
-      if source_hit then source_active := false
-    end
-  in
-  exchange_at source;
+  (* the t = 0 hand-off: the agents placed on the source learn the rumour;
+     if there are none, the first agent to reach the source does *)
+  let informed_count = ref 0 in
+  let source_active = ref (cell.(source) = 0) in
+  if cell.(source) > 0 then begin
+    informed_count := cell.(source) lsr 1;
+    cell.(source) <- cell.(source) lor 1;
+    if listed then contacts_from source head.(source)
+  end;
   let rate = float_of_int k in
   let curve = Curve_buf.create ~hint:(curve_hint max_time) in
   Curve_buf.push curve !informed_count;
@@ -228,109 +242,53 @@ let meet_exchange_dense ?obs ?trace ~lazy_walk rng g ~source ~agents ~max_time =
       let v =
         if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
       in
+      let cu = cell.(u) in
+      let bit = cu land 1 in
       if v <> u then begin
-        let p = prev.(a) in
-        let nx = next.(a) in
-        if p >= 0 then next.(p) <- nx else head.(u) <- nx;
-        if nx >= 0 then prev.(nx) <- p;
-        let h = head.(v) in
-        next.(a) <- h;
-        prev.(a) <- -1;
-        if h >= 0 then prev.(h) <- a;
-        head.(v) <- a;
-        pos.(a) <- v
+        pos.(a) <- v;
+        (* the last agent to leave takes the bit with it *)
+        cell.(u) <- (if cu >= 4 then cu - 2 else 0);
+        if listed then begin
+          let p = prev.(a) in
+          let nx = next.(a) in
+          if p >= 0 then next.(p) <- nx else head.(u) <- nx;
+          if nx >= 0 then prev.(nx) <- p;
+          let h = head.(v) in
+          next.(a) <- h;
+          prev.(a) <- -1;
+          if h >= 0 then prev.(h) <- a;
+          head.(v) <- a
+        end
       end;
       Obs.walker_move obs ~agent:a ~from_:u ~to_:v;
-      exchange_at v;
-      if !informed_count = k then begin
-        finished := true;
-        running := false
-      end
-    end
-  done;
-  curve_close curve next_mark ~finished:!finished ~finish:!now ~max_time
-    ~count:!informed_count;
-  loop_end trace ~informed:!informed_count ~rings:!rings;
-  {
-    Async_meet_exchange.broadcast_time = (if !finished then Some !now else None);
-    rings = !rings;
-    informed = !informed_count;
-    agents = k;
-    curve = Curve_buf.contents curve;
-  }
-
-(* Count-compressed meet-exchange: the rate-k ring picks a uniformly
-   random walker as a vertex with probability proportional to its
-   occupancy (a Fenwick tree over the per-vertex counts, O(log n) per ring)
-   and then a class (uninformed / informed) by the count split, reusing
-   the Fenwick residual as the second draw.  Exact in distribution, but not
-   bit-identical to the dense kernel (agent identity is gone), and no
-   per-agent obs hooks can fire. *)
-(* lint: hot *)
-let meet_exchange_sparse ?trace ~lazy_walk rng g ~source ~agents ~max_time =
-  let n = Graph.n g in
-  let clock = Rng.split rng in
-  let counts = Placement.place_counts rng agents g in
-  let uninf = counts in
-  let inf = Array.make n 0 in
-  (if Graph.min_degree g = 0 then
-     for v = 0 to n - 1 do
-       if uninf.(v) > 0 && Graph.degree g v = 0 then
-         invalid_arg "Async_engine.meet_exchange: agent on isolated vertex"
-     done);
-  let fw = Fenwick.of_counts counts in
-  let k = Fenwick.total fw in
-  let informed_count = ref 0 in
-  let source_active = ref true in
-  let exchange_at v =
-    let cu = uninf.(v) and ci = inf.(v) in
-    let source_hit = !source_active && v = source && cu + ci > 0 in
-    if (ci > 0 || source_hit) && cu > 0 then begin
-      inf.(v) <- ci + cu;
-      uninf.(v) <- 0;
-      informed_count := !informed_count + cu
-    end;
-    if source_hit then source_active := false
-  in
-  exchange_at source;
-  let rate = float_of_int k in
-  let curve = Curve_buf.create ~hint:(curve_hint max_time) in
-  Curve_buf.push curve !informed_count;
-  let next_mark = ref 1 in
-  let rings = ref 0 in
-  let now = ref 0.0 in
-  let residual = ref 0 in
-  let finished = ref (!informed_count = k) in
-  let running = ref (not !finished) in
-  span_begin trace "async_engine.meet_exchange.loop";
-  while !running do
-    let t = !now +. Dist.exponential clock rate in
-    if t > max_time then running := false
-    else begin
-      now := t;
-      incr rings;
-      ring_sample trace ~rings:!rings ~informed:!informed_count;
-      curve_marks curve next_mark ~now:t ~count:!informed_count;
-      (* the ringing walker: vertex ∝ occupancy, class by the count split;
-         the Fenwick residual is already uniform on the vertex's population *)
-      let u = Fenwick.find_into fw (Rng.int rng k) ~residual in
-      let walker_uninformed = !residual < uninf.(u) in
-      let v =
-        if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
-      in
       if v <> u then begin
-        (if walker_uninformed then begin
-           uninf.(u) <- uninf.(u) - 1;
-           uninf.(v) <- uninf.(v) + 1
-         end
-         else begin
-           inf.(u) <- inf.(u) - 1;
-           inf.(v) <- inf.(v) + 1
-         end);
-        Fenwick.add fw u (-1);
-        Fenwick.add fw v 1
+        let cv = cell.(v) in
+        if cv = 0 then begin
+          (* only an empty source can still be active *)
+          if !source_active && v = source then begin
+            source_active := false;
+            cell.(v) <- 3;
+            if bit = 0 then begin
+              incr informed_count;
+              Obs.contact obs v a
+            end
+          end
+          else cell.(v) <- 2 lor bit
+        end
+        else if cv land 1 = bit then cell.(v) <- cv + 2
+        else begin
+          cell.(v) <- (cv + 2) lor 1;
+          if bit = 1 then begin
+            (* an informed arrival informs everyone listed after it *)
+            informed_count := !informed_count + (cv lsr 1);
+            if listed then contacts_from v next.(a)
+          end
+          else begin
+            incr informed_count;
+            Obs.contact obs v a
+          end
+        end
       end;
-      exchange_at v;
       if !informed_count = k then begin
         finished := true;
         running := false
@@ -347,19 +305,3 @@ let meet_exchange_sparse ?trace ~lazy_walk rng g ~source ~agents ~max_time =
     agents = k;
     curve = Curve_buf.contents curve;
   }
-
-let meet_exchange ?obs ?trace ?lazy_walk ?(walkers = Sparse_walkers.Dense) rng g
-    ~source ~agents ~max_time =
-  if source < 0 || source >= Graph.n g then
-    invalid_arg "Async_engine.meet_exchange: source out of range";
-  if not (max_time > 0.0) then
-    invalid_arg "Async_engine.meet_exchange: max_time must be positive";
-  (* resolved before any rng draw *)
-  let lazy_walk =
-    match lazy_walk with
-    | Some b -> b
-    | None -> Rumor_graph.Algo.is_bipartite g
-  in
-  if Sparse_walkers.use_sparse walkers agents g then
-    meet_exchange_sparse ?trace ~lazy_walk rng g ~source ~agents ~max_time
-  else meet_exchange_dense ?obs ?trace ~lazy_walk rng g ~source ~agents ~max_time

@@ -10,16 +10,19 @@
       runs at rate n, meet-exchange at rate k (the agent count).  The gaps
       come from a clock generator split off [rng] up front — the
       clock-stream contract documented in {!Async_push}.
-    - {b State}: informed sets are {!Bitset}s; dense meet-exchange keeps
-      its per-vertex agent sets as intrusive int-array lists, sparse
-      meet-exchange keeps per-vertex counts under a {!Rumor_prob.Fenwick}
-      index.
+    - {b State}: push keeps its informed set as a {!Bitset}.
+      Meet-exchange keeps one position per agent and one int per vertex
+      (agent count and informed bit): after every ring each occupied vertex
+      holds only informed or only uninformed agents, so an agent's class
+      is its vertex's bit and a meeting is an O(1) test on the arrival
+      vertex.  Only with [?obs] attached does it also keep per-vertex agent
+      lists (two more ints per agent), to order the contact stream.
 
     Consequently a run — broadcast time, ring count, integer-mark curve,
     and the full [?obs] contact/walker-move stream — is a pure function of
     the seed; golden digests in the test suite pin it.  A run that is
-    complete at time 0 (one vertex, or every agent informed on placement,
-    or no agents) reports [broadcast_time = Some 0.0] without drawing a
+    complete at time 0 (one vertex under push, or every agent informed on
+    placement) reports [broadcast_time = Some 0.0] without drawing a
     ringer.  The model has no rounds, so [?obs] fires no round hooks.
 
     [?trace] records one ["async_engine.<kernel>.loop"] span, ["informed"]
@@ -57,13 +60,10 @@ val meet_exchange :
     {!Async_meet_exchange}).  [?obs] receives [on_walker_move] (one per
     ring) and [on_contact] (one per newly informed agent).
 
-    [?walkers] ({!Sparse_walkers.Dense} by default) selects the walker
-    representation.  Dense mode draws the ringing agent by id.  Sparse
-    mode compresses walkers into per-vertex (uninformed, informed) counts
-    and draws the ringing walker's vertex with probability proportional
-    to its occupancy through a {!Rumor_prob.Fenwick} tree (O(log n) per
-    ring).  The two modes sample the same law; sparse runs are
-    seed-deterministic but not bit-identical to dense and fire no
-    per-agent [?obs] hooks.  [Auto] picks sparse at
-    {!Sparse_walkers.auto_threshold} agents.
-    @raise Invalid_argument on a bad source or non-positive [max_time]. *)
+    [?walkers] selects nothing: every mode runs the one kernel, which
+    draws the ringing agent by id, and gives the same result and [?obs]
+    stream.  Its state is one int per agent plus O(n) (three ints per
+    agent with [?obs]); there is no O(n)-whatever-k mode.
+    @raise Invalid_argument on a bad source, a non-positive [max_time] or
+    an agent placed on an isolated vertex (checked up front, in O(1) when
+    the graph's minimum degree is positive). *)

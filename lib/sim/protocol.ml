@@ -120,5 +120,5 @@ let run ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
       | Async_meet_exchange { agents; laziness } ->
           let lazy_walk = resolve_lazy laziness g in
           P.Async_meet_exchange.to_run_result
-            (P.Async_engine.meet_exchange ?obs ?trace ~lazy_walk ?walkers rng g
+            (P.Async_engine.meet_exchange ?obs ?trace ~lazy_walk rng g
                ~source ~agents ~max_time:(float_of_int max_rounds)))

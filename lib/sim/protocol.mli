@@ -95,10 +95,10 @@ val run :
     function of (seed, shards), independent of [pool]'s parallelism.  The
     DES kernels and the single-kernel protocols are sequential and ignore
     [shards]/[pool].  [walkers] (default [Dense]) selects the walker
-    representation for visit-exchange, meet-exchange and
-    async-meet-exchange; combined has dense walkers only, so an explicit
-    [Sparse] raises [Invalid_argument] for it ([Auto] resolves to dense).
-    The other specs ignore it.
+    representation for visit-exchange and meet-exchange; combined has
+    dense walkers only, so an explicit [Sparse] raises [Invalid_argument]
+    for it ([Auto] resolves to dense).  The other specs ignore it,
+    async-meet-exchange included: its one kernel serves every mode.
 
     The continuous-time specs ([Async_push], [Async_push_pull],
     [Async_meet_exchange]) read [max_rounds] as the time horizon

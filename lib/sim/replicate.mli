@@ -99,9 +99,9 @@ val broadcast_times :
     re-keys randomness per round as documented there, and the sharded
     work itself runs sequentially inside each replication (the [?jobs]
     pool already owns the domains); [?walkers] selects the walker
-    representation for the agent-based kernels, where [Sparse] (or
-    [Auto] resolved to sparse) gives seed-deterministic records on a
-    different sample path than the dense default. *)
+    representation for the round engine's agent-based kernels, where
+    [Sparse] (or [Auto] resolved to sparse) gives seed-deterministic
+    records on a different sample path than the dense default. *)
 
 val mean : measurement -> float
 val median : measurement -> float

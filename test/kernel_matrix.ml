@@ -303,8 +303,8 @@ let cells k =
                        ~max_time:20_000.0));
             ]))
   in
-  (* the count-compressed kernel: one rate-k clock over a Fenwick index;
-     it fires no per-agent hooks, so the digest is the result alone *)
+  (* [~walkers:Sparse] selects nothing any more: the same kernel runs, so
+     each cell must reproduce its dense twin's digest, obs stream included *)
   let async_meet_exchange_sparse =
     per_family_seed (fun fname g seed ->
         for_each agent_specs (fun (aname, agents) ->

@@ -60,6 +60,25 @@ let test_cell_set () =
     (List.map fst Golden_kernels.digests)
     (List.map fst (Kernel_matrix.cells kernels))
 
+(* ?walkers no longer selects an async meet-exchange kernel, so the
+   recorded digest of every walkers=sparse cell is its dense twin's *)
+let sparse_suffix = " walkers=sparse"
+
+let test_sparse_twins () =
+  let twins =
+    List.filter
+      (fun (label, _) -> String.ends_with ~suffix:sparse_suffix label)
+      Golden_kernels.digests
+  in
+  Alcotest.(check int) "sparse cells" 36 (List.length twins);
+  List.iter
+    (fun (label, digest) ->
+      let dense =
+        String.sub label 0 (String.length label - String.length sparse_suffix)
+      in
+      Alcotest.(check string) (label ^ " = dense twin") (Hashtbl.find golden dense) digest)
+    twins
+
 let test_kernel name () =
   List.iter
     (fun (label, digest) ->
@@ -82,3 +101,7 @@ let suite =
          "async-push-pull";
          "async-meet-exchange";
        ]
+  @ [
+      Alcotest.test_case "async-meet-exchange walkers=sparse = dense twin" `Quick
+        test_sparse_twins;
+    ]
