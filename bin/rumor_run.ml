@@ -60,41 +60,34 @@ let build_graph ?trace rng spec =
   | exception Invalid_argument m ->
       Error (Printf.sprintf "bad --graph %s: %s" (Graph_spec.to_string spec) m)
 
+(* [Ok ()] if [ok] holds, else the formatted usage error *)
+let require ok fmt = Printf.ksprintf (fun m -> if ok then Ok () else Error m) fmt
+
 let run graph_text protocols source_override seed reps max_rounds alpha lazy_text
     show_curve metrics_path jobs shards walkers_text trace_path =
   let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m) in
-  let* spec =
-    match Graph_spec.parse graph_text with Ok s -> Ok s | Error m -> Error m
-  in
+  let* spec = Graph_spec.parse graph_text in
   let* laziness = laziness_of_string lazy_text in
+  let* () = require (reps >= 1) "bad --reps %d (want >= 1)" reps in
   let* () =
-    if reps >= 1 then Ok ()
-    else Error (Printf.sprintf "bad --reps %d (want >= 1)" reps)
+    require (max_rounds >= 0) "bad --max-rounds %d (want >= 0)" max_rounds
   in
   let* () =
-    if jobs >= 0 then Ok ()
-    else Error (Printf.sprintf "bad --jobs %d (want >= 0; 0 = all cores)" jobs)
+    require
+      (Float.is_finite alpha && alpha > 0.0)
+      "bad --alpha %g (want finite > 0)" alpha
   in
-  let* () =
-    if shards >= 1 then Ok ()
-    else Error (Printf.sprintf "bad --shards %d (want >= 1)" shards)
-  in
+  let* () = require (jobs >= 0) "bad --jobs %d (want >= 0; 0 = all cores)" jobs in
+  let* () = require (shards >= 1) "bad --shards %d (want >= 1)" shards in
   let* walkers =
-    match Protocol.walkers_of_string walkers_text with
-    | Some w -> Ok w
-    | None ->
-        Error
-          (Printf.sprintf "bad --walkers %S (dense|sparse|auto)" walkers_text)
+    Option.to_result (Protocol.walkers_of_string walkers_text)
+      ~none:(Printf.sprintf "bad --walkers %S (dense|sparse|auto)" walkers_text)
   in
   let* protocol_specs =
     List.fold_left
       (fun acc name ->
-        match acc with
-        | Error _ as e -> e
-        | Ok acc -> (
-            match protocol_of_string ~alpha ~laziness name with
-            | Ok p -> Ok (p :: acc)
-            | Error m -> Error m))
+        Result.bind acc (fun acc ->
+            Result.map (fun p -> p :: acc) (protocol_of_string ~alpha ~laziness name)))
       (Ok []) (List.rev protocols)
   in
   let protocol_specs =
@@ -103,17 +96,30 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
   let* () =
     (* Protocol.run refuses this combination; say so before any work *)
     let combined = function Protocol.Combined _ -> true | _ -> false in
-    if walkers = Protocol.Sparse && List.exists combined protocol_specs then
-      Error
-        (Printf.sprintf "bad --walkers %S (combined has dense walkers only)"
-           walkers_text)
-    else Ok ()
+    require
+      (not (walkers = Protocol.Sparse && List.exists combined protocol_specs))
+      "bad --walkers %S (combined has dense walkers only)" walkers_text
   in
   let trace = Option.map (fun _ -> Trace.create ()) trace_path in
   (* describe the graph once; under --trace this probe build contributes the
      builder phase spans (edge-gen / CSR fill / sort) *)
   let probe_rng = Rng.of_int seed in
   let* g0, default_source = build_graph ?trace probe_rng spec in
+  let* () =
+    (* agents start from the walk's stationary law, which needs an edge *)
+    let walks = function
+      | Protocol.Visit_exchange _ | Meet_exchange _ | Combined _
+      | Async_meet_exchange _ ->
+          true
+      | _ -> false
+    in
+    match List.find_opt walks protocol_specs with
+    | Some p when Rumor_graph.Graph.num_edges g0 = 0 ->
+        Error
+          (Printf.sprintf "bad --graph %s for %s: agents need an edge to walk on"
+             (Graph_spec.to_string spec) (Protocol.name p))
+    | _ -> Ok ()
+  in
   Printf.printf "graph %s: %s\n" (Graph_spec.to_string spec)
     (Format.asprintf "%a" Rumor_graph.Graph.pp g0);
   let source = Option.value source_override ~default:default_source in
@@ -233,11 +239,14 @@ let reps_arg =
   Arg.(value & opt int 5 & info [ "r"; "reps" ] ~docv:"N" ~doc)
 
 let max_rounds_arg =
-  let doc = "Round cap per replication." in
+  let doc = "Round cap per replication (>= 0)." in
   Arg.(value & opt int 1_000_000 & info [ "max-rounds" ] ~docv:"N" ~doc)
 
 let alpha_arg =
-  let doc = "Agent density: the agent-based protocols use round(alpha * n) agents." in
+  let doc =
+    "Agent density (finite, > 0): the agent-based protocols use \
+     max(1, round(alpha * n)) agents."
+  in
   Arg.(value & opt float 1.0 & info [ "alpha" ] ~docv:"A" ~doc)
 
 let lazy_arg =

@@ -40,12 +40,13 @@ let () =
 
   traffic_of "push-pull" (fun traffic ->
       ignore
-        (P.Engine.push_pull ~traffic (Rng.of_int 1) g ~source:ds.Gen_paper.ds_leaf_a
-           ~max_rounds:rounds ()));
+        (P.Engine.push_pull ~obs:(P.Traffic.calls traffic) (Rng.of_int 1) g
+           ~source:ds.Gen_paper.ds_leaf_a ~max_rounds:rounds ()));
   traffic_of "visit-exchange" (fun traffic ->
       ignore
-        (P.Engine.visit_exchange ~traffic (Rng.of_int 2) g ~source:ds.Gen_paper.ds_leaf_a
-           ~agents:(Linear 1.0) ~max_rounds:rounds ()));
+        (P.Engine.visit_exchange ~obs:(P.Traffic.steps traffic) (Rng.of_int 2)
+           g ~source:ds.Gen_paper.ds_leaf_a ~agents:(Linear 1.0)
+           ~max_rounds:rounds ()));
 
   Format.printf
     "the bridge is the only route between the stars: push-pull starves it,@.";

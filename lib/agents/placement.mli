@@ -11,8 +11,8 @@ type spec =
   | One_per_vertex     (** exactly one agent starting on each vertex *)
   | All_at of int * int  (** [All_at (v, k)]: k agents all on vertex [v] *)
   | Linear of float
-      (** [Linear alpha]: [round (alpha * n)] agents, i.i.d. stationary —
-          the paper's [|A| = alpha * n] convention *)
+      (** [Linear alpha]: [max 1 (round (alpha * n))] agents, i.i.d.
+          stationary — the paper's [|A| = alpha * n] convention *)
 
 val count : spec -> Rumor_graph.Graph.t -> int
 (** Number of agents the spec yields on the given graph. *)

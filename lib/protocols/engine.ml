@@ -85,7 +85,7 @@ let[@inline] set_tau tau party round =
 (* ------------------------------------------------------------------ push *)
 
 (* lint: hot *)
-let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
+let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
     rng g ~source ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.push" ~n ~source ~max_rounds ~shards;
@@ -149,7 +149,6 @@ let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
       in
       incr contacts;
       Obs.contact obs u v;
-      (match traffic with Some tr -> Traffic.record tr u v | None -> ());
       if delivered && not (Bitset.mem informed v) then begin
         Bitset.add informed v;
         set_tau tau v round;
@@ -171,8 +170,7 @@ let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
 (* ------------------------------------------------------------- push-pull *)
 
 (* lint: hot *)
-let push_pull ?traffic ?obs ?trace ?(shards = 1) ?pool rng g ~source
-    ~max_rounds () =
+let push_pull ?obs ?trace ?(shards = 1) ?pool rng g ~source ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.push_pull" ~n ~source ~max_rounds ~shards;
   (* [before] is the informed set at the top of the round (the snapshot the
@@ -214,7 +212,6 @@ let push_pull ?traffic ?obs ?trace ?(shards = 1) ?pool rng g ~source
       let v = if sharded then picks.(u) else Graph.random_neighbor g rng u in
       incr contacts;
       Obs.contact obs u v;
-      (match traffic with Some tr -> Traffic.record tr u v | None -> ());
       if Bitset.mem before u then begin
         if not (Bitset.mem informed v) then begin
           Bitset.add informed v;
@@ -255,24 +252,20 @@ let place_agents ~who rng g agents =
    in agent order: per agent, the lazy coin (if lazy) then the neighbor
    draw (the order of Walkers.step). *)
 (* lint: hot *)
-let move_agents_seq ?traffic ?obs ~lazy_walk rng g pos =
+let move_agents_seq ?obs ~lazy_walk rng g pos =
   for a = 0 to Array.length pos - 1 do
     let u = pos.(a) in
     let v =
       if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
     in
     pos.(a) <- v;
-    (match traffic with
-    | Some tr when v <> u -> Traffic.record tr u v
-    | _ -> ());
     Obs.walker_move obs ~agent:a ~from_:u ~to_:v
   done
 
 (* Sharded variant: destinations are drawn into [moves] with one split child
    per shard, then applied (and reported) sequentially in agent order. *)
 (* lint: hot *)
-let move_agents_sharded ?traffic ?obs ?trace ~lazy_walk ~shards pool rng g pos
-    moves =
+let move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos moves =
   let k = Array.length pos in
   let rngs = Rng.split_n rng shards in
   let (_ : unit array) =
@@ -289,9 +282,6 @@ let move_agents_sharded ?traffic ?obs ?trace ~lazy_walk ~shards pool rng g pos
   for a = 0 to k - 1 do
     let u = pos.(a) and v = moves.(a) in
     pos.(a) <- v;
-    (match traffic with
-    | Some tr when v <> u -> Traffic.record tr u v
-    | _ -> ());
     Obs.walker_move obs ~agent:a ~from_:u ~to_:v
   done;
   span_end trace
@@ -379,8 +369,8 @@ let visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
-    g ~source ~agents ~max_rounds () =
+let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
+    ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.visit_exchange" rng g agents in
   let k = Array.length pos in
@@ -420,11 +410,11 @@ let visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
     (match pool with
     | None ->
         span_begin trace "walk";
-        move_agents_seq ?traffic ?obs ~lazy_walk rng g pos;
+        move_agents_seq ?obs ~lazy_walk rng g pos;
         span_end trace
     | Some pool ->
-        move_agents_sharded ?traffic ?obs ?trace ~lazy_walk ~shards pool rng g
-          pos moves);
+        move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos
+          moves);
     span_begin trace "spread";
     (* phase 2: agents informed in a previous round inform their vertex *)
     Bitset.snapshot ~src:agent_informed ~dst:agent_before;
@@ -472,22 +462,19 @@ let visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
     ~informed_curve:(Curve_buf.contents curve)
     ~contacts:!contacts ()
 
-let visit_exchange ?traffic ?obs ?trace ?tau ?(lazy_walk = false)
+let visit_exchange ?obs ?trace ?tau ?(lazy_walk = false)
     ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
     ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.visit_exchange" ~n ~source ~max_rounds ~shards;
   reset_tau ~who:"Engine.visit_exchange" ~parties:n tau;
   set_tau tau source 0;
-  if Sparse_walkers.use_sparse walkers agents g then begin
-    if Option.is_some traffic then
-      invalid_arg "Engine.visit_exchange: traffic recording requires dense walkers";
+  if Sparse_walkers.use_sparse walkers agents g then
     visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
-  end
   else
-    visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
-      g ~source ~agents ~max_rounds ()
+    visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
+      ~source ~agents ~max_rounds ()
 
 (* --------------------------------------------------------- meet-exchange *)
 
@@ -552,8 +539,8 @@ let meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
-    g ~source ~agents ~max_rounds () =
+let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
+    ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.meet_exchange" rng g agents in
   let k = Array.length pos in
@@ -609,11 +596,11 @@ let meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
     (match pool with
     | None ->
         span_begin trace "walk";
-        move_agents_seq ?traffic ?obs ~lazy_walk rng g pos;
+        move_agents_seq ?obs ~lazy_walk rng g pos;
         span_end trace
     | Some pool ->
-        move_agents_sharded ?traffic ?obs ?trace ~lazy_walk ~shards pool rng g
-          pos moves);
+        move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos
+          moves);
     span_begin trace "buckets";
     refresh_buckets ();
     span_end trace;
@@ -672,9 +659,8 @@ let meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
     ~informed_curve:(Curve_buf.contents curve)
     ~contacts:!contacts ()
 
-let meet_exchange ?traffic ?obs ?trace ?tau ?lazy_walk
-    ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
-    ~agents ~max_rounds () =
+let meet_exchange ?obs ?trace ?tau ?lazy_walk ?(walkers = Sparse_walkers.Dense)
+    ?(shards = 1) ?pool rng g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.meet_exchange" ~n ~source ~max_rounds ~shards;
   (* unsafe-default fix: on a bipartite graph the non-lazy process can
@@ -687,16 +673,14 @@ let meet_exchange ?traffic ?obs ?trace ?tau ?lazy_walk
     | None -> Rumor_graph.Algo.is_bipartite g
   in
   if Sparse_walkers.use_sparse walkers agents g then begin
-    if Option.is_some traffic then
-      invalid_arg "Engine.meet_exchange: traffic recording requires dense walkers";
     if Option.is_some tau then
       invalid_arg "Engine.meet_exchange: per-agent tau requires dense walkers";
     meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
   end
   else
-    meet_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
-      g ~source ~agents ~max_rounds ()
+    meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
+      ~source ~agents ~max_rounds ()
 
 (* --------------------------------------------------------------- combined *)
 

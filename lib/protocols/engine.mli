@@ -17,8 +17,8 @@
 
     - [?shards:1] (the default) draws every random choice from the
       caller's [rng] in a fixed order, so the whole {!Run_result} —
-      curves, contact counts, optional [tau] array, and the
-      [?obs]/[?traffic] streams — is a pure function of the seed.  The
+      curves, contact counts, optional [tau] array, and the [?obs]
+      stream — is a pure function of the seed.  The
       golden digests in the test suite pin that order.
     - [?shards:S] with [S > 1] draws each round's random choices from
       [Rng.split_n rng S], one child per contiguous shard
@@ -42,7 +42,8 @@
     All kernels raise [Invalid_argument] on an out-of-range [source], a
     negative [max_rounds], or [shards < 1].  [?pool] defaults to a
     sequential one-job pool and is only consulted when [shards > 1].
-    [?traffic] accumulates one use per contact edge ({!Traffic}).
+    Per-edge {!Traffic} rides on [?obs]: {!Traffic.calls} for push and
+    push–pull, {!Traffic.steps} for dense walkers.
 
     {2 Sparse walkers}
 
@@ -56,12 +57,11 @@
     (agent identity is erased; experiment A10 gates the distributional
     agreement), run sequentially ([?shards]/[?pool] are ignored), report
     the aggregate [on_occupancy] hook instead of per-agent
-    [on_contact]/[on_walker_move] events, and reject [?traffic]
-    ([Invalid_argument]).  [Auto] picks sparse when the placement yields at
+    [on_contact]/[on_walker_move] events (so {!Traffic.steps} records
+    nothing on them).  [Auto] picks sparse when the placement yields at
     least {!Sparse_walkers.auto_threshold} agents. *)
 
 val push :
-  ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?failure_prob:float ->
@@ -85,7 +85,7 @@ val push :
     which the paper's Lemma 4 proof relies on ("random failures of
     transmission with probability 1/l do not change the broadcast time
     asymptotically").  Failed contacts still count towards [contacts] and
-    [traffic] (the call happens; the payload is lost).
+    fire [on_contact] (the call happens; the payload is lost).
 
     [?tau], when given, must have length [n] and is filled with each
     vertex's informing round [tau_u] ([max_int] if never informed) — the
@@ -94,7 +94,6 @@ val push :
     [tau] has the wrong length. *)
 
 val push_pull :
-  ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?shards:int ->
@@ -112,7 +111,6 @@ val push_pull :
     vertex's call counts as one contact (n contacts per round). *)
 
 val visit_exchange :
-  ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?tau:int array ->
@@ -149,7 +147,6 @@ val visit_exchange :
     representation. *)
 
 val meet_exchange :
-  ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?tau:int array ->

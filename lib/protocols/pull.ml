@@ -1,7 +1,7 @@
 module Graph = Rumor_graph.Graph
 module Obs = Rumor_obs.Instrument
 
-let run ?traffic ?obs rng g ~source ~max_rounds () =
+let run ?obs rng g ~source ~max_rounds () =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Pull.run: source out of range";
   if max_rounds < 0 then invalid_arg "Pull.run: negative round cap";
@@ -21,7 +21,6 @@ let run ?traffic ?obs rng g ~source ~max_rounds () =
         let v = Graph.random_neighbor g rng u in
         incr contacts;
         Obs.contact obs u v;
-        (match traffic with Some tr -> Traffic.record tr u v | None -> ());
         if informed_round.(v) < round then begin
           informed_round.(u) <- round;
           incr count

@@ -9,7 +9,6 @@
     combines both.  Included as a baseline for the push-pull comparisons. *)
 
 val run :
-  ?traffic:Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->

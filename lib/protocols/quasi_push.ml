@@ -12,7 +12,8 @@ let run ?obs rng g ~source ~max_rounds () =
   let order = Array.make n 0 in
   let inform u =
     informed.(u) <- true;
-    cursor.(u) <- Rng.int rng (Graph.degree g u)
+    (* an isolated source (n = 1) never calls: it has no cursor to draw *)
+    if Graph.degree g u > 0 then cursor.(u) <- Rng.int rng (Graph.degree g u)
   in
   inform source;
   order.(0) <- source;

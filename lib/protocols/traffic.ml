@@ -15,6 +15,14 @@ let record t u v =
   t.counters.(i) <- t.counters.(i) + 1;
   t.total <- t.total + 1
 
+let calls t = Rumor_obs.Instrument.make ~on_contact:(record t) ()
+
+let steps t =
+  Rumor_obs.Instrument.make
+    ~on_walker_move:(fun ~agent:_ ~from_ ~to_ ->
+      if from_ <> to_ then record t from_ to_)
+    ()
+
 let count t u v = t.counters.(slot t u v)
 
 let total t = t.total
@@ -50,7 +58,3 @@ let fairness t =
     max_load;
     max_over_mean = (if mean > 0.0 then float_of_int max_load /. mean else 0.0);
   }
-
-let pp_fairness ppf f =
-  Format.fprintf ppf "edges=%d mean=%.2f cv=%.2f min=%d max=%d max/mean=%.2f"
-    f.edges f.mean f.cv f.min_load f.max_load f.max_over_mean

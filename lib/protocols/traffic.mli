@@ -4,7 +4,8 @@
     "locally fair use of bandwidth: all edges are used with the same
     frequency".  This accumulator counts traversals/contacts per undirected
     edge so experiments can compare the empirical edge-load distribution of
-    push-pull against visit-exchange (ablation A4). *)
+    push-pull against visit-exchange (ablation A4).  Kernels fill it
+    through [?obs]: see {!calls} and {!steps}. *)
 
 type t
 
@@ -14,6 +15,13 @@ val create : Rumor_graph.Graph.t -> t
 val record : t -> int -> int -> unit
 (** [record t u v] counts one use of edge {u,v} (direction ignored).
     @raise Not_found if [u] and [v] are not adjacent. *)
+
+val calls : t -> Rumor_obs.Instrument.t
+(** Records each [on_contact u v]: pass it to push, push-pull or pull. *)
+
+val steps : t -> Rumor_obs.Instrument.t
+(** Records each [on_walker_move] with [from_ <> to_]: pass it to dense
+    visit-exchange or meet-exchange (sparse walkers fire no moves). *)
 
 val count : t -> int -> int -> int
 (** Accumulated uses of edge {u,v}. *)
@@ -35,5 +43,3 @@ type fairness = {
 
 val fairness : t -> fairness
 (** @raise Invalid_argument if no traffic was recorded. *)
-
-val pp_fairness : Format.formatter -> fairness -> unit

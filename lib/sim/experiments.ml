@@ -834,19 +834,19 @@ let a4_run _cfg profile ~seed =
   let g = ds.Gen_paper.ds_graph in
   let source = ds.Gen_paper.ds_leaf_a in
   let rounds = pick profile ~quick:200 ~full:500 in
-  let run_with spec seed_off =
+  let run_with spec record seed_off =
     let tr = P.Traffic.create g in
     let rng = Rng.of_int (cell_seed seed seed_off 0) in
     (* run for a fixed number of rounds so both protocols get equal time *)
     let (_ : P.Run_result.t) =
-      Protocol.run ~traffic:tr spec rng g ~source ~max_rounds:rounds
+      Protocol.run ~obs:(record tr) spec rng g ~source ~max_rounds:rounds
     in
     tr
   in
   (* push-pull never finishes that fast on the double star, so both traffic
      snapshots cover comparable horizons *)
-  let tr_pp = run_with Protocol.push_pull 1 in
-  let tr_vx = run_with vx 2 in
+  let tr_pp = run_with Protocol.push_pull P.Traffic.calls 1 in
+  let tr_vx = run_with vx P.Traffic.steps 2 in
   let bridge_pp = P.Traffic.count tr_pp ds.Gen_paper.ds_center_a ds.Gen_paper.ds_center_b in
   let bridge_vx = P.Traffic.count tr_vx ds.Gen_paper.ds_center_a ds.Gen_paper.ds_center_b in
   let f_pp = P.Traffic.fairness tr_pp in

@@ -67,7 +67,6 @@ val walkers_name : walkers -> string
 val walkers_of_string : string -> walkers option
 
 val run :
-  ?traffic:Rumor_protocols.Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?walkers:walkers ->
@@ -84,11 +83,11 @@ val run :
     {!Rumor_protocols.Async_engine} for the continuous-time specs, and the
     protocol's own module for pull, quasi-push, cobra, frog and flood.
 
-    [traffic] is honoured by push, push-pull, pull, visit-exchange and
-    meet-exchange; the remaining processes ignore it.  [obs] is honoured
-    by every protocol: each fires {!Rumor_obs.Instrument} hooks once per
-    round plus one [on_contact] per communication (and [on_walker_move]
-    per agent step for the agent-based processes).
+    [obs] is honoured by every protocol: each fires
+    {!Rumor_obs.Instrument} hooks once per round plus one [on_contact] per
+    communication (and [on_walker_move] per agent step for the agent-based
+    processes), so {!Rumor_protocols.Traffic.calls} and
+    {!Rumor_protocols.Traffic.steps} record per-edge traffic through it.
 
     [shards] (default 1) re-keys the round kernels' randomness per round
     ({!Rumor_prob.Rng.split_n}, one child per shard); the result is a pure

@@ -10,6 +10,11 @@ module Graph = Rumor_graph.Graph
 module P = Rumor_protocols
 module Engine = Rumor_protocols.Engine
 module Async_engine = Rumor_protocols.Async_engine
+module Instrument = Rumor_obs.Instrument
+
+(* the traffic accumulator rides on the instrument, next to the recorder *)
+let calls obs traffic = Instrument.pair obs (P.Traffic.calls traffic)
+let steps obs traffic = Instrument.pair obs (P.Traffic.steps traffic)
 
 let kernels =
   {
@@ -17,25 +22,26 @@ let kernels =
       (fun ~obs ~traffic ~failure_prob ~seed g ~source ~max_rounds ->
         let tau = Array.make (Graph.n g) 0 in
         let r =
-          Engine.push ~obs ~traffic ~failure_prob ~tau (Rng.of_int seed) g ~source
-            ~max_rounds ()
+          Engine.push ~obs:(calls obs traffic) ~failure_prob ~tau (Rng.of_int seed)
+            g ~source ~max_rounds ()
         in
         (r, tau));
     push_pull =
       (fun ~obs ~traffic ~seed g ~source ~max_rounds ->
-        Engine.push_pull ~obs ~traffic (Rng.of_int seed) g ~source ~max_rounds ());
+        Engine.push_pull ~obs:(calls obs traffic) (Rng.of_int seed) g ~source
+          ~max_rounds ());
     visit_exchange =
       (fun ~obs ~traffic ~lazy_walk ~seed g ~source ~agents ~max_rounds ->
         let tau = Array.make (Graph.n g) 0 in
         let r =
-          Engine.visit_exchange ~obs ~traffic ~tau ~lazy_walk (Rng.of_int seed) g
-            ~source ~agents ~max_rounds ()
+          Engine.visit_exchange ~obs:(steps obs traffic) ~tau ~lazy_walk
+            (Rng.of_int seed) g ~source ~agents ~max_rounds ()
         in
         (r, tau));
     meet_exchange =
       (fun ~obs ~traffic ~seed g ~source ~agents ~max_rounds ->
-        Engine.meet_exchange ~obs ~traffic (Rng.of_int seed) g ~source ~agents
-          ~max_rounds ());
+        Engine.meet_exchange ~obs:(steps obs traffic) (Rng.of_int seed) g ~source
+          ~agents ~max_rounds ());
     combined =
       (fun ~obs ~lazy_walk ~seed g ~source ~agents ~max_rounds ->
         Engine.combined ~obs ~lazy_walk (Rng.of_int seed) g ~source ~agents

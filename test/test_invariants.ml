@@ -127,18 +127,45 @@ let test_push_curve_at_most_doubles () =
   done
 
 let test_traffic_dispatch () =
-  (* the traffic sink works through the dispatcher for the protocols that
-     support it *)
+  (* traffic rides on the instrument through the dispatcher: one use per
+     call for the vertex protocols, one per edge crossed (lazy stays
+     excluded) for the walker protocols *)
+  let module Traffic = Rumor_protocols.Traffic in
   let g = sample_graph 560 in
+  let run spec obs =
+    Protocol.run ~obs spec (Rng.of_int 5600) g ~source:0 ~max_rounds:10_000
+  in
   List.iter
     (fun spec ->
-      let traffic = Rumor_protocols.Traffic.create g in
-      let (_ : Run_result.t) =
-        Protocol.run ~traffic spec (Rng.of_int 5600) g ~source:0 ~max_rounds:10_000
+      let traffic = Traffic.create g in
+      let r = run spec (Traffic.calls traffic) in
+      Alcotest.(check int) (Protocol.name spec ^ ": one use per call")
+        r.Run_result.contacts (Traffic.total traffic))
+    [ Protocol.push; Protocol.push_pull; Protocol.pull ];
+  List.iter
+    (fun spec ->
+      let traffic = Traffic.create g in
+      let steps = ref 0 in
+      let moved =
+        Rumor_obs.Instrument.make
+          ~on_walker_move:(fun ~agent:_ ~from_ ~to_ ->
+            if from_ <> to_ then incr steps)
+          ()
       in
-      Alcotest.(check bool) (Protocol.name spec ^ " records traffic") true
-        (Rumor_protocols.Traffic.total traffic > 0))
-    [ Protocol.push; Protocol.push_pull; Protocol.visit_exchange (); Protocol.meet_exchange () ]
+      let (_ : Run_result.t) =
+        run spec (Rumor_obs.Instrument.pair moved (Traffic.steps traffic))
+      in
+      Alcotest.(check bool) (Protocol.name spec ^ ": walkers moved") true
+        (!steps > 0);
+      Alcotest.(check int) (Protocol.name spec ^ ": one use per step") !steps
+        (Traffic.total traffic))
+    [
+      Protocol.visit_exchange ();
+      Protocol.meet_exchange ();
+      Protocol.Meet_exchange
+        { agents = Rumor_agents.Placement.Linear 1.0;
+          laziness = Protocol.Lazy_on };
+    ]
 
 let prop_all_protocols_complete =
   QCheck.Test.make ~count:8 ~name:"every protocol completes on random instances"

@@ -92,6 +92,21 @@ let test_cli_rejects_sparse_combined () =
   usage_error "rumor_run.exe" [ "--graph"; "cycle:0" ];
   usage_error "rumor_run.exe" [ "--graph"; "random-regular:5,3" ];
   usage_error "rumor_run.exe" [ "--graph"; "star:20"; "--reps"; "0" ];
+  usage_error "rumor_run.exe" [ "--graph"; "complete:8"; "--max-rounds=-3" ];
+  List.iter
+    (fun alpha ->
+      usage_error "rumor_run.exe"
+        [ "--graph"; "complete:8"; "-p"; "visit-exchange"; "--alpha=" ^ alpha ])
+    [ "nan"; "inf"; "0"; "-1" ];
+  (* agents need an edge to walk on; the vertex protocols just finish *)
+  List.iter
+    (fun p -> usage_error "rumor_run.exe" [ "--graph"; "path:1"; "-p"; p ])
+    [ "visit-exchange"; "meet-exchange"; "combined"; "async-meet-exchange" ];
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (p ^ " on path:1 runs") 0
+        (exit_code [ "--graph"; "path:1"; "-p"; p; "--reps"; "1" ]))
+    [ "push"; "quasi-push" ];
   usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ]
 
 (* the success path of the same CLIs: rumor_graphgen --edges -o writes an

@@ -7,8 +7,8 @@ module Algo = Rumor_graph.Algo
 module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
-let run ?traffic seed g source =
-  Engine.push ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
+let run ?obs seed g source =
+  Engine.push ?obs (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
 
 let test_k2_exact () =
   let g = Gen.complete 2 in
@@ -172,7 +172,7 @@ let test_deterministic_given_seed () =
 let test_traffic_recording () =
   let g = Gen.complete 8 in
   let traffic = Rumor_protocols.Traffic.create g in
-  let r = run ~traffic 112 g 0 in
+  let r = run ~obs:(Rumor_protocols.Traffic.calls traffic) 112 g 0 in
   Alcotest.(check int) "one traffic record per contact" r.Run_result.contacts
     (Rumor_protocols.Traffic.total traffic)
 

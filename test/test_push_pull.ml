@@ -7,8 +7,8 @@ module Algo = Rumor_graph.Algo
 module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 
-let run ?traffic seed g source =
-  Engine.push_pull ?traffic (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
+let run seed g source =
+  Engine.push_pull (Rng.of_int seed) g ~source ~max_rounds:1_000_000 ()
 
 let test_k2_exact () =
   let r = run 121 (Gen.complete 2) 0 in
