@@ -2,6 +2,7 @@
 
 module Gen = Rumor_graph.Gen_basic
 module Traffic = Rumor_protocols.Traffic
+module Instrument = Rumor_obs.Instrument
 
 let test_record_and_count () =
   let g = Gen.cycle 5 in
@@ -62,6 +63,29 @@ let test_fairness_empty_rejected () =
     Alcotest.fail "empty traffic accepted"
   with Invalid_argument _ -> ()
 
+let test_calls_and_steps_instruments () =
+  (* each instrument listens to one event kind only; steps drops lazy stays *)
+  let g = Gen.cycle 5 in
+  let fire (i : Instrument.t) =
+    i.Instrument.on_contact 0 1;
+    i.Instrument.on_contact 2 1;
+    i.Instrument.on_walker_move ~agent:0 ~from_:3 ~to_:4;
+    i.Instrument.on_walker_move ~agent:1 ~from_:4 ~to_:4;
+    i.Instrument.on_walker_move ~agent:2 ~from_:0 ~to_:4
+  in
+  let calls = Traffic.create g in
+  fire (Traffic.calls calls);
+  Alcotest.(check int) "calls: total" 2 (Traffic.total calls);
+  Alcotest.(check int) "calls: 0-1" 1 (Traffic.count calls 0 1);
+  Alcotest.(check int) "calls: 1-2" 1 (Traffic.count calls 1 2);
+  Alcotest.(check int) "calls: no moves" 0 (Traffic.count calls 3 4);
+  let steps = Traffic.create g in
+  fire (Traffic.steps steps);
+  Alcotest.(check int) "steps: total" 2 (Traffic.total steps);
+  Alcotest.(check int) "steps: 3-4" 1 (Traffic.count steps 3 4);
+  Alcotest.(check int) "steps: 4-0" 1 (Traffic.count steps 4 0);
+  Alcotest.(check int) "steps: no contacts" 0 (Traffic.count steps 0 1)
+
 let suite =
   [
     Alcotest.test_case "record and count" `Quick test_record_and_count;
@@ -70,4 +94,6 @@ let suite =
     Alcotest.test_case "fairness uniform" `Quick test_fairness_uniform;
     Alcotest.test_case "fairness skewed" `Quick test_fairness_skewed;
     Alcotest.test_case "fairness of empty rejected" `Quick test_fairness_empty_rejected;
+    Alcotest.test_case "calls and steps instruments" `Quick
+      test_calls_and_steps_instruments;
   ]
