@@ -140,7 +140,10 @@ let list_arg =
   Arg.(value & flag & info [ "list" ] ~doc)
 
 let profile_arg =
-  let doc = "Experiment profile: quick (seconds) or full (the EXPERIMENTS.md grids)." in
+  let doc =
+    "Experiment profile: quick (seconds) or full (the full grids, minutes; \
+     --markdown FILE writes their report)."
+  in
   Arg.(value & opt string "quick" & info [ "profile" ] ~docv:"P" ~doc)
 
 let seed_arg =

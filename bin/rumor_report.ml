@@ -86,7 +86,8 @@ let status_string = function
 let tolerances_of_pct = function
   | None -> Baseline.default_tolerances
   | Some pct ->
-      if pct < 0.0 then failf "--tolerance must be non-negative"
+      if not (Float.is_finite pct && pct >= 0.0) then
+        failf "--tolerance must be finite and non-negative"
       else Baseline.uniform (pct /. 100.0)
 
 let print_check_report report =
@@ -293,33 +294,6 @@ let percentile sorted q =
 
 let fmt_us us = fmt_ns (1e3 *. us)
 
-(* The parallel_for shard labels: the engine's per-shard draw phases plus
-   the generic default.  Per-rep chunks ("rep.chunk") and round spans carry
-   args too, so the imbalance ratio keys on these names only. *)
-let is_shard_span (e : Trace.event) =
-  Option.is_some e.Trace.arg
-  && (Filename.check_suffix e.Trace.name ".draw"
-     || String.equal e.Trace.name "shard")
-
-let shard_imbalance spans =
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      if is_shard_span e then
-        match e.Trace.arg with
-        | Some s ->
-            let t = try Hashtbl.find totals s with Not_found -> 0.0 in
-            Hashtbl.replace totals s (t +. e.Trace.dur_us)
-        | None -> ())
-    spans;
-  if Hashtbl.length totals < 2 then None
-  else begin
-    let sum = Hashtbl.fold (fun _ t acc -> acc +. t) totals 0.0 in
-    let mx = Hashtbl.fold (fun _ t acc -> Float.max t acc) totals 0.0 in
-    let mean = sum /. float_of_int (Hashtbl.length totals) in
-    if mean > 0.0 then Some (Hashtbl.length totals, mx /. mean) else None
-  end
-
 let print_trace_counters cs =
   if not (Counters.is_empty cs) then begin
     let j = Counters.to_json cs in
@@ -359,7 +333,7 @@ let print_trace_counters cs =
     | _ -> ()
   end
 
-let trace_profile path top max_imbalance =
+let trace_profile path top =
   let { Trace.file_events; file_counters } =
     match Trace.read_file path with Ok f -> f | Error msg -> failf "%s" msg
   in
@@ -449,23 +423,8 @@ let trace_profile path top max_imbalance =
     if List.length profs > top then
       Printf.printf "(%d more span name(s); --top to widen)\n"
         (List.length profs - top);
-    let imbalance = shard_imbalance spans in
-    (match imbalance with
-    | Some (shards, ratio) ->
-        Printf.printf "\nshard imbalance over %d shard(s): max/mean = %.3f\n"
-          shards ratio
-    | None -> ());
     print_trace_counters file_counters;
-    match (max_imbalance, imbalance) with
-    | Some cap, Some (_, ratio) when ratio > cap ->
-        Printf.printf "\nshard imbalance %.3f exceeds --max-imbalance %.3f — FAIL\n"
-          ratio cap;
-        1
-    | Some cap, None ->
-        Printf.printf
-          "\nno shard spans to check against --max-imbalance %.3f — FAIL\n" cap;
-        1
-    | _ -> 0
+    0
   end
 
 (* ------------------------------------------------------------------ *)
@@ -548,21 +507,11 @@ let trace_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Show the N hottest span names.")
   in
-  let max_imbalance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-imbalance" ] ~docv:"RATIO"
-          ~doc:
-            "Exit 1 if the shard load-imbalance ratio (max over mean of \
-             per-shard draw-span totals) exceeds $(docv), or if the trace \
-             has no shard spans to measure.")
-  in
   Cmd.v
     (Cmd.info "trace" ~doc)
     Term.(
-      const (fun path top mi -> handle (fun () -> trace_profile path top mi))
-      $ file_pos ~docv:"TRACE" 0 $ top_arg $ max_imbalance_arg)
+      const (fun path top -> handle (fun () -> trace_profile path top))
+      $ file_pos ~docv:"TRACE" 0 $ top_arg)
 
 let cmd =
   let doc = "analyze recorded rumor-spreading metrics" in

@@ -64,7 +64,7 @@ let build_graph ?trace rng spec =
 let require ok fmt = Printf.ksprintf (fun m -> if ok then Ok () else Error m) fmt
 
 let run graph_text protocols source_override seed reps max_rounds alpha lazy_text
-    show_curve metrics_path jobs shards walkers_text trace_path =
+    show_curve metrics_path jobs walkers_text trace_path =
   let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m) in
   let* spec = Graph_spec.parse graph_text in
   let* laziness = laziness_of_string lazy_text in
@@ -78,7 +78,6 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
       "bad --alpha %g (want finite > 0)" alpha
   in
   let* () = require (jobs >= 0) "bad --jobs %d (want >= 0; 0 = all cores)" jobs in
-  let* () = require (shards >= 1) "bad --shards %d (want >= 1)" shards in
   let* walkers =
     Option.to_result (Protocol.walkers_of_string walkers_text)
       ~none:(Printf.sprintf "bad --walkers %S (dense|sparse|auto)" walkers_text)
@@ -118,7 +117,14 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
         Error
           (Printf.sprintf "bad --graph %s for %s: agents need an edge to walk on"
              (Graph_spec.to_string spec) (Protocol.name p))
-    | _ -> Ok ()
+    | Some p -> (
+        match Placement.count (Placement.Linear alpha) g0 with
+        | _ -> Ok ()
+        | exception Invalid_argument m ->
+            Error
+              (Printf.sprintf "bad --alpha %g for %s on --graph %s: %s" alpha
+                 (Protocol.name p) (Graph_spec.to_string spec) m))
+    | None -> Ok ()
   in
   Printf.printf "graph %s: %s\n" (Graph_spec.to_string spec)
     (Format.asprintf "%a" Rumor_graph.Graph.pp g0);
@@ -158,8 +164,8 @@ let run graph_text protocols source_override seed reps max_rounds alpha lazy_tex
           in
           let m =
             Replicate.broadcast_times ?sink ?trace
-              ~graph_name:(Graph_spec.to_string spec) ~jobs ~walkers
-              ~shards ~seed ~reps ~graph ~spec:p ~max_rounds ()
+              ~graph_name:(Graph_spec.to_string spec) ~jobs ~walkers ~seed
+              ~reps ~graph ~spec:p ~max_rounds ()
           in
           let s = m.Replicate.summary in
           Printf.printf "%-14s mean %.1f  median %.1f  min %.0f  max %.0f%s\n"
@@ -271,14 +277,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let shards_arg =
-  let doc =
-    "Draw each round's randomness from $(docv) per-round generator splits \
-     (push, push-pull, visit-exchange, meet-exchange, combined).  Results \
-     depend only on (seed, shards), never on --jobs."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
 let walkers_arg =
   let doc =
     "The walker representation for visit-exchange and meet-exchange: \
@@ -317,6 +315,6 @@ let cmd =
       ret
         (const run $ graph_arg $ protocol_arg $ source_arg $ seed_arg $ reps_arg
        $ max_rounds_arg $ alpha_arg $ lazy_arg $ curve_arg $ metrics_arg
-       $ jobs_arg $ shards_arg $ walkers_arg $ trace_arg))
+       $ jobs_arg $ walkers_arg $ trace_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -13,8 +13,12 @@ let count spec g =
   | One_per_vertex -> Graph.n g
   | All_at (_, k) -> k
   | Linear alpha ->
-      let k = int_of_float (Float.round (alpha *. float_of_int (Graph.n g))) in
-      max k 1
+      let k = alpha *. float_of_int (Graph.n g) in
+      (* also rejects NaN and infinity, which int_of_float would wrap *)
+      if not (k < float_of_int Sys.max_array_length) then
+        invalid_arg
+          (Printf.sprintf "Placement.count: %g agents exceed the array limit" k);
+      max (int_of_float (Float.round k)) 1
 
 let stationary_weights g = Alias.of_ints (Graph.degrees g)
 

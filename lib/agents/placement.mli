@@ -15,7 +15,10 @@ type spec =
           stationary — the paper's [|A| = alpha * n] convention *)
 
 val count : spec -> Rumor_graph.Graph.t -> int
-(** Number of agents the spec yields on the given graph. *)
+(** Number of agents the spec yields on the given graph.
+    @raise Invalid_argument for [Linear alpha] unless
+    [alpha * n < Sys.max_array_length] (so also for a NaN or infinite
+    [alpha]). *)
 
 val place : Rumor_prob.Rng.t -> spec -> Rumor_graph.Graph.t -> int array
 (** [place rng spec g] materializes initial positions, one entry per

@@ -10,7 +10,7 @@
 
     Resolution is microseconds (the resolution of the underlying
     [gettimeofday]), which is far below the span granularity the tracer
-    records (rounds, shards, graph-build phases — all >= tens of
+    records (rounds, replications, graph-build phases — all >= tens of
     microseconds at the scales that matter). *)
 
 val now_s : unit -> float

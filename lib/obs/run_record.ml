@@ -17,7 +17,6 @@ type t = {
   informed_curve : int array;
   wall_seconds : float;
   gc : gc_counters;
-  shards : int;
 }
 
 type sink = t -> unit
@@ -82,9 +81,7 @@ let to_json t =
   buf_add_float buf t.gc.major_words;
   Buffer.add_string buf ",\"promoted_words\":";
   buf_add_float buf t.gc.promoted_words;
-  Buffer.add_string buf "},\"shards\":";
-  Buffer.add_string buf (string_of_int t.shards);
-  Buffer.add_char buf '}';
+  Buffer.add_string buf "}}";
   Buffer.contents buf
 
 let output oc t =
@@ -150,18 +147,8 @@ let of_json line =
       let* minor_words = field ~where:gc_obj "minor_words" Json.to_float in
       let* major_words = field ~where:gc_obj "major_words" Json.to_float in
       let* promoted_words = field ~where:gc_obj "promoted_words" Json.to_float in
-      (* schema evolution: records written before [shards] existed read
-         back as unsharded runs; the retired [engine] field of older
-         records is ignored like any unknown field *)
-      let optional name conv ~default =
-        match Json.member name j with
-        | None -> Ok default
-        | Some v -> (
-            match conv v with
-            | Some x -> Ok x
-            | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-      in
-      let* shards = optional "shards" Json.to_int ~default:1 in
+      (* schema evolution: the retired engine flag and shard count of
+         older records are ignored like any unknown field *)
       Ok
         {
           seed;
@@ -176,7 +163,6 @@ let of_json line =
           informed_curve;
           wall_seconds;
           gc = { minor_words; major_words; promoted_words };
-          shards;
         }
 
 exception Jsonl_error of { path : string; line : int; msg : string }

@@ -23,14 +23,11 @@
       "wall_seconds": float,
       "gc": { "minor_words": float,
               "major_words": float,
-              "promoted_words": float },
-      "shards": int }         // round-kernel randomness shards (absent = 1)
+              "promoted_words": float } }
     v}
 
-    The [shards] field was added after the first release; the reader
-    accepts records without it ([1]), so old metrics files keep loading.
-    Records of that period also carry an ["engine"] flag, which the reader
-    ignores like any unknown field. *)
+    The reader ignores unknown fields, so older metrics files keep loading:
+    their retired engine flag and shard count are dropped. *)
 
 (** Allocation counters, as deltas over one run (in words, the unit
     [Gc.minor_words] et al. report). *)
@@ -53,7 +50,6 @@ type t = {
   informed_curve : int array;
   wall_seconds : float;
   gc : gc_counters;
-  shards : int;  (** round-kernel randomness shards (1 = sequential) *)
 }
 
 type sink = t -> unit

@@ -26,8 +26,8 @@ let init_traced ?trace ?(label = "pool.chunk") t n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
   if t.jobs = 1 || n <= 1 then
     (* Sequential execution still emits one span per item when traced, so a
-       trace of e.g. a sharded engine run shows the same per-shard spans at
-       every jobs setting; untraced, this is exactly [Array.init n f]. *)
+       trace of a replicated run shows the same per-chunk spans at every
+       jobs setting; untraced, this is exactly [Array.init n f]. *)
     match trace with
     | None -> Array.init n (fun i -> f ~trace i)
     | Some tr ->

@@ -4,8 +4,6 @@ module Obs = Rumor_obs.Instrument
 module Trace = Rumor_obs.Trace
 module Counters = Rumor_obs.Counters
 module Placement = Rumor_agents.Placement
-module Pool = Rumor_par.Pool
-module Par = Rumor_par.Parallel_for
 
 (* The synchronous round kernels — push, push-pull, visit-exchange,
    meet-exchange and combined — over flat state: a Bitset per informed set
@@ -13,23 +11,11 @@ module Par = Rumor_par.Parallel_for
    growable Curve_buf curves, so per-run memory is O(n + m + rounds run)
    words and the inner loops touch only flat arrays.
 
-   Determinism contract:
-
-   - [shards = 1] (the default) draws every random choice from the
-     caller's [rng] in one fixed order, so every field of the result —
-     curves, contact counts, tau arrays, observation streams — is a pure
-     function of the seed.  The golden digests in test/golden_kernels.ml
-     pin that order bit for bit.
-
-   - [shards = S > 1] re-keys randomness per round: the round's random
-     choices are drawn from [Rng.split_n rng S], child [s] covering the
-     [s]-th contiguous shard of the frontier (Parallel_for geometry), and
-     all state updates happen in a sequential merge pass in frontier order
-     after the shards join.  The result is a pure function of (seed, S) —
-     the pool's [--jobs] degree only schedules work and can never change a
-     bit of the output. *)
-
-let get_pool = function Some p -> p | None -> Pool.create ~jobs:1
+   Determinism contract: every random choice is drawn from the caller's
+   [rng] in one fixed order, so every field of the result — curves, contact
+   counts, tau arrays, observation streams — is a pure function of the
+   seed.  The golden digests in test/golden_kernels.ml pin that order bit
+   for bit. *)
 
 (* Tracing shims.  Hot round loops go through these instead of
    [Trace.with_span] so that a disabled run ([trace = None]) stays
@@ -64,10 +50,9 @@ let[@inline] trace_round_end trace ~informed ~contacts_delta =
         (Counters.histogram cs "contacts_per_round" ~buckets:contact_buckets)
         (float_of_int contacts_delta)
 
-let check_common ~who ~n ~source ~max_rounds ~shards =
+let check_common ~who ~n ~source ~max_rounds =
   if source < 0 || source >= n then invalid_arg (who ^ ": source out of range");
-  if max_rounds < 0 then invalid_arg (who ^ ": negative round cap");
-  if shards < 1 then invalid_arg (who ^ ": shards < 1")
+  if max_rounds < 0 then invalid_arg (who ^ ": negative round cap")
 
 (* [?tau] out-parameter: each party's informing round, [max_int] until
    informed.  Parties are what the kernel's informed curve counts:
@@ -85,10 +70,9 @@ let[@inline] set_tau tau party round =
 (* ------------------------------------------------------------------ push *)
 
 (* lint: hot *)
-let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
-    rng g ~source ~max_rounds () =
+let push ?obs ?trace ?(failure_prob = 0.0) ?tau rng g ~source ~max_rounds () =
   let n = Graph.n g in
-  check_common ~who:"Engine.push" ~n ~source ~max_rounds ~shards;
+  check_common ~who:"Engine.push" ~n ~source ~max_rounds;
   if not (failure_prob >= 0.0 && failure_prob < 1.0) then
     invalid_arg "Engine.push: failure_prob outside [0, 1)";
   reset_tau ~who:"Engine.push" ~parties:n tau;
@@ -105,12 +89,6 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
   Curve_buf.push curve 1;
   let t = ref 0 in
   let want_failures = not (Float.equal failure_prob 0.0) in
-  (* sharded rounds pre-draw every pick (and failure coin) into these, one
-     split child per shard; sequential rounds draw inline in the merge *)
-  let sharded = shards > 1 in
-  let picks = if sharded then Array.make n 0 else [||] in
-  let failed = if sharded && want_failures then Bytes.make n '\000' else Bytes.empty in
-  let pool = if sharded then Some (get_pool pool) else None in
   while !count < n && !t < max_rounds do
     incr t;
     let round = !t in
@@ -118,34 +96,13 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
     span_begin_arg trace "push.round" round;
     let c0 = !contacts in
     let active = !count in
-    (match pool with
-    | None -> ()
-    | Some pool ->
-        let rngs = Rng.split_n rng shards in
-        (* shards read only the frozen active prefix of [order] and write
-           disjoint slots of [picks]/[failed]; all shared-state updates wait
-           for the sequential merge below *)
-        let (_ : unit array) =
-          Par.parallel_for ?trace ~label:"push.draw" pool ~n:active ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
-            (fun ~shard ~lo ~hi ->
-              let r = rngs.(shard) in
-              for i = lo to hi - 1 do
-                picks.(i) <- Graph.random_neighbor g r order.(i);
-                if want_failures then
-                  Bytes.set failed i (if Rng.bernoulli r failure_prob then '\001' else '\000')
-              done)
-        in
-        span_begin trace "push.merge");
-    (* the merge: one contact per active vertex, in frontier order; the
-       contact counters stay plain local refs (no closure captures them) *)
+    (* one contact per active vertex, in frontier order; the contact
+       counters stay plain local refs (no closure captures them) *)
     for i = 0 to active - 1 do
       let u = order.(i) in
-      let v = if sharded then picks.(i) else Graph.random_neighbor g rng u in
+      let v = Graph.random_neighbor g rng u in
       let delivered =
-        (not want_failures)
-        ||
-        if sharded then Char.code (Bytes.get failed i) = 0
-        else not (Rng.bernoulli rng failure_prob)
+        (not want_failures) || not (Rng.bernoulli rng failure_prob)
       in
       incr contacts;
       Obs.contact obs u v;
@@ -156,7 +113,6 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
         incr count
       end
     done;
-    if sharded then span_end trace;
     Curve_buf.push curve !count;
     trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
     Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
@@ -170,9 +126,9 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
 (* ------------------------------------------------------------- push-pull *)
 
 (* lint: hot *)
-let push_pull ?obs ?trace ?(shards = 1) ?pool rng g ~source ~max_rounds () =
+let push_pull ?obs ?trace rng g ~source ~max_rounds () =
   let n = Graph.n g in
-  check_common ~who:"Engine.push_pull" ~n ~source ~max_rounds ~shards;
+  check_common ~who:"Engine.push_pull" ~n ~source ~max_rounds;
   (* [before] is the informed set at the top of the round (the snapshot the
      push/pull eligibility test reads); [informed] is live *)
   let informed = Bitset.create n in
@@ -183,33 +139,17 @@ let push_pull ?obs ?trace ?(shards = 1) ?pool rng g ~source ~max_rounds () =
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve 1;
   let t = ref 0 in
-  let sharded = shards > 1 in
-  let picks = if sharded then Array.make n 0 else [||] in
-  let pool = if sharded then Some (get_pool pool) else None in
   while !count < n && !t < max_rounds do
     incr t;
     let round = !t in
     Obs.round_start obs round;
     span_begin_arg trace "push_pull.round" round;
     let c0 = !contacts in
-    (match pool with
-    | None -> ()
-    | Some pool ->
-        let rngs = Rng.split_n rng shards in
-        let (_ : unit array) =
-          Par.parallel_for ?trace ~label:"push_pull.draw" pool ~n ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
-            (fun ~shard ~lo ~hi ->
-              let r = rngs.(shard) in
-              for u = lo to hi - 1 do
-                picks.(u) <- Graph.random_neighbor g r u
-              done)
-        in
-        span_begin trace "push_pull.merge");
     Bitset.snapshot ~src:informed ~dst:before;
     (* every vertex calls one neighbor; inlined rather than a per-contact
        closure so [count]/[contacts] stay unboxed *)
     for u = 0 to n - 1 do
-      let v = if sharded then picks.(u) else Graph.random_neighbor g rng u in
+      let v = Graph.random_neighbor g rng u in
       incr contacts;
       Obs.contact obs u v;
       if Bitset.mem before u then begin
@@ -223,7 +163,6 @@ let push_pull ?obs ?trace ?(shards = 1) ?pool rng g ~source ~max_rounds () =
         incr count
       end
     done;
-    if sharded then span_end trace;
     Curve_buf.push curve !count;
     trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
     Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
@@ -252,7 +191,7 @@ let place_agents ~who rng g agents =
    in agent order: per agent, the lazy coin (if lazy) then the neighbor
    draw (the order of Walkers.step). *)
 (* lint: hot *)
-let move_agents_seq ?obs ~lazy_walk rng g pos =
+let move_agents ?obs ~lazy_walk rng g pos =
   for a = 0 to Array.length pos - 1 do
     let u = pos.(a) in
     let v =
@@ -261,30 +200,6 @@ let move_agents_seq ?obs ~lazy_walk rng g pos =
     pos.(a) <- v;
     Obs.walker_move obs ~agent:a ~from_:u ~to_:v
   done
-
-(* Sharded variant: destinations are drawn into [moves] with one split child
-   per shard, then applied (and reported) sequentially in agent order. *)
-(* lint: hot *)
-let move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos moves =
-  let k = Array.length pos in
-  let rngs = Rng.split_n rng shards in
-  let (_ : unit array) =
-    Par.parallel_for ?trace ~label:"walk.draw" pool ~n:k ~shards
-      (fun ~shard ~lo ~hi ->
-        let r = rngs.(shard) in
-        for a = lo to hi - 1 do
-          let u = pos.(a) in
-          moves.(a) <-
-            (if lazy_walk && Rng.bool r then u else Graph.random_neighbor g r u)
-        done)
-  in
-  span_begin trace "walk.apply";
-  for a = 0 to k - 1 do
-    let u = pos.(a) and v = moves.(a) in
-    pos.(a) <- v;
-    Obs.walker_move obs ~agent:a ~from_:u ~to_:v
-  done;
-  span_end trace
 
 (* -------------------------------------------------------- visit-exchange *)
 
@@ -369,8 +284,8 @@ let visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
-    ~source ~agents ~max_rounds () =
+let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
+    ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.visit_exchange" rng g agents in
   let k = Array.length pos in
@@ -397,8 +312,6 @@ let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
   (* the round the most recent vertex was informed; its final value is the
      completion round when all vertices end up informed *)
   let last_vertex_round = ref 0 in
-  let moves = if shards = 1 then [||] else Array.make k 0 in
-  let pool = if shards = 1 then None else Some (get_pool pool) in
   let t = ref 0 in
   while (!informed_vertices < n || !all_agents_round < 0) && !t < max_rounds do
     incr t;
@@ -407,14 +320,9 @@ let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
     span_begin_arg trace "visit_exchange.round" round;
     let c0 = !contacts in
     (* phase 1: all agents step in parallel *)
-    (match pool with
-    | None ->
-        span_begin trace "walk";
-        move_agents_seq ?obs ~lazy_walk rng g pos;
-        span_end trace
-    | Some pool ->
-        move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos
-          moves);
+    span_begin trace "walk";
+    move_agents ?obs ~lazy_walk rng g pos;
+    span_end trace;
     span_begin trace "spread";
     (* phase 2: agents informed in a previous round inform their vertex *)
     Bitset.snapshot ~src:agent_informed ~dst:agent_before;
@@ -463,18 +371,17 @@ let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
     ~contacts:!contacts ()
 
 let visit_exchange ?obs ?trace ?tau ?(lazy_walk = false)
-    ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
-    ~agents ~max_rounds () =
+    ?(walkers = Sparse_walkers.Dense) rng g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
-  check_common ~who:"Engine.visit_exchange" ~n ~source ~max_rounds ~shards;
+  check_common ~who:"Engine.visit_exchange" ~n ~source ~max_rounds;
   reset_tau ~who:"Engine.visit_exchange" ~parties:n tau;
   set_tau tau source 0;
   if Sparse_walkers.use_sparse walkers agents g then
     visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
   else
-    visit_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
-      ~source ~agents ~max_rounds ()
+    visit_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
+      ~max_rounds ()
 
 (* --------------------------------------------------------- meet-exchange *)
 
@@ -539,8 +446,8 @@ let meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
-    ~source ~agents ~max_rounds () =
+let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
+    ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.meet_exchange" rng g agents in
   let k = Array.length pos in
@@ -581,8 +488,6 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
   let source_active = ref (!informed = 0) in
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve !informed;
-  let moves = if shards = 1 then [||] else Array.make k 0 in
-  let pool = if shards = 1 then None else Some (get_pool pool) in
   (* hoisted out of the per-vertex meeting scan below: a fresh [ref] per
      vertex is one allocation per occupied vertex per round *)
   let witness = ref false in
@@ -593,14 +498,9 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
     Obs.round_start obs round;
     span_begin_arg trace "meet_exchange.round" round;
     let c0 = !contacts in
-    (match pool with
-    | None ->
-        span_begin trace "walk";
-        move_agents_seq ?obs ~lazy_walk rng g pos;
-        span_end trace
-    | Some pool ->
-        move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos
-          moves);
+    span_begin trace "walk";
+    move_agents ?obs ~lazy_walk rng g pos;
+    span_end trace;
     span_begin trace "buckets";
     refresh_buckets ();
     span_end trace;
@@ -660,9 +560,9 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
     ~contacts:!contacts ()
 
 let meet_exchange ?obs ?trace ?tau ?lazy_walk ?(walkers = Sparse_walkers.Dense)
-    ?(shards = 1) ?pool rng g ~source ~agents ~max_rounds () =
+    rng g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
-  check_common ~who:"Engine.meet_exchange" ~n ~source ~max_rounds ~shards;
+  check_common ~who:"Engine.meet_exchange" ~n ~source ~max_rounds;
   (* unsafe-default fix: on a bipartite graph the non-lazy process can
      deadlock (walks in opposite parity classes never meet), so an omitted
      [lazy_walk] resolves by testing bipartiteness — the Lazy_auto
@@ -679,20 +579,20 @@ let meet_exchange ?obs ?trace ?tau ?lazy_walk ?(walkers = Sparse_walkers.Dense)
       ~max_rounds ()
   end
   else
-    meet_exchange_dense ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng g
-      ~source ~agents ~max_rounds ()
+    meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
+      ~max_rounds ()
 
 (* --------------------------------------------------------------- combined *)
 
 (* The combined protocol: the push-pull frontier half and the
    visit-exchange walker half composed in one round loop, consuming the rng
-   at [shards = 1] as placement draws, then per round n push-pull picks
-   and k walker moves. *)
+   as placement draws, then per round n push-pull picks and k walker
+   moves. *)
 (* lint: hot *)
-let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
-    ~source ~agents ~max_rounds () =
+let combined ?obs ?trace ?(lazy_walk = false) rng g ~source ~agents
+    ~max_rounds () =
   let n = Graph.n g in
-  check_common ~who:"Engine.combined" ~n ~source ~max_rounds ~shards;
+  check_common ~who:"Engine.combined" ~n ~source ~max_rounds;
   let pos = place_agents ~who:"Engine.combined" rng g agents in
   let k = Array.length pos in
   let vertex_time = Array.make n max_int in
@@ -708,9 +608,6 @@ let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
   done;
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve 1;
-  let picks = if shards = 1 then [||] else Array.make n 0 in
-  let moves = if shards = 1 then [||] else Array.make k 0 in
-  let pool = if shards = 1 then None else Some (get_pool pool) in
   (* hoisted closures: allocated once per run, not per round *)
   let inform_vertex round v =
     if vertex_time.(v) = max_int then begin
@@ -735,38 +632,16 @@ let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
     let c0 = !contacts in
     (* push-pull half: every vertex calls a random neighbor; exchanges use
        the informed-before-this-round state *)
-    (match pool with
-    | None ->
-        span_begin trace "push_pull";
-        for u = 0 to n - 1 do
-          exchange round u (Graph.random_neighbor g rng u)
-        done;
-        span_end trace
-    | Some pool ->
-        let rngs = Rng.split_n rng shards in
-        let (_ : unit array) =
-          Par.parallel_for ?trace ~label:"combined.draw" pool ~n ~shards (* lint: allow R10 — label Some + shard closure: per round, not per contact *)
-            (fun ~shard ~lo ~hi ->
-              let r = rngs.(shard) in
-              for u = lo to hi - 1 do
-                picks.(u) <- Graph.random_neighbor g r u
-              done)
-        in
-        span_begin trace "push_pull.merge";
-        for u = 0 to n - 1 do
-          exchange round u picks.(u)
-        done;
-        span_end trace);
+    span_begin trace "push_pull";
+    for u = 0 to n - 1 do
+      exchange round u (Graph.random_neighbor g rng u)
+    done;
+    span_end trace;
     (* visit-exchange half: agents step, previously informed agents inform
        their vertex, uninformed agents learn from informed vertices *)
-    (match pool with
-    | None ->
-        span_begin trace "walk";
-        move_agents_seq ?obs ~lazy_walk rng g pos;
-        span_end trace
-    | Some pool ->
-        move_agents_sharded ?obs ?trace ~lazy_walk ~shards pool rng g pos
-          moves);
+    span_begin trace "walk";
+    move_agents ?obs ~lazy_walk rng g pos;
+    span_end trace;
     span_begin trace "spread";
     for a = 0 to k - 1 do
       if agent_time.(a) < round then begin

@@ -15,35 +15,31 @@
 
     {2 Determinism}
 
-    - [?shards:1] (the default) draws every random choice from the
-      caller's [rng] in a fixed order, so the whole {!Run_result} —
-      curves, contact counts, optional [tau] array, and the [?obs]
-      stream — is a pure function of the seed.  The
-      golden digests in the test suite pin that order.
-    - [?shards:S] with [S > 1] draws each round's random choices from
-      [Rng.split_n rng S], one child per contiguous shard
-      ({!Rumor_par.Parallel_for} geometry), and applies all state updates in
-      a sequential merge in frontier/agent order after the shards join.  The
-      result is a pure function of (seed, S): the [?pool]'s parallelism
-      degree schedules work but can never change a bit of the output.
+    Every kernel runs on the caller's domain and draws every random choice
+    from the caller's [rng] in one fixed order (frontier order for push,
+    vertex order for push–pull, agent order for walker steps), so the whole
+    {!Run_result} — curves, contact counts, optional [tau] array, and the
+    [?obs] stream — is a pure function of the seed.  The golden digests in
+    the test suite pin that order.  Parallelism lives one level up, across
+    independent replications ([Rumor_sim.Replicate]).
 
     {2 Tracing}
 
-    [?trace] records one span per round (["<kernel>.round"], [arg] = round
-    number) with draw/merge (or walk/buckets/spread) child spans, per-shard
-    spans on the worker tracks ({!Rumor_par.Pool.init_traced}), an
-    ["informed"] counter series sampled at round boundaries, and scalar
-    [rounds]/[contacts] counters plus a contacts-per-round histogram in the
+    [?trace] records, on the caller's track, one span per round
+    (["<kernel>.round"], [arg] = round number) with walk/spread child spans
+    for the walker kernels (plus buckets for meet-exchange and push_pull for
+    combined; push and push–pull rounds have none), an ["informed"] counter
+    series sampled at round boundaries, and scalar [rounds]/[contacts]
+    counters plus a contacts-per-round histogram in the
     tracer's registry.  Tracing never consumes randomness, so traced and
     untraced runs on the same seed produce bit-identical {!Run_result}s;
     with [?trace] absent the kernels execute the untraced instruction
     stream — no clock reads, no allocation (pinned by an allocation test).
 
-    All kernels raise [Invalid_argument] on an out-of-range [source], a
-    negative [max_rounds], or [shards < 1].  [?pool] defaults to a
-    sequential one-job pool and is only consulted when [shards > 1].
-    Per-edge {!Traffic} rides on [?obs]: {!Traffic.calls} for push and
-    push–pull, {!Traffic.steps} for dense walkers.
+    All kernels raise [Invalid_argument] on an out-of-range [source] or a
+    negative [max_rounds].  Per-edge {!Traffic} rides on [?obs]:
+    {!Traffic.calls} for push and push–pull, {!Traffic.steps} for dense
+    walkers.
 
     {2 Sparse walkers}
 
@@ -55,10 +51,9 @@
     O(k) per-agent structure and unlocks VE/ME at n = 10^7.  Sparse runs
     are a pure function of the seed but {e not} bit-identical to dense
     (agent identity is erased; experiment A10 gates the distributional
-    agreement), run sequentially ([?shards]/[?pool] are ignored), report
-    the aggregate [on_occupancy] hook instead of per-agent
-    [on_contact]/[on_walker_move] events (so {!Traffic.steps} records
-    nothing on them).  [Auto] picks sparse when the placement yields at
+    agreement), and report the aggregate [on_occupancy] hook instead of
+    per-agent [on_contact]/[on_walker_move] events (so {!Traffic.steps}
+    records nothing on them).  [Auto] picks sparse when the placement yields at
     least {!Sparse_walkers.auto_threshold} agents. *)
 
 val push :
@@ -66,8 +61,6 @@ val push :
   ?trace:Rumor_obs.Trace.t ->
   ?failure_prob:float ->
   ?tau:int array ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->
@@ -96,8 +89,6 @@ val push :
 val push_pull :
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->
@@ -116,8 +107,6 @@ val visit_exchange :
   ?tau:int array ->
   ?lazy_walk:bool ->
   ?walkers:Sparse_walkers.mode ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->
@@ -152,8 +141,6 @@ val meet_exchange :
   ?tau:int array ->
   ?lazy_walk:bool ->
   ?walkers:Sparse_walkers.mode ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->
@@ -190,8 +177,6 @@ val combined :
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?lazy_walk:bool ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->

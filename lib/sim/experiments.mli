@@ -18,7 +18,8 @@
 
 type profile =
   | Quick  (** small grids, few replications: seconds per experiment *)
-  | Full   (** the grids reported in EXPERIMENTS.md: minutes overall *)
+  | Full   (** the full grids, whose report [rumor_experiments --markdown
+               FILE] writes: minutes overall *)
 
 (** What a suite run threads into every replicated cell measurement
     ({!Replicate.broadcast_times}). *)

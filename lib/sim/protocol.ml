@@ -67,32 +67,31 @@ type walkers = P.Sparse_walkers.mode = Dense | Sparse | Auto
 let walkers_name = P.Sparse_walkers.mode_to_string
 let walkers_of_string = P.Sparse_walkers.mode_of_string
 
-let run ?obs ?trace ?walkers ?shards ?pool spec rng g ~source ~max_rounds =
+let run ?obs ?trace ?walkers spec rng g ~source ~max_rounds =
   (* one top-level span per run, named after the protocol; the kernels hang
      their per-round spans under it *)
   Rumor_obs.Trace.with_span trace ("run." ^ name spec) (fun () ->
       match spec with
       | Push ->
-          P.Engine.push ?obs ?trace ?shards ?pool rng g ~source ~max_rounds ()
+          P.Engine.push ?obs ?trace rng g ~source ~max_rounds ()
       | Push_pull ->
-          P.Engine.push_pull ?obs ?trace ?shards ?pool rng g ~source
-            ~max_rounds ()
+          P.Engine.push_pull ?obs ?trace rng g ~source ~max_rounds ()
       | Visit_exchange { agents; laziness } ->
           let lazy_walk = resolve_lazy laziness g in
-          P.Engine.visit_exchange ?obs ?trace ~lazy_walk ?walkers
-            ?shards ?pool rng g ~source ~agents ~max_rounds ()
+          P.Engine.visit_exchange ?obs ?trace ~lazy_walk ?walkers rng g
+            ~source ~agents ~max_rounds ()
       | Meet_exchange { agents; laziness } ->
           let lazy_walk = resolve_lazy laziness g in
-          P.Engine.meet_exchange ?obs ?trace ~lazy_walk ?walkers
-            ?shards ?pool rng g ~source ~agents ~max_rounds ()
+          P.Engine.meet_exchange ?obs ?trace ~lazy_walk ?walkers rng g
+            ~source ~agents ~max_rounds ()
       | Combined { agents; laziness } ->
           (* the sparse representation has no combined kernel: an explicit
              request is refused rather than silently run dense *)
           if walkers = Some Sparse then
             invalid_arg "Protocol.run: combined has no sparse-walker kernel";
           let lazy_walk = resolve_lazy laziness g in
-          P.Engine.combined ?obs ?trace ~lazy_walk ?shards ?pool rng g ~source
-            ~agents ~max_rounds ()
+          P.Engine.combined ?obs ?trace ~lazy_walk rng g ~source ~agents
+            ~max_rounds ()
       | Pull -> P.Pull.run ?obs rng g ~source ~max_rounds ()
       | Quasi_push -> P.Quasi_push.run ?obs rng g ~source ~max_rounds ()
       | Cobra { branching } ->
@@ -102,8 +101,7 @@ let run ?obs ?trace ?walkers ?shards ?pool spec rng g ~source ~max_rounds =
           (P.Frog.run ?obs ~frogs_per_vertex rng g ~source ~max_rounds ())
             .P.Frog.run_result
       | Flood -> P.Flood.run ?obs g ~source ~max_rounds ()
-      (* the continuous-time processes read [max_rounds] as a time horizon;
-         the DES kernels are sequential, so [shards]/[pool] are ignored *)
+      (* the continuous-time processes read [max_rounds] as a time horizon *)
       | Async_push ->
           P.Async_push.to_run_result
             (P.Async_engine.push ?obs ?trace rng g

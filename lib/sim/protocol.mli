@@ -70,8 +70,6 @@ val run :
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
   ?walkers:walkers ->
-  ?shards:int ->
-  ?pool:Rumor_par.Pool.t ->
   spec ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
@@ -89,14 +87,11 @@ val run :
     processes), so {!Rumor_protocols.Traffic.calls} and
     {!Rumor_protocols.Traffic.steps} record per-edge traffic through it.
 
-    [shards] (default 1) re-keys the round kernels' randomness per round
-    ({!Rumor_prob.Rng.split_n}, one child per shard); the result is a pure
-    function of (seed, shards), independent of [pool]'s parallelism.  The
-    DES kernels and the single-kernel protocols are sequential and ignore
-    [shards]/[pool].  [walkers] (default [Dense]) selects the walker
-    representation for visit-exchange and meet-exchange; combined has
-    dense walkers only, so an explicit [Sparse] raises [Invalid_argument]
-    for it ([Auto] resolves to dense).  The other specs ignore it,
+    Every kernel runs sequentially on the caller's domain, so the result is
+    a pure function of [rng]'s state.  [walkers] (default [Dense]) selects
+    the walker representation for visit-exchange and meet-exchange;
+    combined has dense walkers only, so an explicit [Sparse] raises
+    [Invalid_argument] for it ([Auto] resolves to dense).  The other specs ignore it,
     async-meet-exchange included: its one kernel serves every mode.
 
     The continuous-time specs ([Async_push], [Async_push_pull],

@@ -64,7 +64,7 @@ let measure ?(on_capped = `Keep) ?record ?(jobs = 1) ?trace ~seed ~reps f =
   { times; capped = !capped; summary = Stats.summarize times }
 
 let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
-    ?walkers ?shards ~seed ~reps ~graph ~spec ~max_rounds () =
+    ?walkers ~seed ~reps ~graph ~spec ~max_rounds () =
   (* [graph rng] re-samples per replication inside [f]; each rep writes |V|
      to its own slot, read back by the rep-ordered record pass. *)
   let vertices = Array.make (max reps 1) 0 in
@@ -85,17 +85,13 @@ let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
             informed_curve = result.Run_result.informed_curve;
             wall_seconds;
             gc;
-            shards = Option.value shards ~default:1;
           })
       sink
   in
   measure ?on_capped ?record ?jobs ?trace ~seed ~reps (fun ~trace ~rep rng ->
       let g, source = Trace.with_span trace "graph.build" (fun () -> graph rng) in
       vertices.(rep) <- Graph.n g;
-      (* shards run on the default sequential pool here: the rep level
-         already owns the [?jobs] domains, and sharded results are
-         jobs-independent by construction anyway *)
-      Protocol.run ?trace ?walkers ?shards spec rng g ~source ~max_rounds)
+      Protocol.run ?trace ?walkers spec rng g ~source ~max_rounds)
 
 let mean m = m.summary.Stats.mean
 let median m = m.summary.Stats.median

@@ -71,7 +71,6 @@ val broadcast_times :
   ?jobs:int ->
   ?trace:Rumor_obs.Trace.t ->
   ?walkers:Protocol.walkers ->
-  ?shards:int ->
   seed:int ->
   reps:int ->
   graph:(Rumor_prob.Rng.t -> Rumor_graph.Graph.t * int) ->
@@ -95,10 +94,7 @@ val broadcast_times :
     run ({!Protocol.run}'s span and the kernels' per-round
     instrumentation).
 
-    [?walkers] and [?shards] are passed to {!Protocol.run}: [?shards]
-    re-keys randomness per round as documented there, and the sharded
-    work itself runs sequentially inside each replication (the [?jobs]
-    pool already owns the domains); [?walkers] selects the walker
+    [?walkers] is passed to {!Protocol.run}.  It selects the walker
     representation for the round engine's agent-based kernels, where
     [Sparse] (or [Auto] resolved to sparse) gives seed-deterministic
     records on a different sample path than the dense default. *)

@@ -2,7 +2,7 @@
 
     Rendering is deliberately dependency-free: aligned monospace columns
     with a rule under the header, suitable for terminals and for pasting
-    into EXPERIMENTS.md. *)
+    into a markdown report. *)
 
 type align = Left | Right
 
@@ -37,7 +37,8 @@ val to_csv : t -> string
 val to_markdown : t -> string
 (** GitHub-flavored markdown: a bold title line, the claim as a quote, a
     pipe table with per-column alignment markers, and the notes as a
-    bulleted list.  Used to generate EXPERIMENTS.md. *)
+    bulleted list.  Used by [rumor_experiments --markdown FILE] to write
+    the measured-vs-paper report. *)
 
 (** {1 Cell formatting helpers} *)
 

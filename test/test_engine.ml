@@ -1,7 +1,6 @@
 (* Tests for Rumor_protocols.Engine beyond the golden digests
-   (test_golden.ml): sparse walkers, sharded determinism — a pure function
-   of (seed, shards), never of the pool's jobs — allocation bounds and
-   argument validation. *)
+   (test_golden.ml): sparse walkers, allocation bounds and argument
+   validation. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
@@ -13,7 +12,6 @@ module Engine = Rumor_protocols.Engine
 module Run_result = Rumor_protocols.Run_result
 module Traffic = Rumor_protocols.Traffic
 module Instrument = Rumor_obs.Instrument
-module Pool = Rumor_par.Pool
 
 let check_same_result label (a : Run_result.t) (b : Run_result.t) =
   Alcotest.(check (option int))
@@ -212,56 +210,6 @@ let test_meet_exchange_tau () =
          Engine.meet_exchange ~walkers:P.Sparse_walkers.Sparse ~tau (Rng.of_int 21)
            g ~source:0 ~agents ~max_rounds:10 ()))
 
-(* --------------------------------------------- sharded-path determinism *)
-
-let sharded_runs ~shards ~jobs =
-  let pool = Pool.create ~jobs in
-  (* connected with min degree 4: push_pull draws a neighbor for every
-     vertex, so the sharded sweep needs no isolated vertices *)
-  let g = Gen.torus ~rows:8 ~cols:8 in
-  [
-    ("push", Engine.push ~shards ~pool (Rng.of_int 11) g ~source:0 ~max_rounds:100_000 ());
-    ( "push_pull",
-      Engine.push_pull ~shards ~pool (Rng.of_int 11) g ~source:0 ~max_rounds:100_000 () );
-    ( "visit_exchange",
-      Engine.visit_exchange ~shards ~pool (Rng.of_int 11) g ~source:0
-        ~agents:(Placement.Stationary 20) ~max_rounds:100_000 () );
-    ( "meet_exchange",
-      Engine.meet_exchange ~shards ~pool (Rng.of_int 11) g ~source:0
-        ~agents:(Placement.Stationary 20) ~max_rounds:20_000 () );
-  ]
-
-let test_sharded_jobs_invariant () =
-  (* shards = 4 must give the same answer whether the pool runs 1 or 4 jobs *)
-  List.iter2
-    (fun (name, r1) (name2, r4) ->
-      Alcotest.(check string) "same kernel" name name2;
-      check_same_result (name ^ " jobs 1 vs 4") r1 r4)
-    (sharded_runs ~shards:4 ~jobs:1)
-    (sharded_runs ~shards:4 ~jobs:4)
-
-let test_sharded_runs_complete () =
-  List.iter
-    (fun (name, r) ->
-      Alcotest.(check bool) (name ^ " completes sharded") true (Run_result.completed r))
-    (sharded_runs ~shards:3 ~jobs:2)
-
-let test_sharded_push_same_distribution_shape () =
-  (* sharded randomness differs from sequential, but the curve must still be
-     a valid push curve: monotone, at-most-doubling, ending at n *)
-  let g = Gen.complete 32 in
-  let r =
-    Engine.push ~shards:4 ~pool:(Pool.create ~jobs:1) (Rng.of_int 13) g ~source:0
-      ~max_rounds:100_000 ()
-  in
-  let curve = r.Run_result.informed_curve in
-  Alcotest.(check int) "starts at 1" 1 curve.(0);
-  Alcotest.(check int) "ends at n" 32 curve.(Array.length curve - 1);
-  for i = 1 to Array.length curve - 1 do
-    if curve.(i) < curve.(i - 1) then Alcotest.fail "curve not monotone";
-    if curve.(i) > 2 * curve.(i - 1) then Alcotest.fail "curve more than doubled"
-  done
-
 (* -------------------------------------------- huge-cap allocation bound *)
 
 let test_huge_cap_completes () =
@@ -299,8 +247,6 @@ let test_validation () =
     (bad (fun () -> Engine.push (Rng.of_int 1) g ~source:9 ~max_rounds:10 ()));
   Alcotest.(check bool) "negative cap" true
     (bad (fun () -> Engine.push_pull (Rng.of_int 1) g ~source:0 ~max_rounds:(-1) ()));
-  Alcotest.(check bool) "zero shards" true
-    (bad (fun () -> Engine.push ~shards:0 (Rng.of_int 1) g ~source:0 ~max_rounds:10 ()));
   Alcotest.(check bool) "bad failure prob" true
     (bad (fun () ->
          Engine.push ~failure_prob:1.0 (Rng.of_int 1) g ~source:0 ~max_rounds:10 ()));
@@ -380,11 +326,6 @@ let test_disabled_trace_allocation_free () =
 
 let suite =
   [
-    Alcotest.test_case "sharded: jobs cannot change output" `Quick
-      test_sharded_jobs_invariant;
-    Alcotest.test_case "sharded runs complete" `Quick test_sharded_runs_complete;
-    Alcotest.test_case "sharded push curve shape" `Quick
-      test_sharded_push_same_distribution_shape;
     Alcotest.test_case "max_int cap: O(rounds) allocation" `Quick test_huge_cap_completes;
     Alcotest.test_case "disabled trace allocation-free" `Quick
       test_disabled_trace_allocation_free;

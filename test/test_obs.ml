@@ -180,7 +180,6 @@ let sample_record =
     informed_curve = [| 1; 2; 4; 8 |];
     wall_seconds = 0.125;
     gc = { Run_record.minor_words = 10.0; major_words = 2.0; promoted_words = 1.0 };
-    shards = 1;
   }
 
 let test_record_json_fields () =
@@ -221,33 +220,10 @@ let test_record_json_null_when_capped () =
     (contains "\"broadcast_time\":null");
   Alcotest.(check bool) "capped true" true (contains "\"capped\":true")
 
-(* The shards field round-trips through to_json/of_json, and a record
-   written before it existed still parses (absent reads as 1). *)
-let test_record_shards_roundtrip () =
-  let r = { sample_record with Run_record.shards = 4 } in
-  match Run_record.of_json (Run_record.to_json r) with
-  | Error msg -> Alcotest.failf "round-trip: %s" msg
-  | Ok back ->
-      Alcotest.(check int) "shards" 4 back.Run_record.shards;
-      Alcotest.(check string) "full round-trip" (Run_record.to_json r)
-        (Run_record.to_json back)
-
-let test_record_shards_absent () =
-  let json = Run_record.to_json sample_record in
-  (* strip the trailing ,"shards":...} to get a first-release line *)
-  let marker = ",\"shards\":" in
-  let ml = String.length marker and jl = String.length json in
-  let rec find i =
-    if i + ml > jl then Alcotest.fail "no shards field emitted"
-    else if String.sub json i ml = marker then i
-    else find (i + 1)
-  in
-  match Run_record.of_json (String.sub json 0 (find 0) ^ "}") with
-  | Error msg -> Alcotest.failf "first-release record rejected: %s" msg
-  | Ok back -> Alcotest.(check int) "shards defaults 1" 1 back.Run_record.shards
-
-(* Records written while both kernel paths existed carry an "engine" flag:
-   they still load, the flag is ignored, and it is not written back. *)
+(* Records written while both kernel paths existed carry an "engine" flag,
+   and records written while round kernels could shard carry a "shards"
+   count: they still load, both fields are ignored, and neither is written
+   back. *)
 let test_record_engine_field_ignored () =
   let line =
     "{\"seed\":218,\"rep\":3,\"graph\":\"star:8\",\"protocol\":\"push\",\
@@ -259,11 +235,10 @@ let test_record_engine_field_ignored () =
   match Run_record.of_json line with
   | Error msg -> Alcotest.failf "pre-change record rejected: %s" msg
   | Ok back ->
-      Alcotest.(check int) "shards" 2 back.Run_record.shards;
       Alcotest.(check (array int)) "curve" [| 1; 2; 4; 8 |]
         back.Run_record.informed_curve;
-      Alcotest.(check string) "re-serialised without the engine flag"
-        (Run_record.to_json { sample_record with Run_record.shards = 2 })
+      Alcotest.(check string) "re-serialised without engine or shards"
+        (Run_record.to_json sample_record)
         (Run_record.to_json back)
 
 let test_jsonl_file_roundtrip () =
@@ -399,10 +374,6 @@ let suite =
     Alcotest.test_case "record JSON fields" `Quick test_record_json_fields;
     Alcotest.test_case "record JSON capped null" `Quick
       test_record_json_null_when_capped;
-    Alcotest.test_case "record shards field roundtrip" `Quick
-      test_record_shards_roundtrip;
-    Alcotest.test_case "record shards field absent" `Quick
-      test_record_shards_absent;
     Alcotest.test_case "pre-change record with engine flag parses" `Quick
       test_record_engine_field_ignored;
     Alcotest.test_case "JSONL file roundtrip" `Quick test_jsonl_file_roundtrip;

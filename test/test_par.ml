@@ -54,79 +54,6 @@ let test_exception_propagates () =
   | exception Boom 23 -> ()
   | exception Boom i -> Alcotest.fail (Printf.sprintf "wrong payload %d" i)
 
-(* --- parallel_for shard geometry -------------------------------------- *)
-
-module Parallel_for = Rumor_par.Parallel_for
-
-let test_shard_bounds_cover () =
-  List.iter
-    (fun (n, shards) ->
-      let bounds = Parallel_for.shard_bounds ~n ~shards in
-      Alcotest.(check int) "one range per shard" shards (Array.length bounds);
-      let covered = ref 0 in
-      Array.iteri
-        (fun i (lo, hi) ->
-          Alcotest.(check bool) "range well-formed" true (0 <= lo && lo <= hi && hi <= n);
-          if i > 0 then begin
-            let _, prev_hi = bounds.(i - 1) in
-            Alcotest.(check int) "contiguous" prev_hi lo
-          end;
-          covered := !covered + (hi - lo))
-        bounds;
-      Alcotest.(check int) "covers [0, n)" n !covered;
-      let sizes = Array.map (fun (lo, hi) -> hi - lo) bounds in
-      let mn = Array.fold_left min max_int sizes
-      and mx = Array.fold_left max 0 sizes in
-      Alcotest.(check bool) "balanced within 1" true (mx - mn <= 1))
-    [ (0, 1); (0, 5); (1, 4); (7, 3); (10, 10); (13, 4); (100, 7) ]
-
-let test_shard_bounds_rejects () =
-  List.iter
-    (fun (n, shards) ->
-      try
-        ignore (Parallel_for.shard_bounds ~n ~shards);
-        Alcotest.fail "bad geometry accepted"
-      with Invalid_argument _ -> ())
-    [ (-1, 2); (5, 0); (5, -1) ]
-
-let test_parallel_for_shard_order () =
-  let pool = Pool.create ~jobs:4 in
-  let out =
-    Parallel_for.parallel_for pool ~n:23 ~shards:5 (fun ~shard ~lo ~hi ->
-        (shard, lo, hi))
-  in
-  Alcotest.(check int) "one result per shard" 5 (Array.length out);
-  Array.iteri
-    (fun i (shard, lo, hi) ->
-      Alcotest.(check int) "result order = shard order" i shard;
-      let want_lo, want_hi = (Parallel_for.shard_bounds ~n:23 ~shards:5).(i) in
-      Alcotest.(check (pair int int)) "geometry matches" (want_lo, want_hi)
-        (lo, hi))
-    out
-
-let test_parallel_for_jobs_invariant () =
-  let sum_range ~shard:_ ~lo ~hi =
-    let s = ref 0 in
-    for i = lo to hi - 1 do
-      s := !s + (i * i)
-    done;
-    !s
-  in
-  let run jobs =
-    Parallel_for.parallel_for (Pool.create ~jobs) ~n:1000 ~shards:7 sum_range
-  in
-  Alcotest.(check (array int)) "jobs 1 = jobs 4" (run 1) (run 4)
-
-let test_parallel_for_exception () =
-  let pool = Pool.create ~jobs:3 in
-  match
-    Parallel_for.parallel_for pool ~n:30 ~shards:6 (fun ~shard ~lo:_ ~hi:_ ->
-        if shard = 4 then raise (Boom shard) else shard)
-  with
-  | (_ : int array) -> Alcotest.fail "shard failure swallowed"
-  | exception Boom 4 -> ()
-  | exception Boom i -> Alcotest.fail (Printf.sprintf "wrong payload %d" i)
-
 (* --- jobs-invariance of Replicate ------------------------------------- *)
 
 (* Serialize a record with its (inherently run-dependent) timing fields
@@ -199,16 +126,6 @@ let suite =
       test_negative_jobs_rejected;
     Alcotest.test_case "worker exception propagates" `Quick
       test_exception_propagates;
-    Alcotest.test_case "shard_bounds covers and balances" `Quick
-      test_shard_bounds_cover;
-    Alcotest.test_case "shard_bounds rejects bad geometry" `Quick
-      test_shard_bounds_rejects;
-    Alcotest.test_case "parallel_for returns in shard order" `Quick
-      test_parallel_for_shard_order;
-    Alcotest.test_case "parallel_for jobs-invariant" `Quick
-      test_parallel_for_jobs_invariant;
-    Alcotest.test_case "parallel_for shard exception propagates" `Quick
-      test_parallel_for_exception;
     Alcotest.test_case "push: jobs 4 = jobs 1" `Quick test_push_jobs_invariant;
     Alcotest.test_case "meet-exchange: jobs 4 = jobs 1" `Quick
       test_meet_exchange_jobs_invariant;

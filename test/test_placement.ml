@@ -12,7 +12,10 @@ let test_counts () =
   Alcotest.(check int) "all at" 4 (Placement.count (Placement.All_at (0, 4)) g);
   Alcotest.(check int) "linear 0.5" 5 (Placement.count (Placement.Linear 0.5) g);
   Alcotest.(check int) "linear rounds" 15 (Placement.count (Placement.Linear 1.5) g);
-  Alcotest.(check int) "linear never empty" 1 (Placement.count (Placement.Linear 0.001) g)
+  Alcotest.(check int) "linear never empty" 1 (Placement.count (Placement.Linear 0.001) g);
+  Alcotest.check_raises "linear beyond the array limit"
+    (Invalid_argument "Placement.count: 1e+31 agents exceed the array limit")
+    (fun () -> ignore (Placement.count (Placement.Linear 1e30) g))
 
 let test_one_per_vertex () =
   let g = Gen.path 5 in

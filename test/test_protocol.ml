@@ -97,7 +97,7 @@ let test_cli_rejects_sparse_combined () =
     (fun alpha ->
       usage_error "rumor_run.exe"
         [ "--graph"; "complete:8"; "-p"; "visit-exchange"; "--alpha=" ^ alpha ])
-    [ "nan"; "inf"; "0"; "-1" ];
+    [ "nan"; "inf"; "0"; "-1"; "1e30" ];
   (* agents need an edge to walk on; the vertex protocols just finish *)
   List.iter
     (fun p -> usage_error "rumor_run.exe" [ "--graph"; "path:1"; "-p"; p ])

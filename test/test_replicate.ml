@@ -79,8 +79,8 @@ let contains hay needle =
 
 (* Each record is exactly the run Protocol.run makes on that rep's split
    generator (records carry the informed curve, so this also pins
-   per-round dynamics), written in rep order; [shards] is recorded as
-   given, and the retired [engine] provenance flag is no longer written. *)
+   per-round dynamics), written in rep order, and the retired [engine]
+   provenance flag is no longer written. *)
 let test_sink_stream_matches_direct_runs () =
   let graph rng =
     (Rumor_graph.Gen_random.random_regular_connected rng ~n:48 ~d:4, 0)
@@ -88,39 +88,31 @@ let test_sink_stream_matches_direct_runs () =
   let reps = 4 and seed = 220 in
   List.iter
     (fun spec ->
-      List.iter
-        (fun shards ->
-          let records = ref [] in
-          let (_ : Replicate.measurement) =
-            Replicate.broadcast_times
-              ~sink:(fun r -> records := r :: !records)
-              ~graph_name:"rr:48,4" ?shards ~seed ~reps ~graph ~spec
-              ~max_rounds:100_000 ()
+      let records = ref [] in
+      let (_ : Replicate.measurement) =
+        Replicate.broadcast_times
+          ~sink:(fun r -> records := r :: !records)
+          ~graph_name:"rr:48,4" ~seed ~reps ~graph ~spec ~max_rounds:100_000 ()
+      in
+      let rngs = Rumor_prob.Rng.split_n (Rumor_prob.Rng.of_int seed) reps in
+      List.iteri
+        (fun rep (r : Rumor_obs.Run_record.t) ->
+          let label = Printf.sprintf "%s rep %d" (Protocol.name spec) rep in
+          let g, source = graph rngs.(rep) in
+          let direct =
+            Protocol.run spec rngs.(rep) g ~source ~max_rounds:100_000
           in
-          let rngs = Rumor_prob.Rng.split_n (Rumor_prob.Rng.of_int seed) reps in
-          List.iteri
-            (fun rep (r : Rumor_obs.Run_record.t) ->
-              let label = Printf.sprintf "%s rep %d" (Protocol.name spec) rep in
-              let g, source = graph rngs.(rep) in
-              let direct =
-                Protocol.run ?shards spec rngs.(rep) g ~source ~max_rounds:100_000
-              in
-              Alcotest.(check int) (label ^ ": rep order") rep r.Rumor_obs.Run_record.rep;
-              Alcotest.(check (array int))
-                (label ^ ": curve") direct.Rumor_protocols.Run_result.informed_curve
-                r.Rumor_obs.Run_record.informed_curve;
-              Alcotest.(check int) (label ^ ": contacts") direct.Rumor_protocols.Run_result.contacts
-                r.Rumor_obs.Run_record.contacts;
-              Alcotest.(check int)
-                (label ^ ": shards")
-                (Option.value shards ~default:1)
-                r.Rumor_obs.Run_record.shards;
-              let json = Rumor_obs.Run_record.to_json r in
-              Alcotest.(check bool)
-                (label ^ ": no engine field") false
-                (contains json "\"engine\""))
-            (List.rev !records))
-        [ None; Some 3 ])
+          Alcotest.(check int) (label ^ ": rep order") rep r.Rumor_obs.Run_record.rep;
+          Alcotest.(check (array int))
+            (label ^ ": curve") direct.Rumor_protocols.Run_result.informed_curve
+            r.Rumor_obs.Run_record.informed_curve;
+          Alcotest.(check int) (label ^ ": contacts") direct.Rumor_protocols.Run_result.contacts
+            r.Rumor_obs.Run_record.contacts;
+          let json = Rumor_obs.Run_record.to_json r in
+          Alcotest.(check bool)
+            (label ^ ": no engine field") false
+            (contains json "\"engine\""))
+        (List.rev !records))
     [
       Protocol.push;
       Protocol.push_pull;

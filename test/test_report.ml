@@ -83,7 +83,6 @@ let sample_record =
     informed_curve = [| 1; 2; 4; 8 |];
     wall_seconds = 0.125;
     gc = { Run_record.minor_words = 10.0; major_words = 2.0; promoted_words = 1.0 };
-    shards = 1;
   }
 
 let check_roundtrip name r =
@@ -188,7 +187,6 @@ let record ?(graph = "g") ?(protocol = "p") ?(rep = 0) ?broadcast_time
     informed_curve = curve;
     wall_seconds = wall;
     gc = { Run_record.minor_words = minor; major_words = major; promoted_words = promoted };
-    shards = 1;
   }
 
 let test_aggregate_matches_stats () =
@@ -367,6 +365,19 @@ let test_cli_check_exit_codes () =
             Alcotest.(check int)
               "a huge uniform tolerance lets the same run pass" 0
               (run [ "check"; jsonl; "--baseline"; baseline; "--tolerance"; "150" ]);
+            (* a tolerance that is not finite would disable the gate: it is
+               a usage error, exit 2, for check and compare alike *)
+            List.iter
+              (fun tol ->
+                Alcotest.(check int)
+                  (Printf.sprintf "check --tolerance %s exits 2" tol)
+                  2
+                  (run [ "check"; jsonl; "--baseline"; baseline; "--tolerance"; tol ]);
+                Alcotest.(check int)
+                  (Printf.sprintf "compare --tolerance %s exits 2" tol)
+                  2
+                  (run [ "compare"; baseline; jsonl; "--tolerance"; tol ]))
+              [ "nan"; "inf" ];
             (* a file of an unknown schema, such as rumor-bench/1, is
                malformed input: exit 2 *)
             Out_channel.with_open_bin baseline (fun oc ->

@@ -225,9 +225,9 @@ let test_worker_tids_stable () =
     "tids stable across runs" [ 0; 1; 2 ]
     (tids (pool_trace ~jobs:3))
 
-let test_sequential_shard_spans () =
-  (* jobs = 1 must still emit one span per item so sharded engine traces
-     show per-shard spans at any --jobs setting *)
+let test_sequential_item_spans () =
+  (* jobs = 1 must still emit one span per item so a replicated run's trace
+     shows the same per-rep-chunk spans at any --jobs setting *)
   let events = pool_trace ~jobs:1 in
   let chunks =
     List.filter (fun (e : Trace.event) -> String.equal e.name "work") events
@@ -252,27 +252,16 @@ let test_report_trace_exit_codes () =
         (Filename.quote_command report_exe args ~stdout:"/dev/null"
            ~stderr:"/dev/null")
     in
-    with_temp_file ".jsonl" (fun sharded ->
+    with_temp_file ".jsonl" (fun well_formed ->
         let t = Trace.create () in
-        for shard = 0 to 1 do
-          Trace.begin_span t ~arg:shard "shard";
-          ignore (Sys.opaque_identity (Array.make (1 + (shard * 4096)) 0.0));
+        for item = 0 to 1 do
+          Trace.begin_span t ~arg:item "work";
+          ignore (Sys.opaque_identity (Array.make (1 + (item * 4096)) 0.0));
           Trace.end_span t
         done;
-        Trace.write_jsonl t sharded;
+        Trace.write_jsonl t well_formed;
         Alcotest.(check int) "well-formed trace exits 0" 0
-          (run [ "trace"; sharded ]);
-        Alcotest.(check int)
-          "imbalance gate passes with a generous bound" 0
-          (run [ "trace"; sharded; "--max-imbalance"; "1000" ]));
-    with_temp_file ".jsonl" (fun unsharded ->
-        let t = Trace.create () in
-        Trace.begin_span t "only.span";
-        Trace.end_span t;
-        Trace.write_jsonl t unsharded;
-        Alcotest.(check int)
-          "imbalance gate without shard spans exits 1" 1
-          (run [ "trace"; unsharded; "--max-imbalance"; "1.5" ]));
+          (run [ "trace"; well_formed ]));
     with_temp_file ".jsonl" (fun garbage ->
         Out_channel.with_open_text garbage (fun oc ->
             output_string oc "this is not a trace\n");
@@ -289,7 +278,7 @@ let suite =
       test_read_file_roundtrip;
     Alcotest.test_case "worker tids stable" `Quick test_worker_tids_stable;
     Alcotest.test_case "sequential per-item spans" `Quick
-      test_sequential_shard_spans;
+      test_sequential_item_spans;
     Alcotest.test_case "rumor_report trace exit codes" `Quick
       test_report_trace_exit_codes;
   ]

@@ -76,12 +76,12 @@ let nth_some_arg args n =
 
 (* Names worth pre-filtering as parallel-run entry points; Effects does
    the exact canonical match later (Rumor_par.Pool.init / init_traced /
-   map, Rumor_par.Parallel_for.parallel_for). *)
+   map). *)
 let par_entry_suffix = function
   | [] -> false
   | parts -> (
       match List.rev parts with
-      | ("init" | "init_traced" | "map" | "parallel_for") :: _ -> true
+      | ("init" | "init_traced" | "map") :: _ -> true
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -112,41 +112,19 @@ let idents_of_expr e =
 
 let mentions_any ids e = List.exists (fun id -> mem_id id ids) (idents_of_expr e)
 
-let calls_shard_bounds e =
-  let found = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.exp_desc with
-          | Texp_ident (p, _, _) -> (
-              match path_parts p with
-              | Some parts -> (
-                  match List.rev parts with
-                  | "shard_bounds" :: _ -> found := true
-                  | _ -> ())
-              | None -> ())
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  !found
-
 (* ------------------------------------------------------------------ *)
 (* Closure analysis for the R11 race heuristic                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Walk a literal closure passed to a parallel-run entry point and
    collect (a) writes whose target is neither closure-local nor indexed
-   by a shard-derived value, and (b) every call the closure makes (for
+   by a parameter-derived value, and (b) every call the closure makes (for
    the transitive shared-mutation check).
 
    Two ident sets evolve during the walk, in evaluation order:
    [local] — bound inside the closure (writes rooted there are private);
-   [safe]  — derived from the closure's parameters or a [shard_bounds]
-   call, usable as a race-free array index. *)
+   [safe]  — derived from the closure's parameters, usable as a
+   race-free array index. *)
 let analyze_closure ~resolve_call closure =
   let local = ref [] and safe = ref [] in
   let writes = ref [] in
@@ -210,8 +188,7 @@ let analyze_closure ~resolve_call closure =
                 (fun vb ->
                   let ids = pat_bound_idents vb.vb_pat in
                   local := ids @ !local;
-                  if mentions_any !safe vb.vb_expr || calls_shard_bounds vb.vb_expr
-                  then safe := ids @ !safe)
+                  if mentions_any !safe vb.vb_expr then safe := ids @ !safe)
                 vbs;
               self.expr self body_e
           | Texp_function { cases; _ } ->

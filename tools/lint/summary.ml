@@ -58,7 +58,7 @@ type write = { wdesc : string; wline : int; wcol : int }
 
 (* One application of a (potential) parallel-run entry point that takes a
    literal closure argument; the closure body has been pre-analyzed for
-   shard-unsafe writes and for the calls it makes. *)
+   race-unsafe writes and for the calls it makes. *)
 type par_call = {
   fn : target;
   pline : int;

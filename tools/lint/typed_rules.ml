@@ -148,7 +148,6 @@ let par_entry_points =
     "Rumor_par.Pool.init";
     "Rumor_par.Pool.init_traced";
     "Rumor_par.Pool.map";
-    "Rumor_par.Parallel_for.parallel_for";
   ]
 
 let r11 =
@@ -157,9 +156,9 @@ let r11 =
     name = "domain-race";
     doc =
       "mutable state written from a closure passed to Pool.init/init_traced/\
-       map or Parallel_for.parallel_for is flagged unless the write is \
-       closure-local or indexed by a shard-derived value; calls from the \
-       closure into shared-state mutators are chased transitively";
+       map is flagged unless the write is closure-local or indexed by a \
+       value derived from the closure's parameters; calls from the closure \
+       into shared-state mutators are chased transitively";
     applies = (fun ctx -> Rule.lib_only ctx && not (Rules.under_par ctx));
     check =
       (fun tc ->
@@ -180,8 +179,9 @@ let r11 =
                           Printf.sprintf
                             "%s writes %s from a closure passed to %s: the \
                              target is not closure-local and the index is not \
-                             derived from the shard bounds — shard the write \
-                             or keep the state behind lib/par"
+                             derived from the closure's parameters — index \
+                             the write by item or keep the state behind \
+                             lib/par"
                             d.dname w.wdesc entry
                         in
                         Finding.make_at ~rule:"R11" ~name:"domain-race"
@@ -224,8 +224,8 @@ let r11 =
                                 let msg =
                                   Printf.sprintf
                                     "closure passed to %s in %s calls %s, \
-                                     which writes shared state%s: %s — shard \
-                                     it or move it behind lib/par"
+                                     which writes shared state%s: %s — index \
+                                     it by item or move it behind lib/par"
                                     entry d.dname
                                     (Effects.display g.Effects.key)
                                     where
