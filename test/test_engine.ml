@@ -1,6 +1,6 @@
 (* Tests for Rumor_protocols.Engine beyond the golden digests
-   (test_golden.ml): sparse walkers, allocation bounds and argument
-   validation. *)
+   (test_golden.ml): sparse walkers, allocation bounds, argument
+   validation and what a traced run records. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
@@ -324,6 +324,170 @@ let test_disabled_trace_allocation_free () =
     true
     (kernel -. draws < 16.0)
 
+(* ---------------------------------------------------- tracing a kernel *)
+
+module Trace = Rumor_obs.Trace
+module Counters = Rumor_obs.Counters
+
+(* Every round kernel and walker representation, with the round span it
+   opens and the child spans each round carries. *)
+let traced_kernels =
+  let agents = Placement.Stationary 12 in
+  let walkers = P.Sparse_walkers.Sparse in
+  [
+    ( "push", "push.round", [],
+      fun trace ~max_rounds rng g ->
+        Engine.push ?trace rng g ~source:0 ~max_rounds () );
+    ( "push-pull", "push_pull.round", [],
+      fun trace ~max_rounds rng g ->
+        Engine.push_pull ?trace rng g ~source:0 ~max_rounds () );
+    ( "visit-exchange", "visit_exchange.round", [ "walk"; "spread" ],
+      fun trace ~max_rounds rng g ->
+        Engine.visit_exchange ?trace rng g ~source:0 ~agents ~max_rounds () );
+    ( "sparse visit-exchange", "visit_exchange.round", [ "walk"; "spread" ],
+      fun trace ~max_rounds rng g ->
+        Engine.visit_exchange ?trace ~walkers rng g ~source:0 ~agents
+          ~max_rounds () );
+    ( "meet-exchange", "meet_exchange.round", [ "walk"; "buckets"; "spread" ],
+      fun trace ~max_rounds rng g ->
+        Engine.meet_exchange ?trace rng g ~source:0 ~agents ~max_rounds () );
+    ( "sparse meet-exchange", "meet_exchange.round", [ "walk"; "spread" ],
+      fun trace ~max_rounds rng g ->
+        Engine.meet_exchange ?trace ~walkers rng g ~source:0 ~agents
+          ~max_rounds () );
+    ( "combined", "combined.round", [ "push_pull"; "walk"; "spread" ],
+      fun trace ~max_rounds rng g ->
+        Engine.combined ?trace rng g ~source:0 ~agents ~max_rounds () );
+  ]
+
+(* the recorded events of a balanced tracer, read back from its JSONL *)
+let trace_events tr =
+  let path = Filename.temp_file "rumor_engine_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.write_jsonl tr path;
+      match Trace.read_file path with
+      | Ok f -> f.Trace.file_events
+      | Error msg -> Alcotest.failf "read_file: %s" msg)
+
+let test_traced_equals_untraced () =
+  List.iter
+    (fun (label, _, _, run) ->
+      List.iter
+        (fun (name, g) ->
+          List.iter
+            (fun seed ->
+              let plain = run None ~max_rounds:100_000 (Rng.of_int seed) g in
+              let traced =
+                run (Some (Trace.create ())) ~max_rounds:100_000
+                  (Rng.of_int seed) g
+              in
+              check_same_result
+                (Printf.sprintf "%s %s seed=%d" label name seed)
+                plain traced)
+            seeds)
+        (families ()))
+    traced_kernels
+
+(* one round span per round, numbered 1 .. rounds_run in order, each
+   holding the kernel's child spans once; everything on the caller's track *)
+let test_round_spans () =
+  let g = Gen.torus ~rows:6 ~cols:6 in
+  List.iter
+    (fun (label, round_name, children, run) ->
+      let tr = Trace.create () in
+      let r = run (Some tr) ~max_rounds:100_000 (Rng.of_int 3) g in
+      let rounds = r.Run_result.rounds_run in
+      Alcotest.(check bool) (label ^ ": ran rounds") true (rounds > 0);
+      Alcotest.(check int) (label ^ ": balanced") 0 (Trace.open_spans tr);
+      let events = trace_events tr in
+      let spans =
+        List.filter (fun (e : Trace.event) -> e.Trace.ph = `Span) events
+      in
+      let named name =
+        List.filter (fun (e : Trace.event) -> String.equal e.Trace.name name) spans
+      in
+      Alcotest.(check (list (option int)))
+        (label ^ ": round spans 1..rounds_run")
+        (List.init rounds (fun i -> Some (i + 1)))
+        (List.map (fun (e : Trace.event) -> e.Trace.arg) (named round_name));
+      List.iter
+        (fun child ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: one %s span per round" label child)
+            rounds
+            (List.length (named child)))
+        children;
+      Alcotest.(check int)
+        (label ^ ": no other spans")
+        (rounds * (1 + List.length children))
+        (List.length spans);
+      Alcotest.(check (list int))
+        (label ^ ": caller's track only")
+        [ 0 ]
+        (List.sort_uniq Int.compare
+           (List.map (fun (e : Trace.event) -> e.Trace.tid) events)))
+    traced_kernels
+
+(* the registry's rounds/contacts counters and the informed series agree
+   with the run's result *)
+let test_trace_counters () =
+  let g = Gen_random.erdos_renyi (Rng.of_int 4242) ~n:40 ~p:0.15 in
+  List.iter
+    (fun (label, _, _, run) ->
+      let tr = Trace.create () in
+      let r = run (Some tr) ~max_rounds:100_000 (Rng.of_int 11) g in
+      let rounds = r.Run_result.rounds_run in
+      let cs = Trace.counters tr in
+      Alcotest.(check int) (label ^ ": rounds counter") rounds
+        (Counters.value (Counters.counter cs "rounds"));
+      (* the counter sums per-round deltas, so it leaves out round 0's
+         contacts (agents placed on the source), which a zero-round run on
+         the same seed reports *)
+      let round0 = run None ~max_rounds:0 (Rng.of_int 11) g in
+      Alcotest.(check int) (label ^ ": contacts counter")
+        (r.Run_result.contacts - round0.Run_result.contacts)
+        (Counters.value (Counters.counter cs "contacts"));
+      let per_round =
+        Counters.bucket_counts
+          (Counters.histogram cs "contacts_per_round"
+             ~buckets:[| 1.; 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000. |])
+      in
+      Alcotest.(check int) (label ^ ": one histogram sample per round") rounds
+        (Array.fold_left ( + ) 0 per_round);
+      let informed =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            if e.Trace.ph = `Counter && String.equal e.Trace.name "informed" then
+              Some e.Trace.value
+            else None)
+          (trace_events tr)
+      in
+      Alcotest.(check (list int))
+        (label ^ ": informed series = curve after round 0")
+        (List.tl (Array.to_list r.Run_result.informed_curve))
+        informed)
+    traced_kernels
+
+(* the walker kernels and combined share push's argument checks *)
+let test_walker_validation () =
+  let g = Gen.complete 4 and agents = Placement.Stationary 3 in
+  let raises who f =
+    Alcotest.check_raises (who ^ ": bad source")
+      (Invalid_argument (who ^ ": source out of range"))
+      (fun () -> ignore (f ~source:4 ~max_rounds:10));
+    Alcotest.check_raises (who ^ ": negative cap")
+      (Invalid_argument (who ^ ": negative round cap"))
+      (fun () -> ignore (f ~source:0 ~max_rounds:(-1)))
+  in
+  raises "Engine.visit_exchange" (fun ~source ~max_rounds ->
+      Engine.visit_exchange (Rng.of_int 1) g ~source ~agents ~max_rounds ());
+  raises "Engine.meet_exchange" (fun ~source ~max_rounds ->
+      Engine.meet_exchange (Rng.of_int 1) g ~source ~agents ~max_rounds ());
+  raises "Engine.combined" (fun ~source ~max_rounds ->
+      Engine.combined (Rng.of_int 1) g ~source ~agents ~max_rounds ())
+
 let suite =
   [
     Alcotest.test_case "max_int cap: O(rounds) allocation" `Quick test_huge_cap_completes;
@@ -342,4 +506,11 @@ let suite =
     Alcotest.test_case "visit-exchange tau (dense, sparse)" `Quick
       test_visit_exchange_tau;
     Alcotest.test_case "meet-exchange per-agent tau" `Quick test_meet_exchange_tau;
+    Alcotest.test_case "traced run = untraced run" `Quick
+      test_traced_equals_untraced;
+    Alcotest.test_case "one round span per round" `Quick test_round_spans;
+    Alcotest.test_case "trace counters match the result" `Quick
+      test_trace_counters;
+    Alcotest.test_case "walker and combined argument validation" `Quick
+      test_walker_validation;
   ]

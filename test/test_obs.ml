@@ -241,6 +241,26 @@ let test_record_engine_field_ignored () =
         (Run_record.to_json sample_record)
         (Run_record.to_json back)
 
+(* the retired "shards" field is ignored whatever its type: no reader is
+   left to reject a malformed one *)
+let test_record_shards_any_type () =
+  let line shards =
+    "{\"seed\":218,\"rep\":3,\"graph\":\"star:8\",\"protocol\":\"push\",\
+     \"vertices\":8,\"broadcast_time\":5,\"rounds_run\":5,\"capped\":false,\
+     \"contacts\":40,\"informed_curve\":[1,2,4,8],\"wall_seconds\":0.125,\
+     \"gc\":{\"minor_words\":10,\"major_words\":2,\"promoted_words\":1},\
+     \"shards\":" ^ shards ^ "}"
+  in
+  List.iter
+    (fun shards ->
+      match Run_record.of_json (line shards) with
+      | Error msg -> Alcotest.failf "shards %s rejected: %s" shards msg
+      | Ok back ->
+          Alcotest.(check string) ("shards " ^ shards ^ " dropped")
+            (Run_record.to_json sample_record)
+            (Run_record.to_json back))
+    [ "0"; "null"; "\"2\""; "[1,2]"; "{\"count\":2}" ]
+
 let test_jsonl_file_roundtrip () =
   let path = Filename.temp_file "rumor_obs_test" ".jsonl" in
   Fun.protect
@@ -376,6 +396,8 @@ let suite =
       test_record_json_null_when_capped;
     Alcotest.test_case "pre-change record with engine flag parses" `Quick
       test_record_engine_field_ignored;
+    Alcotest.test_case "retired shards field ignored whatever its type" `Quick
+      test_record_shards_any_type;
     Alcotest.test_case "JSONL file roundtrip" `Quick test_jsonl_file_roundtrip;
     Alcotest.test_case "JSONL append flag" `Quick test_jsonl_append_flag;
     Alcotest.test_case "sink gets one record per rep" `Quick

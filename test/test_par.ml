@@ -54,6 +54,43 @@ let test_exception_propagates () =
   | exception Boom 23 -> ()
   | exception Boom i -> Alcotest.fail (Printf.sprintf "wrong payload %d" i)
 
+(* without a tracer, init_traced is init: every item sees [~trace:None] *)
+let test_init_traced_untraced () =
+  let pool = Pool.create ~jobs:3 in
+  let traced = Array.make 50 true in
+  let out =
+    Pool.init_traced pool 50 (fun ~trace i ->
+        traced.(i) <- Option.is_some trace;
+        i * 3)
+  in
+  Alcotest.(check (array int)) "results in index order"
+    (Array.init 50 (fun i -> i * 3)) out;
+  Alcotest.(check bool) "no item saw a tracer" false
+    (Array.exists Fun.id traced)
+
+let test_negative_length_rejected () =
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs %d" jobs)
+        (Invalid_argument "Pool.init: negative length")
+        (fun () -> ignore (Pool.init (Pool.create ~jobs) (-1) Fun.id)))
+    [ 1; 4 ]
+
+(* a pool holds no workers between calls, so a failed call leaves it as
+   usable as a fresh one *)
+let test_reusable_after_failure () =
+  let pool = Pool.create ~jobs:4 in
+  (match Pool.init pool 40 (fun i -> if i = 5 then raise (Boom i) else i) with
+  | (_ : int array) -> Alcotest.fail "worker failure swallowed"
+  | exception Boom _ -> ());
+  Alcotest.(check (array int)) "map after a failed init"
+    (Array.init 40 (fun i -> i + 1))
+    (Pool.map pool succ (Array.init 40 Fun.id));
+  Alcotest.(check (array int)) "init again"
+    (Array.init 40 (fun i -> 2 * i))
+    (Pool.init pool 40 (fun i -> 2 * i))
+
 (* --- jobs-invariance of Replicate ------------------------------------- *)
 
 (* Serialize a record with its (inherently run-dependent) timing fields
@@ -126,6 +163,12 @@ let suite =
       test_negative_jobs_rejected;
     Alcotest.test_case "worker exception propagates" `Quick
       test_exception_propagates;
+    Alcotest.test_case "init_traced without a tracer = init" `Quick
+      test_init_traced_untraced;
+    Alcotest.test_case "negative length rejected" `Quick
+      test_negative_length_rejected;
+    Alcotest.test_case "pool reusable after a failure" `Quick
+      test_reusable_after_failure;
     Alcotest.test_case "push: jobs 4 = jobs 1" `Quick test_push_jobs_invariant;
     Alcotest.test_case "meet-exchange: jobs 4 = jobs 1" `Quick
       test_meet_exchange_jobs_invariant;

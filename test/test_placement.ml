@@ -17,6 +17,22 @@ let test_counts () =
     (Invalid_argument "Placement.count: 1e+31 agents exceed the array limit")
     (fun () -> ignore (Placement.count (Placement.Linear 1e30) g))
 
+(* [Linear alpha] counts alpha * n agents only below the array limit; past
+   it, and for NaN or infinity, it raises instead of wrapping around *)
+let test_linear_array_limit () =
+  let g = Gen.complete 10 in
+  let limit = float_of_int Sys.max_array_length in
+  let alpha = limit /. 20.0 in
+  Alcotest.(check int) "half the limit counts"
+    (int_of_float (Float.round (alpha *. 10.0)))
+    (Placement.count (Placement.Linear alpha) g);
+  List.iter
+    (fun alpha ->
+      match Placement.count (Placement.Linear alpha) g with
+      | k -> Alcotest.failf "Linear %g counted %d agents" alpha k
+      | exception Invalid_argument _ -> ())
+    [ limit /. 10.0; limit; Float.nan; Float.infinity ]
+
 let test_one_per_vertex () =
   let g = Gen.path 5 in
   let rng = Rng.of_int 71 in
@@ -117,6 +133,8 @@ let test_place_counts_invalid () =
 let suite =
   [
     Alcotest.test_case "counts" `Quick test_counts;
+    Alcotest.test_case "linear count at the array limit" `Quick
+      test_linear_array_limit;
     Alcotest.test_case "one per vertex" `Quick test_one_per_vertex;
     Alcotest.test_case "all at a vertex" `Quick test_all_at;
     Alcotest.test_case "empty rejected" `Quick test_empty_rejected;

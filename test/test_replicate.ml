@@ -121,6 +121,47 @@ let test_sink_stream_matches_direct_runs () =
       Protocol.pull;
     ]
 
+(* A traced measurement matches the untraced one, and its trace brackets
+   every rep in a rep chunk holding the rep's graph build and one push
+   round span per round it ran. *)
+let test_traced_measurement () =
+  let module Trace = Rumor_obs.Trace in
+  let run ?trace () =
+    Replicate.broadcast_times ?trace ~seed:219 ~reps:4
+      ~graph:(fun _rng -> (Gen.complete 24, 0))
+      ~spec:Protocol.push ~max_rounds:10_000 ()
+  in
+  let plain = run () in
+  let tr = Trace.create () in
+  let traced = run ~trace:tr () in
+  Alcotest.(check (array (float 0.0))) "times identical" plain.Replicate.times
+    traced.Replicate.times;
+  let path = Filename.temp_file "rumor_replicate_trace" ".jsonl" in
+  let events =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Trace.write_jsonl tr path;
+        match Trace.read_file path with
+        | Ok f -> f.Trace.file_events
+        | Error msg -> Alcotest.failf "read_file: %s" msg)
+  in
+  let spans name =
+    List.filter
+      (fun (e : Trace.event) -> e.Trace.ph = `Span && String.equal e.Trace.name name)
+      events
+  in
+  let args name = List.map (fun (e : Trace.event) -> e.Trace.arg) (spans name) in
+  Alcotest.(check (list (option int))) "one rep chunk per rep"
+    [ Some 0; Some 1; Some 2; Some 3 ] (args "rep.chunk");
+  Alcotest.(check (list (option int))) "one rep span per rep"
+    [ Some 0; Some 1; Some 2; Some 3 ] (args "rep");
+  Alcotest.(check int) "one graph build per rep" 4
+    (List.length (spans "graph.build"));
+  Alcotest.(check int) "one round span per round run"
+    (int_of_float (Array.fold_left ( +. ) 0.0 plain.Replicate.times))
+    (List.length (spans "push.round"))
+
 let suite =
   [
     Alcotest.test_case "replication count" `Quick test_rep_count;
@@ -134,4 +175,6 @@ let suite =
       test_graph_resampled_per_replication;
     Alcotest.test_case "sink stream = direct protocol runs" `Quick
       test_sink_stream_matches_direct_runs;
+    Alcotest.test_case "traced measurement = untraced" `Quick
+      test_traced_measurement;
   ]

@@ -386,6 +386,53 @@ let test_cli_check_exit_codes () =
             Alcotest.(check int) "compare on a rumor-bench/1 file exits 2" 2
               (run [ "compare"; baseline; baseline ])))
 
+(* a tolerance that is not finite or is negative is refused with one line
+   that names the flag; zero is a valid (strict) tolerance *)
+let test_cli_tolerance_validation () =
+  if not (Sys.file_exists report_exe) then Alcotest.skip ()
+  else
+    with_temp_file (fun jsonl ->
+        with_temp_file (fun baseline ->
+            with_temp_file (fun err ->
+                Run_record.with_jsonl_file jsonl (fun sink ->
+                    for i = 0 to 3 do
+                      sink (record ~rep:i ~broadcast_time:10 ~contacts:100
+                              ~wall:0.010 ~minor:1000.0 ())
+                    done);
+                let run args =
+                  Sys.command
+                    (Filename.quote_command report_exe args ~stdout:"/dev/null"
+                       ~stderr:err)
+                in
+                Alcotest.(check int) "baseline subcommand succeeds" 0
+                  (run [ "baseline"; jsonl; "-o"; baseline ]);
+                List.iter
+                  (fun tol ->
+                    List.iter
+                      (fun (cmd, args) ->
+                        let label = Printf.sprintf "%s --tolerance %s" cmd tol in
+                        Alcotest.(check int) (label ^ " exits 2") 2
+                          (run ((cmd :: args) @ [ "--tolerance=" ^ tol ]));
+                        let lines =
+                          In_channel.with_open_bin err In_channel.input_all
+                          |> String.split_on_char '\n'
+                          |> List.filter (fun l -> l <> "")
+                        in
+                        match lines with
+                        | [ line ] ->
+                            Alcotest.(check string) (label ^ " message")
+                              "rumor_report: --tolerance must be finite and \
+                               non-negative"
+                              line
+                        | _ ->
+                            Alcotest.failf "%s: want one stderr line, got %d"
+                              label (List.length lines))
+                      [ ("check", [ jsonl; "--baseline"; baseline ]);
+                        ("compare", [ baseline; jsonl ]) ])
+                  [ "-inf"; "-1"; "nan"; "inf" ];
+                Alcotest.(check int) "check --tolerance 0 on the same run" 0
+                  (run [ "check"; jsonl; "--baseline"; baseline; "--tolerance"; "0" ]))))
+
 (* compare and summary read every input kind [load_aggregate] accepts: a
    JSONL file, a single-record file and a baseline snapshot; a file with
    no records is malformed input *)
@@ -456,6 +503,8 @@ let suite =
     Alcotest.test_case "baseline save/load" `Quick test_baseline_save_load;
     Alcotest.test_case "rumor_report check exit codes" `Quick
       test_cli_check_exit_codes;
+    Alcotest.test_case "rumor_report tolerance must be finite and >= 0" `Quick
+      test_cli_tolerance_validation;
     Alcotest.test_case "rumor_report compare/summary inputs" `Quick
       test_cli_compare_and_summary_inputs;
   ]

@@ -1,8 +1,8 @@
 (* The tracing subsystem end to end: span nesting discipline, export
    refusal on unbalanced tracers, stable per-worker track ids through the
    pool, the Chrome document parsing with the in-repo JSON reader, the
-   reader round-trip over both on-disk formats, and the [rumor_report
-   trace] exit-code contract. *)
+   reader round-trip over both on-disk formats, the [rumor_report trace]
+   exit-code contract, and a [rumor_run --trace] export. *)
 
 module Trace = Rumor_obs.Trace
 module Counters = Rumor_obs.Counters
@@ -268,6 +268,52 @@ let test_report_trace_exit_codes () =
         Alcotest.(check int) "malformed input exits 2" 2
           (run [ "trace"; garbage ]))
 
+(* --- rumor_run --trace end to end ----------------------------------------- *)
+
+let run_exe = Filename.concat (Filename.concat ".." "bin") "rumor_run.exe"
+
+(* A replicated run's Chrome trace holds one rep span per rep and one round
+   span per round each rep ran (as its metrics report), and rumor_report
+   trace profiles it. *)
+let test_rumor_run_trace () =
+  if not (Sys.file_exists run_exe && Sys.file_exists report_exe) then
+    Alcotest.skip ()
+  else
+    let run exe args =
+      Sys.command
+        (Filename.quote_command exe args ~stdout:"/dev/null" ~stderr:"/dev/null")
+    in
+    with_temp_file ".json" (fun trace_path ->
+        with_temp_file ".jsonl" (fun metrics ->
+            Alcotest.(check int) "rumor_run exits 0" 0
+              (run run_exe
+                 [ "--graph"; "er:300,0.05"; "-p"; "push-pull"; "--reps"; "3";
+                   "--seed"; "5"; "--trace"; trace_path; "--metrics"; metrics ]);
+            let events =
+              match Trace.read_file trace_path with
+              | Ok f -> f.Trace.file_events
+              | Error msg -> Alcotest.failf "read_file: %s" msg
+            in
+            let spans name =
+              List.filter
+                (fun (e : Trace.event) ->
+                  e.Trace.ph = `Span && String.equal e.Trace.name name)
+                events
+            in
+            Alcotest.(check int) "one rep span per rep" 3
+              (List.length (spans "rep"));
+            let rounds =
+              List.fold_left
+                (fun acc (r : Rumor_obs.Run_record.t) ->
+                  acc + r.Rumor_obs.Run_record.rounds_run)
+                0
+                (Rumor_obs.Run_record.read_jsonl metrics)
+            in
+            Alcotest.(check int) "one round span per round run" rounds
+              (List.length (spans "push_pull.round"));
+            Alcotest.(check int) "rumor_report trace profiles it" 0
+              (run report_exe [ "trace"; trace_path ])))
+
 let suite =
   [
     Alcotest.test_case "nesting balance" `Quick test_nesting_balance;
@@ -281,4 +327,6 @@ let suite =
       test_sequential_item_spans;
     Alcotest.test_case "rumor_report trace exit codes" `Quick
       test_report_trace_exit_codes;
+    Alcotest.test_case "rumor_run --trace: rep and round spans" `Quick
+      test_rumor_run_trace;
   ]
