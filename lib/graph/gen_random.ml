@@ -101,75 +101,99 @@ and complement ?trace g =
   Graph.Builder.finish b
 
 and random_regular_sparse ?trace rng ~n ~d =
+  let half = n * d / 2 in
+  (* The healthy edges as a pair set without hashing: vertex v's slots
+     [v*d, v*d + cnt.(v)) hold the other endpoint of each healthy edge at
+     v.  A vertex has d stubs, so it never holds more than d healthy edges;
+     a lookup scans at most d slots. *)
+  let nbr = Array.make (n * d) 0 in
+  let cnt = Array.make n 0 in
+  (* slot of edge {a, b} in a's list, or -1 *)
+  let slot a b =
+    let s = ref (a * d) and hi = (a * d) + cnt.(a) in
+    while !s < hi && nbr.(!s) <> b do
+      incr s
+    done;
+    if !s < hi then !s else -1
+  in
+  let link a b =
+    nbr.((a * d) + cnt.(a)) <- b;
+    cnt.(a) <- cnt.(a) + 1
+  in
+  let unlink a b =
+    let s = slot a b in
+    cnt.(a) <- cnt.(a) - 1;
+    nbr.(s) <- nbr.((a * d) + cnt.(a))
+  in
+  (* the pairing: edge i joins stubs 2i and 2i+1, rewired in place by the
+     repair switches *)
+  let stubs = Array.make (n * d) 0 in
   let attempt () =
-    let stubs = Array.make (n * d) 0 in
-    let pos = ref 0 in
     for v = 0 to n - 1 do
-      for _ = 1 to d do
-        stubs.(!pos) <- v;
-        incr pos
-      done
+      Array.fill stubs (v * d) d v
     done;
     Rng.shuffle rng stubs;
-    let half = n * d / 2 in
-    (* edge list as parallel arrays so endpoints can be rewired in place *)
-    let ea = Array.make half 0 and eb = Array.make half 0 in
-    for i = 0 to half - 1 do
-      ea.(i) <- stubs.(2 * i);
-      eb.(i) <- stubs.((2 * i) + 1)
-    done;
-    let key u v = (min u v * n) + max u v in
-    let seen = Hashtbl.create (2 * half) in
-    (* defective pairs are counted as they are found; the switch budget uses
-       that running count rather than an O(defects) List.length pass *)
-    let bad = ref [] in
+    Array.fill cnt 0 n 0;
+    (* a loop, or a repeat of an earlier edge, is defective; [bad] lists
+       the defective indices in the order they are found, and [pending]
+       flags those not yet repaired *)
+    let bad = Array.make half 0 in
     let nbad = ref 0 in
+    let pending = Bytes.make half '\000' in
     for i = 0 to half - 1 do
-      let u = ea.(i) and v = eb.(i) in
-      if u = v || Hashtbl.mem seen (key u v) then begin
-        bad := i :: !bad;
-        incr nbad
+      let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+      if u = v || slot u v >= 0 then begin
+        bad.(!nbad) <- i;
+        incr nbad;
+        Bytes.set pending i '\001'
       end
-      else Hashtbl.add seen (key u v) i
+      else begin
+        link u v;
+        link v u
+      end
     done;
-    (* Repair each defective pair by switching with a random healthy edge. *)
+    (* Repair each defective pair by switching with a random healthy edge,
+       latest-found defect first. *)
     let switches = ref 0 in
     let max_switches = (200 * (!nbad + 1)) + 1000 in
-    let rec repair defective =
-      match defective with
-      | [] -> true
-      | i :: rest ->
-          if !switches > max_switches then false
-          else begin
-            incr switches;
-            let j = Rng.int rng half in
-            let u = ea.(i) and v = eb.(i) in
-            let x = ea.(j) and y = eb.(j) in
-            (* propose (u,x) and (v,y); healthy iff simple and fresh *)
-            let ok =
-              j <> i && u <> x && v <> y
-              && (not (Hashtbl.mem seen (key u x)))
-              && (not (Hashtbl.mem seen (key v y)))
-              && key u x <> key v y
-              && Hashtbl.find_opt seen (key x y) = Some j
-            in
-            if ok then begin
-              Hashtbl.remove seen (key x y);
-              ea.(i) <- u;
-              eb.(i) <- x;
-              ea.(j) <- v;
-              eb.(j) <- y;
-              Hashtbl.add seen (key u x) i;
-              Hashtbl.add seen (key v y) j;
-              repair rest
-            end
-            else repair defective
-          end
-    in
-    if repair !bad then begin
+    let next = ref (!nbad - 1) in
+    while !next >= 0 && !switches <= max_switches do
+      incr switches;
+      let i = bad.(!next) in
+      let j = Rng.int rng half in
+      let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+      let x = stubs.(2 * j) and y = stubs.((2 * j) + 1) in
+      (* propose (u,x) and (v,y); healthy iff simple and fresh, and j is
+         itself healthy (then j is the one edge {x,y}) *)
+      let ok =
+        j <> i && u <> x && v <> y
+        && slot u x < 0
+        && slot v y < 0
+        && not ((u = v && x = y) || (u = y && x = v))
+        && Bytes.get pending j = '\000'
+      in
+      if ok then begin
+        unlink x y;
+        unlink y x;
+        stubs.((2 * i) + 1) <- x;
+        stubs.(2 * j) <- v;
+        link u x;
+        link x u;
+        link v y;
+        link y v;
+        Bytes.set pending i '\000';
+        decr next
+      end
+    done;
+    if !next < 0 then begin
       let b = Graph.Builder.create ?trace ~capacity:half ~n () in
-      for i = 0 to half - 1 do
-        Graph.Builder.add_edge b ea.(i) eb.(i)
+      (* by smaller endpoint: each CSR slice [finish] fills then starts
+         with its lower neighbours in order, and only the upper ones, in
+         list order, are left for its sort *)
+      for a = 0 to n - 1 do
+        for s = a * d to (a * d) + d - 1 do
+          if nbr.(s) > a then Graph.Builder.add_edge b a nbr.(s)
+        done
       done;
       Some (Graph.Builder.finish b)
     end

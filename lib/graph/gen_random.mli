@@ -21,10 +21,19 @@ val gnm : ?trace:Rumor_obs.Trace.t -> Rumor_prob.Rng.t -> n:int -> m:int -> Grap
 val random_regular :
   ?trace:Rumor_obs.Trace.t -> Rumor_prob.Rng.t -> n:int -> d:int -> Graph.t
 (** [random_regular rng ~n ~d] samples a d-regular simple graph by the
-    configuration (pairing) model, rejecting pairings with loops or multiple
-    edges and retrying.  Requires [n*d] even, [0 < d < n].  Expected number
-    of retries is exp(d^2/4)-ish, fine for [d <= ~2 sqrt(log n) * ...]; in
-    practice instant for the d = O(log n) range used here. *)
+    configuration (pairing) model: it pairs the [n*d] stubs uniformly at
+    random, then repairs every loop and repeated edge of the pairing by
+    random degree-preserving switches with healthy edges, at most
+    [200 * (defects + 1) + 1000] switch proposals per pairing.  A pairing
+    that exhausts that budget is discarded and a new one drawn.  The
+    result is not exactly uniform over d-regular graphs, but is
+    contiguity-equivalent for the structural properties measured here.
+    For [2d > n] it samples the [(n-1-d)]-regular complement instead, and
+    [d = n-1] is the complete graph.  Requires [n*d] even, [0 < d < n].
+    A pair test scans one vertex's at most d healthy edges, so a pairing
+    costs O(n d^2) and a switch proposal O(d): instant for the
+    d = O(log n) range used here.
+    @raise Failure if 101 pairings in a row exhaust their switch budget. *)
 
 val random_regular_connected :
   ?trace:Rumor_obs.Trace.t -> Rumor_prob.Rng.t -> n:int -> d:int -> Graph.t

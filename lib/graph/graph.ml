@@ -26,7 +26,7 @@ let num_edges g = g.m
 let degree g u = g.offsets.(u + 1) - g.offsets.(u)
 let neighbor g u i = g.adj.(g.offsets.(u) + i)
 
-let random_neighbor g rng u =
+let[@inline] random_neighbor g rng u =
   let d = degree g u in
   if d = 0 then invalid_arg "Graph.random_neighbor: isolated vertex";
   g.adj.(g.offsets.(u) + Rng.int rng d)

@@ -6,35 +6,64 @@ type t = {
 let create w =
   let n = Array.length w in
   if n = 0 then invalid_arg "Alias.create: empty weights";
+  (* plain loops over the float arrays: a closure over their elements
+     would box every weight *)
   let total = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if x < 0.0 then invalid_arg "Alias.create: negative weight";
-      total := !total +. x)
-    w;
+  for i = 0 to n - 1 do
+    if w.(i) < 0.0 then invalid_arg "Alias.create: negative weight";
+    total := !total +. w.(i)
+  done;
   if not (!total > 0.0) then invalid_arg "Alias.create: zero total weight";
   (* Vose's stable construction: scale weights to mean 1, split into
      under-full and over-full columns, pair them off. *)
-  let scaled = Array.map (fun x -> x *. float_of_int n /. !total) w in
+  let scaled = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    scaled.(i) <- w.(i) *. float_of_int n /. !total
+  done;
   let prob = Array.make n 1.0 in
   let alias = Array.init n (fun i -> i) in
-  let small = Stack.create () and large = Stack.create () in
-  Array.iteri
-    (fun i p -> if p < 1.0 then Stack.push i small else Stack.push i large)
-    scaled;
-  while (not (Stack.is_empty small)) && not (Stack.is_empty large) do
-    let s = Stack.pop small and l = Stack.pop large in
+  (* the two work lists are LIFO stacks sharing one array: [small] grows
+     up from slot 0, [large] down from slot n-1, and together they never
+     hold more than the n column indices *)
+  let stack = Array.make n 0 in
+  let ns = ref 0 and nl = ref 0 in
+  let push i =
+    if scaled.(i) < 1.0 then begin
+      stack.(!ns) <- i;
+      incr ns
+    end
+    else begin
+      incr nl;
+      stack.(n - !nl) <- i
+    end
+  in
+  for i = 0 to n - 1 do
+    push i
+  done;
+  while !ns > 0 && !nl > 0 do
+    decr ns;
+    let s = stack.(!ns) and l = stack.(n - !nl) in
+    decr nl;
     prob.(s) <- scaled.(s);
     alias.(s) <- l;
     scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
-    if scaled.(l) < 1.0 then Stack.push l small else Stack.push l large
+    push l
   done;
   (* leftovers are within rounding error of 1 *)
-  Stack.iter (fun i -> prob.(i) <- 1.0) small;
-  Stack.iter (fun i -> prob.(i) <- 1.0) large;
+  for i = 0 to !ns - 1 do
+    prob.(stack.(i)) <- 1.0
+  done;
+  for i = n - !nl to n - 1 do
+    prob.(stack.(i)) <- 1.0
+  done;
   { prob; alias }
 
-let of_ints w = create (Array.map float_of_int w)
+let of_ints w =
+  let f = Array.make (Array.length w) 0.0 in
+  for i = 0 to Array.length w - 1 do
+    f.(i) <- float_of_int w.(i)
+  done;
+  create f
 
 let sample t g =
   let n = Array.length t.prob in

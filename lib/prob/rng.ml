@@ -84,20 +84,30 @@ let split_n g n =
 (* 61 uniform bits of the next output, as a non-negative native int *)
 let[@inline] draw61 g = Int64.to_int (Int64.logand (bits64 g) 0x1FFFFFFFFFFFFFFFL)
 
-let int g bound =
+(* The rare rejected draw of [int], kept out of line so the inlined fast
+   path stays small.  A bound above 2^61 rejects every draw: no 61-bit
+   value clears the test, so refuse it instead of spinning. *)
+let[@inline never] rec int_retry g bound =
+  if bound > 1 lsl 61 then invalid_arg "Rng.int: bound above 2^61";
+  let r = draw61 g in
+  let v = r mod bound in
+  if r - v > (1 lsl 61) - bound then int_retry g bound else v
+
+let[@inline] int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then
     (* power of two: mask the high-quality low bits of the starred output *)
     Int64.to_int (Int64.logand (bits64 g) (Int64.of_int (bound - 1)))
   else begin
     (* rejection sampling on 61 bits to avoid modulo bias (61 keeps the
-       limit arithmetic comfortably inside OCaml's 63-bit native int) *)
-    let limit = (1 lsl 61) / bound * bound in
-    let r = ref (draw61 g) in
-    while !r >= limit do
-      r := draw61 g
-    done;
-    !r mod bound
+       limit arithmetic comfortably inside OCaml's 63-bit native int).  A
+       draw r is rejected iff it falls in the incomplete last block,
+       r >= (2^61 / bound) * bound; for a bound that does not divide 2^61
+       that is r - r mod bound > 2^61 - bound, one division instead of
+       two. *)
+    let r = draw61 g in
+    let v = r mod bound in
+    if r - v > (1 lsl 61) - bound then int_retry g bound else v
   end
 
 let int_in g lo hi =
@@ -114,7 +124,9 @@ let bool g = Int64.logand (bits64 g) 1L = 1L
 let bernoulli g p =
   if p <= 0.0 then false else if p >= 1.0 then true else float g 1.0 < p
 
-let shuffle g a =
+(* int array, not 'a array: on a polymorphic array every swap store goes
+   through the write barrier *)
+let shuffle g (a : int array) =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in
     let tmp = a.(i) in

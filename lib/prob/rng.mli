@@ -41,7 +41,9 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int g bound] is uniform on [0, bound).  Uses rejection sampling, so the
-    result is exactly uniform.  @raise Invalid_argument if [bound <= 0]. *)
+    result is exactly uniform.  @raise Invalid_argument if [bound <= 0], or
+    if [bound] is above 2^61 and not a power of two (no 61-bit draw could
+    be accepted). *)
 
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform on the inclusive range [lo, hi].
@@ -56,8 +58,9 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)
 
-val shuffle : t -> 'a array -> unit
-(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates). *)
+val shuffle : t -> int array -> unit
+(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates).  To
+    permute other values, shuffle an array of their indices. *)
 
 val choose : t -> 'a array -> 'a
 (** [choose g a] is a uniformly random element of [a].

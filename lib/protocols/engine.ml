@@ -445,6 +445,36 @@ let meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~informed_curve:(Curve_buf.contents curve)
     ~contacts:!contacts ()
 
+(* In-place heapsort of ids.(0 .. len-1) by (pos.(a), a): the meeting
+   contacts' (vertex, agent) order, with no scratch array. *)
+let[@inline] precedes pos a b =
+  pos.(a) < pos.(b) || (pos.(a) = pos.(b) && a < b)
+
+let rec sift_down pos ids i len =
+  let c = (2 * i) + 1 in
+  if c < len then begin
+    let c =
+      if c + 1 < len && precedes pos ids.(c) ids.(c + 1) then c + 1 else c
+    in
+    if precedes pos ids.(i) ids.(c) then begin
+      let t = ids.(i) in
+      ids.(i) <- ids.(c);
+      ids.(c) <- t;
+      sift_down pos ids c len
+    end
+  end
+
+let sort_by_vertex pos ids len =
+  for i = (len / 2) - 1 downto 0 do
+    sift_down pos ids i len
+  done;
+  for last = len - 1 downto 1 do
+    let t = ids.(0) in
+    ids.(0) <- ids.(last);
+    ids.(last) <- t;
+    sift_down pos ids 0 last
+  done
+
 (* lint: hot *)
 let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     ~max_rounds () =
@@ -452,45 +482,38 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
   let pos = place_agents ~who:"Engine.meet_exchange" rng g agents in
   let k = Array.length pos in
   reset_tau ~who:"Engine.meet_exchange" ~parties:k tau;
-  let agent_informed = Bitset.create k in
-  let agent_before = Bitset.create k in
-  (* counting sort of agents by vertex, stable in agent order: [starts] is
-     the prefix sum of per-vertex counts and [ids] the grouped agent ids;
-     the cursor array is reused across rounds *)
-  let starts = Array.make (n + 1) 0 in
-  let cursor = Array.make (n + 1) 0 in
-  let ids = Array.make k 0 in
-  let refresh_buckets () =
-    Array.fill starts 0 (n + 1) 0;
-    Array.iter (fun v -> starts.(v + 1) <- starts.(v + 1) + 1) pos;
-    for v = 0 to n - 1 do
-      starts.(v + 1) <- starts.(v + 1) + starts.(v)
-    done;
-    Array.blit starts 0 cursor 0 (n + 1);
-    Array.iteri
-      (fun a v ->
-        ids.(cursor.(v)) <- a;
-        cursor.(v) <- cursor.(v) + 1)
-      pos
-  in
-  let contacts = ref 0 in
+  (* the agents, partitioned: order.(0 .. informed-1) are informed, the
+     rest are not.  Informing order.(i) swaps it to the boundary, a slot
+     the pass has already visited, so a pass over the uninformed part
+     meets every agent once, in agent order while nothing has moved. *)
+  let order = Array.init k Fun.id in
   let informed = ref 0 in
+  let contacts = ref 0 in
+  let inform i round =
+    let a = order.(i) in
+    order.(i) <- order.(!informed);
+    order.(!informed) <- a;
+    incr informed;
+    incr contacts;
+    set_tau tau a round
+  in
+  (* [stamp.(v) = round] iff, after round [round]'s walk, v holds an agent
+     informed in an earlier round: a witness that informs everyone there *)
+  let stamp = Array.make n 0 in
+  (* with an instrument attached, the round's meetings are collected here
+     and fired in (vertex, agent) order *)
+  let met = match obs with None -> [||] | Some _ -> Array.make k 0 in
+  let nmet = ref 0 in
   (* round 0: agents standing on the source are informed *)
-  for a = 0 to k - 1 do
-    if pos.(a) = source then begin
-      Bitset.add agent_informed a;
-      set_tau tau a 0;
-      incr informed;
-      incr contacts;
-      Obs.contact obs source a
+  for i = 0 to k - 1 do
+    if pos.(order.(i)) = source then begin
+      Obs.contact obs source order.(i);
+      inform i 0
     end
   done;
   let source_active = ref (!informed = 0) in
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve !informed;
-  (* hoisted out of the per-vertex meeting scan below: a fresh [ref] per
-     vertex is one allocation per occupied vertex per round *)
-  let witness = ref false in
   let t = ref 0 in
   while !informed < k && !t < max_rounds do
     incr t;
@@ -501,52 +524,45 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     span_begin trace "walk";
     move_agents ?obs ~lazy_walk rng g pos;
     span_end trace;
-    span_begin trace "buckets";
-    refresh_buckets ();
-    span_end trace;
     span_begin trace "spread";
-    (* the witness test below is "informed in a previous round": snapshot
-       before this round's source hand-off so its pickups don't qualify *)
-    Bitset.snapshot ~src:agent_informed ~dst:agent_before;
+    (* stamp before this round's source hand-off, so its pickups are not
+       witnesses until next round *)
+    for i = 0 to !informed - 1 do
+      stamp.(pos.(order.(i))) <- round
+    done;
     (* source hand-off: the first agents to visit the source become informed
-       (all of them if simultaneous); they start spreading only next round *)
-    if !source_active && starts.(source + 1) - starts.(source) > 0 then begin
-      for i = starts.(source) to starts.(source + 1) - 1 do
-        let a = ids.(i) in
-        if not (Bitset.mem agent_informed a) then begin
-          Bitset.add agent_informed a;
-          set_tau tau a round;
-          incr informed;
-          incr contacts;
-          Obs.contact obs source a
+       (all of them if simultaneous).  No agent is informed while the
+       source is active, so this round has no witnesses and no meetings. *)
+    if !source_active then begin
+      for i = 0 to k - 1 do
+        if pos.(order.(i)) = source then begin
+          Obs.contact obs source order.(i);
+          inform i round
         end
       done;
-      source_active := false
+      if !informed > 0 then source_active := false
     end;
-    (* meetings: a vertex holding some previously informed agent informs
-       every agent standing on it.  Chains within a round cannot occur: an
-       agent informed this round shares its vertex with the (< round)-
-       informed agent that informed it, so any third co-located agent is
-       informed by that same witness directly. *)
-    for v = 0 to n - 1 do
-      if starts.(v + 1) - starts.(v) >= 2 then begin
-        witness := false;
-        for i = starts.(v) to starts.(v + 1) - 1 do
-          if Bitset.mem agent_before ids.(i) then witness := true
-        done;
-        if !witness then
-          for i = starts.(v) to starts.(v + 1) - 1 do
-            let a = ids.(i) in
-            if not (Bitset.mem agent_informed a) then begin
-              Bitset.add agent_informed a;
-              set_tau tau a round;
-              incr informed;
-              incr contacts;
-              Obs.contact obs v a
-            end
-          done
+    (* meetings: every uninformed agent on a stamped vertex is informed.
+       There are no chains within a round: anyone an agent informed this
+       round could reach stands with the same witness. *)
+    for i = !informed to k - 1 do
+      let a = order.(i) in
+      if stamp.(pos.(a)) = round then begin
+        (match obs with
+        | None -> ()
+        | Some _ ->
+            met.(!nmet) <- a;
+            incr nmet);
+        inform i round
       end
     done;
+    if !nmet > 0 then begin
+      sort_by_vertex pos met !nmet;
+      for i = 0 to !nmet - 1 do
+        Obs.contact obs pos.(met.(i)) met.(i)
+      done;
+      nmet := 0
+    end;
     span_end trace;
     Curve_buf.push curve !informed;
     trace_round_end trace ~informed:!informed ~contacts_delta:(!contacts - c0);

@@ -27,8 +27,8 @@
 
     [?trace] records, on the caller's track, one span per round
     (["<kernel>.round"], [arg] = round number) with walk/spread child spans
-    for the walker kernels (plus buckets for meet-exchange and push_pull for
-    combined; push and push–pull rounds have none), an ["informed"] counter
+    for the walker kernels (plus push_pull for combined; push and
+    push–pull rounds have none), an ["informed"] counter
     series sampled at round boundaries, and scalar [rounds]/[contacts]
     counters plus a contacts-per-round histogram in the
     tracer's registry.  Tracing never consumes randomness, so traced and
@@ -156,7 +156,9 @@ val meet_exchange :
     exactly one of them was informed in a previous round, the other
     becomes informed.  Broadcast completes when all {e agents} are
     informed, and the informed curve counts agents.  Contacts count one per
-    agent→agent transfer plus one per source→agent transfer.
+    agent→agent transfer plus one per source→agent transfer; with dense
+    walkers, [?obs] sees a round's transfers as [on_contact v a] (vertex,
+    then the agent it informs) in (vertex, agent) order.
 
     On bipartite graphs the non-lazy process can fail to complete (walks in
     opposite parity classes never meet), where the paper requires lazy

@@ -95,6 +95,48 @@ let test_large_skew () =
     true
     (Float.abs (p -. 0.5) < 0.02)
 
+(* Vose's construction with two Stdlib stacks, the form [Alias.create] had
+   before its work lists moved into one array; it returns a sampler built
+   the way [Alias.sample] draws (column, then coin). *)
+let stack_reference_sampler w =
+  let n = Array.length w in
+  let total = Array.fold_left ( +. ) 0.0 w in
+  let scaled = Array.map (fun x -> x *. float_of_int n /. total) w in
+  let prob = Array.make n 1.0 and alias = Array.init n Fun.id in
+  let small = Stack.create () and large = Stack.create () in
+  Array.iteri
+    (fun i p -> if p < 1.0 then Stack.push i small else Stack.push i large)
+    scaled;
+  while (not (Stack.is_empty small)) && not (Stack.is_empty large) do
+    let s = Stack.pop small and l = Stack.pop large in
+    prob.(s) <- scaled.(s);
+    alias.(s) <- l;
+    scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
+    if scaled.(l) < 1.0 then Stack.push l small else Stack.push l large
+  done;
+  Stack.iter (fun i -> prob.(i) <- 1.0) small;
+  Stack.iter (fun i -> prob.(i) <- 1.0) large;
+  fun g ->
+    let i = Rng.int g n in
+    if Rng.float g 1.0 < prob.(i) then i else alias.(i)
+
+let test_same_table_as_stack_form () =
+  let wg = Rng.of_int 45 in
+  List.iter
+    (fun n ->
+      let w =
+        Array.init n (fun i ->
+            if i mod 7 = 3 then 0.0 else Rng.float wg 10.0 +. float_of_int (i mod 5))
+      in
+      let t = Alias.create w and reference = stack_reference_sampler w in
+      let a = Rng.of_int n and b = Rng.of_int n in
+      for _ = 1 to 2_000 do
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d: same draw" n)
+          (reference b) (Alias.sample t a)
+      done)
+    [ 1; 2; 5; 64; 1000 ]
+
 let prop_probability_matches_weights =
   QCheck.Test.make ~count:50 ~name:"alias table probabilities match weights"
     QCheck.(list_of_size (Gen.int_range 1 20) (float_range 0.0 10.0))
@@ -117,5 +159,7 @@ let suite =
     Alcotest.test_case "of_ints" `Quick test_of_ints;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
     Alcotest.test_case "skewed hub weights" `Quick test_large_skew;
+    Alcotest.test_case "same table as the two-stack form" `Quick
+      test_same_table_as_stack_form;
     QCheck_alcotest.to_alcotest prop_probability_matches_weights;
   ]

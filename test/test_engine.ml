@@ -348,7 +348,7 @@ let traced_kernels =
       fun trace ~max_rounds rng g ->
         Engine.visit_exchange ?trace ~walkers rng g ~source:0 ~agents
           ~max_rounds () );
-    ( "meet-exchange", "meet_exchange.round", [ "walk"; "buckets"; "spread" ],
+    ( "meet-exchange", "meet_exchange.round", [ "walk"; "spread" ],
       fun trace ~max_rounds rng g ->
         Engine.meet_exchange ?trace rng g ~source:0 ~agents ~max_rounds () );
     ( "sparse meet-exchange", "meet_exchange.round", [ "walk"; "spread" ],

@@ -132,6 +132,65 @@ let test_random_regular_dense () =
         (Some d) (Graph.regular_degree g))
     [ (10, 7); (12, 9); (20, 15); (16, 12) ]
 
+(* Golden digests of random_regular_connected: the CSR (degree prefix sums
+   and sorted adjacency) plus the generator's next four outputs, which pin
+   its state afterwards.  Recorded from the Hashtbl-based repair; a faster
+   generator must consume the same draws and build the same graphs.  (30,
+   12) needs many repairs per attempt; (40, 25) goes through the
+   complement construction. *)
+let regular_golden =
+  [
+    ("n=20 d=3 seed=1", "63dc0bc10a2a96bfda180ebc229df064");
+    ("n=20 d=3 seed=2", "29c3ef95ab822c9c7447ec52aee1d1f7");
+    ("n=20 d=3 seed=3", "2d112c42eea267060f8b123ba79dcacb");
+    ("n=64 d=4 seed=1", "b683ef0b18bac145e0ee1355ba1257c6");
+    ("n=64 d=4 seed=2", "438feab8ba7a7db4128dc4ddb2c3eb17");
+    ("n=64 d=4 seed=3", "614213d5e49a9f66ef9d38d5af6c81f9");
+    ("n=500 d=12 seed=1", "339560eeb34f6549ff054abb3ec1fced");
+    ("n=500 d=12 seed=2", "25ddc430e346d9e609981ae66ebed558");
+    ("n=500 d=12 seed=3", "26486a31170b01a24079f847b7e248d7");
+    ("n=1000 d=16 seed=1", "05e7ed941f5361d0b933d50297dec6d7");
+    ("n=1000 d=16 seed=2", "d3ee5fa87cc4f92bfc53d9713b85e5be");
+    ("n=1000 d=16 seed=3", "ca169a4ee3f8be9ec64a6b038efdb2b7");
+    ("n=30 d=12 seed=1", "96e44c53831f8518c3e7839b242f75e2");
+    ("n=30 d=12 seed=2", "e187bfd975a6e6e24cf9b8677cff7b3f");
+    ("n=30 d=12 seed=3", "488ac97393d1614072235e7b209a1141");
+    ("n=40 d=25 seed=1", "b6d0ae75bc04b6a67c7470ee2a07049b");
+    ("n=40 d=25 seed=2", "7df353d6b8668811d40477c5b90ddbfe");
+    ("n=40 d=25 seed=3", "e3eba3d1eb2358248030e1a7b9582659");
+  ]
+
+let regular_digest ~n ~d ~seed =
+  let rng = Rng.of_int seed in
+  let g = Gen.random_regular_connected rng ~n ~d in
+  let buf = Buffer.create 4096 in
+  let off = ref 0 in
+  for u = 0 to Graph.n g - 1 do
+    Printf.bprintf buf "%d:" !off;
+    for i = 0 to Graph.degree g u - 1 do
+      Printf.bprintf buf " %d" (Graph.neighbor g u i)
+    done;
+    Buffer.add_char buf '\n';
+    off := !off + Graph.degree g u
+  done;
+  for _ = 1 to 4 do
+    Printf.bprintf buf "%Lx\n" (Rng.bits64 rng)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_random_regular_golden () =
+  List.iter
+    (fun (n, d) ->
+      List.iter
+        (fun seed ->
+          let label = Printf.sprintf "n=%d d=%d seed=%d" n d seed in
+          let got = regular_digest ~n ~d ~seed in
+          match List.assoc_opt label regular_golden with
+          | Some want -> Alcotest.(check string) label want got
+          | None -> Alcotest.failf "no golden digest for (%S, %S)" label got)
+        [ 1; 2; 3 ])
+    [ (20, 3); (64, 4); (500, 12); (1000, 16); (30, 12); (40, 25) ]
+
 let test_preferential_attachment_structure () =
   let rng = Rng.of_int 75 in
   let n = 400 and m = 3 in
@@ -186,5 +245,7 @@ let suite =
     Alcotest.test_case "samples vary" `Quick test_random_regular_samples_vary;
     Alcotest.test_case "determinism by seed" `Quick test_determinism_by_seed;
     Alcotest.test_case "dense regular graphs" `Quick test_random_regular_dense;
+    Alcotest.test_case "random regular golden digests" `Quick
+      test_random_regular_golden;
     QCheck_alcotest.to_alcotest prop_random_regular_simple;
   ]

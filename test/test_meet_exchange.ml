@@ -114,6 +114,93 @@ let test_all_agents_equals_broadcast () =
   Alcotest.(check (option int)) "all_agents_informed mirrors broadcast"
     r.Run_result.broadcast_time r.Run_result.all_agents_informed
 
+(* dense runs that meet often: many agents on small graphs, lazy and not *)
+let dense_cases =
+  [
+    ("complete30 k=60", Gen.complete 30, Placement.Stationary 60, false);
+    ("torus8x8 one-per-vertex", Gen.torus ~rows:8 ~cols:8, Placement.One_per_vertex, true);
+    ("cycle21 k=40", Gen.cycle 21, Placement.Stationary 40, false);
+    ("star12 all-at-leaf", Gen.star ~leaves:12, Placement.All_at (3, 9), true);
+  ]
+
+let test_obs_run_equals_bare_run () =
+  List.iter
+    (fun (label, g, agents, lazy_walk) ->
+      List.iter
+        (fun seed ->
+          let run obs =
+            let tau = Array.make (Placement.count agents g) 0 in
+            let r =
+              Engine.meet_exchange ?obs ~lazy_walk ~tau (Rng.of_int seed) g ~source:0
+                ~agents ~max_rounds:100_000 ()
+            in
+            (r, tau)
+          in
+          let rec_ = Rumor_obs.Instrument.Recorder.create () in
+          let r_obs, tau_obs =
+            run (Some (Rumor_obs.Instrument.Recorder.instrument rec_))
+          in
+          let r_bare, tau_bare = run None in
+          let name = Printf.sprintf "%s seed=%d" label seed in
+          Alcotest.(check bool) (name ^ ": same result") true (r_obs = r_bare);
+          Alcotest.(check (array int)) (name ^ ": same tau") tau_bare tau_obs;
+          Alcotest.(check int) (name ^ ": one contact event per contact")
+            r_bare.Run_result.contacts
+            (Rumor_obs.Instrument.Recorder.contacts rec_))
+        [ 1; 2; 3 ])
+    dense_cases
+
+(* Each round's contacts come in (vertex, agent) order, and each names an
+   agent standing on that vertex and informed in that round. *)
+let test_meetings_in_vertex_agent_order () =
+  List.iter
+    (fun (label, g, agents, lazy_walk) ->
+      List.iter
+        (fun seed ->
+          let k = Placement.count agents g in
+          (* positions are only known once the first round's walk reports
+             them; round 0's contacts are at the source, vertex 1 *)
+          let pos = Array.make k (-1) in
+          let round = ref 0 and prev = ref (-1, -1) and meetings = ref 0 in
+          let tau = Array.make k 0 in
+          let contacts = ref [] in
+          let obs =
+            Rumor_obs.Instrument.make
+              ~on_round_start:(fun r ->
+                round := r;
+                prev := (-1, -1))
+              ~on_walker_move:(fun ~agent ~from_:_ ~to_ -> pos.(agent) <- to_)
+              ~on_contact:(fun v a ->
+                let name = Printf.sprintf "%s seed=%d round %d" label seed !round in
+                let pv, pa = !prev in
+                if v < pv || (v = pv && a <= pa) then
+                  Alcotest.failf "%s: contact (%d, %d) after (%d, %d)" name v a pv pa;
+                prev := (v, a);
+                if !round > 0 then begin
+                  if pos.(a) <> v then
+                    Alcotest.failf "%s: agent %d is on %d, not %d" name a pos.(a) v;
+                  if v <> 1 then incr meetings
+                end;
+                contacts := (!round, a) :: !contacts)
+              ()
+          in
+          let r =
+            Engine.meet_exchange ~obs ~lazy_walk ~tau (Rng.of_int seed) g ~source:1
+              ~agents ~max_rounds:100_000 ()
+          in
+          Alcotest.(check bool) (label ^ ": completed") true (Run_result.completed r);
+          Alcotest.(check bool) (label ^ ": met away from the source") true
+            (!meetings > 0);
+          List.iter
+            (fun (r, a) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s seed=%d: agent %d informed in its contact's round"
+                   label seed a)
+                r tau.(a))
+            !contacts)
+        [ 1; 2; 3 ])
+    dense_cases
+
 let prop_completes_with_lazy_walks =
   QCheck.Test.make ~count:15 ~name:"meetx with lazy walks completes everywhere"
     QCheck.(int_range 4 20)
@@ -143,5 +230,9 @@ let suite =
     Alcotest.test_case "round cap" `Quick test_round_cap;
     Alcotest.test_case "all_agents_informed mirrors broadcast" `Quick
       test_all_agents_equals_broadcast;
+    Alcotest.test_case "dense: instrumented run = bare run" `Quick
+      test_obs_run_equals_bare_run;
+    Alcotest.test_case "dense: meetings in (vertex, agent) order" `Quick
+      test_meetings_in_vertex_agent_order;
     QCheck_alcotest.to_alcotest prop_completes_with_lazy_walks;
   ]

@@ -128,6 +128,66 @@ let test_int_non_power_of_two_uniformity () =
         Alcotest.failf "bucket %d has ratio %.3f" i ratio)
     buckets
 
+(* The two-division form [Rng.int] used before its one-division rewrite:
+   reject r >= (2^61 / bound) * bound, then reduce.  The rewrite must give
+   the same value and consume the same draws for every bound. *)
+let two_division_int ?(draws = ref 0) g bound =
+  if bound land (bound - 1) = 0 then begin
+    incr draws;
+    Int64.to_int (Int64.logand (Rng.bits64 g) (Int64.of_int (bound - 1)))
+  end
+  else begin
+    let draw61 () =
+      incr draws;
+      Int64.to_int (Int64.logand (Rng.bits64 g) 0x1FFFFFFFFFFFFFFFL)
+    in
+    let limit = (1 lsl 61) / bound * bound in
+    let r = ref (draw61 ()) in
+    while !r >= limit do
+      r := draw61 ()
+    done;
+    !r mod bound
+  end
+
+let test_int_matches_two_division () =
+  let bounds =
+    [ 1; 3; 10_000; (1 lsl 60) + 1; 3 * (1 lsl 59); (1 lsl 61) - 1 ]
+    @ List.init 62 (fun k -> 1 lsl k)
+  in
+  List.iter
+    (fun bound ->
+      let a = Rng.of_int 17 and b = Rng.of_int 17 in
+      for i = 1 to 2_000 do
+        let want = two_division_int b bound in
+        let got = Rng.int a bound in
+        if got <> want then
+          Alcotest.failf "bound %d, draw %d: Rng.int %d <> two-division %d" bound
+            i got want
+      done;
+      for _ = 1 to 4 do
+        Alcotest.(check int64)
+          (Printf.sprintf "bound %d: same stream state afterwards" bound)
+          (Rng.bits64 b) (Rng.bits64 a)
+      done)
+    bounds;
+  (* 2^60 + 1 rejects almost half the draws, so the retry path runs *)
+  let g = Rng.of_int 18 in
+  let draws = ref 0 in
+  for _ = 1 to 1_000 do
+    ignore (two_division_int ~draws g ((1 lsl 60) + 1))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d draws for 1000 values" !draws)
+    true (!draws > 1_500)
+
+let test_int_bound_above_2_61 () =
+  Alcotest.check_raises "2^61 + 1" (Invalid_argument "Rng.int: bound above 2^61")
+    (fun () -> ignore (Rng.int (Rng.of_int 1) ((1 lsl 61) + 1)));
+  (* powers of two above 2^61 do not exist below max_int; 2^61 itself
+     masks *)
+  let x = Rng.int (Rng.of_int 1) (1 lsl 61) in
+  Alcotest.(check bool) "2^61 in range" true (x >= 0 && x < 1 lsl 61)
+
 let test_int_in () =
   let g = Rng.of_int 2 in
   for _ = 1 to 1000 do
@@ -237,6 +297,10 @@ let suite =
     Alcotest.test_case "int uniformity (chi2)" `Quick test_int_uniformity;
     Alcotest.test_case "int uniformity, non-power-of-two" `Quick
       test_int_non_power_of_two_uniformity;
+    Alcotest.test_case "int = two-division form, same draws" `Quick
+      test_int_matches_two_division;
+    Alcotest.test_case "int refuses bounds above 2^61" `Quick
+      test_int_bound_above_2_61;
     Alcotest.test_case "int_in range and errors" `Quick test_int_in;
     Alcotest.test_case "float in [0,1)" `Quick test_float_range;
     Alcotest.test_case "float mean" `Quick test_float_mean;
