@@ -73,10 +73,9 @@ let run graph_text seed dot edges analysis timing trace_path out =
           if timing then begin
             (* the CSR footprint is what a simulation keeps resident; the
                allocation figure shows the streaming builders' small surplus *)
-            let words = Graph.n g + 1 + (2 * Graph.num_edges g) in
             Printf.printf "build: %.3fs, CSR %.1f MB, %.1f MB allocated on the way\n"
               build_seconds
-              (float_of_int (8 * words) /. 1e6)
+              (float_of_int (Graph.csr_bytes g) /. 1e6)
               (build_allocated /. 1e6)
           end;
           if dot then output (Graph_io.to_dot g) out

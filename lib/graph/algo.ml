@@ -50,7 +50,29 @@ let component_count g =
   let label = components g in
   Array.fold_left max (-1) label + 1
 
-let is_connected g = Graph.n g <= 1 || component_count g = 1
+(* one BFS from vertex 0 over a byte-per-vertex seen set; no labels, no
+   closure per vertex *)
+let is_connected g =
+  let n = Graph.n g in
+  n <= 1
+  ||
+  let seen = Bytes.make n '\000' in
+  let queue = Array.make n 0 (* queue.(0) = 0, the start *) in
+  Bytes.set seen 0 '\001';
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = 0 to Graph.degree g u - 1 do
+      let v = Graph.neighbor g u i in
+      if Bytes.get seen v = '\000' then begin
+        Bytes.set seen v '\001';
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  !tail = n
 
 let eccentricity g src =
   let dist = bfs_distances g src in

@@ -1,10 +1,24 @@
 module Rng = Rumor_prob.Rng
 
+(* Neighbour slots are 4-byte native-endian vertex ids in one [Bytes]: half
+   the memory of an [int array], and the major GC does not scan them.  Every
+   access goes through these bounds-checked primitives; [slot] and
+   [set_slot] index by slot, not by byte. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] slot adj i = Int32.to_int (get32 adj (4 * i))
+let[@inline] set_slot adj i v = set32 adj (4 * i) (Int32.of_int v)
+
+(* slots are read back as signed 32-bit ints, so ids run up to 2^31 - 1 *)
+let max_vertices = 1 lsl 31
+
 type t = {
   n : int;
   m : int;                (* number of undirected edges *)
-  offsets : int array;    (* length n+1; adjacency of u is adj.(offsets.(u) .. offsets.(u+1)-1) *)
-  adj : int array;        (* length 2m, sorted within each vertex slice *)
+  offsets : int array;    (* length n+1; u's neighbours fill slots offsets.(u) .. offsets.(u+1)-1.
+                             ints, not 32-bit slots: 2m can pass 2^31 *)
+  adj : Bytes.t;          (* 2m slots, sorted within each vertex slice *)
   min_deg : int;          (* cached at construction so min_degree is O(1) *)
 }
 
@@ -23,41 +37,42 @@ let min_deg_of_offsets nv offsets =
 
 let n g = g.n
 let num_edges g = g.m
-let degree g u = g.offsets.(u + 1) - g.offsets.(u)
-let neighbor g u i = g.adj.(g.offsets.(u) + i)
+let[@inline] degree g u = g.offsets.(u + 1) - g.offsets.(u)
+let[@inline] neighbor g u i = slot g.adj (g.offsets.(u) + i)
 
 let[@inline] random_neighbor g rng u =
-  let d = degree g u in
+  let lo = g.offsets.(u) in
+  let d = g.offsets.(u + 1) - lo in
   if d = 0 then invalid_arg "Graph.random_neighbor: isolated vertex";
-  g.adj.(g.offsets.(u) + Rng.int rng d)
+  slot g.adj (lo + Rng.int rng d)
 
 let iter_neighbors g u f =
   for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-    f g.adj.(i)
+    f (slot g.adj i)
   done
 
 let fold_neighbors g u f init =
   let acc = ref init in
   for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-    acc := f !acc g.adj.(i)
+    acc := f !acc (slot g.adj i)
   done;
   !acc
 
 let iter_edges g f =
   for u = 0 to g.n - 1 do
     for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-      let v = g.adj.(i) in
+      let v = slot g.adj i in
       if u < v then f u v
     done
   done
 
-(* Binary search for v in the sorted slice of u; returns the adj index. *)
+(* Binary search for v in the sorted slice of u; returns the slot index. *)
 let find_arc g u v =
   let lo = ref g.offsets.(u) and hi = ref (g.offsets.(u + 1) - 1) in
   let result = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let w = g.adj.(mid) in
+    let w = slot g.adj mid in
     if w = v then begin
       result := mid;
       lo := !hi + 1
@@ -74,6 +89,8 @@ let edge_index g u v =
   if i < 0 then raise Not_found else i
 
 let arc_count g = 2 * g.m
+
+let csr_bytes g = (Sys.word_size / 8 * Array.length g.offsets) + Bytes.length g.adj
 
 let min_degree g = g.min_deg
 
@@ -93,65 +110,39 @@ let total_degree g = 2 * g.m
 let degrees g = Array.init g.n (fun u -> degree g u)
 
 (* Sort every CSR slice in place and reject duplicate edges.  Small slices
-   use insertion sort (no allocation — the common case for the sparse huge
-   graphs the streaming builder targets); long ones fall back to a scratch
-   merge sort. *)
-let sort_and_check_slices ~who ~n:nv offsets adj =
+   use insertion sort on the slots (no allocation — the common case for the
+   sparse huge graphs the streaming builder targets); long ones are sorted
+   in a scratch int array. *)
+let sort_and_check_slices ~n:nv offsets adj =
   for u = 0 to nv - 1 do
     let lo = offsets.(u) and hi = offsets.(u + 1) in
     let len = hi - lo in
     if len > 32 then begin
-      let slice = Array.sub adj lo len in
+      let slice = Array.make len 0 in
+      for i = 0 to len - 1 do
+        slice.(i) <- slot adj (lo + i)
+      done;
       Array.sort Int.compare slice;
-      Array.blit slice 0 adj lo len
+      for i = 0 to len - 1 do
+        set_slot adj (lo + i) slice.(i)
+      done
     end
     else
       for i = lo + 1 to hi - 1 do
-        let x = adj.(i) in
+        let x = slot adj i in
         let j = ref (i - 1) in
-        while !j >= lo && adj.(!j) > x do
-          adj.(!j + 1) <- adj.(!j);
+        while !j >= lo && slot adj !j > x do
+          set_slot adj (!j + 1) (slot adj !j);
           decr j
         done;
-        adj.(!j + 1) <- x
+        set_slot adj (!j + 1) x
       done;
     for i = lo + 1 to hi - 1 do
-      if adj.(i) = adj.(i - 1) then
-        invalid_arg (Printf.sprintf "%s: duplicate edge (%d,%d)" who u adj.(i))
+      if slot adj i = slot adj (i - 1) then
+        invalid_arg
+          (Printf.sprintf "Graph.Builder.finish: duplicate edge (%d,%d)" u (slot adj i))
     done
   done
-
-let of_edge_array ~n:nv edges =
-  if nv < 0 then invalid_arg "Graph.of_edge_array: negative vertex count";
-  let m = Array.length edges in
-  let deg = Array.make nv 0 in
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= nv || v < 0 || v >= nv then
-        invalid_arg
-          (Printf.sprintf "Graph.of_edge_array: endpoint out of range (%d,%d), n=%d" u v nv);
-      if u = v then
-        invalid_arg (Printf.sprintf "Graph.of_edge_array: self-loop at %d" u);
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
-  let offsets = Array.make (nv + 1) 0 in
-  for u = 0 to nv - 1 do
-    offsets.(u + 1) <- offsets.(u) + deg.(u)
-  done;
-  let adj = Array.make (2 * m) 0 in
-  let cursor = Array.copy offsets in
-  Array.iter
-    (fun (u, v) ->
-      adj.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1;
-      adj.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1)
-    edges;
-  sort_and_check_slices ~who:"Graph.of_edge_array" ~n:nv offsets adj;
-  { n = nv; m; offsets; adj; min_deg = min_deg_of_offsets nv offsets }
-
-let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
 module Builder = struct
   (* Endpoints accumulate in two flat Bigarrays (2 words per edge, off the
@@ -176,6 +167,11 @@ module Builder = struct
 
   let create ?trace ?(capacity = 1024) ~n () =
     if n < 0 then invalid_arg "Graph.Builder.create: negative vertex count";
+    if n > max_vertices then
+      invalid_arg
+        (Printf.sprintf
+           "Graph.Builder.create: %d vertices; ids must fit in 32 bits (n <= %d)" n
+           max_vertices);
     let capacity = max 1 capacity in
     (* the edge-generation span stays open from [create] to [finish]: it
        covers whatever loop the caller feeds [add_edge] from *)
@@ -227,22 +223,24 @@ module Builder = struct
           b.len;
         Trace.begin_span tr "graph.csr_fill");
     let nv = b.bn and m = b.len in
-    let deg = Array.make nv 0 in
-    for i = 0 to m - 1 do
-      deg.(b.us.{i}) <- deg.(b.us.{i}) + 1;
-      deg.(b.vs.{i}) <- deg.(b.vs.{i}) + 1
-    done;
+    (* degrees counted one place to the right, then prefix-summed in place *)
     let offsets = Array.make (nv + 1) 0 in
-    for u = 0 to nv - 1 do
-      offsets.(u + 1) <- offsets.(u) + deg.(u)
+    for i = 0 to m - 1 do
+      let u = b.us.{i} + 1 and v = b.vs.{i} + 1 in
+      offsets.(u) <- offsets.(u) + 1;
+      offsets.(v) <- offsets.(v) + 1
     done;
-    let adj = Array.make (2 * m) 0 in
-    let cursor = Array.copy offsets in
+    for u = 1 to nv do
+      offsets.(u) <- offsets.(u) + offsets.(u - 1)
+    done;
+    (* every slot is written below: the degrees sum to 2m *)
+    let adj = Bytes.create (4 * 2 * m) in
+    let cursor = Array.sub offsets 0 nv in
     for i = 0 to m - 1 do
       let u = b.us.{i} and v = b.vs.{i} in
-      adj.(cursor.(u)) <- v;
+      set_slot adj cursor.(u) v;
       cursor.(u) <- cursor.(u) + 1;
-      adj.(cursor.(v)) <- u;
+      set_slot adj cursor.(v) u;
       cursor.(v) <- cursor.(v) + 1
     done;
     (* release the endpoint buffers before the slice pass; peak memory is
@@ -254,24 +252,32 @@ module Builder = struct
     | Some tr ->
         Trace.end_span tr (* graph.csr_fill *);
         Trace.begin_span tr "graph.sort");
-    sort_and_check_slices ~who:"Graph.Builder.finish" ~n:nv offsets adj;
+    sort_and_check_slices ~n:nv offsets adj;
     (match b.btrace with None -> () | Some tr -> Trace.end_span tr);
     { n = nv; m; offsets; adj; min_deg = min_deg_of_offsets nv offsets }
 end
+
+let of_edge_array ~n edges =
+  let b = Builder.create ~capacity:(Array.length edges) ~n () in
+  Array.iter (fun (u, v) -> Builder.add_edge b u v) edges;
+  Builder.finish b
+
+let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
 let validate g =
   if Array.length g.offsets <> g.n + 1 then
     invalid_arg "Graph.validate: bad offsets length";
   if g.offsets.(0) <> 0 || g.offsets.(g.n) <> 2 * g.m then
     invalid_arg "Graph.validate: bad offset endpoints";
+  if Bytes.length g.adj <> 4 * 2 * g.m then invalid_arg "Graph.validate: bad slot count";
   for u = 0 to g.n - 1 do
     if g.offsets.(u + 1) < g.offsets.(u) then
       invalid_arg "Graph.validate: decreasing offsets";
     for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-      let v = g.adj.(i) in
+      let v = slot g.adj i in
       if v < 0 || v >= g.n then invalid_arg "Graph.validate: neighbor out of range";
       if v = u then invalid_arg "Graph.validate: self-loop";
-      if i > g.offsets.(u) && g.adj.(i - 1) >= v then
+      if i > g.offsets.(u) && slot g.adj (i - 1) >= v then
         invalid_arg "Graph.validate: unsorted or duplicate adjacency";
       if not (mem_edge g v u) then invalid_arg "Graph.validate: asymmetric edge"
     done

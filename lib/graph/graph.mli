@@ -1,9 +1,12 @@
 (** Compact immutable undirected graphs in CSR (compressed sparse row) form.
 
-    Vertices are integers [0 .. n-1].  The adjacency of each vertex is stored
-    sorted in one flat array, giving O(1) degree queries, cache-friendly
-    neighbor iteration, and O(log deg) edge membership — the access pattern
-    the protocol simulators are built around.
+    Vertices are integers [0 .. n-1], with [n <= 2^31].  The adjacency of
+    each vertex is stored sorted in one flat run of 4-byte neighbour slots
+    (a [Bytes] on the OCaml heap, which the GC does not scan), indexed by an
+    [int array] of [n+1] offsets; a graph holds [8(n+1) + 8m] bytes of
+    payload (see {!csr_bytes}).  This gives O(1) degree queries,
+    cache-friendly neighbor iteration, and O(log deg) edge membership — the
+    access pattern the protocol simulators are built around.
 
     Graphs are simple (no self-loops, no parallel edges) and undirected;
     {!Builder} enforces this at construction time. *)
@@ -19,13 +22,15 @@ val of_edges : n:int -> (int * int) list -> t
     duplicates. *)
 
 val of_edge_array : n:int -> (int * int) array -> t
-(** Array variant of {!of_edges}. *)
+(** Array variant of {!of_edges}.  Both go through {!Builder}.
+    @raise Invalid_argument also if [n < 0] or [n > 2^31]. *)
 
-(** Streaming construction for huge graphs: endpoints accumulate in flat
-    Bigarray buffers (2 unboxed words per edge, growing by doubling) and
-    {!Builder.finish} assembles the CSR form directly from them — the edge
-    set is materialized exactly once.  This is the path the random and
-    lattice generators feed at n = 10^6..10^7. *)
+(** Streaming construction, and the one place a CSR is assembled: endpoints
+    accumulate in flat Bigarray buffers (2 unboxed words per edge, off the
+    OCaml heap, growing by doubling) and {!Builder.finish} fills, sorts and
+    duplicate-checks the 32-bit neighbour slots in place — the edge set is
+    materialized exactly once.  This is the path the random and lattice
+    generators feed at n = 10^6..10^7, and {!of_edges} feeds it too. *)
 module Builder : sig
   type graph := t
   type t
@@ -37,7 +42,8 @@ module Builder : sig
       spans: ["graph.edge_gen"] from [create] to {!finish} (covering the
       caller's generation loop), then ["graph.csr_fill"] and ["graph.sort"]
       inside {!finish}, plus an ["edges_built"] scalar counter.
-      @raise Invalid_argument if [n < 0]. *)
+      @raise Invalid_argument if [n < 0] or [n > 2^31] (vertex ids must fit
+      in a signed 32-bit slot); nothing is allocated first. *)
 
   val add_edge : t -> int -> int -> unit
   (** Append one undirected edge.  Duplicates are detected at {!finish}.
@@ -65,7 +71,7 @@ val degree : t -> int -> int
 
 val neighbor : t -> int -> int -> int
 (** [neighbor g u i] is the [i]-th neighbor of [u] in sorted order,
-    [0 <= i < degree g u].  Bounds are checked only by the underlying array
+    [0 <= i < degree g u].  Bounds are checked only by the underlying slot
     access. *)
 
 val random_neighbor : t -> Rumor_prob.Rng.t -> int -> int
@@ -89,6 +95,11 @@ val edge_index : t -> int -> int -> int
 
 val arc_count : t -> int
 (** [arc_count g = 2 * num_edges g]: size of the directed-arc index space. *)
+
+val csr_bytes : t -> int
+(** Payload bytes of the CSR arrays, headers excluded: one word per offset
+    and 4 bytes per neighbour slot, [8(n+1) + 8m] on a 64-bit host.  This is
+    what a simulation keeps resident for the graph. *)
 
 (** {1 Degree statistics} *)
 

@@ -115,8 +115,9 @@ let int_in g lo hi =
   lo + int g (hi - lo + 1)
 
 let[@inline] float g x =
-  (* 53 random bits mapped to [0,1), scaled by x *)
-  let bits = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
+  (* 53 random bits mapped to [0,1), scaled by x; they fit an OCaml int,
+     and [Float.of_int] converts inline where [Int64.to_float] is a C call *)
+  let bits = Float.of_int (Int64.to_int (Int64.shift_right_logical (bits64 g) 11)) in
   bits *. (1.0 /. 9007199254740992.0) *. x
 
 let bool g = Int64.logand (bits64 g) 1L = 1L

@@ -39,6 +39,42 @@ let test_components () =
 let test_connected_trivial () =
   Alcotest.(check bool) "single vertex" true (Algo.is_connected (Graph.of_edges ~n:1 []))
 
+(* [is_connected] is one BFS from vertex 0; it must agree with the
+   component labelling, under which the empty graph has no component and
+   still counts as connected *)
+let test_connected_agrees_with_components () =
+  let agrees label g =
+    Alcotest.(check bool) label
+      (Graph.n g <= 1 || Algo.component_count g = 1)
+      (Algo.is_connected g)
+  in
+  let empty = Graph.of_edges ~n:0 [] in
+  Alcotest.(check int) "n = 0: no component" 0 (Algo.component_count empty);
+  Alcotest.(check bool) "n = 0: connected" true (Algo.is_connected empty);
+  agrees "n = 1" (Graph.of_edges ~n:1 []);
+  agrees "isolated vertex 0" (Graph.of_edges ~n:4 [ (1, 2); (2, 3) ]);
+  agrees "isolated last vertex" (Graph.of_edges ~n:4 [ (0, 1); (1, 2) ]);
+  agrees "two isolated vertices" (Graph.of_edges ~n:2 []);
+  agrees "two components" (Graph.of_edges ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5) ]);
+  agrees "path" (Gen.path 9);
+  let rng = Rumor_prob.Rng.of_int 23 in
+  let connected = ref 0 and total = ref 0 in
+  for n = 2 to 40 do
+    (* m around (n ln n) / 2, where connectivity comes and goes *)
+    List.iter
+      (fun m ->
+        let m = min m (n * (n - 1) / 2) in
+        let g = Rumor_graph.Gen_random.gnm rng ~n ~m in
+        agrees (Printf.sprintf "gnm n=%d m=%d" n m) g;
+        incr total;
+        if Algo.is_connected g then incr connected)
+      [ n / 2; n; int_of_float (float_of_int n *. log (float_of_int n) /. 2.0); 2 * n ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes seen (%d of %d connected)" !connected !total)
+    true
+    (!connected > 0 && !connected < !total)
+
 let test_eccentricity () =
   let g = Gen.path 7 in
   Alcotest.(check int) "endpoint" 6 (Algo.eccentricity g 0);
@@ -99,6 +135,8 @@ let suite =
     Alcotest.test_case "bfs bad source" `Quick test_bfs_bad_source;
     Alcotest.test_case "components" `Quick test_components;
     Alcotest.test_case "connected trivial" `Quick test_connected_trivial;
+    Alcotest.test_case "is_connected = one component" `Quick
+      test_connected_agrees_with_components;
     Alcotest.test_case "eccentricity" `Quick test_eccentricity;
     Alcotest.test_case "eccentricity disconnected" `Quick test_eccentricity_disconnected;
     Alcotest.test_case "diameter" `Quick test_diameter;

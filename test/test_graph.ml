@@ -230,6 +230,112 @@ let test_builder_edgeless () =
   Alcotest.(check int) "n" 6 (Graph.n g);
   Alcotest.(check int) "m" 0 (Graph.num_edges g)
 
+(* vertex ids live in signed 32-bit slots: n <= 2^31.  Both constructors
+   refuse a larger n up front, before sizing anything by it *)
+let test_vertex_limit () =
+  let too_many = (1 lsl 31) + 1 in
+  let refuses label f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted n = 2^31 + 1" label
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "Builder.create" (fun () -> ignore (Graph.Builder.create ~n:too_many ()));
+  refuses "of_edge_array" (fun () -> ignore (Graph.of_edge_array ~n:too_many [||]));
+  refuses "of_edges" (fun () -> ignore (Graph.of_edges ~n:too_many [ (0, 1) ]));
+  (* the largest n is accepted; [finish] is not called, it would size the
+     offsets by n *)
+  let b = Graph.Builder.create ~n:(1 lsl 31) () in
+  Graph.Builder.add_edge b 0 ((1 lsl 31) - 1);
+  Alcotest.(check int) "n = 2^31 builder" (1 lsl 31) (Graph.Builder.vertex_count b)
+
+let test_csr_bytes () =
+  List.iter
+    (fun g ->
+      let n = Graph.n g and m = Graph.num_edges g in
+      Alcotest.(check int)
+        (Format.asprintf "%a: 8(n+1) + 4 bytes per slot" Graph.pp g)
+        ((8 * (n + 1)) + (4 * 2 * m))
+        (Graph.csr_bytes g))
+    [
+      Graph.of_edges ~n:0 [];
+      Graph.of_edges ~n:5 [];
+      triangle ();
+      Rumor_graph.Gen_basic.complete 30;
+      Rumor_graph.Gen_random.gnm (Rng.of_int 3) ~n:1000 ~m:4000;
+    ]
+
+(* random edge lists, each edge in a random orientation, through both
+   constructors; every accessor must agree with a sorted adjacency list *)
+let prop_csr_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"CSR accessors match a reference adjacency list"
+    QCheck.(
+      pair (int_range 1 40)
+        (list_of_size (Gen.int_range 0 300) (pair (int_bound 1_000) (int_bound 1_000))))
+    (fun (n, raw) ->
+      let seen = Hashtbl.create 64 in
+      let edges =
+        List.filter_map
+          (fun (a, b) ->
+            let u = a mod n and v = b mod n in
+            let key = (min u v, max u v) in
+            if u = v || Hashtbl.mem seen key then None
+            else begin
+              Hashtbl.add seen key ();
+              Some (u, v)
+            end)
+          raw
+      in
+      let reference = Array.make n [] in
+      List.iter
+        (fun (u, v) ->
+          reference.(u) <- v :: reference.(u);
+          reference.(v) <- u :: reference.(v))
+        edges;
+      let reference = Array.map (List.sort Int.compare) reference in
+      let from_builder =
+        let b = Graph.Builder.create ~capacity:1 ~n () in
+        List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
+        Graph.Builder.finish b
+      in
+      let check g =
+        Graph.validate g;
+        let offset = ref 0 in
+        for u = 0 to n - 1 do
+          let nbrs = reference.(u) in
+          if Graph.degree g u <> List.length nbrs then
+            QCheck.Test.fail_reportf "degree %d" u;
+          if List.init (Graph.degree g u) (Graph.neighbor g u) <> nbrs then
+            QCheck.Test.fail_reportf "neighbours of %d" u;
+          if List.rev (Graph.fold_neighbors g u (fun acc v -> v :: acc) []) <> nbrs then
+            QCheck.Test.fail_reportf "fold_neighbors %d" u;
+          for v = 0 to n - 1 do
+            let want =
+              let rec position i = function
+                | [] -> None
+                | w :: rest -> if w = v then Some (!offset + i) else position (i + 1) rest
+              in
+              position 0 nbrs
+            in
+            if Graph.mem_edge g u v <> Option.is_some want then
+              QCheck.Test.fail_reportf "mem_edge %d %d" u v;
+            match (want, Graph.edge_index g u v) with
+            | Some i, j when i = j -> ()
+            | _, j -> QCheck.Test.fail_reportf "edge_index %d %d = %d" u v j
+            | exception Not_found ->
+                if want <> None then QCheck.Test.fail_reportf "edge_index %d %d" u v
+          done;
+          offset := !offset + List.length nbrs
+        done;
+        let listed = ref [] in
+        Graph.iter_edges g (fun u v -> listed := (u, v) :: !listed);
+        let by_pair (u1, v1) (u2, v2) =
+          match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
+        in
+        List.sort by_pair !listed
+        = List.sort by_pair (List.map (fun (u, v) -> (min u v, max u v)) edges)
+      in
+      check (Graph.of_edges ~n edges) && check from_builder)
+
 let suite =
   [
     Alcotest.test_case "vertex/edge counts" `Quick test_counts;
@@ -258,5 +364,8 @@ let suite =
       test_builder_rejects_duplicate_at_finish;
     Alcotest.test_case "builder is single-use" `Quick test_builder_single_use;
     Alcotest.test_case "builder edgeless graph" `Quick test_builder_edgeless;
+    Alcotest.test_case "vertex limit 2^31" `Quick test_vertex_limit;
+    Alcotest.test_case "csr_bytes counts 4-byte slots" `Quick test_csr_bytes;
     QCheck_alcotest.to_alcotest prop_random_graph_validates;
+    QCheck_alcotest.to_alcotest prop_csr_matches_reference;
   ]

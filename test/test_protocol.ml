@@ -126,6 +126,30 @@ let test_graphgen_writes_edge_list () =
         (Graph_io.to_edge_list (Gen.cycle 7))
         (Graph_io.to_edge_list (Graph_io.load out)))
 
+(* --timing reports the graph's CSR payload as [Graph.csr_bytes] counts it:
+   8 bytes per offset and 4 per neighbour slot *)
+let test_graphgen_timing_csr_size () =
+  let out = Filename.temp_file "rumor_graphgen" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command (bin_exe "rumor_graphgen.exe")
+             [ "--graph"; "complete:400"; "--timing"; "--edges"; "-o"; "/dev/null" ]
+             ~stdout:out ~stderr:"/dev/null")
+      in
+      Alcotest.(check int) "exits 0" 0 code;
+      let n = 400 and m = 400 * 399 / 2 in
+      let want = Printf.sprintf "CSR %.1f MB," (float_of_int ((8 * (n + 1)) + (8 * m)) /. 1e6) in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      let contains s sub =
+        let ls = String.length s and lsub = String.length sub in
+        let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+        go 0
+      in
+      if not (contains text want) then Alcotest.failf "want %S in %S" want text)
+
 let test_dispatch_matches_direct_push () =
   let g = Gen.torus ~rows:5 ~cols:5 in
   let via_dispatch =
@@ -237,6 +261,8 @@ let suite =
       test_combined_rejects_sparse;
     Alcotest.test_case "rumor_run rejects sparse combined" `Quick
       test_cli_rejects_sparse_combined;
+    Alcotest.test_case "rumor_graphgen --timing sizes the CSR" `Quick
+      test_graphgen_timing_csr_size;
     Alcotest.test_case "rumor_graphgen writes an edge list" `Quick
       test_graphgen_writes_edge_list;
     Alcotest.test_case "dispatch matches direct call" `Quick test_dispatch_matches_direct_push;

@@ -218,6 +218,22 @@ let test_float_mean () =
     true
     (Float.abs (mean -. 0.5) < 0.01)
 
+(* [float] converts its 53 bits with [Float.of_int]; the [Int64.to_float]
+   form it replaced must give the same float, bit for bit *)
+let test_float_matches_int64_form () =
+  let a = Rng.of_int 29 in
+  let b = Rng.copy a in
+  for i = 1 to 100_000 do
+    let x = if i land 1 = 0 then 1.0 else 3.75 in
+    let want =
+      Int64.to_float (Int64.shift_right_logical (Rng.bits64 b) 11)
+      *. (1.0 /. 9007199254740992.0) *. x
+    in
+    let got = Rng.float a x in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      Alcotest.failf "draw %d: %h <> %h" i got want
+  done
+
 let test_bool_balance () =
   let g = Rng.of_int 5 in
   let heads = ref 0 in
@@ -304,6 +320,8 @@ let suite =
     Alcotest.test_case "int_in range and errors" `Quick test_int_in;
     Alcotest.test_case "float in [0,1)" `Quick test_float_range;
     Alcotest.test_case "float mean" `Quick test_float_mean;
+    Alcotest.test_case "float = Int64.to_float form, same bits" `Quick
+      test_float_matches_int64_form;
     Alcotest.test_case "bool balance" `Quick test_bool_balance;
     Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
     Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
