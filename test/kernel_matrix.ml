@@ -60,6 +60,7 @@ type kernels = {
     obs:Instrument.t ->
     traffic:Traffic.t ->
     lazy_walk:bool ->
+    walkers:P.Sparse_walkers.mode ->
     seed:int ->
     Graph.t ->
     source:int ->
@@ -69,13 +70,15 @@ type kernels = {
   meet_exchange :
     obs:Instrument.t ->
     traffic:Traffic.t ->
+    lazy_walk:bool option ->
+    walkers:P.Sparse_walkers.mode ->
     seed:int ->
     Graph.t ->
     source:int ->
     agents:Placement.spec ->
     max_rounds:int ->
     Run_result.t;
-      (** with [lazy_walk] omitted: the bipartiteness default *)
+      (** [lazy_walk = None] omits it: the bipartiteness default *)
   combined :
     obs:Instrument.t ->
     lazy_walk:bool ->
@@ -152,6 +155,14 @@ let finish buf = Digest.to_hex (Digest.string (Buffer.contents buf))
 let agent_specs =
   [ ("stationary12", Placement.Stationary 12); ("one-per-vertex", Placement.One_per_vertex) ]
 
+(* agent count alpha * n as in the perfbench cells, plus one lazy walk *)
+let sparse_variants =
+  [
+    ("alpha=0.25", Placement.Linear 0.25, false);
+    ("alpha=1", Placement.Linear 1.0, false);
+    ("alpha=1", Placement.Linear 1.0, true);
+  ]
+
 let variants =
   [ ("push", P.Async_push.Async_push); ("push-pull", P.Async_push.Async_push_pull) ]
 
@@ -222,8 +233,9 @@ let cells k =
                        aname lazy_walk) (fun obs buf ->
                       let traffic = Traffic.create g in
                       let r, tau =
-                        k.visit_exchange ~obs ~traffic ~lazy_walk ~seed g ~source:0
-                          ~agents ~max_rounds:100_000
+                        k.visit_exchange ~obs ~traffic ~lazy_walk
+                          ~walkers:P.Sparse_walkers.Dense ~seed g ~source:0 ~agents
+                          ~max_rounds:100_000
                       in
                       add_run_result buf r;
                       add_ints buf "traffic" (Traffic.loads traffic);
@@ -237,12 +249,51 @@ let cells k =
             (fun obs buf ->
               let traffic = Traffic.create g in
               let r =
-                k.meet_exchange ~obs ~traffic ~seed g ~source:0
+                k.meet_exchange ~obs ~traffic ~lazy_walk:None
+                  ~walkers:P.Sparse_walkers.Dense ~seed g ~source:0
                   ~agents:(Placement.Stationary 14) ~max_rounds:20_000
               in
               add_run_result buf r;
               add_ints buf "traffic" (Traffic.loads traffic));
         ])
+  in
+  (* the count-compressed round kernels: they fire only the round and
+     occupancy hooks, so a digest is those, the result and (for
+     visit-exchange) the informing rounds *)
+  let visit_exchange_sparse =
+    per_family_seed (fun fname g seed ->
+        for_each sparse_variants (fun (aname, agents, lazy_walk) ->
+            [
+              cell
+                (Printf.sprintf "visit-exchange sparse %s seed=%d %s lazy=%b" fname seed
+                   aname lazy_walk) (fun obs buf ->
+                  let traffic = Traffic.create g in
+                  let r, tau =
+                    k.visit_exchange ~obs ~traffic ~lazy_walk
+                      ~walkers:P.Sparse_walkers.Sparse ~seed g ~source:0 ~agents
+                      ~max_rounds:100_000
+                  in
+                  add_run_result buf r;
+                  add_ints buf "tau" tau);
+            ]))
+  in
+  let meet_exchange_sparse =
+    per_family_seed (fun fname g seed ->
+        for_each sparse_variants (fun (aname, agents, lazy_walk) ->
+            (* the non-lazy variants keep the bipartiteness default *)
+            let lazy_walk = if lazy_walk then Some true else None in
+            [
+              cell
+                (Printf.sprintf "meet-exchange sparse %s seed=%d %s lazy=%s" fname seed
+                   aname
+                   (match lazy_walk with Some _ -> "true" | None -> "auto"))
+                (fun obs buf ->
+                  let traffic = Traffic.create g in
+                  add_run_result buf
+                    (k.meet_exchange ~obs ~traffic ~lazy_walk
+                       ~walkers:P.Sparse_walkers.Sparse ~seed g ~source:0 ~agents
+                       ~max_rounds:20_000));
+            ]))
   in
   let combined =
     per_family_seed (fun fname g seed ->
@@ -341,6 +392,8 @@ let cells k =
       push_pull;
       visit_exchange;
       meet_exchange;
+      visit_exchange_sparse;
+      meet_exchange_sparse;
       combined;
       async_push;
       async_push_capped;

@@ -31,17 +31,17 @@ let kernels =
         Engine.push_pull ~obs:(calls obs traffic) (Rng.of_int seed) g ~source
           ~max_rounds ());
     visit_exchange =
-      (fun ~obs ~traffic ~lazy_walk ~seed g ~source ~agents ~max_rounds ->
+      (fun ~obs ~traffic ~lazy_walk ~walkers ~seed g ~source ~agents ~max_rounds ->
         let tau = Array.make (Graph.n g) 0 in
         let r =
-          Engine.visit_exchange ~obs:(steps obs traffic) ~tau ~lazy_walk
+          Engine.visit_exchange ~obs:(steps obs traffic) ~tau ~lazy_walk ~walkers
             (Rng.of_int seed) g ~source ~agents ~max_rounds ()
         in
         (r, tau));
     meet_exchange =
-      (fun ~obs ~traffic ~seed g ~source ~agents ~max_rounds ->
-        Engine.meet_exchange ~obs:(steps obs traffic) (Rng.of_int seed) g ~source
-          ~agents ~max_rounds ());
+      (fun ~obs ~traffic ~lazy_walk ~walkers ~seed g ~source ~agents ~max_rounds ->
+        Engine.meet_exchange ~obs:(steps obs traffic) ?lazy_walk ~walkers
+          (Rng.of_int seed) g ~source ~agents ~max_rounds ());
     combined =
       (fun ~obs ~lazy_walk ~seed g ~source ~agents ~max_rounds ->
         Engine.combined ~obs ~lazy_walk (Rng.of_int seed) g ~source ~agents
