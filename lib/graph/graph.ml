@@ -109,39 +109,49 @@ let total_degree g = 2 * g.m
 
 let degrees g = Array.init g.n (fun u -> degree g u)
 
-(* Sort every CSR slice in place and reject duplicate edges.  Small slices
-   use insertion sort on the slots (no allocation — the common case for the
-   sparse huge graphs the streaming builder targets); long ones are sorted
-   in a scratch int array. *)
+(* Sort every CSR slice in place and reject duplicate edges.  One scan finds
+   each slice's first slot that does not rise above its predecessor; a
+   strictly increasing slice is already sorted and duplicate-free, so a
+   generator that emits its edges in ascending (smaller, larger) order never
+   sorts.  Otherwise small slices finish the insertion sort from that slot on
+   (no allocation — the common case for the sparse huge graphs the streaming
+   builder targets), long ones are sorted in a scratch int array, and the
+   duplicate check runs over the sorted slice. *)
 let sort_and_check_slices ~n:nv offsets adj =
   for u = 0 to nv - 1 do
     let lo = offsets.(u) and hi = offsets.(u + 1) in
-    let len = hi - lo in
-    if len > 32 then begin
-      let slice = Array.make len 0 in
-      for i = 0 to len - 1 do
-        slice.(i) <- slot adj (lo + i)
-      done;
-      Array.sort Int.compare slice;
-      for i = 0 to len - 1 do
-        set_slot adj (lo + i) slice.(i)
+    let first = ref (lo + 1) in
+    while !first < hi && slot adj (!first - 1) < slot adj !first do
+      incr first
+    done;
+    if !first < hi then begin
+      let len = hi - lo in
+      if len > 32 then begin
+        let slice = Array.make len 0 in
+        for i = 0 to len - 1 do
+          slice.(i) <- slot adj (lo + i)
+        done;
+        Array.sort Int.compare slice;
+        for i = 0 to len - 1 do
+          set_slot adj (lo + i) slice.(i)
+        done
+      end
+      else
+        for i = !first to hi - 1 do
+          let x = slot adj i in
+          let j = ref (i - 1) in
+          while !j >= lo && slot adj !j > x do
+            set_slot adj (!j + 1) (slot adj !j);
+            decr j
+          done;
+          set_slot adj (!j + 1) x
+        done;
+      for i = lo + 1 to hi - 1 do
+        if slot adj i = slot adj (i - 1) then
+          invalid_arg
+            (Printf.sprintf "Graph.Builder.finish: duplicate edge (%d,%d)" u (slot adj i))
       done
     end
-    else
-      for i = lo + 1 to hi - 1 do
-        let x = slot adj i in
-        let j = ref (i - 1) in
-        while !j >= lo && slot adj !j > x do
-          set_slot adj (!j + 1) (slot adj !j);
-          decr j
-        done;
-        set_slot adj (!j + 1) x
-      done;
-    for i = lo + 1 to hi - 1 do
-      if slot adj i = slot adj (i - 1) then
-        invalid_arg
-          (Printf.sprintf "Graph.Builder.finish: duplicate edge (%d,%d)" u (slot adj i))
-    done
   done
 
 module Builder = struct

@@ -29,8 +29,14 @@ val of_edge_array : n:int -> (int * int) array -> t
     accumulate in flat Bigarray buffers (2 unboxed words per edge, off the
     OCaml heap, growing by doubling) and {!Builder.finish} fills, sorts and
     duplicate-checks the 32-bit neighbour slots in place — the edge set is
-    materialized exactly once.  This is the path the random and lattice
-    generators feed at n = 10^6..10^7, and {!of_edges} feeds it too. *)
+    materialized exactly once.  Every generator feeds this path, and
+    {!of_edges} feeds it too.
+
+    Edges added as [(u, v)] pairs with [u < v], in ascending order of
+    [(u, v)], fill every vertex's slice already sorted; [finish] then checks
+    each slice in one scan and sorts nothing.  Any other order gives the
+    same graph, at the cost of sorting the slices that arrive out of
+    order. *)
 module Builder : sig
   type graph := t
   type t

@@ -38,9 +38,11 @@ type t = {
   k : int;
   mutable cnt : int array;      (* packed (uninformed, informed) per vertex *)
   mutable cnt_next : int array; (* double-buffered scatter destinations *)
-  mutable occ : int array;      (* occupied vertices, ascending, prefix occ_len *)
+  mutable occ : int array;      (* occupied vertices, ascending, prefix occ_len;
+                                   n + 1 slots: the branch-free appends below
+                                   write one slot past the list *)
   mutable occ_len : int;
-  mutable occ_next : int array; (* first-touch order during a scatter *)
+  mutable occ_next : int array; (* first-touch order during a scatter; n + 1 slots *)
   mutable occ_next_len : int;
 }
 
@@ -52,7 +54,7 @@ let create ?(who = "Sparse_walkers.create") ~lazy_walk rng g spec =
   let n = Graph.n g in
   let k = ref 0 in
   let occ_len = ref 0 in
-  let occ = Array.make (max n 1) 0 in
+  let occ = Array.make (n + 1) 0 in
   let check_isolated = Graph.min_degree g = 0 in
   for v = 0 to n - 1 do
     if counts.(v) > 0 then begin
@@ -75,7 +77,7 @@ let create ?(who = "Sparse_walkers.create") ~lazy_walk rng g spec =
     cnt_next = Array.make n 0;
     occ;
     occ_len = !occ_len;
-    occ_next = Array.make (max n 1) 0;
+    occ_next = Array.make (n + 1) 0;
     occ_next_len = 0;
   }
 
@@ -126,15 +128,16 @@ let sort_prefix a len =
   done
 
 (* Credit [c] (pre-scaled by the class unit) to destination [v], tracking
-   first touches so the occupied list never needs a full clear. *)
+   first touches so the occupied list never needs a full clear.  [v] is
+   written at the list's end unconditionally and kept only on a first touch:
+   no branch to mispredict. *)
 let[@inline] deposit t v c =
   if c > 0 then begin
     let cnt_next = t.cnt_next in
     let x = cnt_next.(v) in
-    if x = 0 then begin
-      t.occ_next.(t.occ_next_len) <- v;
-      t.occ_next_len <- t.occ_next_len + 1
-    end;
+    let len = t.occ_next_len in
+    t.occ_next.(len) <- v;
+    t.occ_next_len <- len + Bool.to_int (x = 0);
     cnt_next.(v) <- x + c
   end
 
@@ -204,10 +207,8 @@ let step rng t =
     let occ = t.occ and cnt = t.cnt in
     let len = ref 0 in
     for v = 0 to n - 1 do
-      if cnt.(v) <> 0 then begin
-        occ.(!len) <- v;
-        incr len
-      end
+      occ.(!len) <- v;
+      len := !len + Bool.to_int (cnt.(v) <> 0)
     done;
     t.occ_len <- !len
   end

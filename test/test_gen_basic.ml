@@ -157,6 +157,99 @@ let test_invalid_sizes () =
   expect_invalid "necklace tiny cliques" (fun () -> Gen.necklace ~cliques:4 ~clique_size:3);
   expect_invalid "lollipop no tail" (fun () -> Gen.lollipop ~clique_size:4 ~tail_len:0)
 
+(* --- the same graphs as the edge-list generators ---------------------- *)
+
+(* The families as the edge lists they were first built from, in the list
+   order those generators produced. *)
+module Reference = struct
+  let path n = Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
+  let cycle n = Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+
+  let star leaves =
+    Graph.of_edges ~n:(leaves + 1) (List.init leaves (fun i -> (0, i + 1)))
+
+  let complete_binary_tree levels =
+    let n = (1 lsl levels) - 1 in
+    let edges = ref [] in
+    for i = 1 to n - 1 do
+      edges := (i, (i - 1) / 2) :: !edges
+    done;
+    Graph.of_edges ~n !edges
+
+  let necklace cliques s =
+    let edges = ref [] in
+    for i = 0 to cliques - 1 do
+      let base = i * s in
+      for a = 0 to s - 1 do
+        for b = a + 1 to s - 1 do
+          if not (a = 0 && b = 1) then edges := (base + a, base + b) :: !edges
+        done
+      done;
+      edges := (base + 1, (i + 1) mod cliques * s) :: !edges
+    done;
+    Graph.of_edges ~n:(cliques * s) !edges
+
+  let clique_edges edges base s =
+    for a = 0 to s - 1 do
+      for b = a + 1 to s - 1 do
+        edges := (base + a, base + b) :: !edges
+      done
+    done
+
+  (* a path [first] .. [first + len], [len] edges *)
+  let path_edges edges first len =
+    for i = 0 to len - 1 do
+      edges := (first + i, first + i + 1) :: !edges
+    done
+
+  let barbell s bridge_len =
+    let edges = ref [] in
+    clique_edges edges 0 s;
+    clique_edges edges (s + bridge_len) s;
+    path_edges edges (s - 1) (bridge_len + 1);
+    Graph.of_edges ~n:((2 * s) + bridge_len) !edges
+
+  let lollipop s tail_len =
+    let edges = ref [] in
+    clique_edges edges 0 s;
+    path_edges edges (s - 1) tail_len;
+    Graph.of_edges ~n:(s + tail_len) !edges
+end
+
+let test_same_graphs () =
+  let same = Csr_check.same in
+  List.iter
+    (fun n ->
+      same (Printf.sprintf "path %d" n) (Reference.path n) (Gen.path n);
+      if n >= 3 then same (Printf.sprintf "cycle %d" n) (Reference.cycle n) (Gen.cycle n);
+      same (Printf.sprintf "star %d" n) (Reference.star n) (Gen.star ~leaves:n))
+    [ 1; 2; 3; 4; 5; 17; 100 ];
+  for levels = 1 to 9 do
+    same
+      (Printf.sprintf "binary tree %d" levels)
+      (Reference.complete_binary_tree levels)
+      (Gen.complete_binary_tree ~levels)
+  done;
+  List.iter
+    (fun (c, s) ->
+      same
+        (Printf.sprintf "necklace %dx%d" c s)
+        (Reference.necklace c s)
+        (Gen.necklace ~cliques:c ~clique_size:s))
+    [ (3, 4); (3, 5); (4, 4); (5, 6); (10, 8); (16, 16) ];
+  List.iter
+    (fun (s, len) ->
+      same
+        (Printf.sprintf "barbell %d,%d" s len)
+        (Reference.barbell s len)
+        (Gen.barbell ~clique_size:s ~bridge_len:len);
+      if len >= 1 then
+        same
+          (Printf.sprintf "lollipop %d,%d" s len)
+          (Reference.lollipop s len)
+          (Gen.lollipop ~clique_size:s ~tail_len:len))
+    [ (2, 0); (2, 1); (3, 0); (3, 2); (5, 3); (8, 1); (12, 20) ]
+
 let suite =
   [
     Alcotest.test_case "complete graph" `Quick test_complete;
@@ -176,4 +269,5 @@ let suite =
     Alcotest.test_case "barbell, zero bridge" `Quick test_barbell_zero_bridge;
     Alcotest.test_case "lollipop" `Quick test_lollipop;
     Alcotest.test_case "invalid sizes" `Quick test_invalid_sizes;
+    Alcotest.test_case "same graphs as the edge-list builds" `Quick test_same_graphs;
   ]

@@ -137,6 +137,91 @@ let test_invalid_sizes () =
   expect_invalid "siamese 1 level" (fun () -> Gen.siamese_heavy_tree ~levels:1);
   expect_invalid "csc k=2" (fun () -> Gen.cycle_stars_cliques ~k:2)
 
+(* --- the same graphs as the edge-list generators ---------------------- *)
+
+(* The Figure-1 families as the edge lists they were first built from, in
+   the list order those generators produced (reversed, so every CSR slice
+   arrived unsorted). *)
+module Reference = struct
+  let double_star l =
+    let edges = ref [ (0, 1) ] in
+    for i = 0 to l - 1 do
+      edges := (0, 2 + i) :: !edges;
+      edges := (1, 2 + l + i) :: !edges
+    done;
+    Graph.of_edges ~n:(2 + (2 * l)) !edges
+
+  let heavy_tree_edges levels =
+    let n = (1 lsl levels) - 1 in
+    let first_leaf = (1 lsl (levels - 1)) - 1 in
+    let edges = ref [] in
+    for i = 1 to n - 1 do
+      edges := (i, (i - 1) / 2) :: !edges
+    done;
+    for a = first_leaf to n - 1 do
+      for b = a + 1 to n - 1 do
+        edges := (a, b) :: !edges
+      done
+    done;
+    (n, !edges)
+
+  let heavy_binary_tree levels =
+    let n, edges = heavy_tree_edges levels in
+    Graph.of_edges ~n edges
+
+  let siamese_heavy_tree levels =
+    let n1, edges_left = heavy_tree_edges levels in
+    let rename i = if i = 0 then 0 else n1 + i - 1 in
+    let edges_right = List.map (fun (u, v) -> (rename u, rename v)) edges_left in
+    Graph.of_edges ~n:((2 * n1) - 1) (edges_left @ edges_right)
+
+  let cycle_stars_cliques k =
+    let c i = i in
+    let l i j = k + (i * k) + j in
+    let q i j t = k + (k * k) + (((i * k) + j) * k) + t in
+    let edges = ref [] in
+    for i = 0 to k - 1 do
+      edges := (c i, c ((i + 1) mod k)) :: !edges;
+      for j = 0 to k - 1 do
+        edges := (c i, l i j) :: !edges;
+        for t = 0 to k - 1 do
+          edges := (l i j, q i j t) :: !edges;
+          for t' = t + 1 to k - 1 do
+            edges := (q i j t, q i j t') :: !edges
+          done
+        done
+      done
+    done;
+    Graph.of_edges ~n:(k + (k * k) + (k * k * k)) !edges
+end
+
+let test_same_graphs () =
+  List.iter
+    (fun l ->
+      Csr_check.same
+        (Printf.sprintf "double star %d" l)
+        (Reference.double_star l)
+        (Gen.double_star ~leaves_per_star:l).Gen.ds_graph)
+    [ 1; 2; 3; 10; 249 ];
+  for levels = 2 to 10 do
+    Csr_check.same
+      (Printf.sprintf "heavy tree %d" levels)
+      (Reference.heavy_binary_tree levels)
+      (Gen.heavy_binary_tree ~levels).Gen.ht_graph
+  done;
+  for levels = 2 to 9 do
+    Csr_check.same
+      (Printf.sprintf "siamese %d" levels)
+      (Reference.siamese_heavy_tree levels)
+      (Gen.siamese_heavy_tree ~levels).Gen.si_graph
+  done;
+  for k = 3 to 6 do
+    Csr_check.same
+      (Printf.sprintf "cycle-stars-cliques %d" k)
+      (Reference.cycle_stars_cliques k)
+      (Gen.cycle_stars_cliques ~k).Gen.csc_graph
+  done
+
 let suite =
   [
     Alcotest.test_case "double star structure" `Quick test_double_star_structure;
@@ -149,4 +234,5 @@ let suite =
     Alcotest.test_case "cycle-stars-cliques structure" `Quick test_csc_structure;
     Alcotest.test_case "cycle-stars-cliques nearly regular" `Quick test_csc_nearly_regular;
     Alcotest.test_case "invalid sizes" `Quick test_invalid_sizes;
+    Alcotest.test_case "same graphs as the edge-list builds" `Quick test_same_graphs;
   ]

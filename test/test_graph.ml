@@ -154,28 +154,13 @@ let prop_random_graph_validates =
 
 (* --- streaming Builder ------------------------------------------------ *)
 
-let graph_equal g1 g2 =
-  Graph.n g1 = Graph.n g2
-  && Graph.num_edges g1 = Graph.num_edges g2
-  &&
-  let same = ref true in
-  for u = 0 to Graph.n g1 - 1 do
-    if Graph.degree g1 u <> Graph.degree g2 u then same := false
-    else
-      for i = 0 to Graph.degree g1 u - 1 do
-        if Graph.neighbor g1 u i <> Graph.neighbor g2 u i then same := false
-      done
-  done;
-  !same
-
 let test_builder_matches_of_edges () =
   let edges = [ (3, 1); (0, 4); (1, 0); (2, 4); (0, 2) ] in
   let b = Graph.Builder.create ~n:5 () in
   List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
   Alcotest.(check int) "edge_count" 5 (Graph.Builder.edge_count b);
   Alcotest.(check int) "vertex_count" 5 (Graph.Builder.vertex_count b);
-  Alcotest.(check bool) "builder = of_edges" true
-    (graph_equal (Graph.Builder.finish b) (Graph.of_edges ~n:5 edges))
+  Csr_check.same "builder = of_edges" (Graph.of_edges ~n:5 edges) (Graph.Builder.finish b)
 
 let test_builder_grows_past_capacity () =
   (* capacity is only a hint: push far more edges than the initial buffers *)
@@ -188,8 +173,8 @@ let test_builder_grows_past_capacity () =
       edges := (u, v) :: !edges
     done
   done;
-  Alcotest.(check bool) "grown builder = of_edges" true
-    (graph_equal (Graph.Builder.finish b) (Graph.of_edges ~n !edges))
+  Csr_check.same "grown builder = of_edges" (Graph.of_edges ~n !edges)
+    (Graph.Builder.finish b)
 
 let test_builder_rejects_bad_edges () =
   let b = Graph.Builder.create ~n:4 () in
@@ -211,6 +196,48 @@ let test_builder_rejects_duplicate_at_finish () =
     ignore (Graph.Builder.finish b);
     Alcotest.fail "duplicate edge accepted"
   with Invalid_argument _ -> ()
+
+let builder_of n edges =
+  let b = Graph.Builder.create ~n () in
+  List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
+  Graph.Builder.finish b
+
+let star_edges leaves = List.map (fun v -> (0, v)) leaves
+
+(* 40 hub slots that rise and then fall *)
+let rise_and_fall = List.init 20 (fun i -> i + 1) @ List.init 20 (fun i -> 40 - i)
+
+(* a repeated edge must be caught whether its slice arrives ascending
+   (finish's sort-free path) or descends somewhere, short or long *)
+let test_builder_rejects_hidden_duplicates () =
+  List.iter
+    (fun (label, n, edges) ->
+      match builder_of n edges with
+      | _ -> Alcotest.failf "%s: duplicate accepted" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("ascending pair", 3, [ (0, 1); (0, 1) ]);
+      ("ascending triple", 3, [ (0, 1); (0, 2); (0, 2) ]);
+      ("short, after a descent", 4, star_edges [ 2; 3; 1; 3 ]);
+      ("long, after a descent", 41, star_edges (rise_and_fall @ [ 7 ]));
+    ]
+
+(* short slices finish the insertion sort from their first descent, long
+   ones (> 32 slots) go through the scratch sort *)
+let test_builder_sorts_partly_sorted_slices () =
+  let hub_neighbours leaves =
+    let g = builder_of (List.length leaves + 1) (star_edges leaves) in
+    Graph.validate g;
+    List.init (Graph.degree g 0) (Graph.neighbor g 0)
+  in
+  Alcotest.(check (list int)) "short slice" [ 1; 2; 3; 4; 5; 6 ]
+    (hub_neighbours [ 1; 3; 5; 2; 6; 4 ]);
+  Alcotest.(check (list int)) "long slice, rising then falling"
+    (List.init 40 (fun i -> i + 1))
+    (hub_neighbours rise_and_fall);
+  Alcotest.(check (list int)) "long slice, falling"
+    (List.init 40 (fun i -> i + 1))
+    (hub_neighbours (List.init 40 (fun i -> 40 - i)))
 
 let test_builder_single_use () =
   let b = Graph.Builder.create ~n:2 () in
@@ -362,6 +389,10 @@ let suite =
       test_builder_rejects_bad_edges;
     Alcotest.test_case "builder rejects duplicate at finish" `Quick
       test_builder_rejects_duplicate_at_finish;
+    Alcotest.test_case "builder rejects hidden duplicates" `Quick
+      test_builder_rejects_hidden_duplicates;
+    Alcotest.test_case "builder sorts partly sorted slices" `Quick
+      test_builder_sorts_partly_sorted_slices;
     Alcotest.test_case "builder is single-use" `Quick test_builder_single_use;
     Alcotest.test_case "builder edgeless graph" `Quick test_builder_edgeless;
     Alcotest.test_case "vertex limit 2^31" `Quick test_vertex_limit;
