@@ -1,7 +1,6 @@
-(* Every generator but [torus] (whose wrap-around edges arrive out of order)
-   emits its edges as (smaller, larger) pairs in ascending order, so each
-   CSR slice fills already sorted and [Graph.Builder.finish] skips its
-   sort. *)
+(* Every generator emits its edges as (smaller, larger) pairs in ascending
+   order, so each CSR slice fills already sorted and [Graph.Builder.finish]
+   skips its sort. *)
 
 (* the clique on [base .. base+size-1] *)
 let add_clique b base size =
@@ -74,10 +73,16 @@ let torus ~rows ~cols =
   let id r c = (r * cols) + c in
   let n = rows * cols in
   let b = Graph.Builder.create ~capacity:(2 * n) ~n () in
+  (* each vertex's larger neighbours, ascending: right, the row's far end
+     (the wrap-around, from column 0), below, the bottom row (the
+     wrap-around, from row 0) *)
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      Graph.Builder.add_edge b (id r c) (id r ((c + 1) mod cols));
-      Graph.Builder.add_edge b (id r c) (id ((r + 1) mod rows) c)
+      let u = id r c in
+      if c + 1 < cols then Graph.Builder.add_edge b u (id r (c + 1));
+      if c = 0 then Graph.Builder.add_edge b u (id r (cols - 1));
+      if r + 1 < rows then Graph.Builder.add_edge b u (id (r + 1) c);
+      if r = 0 then Graph.Builder.add_edge b u (id (rows - 1) c)
     done
   done;
   Graph.Builder.finish b

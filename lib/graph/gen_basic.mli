@@ -8,7 +8,7 @@
     Cost: each generator streams its [m] edges once into
     {!Graph.Builder}, in O(n + m) time with no per-edge allocation; at its
     peak a build holds the Builder's 16 bytes per edge beside the
-    [8(n+1) + 8m]-byte CSR.  All but {!torus} add their edges in ascending
+    [8(n+1) + 8m]-byte CSR.  Every generator adds its edges in ascending
     order, so {!Graph.Builder.finish} sorts nothing.  The edge count is
     given with each generator. *)
 
@@ -38,8 +38,7 @@ val grid : rows:int -> cols:int -> Graph.t
 
 val torus : rows:int -> cols:int -> Graph.t
 (** [torus ~rows ~cols] is the grid with wrap-around edges; 4-regular when
-    [rows >= 3] and [cols >= 3], [2n] edges.  Its wrap-around edges arrive
-    out of order, so the 4-slot slices they touch are insertion-sorted. *)
+    [rows >= 3] and [cols >= 3], [2n] edges. *)
 
 val hypercube : dim:int -> Graph.t
 (** [hypercube ~dim] is the dim-dimensional Boolean hypercube on [2^dim]

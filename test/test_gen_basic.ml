@@ -209,6 +209,17 @@ module Reference = struct
     path_edges edges (s - 1) (bridge_len + 1);
     Graph.of_edges ~n:((2 * s) + bridge_len) !edges
 
+  let torus rows cols =
+    let id r c = (r * cols) + c in
+    let edges = ref [] in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        edges := (id r c, id r ((c + 1) mod cols)) :: !edges;
+        edges := (id r c, id ((r + 1) mod rows) c) :: !edges
+      done
+    done;
+    Graph.of_edges ~n:(rows * cols) !edges
+
   let lollipop s tail_len =
     let edges = ref [] in
     clique_edges edges 0 s;
@@ -248,7 +259,14 @@ let test_same_graphs () =
           (Printf.sprintf "lollipop %d,%d" s len)
           (Reference.lollipop s len)
           (Gen.lollipop ~clique_size:s ~tail_len:len))
-    [ (2, 0); (2, 1); (3, 0); (3, 2); (5, 3); (8, 1); (12, 20) ]
+    [ (2, 0); (2, 1); (3, 0); (3, 2); (5, 3); (8, 1); (12, 20) ];
+  List.iter
+    (fun (rows, cols) ->
+      same
+        (Printf.sprintf "torus %dx%d" rows cols)
+        (Reference.torus rows cols)
+        (Gen.torus ~rows ~cols))
+    [ (3, 3); (3, 4); (4, 3); (5, 7); (6, 6) ]
 
 let suite =
   [
