@@ -22,29 +22,15 @@ let write_trace tr path =
   else Trace.write_chrome tr path
 
 let protocol_of_string ~alpha ~laziness name =
-  let agents = Placement.Linear alpha in
-  match String.lowercase_ascii name with
-  | "push" -> Ok Protocol.Push
-  | "push-pull" | "pushpull" | "ppull" -> Ok Protocol.Push_pull
-  | "pull" -> Ok Protocol.pull
-  | "visit-exchange" | "visitx" -> Ok (Protocol.Visit_exchange { agents; laziness })
-  | "meet-exchange" | "meetx" -> Ok (Protocol.Meet_exchange { agents; laziness })
-  | "combined" -> Ok (Protocol.Combined { agents; laziness })
-  | "quasi-push" | "quasipush" -> Ok Protocol.Quasi_push
-  | "cobra" -> Ok (Protocol.cobra ())
-  | "frog" -> Ok (Protocol.frog ())
-  | "flood" -> Ok Protocol.flood
-  | "async-push" | "apush" -> Ok Protocol.async_push
-  | "async-push-pull" | "apushpull" -> Ok Protocol.async_push_pull
-  | "async-meet-exchange" | "ameetx" ->
-      Ok (Protocol.Async_meet_exchange { agents; laziness })
-  | other ->
+  match
+    Protocol.of_name ~agents:(Placement.Linear alpha) ~laziness
+      (String.lowercase_ascii name)
+  with
+  | Some spec -> Ok spec
+  | None ->
       Error
-        (Printf.sprintf
-           "unknown protocol %S (known: push, push-pull, visit-exchange, \
-            meet-exchange, combined, quasi-push, cobra, frog, flood, \
-            async-push, async-push-pull, async-meet-exchange)"
-           other)
+        (Printf.sprintf "unknown protocol %S (known: %s)" name
+           (String.concat ", " Protocol.names))
 
 let laziness_of_string = function
   | "off" -> Ok Protocol.Lazy_off
@@ -225,10 +211,9 @@ let graph_arg =
 
 let protocol_arg =
   let doc =
-    "Protocol to run (repeatable): push, push-pull, visit-exchange, \
-     meet-exchange, combined, async-push, async-push-pull, \
-     async-meet-exchange, ...  The async-* protocols are continuous-time: \
-     --max-rounds caps their time horizon."
+    "Protocol to run (repeatable): " ^ String.concat ", " Protocol.names
+    ^ ".  The async-* protocols are continuous-time: --max-rounds caps their \
+       time horizon."
   in
   Arg.(value & opt_all string [] & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 

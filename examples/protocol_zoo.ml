@@ -1,19 +1,17 @@
-(* The full protocol zoo on one graph.
+(* Every protocol of the library on one graph.
 
      dune exec examples/protocol_zoo.exe
 
-   Runs every information-spreading process in the library — the paper's
-   four protocols, the hybrid, and the related-work processes (quasirandom
-   push, COBRA walks, the frog model, asynchronous push) — on the same
-   random regular graph, printing broadcast times and informed-curve
-   sparklines.  A compact tour of the whole public API. *)
+   Runs the paper's protocols (push, push-pull, visit-exchange,
+   meet-exchange), their combination, and continuous-time push and
+   push-pull on the same random regular graph, printing broadcast times
+   and informed-curve sparklines.  A compact tour of the public API. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module P = Rumor_protocols
 module Protocol = Rumor_sim.Protocol
 module Sparkline = Rumor_sim.Sparkline
-open Rumor_agents.Placement
 
 let () =
   let rng = Rng.of_int 2024 in
@@ -25,13 +23,9 @@ let () =
     [
       Protocol.push;
       Protocol.push_pull;
-      Protocol.pull;
-      Protocol.quasi_push;
       Protocol.visit_exchange ();
       Protocol.meet_exchange ();
       Protocol.combined ();
-      Protocol.cobra ();
-      Protocol.frog ();
     ]
   in
   Format.printf "%-16s %6s %5s  %-40s@." "protocol" "rounds" "t50" "informed curve";
@@ -52,7 +46,7 @@ let () =
         (Sparkline.render_ints ~width:40 r.P.Run_result.informed_curve))
     specs;
 
-  (* the asynchronous variants live outside the synchronous dispatcher *)
+  (* the continuous-time kernels report time units and clock rings *)
   Format.printf "@.asynchronous variants (continuous time):@.";
   List.iter
     (fun (name, variant) ->
@@ -67,15 +61,4 @@ let () =
     [
       ("async push", P.Async_push.Async_push);
       ("async push-pull", P.Async_push.Async_push_pull);
-    ];
-
-  (* and the dynamic population variant, under churn *)
-  Format.printf "@.visit-exchange under 20%% churn per round (with births):@.";
-  let o =
-    P.Dynamic_visit_exchange.run (Rng.of_int 7) g ~source:0 ~agents:(Linear 1.0)
-      ~churn:0.2 ~replace:true ~max_rounds:100_000 ()
-  in
-  Format.printf "  %a; %d births, %d deaths, final population %d@."
-    P.Run_result.pp o.P.Dynamic_visit_exchange.result
-    o.P.Dynamic_visit_exchange.births o.P.Dynamic_visit_exchange.deaths
-    o.P.Dynamic_visit_exchange.final_population
+    ]

@@ -1,6 +1,6 @@
-(** A growable population of walk agents with O(1) spawn and kill, shared by
-    the protocols whose agent set changes during the run (dynamic
-    visit-exchange, and the tweaked processes of Sections 5.2 and 6.2).
+(** A growable population of walk agents with O(1) spawn and kill, for the
+    tweaked processes of Sections 5.2 and 6.2, whose agent set changes
+    during the run.
 
     Each live agent has a position and an informed-round mark; dead slots
     are recycled through a free list, so a round over the population costs

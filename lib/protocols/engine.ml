@@ -70,11 +70,9 @@ let[@inline] set_tau tau party round =
 (* ------------------------------------------------------------------ push *)
 
 (* lint: hot *)
-let push ?obs ?trace ?(failure_prob = 0.0) ?tau rng g ~source ~max_rounds () =
+let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.push" ~n ~source ~max_rounds;
-  if not (failure_prob >= 0.0 && failure_prob < 1.0) then
-    invalid_arg "Engine.push: failure_prob outside [0, 1)";
   reset_tau ~who:"Engine.push" ~parties:n tau;
   set_tau tau source 0;
   let informed = Bitset.create n in
@@ -88,7 +86,6 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau rng g ~source ~max_rounds () =
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve 1;
   let t = ref 0 in
-  let want_failures = not (Float.equal failure_prob 0.0) in
   while !count < n && !t < max_rounds do
     incr t;
     let round = !t in
@@ -101,12 +98,9 @@ let push ?obs ?trace ?(failure_prob = 0.0) ?tau rng g ~source ~max_rounds () =
     for i = 0 to active - 1 do
       let u = order.(i) in
       let v = Graph.random_neighbor g rng u in
-      let delivered =
-        (not want_failures) || not (Rng.bernoulli rng failure_prob)
-      in
       incr contacts;
       Obs.contact obs u v;
-      if delivered && not (Bitset.mem informed v) then begin
+      if not (Bitset.mem informed v) then begin
         Bitset.add informed v;
         set_tau tau v round;
         order.(!count) <- v;

@@ -59,7 +59,6 @@
 val push :
   ?obs:Rumor_obs.Instrument.t ->
   ?trace:Rumor_obs.Trace.t ->
-  ?failure_prob:float ->
   ?tau:int array ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
@@ -73,18 +72,10 @@ val push :
     when all vertices are informed.  Work per round is O(informed
     vertices), so a run costs O(sum of the informed curve).
 
-    [failure_prob] (default 0) drops each transmission independently with
-    that probability — the random-failure model of Elsässer–Sauerwald [22],
-    which the paper's Lemma 4 proof relies on ("random failures of
-    transmission with probability 1/l do not change the broadcast time
-    asymptotically").  Failed contacts still count towards [contacts] and
-    fire [on_contact] (the call happens; the payload is lost).
-
     [?tau], when given, must have length [n] and is filled with each
     vertex's informing round [tau_u] ([max_int] if never informed) — the
     quantity the Section 5 coupling argument reasons about.
-    @raise Invalid_argument also if [failure_prob] is outside [0, 1) or
-    [tau] has the wrong length. *)
+    @raise Invalid_argument also if [tau] has the wrong length. *)
 
 val push_pull :
   ?obs:Rumor_obs.Instrument.t ->

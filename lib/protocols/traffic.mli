@@ -17,7 +17,7 @@ val record : t -> int -> int -> unit
     @raise Not_found if [u] and [v] are not adjacent. *)
 
 val calls : t -> Rumor_obs.Instrument.t
-(** Records each [on_contact u v]: pass it to push, push-pull or pull. *)
+(** Records each [on_contact u v]: pass it to push or push-pull. *)
 
 val steps : t -> Rumor_obs.Instrument.t
 (** Records each [on_walker_move] with [from_ <> to_]: pass it to dense

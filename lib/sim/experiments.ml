@@ -946,129 +946,6 @@ let a5_run _cfg profile ~seed =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* A6: dynamic agents under churn (Section 9 future work)              *)
-(* ------------------------------------------------------------------ *)
-
-let a6_run _cfg profile ~seed =
-  let n = pick profile ~quick:512 ~full:2048 in
-  let reps = reps profile in
-  let d = max 6 (ilog2 n) in
-  let churns = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
-  let measure ~replace churn i =
-    let master = Rng.of_int (cell_seed seed i (if replace then 0 else 1)) in
-    let times = Stats.create () in
-    let completed = ref 0 in
-    for _ = 1 to reps do
-      let rng = Rng.split master in
-      let g = Gen_random.random_regular_connected rng ~n ~d in
-      let o =
-        P.Dynamic_visit_exchange.run rng g ~source:0 ~agents:(Placement.Linear alpha)
-          ~churn ~replace ~max_rounds:(50 * n) ()
-      in
-      match o.P.Dynamic_visit_exchange.result.P.Run_result.broadcast_time with
-      | Some t ->
-          incr completed;
-          Stats.add_int times t
-      | None -> ()
-    done;
-    (times, !completed)
-  in
-  let rows =
-    List.mapi
-      (fun i churn ->
-        let with_rep, done_rep = measure ~replace:true churn i in
-        let no_rep, done_norep = measure ~replace:false churn i in
-        [
-          Printf.sprintf "%.2f" churn;
-          (if done_rep = 0 then "-" else Printf.sprintf "%.1f" (Stats.mean with_rep));
-          Printf.sprintf "%d/%d" done_rep reps;
-          (if done_norep = 0 then "-" else Printf.sprintf "%.1f" (Stats.mean no_rep));
-          Printf.sprintf "%d/%d" done_norep reps;
-        ])
-      churns
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "with births (replacement) the broadcast time degrades gracefully \
-           even at 40% churn per round; without replacement heavy churn kills \
-           the population before the slow graphs finish";
-          Printf.sprintf "random %d-regular, n = %d, |A_0| = n, cap = 50n" d n;
-        ]
-      ~title:"A6: visit-exchange under agent churn (dynamic population)"
-      ~claim:
-        "Section 9: \"the protocols could tolerate some number of lost agents, \
-         if a dynamic set of agents were used, where agents age ... while new \
-         agents are born at a proportional rate\""
-      ~header:
-        [ "churn/round"; "T (with births)"; "done"; "T (no births)"; "done" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* A7: push under random transmission failures ([22], used by Lemma 4) *)
-(* ------------------------------------------------------------------ *)
-
-let a7_run _cfg profile ~seed =
-  let n = pick profile ~quick:1024 ~full:4096 in
-  let d = max 6 (ilog2 n) in
-  let reps = reps profile in
-  let ps = [ 0.0; 0.1; 0.25; 0.5; 0.75 ] in
-  let rows =
-    List.mapi
-      (fun i failure_prob ->
-        let master = Rng.of_int (cell_seed seed i 0) in
-        let stats = Stats.create () in
-        for _ = 1 to reps do
-          let rng = Rng.split master in
-          let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r =
-            P.Engine.push ~failure_prob rng g ~source:0 ~max_rounds:(100 * n) ()
-          in
-          Stats.add_int stats (P.Run_result.time_exn r)
-        done;
-        let t = Stats.mean stats in
-        [
-          Printf.sprintf "%.2f" failure_prob;
-          Printf.sprintf "%.1f" t;
-          Printf.sprintf "%.2f" (1.0 /. (1.0 -. failure_prob));
-        ])
-      ps
-  in
-  let baseline =
-    match rows with (_ :: t0 :: _) :: _ -> float_of_string t0 | _ -> 1.0
-  in
-  let rows =
-    List.map
-      (fun row ->
-        match row with
-        | [ p; t; pred ] ->
-            [ p; t; Printf.sprintf "%.2f" (float_of_string t /. baseline); pred ]
-        | _ -> row)
-      rows
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf "random %d-regular, n = %d; each transmission is \
-                          lost independently with probability p" d n;
-          "Elsasser-Sauerwald [22] (used inside the paper's Lemma 4 proof): \
-           random transmission failures only rescale the broadcast time by \
-           ~1/(1-p) — measured and predicted slowdowns should track";
-        ]
-      ~title:"A7: push under random transmission failures"
-      ~claim:
-        "Lemma 4 via [22]: transmission failures with constant probability \
-         do not change push's asymptotic broadcast time"
-      ~header:[ "p(loss)"; "push"; "slowdown"; "1/(1-p)" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* R1: sub-linear agents on random regular graphs (Section 9; [14])    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1161,170 +1038,6 @@ let r2_run cfg profile ~seed =
         "Section 2 (related work [39], [35]): k random walks spread a rumor \
          on the 2-d grid in Theta~(n / sqrt k) rounds"
       ~header:[ "k"; "meet-exchange"; "n / sqrt k"; "T / (n / sqrt k)" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* R3: quasirandom vs fully random push (Section 2; [19])              *)
-(* ------------------------------------------------------------------ *)
-
-let r3_run cfg profile ~seed =
-  let families =
-    let sizes = pick profile ~quick:[ 256; 1024 ] ~full:[ 256; 1024; 4096 ] in
-    List.concat_map
-      (fun n ->
-        let d = max 6 (ilog2 n) in
-        [
-          ( Printf.sprintf "random-regular n=%d" n,
-            n,
-            fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0) );
-        ])
-      sizes
-    @ [
-        ("hypercube n=1024", 1024, fun _rng -> (Gen_basic.hypercube ~dim:10, 0));
-        ("star n=257", 257, fun _rng -> (Gen_basic.star ~leaves:256, 0));
-      ]
-  in
-  let rows =
-    List.mapi
-      (fun i (label, _n, graph) ->
-        let m_push =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:Protocol.push ~max_rounds:1_000_000
-        in
-        let m_quasi =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:Protocol.quasi_push ~max_rounds:1_000_000
-        in
-        [
-          label;
-          time_cell m_push;
-          time_cell m_quasi;
-          Printf.sprintf "%.2f" (Replicate.mean m_quasi /. Replicate.mean m_push);
-        ])
-      families
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "quasirandom push cycles each vertex's neighbor list from a random \
-           start: O(log deg) random bits per vertex instead of per round";
-          "Doerr-Friedrich-Sauerwald [19]: same O(log n) order on expanders \
-           and hypercubes; on the star it removes the coupon-collector \
-           factor entirely (ratio ~ 1 / ln n)";
-        ]
-      ~title:"R3: quasirandom vs fully random push"
-      ~claim:
-        "Section 2 (related work [19]): quasirandom rumor spreading matches \
-         push's broadcast time with exponentially fewer random bits"
-      ~header:[ "graph"; "push"; "quasi-push"; "quasi/push" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* R4: COBRA walks — branching factor sweep (Section 2; [7], [36])     *)
-(* ------------------------------------------------------------------ *)
-
-let r4_run cfg profile ~seed =
-  let n = pick profile ~quick:1024 ~full:4096 in
-  let d = max 6 (ilog2 n) in
-  let branchings = [ 1; 2; 3; 4 ] in
-  let rows =
-    List.mapi
-      (fun i branching ->
-        let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-        let m =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:(Protocol.Cobra { branching })
-            ~max_rounds:(200 * n)
-        in
-        [
-          string_of_int branching;
-          time_cell m;
-          Printf.sprintf "%.2f" (Replicate.mean m /. log (float_of_int n));
-        ])
-      branchings
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf "random %d-regular, n = %d; branching 1 is a plain \
-                          random walk (cover time Theta(n log n))" d n;
-          "Berenbrink-Giakkoupis-Kling [7]: branching 2 covers regular \
-           expanders in O(log n) rounds — the T / ln n column collapses from \
-           ~n to a small constant as soon as branching exceeds 1";
-        ]
-      ~title:"R4: COBRA walk cover time vs branching factor"
-      ~claim:
-        "Section 2 (related work [7], [36]): coalescing-branching walks with \
-         branching >= 2 cover regular expanders exponentially faster than a \
-         single walk"
-      ~header:[ "branching"; "cover time"; "T / ln n" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* R5: the frog model vs the paper's agent protocols (Section 2; [3])  *)
-(* ------------------------------------------------------------------ *)
-
-let r5_run cfg profile ~seed =
-  let families =
-    let n = pick profile ~quick:1024 ~full:4096 in
-    let d = max 6 (ilog2 n) in
-    let side = pick profile ~quick:24 ~full:48 in
-    [
-      ( Printf.sprintf "random %d-regular n=%d" d n,
-        (fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0)),
-        100 * n );
-      ( Printf.sprintf "torus %dx%d" side side,
-        (fun _rng -> (Gen_basic.torus ~rows:side ~cols:side, 0)),
-        500 * side * side );
-    ]
-  in
-  let specs =
-    [
-      Protocol.frog ();
-      Protocol.Visit_exchange
-        { agents = Placement.One_per_vertex; laziness = Protocol.Lazy_off };
-      Protocol.Meet_exchange
-        { agents = Placement.One_per_vertex; laziness = Protocol.Lazy_auto };
-    ]
-  in
-  let rows =
-    List.mapi
-      (fun i (label, graph, cap) ->
-        let cells =
-          List.mapi
-            (fun j spec ->
-              let m =
-                measure_cell cfg ~seed:(cell_seed seed i j) ~reps:(reps profile) ~graph
-                  ~spec ~max_rounds:cap
-              in
-              time_cell m)
-            specs
-        in
-        label :: cells)
-      families
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "all three processes start one agent per vertex; they differ in \
-           who moves and who stores: frogs sleep until visited, \
-           visit-exchange moves everyone and stores at vertices, \
-           meet-exchange moves everyone and stores only at agents";
-        ]
-      ~title:"R5: frog model vs visit-exchange vs meet-exchange"
-      ~claim:
-        "Section 2 (related work [3], [29], [40]): the frog model is the \
-         sleeping-agent sibling of the paper's protocols"
-      ~header:[ "graph"; "frog"; "visit-exchange"; "meet-exchange" ]
       rows;
   ]
 
@@ -1447,77 +1160,6 @@ let r7_run _cfg profile ~seed =
         "Section 2 (related work [16]): the meet-exchange broadcast time is \
          at most O(log n) times the meeting time of two random walks"
       ~header:[ "graph"; "T_meetx"; "M (exact)"; "M ln n"; "T / (M ln n)" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* R8: a stream of rumors over one agent population (Section 1)        *)
-(* ------------------------------------------------------------------ *)
-
-let r8_run _cfg profile ~seed =
-  let n = pick profile ~quick:1024 ~full:4096 in
-  let d = max 6 (ilog2 n) in
-  let reps = reps profile in
-  let rumor_count = 32 in
-  let gap_between = 5 in
-  let master = Rng.of_int (cell_seed seed 0 0) in
-  let stream_stats = Stats.create () in
-  let single_stats = Stats.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let g = Gen_random.random_regular_connected rng ~n ~d in
-    (* a stream: rumor i injected at round 5i from a rotating source *)
-    let injections =
-      Array.init rumor_count (fun i ->
-          {
-            P.Multi_rumor.rumor_source = i * 7 mod n;
-            start_round = i * gap_between;
-          })
-    in
-    let r =
-      P.Multi_rumor.run rng g ~injections ~agents:(Placement.Linear alpha)
-        ~max_rounds:100_000
-    in
-    Array.iter
-      (fun t -> if t < max_int then Stats.add_int stream_stats t)
-      r.P.Multi_rumor.per_rumor_time;
-    (* baseline: one isolated rumor on the same graph *)
-    let b =
-      P.Engine.visit_exchange rng g ~source:0 ~agents:(Placement.Linear alpha)
-        ~max_rounds:100_000 ()
-    in
-    Stats.add_int single_stats (P.Run_result.time_exn b)
-  done;
-  let rows =
-    [
-      [
-        Printf.sprintf "%d rumors, one every %d rounds" rumor_count gap_between;
-        Printf.sprintf "%.1f" (Stats.mean stream_stats);
-        Printf.sprintf "%.1f" (Stats.max_value stream_stats);
-      ];
-      [
-        "single rumor (baseline)";
-        Printf.sprintf "%.1f" (Stats.mean single_stats);
-        Printf.sprintf "%.1f" (Stats.max_value single_stats);
-      ];
-    ]
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf "random %d-regular, n = %d, |A| = n shared by all rumors" d n;
-          "per-rumor broadcast time is measured from each rumor's injection \
-           round; matching the single-rumor baseline shows rumors ride the \
-           same walks without slowing each other down — the paper's Section \
-           1 motivation for stationary agent starts";
-        ]
-      ~title:"R8: a stream of rumors over one shared agent population"
-      ~claim:
-        "Section 1: \"several pieces of information are generated frequently \
-         and distributed in parallel over time by the same set of agents\""
-      ~header:[ "workload"; "mean per-rumor time"; "max" ]
       rows;
   ]
 
@@ -1881,19 +1523,13 @@ let all =
     { id = "A3"; title = "placement ablation"; paper_ref = "Section 1"; run = a3_run };
     { id = "A4"; title = "bandwidth fairness ablation"; paper_ref = "Section 1"; run = a4_run };
     { id = "A5"; title = "sync vs async rumor spreading"; paper_ref = "Section 2, [41]"; run = a5_run };
-    { id = "A6"; title = "dynamic agents under churn"; paper_ref = "Section 9"; run = a6_run };
-    { id = "A7"; title = "push under transmission failures"; paper_ref = "Lemma 4 via [22]"; run = a7_run };
     { id = "A8"; title = "continuous-time meet-exchange"; paper_ref = "Section 2, [33], [34]"; run = a8_run };
     { id = "A9"; title = "sync vs async push constant-factor gate"; paper_ref = "Section 2, [41]"; run = a9_run };
     { id = "A10"; title = "dense vs sparse walker distributional gate"; paper_ref = "Sections 3, 9"; run = a10_run };
     { id = "R1"; title = "sub-linear agents, random regular"; paper_ref = "Section 9, [14]"; run = r1_run };
     { id = "R2"; title = "sub-linear agents, 2-d torus"; paper_ref = "Section 2, [39]"; run = r2_run };
-    { id = "R3"; title = "quasirandom push"; paper_ref = "Section 2, [19]"; run = r3_run };
-    { id = "R4"; title = "COBRA walk branching"; paper_ref = "Section 2, [7], [36]"; run = r4_run };
-    { id = "R5"; title = "frog model comparison"; paper_ref = "Section 2, [3], [40]"; run = r5_run };
     { id = "R6"; title = "push-pull vs conductance bound"; paper_ref = "Section 2, [11]"; run = r6_run };
     { id = "R7"; title = "meet-exchange vs exact meeting time"; paper_ref = "Section 2, [16]"; run = r7_run };
-    { id = "R8"; title = "multi-rumor stream"; paper_ref = "Section 1"; run = r8_run };
     { id = "R9"; title = "social-network models"; paper_ref = "Section 2, [12], [17]"; run = r9_run };
   ]
 
@@ -1911,7 +1547,10 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
           (fun id ->
             match find id with
             | Some e -> Some e
-            | None -> invalid_arg (Printf.sprintf "Experiments.run_all: unknown id %s" id))
+            | None ->
+                invalid_arg
+                  (Printf.sprintf "unknown experiment %s (known: %s)" id
+                     (String.concat ", " (List.map (fun e -> e.id) all))))
           wanted
   in
   let run_one e =

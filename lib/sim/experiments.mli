@@ -35,7 +35,7 @@ val default_config : config
 (** No sink, one job, dense walkers, no tracer. *)
 
 type t = {
-  id : string;         (** "E1" ... "E10", "A1" ... "A10", "R1" ... "R9" *)
+  id : string;  (** "E1" ... "E10", "A1" ... "A5", "A8" ... "A10", "R1", "R2", "R6", "R7", "R9" *)
   title : string;
   paper_ref : string;  (** e.g. "Fig 1(b), Lemma 3" *)
   run : config -> profile -> seed:int -> Table.t list;
@@ -61,13 +61,15 @@ val run_all :
     [metrics] is given, every replicated cell measurement emits one
     {!Rumor_obs.Run_record.t} to it, with the record's [graph] field set to
     the experiment id (experiments build their graphs from closures, so the
-    id is the most useful label available).
+    id is the most useful label available).  An id that {!find} does not
+    know raises [Invalid_argument "unknown experiment ID (known: E1, ...)"]
+    before any experiment runs.
 
     [jobs] (default [1]; [0] = all cores) runs each cell's replications on
     that many domains via {!Replicate.broadcast_times} — tables and metrics
     are bit-identical for every setting.  Only the replicated cell
-    measurements parallelize; the invariant-checking experiments (E9, A5–A8,
-    R7, R8) drive their own sequential loops and ignore it.
+    measurements parallelize; the experiments that drive their own
+    sequential loops (E9, A4, A5, A8, R7) ignore it.
 
     [walkers] (default [Dense]) selects the walker representation for the
     agent-based cells ({!Protocol.run}'s [?walkers]).  [Sparse] or

@@ -9,22 +9,12 @@ type spec =
   | Visit_exchange of { agents : Placement.spec; laziness : lazy_mode }
   | Meet_exchange of { agents : Placement.spec; laziness : lazy_mode }
   | Combined of { agents : Placement.spec; laziness : lazy_mode }
-  | Pull
-  | Quasi_push
-  | Cobra of { branching : int }
-  | Frog of { frogs_per_vertex : int }
-  | Flood
   | Async_push
   | Async_push_pull
   | Async_meet_exchange of { agents : Placement.spec; laziness : lazy_mode }
 
 let push = Push
 let push_pull = Push_pull
-let pull = Pull
-let quasi_push = Quasi_push
-let cobra ?(branching = 2) () = Cobra { branching }
-let frog ?(frogs_per_vertex = 1) () = Frog { frogs_per_vertex }
-let flood = Flood
 
 let visit_exchange ?(alpha = 1.0) () =
   Visit_exchange { agents = Placement.Linear alpha; laziness = Lazy_off }
@@ -44,17 +34,29 @@ let async_meet_exchange ?(alpha = 1.0) () =
 let name = function
   | Push -> "push"
   | Push_pull -> "push-pull"
-  | Pull -> "pull"
   | Visit_exchange _ -> "visit-exchange"
   | Meet_exchange _ -> "meet-exchange"
   | Combined _ -> "combined"
-  | Quasi_push -> "quasi-push"
-  | Cobra _ -> "cobra"
-  | Frog _ -> "frog"
-  | Flood -> "flood"
   | Async_push -> "async-push"
   | Async_push_pull -> "async-push-pull"
   | Async_meet_exchange _ -> "async-meet-exchange"
+
+let all ~agents ~laziness =
+  [
+    Push;
+    Push_pull;
+    Visit_exchange { agents; laziness };
+    Meet_exchange { agents; laziness };
+    Combined { agents; laziness };
+    Async_push;
+    Async_push_pull;
+    Async_meet_exchange { agents; laziness };
+  ]
+
+let names = List.map name (all ~agents:(Placement.Linear 1.0) ~laziness:Lazy_auto)
+
+let of_name ~agents ~laziness s =
+  List.find_opt (fun spec -> String.equal (name spec) s) (all ~agents ~laziness)
 
 let resolve_lazy laziness g =
   match laziness with
@@ -92,15 +94,6 @@ let run ?obs ?trace ?walkers spec rng g ~source ~max_rounds =
           let lazy_walk = resolve_lazy laziness g in
           P.Engine.combined ?obs ?trace ~lazy_walk rng g ~source ~agents
             ~max_rounds ()
-      | Pull -> P.Pull.run ?obs rng g ~source ~max_rounds ()
-      | Quasi_push -> P.Quasi_push.run ?obs rng g ~source ~max_rounds ()
-      | Cobra { branching } ->
-          (P.Cobra.run ?obs rng g ~source ~branching ~max_rounds ())
-            .P.Cobra.run_result
-      | Frog { frogs_per_vertex } ->
-          (P.Frog.run ?obs ~frogs_per_vertex rng g ~source ~max_rounds ())
-            .P.Frog.run_result
-      | Flood -> P.Flood.run ?obs g ~source ~max_rounds ()
       (* the continuous-time processes read [max_rounds] as a time horizon *)
       | Async_push ->
           P.Async_push.to_run_result

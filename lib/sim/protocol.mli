@@ -13,11 +13,6 @@ type spec =
   | Visit_exchange of { agents : Rumor_agents.Placement.spec; laziness : lazy_mode }
   | Meet_exchange of { agents : Rumor_agents.Placement.spec; laziness : lazy_mode }
   | Combined of { agents : Rumor_agents.Placement.spec; laziness : lazy_mode }
-  | Pull  (** pull alone, the anti-entropy mirror of push [15] *)
-  | Quasi_push  (** quasirandom rumor spreading, [19] *)
-  | Cobra of { branching : int }  (** coalescing-branching walk, [7] *)
-  | Frog of { frogs_per_vertex : int }  (** the frog model, [3, 40] *)
-  | Flood  (** deterministic flooding: the eccentricity baseline *)
   | Async_push  (** continuous-time push: unit-rate Poisson clocks, [41] *)
   | Async_push_pull  (** continuous-time push-pull *)
   | Async_meet_exchange of {
@@ -27,11 +22,6 @@ type spec =
 
 val push : spec
 val push_pull : spec
-val pull : spec
-val quasi_push : spec
-val cobra : ?branching:int -> unit -> spec
-val frog : ?frogs_per_vertex:int -> unit -> spec
-val flood : spec
 
 val visit_exchange : ?alpha:float -> unit -> spec
 (** Visit-exchange with [Linear alpha] stationary agents (default 1.0) and
@@ -51,8 +41,16 @@ val async_meet_exchange : ?alpha:float -> unit -> spec
 
 val name : spec -> string
 (** Short stable name: "push", "push-pull", "visit-exchange",
-    "pull", "meet-exchange", "combined", "quasi-push", "cobra", "frog",
-    "flood", "async-push", "async-push-pull", "async-meet-exchange". *)
+    "meet-exchange", "combined", "async-push", "async-push-pull",
+    "async-meet-exchange". *)
+
+val names : string list
+(** Every protocol's {!name}, one per constructor, in the order above. *)
+
+val of_name :
+  agents:Rumor_agents.Placement.spec -> laziness:lazy_mode -> string -> spec option
+(** The spec whose {!name} is the given string, if any; an agent-based spec
+    gets [agents] and [laziness]. *)
 
 type walkers = Rumor_protocols.Sparse_walkers.mode = Dense | Sparse | Auto
 (** Walker representation for the agent-based kernels — see
@@ -77,9 +75,8 @@ val run :
   max_rounds:int ->
   Rumor_protocols.Run_result.t
 (** Dispatch to the protocol's kernel: {!Rumor_protocols.Engine} for push,
-    push-pull, visit-exchange, meet-exchange and combined,
-    {!Rumor_protocols.Async_engine} for the continuous-time specs, and the
-    protocol's own module for pull, quasi-push, cobra, frog and flood.
+    push-pull, visit-exchange, meet-exchange and combined, and
+    {!Rumor_protocols.Async_engine} for the continuous-time specs.
 
     [obs] is honoured by every protocol: each fires
     {!Rumor_obs.Instrument} hooks once per round plus one [on_contact] per

@@ -42,7 +42,6 @@ type kernels = {
   push :
     obs:Instrument.t ->
     traffic:Traffic.t ->
-    failure_prob:float ->
     seed:int ->
     Graph.t ->
     source:int ->
@@ -190,27 +189,11 @@ let cells k =
           cell (Printf.sprintf "push %s seed=%d" fname seed) (fun obs buf ->
               let traffic = Traffic.create g in
               let r, tau =
-                k.push ~obs ~traffic ~failure_prob:0.0 ~seed g ~source:0
-                  ~max_rounds:100_000
+                k.push ~obs ~traffic ~seed g ~source:0 ~max_rounds:100_000
               in
               add_run_result buf r;
               add_ints buf "traffic" (Traffic.loads traffic);
               add_ints buf "tau" tau);
-        ])
-  in
-  let push_failures =
-    let g = Gen.complete 24 in
-    for_each seeds (fun seed ->
-        [
-          cell (Printf.sprintf "push failure_prob=0.3 complete24 seed=%d" seed)
-            (fun obs buf ->
-              let traffic = Traffic.create g in
-              let r, _ =
-                k.push ~obs ~traffic ~failure_prob:0.3 ~seed g ~source:3
-                  ~max_rounds:100_000
-              in
-              add_run_result buf r;
-              add_ints buf "traffic" (Traffic.loads traffic));
         ])
   in
   let push_pull =
@@ -388,7 +371,6 @@ let cells k =
   List.concat
     [
       push;
-      push_failures;
       push_pull;
       visit_exchange;
       meet_exchange;

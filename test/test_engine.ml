@@ -251,9 +251,6 @@ let test_validation () =
     (bad (fun () -> Engine.push (Rng.of_int 1) g ~source:9 ~max_rounds:10 ()));
   Alcotest.(check bool) "negative cap" true
     (bad (fun () -> Engine.push_pull (Rng.of_int 1) g ~source:0 ~max_rounds:(-1) ()));
-  Alcotest.(check bool) "bad failure prob" true
-    (bad (fun () ->
-         Engine.push ~failure_prob:1.0 (Rng.of_int 1) g ~source:0 ~max_rounds:10 ()));
   Alcotest.(check bool) "short tau" true
     (bad (fun () ->
          Engine.push ~tau:(Array.make 2 0) (Rng.of_int 1) g ~source:0 ~max_rounds:10 ()))

@@ -17,7 +17,7 @@ let test_expected_ids_present () =
       | None -> Alcotest.failf "experiment %s missing" id)
     [
       "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "A1"; "A2";
-      "A3"; "A4"; "A5"; "A6"; "A7"; "A8"; "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9";
+      "A3"; "A4"; "A5"; "A8"; "A9"; "A10"; "R1"; "R2"; "R6"; "R7"; "R9";
     ]
 
 let test_find_case_insensitive () =
@@ -34,10 +34,18 @@ let test_every_experiment_has_paper_ref () =
     Experiments.all
 
 let test_run_all_unknown_id_rejected () =
-  try
-    ignore (Experiments.run_all ~ids:[ "bogus" ] Experiments.Quick ~seed:1);
-    Alcotest.fail "unknown id accepted"
-  with Invalid_argument _ -> ()
+  Alcotest.(check int) "kept experiments" 23 (List.length Experiments.all);
+  (* the retired related-work scenarios are unknown ids too *)
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " unknown") true (Experiments.find id = None);
+      match Experiments.run_all ~ids:[ "E1"; id ] Experiments.Quick ~seed:1 with
+      | _ -> Alcotest.failf "unknown id %s accepted" id
+      | exception Invalid_argument m ->
+          let prefix = Printf.sprintf "unknown experiment %s (known: E1, " id in
+          Alcotest.(check bool) (id ^ ": message " ^ m) true
+            (String.starts_with ~prefix m))
+    [ "bogus"; "R3"; "R4"; "R5"; "R8"; "A6"; "A7" ]
 
 (* Smoke runs: the cheap experiments must produce non-empty tables whose
    key invariant cells hold.  E9's invariants are deterministic (Lemmas 13

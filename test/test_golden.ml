@@ -19,11 +19,11 @@ let steps obs traffic = Instrument.pair obs (P.Traffic.steps traffic)
 let kernels =
   {
     Kernel_matrix.push =
-      (fun ~obs ~traffic ~failure_prob ~seed g ~source ~max_rounds ->
+      (fun ~obs ~traffic ~seed g ~source ~max_rounds ->
         let tau = Array.make (Graph.n g) 0 in
         let r =
-          Engine.push ~obs:(calls obs traffic) ~failure_prob ~tau (Rng.of_int seed)
-            g ~source ~max_rounds ()
+          Engine.push ~obs:(calls obs traffic) ~tau (Rng.of_int seed) g ~source
+            ~max_rounds ()
         in
         (r, tau));
     push_pull =

@@ -13,14 +13,9 @@ let all_specs =
   [
     Protocol.push;
     Protocol.push_pull;
-    Protocol.pull;
-    Protocol.quasi_push;
     Protocol.visit_exchange ();
     Protocol.meet_exchange ();
     Protocol.combined ();
-    Protocol.cobra ();
-    Protocol.frog ();
-    Protocol.flood;
   ]
 
 (* processes whose information provably travels at most one hop per round
@@ -29,13 +24,8 @@ let hop_limited =
   [
     Protocol.push;
     Protocol.push_pull;
-    Protocol.pull;
-    Protocol.quasi_push;
     Protocol.visit_exchange ();
     Protocol.combined ();
-    Protocol.cobra ();
-    Protocol.frog ();
-    Protocol.flood;
   ]
 
 let sample_graph seed =
@@ -141,7 +131,7 @@ let test_traffic_dispatch () =
       let r = run spec (Traffic.calls traffic) in
       Alcotest.(check int) (Protocol.name spec ^ ": one use per call")
         r.Run_result.contacts (Traffic.total traffic))
-    [ Protocol.push; Protocol.push_pull; Protocol.pull ];
+    [ Protocol.push; Protocol.push_pull ];
   List.iter
     (fun spec ->
       let traffic = Traffic.create g in

@@ -24,21 +24,14 @@ let () =
       ("protocols.traffic", Test_traffic.suite);
       ("protocols.push", Test_push.suite);
       ("protocols.push_pull", Test_push_pull.suite);
-      ("protocols.pull", Test_pull.suite);
       ("protocols.visit_exchange", Test_visit_exchange.suite);
       ("protocols.meet_exchange", Test_meet_exchange.suite);
       ("protocols.combined", Test_combined.suite);
-      ("protocols.flood", Test_flood.suite);
       ("protocols.coupling", Test_coupling.suite);
       ("des.event_queue", Test_event_queue.suite);
       ("des.calendar_queue", Test_calendar_queue.suite);
       ("protocols.async_push", Test_async_push.suite);
       ("protocols.async_meet_exchange", Test_async_meet_exchange.suite);
-      ("protocols.dynamic_visit_exchange", Test_dynamic_visit_exchange.suite);
-      ("protocols.quasi_push", Test_quasi_push.suite);
-      ("protocols.cobra", Test_cobra.suite);
-      ("protocols.frog", Test_frog.suite);
-      ("protocols.multi_rumor", Test_multi_rumor.suite);
       ("protocols.tweaked_visit_exchange", Test_tweaked_visit_exchange.suite);
       ("protocols.sparse_walkers", Test_sparse_walkers.suite);
       ("protocols.engine", Test_engine.suite);

@@ -40,11 +40,6 @@ let test_hooks_fire_rounds_run () =
     [
       ("push", Protocol.push);
       ("push-pull", Protocol.push_pull);
-      ("pull", Protocol.pull);
-      ("quasi-push", Protocol.quasi_push);
-      ("cobra", Protocol.cobra ());
-      ("frog", Protocol.frog ());
-      ("flood", Protocol.flood);
       ("visit-exchange", Protocol.visit_exchange ());
       ("meet-exchange", Protocol.meet_exchange ());
       ("combined", Protocol.combined ());

@@ -14,16 +14,36 @@ let test_names () =
   Alcotest.(check string) "meetx" "meet-exchange"
     (Protocol.name (Protocol.meet_exchange ()));
   Alcotest.(check string) "combined" "combined" (Protocol.name (Protocol.combined ()));
-  Alcotest.(check string) "quasi" "quasi-push" (Protocol.name Protocol.quasi_push);
-  Alcotest.(check string) "cobra" "cobra" (Protocol.name (Protocol.cobra ()));
-  Alcotest.(check string) "frog" "frog" (Protocol.name (Protocol.frog ()));
-  Alcotest.(check string) "flood" "flood" (Protocol.name Protocol.flood);
   Alcotest.(check string) "async-push" "async-push"
     (Protocol.name Protocol.async_push);
   Alcotest.(check string) "async-push-pull" "async-push-pull"
     (Protocol.name Protocol.async_push_pull);
   Alcotest.(check string) "async-meetx" "async-meet-exchange"
     (Protocol.name (Protocol.async_meet_exchange ()))
+
+(* the CLI's -p menu: every listed name parses back to a spec of that name,
+   carrying the given agent law and laziness *)
+let test_names_parse () =
+  let agents = Placement.Linear 0.5 and laziness = Protocol.Lazy_on in
+  Alcotest.(check int) "names are distinct" (List.length Protocol.names)
+    (List.length (List.sort_uniq String.compare Protocol.names));
+  List.iter
+    (fun n ->
+      match Protocol.of_name ~agents ~laziness n with
+      | None -> Alcotest.failf "%s does not parse" n
+      | Some spec -> (
+          Alcotest.(check string) (n ^ " round-trips") n (Protocol.name spec);
+          match spec with
+          | Protocol.Visit_exchange { agents = a; laziness = l }
+          | Meet_exchange { agents = a; laziness = l }
+          | Combined { agents = a; laziness = l }
+          | Async_meet_exchange { agents = a; laziness = l } ->
+              Alcotest.(check bool) (n ^ " keeps agents and laziness") true
+                (a = agents && l = laziness)
+          | Push | Push_pull | Async_push | Async_push_pull -> ()))
+    Protocol.names;
+  Alcotest.(check bool) "unlisted name" true
+    (Protocol.of_name ~agents ~laziness "pull" = None)
 
 (* the sparse representation has no combined kernel: an explicit Sparse is
    refused instead of silently running dense walkers, while Auto (and the
@@ -106,8 +126,41 @@ let test_cli_rejects_sparse_combined () =
     (fun p ->
       Alcotest.(check int) (p ^ " on path:1 runs") 0
         (exit_code [ "--graph"; "path:1"; "-p"; p; "--reps"; "1" ]))
-    [ "push"; "quasi-push" ];
+    [ "push"; "push-pull" ];
   usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ]
+
+(* a retired protocol, alias or experiment id is unknown to the CLIs: one
+   stderr line that lists exactly the accepted names *)
+let test_cli_unknown_names () =
+  let check exe argv known =
+    let code, lines = run_cli exe argv in
+    let label = String.concat " " (exe :: argv) in
+    Alcotest.(check int) (label ^ " exits 124") 124 code;
+    match lines with
+    | [ line ] ->
+        let listed =
+          match String.index_opt line '(' with
+          | Some i when String.ends_with ~suffix:")" line ->
+              let start = i + String.length "(known: " in
+              String.sub line start (String.length line - start - 1)
+              |> String.split_on_char ',' |> List.map String.trim
+          | _ -> Alcotest.failf "%s: no known list in %S" label line
+        in
+        Alcotest.(check (list string)) (label ^ ": known list") known listed
+    | _ -> Alcotest.failf "%s: want one stderr line, got %d" label
+             (List.length lines)
+  in
+  List.iter
+    (fun p -> check "rumor_run.exe" [ "--graph"; "star:20"; "-p"; p ] Protocol.names)
+    [ "pull"; "frog"; "ppull" ];
+  let ids =
+    List.map
+      (fun (e : Rumor_sim.Experiments.t) -> e.Rumor_sim.Experiments.id)
+      Rumor_sim.Experiments.all
+  in
+  List.iter
+    (fun id -> check "rumor_experiments.exe" [ id ] ids)
+    [ "BOGUS"; "R3"; "A7" ]
 
 (* the success path of the same CLIs: rumor_graphgen --edges -o writes an
    edge list that reads back as the generated graph *)
@@ -174,10 +227,6 @@ let test_all_protocols_complete () =
       Protocol.visit_exchange ();
       Protocol.meet_exchange ();
       Protocol.combined ();
-      Protocol.quasi_push;
-      Protocol.cobra ();
-      Protocol.frog ();
-      Protocol.flood;
       Protocol.async_push;
       Protocol.async_push_pull;
       Protocol.async_meet_exchange ();
@@ -257,10 +306,13 @@ let test_alpha_scales_agent_count () =
 let suite =
   [
     Alcotest.test_case "names" `Quick test_names;
+    Alcotest.test_case "every listed name parses" `Quick test_names_parse;
     Alcotest.test_case "combined rejects sparse walkers" `Quick
       test_combined_rejects_sparse;
     Alcotest.test_case "rumor_run rejects sparse combined" `Quick
       test_cli_rejects_sparse_combined;
+    Alcotest.test_case "CLIs reject unknown protocols and experiments" `Quick
+      test_cli_unknown_names;
     Alcotest.test_case "rumor_graphgen --timing sizes the CSR" `Quick
       test_graphgen_timing_csr_size;
     Alcotest.test_case "rumor_graphgen writes an edge list" `Quick

@@ -123,45 +123,6 @@ let test_star_push_is_coupon_collector_slow () =
     (Printf.sprintf "mean %.0f is >> log n" mean)
     true (mean > 100.0)
 
-let test_failure_prob_zero_matches_plain () =
-  let g = Gen.complete 32 in
-  let r1 = Engine.push (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 () in
-  let r2 =
-    Engine.push ~failure_prob:0.0 (Rng.of_int 113) g ~source:0 ~max_rounds:100_000 ()
-  in
-  Alcotest.(check (option int)) "identical stream with p = 0"
-    r1.Run_result.broadcast_time r2.Run_result.broadcast_time
-
-let test_failure_prob_slows_by_inverse_rate () =
-  (* with each transmission lost w.p. p, effective progress scales by
-     (1 - p): [22]'s robustness result.  Check the mean ratio is in a
-     generous band around 1 / (1 - p). *)
-  let g = Gen.complete 128 in
-  let mean failure_prob =
-    let total = ref 0 in
-    for seed = 0 to 19 do
-      let r =
-        Engine.push ~failure_prob (Rng.of_int (1140 + seed)) g ~source:0
-          ~max_rounds:100_000 ()
-      in
-      total := !total + Run_result.time_exn r
-    done;
-    float_of_int !total /. 20.0
-  in
-  let t0 = mean 0.0 and t_half = mean 0.5 in
-  let ratio = t_half /. t0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "ratio %.2f within [1.3, 3.0]" ratio)
-    true
-    (ratio > 1.3 && ratio < 3.0)
-
-let test_failure_prob_invalid () =
-  let g = Gen.complete 4 in
-  try
-    ignore (Engine.push ~failure_prob:1.0 (Rng.of_int 115) g ~source:0 ~max_rounds:10 ());
-    Alcotest.fail "p = 1 accepted"
-  with Invalid_argument _ -> ()
-
 let test_deterministic_given_seed () =
   let g = Gen.torus ~rows:6 ~cols:6 in
   let r1 = run 111 g 0 and r2 = run 111 g 0 in
@@ -200,11 +161,6 @@ let suite =
     Alcotest.test_case "informed times" `Quick test_informed_times;
     Alcotest.test_case "star is coupon-collector slow" `Quick
       test_star_push_is_coupon_collector_slow;
-    Alcotest.test_case "failure prob 0 is plain push" `Quick
-      test_failure_prob_zero_matches_plain;
-    Alcotest.test_case "failures slow by ~1/(1-p)" `Quick
-      test_failure_prob_slows_by_inverse_rate;
-    Alcotest.test_case "failure prob validation" `Quick test_failure_prob_invalid;
     Alcotest.test_case "deterministic by seed" `Quick test_deterministic_given_seed;
     Alcotest.test_case "traffic recording" `Quick test_traffic_recording;
     QCheck_alcotest.to_alcotest prop_completes_on_connected_regular;

@@ -118,7 +118,6 @@ let test_sink_stream_matches_direct_runs () =
       Protocol.push_pull;
       Protocol.visit_exchange ();
       Protocol.meet_exchange ();
-      Protocol.pull;
     ]
 
 (* A traced measurement matches the untraced one, and its trace brackets
