@@ -191,7 +191,11 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let ids_arg =
-  let doc = "Experiment ids to run (default: all).  E1..E10, A1..A10, R1..R9." in
+  let doc =
+    "Experiment ids to run (default: all): "
+    ^ String.concat ", " (List.map (fun (e : Experiments.t) -> e.id) Experiments.all)
+    ^ "."
+  in
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
 
 let cmd =
