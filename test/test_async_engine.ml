@@ -64,32 +64,6 @@ let stream_obs () =
   in
   (obs, events)
 
-(* ------------------------------------------------ Kolmogorov-Smirnov *)
-
-(* The KS gates reject when D exceeds sqrt(ln(2/a) / 2) / sqrt(m), m the
-   sample size: the Dvoretzky-Kiefer-Wolfowitz bound with Massart's
-   constant, P(D > eps) <= 2 exp(-2 m eps^2), so the false-alarm rate is at
-   most [a] (exactly for a continuous law, conservatively for one with
-   atoms). *)
-let ks_threshold ~alpha ~m = sqrt (log (2.0 /. alpha) /. 2.0) /. sqrt m
-
-(* sup_t |F_emp(t) - cdf t| over the sorted sample.  Below a sample point
-   the deviation is measured against the left limit [cdf_left x] = F(x-),
-   which differs from [cdf x] only at an atom of the law. *)
-let ks_one_sample ?cdf_left xs cdf =
-  let cdf_left = Option.value cdf_left ~default:cdf in
-  let xs = Array.copy xs in
-  Array.sort Float.compare xs;
-  let m = float_of_int (Array.length xs) in
-  let d = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let above = (float_of_int (i + 1) /. m) -. cdf x in
-      let below = cdf_left x -. (float_of_int i /. m) in
-      d := Float.max !d (Float.max above below))
-    xs;
-  !d
-
 (* ---------------------------------------- absorption times, uniformized *)
 
 (* A finite continuous-time chain in uniformized form: it jumps at the
@@ -221,8 +195,8 @@ let check_kn_law variant () =
             | None -> Alcotest.fail "K_n run did not complete")
       in
       let rates = kn_rates ~n variant in
-      let d = ks_one_sample times (kn_cdf rates) in
-      let crit = ks_threshold ~alpha:kn_alpha ~m:(float_of_int kn_runs) in
+      let d = Ks.one_sample times (kn_cdf rates) in
+      let crit = Ks.threshold ~alpha:kn_alpha ~m:(float_of_int kn_runs) in
       Alcotest.(check bool)
         (Printf.sprintf "K_%d: KS D = %.4f <= %.4f" n d crit)
         true (d <= crit))
@@ -364,9 +338,9 @@ let test_meet_exchange_law () =
                     | Some t -> t
                     | None -> Alcotest.fail (name ^ ": run did not complete"))
               in
-              let d = ks_one_sample ~cdf_left times cdf in
+              let d = Ks.one_sample ~cdf_left times cdf in
               let crit =
-                ks_threshold ~alpha:meet_law_alpha ~m:(float_of_int meet_law_runs)
+                Ks.threshold ~alpha:meet_law_alpha ~m:(float_of_int meet_law_runs)
               in
               Alcotest.(check bool)
                 (Printf.sprintf "%s k=%d %s: KS D = %.4f <= %.4f" name k

@@ -35,6 +35,7 @@ let () =
       ("protocols.tweaked_visit_exchange", Test_tweaked_visit_exchange.suite);
       ("protocols.sparse_walkers", Test_sparse_walkers.suite);
       ("protocols.engine", Test_engine.suite);
+      ("protocols.sync_oracle", Test_sync_oracle.suite);
       ("protocols.async_engine", Test_async_engine.suite);
       ("protocols.golden", Test_golden.suite);
       ("sim.protocol", Test_protocol.suite);
