@@ -103,6 +103,45 @@ let test_exponential_mean () =
   let mean, _ = sample_mean_var 40_000 (fun () -> Dist.exponential g 2.0) in
   check_close "Exp(2) mean" 0.5 mean 0.02
 
+(* The law of [Dist.exponential] itself, at family-wise alpha = 10^-3
+   (Bonferroni over two tests): a one-sample KS test of 10^6 Exp(1) draws
+   against 1 - e^-x, and an exact two-sided binomial test of how many land
+   beyond r = 7.697..., the ziggurat's base-strip edge (mass e^-r, about
+   4.5e-4), where KS has little power. *)
+let exp_samples = 1_000_000
+let exp_tail_edge = 7.69711747013104972
+
+(* P(X <= c) and P(X >= c) for X ~ Bin(n, p), by the pmf recurrence from
+   P(X = 0) = (1 - p)^n; for the small means used here the terms beyond
+   a few times the mean vanish *)
+let binomial_tails n p c =
+  let q = 1.0 -. p in
+  let pmf = ref (exp (float_of_int n *. log1p (-.p))) in
+  let below = ref 0.0 and at = ref 0.0 in
+  let k = ref 0 in
+  while !k <= c do
+    if !k = c then at := !pmf;
+    below := !below +. !pmf;
+    pmf := !pmf *. float_of_int (n - !k) /. float_of_int (!k + 1) *. p /. q;
+    incr k
+  done;
+  (!below, 1.0 -. !below +. !at)
+
+let test_exponential_law () =
+  let per_test = 1e-3 /. 2.0 in
+  let g = Rng.of_int 39 in
+  let xs = Array.init exp_samples (fun _ -> Dist.exponential g 1.0) in
+  let d = Ks.one_sample xs (fun x -> if x <= 0.0 then 0.0 else -.Float.expm1 (-.x)) in
+  let eps = Ks.threshold ~alpha:per_test ~m:(float_of_int exp_samples) in
+  Alcotest.(check bool) (Printf.sprintf "KS D = %.5f < %.5f" d eps) true (d < eps);
+  let beyond = Array.fold_left (fun c x -> if x > exp_tail_edge then c + 1 else c) 0 xs in
+  let lower, upper = binomial_tails exp_samples (exp (-.exp_tail_edge)) beyond in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d draws beyond r: P(<=) = %.3g, P(>=) = %.3g, both > %.3g"
+       beyond lower upper (per_test /. 2.0))
+    true
+    (lower > per_test /. 2.0 && upper > per_test /. 2.0)
+
 let test_exponential_invalid () =
   let g = Rng.of_int 31 in
   try
@@ -244,6 +283,7 @@ let suite =
     Alcotest.test_case "poisson moments" `Quick test_poisson_moments;
     Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
+    Alcotest.test_case "exponential law (KS and tail mass)" `Quick test_exponential_law;
     Alcotest.test_case "exponential invalid args" `Quick test_exponential_invalid;
     Alcotest.test_case "categorical frequencies" `Quick test_categorical_frequencies;
     Alcotest.test_case "categorical invalid args" `Quick test_categorical_invalid;

@@ -83,6 +83,39 @@ let test_stationary_on_regular_is_uniform () =
       if Float.abs (p -. 0.1) > 0.01 then Alcotest.failf "vertex %d mass %.3f" v p)
     counts
 
+(* Chi-square of stationary placement against deg v / 2m, vertex by
+   vertex, on three graphs whose degrees spread: the star (half the mass
+   on the centre), the lollipop (a clique beside a path) and the double
+   star.  Family-wise alpha = 10^-3, Bonferroni over the three. *)
+let test_stationary_chi2 () =
+  let graphs =
+    [
+      ("star", Gen.star ~leaves:30);
+      ("lollipop", Gen.lollipop ~clique_size:8 ~tail_len:12);
+      ( "double star",
+        (Rumor_graph.Gen_paper.double_star ~leaves_per_star:15).Rumor_graph.Gen_paper.ds_graph
+      );
+    ]
+  in
+  let per_test = 1e-3 /. float_of_int (List.length graphs) in
+  let agents = 200_000 in
+  let rng = Rng.of_int 78 in
+  List.iter
+    (fun (name, g) ->
+      let observed = Array.make (Graph.n g) 0 in
+      Array.iter
+        (fun v -> observed.(v) <- observed.(v) + 1)
+        (Placement.place rng (Placement.Stationary agents) g);
+      let two_m = float_of_int (Graph.total_degree g) in
+      let expected =
+        Array.init (Graph.n g) (fun v ->
+            float_of_int agents *. float_of_int (Graph.degree g v) /. two_m)
+      in
+      let p = Chi2.test observed expected in
+      if p < per_test then
+        Alcotest.failf "%s: chi2 p = %.3g < %.3g" name p per_test)
+    graphs
+
 let test_stationary_weights_probabilities () =
   let g = Gen.star ~leaves:3 in
   let alias = Placement.stationary_weights g in
@@ -142,6 +175,7 @@ let suite =
       test_stationary_is_degree_proportional;
     Alcotest.test_case "stationary uniform on regular" `Quick
       test_stationary_on_regular_is_uniform;
+    Alcotest.test_case "stationary chi2 against deg/2m" `Quick test_stationary_chi2;
     Alcotest.test_case "stationary weights exact" `Quick test_stationary_weights_probabilities;
     Alcotest.test_case "place_counts is place histogram" `Quick
       test_place_counts_is_histogram;

@@ -180,6 +180,122 @@ let test_int_matches_two_division () =
     (Printf.sprintf "%d draws for 1000 values" !draws)
     true (!draws > 1_500)
 
+(* Chi-square uniformity of [Rng.int] across small, composite, prime-ish
+   and near-2^30 bounds, at family-wise alpha = 10^-3 (Bonferroni over the
+   13 tests below).  A bound up to 1000 is tested cell by cell.  A larger
+   one is tested twice: by its value's range (256 equal-width buckets,
+   which sees a skew towards one end) and by its residue mod 255 = 3*5*17
+   (which sees a periodic excess, the trace a missing rejection leaves
+   under a multiply-shift reduction).  Expected counts are exact for
+   bounds that 256 or 255 do not divide. *)
+let chi2_alpha = 1e-3
+
+let int_bounds =
+  [ 2; 3; 7; 12; 1000; 10_000; (1 lsl 20) + 7; 3 * (1 lsl 28); (1 lsl 30) - 1 ]
+
+let int_samples = 500_000
+
+(* the number of x in [0, bound) with [cell x = j], for the bucketings
+   above: range buckets hold x with floor(x * cells / bound) = j, i.e.
+   ceil(j * bound / cells) <= x < ceil((j + 1) * bound / cells) *)
+let ceil_div a b = (a + b - 1) / b
+
+let range_cells = 256
+let range_cell bound x = x * range_cells / bound
+
+let range_share bound j =
+  ceil_div ((j + 1) * bound) range_cells - ceil_div (j * bound) range_cells
+
+let residue_cells = 255
+let residue_share bound j = (bound / residue_cells) + if j < bound mod residue_cells then 1 else 0
+
+(* [(label, cells, cell, share)]: the bucketings a bound is tested under *)
+let bucketings bound =
+  if bound <= 1000 then [ ("value", bound, (fun x -> x), fun _ -> 1) ]
+  else
+    [
+      ("range", range_cells, range_cell bound, range_share bound);
+      ("residue", residue_cells, (fun x -> x mod residue_cells), residue_share bound);
+    ]
+
+let int_tests = List.concat_map bucketings int_bounds |> List.length
+
+(* the p-values of [draw]'s sample at [bound], one per bucketing *)
+let int_p_values draw bound =
+  let xs = Array.init int_samples (fun _ -> draw bound) in
+  List.map
+    (fun (label, cells, cell, share) ->
+      let observed = Array.make cells 0 in
+      Array.iter
+        (fun x ->
+          if x < 0 || x >= bound then Alcotest.failf "bound %d drew %d" bound x;
+          let j = cell x in
+          observed.(j) <- observed.(j) + 1)
+        xs;
+      let expected =
+        Array.init cells (fun j ->
+            float_of_int int_samples *. float_of_int (share j) /. float_of_int bound)
+      in
+      (label, Chi2.test observed expected))
+    (bucketings bound)
+
+(* Chi2.p_value against closed forms: for even df, Q(df/2, x/2) is the
+   Poisson(x/2) probability of fewer than df/2 events; for df = 1 it is
+   erfc (sqrt (x/2)) *)
+let test_chi2_p_value () =
+  let even_df df x =
+    let term = ref (exp (-.x /. 2.0)) and sum = ref 0.0 in
+    for k = 1 to df / 2 do
+      sum := !sum +. !term;
+      term := !term *. (x /. 2.0) /. float_of_int k
+    done;
+    !sum
+  in
+  let close label want got =
+    if Float.abs (got -. want) > 1e-9 *. want then
+      Alcotest.failf "%s: p = %.12g, want %.12g" label got want
+  in
+  List.iter
+    (fun (df, xs) ->
+      List.iter
+        (fun x ->
+          close (Printf.sprintf "df %d at %g" df x) (even_df df x) (Chi2.p_value ~df x))
+        xs)
+    [
+      (2, [ 0.5; 3.0; 13.8 ]);
+      (10, [ 2.0; 9.0; 29.6 ]);
+      (254, [ 200.0; 254.0; 330.0 ]);
+      (1000, [ 900.0; 1000.0; 1150.0 ]);
+    ];
+  List.iter
+    (fun x -> close (Printf.sprintf "df 1 at %g" x) (Float.erfc (sqrt (x /. 2.0))) (Chi2.p_value ~df:1 x))
+    [ 0.2; 3.84; 10.8 ]
+
+let test_int_chi2_uniform () =
+  Alcotest.(check int) "family size" 13 int_tests;
+  let per_test = chi2_alpha /. float_of_int int_tests in
+  let g = Rng.of_int 19 in
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun (label, p) ->
+          if p < per_test then
+            Alcotest.failf "bound %d, %s cells: chi2 p = %.3g < %.3g" bound label p
+              per_test)
+        (int_p_values (Rng.int g) bound))
+    int_bounds
+
+(* the gate bites: a multiply-shift reduction of 32 bits without
+   rejection favours every third value at 3 * 2^28 (6 of 16 preimages
+   where uniform would give 16/3) *)
+let test_int_chi2_rejects_bias () =
+  let g = Rng.of_int 20 in
+  let biased bound =
+    (Int64.to_int (Int64.shift_right_logical (Rng.bits64 g) 32) * bound) lsr 32
+  in
+  let p = List.assoc "residue" (int_p_values biased (3 * (1 lsl 28))) in
+  Alcotest.(check bool) (Printf.sprintf "biased residues p = %.3g" p) true (p < 1e-12)
+
 let test_int_bound_above_2_61 () =
   Alcotest.check_raises "2^61 + 1" (Invalid_argument "Rng.int: bound above 2^61")
     (fun () -> ignore (Rng.int (Rng.of_int 1) ((1 lsl 61) + 1)));
@@ -315,6 +431,10 @@ let suite =
       test_int_non_power_of_two_uniformity;
     Alcotest.test_case "int = two-division form, same draws" `Quick
       test_int_matches_two_division;
+    Alcotest.test_case "chi2 p-value = closed forms" `Quick test_chi2_p_value;
+    Alcotest.test_case "int chi2 uniform at 9 bounds" `Quick test_int_chi2_uniform;
+    Alcotest.test_case "int chi2 gate rejects a biased reduction" `Quick
+      test_int_chi2_rejects_bias;
     Alcotest.test_case "int refuses bounds above 2^61" `Quick
       test_int_bound_above_2_61;
     Alcotest.test_case "int_in range and errors" `Quick test_int_in;
