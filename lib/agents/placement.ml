@@ -1,4 +1,4 @@
-module Alias = Rumor_prob.Alias
+module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 
 type spec =
@@ -20,15 +20,29 @@ let count spec g =
           (Printf.sprintf "Placement.count: %g agents exceed the array limit" k);
       max (int_of_float (Float.round k)) 1
 
-let stationary_weights g = Alias.of_ints (Graph.degrees g)
+(* The stationary law deg v / 2m is the law of the head of a uniformly
+   random arc: one [Rng.int] over the 2m CSR slots and one slot read per
+   agent, with no table to build.  [place] and [place_counts] both draw
+   through this, one draw per agent in agent order. *)
+let[@inline] stationary_draw rng g arcs = Graph.arc_head g (Rng.int rng arcs)
+
+let arcs_of ~who g =
+  let arcs = Graph.arc_count g in
+  if arcs = 0 then
+    invalid_arg (who ^ ": stationary placement on a graph with no edges");
+  arcs
 
 let place rng spec g =
   let k = count spec g in
   if k <= 0 then invalid_arg "Placement.place: no agents";
   match spec with
   | Stationary _ | Linear _ ->
-      let alias = stationary_weights g in
-      Array.init k (fun _ -> Alias.sample alias rng)
+      let arcs = arcs_of ~who:"Placement.place" g in
+      let pos = Array.make k 0 in
+      for a = 0 to k - 1 do
+        pos.(a) <- stationary_draw rng g arcs
+      done;
+      pos
   | One_per_vertex -> Array.init (Graph.n g) (fun v -> v)
   | All_at (v, _) ->
       if v < 0 || v >= Graph.n g then invalid_arg "Placement.place: vertex out of range";
@@ -43,9 +57,9 @@ let place_counts rng spec g =
   | Stationary _ | Linear _ ->
       (* same draw sequence as {!place}, histogrammed on the fly: O(n + k)
          memory-independent of per-agent identity *)
-      let alias = stationary_weights g in
+      let arcs = arcs_of ~who:"Placement.place_counts" g in
       for _ = 1 to k do
-        let v = Alias.sample alias rng in
+        let v = stationary_draw rng g arcs in
         counts.(v) <- counts.(v) + 1
       done
   | One_per_vertex -> Array.fill counts 0 n 1

@@ -22,8 +22,13 @@ val count : spec -> Rumor_graph.Graph.t -> int
 
 val place : Rumor_prob.Rng.t -> spec -> Rumor_graph.Graph.t -> int array
 (** [place rng spec g] materializes initial positions, one entry per
-    agent.  @raise Invalid_argument if the spec is empty or invalid for
-    [g] (e.g. [All_at] with an out-of-range vertex). *)
+    agent.  A stationary agent ([Stationary], [Linear]) is the head of a
+    uniformly random directed arc ({!Rumor_graph.Graph.arc_head}): one
+    [Rumor_prob.Rng.int rng (2m)] and one slot read, drawn in agent order,
+    O(1) per agent with no table to build.
+    @raise Invalid_argument if the spec is empty or invalid for [g] (e.g.
+    [All_at] with an out-of-range vertex, or a stationary spec on a graph
+    with no edges, which has no stationary law). *)
 
 val place_counts : Rumor_prob.Rng.t -> spec -> Rumor_graph.Graph.t -> int array
 (** [place_counts rng spec g] is the per-vertex histogram of {!place} — the
@@ -32,7 +37,3 @@ val place_counts : Rumor_prob.Rng.t -> spec -> Rumor_graph.Graph.t -> int array
     {!place}, so [place_counts rng spec g] equals the histogram of
     [place rng' spec g] when [rng] and [rng'] start from the same state.
     @raise Invalid_argument under the same conditions as {!place}. *)
-
-val stationary_weights : Rumor_graph.Graph.t -> Rumor_prob.Alias.t
-(** The alias table for the stationary distribution of [g], exposed for
-    tests and for callers that place agents repeatedly. *)

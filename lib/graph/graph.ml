@@ -90,6 +90,8 @@ let edge_index g u v =
 
 let arc_count g = 2 * g.m
 
+let[@inline] arc_head g i = slot g.adj i
+
 let csr_bytes g = (Sys.word_size / 8 * Array.length g.offsets) + Bytes.length g.adj
 
 let min_degree g = g.min_deg

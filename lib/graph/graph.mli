@@ -102,6 +102,14 @@ val edge_index : t -> int -> int -> int
 val arc_count : t -> int
 (** [arc_count g = 2 * num_edges g]: size of the directed-arc index space. *)
 
+val arc_head : t -> int -> int
+(** [arc_head g i] is the head [v] of the directed arc [i] in
+    [0, arc_count g): the inverse of {!edge_index} on its second vertex,
+    one CSR slot read.  Every vertex [v] heads [degree g v] arcs, so the
+    head of a uniformly random arc is a draw from the stationary law
+    [deg v / 2m] of the simple random walk.  Bounds are checked only by
+    the underlying slot access. *)
+
 val csr_bytes : t -> int
 (** Payload bytes of the CSR arrays, headers excluded: one word per offset
     and 4 bytes per neighbour slot, [8(n+1) + 8m] on a 64-bit host.  This is
@@ -124,7 +132,7 @@ val total_degree : t -> int
 (** Sum of degrees, [2 * num_edges]. *)
 
 val degrees : t -> int array
-(** Fresh array of all vertex degrees (for stationary-placement weights). *)
+(** Fresh array of all vertex degrees. *)
 
 (** {1 Validation and display} *)
 

@@ -69,10 +69,60 @@ let rec poisson g lambda =
     let half = lambda /. 2.0 in
     poisson g half + poisson g (lambda -. half)
 
+(* Ziggurat for Exp(1) (Marsaglia & Tsang 2000), 256 layers.  Layer i >= 1
+   is the rectangle [0, x_i] x [f x_i, f x_(i+1)] under f x = e^-x, with
+   x_1 = r > x_2 > ... > x_256 = 0; layer 0 is the base strip [0, r] x
+   [0, f r] plus the tail beyond r, drawn as a rectangle of width
+   x_0 = v / f r.  Every layer has area v, so a uniform layer and a
+   uniform abscissa x = u x_i in it give a point under the curve (accept)
+   unless x >= x_(i+1): then it is in the wedge of layer i >= 1, or in the
+   tail of layer 0.  [zig_k.(i)] is x_(i+1) / x_i scaled to 53 bits, so
+   the fast test is one integer compare of the uniform's bits, and
+   [zig_w.(i)] = x_i / 2^53 turns those bits into x. *)
+let zig_r = 7.69711747013104972
+let zig_v = 0.0039496598225815571993
+let zig_scale = 9007199254740992.0 (* 2^53 *)
+
+(* x_0 .. x_256 *)
+let zig_x =
+  let x = Array.make 257 0.0 in
+  x.(0) <- zig_v /. exp (-.zig_r);
+  x.(1) <- zig_r;
+  for i = 1 to 254 do
+    (* f x_(i+1) = f x_i + v / x_i *)
+    x.(i + 1) <- -.log (exp (-.x.(i)) +. (zig_v /. x.(i)))
+  done;
+  x
+
+let zig_k = Array.init 256 (fun i -> Float.to_int (zig_x.(i + 1) /. zig_x.(i) *. zig_scale))
+let zig_w = Array.init 256 (fun i -> zig_x.(i) /. zig_scale)
+let zig_f = Array.map (fun x -> exp (-.x)) zig_x
+
+(* One draw's fast path: one output gives the layer (its low 8 bits) and
+   the abscissa (its high 53 bits); [slow] takes the rest.  Inlined twice
+   below, so the inlined sampler carries no recursion. *)
+let[@inline] zig_try g slow =
+  let bits = Rng.bits64 g in
+  let i = Int64.to_int bits land 255 in
+  let u = Int64.to_int (Int64.shift_right_logical bits 11) in
+  let x = Float.of_int u *. Array.unsafe_get zig_w i in
+  if u < Array.unsafe_get zig_k i then x else slow g i x
+
+(* The draws the fast path leaves: the tail beyond r (layer 0), by
+   memorylessness r + Exp(1); or the wedge of layer i, where x is accepted
+   when a uniform height in [f x_i, f x_(i+1)] falls below f x, and a
+   rejected point restarts the whole draw. *)
+let[@inline never] rec zig_slow g i x =
+  if i = 0 then zig_r +. zig_try g zig_slow
+  else if zig_f.(i) +. (Rng.float g 1.0 *. (zig_f.(i + 1) -. zig_f.(i))) < exp (-.x)
+  then x
+  else zig_try g zig_slow
+
+let[@inline] standard_exponential g = zig_try g zig_slow
+
 let[@inline] exponential g rate =
-  if rate <= 0.0 then invalid_arg "Dist.exponential: rate <= 0";
-  let u = 1.0 -. Rng.float g 1.0 in
-  -.log u /. rate
+  if not (rate > 0.0) then invalid_arg "Dist.exponential: rate must be positive";
+  standard_exponential g /. rate
 
 let categorical g w =
   let n = Array.length w in

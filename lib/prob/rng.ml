@@ -84,31 +84,44 @@ let split_n g n =
 (* 61 uniform bits of the next output, as a non-negative native int *)
 let[@inline] draw61 g = Int64.to_int (Int64.logand (bits64 g) 0x1FFFFFFFFFFFFFFFL)
 
-(* The rare rejected draw of [int], kept out of line so the inlined fast
-   path stays small.  A bound above 2^61 rejects every draw: no 61-bit
-   value clears the test, so refuse it instead of spinning. *)
-let[@inline never] rec int_retry g bound =
+(* The high 32 bits of the next output, as a non-negative native int *)
+let[@inline] draw32 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 32)
+
+(* Bounds above 2^30, where x * bound can leave the 63-bit native int:
+   rejection on 61 bits, one division.  A draw r is rejected iff it falls
+   in the incomplete last block, r >= (2^61 / bound) * bound, that is
+   r - r mod bound > 2^61 - bound.  A bound above 2^61 rejects every draw:
+   no 61-bit value clears the test, so refuse it instead of spinning. *)
+let[@inline never] rec int_large g bound =
   if bound > 1 lsl 61 then invalid_arg "Rng.int: bound above 2^61";
   let r = draw61 g in
   let v = r mod bound in
-  if r - v > (1 lsl 61) - bound then int_retry g bound else v
+  if r - v > (1 lsl 61) - bound then int_large g bound else v
+
+(* Lemire's rejection, off the fast path: the low word [m land (2^32-1)]
+   fell below [bound], so it may lie in the 2^32 mod bound values of the
+   over-represented prefix.  Reject those and redraw; the threshold is
+   (2^32 - bound) mod bound = 2^32 mod bound, the one division. *)
+let[@inline never] int_reject g bound m =
+  let threshold = ((1 lsl 32) - bound) mod bound in
+  let m = ref m in
+  while !m land 0xFFFF_FFFF < threshold do
+    m := draw32 g * bound
+  done;
+  !m lsr 32
 
 let[@inline] int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound land (bound - 1) = 0 then
-    (* power of two: mask the high-quality low bits of the starred output *)
-    Int64.to_int (Int64.logand (bits64 g) (Int64.of_int (bound - 1)))
-  else begin
-    (* rejection sampling on 61 bits to avoid modulo bias (61 keeps the
-       limit arithmetic comfortably inside OCaml's 63-bit native int).  A
-       draw r is rejected iff it falls in the incomplete last block,
-       r >= (2^61 / bound) * bound; for a bound that does not divide 2^61
-       that is r - r mod bound > 2^61 - bound, one division instead of
-       two. *)
-    let r = draw61 g in
-    let v = r mod bound in
-    if r - v > (1 lsl 61) - bound then int_retry g bound else v
+  if bound <= 1 lsl 30 then begin
+    (* Lemire's multiply-shift: with x uniform on 32 bits, m = x * bound
+       (< 2^62, a native int) and m lsr 32 is uniform on [0, bound) once
+       the draws whose low word falls below 2^32 mod bound are rejected;
+       that test needs a division only when the low word is below
+       [bound], which happens with probability bound / 2^32 *)
+    let m = draw32 g * bound in
+    if m land 0xFFFF_FFFF < bound then int_reject g bound m else m lsr 32
   end
+  else int_large g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

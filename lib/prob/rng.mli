@@ -40,10 +40,22 @@ val bits64 : t -> int64
 (** [bits64 g] is the next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int g bound] is uniform on [0, bound).  Uses rejection sampling, so the
-    result is exactly uniform.  @raise Invalid_argument if [bound <= 0], or
-    if [bound] is above 2^61 and not a power of two (no 61-bit draw could
-    be accepted). *)
+(** [int g bound] is exactly uniform on [0, bound), by rejection.
+
+    For [bound <= 2^30] it is Lemire's multiply-shift: the high 32 bits
+    [x] of one {!bits64} output give [m = x * bound], the draw is rejected
+    iff the low 32 bits of [m] are below [2^32 mod bound] (computed, with
+    the one division, only when they are below [bound]), and the result is
+    [m lsr 32].  A draw is rejected with probability below
+    [bound / 2^32 <= 1/4], so most calls take one output and no division.
+
+    For [2^30 < bound <= 2^61] it rejects on 61 bits with one division:
+    an output's low 61 bits [r] are rejected iff they fall in the
+    incomplete last block of [bound]-sized blocks, and [r mod bound] is
+    the result.
+
+    @raise Invalid_argument if [bound <= 0] or [bound > 2^61] (no 61-bit
+    draw could be accepted). *)
 
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform on the inclusive range [lo, hi].

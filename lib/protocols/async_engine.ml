@@ -19,8 +19,9 @@ module Trace = Rumor_obs.Trace
 
    Determinism contract: both kernels follow the clock-stream contract
    documented in Async_push's mli — the first [rng] operation splits off
-   the clock generator, each ring draws one Exp(1) gap from it divided by
-   the current total rate, all other draws stay on [rng] in event order.
+   the clock generator, each ring draws one Exp(1) gap from it (one
+   ziggurat draw, one or more outputs) divided by the current total rate,
+   all other draws stay on [rng] in event order.
    Every result field (continuous broadcast time, ring count, integer-mark
    curve, obs streams) is therefore a pure function of the seed; the golden
    digests in test/golden_kernels.ml pin it bit for bit. *)
@@ -244,50 +245,46 @@ let meet_exchange ?obs ?trace ?lazy_walk ?walkers:(_ : Sparse_walkers.mode optio
       in
       let cu = cell.(u) in
       let bit = cu land 1 in
-      if v <> u then begin
-        pos.(a) <- v;
-        (* the last agent to leave takes the bit with it *)
-        cell.(u) <- (if cu >= 4 then cu - 2 else 0);
-        if listed then begin
-          let p = prev.(a) in
-          let nx = next.(a) in
-          if p >= 0 then next.(p) <- nx else head.(u) <- nx;
-          if nx >= 0 then prev.(nx) <- p;
-          let h = head.(v) in
-          next.(a) <- h;
-          prev.(a) <- -1;
-          if h >= 0 then prev.(h) <- a;
-          head.(v) <- a
-        end
+      (* One update path, without branches on the cell classes: a lazy
+         stay (v = u) departs and re-arrives, which leaves cell.(u) as it
+         was and informs no one.  The departure keeps the class bit while
+         others remain; the last agent to leave takes it with it. *)
+      pos.(a) <- v;
+      cell.(u) <- (cu - 2) land -Bool.to_int (cu >= 4);
+      if listed && v <> u then begin
+        let p = prev.(a) in
+        let nx = next.(a) in
+        if p >= 0 then next.(p) <- nx else head.(u) <- nx;
+        if nx >= 0 then prev.(nx) <- p;
+        let h = head.(v) in
+        next.(a) <- h;
+        prev.(a) <- -1;
+        if h >= 0 then prev.(h) <- a;
+        head.(v) <- a
       end;
       Obs.walker_move obs ~agent:a ~from_:u ~to_:v;
-      if v <> u then begin
-        let cv = cell.(v) in
-        if cv = 0 then begin
-          (* only an empty source can still be active *)
-          if !source_active && v = source then begin
-            source_active := false;
-            cell.(v) <- 3;
-            if bit = 0 then begin
-              incr informed_count;
-              Obs.contact obs v a
-            end
-          end
-          else cell.(v) <- 2 lor bit
+      let cv = cell.(v) in
+      if !source_active && v = source then begin
+        (* only an empty source can still be active, so cv = 0 here *)
+        source_active := false;
+        cell.(v) <- 3;
+        if bit = 0 then begin
+          incr informed_count;
+          Obs.contact obs v a
         end
-        else if cv land 1 = bit then cell.(v) <- cv + 2
-        else begin
-          cell.(v) <- (cv + 2) lor 1;
-          if bit = 1 then begin
+      end
+      else begin
+        (* [diff] = 1 iff the arrival meets agents of the other class; the
+           vertex is then informed, and so are the cv / 2 agents there (an
+           informed arrival) or the arrival itself (an uninformed one) *)
+        let diff = Bool.to_int (cv <> 0) land ((cv lxor bit) land 1) in
+        cell.(v) <- (cv + 2) lor (bit lor diff);
+        informed_count := !informed_count + (diff * ((bit * (cv lsr 1)) + 1 - bit));
+        if listed && diff = 1 then
+          if bit = 1 then
             (* an informed arrival informs everyone listed after it *)
-            informed_count := !informed_count + (cv lsr 1);
-            if listed then contacts_from v next.(a)
-          end
-          else begin
-            incr informed_count;
-            Obs.contact obs v a
-          end
-        end
+            contacts_from v next.(a)
+          else Obs.contact obs v a
       end;
       if !informed_count = k then begin
         finished := true;

@@ -21,10 +21,13 @@
     The RNG-consumption order both kernels of {!Async_engine} implement:
     the first operation on [rng] splits off a dedicated clock generator
     ({!Rumor_prob.Rng.split}); each ring draws one Exp(1) gap from that
-    clock generator and divides it by the current total rate (|I| for
-    push, n for push–pull, the agent count for meet-exchange), and every
-    other draw (the ringer, neighbor picks, placement, walk steps) comes
-    from [rng] itself in event order. *)
+    clock generator ({!Rumor_prob.Dist.exponential}, a ziggurat: one gap
+    usually takes one output of the clock generator, but may take more)
+    and divides it by the current total rate (|I| for push, n for
+    push–pull, the agent count for meet-exchange), and every other draw
+    (the ringer, neighbor picks, placement, walk steps) comes from [rng]
+    itself in event order.  The clock generator feeds nothing else, so
+    however many outputs a gap takes, the other draws are unchanged. *)
 
 type variant = Async_push | Async_push_pull
 

@@ -142,12 +142,16 @@ let test_exponential_law () =
     true
     (lower > per_test /. 2.0 && upper > per_test /. 2.0)
 
+(* a NaN rate fails [rate > 0] as well: it is refused, not turned into NaN
+   gaps *)
 let test_exponential_invalid () =
   let g = Rng.of_int 31 in
-  try
-    ignore (Dist.exponential g 0.0);
-    Alcotest.fail "rate 0 accepted"
-  with Invalid_argument _ -> ()
+  List.iter
+    (fun rate ->
+      match Dist.exponential g rate with
+      | x -> Alcotest.failf "rate %g accepted, drew %g" rate x
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; -.Float.infinity ]
 
 let test_categorical_frequencies () =
   let g = Rng.of_int 32 in

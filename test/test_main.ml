@@ -5,7 +5,6 @@ let () =
     [
       ("prob.rng", Test_rng.suite);
       ("prob.dist", Test_dist.suite);
-      ("prob.alias", Test_alias.suite);
       ("prob.stats", Test_stats.suite);
       ("prob.regress", Test_regress.suite);
       ("prob.fenwick", Test_fenwick.suite);

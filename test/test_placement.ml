@@ -52,10 +52,20 @@ let test_all_at () =
 let test_empty_rejected () =
   let g = Gen.path 3 in
   let rng = Rng.of_int 73 in
-  try
-    ignore (Placement.place rng (Placement.Stationary 0) g);
-    Alcotest.fail "zero agents accepted"
-  with Invalid_argument _ -> ()
+  (try
+     ignore (Placement.place rng (Placement.Stationary 0) g);
+     Alcotest.fail "zero agents accepted"
+   with Invalid_argument _ -> ());
+  (* a graph with no edges has no stationary law *)
+  let edgeless = Graph.of_edges ~n:3 [] in
+  Alcotest.check_raises "place on an edgeless graph"
+    (Invalid_argument
+       "Placement.place: stationary placement on a graph with no edges")
+    (fun () -> ignore (Placement.place rng (Placement.Stationary 2) edgeless));
+  Alcotest.check_raises "place_counts on an edgeless graph"
+    (Invalid_argument
+       "Placement.place_counts: stationary placement on a graph with no edges")
+    (fun () -> ignore (Placement.place_counts rng (Placement.Linear 1.0) edgeless))
 
 let test_stationary_is_degree_proportional () =
   (* on the star, the center holds half the stationary mass *)
@@ -116,15 +126,6 @@ let test_stationary_chi2 () =
         Alcotest.failf "%s: chi2 p = %.3g < %.3g" name p per_test)
     graphs
 
-let test_stationary_weights_probabilities () =
-  let g = Gen.star ~leaves:3 in
-  let alias = Placement.stationary_weights g in
-  (* degrees 3,1,1,1; total 6 *)
-  Alcotest.(check bool) "center probability" true
-    (Float.abs (Rumor_prob.Alias.probability alias 0 -. 0.5) < 1e-9);
-  Alcotest.(check bool) "leaf probability" true
-    (Float.abs (Rumor_prob.Alias.probability alias 1 -. (1.0 /. 6.0)) < 1e-9)
-
 (* place_counts is the histogram of place on the same rng stream: same
    spec, same seed, identical per-vertex totals — and both leave the
    generator in the same state. *)
@@ -176,7 +177,6 @@ let suite =
     Alcotest.test_case "stationary uniform on regular" `Quick
       test_stationary_on_regular_is_uniform;
     Alcotest.test_case "stationary chi2 against deg/2m" `Quick test_stationary_chi2;
-    Alcotest.test_case "stationary weights exact" `Quick test_stationary_weights_probabilities;
     Alcotest.test_case "place_counts is place histogram" `Quick
       test_place_counts_is_histogram;
     Alcotest.test_case "place_counts invalid args" `Quick test_place_counts_invalid;

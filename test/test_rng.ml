@@ -128,41 +128,53 @@ let test_int_non_power_of_two_uniformity () =
         Alcotest.failf "bucket %d has ratio %.3f" i ratio)
     buckets
 
-(* The two-division form [Rng.int] used before its one-division rewrite:
-   reject r >= (2^61 / bound) * bound, then reduce.  The rewrite must give
-   the same value and consume the same draws for every bound. *)
-let two_division_int ?(draws = ref 0) g bound =
-  if bound land (bound - 1) = 0 then begin
+(* A reference of [Rng.int]'s draw, written as plainly as possible in
+   Int64 arithmetic.  Up to 2^30 it is Lemire's multiply-shift with the
+   threshold 2^32 mod bound computed up front: x = the high 32 bits of an
+   output, m = x * bound, redraw while the low word of m is below the
+   threshold, return the high word.  Above 2^30 it is the two-division
+   61-bit form: reject r >= (2^61 / bound) * bound, then reduce.
+   [Rng.int] must give the same value and consume the same outputs for
+   every bound. *)
+let reference_int ?(draws = ref 0) g bound =
+  let next () =
     incr draws;
-    Int64.to_int (Int64.logand (Rng.bits64 g) (Int64.of_int (bound - 1)))
+    Rng.bits64 g
+  in
+  if bound <= 1 lsl 30 then begin
+    let s = Int64.of_int bound in
+    let threshold = Int64.rem (Int64.sub 0x1_0000_0000L s) s in
+    let rec go () =
+      let m = Int64.mul (Int64.shift_right_logical (next ()) 32) s in
+      if Int64.compare (Int64.logand m 0xFFFF_FFFFL) threshold < 0 then go ()
+      else Int64.to_int (Int64.shift_right_logical m 32)
+    in
+    go ()
   end
   else begin
-    let draw61 () =
-      incr draws;
-      Int64.to_int (Int64.logand (Rng.bits64 g) 0x1FFFFFFFFFFFFFFFL)
-    in
     let limit = (1 lsl 61) / bound * bound in
-    let r = ref (draw61 ()) in
-    while !r >= limit do
-      r := draw61 ()
-    done;
-    !r mod bound
+    let rec go () =
+      let r = Int64.to_int (Int64.logand (next ()) 0x1FFFFFFFFFFFFFFFL) in
+      if r >= limit then go () else r mod bound
+    in
+    go ()
   end
 
-let test_int_matches_two_division () =
+let test_int_matches_reference () =
   let bounds =
-    [ 1; 3; 10_000; (1 lsl 60) + 1; 3 * (1 lsl 59); (1 lsl 61) - 1 ]
+    [ 3; 7; 10_000; 3 * (1 lsl 28); (1 lsl 30) - 1; (1 lsl 30) + 1; (1 lsl 60) + 1;
+      3 * (1 lsl 59); (1 lsl 61) - 1 ]
     @ List.init 62 (fun k -> 1 lsl k)
   in
   List.iter
     (fun bound ->
       let a = Rng.of_int 17 and b = Rng.of_int 17 in
       for i = 1 to 2_000 do
-        let want = two_division_int b bound in
+        let want = reference_int b bound in
         let got = Rng.int a bound in
         if got <> want then
-          Alcotest.failf "bound %d, draw %d: Rng.int %d <> two-division %d" bound
-            i got want
+          Alcotest.failf "bound %d, draw %d: Rng.int %d <> reference %d" bound i got
+            want
       done;
       for _ = 1 to 4 do
         Alcotest.(check int64)
@@ -170,15 +182,19 @@ let test_int_matches_two_division () =
           (Rng.bits64 b) (Rng.bits64 a)
       done)
     bounds;
-  (* 2^60 + 1 rejects almost half the draws, so the retry path runs *)
-  let g = Rng.of_int 18 in
-  let draws = ref 0 in
-  for _ = 1 to 1_000 do
-    ignore (two_division_int ~draws g ((1 lsl 60) + 1))
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d draws for 1000 values" !draws)
-    true (!draws > 1_500)
+  (* the rejection paths run: 3 * 2^28 rejects 2^32 mod bound = 2^28 of
+     2^32 low words (1 in 16), and 2^60 + 1 almost half the 61-bit draws *)
+  List.iter
+    (fun (bound, at_least) ->
+      let g = Rng.of_int 18 in
+      let draws = ref 0 in
+      for _ = 1 to 1_000 do
+        ignore (reference_int ~draws g bound)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "bound %d: %d draws for 1000 values" bound !draws)
+        true (!draws >= at_least))
+    [ (3 * (1 lsl 28), 1_020); ((1 lsl 60) + 1, 1_500) ]
 
 (* Chi-square uniformity of [Rng.int] across small, composite, prime-ish
    and near-2^30 bounds, at family-wise alpha = 10^-3 (Bonferroni over the
@@ -429,8 +445,8 @@ let suite =
     Alcotest.test_case "int uniformity (chi2)" `Quick test_int_uniformity;
     Alcotest.test_case "int uniformity, non-power-of-two" `Quick
       test_int_non_power_of_two_uniformity;
-    Alcotest.test_case "int = two-division form, same draws" `Quick
-      test_int_matches_two_division;
+    Alcotest.test_case "int = Lemire / 61-bit reference, same draws" `Quick
+      test_int_matches_reference;
     Alcotest.test_case "chi2 p-value = closed forms" `Quick test_chi2_p_value;
     Alcotest.test_case "int chi2 uniform at 9 bounds" `Quick test_int_chi2_uniform;
     Alcotest.test_case "int chi2 gate rejects a biased reduction" `Quick
