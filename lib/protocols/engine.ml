@@ -183,7 +183,7 @@ let place_agents ~who rng g agents =
 
 (* One synchronized walker round over a flat position array, consuming [rng]
    in agent order: per agent, the lazy coin (if lazy) then the neighbor
-   draw (the order of Walkers.step). *)
+   draw. *)
 (* lint: hot *)
 let move_agents ?obs ~lazy_walk rng g pos =
   for a = 0 to Array.length pos - 1 do

@@ -1,11 +1,13 @@
 (* Tests for Rumor_graph.Hitting against textbook closed forms, plus a
-   cross-validation of the simulation engine against the exact values. *)
+   cross-validation of the meet-exchange round kernel's walks against the
+   exact values. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Gen = Rumor_graph.Gen_basic
 module Hitting = Rumor_graph.Hitting
-module Walkers = Rumor_agents.Walkers
+module Placement = Rumor_agents.Placement
+module Engine = Rumor_protocols.Engine
 
 let check label expected actual =
   if Float.abs (expected -. actual) > 1e-6 *. (1.0 +. Float.abs expected) then
@@ -110,24 +112,32 @@ let test_meeting_time_guard () =
     Alcotest.fail "size guard not applied"
   with Invalid_argument _ -> ()
 
-let test_simulation_matches_exact_hitting () =
-  (* the walk engine's empirical hitting time must match the solved value;
-     this validates Walkers + Rng end to end against ground truth *)
-  let g = Gen.complete 8 in
-  let exact = Hitting.hitting_time g 0 7 in
-  let rng = Rng.of_int 401 in
-  let trials = 4000 in
+(* Engine.meet_exchange, run as a walk-time meter.  One agent placed with
+   [All_at (start, 1)] away from the source learns the rumour when it
+   first stands on the source, so the run's broadcast time is the walk's
+   hitting time of the source.  Non-lazy walks throughout, to match
+   [Hitting]'s default. *)
+let hitting_run rng g ~start ~target =
+  let r =
+    Engine.meet_exchange ~lazy_walk:false rng g ~source:target
+      ~agents:(Placement.All_at (start, 1)) ~max_rounds:100_000 ()
+  in
+  Rumor_protocols.Run_result.time_exn r
+
+let mean_hitting_run ~seed ~trials g ~start ~target =
+  let rng = Rng.of_int seed in
   let total = ref 0 in
   for _ = 1 to trials do
-    let w = Walkers.create rng g [| 0 |] in
-    let steps = ref 0 in
-    while Walkers.position w 0 <> 7 do
-      Walkers.step w;
-      incr steps
-    done;
-    total := !total + !steps
+    total := !total + hitting_run rng g ~start ~target
   done;
-  let empirical = float_of_int !total /. float_of_int trials in
+  float_of_int !total /. float_of_int trials
+
+let test_simulation_matches_exact_hitting () =
+  (* the round kernel's walk time must match the solved value; this
+     validates the walk step and Rng end to end against ground truth *)
+  let g = Gen.complete 8 in
+  let exact = Hitting.hitting_time g 0 7 in
+  let empirical = mean_hitting_run ~seed:401 ~trials:4000 g ~start:0 ~target:7 in
   Alcotest.(check bool)
     (Printf.sprintf "empirical %.2f vs exact %.2f" empirical exact)
     true
@@ -136,42 +146,40 @@ let test_simulation_matches_exact_hitting () =
 let test_simulation_matches_exact_on_path () =
   let g = Gen.path 6 in
   let exact = Hitting.hitting_time g 5 0 in
-  let rng = Rng.of_int 402 in
-  let trials = 3000 in
-  let total = ref 0 in
-  for _ = 1 to trials do
-    let w = Walkers.create rng g [| 5 |] in
-    let steps = ref 0 in
-    while Walkers.position w 0 <> 0 do
-      Walkers.step w;
-      incr steps
-    done;
-    total := !total + !steps
-  done;
-  let empirical = float_of_int !total /. float_of_int trials in
+  let empirical = mean_hitting_run ~seed:402 ~trials:3000 g ~start:5 ~target:0 in
   Alcotest.(check bool)
     (Printf.sprintf "empirical %.2f vs exact %.2f" empirical exact)
     true
     (Float.abs (empirical -. exact) < 0.1 *. exact)
 
 let test_simulation_matches_exact_meeting () =
-  (* two simulated walks on K5 from fixed distinct starts; their empirical
-     meeting time must match the solved product-chain value.  On K5 the
+  (* two stationary agents on K5 with the source under agent 0: round 0
+     informs agent 0 alone when they start apart, the source then stops
+     informing, and agent 1 learns the rumour when the two walks meet, so
+     the broadcast time is their meeting time.  The kernel places its
+     agents with its first draws, so a copy of the generator shows where
+     they will start; runs that start together are skipped.  On K5 the
      meeting time is the same from every distinct pair by symmetry, so the
      max over pairs equals the pairwise value. *)
   let g = Gen.complete 5 in
   let exact = Hitting.max_meeting_time g in
   let rng = Rng.of_int 403 in
+  let agents = Placement.Stationary 2 in
   let trials = 4000 in
-  let total = ref 0 in
-  for _ = 1 to trials do
-    let w = Walkers.create rng g [| 0; 3 |] in
-    let steps = ref 0 in
-    while Walkers.position w 0 <> Walkers.position w 1 do
-      Walkers.step w;
-      incr steps
-    done;
-    total := !total + !steps
+  let total = ref 0 and runs = ref 0 in
+  while !runs < trials do
+    let pos = Placement.place (Rng.copy rng) agents g in
+    if pos.(0) = pos.(1) then ignore (Placement.place rng agents g)
+    else begin
+      let r =
+        Engine.meet_exchange ~lazy_walk:false rng g ~source:pos.(0) ~agents
+          ~max_rounds:100_000 ()
+      in
+      Alcotest.(check int) "round 0 informs agent 0 alone" 1
+        r.Rumor_protocols.Run_result.informed_curve.(0);
+      total := !total + Rumor_protocols.Run_result.time_exn r;
+      incr runs
+    end
   done;
   let empirical = float_of_int !total /. float_of_int trials in
   Alcotest.(check bool)

@@ -18,7 +18,6 @@ let () =
       ("graph.hitting", Test_hitting.suite);
       ("graph.spectral", Test_spectral.suite);
       ("agents.placement", Test_placement.suite);
-      ("agents.walkers", Test_walkers.suite);
       ("protocols.run_result", Test_run_result.suite);
       ("protocols.traffic", Test_traffic.suite);
       ("protocols.push", Test_push.suite);
