@@ -1553,6 +1553,12 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
                      (String.concat ", " (List.map (fun e -> e.id) all))))
           wanted
   in
+  (* E10 measures the combined protocol, which has no sparse-walker
+     kernel: refuse the pair before any experiment spends its time *)
+  if walkers = Protocol.Sparse && List.exists (fun e -> e.id = "E10") selected then
+    invalid_arg
+      "--walkers sparse cannot run E10: the combined protocol has no \
+       sparse-walker kernel (pick other experiments, or dense/auto walkers)";
   let run_one e =
     (* label each record with the experiment id, which is more useful
        downstream than the anonymous per-cell graph closures *)

@@ -76,8 +76,9 @@ val run_all :
     [Auto]-resolved-sparse cells are seed-deterministic but sample a
     different path than dense — the A10 gate bounds the distributional
     drift, and A10 itself always measures both representations.  [Sparse]
-    is refused ([Invalid_argument]) by the combined protocol, which E10
-    measures.
+    with E10 selected (by id, or by giving no ids) raises
+    [Invalid_argument] before any experiment runs: E10 measures the
+    combined protocol, which has no sparse-walker kernel.
 
     [trace] records every experiment as a span named by its id, with each
     measured cell's per-rep instrumentation underneath

@@ -160,7 +160,23 @@ let test_cli_unknown_names () =
   in
   List.iter
     (fun id -> check "rumor_experiments.exe" [ id ] ids)
-    [ "BOGUS"; "R3"; "A7" ]
+    [ "BOGUS"; "R3"; "A7" ];
+  (* sparse walkers with E10 (named, or implied by giving no ids) are
+     refused by run_all's up-front check, with one line: not by the
+     combined kernel after E1 and E2 have run *)
+  List.iter
+    (fun argv ->
+      let argv = "--walkers" :: "sparse" :: argv in
+      let label = String.concat " " ("rumor_experiments.exe" :: argv) in
+      let code, lines = run_cli "rumor_experiments.exe" argv in
+      Alcotest.(check int) (label ^ " exits 124") 124 code;
+      match lines with
+      | [ line ] ->
+          Alcotest.(check bool) (label ^ ": refused up front: " ^ line) true
+            (String.starts_with
+               ~prefix:"rumor_experiments: --walkers sparse cannot run E10" line)
+      | _ -> Alcotest.failf "%s: want one stderr line, got %d" label (List.length lines))
+    [ [ "E1"; "E2"; "E10" ]; [] ]
 
 (* the success path of the same CLIs: rumor_graphgen --edges -o writes an
    edge list that reads back as the generated graph *)
