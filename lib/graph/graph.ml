@@ -109,8 +109,6 @@ let regular_degree g = if is_regular g && g.n > 0 then Some (degree g 0) else No
 
 let total_degree g = 2 * g.m
 
-let degrees g = Array.init g.n (fun u -> degree g u)
-
 (* Sort every CSR slice in place and reject duplicate edges.  One scan finds
    each slice's first slot that does not rise above its predecessor; a
    strictly increasing slice is already sorted and duplicate-free, so a

@@ -131,9 +131,6 @@ val regular_degree : t -> int option
 val total_degree : t -> int
 (** Sum of degrees, [2 * num_edges]. *)
 
-val degrees : t -> int array
-(** Fresh array of all vertex degrees. *)
-
 (** {1 Validation and display} *)
 
 val validate : t -> unit

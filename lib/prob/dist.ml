@@ -99,8 +99,9 @@ let zig_w = Array.init 256 (fun i -> zig_x.(i) /. zig_scale)
 let zig_f = Array.map (fun x -> exp (-.x)) zig_x
 
 (* One draw's fast path: one output gives the layer (its low 8 bits) and
-   the abscissa (its high 53 bits); [slow] takes the rest.  Inlined twice
-   below, so the inlined sampler carries no recursion. *)
+   the abscissa (its high 53 bits); [slow] takes the rest.  Inlined into
+   [exponential] and into the slow path's restarts, so the inlined
+   sampler carries no recursion. *)
 let[@inline] zig_try g slow =
   let bits = Rng.bits64 g in
   let i = Int64.to_int bits land 255 in
@@ -118,11 +119,9 @@ let[@inline never] rec zig_slow g i x =
   then x
   else zig_try g zig_slow
 
-let[@inline] standard_exponential g = zig_try g zig_slow
-
 let[@inline] exponential g rate =
   if not (rate > 0.0) then invalid_arg "Dist.exponential: rate must be positive";
-  standard_exponential g /. rate
+  zig_try g zig_slow /. rate
 
 let categorical g w =
   let n = Array.length w in

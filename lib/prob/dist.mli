@@ -28,23 +28,21 @@ val poisson : Rng.t -> float -> int
     large lambda. @raise Invalid_argument if [lambda < 0.]. *)
 
 val exponential : Rng.t -> float -> float
-(** [exponential g rate] samples Exp(rate); mean [1/rate].  It is
-    [standard_exponential g /. rate].
-    @raise Invalid_argument unless [rate > 0.] (so also for a NaN rate). *)
+(** [exponential g rate] samples Exp(rate), mean [1/rate], as an Exp(1)
+    draw divided by [rate].
 
-val standard_exponential : Rng.t -> float
-(** [standard_exponential g] samples Exp(1) by Marsaglia and Tsang's
-    ziggurat with 256 layers of equal area
-    v = 0.0039496598225815571993 over the density e^-x, the base strip
-    reaching r = 7.69711747013104972; the tables are built once, when the
-    module initializes, and are only read afterwards (so domains may share
-    them).  One {!Rng.bits64} output gives the layer (its low 8 bits) and
-    a 53-bit uniform (its high 53 bits); about 98.9% of draws end there,
-    with a compare and a multiply and no allocation.  The rest take the
-    wedge test (one {!Rng.float} and an [exp]) and retry with a fresh
-    output on rejection, or, from the base strip's tail, return
-    [r + standard_exponential g].  So one draw takes one or more outputs
-    of [g]. *)
+    The Exp(1) draw is Marsaglia and Tsang's ziggurat with 256 layers of
+    equal area v = 0.0039496598225815571993 under the density e^-x, the
+    base strip reaching r = 7.69711747013104972.  The tables are built
+    once, when the module initializes, and only read afterwards, so
+    domains may share them.  One {!Rng.bits64} output gives the layer (its
+    low 8 bits) and a 53-bit uniform (its high 53 bits); about 98.9% of
+    draws end there, with a compare and a multiply and no allocation.  The
+    rest take the wedge test (one {!Rng.float} and an [exp]) and start
+    over with a fresh output on rejection, or, from the base strip's tail,
+    return r plus a fresh Exp(1) draw.  So one draw takes one or more
+    outputs of [g].
+    @raise Invalid_argument unless [rate > 0.] (so also for a NaN rate). *)
 
 val categorical : Rng.t -> float array -> int
 (** [categorical g w] samples index [i] with probability [w.(i) / sum w] by

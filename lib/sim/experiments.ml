@@ -1555,7 +1555,7 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
   in
   (* E10 measures the combined protocol, which has no sparse-walker
      kernel: refuse the pair before any experiment spends its time *)
-  if walkers = Protocol.Sparse && List.exists (fun e -> e.id = "E10") selected then
+  if walkers = Protocol.Sparse && List.exists (fun e -> String.equal e.id "E10") selected then
     invalid_arg
       "--walkers sparse cannot run E10: the combined protocol has no \
        sparse-walker kernel (pick other experiments, or dense/auto walkers)";

@@ -124,9 +124,18 @@ let test_regularity () =
   Alcotest.(check int) "min degree" 1 (Graph.min_degree star);
   Alcotest.(check int) "max degree" 3 (Graph.max_degree star)
 
-let test_degrees_array () =
-  let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3) ] in
-  Alcotest.(check (array int)) "degrees" [| 3; 1; 1; 1 |] (Graph.degrees g)
+(* arc_head inverts edge_index, so vertex v heads exactly deg v arcs *)
+let test_arc_head () =
+  let g = Graph.of_edges ~n:5 [ (0, 1); (0, 2); (0, 3); (3, 4) ] in
+  let heads = Array.make (Graph.n g) 0 in
+  for i = 0 to Graph.arc_count g - 1 do
+    let v = Graph.arc_head g i in
+    heads.(v) <- heads.(v) + 1
+  done;
+  Alcotest.(check (array int)) "arcs per head = degrees" [| 3; 1; 1; 2; 1 |] heads;
+  Graph.iter_edges g (fun u v ->
+      Alcotest.(check int) "head of u -> v" v (Graph.arc_head g (Graph.edge_index g u v));
+      Alcotest.(check int) "head of v -> u" u (Graph.arc_head g (Graph.edge_index g v u)))
 
 let test_validate_accepts_generators () =
   Graph.validate (triangle ());
@@ -378,7 +387,7 @@ let suite =
     Alcotest.test_case "rejects duplicates" `Quick test_rejects_duplicate;
     Alcotest.test_case "rejects out-of-range" `Quick test_rejects_out_of_range;
     Alcotest.test_case "regularity queries" `Quick test_regularity;
-    Alcotest.test_case "degrees array" `Quick test_degrees_array;
+    Alcotest.test_case "arc_head inverts edge_index" `Quick test_arc_head;
     Alcotest.test_case "validate accepts generators" `Quick test_validate_accepts_generators;
     Alcotest.test_case "edgeless graph" `Quick test_empty_graph;
     Alcotest.test_case "builder matches of_edges" `Quick
