@@ -300,6 +300,27 @@ let test_csr_bytes () =
       Rumor_graph.Gen_random.gnm (Rng.of_int 3) ~n:1000 ~m:4000;
     ]
 
+(* on random graphs too, arc i runs from the vertex whose CSR range holds
+   slot i to arc_head i: edge_index of that pair is i again, and every
+   vertex heads as many arcs as its degree *)
+let prop_arc_head_inverts_edge_index =
+  QCheck.Test.make ~count:100 ~name:"arc_head inverts edge_index on random graphs"
+    QCheck.(triple (int_range 1 40) (int_range 0 200) small_nat)
+    (fun (n, m, seed) ->
+      let m = min m (n * (n - 1) / 2) in
+      let g = Rumor_graph.Gen_random.gnm (Rng.of_int seed) ~n ~m in
+      let heads = Array.make n 0 in
+      for u = 0 to n - 1 do
+        Graph.iter_neighbors g u (fun v ->
+            let i = Graph.edge_index g u v in
+            if Graph.arc_head g i <> v then
+              QCheck.Test.fail_reportf "arc_head (edge_index %d %d) = %d" u v
+                (Graph.arc_head g i);
+            heads.(v) <- heads.(v) + 1)
+      done;
+      Array.for_all Fun.id (Array.mapi (fun v h -> h = Graph.degree g v) heads)
+      && Array.fold_left ( + ) 0 heads = Graph.arc_count g)
+
 (* random edge lists, each edge in a random orientation, through both
    constructors; every accessor must agree with a sorted adjacency list *)
 let prop_csr_matches_reference =
@@ -408,4 +429,5 @@ let suite =
     Alcotest.test_case "csr_bytes counts 4-byte slots" `Quick test_csr_bytes;
     QCheck_alcotest.to_alcotest prop_random_graph_validates;
     QCheck_alcotest.to_alcotest prop_csr_matches_reference;
+    QCheck_alcotest.to_alcotest prop_arc_head_inverts_edge_index;
   ]

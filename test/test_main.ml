@@ -18,6 +18,7 @@ let () =
       ("graph.hitting", Test_hitting.suite);
       ("graph.spectral", Test_spectral.suite);
       ("agents.placement", Test_placement.suite);
+      ("agents.walk", Test_walk.suite);
       ("protocols.run_result", Test_run_result.suite);
       ("protocols.traffic", Test_traffic.suite);
       ("protocols.push", Test_push.suite);

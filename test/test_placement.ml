@@ -153,6 +153,72 @@ let test_place_counts_is_histogram () =
       Placement.All_at (3, 5);
     ]
 
+(* A vertex of degree 0 heads no arc, so it never receives a stationary
+   agent; the one edge's two endpoints share the mass equally. *)
+let test_zero_degree_never_placed () =
+  let g = Graph.of_edges ~n:5 [ (1, 3) ] in
+  let total = 20_000 in
+  List.iter
+    (fun spec ->
+      let counts = Placement.place_counts (Rng.of_int 79) spec g in
+      List.iter
+        (fun v -> Alcotest.(check int) (Printf.sprintf "vertex %d empty" v) 0 counts.(v))
+        [ 0; 2; 4 ];
+      Alcotest.(check int) "every agent placed" total (counts.(1) + counts.(3));
+      let p = float_of_int counts.(1) /. float_of_int total in
+      Alcotest.(check bool)
+        (Printf.sprintf "endpoint mass %.3f near 0.5" p)
+        true
+        (Float.abs (p -. 0.5) < 0.02))
+    [ Placement.Stationary total; Placement.Linear (float_of_int total /. 5.0) ]
+
+(* Value for value, a stationary agent is the head of arc [Rng.int rng
+   (2m)], drawn in agent order, and placing consumes exactly one draw per
+   agent on these bounds. *)
+let test_stationary_reference_draw () =
+  List.iter
+    (fun (name, g) ->
+      let k = 500 in
+      let a = Rng.of_int 80 and b = Rng.of_int 80 in
+      let arcs = Graph.arc_count g in
+      let want = Array.init k (fun _ -> Graph.arc_head g (Rng.int b arcs)) in
+      Alcotest.(check (array int)) (name ^ ": positions") want
+        (Placement.place a (Placement.Stationary k) g);
+      Alcotest.(check int64) (name ^ ": rng state") (Rng.bits64 b) (Rng.bits64 a))
+    [
+      ("path", Gen.path 2);
+      ("star", Gen.star ~leaves:30);
+      ("lollipop", Gen.lollipop ~clique_size:7 ~tail_len:9);
+      ("torus", Gen.torus ~rows:5 ~cols:7);
+    ]
+
+(* [Linear alpha] places alpha * n agents from the same stationary law:
+   on the star, half of them on the centre *)
+let test_linear_is_stationary () =
+  let g = Gen.star ~leaves:50 in
+  let pos = Placement.place (Rng.of_int 81) (Placement.Linear 400.0) g in
+  Alcotest.(check int) "alpha * n agents" (400 * 51) (Array.length pos);
+  let at_center = Array.fold_left (fun acc v -> if v = 0 then acc + 1 else acc) 0 pos in
+  let p = float_of_int at_center /. float_of_int (Array.length pos) in
+  Alcotest.(check bool)
+    (Printf.sprintf "center mass %.3f near 0.5" p)
+    true
+    (Float.abs (p -. 0.5) < 0.02)
+
+let prop_placed_on_edges =
+  QCheck.Test.make ~count:50
+    ~name:"stationary agents land only on vertices with an edge"
+    QCheck.(triple (int_range 2 40) (int_range 1 60) small_nat)
+    (fun (n, m, seed) ->
+      let m = min m (n * (n - 1) / 2) in
+      let rng = Rng.of_int seed in
+      let g = Rumor_graph.Gen_random.gnm rng ~n ~m in
+      let k = 1 + (seed mod 97) in
+      let counts = Placement.place_counts rng (Placement.Stationary k) g in
+      Array.fold_left ( + ) 0 counts = k
+      && Array.for_all Fun.id
+           (Array.mapi (fun v c -> c = 0 || Graph.degree g v > 0) counts))
+
 let test_place_counts_invalid () =
   let g = Gen.path 5 in
   (try
@@ -180,4 +246,10 @@ let suite =
     Alcotest.test_case "place_counts is place histogram" `Quick
       test_place_counts_is_histogram;
     Alcotest.test_case "place_counts invalid args" `Quick test_place_counts_invalid;
+    Alcotest.test_case "zero-degree vertices never placed" `Quick
+      test_zero_degree_never_placed;
+    Alcotest.test_case "stationary = head of a uniform arc, same draws" `Quick
+      test_stationary_reference_draw;
+    Alcotest.test_case "linear placement is stationary" `Quick test_linear_is_stationary;
+    QCheck_alcotest.to_alcotest prop_placed_on_edges;
   ]
