@@ -1,47 +1,66 @@
+(* The breadth-first searches below walk each vertex's CSR slot range
+   [first_arc u, first_arc (u+1)) directly: two offset reads a vertex, one
+   slot read an arc, and no closure.  All but [is_bipartite] stop once
+   every vertex has been reached: the arcs still unscanned can only lead
+   to reached vertices, so the answer is already settled (on a heavy tree
+   the first leaf reaches every other leaf, and the rest of the clique is
+   never scanned). *)
+
+(* lint: hot *)
 let bfs_distances g src =
   let n = Graph.n g in
   if src < 0 || src >= n then invalid_arg "Algo.bfs_distances: source out of range";
   let dist = Array.make n (-1) in
   let queue = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
+  let head = ref 0 and tail = ref 1 in
   dist.(src) <- 0;
-  queue.(!tail) <- src;
-  incr tail;
-  while !head < !tail do
+  queue.(0) <- src;
+  while !head < !tail && !tail < n do
     let u = queue.(!head) in
     incr head;
-    Graph.iter_neighbors g u (fun v ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          queue.(!tail) <- v;
-          incr tail
-        end)
+    let du = dist.(u) + 1 in
+    for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+      let v = Graph.arc_head g i in
+      if dist.(v) < 0 then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   dist
 
+(* lint: hot *)
 let components g =
   let n = Graph.n g in
   let label = Array.make n (-1) in
   let queue = Array.make n 0 in
   let next_label = ref 0 in
+  (* [labelled] counts the vertices of earlier components; the current one
+     holds queue.(0 .. tail-1) *)
+  let labelled = ref 0 in
+  let head = ref 0 and tail = ref 0 in
   for s = 0 to n - 1 do
     if label.(s) < 0 then begin
       let id = !next_label in
       incr next_label;
-      let head = ref 0 and tail = ref 0 in
       label.(s) <- id;
-      queue.(!tail) <- s;
-      incr tail;
-      while !head < !tail do
+      queue.(0) <- s;
+      head := 0;
+      tail := 1;
+      while !head < !tail && !labelled + !tail < n do
         let u = queue.(!head) in
         incr head;
-        Graph.iter_neighbors g u (fun v ->
-            if label.(v) < 0 then begin
-              label.(v) <- id;
-              queue.(!tail) <- v;
-              incr tail
-            end)
-      done
+        for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+          let v = Graph.arc_head g i in
+          if label.(v) < 0 then begin
+            label.(v) <- id;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      labelled := !labelled + !tail
     end
   done;
   label
@@ -50,8 +69,8 @@ let component_count g =
   let label = components g in
   Array.fold_left max (-1) label + 1
 
-(* one BFS from vertex 0 over a byte-per-vertex seen set; no labels, no
-   closure per vertex *)
+(* one BFS from vertex 0 over a byte-per-vertex seen set; no labels *)
+(* lint: hot *)
 let is_connected g =
   let n = Graph.n g in
   n <= 1
@@ -60,11 +79,11 @@ let is_connected g =
   let queue = Array.make n 0 (* queue.(0) = 0, the start *) in
   Bytes.set seen 0 '\001';
   let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
+  while !head < !tail && !tail < n do
     let u = queue.(!head) in
     incr head;
-    for i = 0 to Graph.degree g u - 1 do
-      let v = Graph.neighbor g u i in
+    for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+      let v = Graph.arc_head g i in
       if Bytes.get seen v = '\000' then begin
         Bytes.set seen v '\001';
         queue.(!tail) <- v;
@@ -101,27 +120,37 @@ let diameter_lower_bound g =
     Array.fold_left max 0 dist1
   end
 
+(* 2-colouring by BFS, one component at a time, over a byte per vertex:
+   '\000'/'\001' the two sides, '\002' not reached yet.  A component stops
+   at the first vertex whose scan finds an edge inside one side. *)
+(* lint: hot *)
 let is_bipartite g =
   let n = Graph.n g in
-  let color = Array.make n (-1) in
+  let color = Bytes.make n '\002' in
   let queue = Array.make n 0 in
   let ok = ref true in
+  let head = ref 0 and tail = ref 0 in
   for s = 0 to n - 1 do
-    if !ok && color.(s) < 0 then begin
-      let head = ref 0 and tail = ref 0 in
-      color.(s) <- 0;
-      queue.(!tail) <- s;
-      incr tail;
+    if !ok && Bytes.get color s = '\002' then begin
+      Bytes.set color s '\000';
+      queue.(0) <- s;
+      head := 0;
+      tail := 1;
       while !ok && !head < !tail do
         let u = queue.(!head) in
         incr head;
-        Graph.iter_neighbors g u (fun v ->
-            if color.(v) < 0 then begin
-              color.(v) <- 1 - color.(u);
-              queue.(!tail) <- v;
-              incr tail
-            end
-            else if color.(v) = color.(u) then ok := false)
+        let cu = Bytes.get color u in
+        let other = if cu = '\000' then '\001' else '\000' in
+        for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+          let v = Graph.arc_head g i in
+          let cv = Bytes.get color v in
+          if cv = '\002' then begin
+            Bytes.set color v other;
+            queue.(!tail) <- v;
+            incr tail
+          end
+          else if cv = cu then ok := false
+        done
       done
     end
   done;

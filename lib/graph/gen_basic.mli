@@ -7,10 +7,11 @@
 
     Cost: each generator streams its [m] edges once into
     {!Graph.Builder}, in O(n + m) time with no per-edge allocation; at its
-    peak a build holds the Builder's 16 bytes per edge beside the
-    [8(n+1) + 8m]-byte CSR.  Every generator adds its edges in ascending
-    order, so {!Graph.Builder.finish} sorts nothing.  The edge count is
-    given with each generator. *)
+    peak a build holds the Builder's 8 bytes per edge beside the
+    [8(n+1) + 8m]-byte CSR.  Every generator adds its edges as
+    (smaller, larger) pairs in strictly ascending order, so
+    {!Graph.Builder.finish} skips its slice sort and duplicate scan.  The
+    edge count is given with each generator. *)
 
 val complete : int -> Graph.t
 (** [complete n] is K_n, [n(n-1)/2] edges.

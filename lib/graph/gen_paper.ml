@@ -37,19 +37,21 @@ let heavy_tree_edge_count ~levels =
   let leaves = n - first_leaf in
   n - 1 + (leaves * (leaves - 1) / 2)
 
-(* The heavy-tree edges from vertex [a] to its larger neighbours, ascending,
-   with every endpoint [renamed]: an internal vertex's two children, or a
-   leaf's later clique mates.  Called for a = 0, 1, ... in turn, under a
-   renaming that keeps order, it emits the edges in ascending order. *)
-let add_heavy_tree_edges b ~levels ~rename a =
+(* The heavy-tree edges from vertex [a] to its larger neighbours, ascending:
+   an internal vertex's two children, or a leaf's later clique mates.  Every
+   vertex but the root is renamed i -> i + [shift]; the root keeps id 0, so
+   two copies can share it.  Called for a = 0, 1, ... in turn, it emits the
+   edges in ascending order. *)
+let add_heavy_tree_edges b ~levels ~shift a =
   let n, first_leaf = heavy_tree_size ~levels in
+  let ra = if a = 0 then 0 else a + shift in
   if a < first_leaf then begin
-    Graph.Builder.add_edge b (rename a) (rename ((2 * a) + 1));
-    Graph.Builder.add_edge b (rename a) (rename ((2 * a) + 2))
+    Graph.Builder.add_edge b ra ((2 * a) + 1 + shift);
+    Graph.Builder.add_edge b ra ((2 * a) + 2 + shift)
   end
   else
-    for c = a + 1 to n - 1 do
-      Graph.Builder.add_edge b (rename a) (rename c)
+    for c = a + 1 + shift to n - 1 + shift do
+      Graph.Builder.add_edge b ra c
     done
 
 let heavy_binary_tree ~levels =
@@ -57,7 +59,7 @@ let heavy_binary_tree ~levels =
   let n, first_leaf = heavy_tree_size ~levels in
   let b = Graph.Builder.create ~capacity:(heavy_tree_edge_count ~levels) ~n () in
   for a = 0 to n - 1 do
-    add_heavy_tree_edges b ~levels ~rename:Fun.id a
+    add_heavy_tree_edges b ~levels ~shift:0 a
   done;
   {
     ht_graph = Graph.Builder.finish b;
@@ -77,27 +79,27 @@ let siamese_heavy_tree ~levels =
   if levels < 2 then invalid_arg "Gen_paper.siamese_heavy_tree: levels < 2";
   let n1, first_leaf = heavy_tree_size ~levels in
   (* The right copy reuses vertex 0 as the shared root; its vertex i > 0 is
-     renamed to n1 + i - 1, above every vertex of the left copy. *)
-  let rename i = if i = 0 then 0 else n1 + i - 1 in
+     shifted to n1 + i - 1, above every vertex of the left copy. *)
+  let shift = n1 - 1 in
   let n = (2 * n1) - 1 in
   let b =
     Graph.Builder.create ~capacity:(2 * heavy_tree_edge_count ~levels) ~n ()
   in
   (* ascending: the root's edges into both copies, then the rest of the
      left copy, then the rest of the right *)
-  add_heavy_tree_edges b ~levels ~rename:Fun.id 0;
-  add_heavy_tree_edges b ~levels ~rename 0;
+  add_heavy_tree_edges b ~levels ~shift:0 0;
+  add_heavy_tree_edges b ~levels ~shift 0;
   for a = 1 to n1 - 1 do
-    add_heavy_tree_edges b ~levels ~rename:Fun.id a
+    add_heavy_tree_edges b ~levels ~shift:0 a
   done;
   for a = 1 to n1 - 1 do
-    add_heavy_tree_edges b ~levels ~rename a
+    add_heavy_tree_edges b ~levels ~shift a
   done;
   {
     si_graph = Graph.Builder.finish b;
     si_root = 0;
     si_leaf_left = first_leaf;
-    si_leaf_right = rename first_leaf;
+    si_leaf_right = first_leaf + shift;
   }
 
 type csc = {

@@ -5,12 +5,13 @@
     the exact source vertices the proofs assume.
 
     Cost: each generator streams its [m] edges once into
-    {!Graph.Builder} in ascending order, so {!Graph.Builder.finish} sorts
-    nothing: O(n + m) time, no per-edge allocation, and at its peak the
-    Builder's 16 bytes per edge beside the [8(n+1) + 8m]-byte CSR.  The
+    {!Graph.Builder} as (smaller, larger) pairs in strictly ascending
+    order, so {!Graph.Builder.finish} skips its slice sort and duplicate
+    scan: O(n + m) time, no per-edge allocation, and at its peak the
+    Builder's 8 bytes per edge beside the [8(n+1) + 8m]-byte CSR.  The
     heavy trees are dense: their leaf cliques make [m] quadratic in [n].
-    Release build, 2-vCPU VM: 0.9 ms for the 9-level heavy tree (33 150
-    edges), 41 ms for the 11-level Siamese tree (1.05 M edges). *)
+    Release build, 2-vCPU VM: 0.37 ms for the 9-level heavy tree (33 150
+    edges), 24 ms for the 11-level Siamese tree (1.05 M edges). *)
 
 (** Fig 1(b): two stars whose centers are joined by an edge.  push-pull needs
     Omega(n) expected rounds to cross the center–center edge; the agent-based

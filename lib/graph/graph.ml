@@ -2,10 +2,13 @@ module Rng = Rumor_prob.Rng
 
 (* Neighbour slots are 4-byte native-endian vertex ids in one [Bytes]: half
    the memory of an [int array], and the major GC does not scan them.  Every
-   access goes through these bounds-checked primitives; [slot] and
+   access goes through these bounds-checked primitives, except the
+   [Builder]'s fill pass, whose slot indices are in range by construction
+   (see [Builder.fill_slots]) and which writes through [set32u]; [slot] and
    [set_slot] index by slot, not by byte. *)
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 let[@inline] slot adj i = Int32.to_int (get32 adj (4 * i))
 let[@inline] set_slot adj i v = set32 adj (4 * i) (Int32.of_int v)
@@ -92,6 +95,8 @@ let arc_count g = 2 * g.m
 
 let[@inline] arc_head g i = slot g.adj i
 
+let[@inline] first_arc g u = g.offsets.(u)
+
 let csr_bytes g = (Sys.word_size / 8 * Array.length g.offsets) + Bytes.length g.adj
 
 let min_degree g = g.min_deg
@@ -109,14 +114,14 @@ let regular_degree g = if is_regular g && g.n > 0 then Some (degree g 0) else No
 
 let total_degree g = 2 * g.m
 
-(* Sort every CSR slice in place and reject duplicate edges.  One scan finds
-   each slice's first slot that does not rise above its predecessor; a
-   strictly increasing slice is already sorted and duplicate-free, so a
-   generator that emits its edges in ascending (smaller, larger) order never
-   sorts.  Otherwise small slices finish the insertion sort from that slot on
-   (no allocation — the common case for the sparse huge graphs the streaming
-   builder targets), long ones are sorted in a scratch int array, and the
-   duplicate check runs over the sorted slice. *)
+(* Sort every CSR slice in place and reject duplicate edges; [Builder.finish]
+   skips this for a strictly ascending (smaller, larger) stream.  One scan
+   finds each slice's first slot that does not rise above its predecessor; a
+   strictly increasing slice is already sorted and duplicate-free, so it is
+   left alone.  Otherwise small slices finish the insertion sort from that
+   slot on (no allocation — the common case for the sparse huge graphs the
+   streaming builder targets), long ones are sorted in a scratch int array,
+   and the duplicate check runs over the sorted slice. *)
 let sort_and_check_slices ~n:nv offsets adj =
   for u = 0 to nv - 1 do
     let lo = offsets.(u) and hi = offsets.(u + 1) in
@@ -155,25 +160,36 @@ let sort_and_check_slices ~n:nv offsets adj =
   done
 
 module Builder = struct
-  (* Endpoints accumulate in two flat Bigarrays (2 words per edge, off the
-     OCaml heap, no per-edge boxing) that double on demand; [finish] runs the
-     usual two-pass CSR construction directly off them.  This is the
-     streaming path the generators feed: a huge random graph is built with
-     exactly one materialization of its edges. *)
-  type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+  (* Endpoints sit interleaved in one int32 Bigarray, u at index 2i and v at
+     2i+1 (8 bytes an edge, off the OCaml heap, no per-edge boxing), which
+     doubles on demand; [finish] runs the two-pass CSR construction directly
+     off it.  This is the streaming path the generators feed: a huge random
+     graph is built with exactly one materialization of its edges.
+
+     [add_edge] also keeps the key u*n + v of the last edge (at most
+     n^2 - 1 <= 2^62 - 1 = max_int, so it never wraps).  [disorder] turns
+     negative, without a branch, at the first edge whose key is not above
+     the last one or whose u is not below its v.  A stream that never does
+     fills every slice sorted and duplicate-free: vertex w's slice gets its
+     lower neighbours x from the edges (x, w), in increasing x, before its
+     upper neighbours y from the edges (w, y), in increasing y, because
+     x*n + w < w*n + y.  [finish] then skips the slice scan. *)
+  type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   module Trace = Rumor_obs.Trace
 
   type t = {
     bn : int;
-    mutable us : buf;
-    mutable vs : buf;
-    mutable len : int;
+    mutable lim : int;  (* [bn] while open, 0 once finished: every endpoint is below it *)
+    mutable buf : buf;  (* 2 [len] endpoints in use; its length is even *)
+    mutable len : int;  (* edges recorded *)
+    mutable last : int;  (* key of the last edge; -1 before the first *)
+    mutable disorder : int;  (* < 0 once the stream stops ascending strictly with u < v *)
     mutable finished : bool;
     btrace : Trace.t option;
   }
 
-  let make_buf capacity = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout capacity
+  let make_buf edges = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout (2 * edges)
 
   let create ?trace ?(capacity = 1024) ~n () =
     if n < 0 then invalid_arg "Graph.Builder.create: negative vertex count";
@@ -190,9 +206,11 @@ module Builder = struct
     | Some tr -> Trace.begin_span tr "graph.edge_gen");
     {
       bn = n;
-      us = make_buf capacity;
-      vs = make_buf capacity;
+      lim = n;
+      buf = make_buf capacity;
       len = 0;
+      last = -1;
+      disorder = 0;
       finished = false;
       btrace = trace;
     }
@@ -201,29 +219,81 @@ module Builder = struct
   let edge_count b = b.len
 
   let grow b =
-    let old = Bigarray.Array1.dim b.us in
-    let us = make_buf (2 * old) and vs = make_buf (2 * old) in
-    Bigarray.Array1.blit b.us (Bigarray.Array1.sub us 0 old);
-    Bigarray.Array1.blit b.vs (Bigarray.Array1.sub vs 0 old);
-    b.us <- us;
-    b.vs <- vs
+    let old = Bigarray.Array1.dim b.buf in
+    (* room for [old] edges: twice the [old / 2] held now *)
+    let buf = make_buf old in
+    Bigarray.Array1.blit b.buf (Bigarray.Array1.sub buf 0 old);
+    b.buf <- buf
 
-  let add_edge b u v =
+  (* the cold half of [add_edge]'s guard: name the check that failed *)
+  let[@inline never] reject b u v =
     if b.finished then invalid_arg "Graph.Builder.add_edge: builder already finished";
     if u < 0 || u >= b.bn || v < 0 || v >= b.bn then
       invalid_arg
         (Printf.sprintf "Graph.Builder.add_edge: endpoint out of range (%d,%d), n=%d"
            u v b.bn);
-    if u = v then
-      invalid_arg (Printf.sprintf "Graph.Builder.add_edge: self-loop at %d" u);
-    if b.len = Bigarray.Array1.dim b.us then grow b;
-    b.us.{b.len} <- u;
-    b.vs.{b.len} <- v;
-    b.len <- b.len + 1
+    invalid_arg (Printf.sprintf "Graph.Builder.add_edge: self-loop at %d" u)
+
+  (* lint: hot *)
+  let[@inline] add_edge b u v =
+    if u < 0 || v < 0 || u >= b.lim || v >= b.lim || u = v then reject b u v;
+    let i = 2 * b.len in
+    if i = Bigarray.Array1.dim b.buf then grow b;
+    (* i is even and below the even buffer length, so i + 1 is in range;
+       0 <= u, v < n <= 2^31 fit an int32 *)
+    let buf = b.buf in
+    Bigarray.Array1.unsafe_set buf i (Int32.of_int u);
+    Bigarray.Array1.unsafe_set buf (i + 1) (Int32.of_int v);
+    b.len <- b.len + 1;
+    let key = (u * b.bn) + v in
+    b.disorder <- b.disorder lor (key - b.last - 1) lor (v - u - 1);
+    b.last <- key
+
+  (* [finish]'s passes read only the endpoints [add_edge] stored, each
+     already checked to lie in [0, n): index u + 1 of the (n+1)-slot
+     [offsets] is in range, and so is every slot the fill writes (below) —
+     hence the unchecked accesses. *)
+
+  (* lint: hot *)
+  let count_degrees (buf : buf) ends offsets =
+    for i = 0 to ends - 1 do
+      let x = Int32.to_int (Bigarray.Array1.unsafe_get buf i) + 1 in
+      Array.unsafe_set offsets x (Array.unsafe_get offsets x + 1)
+    done
+
+  (* degrees at [offsets.(u+1)] become first slots there: u's slice starts
+     at the sum of the degrees below u *)
+  (* lint: hot *)
+  let first_slots offsets nv =
+    let start = ref 0 in
+    for u = 1 to nv do
+      let d = offsets.(u) in
+      offsets.(u) <- !start;
+      start := !start + d
+    done
+
+  (* [offsets.(u+1)] is u's fill cursor: it starts at u's first slot and is
+     advanced once per endpoint u, deg u times in all, so it stays inside
+     u's slice and ends on the next slice's first slot — [offsets.(u+1)] of
+     the finished CSR. *)
+  (* lint: hot *)
+  let fill_slots (buf : buf) m offsets adj =
+    for e = 0 to m - 1 do
+      let u32 = Bigarray.Array1.unsafe_get buf (2 * e)
+      and v32 = Bigarray.Array1.unsafe_get buf ((2 * e) + 1) in
+      let u = Int32.to_int u32 + 1 and v = Int32.to_int v32 + 1 in
+      let cu = Array.unsafe_get offsets u in
+      set32u adj (4 * cu) v32;
+      Array.unsafe_set offsets u (cu + 1);
+      let cv = Array.unsafe_get offsets v in
+      set32u adj (4 * cv) u32;
+      Array.unsafe_set offsets v (cv + 1)
+    done
 
   let finish b =
     if b.finished then invalid_arg "Graph.Builder.finish: builder already finished";
     b.finished <- true;
+    b.lim <- 0;
     (match b.btrace with
     | None -> ()
     | Some tr ->
@@ -232,37 +302,24 @@ module Builder = struct
           (Rumor_obs.Counters.counter (Trace.counters tr) "edges_built")
           b.len;
         Trace.begin_span tr "graph.csr_fill");
-    let nv = b.bn and m = b.len in
-    (* degrees counted one place to the right, then prefix-summed in place *)
+    let nv = b.bn and m = b.len and buf = b.buf in
     let offsets = Array.make (nv + 1) 0 in
-    for i = 0 to m - 1 do
-      let u = b.us.{i} + 1 and v = b.vs.{i} + 1 in
-      offsets.(u) <- offsets.(u) + 1;
-      offsets.(v) <- offsets.(v) + 1
-    done;
-    for u = 1 to nv do
-      offsets.(u) <- offsets.(u) + offsets.(u - 1)
-    done;
-    (* every slot is written below: the degrees sum to 2m *)
+    count_degrees buf (2 * m) offsets;
+    first_slots offsets nv;
+    (* every slot is written: the degrees sum to 2m *)
     let adj = Bytes.create (4 * 2 * m) in
-    let cursor = Array.sub offsets 0 nv in
-    for i = 0 to m - 1 do
-      let u = b.us.{i} and v = b.vs.{i} in
-      set_slot adj cursor.(u) v;
-      cursor.(u) <- cursor.(u) + 1;
-      set_slot adj cursor.(v) u;
-      cursor.(v) <- cursor.(v) + 1
-    done;
-    (* release the endpoint buffers before the slice pass; peak memory is
+    fill_slots buf m offsets adj;
+    (* release the endpoint buffer before the slice pass; peak memory is
        CSR + endpoints, never CSR + endpoints + a second edge list *)
-    b.us <- make_buf 1;
-    b.vs <- make_buf 1;
+    b.buf <- make_buf 1;
     (match b.btrace with
     | None -> ()
     | Some tr ->
         Trace.end_span tr (* graph.csr_fill *);
         Trace.begin_span tr "graph.sort");
-    sort_and_check_slices ~n:nv offsets adj;
+    (* empty for a strictly ascending (u < v) stream: sorted and
+       duplicate-free by construction *)
+    if b.disorder < 0 then sort_and_check_slices ~n:nv offsets adj;
     (match b.btrace with None -> () | Some tr -> Trace.end_span tr);
     { n = nv; m; offsets; adj; min_deg = min_deg_of_offsets nv offsets }
 end

@@ -26,33 +26,38 @@ val of_edge_array : n:int -> (int * int) array -> t
     @raise Invalid_argument also if [n < 0] or [n > 2^31]. *)
 
 (** Streaming construction, and the one place a CSR is assembled: endpoints
-    accumulate in flat Bigarray buffers (2 unboxed words per edge, off the
-    OCaml heap, growing by doubling) and {!Builder.finish} fills, sorts and
-    duplicate-checks the 32-bit neighbour slots in place — the edge set is
-    materialized exactly once.  Every generator feeds this path, and
-    {!of_edges} feeds it too.
+    accumulate interleaved in one flat int32 Bigarray ([u] then [v], 8 bytes
+    an edge, off the OCaml heap, growing by doubling) and {!Builder.finish}
+    counts degrees, fills the 32-bit neighbour slots, and sorts and
+    duplicate-checks them in place — the edge set is materialized exactly
+    once.  Every generator feeds this path, and {!of_edges} feeds it too.
 
-    Edges added as [(u, v)] pairs with [u < v], in ascending order of
-    [(u, v)], fill every vertex's slice already sorted; [finish] then checks
-    each slice in one scan and sorts nothing.  Any other order gives the
-    same graph, at the cost of sorting the slices that arrive out of
-    order. *)
+    Edges added as [(u, v)] pairs with [u < v], in strictly ascending order
+    of [(u, v)], fill every vertex's slice sorted and duplicate-free by
+    construction; {!Builder.add_edge} notices such a stream at no extra
+    branch, and [finish] then skips the slice scan altogether.  Every other
+    order gives the same graph through the checked path: each slice is
+    scanned, the slices that arrive out of order are sorted, and duplicates
+    are rejected. *)
 module Builder : sig
   type graph := t
   type t
 
   val create : ?trace:Rumor_obs.Trace.t -> ?capacity:int -> n:int -> unit -> t
   (** [create ~n ()] starts a builder for a graph on [n] vertices.
-      [capacity] pre-sizes the edge buffers (default 1024; they grow as
-      needed, so it is only a hint).  [trace] records the build phases as
+      [capacity] pre-sizes the edge buffer, in edges (default 1024; it grows
+      as needed, so it is only a hint).  [trace] records the build phases as
       spans: ["graph.edge_gen"] from [create] to {!finish} (covering the
       caller's generation loop), then ["graph.csr_fill"] and ["graph.sort"]
       inside {!finish}, plus an ["edges_built"] scalar counter.
+      ["graph.sort"] is empty for a strictly ascending [u < v] stream.
       @raise Invalid_argument if [n < 0] or [n > 2^31] (vertex ids must fit
       in a signed 32-bit slot); nothing is allocated first. *)
 
   val add_edge : t -> int -> int -> unit
   (** Append one undirected edge.  Duplicates are detected at {!finish}.
+      Inlined into the caller's loop: one combined range/self-loop/finished
+      test, an 8-byte store, and the ascending-stream check.
       @raise Invalid_argument on out-of-range endpoints, self-loops, or a
       finished builder. *)
 
@@ -60,7 +65,7 @@ module Builder : sig
   val vertex_count : t -> int
 
   val finish : t -> graph
-  (** Build the CSR graph and invalidate the builder (its edge buffers are
+  (** Build the CSR graph and invalidate the builder (its edge buffer is
       released).  @raise Invalid_argument on duplicate edges or a second
       [finish]. *)
 end
@@ -109,6 +114,13 @@ val arc_head : t -> int -> int
     head of a uniformly random arc is a draw from the stationary law
     [deg v / 2m] of the simple random walk.  Bounds are checked only by
     the underlying slot access. *)
+
+val first_arc : t -> int -> int
+(** [first_arc g u] is the index of [u]'s first arc, for [0 <= u <= n]:
+    [u]'s arcs are [first_arc g u .. first_arc g (u+1) - 1], in the sorted
+    order of their heads, and [first_arc g n = arc_count g].  A loop over
+    that range with {!arc_head} walks [u]'s neighbours with two offset
+    reads a vertex and no closure. *)
 
 val csr_bytes : t -> int
 (** Payload bytes of the CSR arrays, headers excluded: one word per offset

@@ -393,6 +393,122 @@ let prop_csr_matches_reference =
       in
       check (Graph.of_edges ~n edges) && check from_builder)
 
+(* --- the Builder's ascending fast path, and the BFS walks ------------- *)
+
+(* a random small graph: n in [1, 30], raw endpoint pairs that
+   [ascending_edges] folds into distinct (u, v) edges with u < v, and a
+   seed for reorderings *)
+let edge_set =
+  QCheck.(
+    triple (int_range 1 30)
+      (list_of_size (Gen.int_range 0 120) (pair (int_bound 1_000) (int_bound 1_000)))
+      small_nat)
+
+let ascending_edges n raw =
+  List.filter_map
+    (fun (a, b) ->
+      let u = a mod n and v = b mod n in
+      if u = v then None else Some (min u v, max u v))
+    raw
+  |> List.sort_uniq (fun (u1, v1) (u2, v2) ->
+         match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c)
+
+let is_duplicate_error = function
+  | Invalid_argument m ->
+      String.starts_with ~prefix:"Graph.Builder.finish: duplicate edge" m
+  | _ -> false
+
+(* [true] iff [finish] rejects the stream with the duplicate-edge error *)
+let rejects_duplicate n edges =
+  match builder_of n edges with
+  | _ -> false
+  | exception e when is_duplicate_error e -> true
+
+(* the same edge set in ascending order (the sort-free path), shuffled with
+   random orientations, and descending (both checked): one CSR *)
+let prop_orders_give_same_csr =
+  QCheck.Test.make ~count:200 ~name:"ascending, shuffled and descending streams agree"
+    edge_set
+    (fun (n, raw, seed) ->
+      let asc = ascending_edges n raw in
+      let rng = Rng.of_int seed in
+      let shuffled =
+        let a =
+          Array.of_list
+            (List.map (fun (u, v) -> if Rng.bool rng then (u, v) else (v, u)) asc)
+        in
+        for i = Array.length a - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        Array.to_list a
+      in
+      let reference = builder_of n asc in
+      Csr_check.same "shuffled" reference (builder_of n shuffled);
+      Csr_check.same "descending" reference (builder_of n (List.rev asc));
+      Graph.num_edges reference = List.length asc)
+
+(* an ascending stream that repeats its last edge fails the key check at
+   the repeat, so it leaves the fast path and the duplicate is caught *)
+let prop_ascending_repeat_rejected =
+  QCheck.Test.make ~count:200 ~name:"ascending stream repeating its last edge is rejected"
+    edge_set
+    (fun (n, raw, _) ->
+      match List.rev (ascending_edges n raw) with
+      | [] -> QCheck.assume_fail ()
+      | last :: _ as rev -> rejects_duplicate n (List.rev (last :: rev)))
+
+(* one descent after an ascending prefix, then a repeat of an earlier edge
+   that by itself looks ascending: the stream stays on the checked path,
+   which catches the duplicate *)
+let prop_descent_then_duplicate_rejected =
+  QCheck.Test.make ~count:200 ~name:"a descent keeps the checked path; duplicates caught"
+    edge_set
+    (fun (n, raw, seed) ->
+      let asc = Array.of_list (ascending_edges n raw) in
+      let k = Array.length asc in
+      if k < 2 then QCheck.assume_fail ()
+      else begin
+        (* drop edge j < k-1 from the prefix and add it after the last edge
+           (a descent), then repeat the last edge: above edge j in key
+           order, so the repeat alone looks ascending *)
+        let j = Rng.int (Rng.of_int seed) (k - 1) in
+        let prefix = List.filteri (fun i _ -> i <> j) (Array.to_list asc) in
+        rejects_duplicate n (prefix @ [ asc.(j); asc.(k - 1) ])
+      end)
+
+let random_graph n raw = builder_of n (ascending_edges n raw)
+
+let prop_connected_iff_one_component =
+  QCheck.Test.make ~count:300 ~name:"is_connected iff component_count = 1" edge_set
+    (fun (n, raw, _) ->
+      let g = random_graph n raw in
+      Rumor_graph.Algo.is_connected g = (Rumor_graph.Algo.component_count g = 1))
+
+(* 2-colourable iff, with BFS distances taken from one root per component,
+   no edge joins two vertices of the same parity *)
+let prop_bipartite_iff_bfs_parity =
+  QCheck.Test.make ~count:300 ~name:"is_bipartite agrees with BFS distance parity"
+    edge_set
+    (fun (n, raw, _) ->
+      let module Algo = Rumor_graph.Algo in
+      let g = random_graph n raw in
+      let label = Algo.components g in
+      let dist = Array.make n (-1) in
+      Array.iteri
+        (fun v c ->
+          if dist.(v) < 0 then begin
+            let d = Algo.bfs_distances g v in
+            Array.iteri (fun w c' -> if c' = c then dist.(w) <- d.(w)) label
+          end)
+        label;
+      let parity_ok = ref true in
+      Graph.iter_edges g (fun u v ->
+          if dist.(u) land 1 = dist.(v) land 1 then parity_ok := false);
+      Algo.is_bipartite g = !parity_ok)
+
 let suite =
   [
     Alcotest.test_case "vertex/edge counts" `Quick test_counts;
@@ -430,4 +546,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_graph_validates;
     QCheck_alcotest.to_alcotest prop_csr_matches_reference;
     QCheck_alcotest.to_alcotest prop_arc_head_inverts_edge_index;
+    QCheck_alcotest.to_alcotest prop_orders_give_same_csr;
+    QCheck_alcotest.to_alcotest prop_ascending_repeat_rejected;
+    QCheck_alcotest.to_alcotest prop_descent_then_duplicate_rejected;
+    QCheck_alcotest.to_alcotest prop_connected_iff_one_component;
+    QCheck_alcotest.to_alcotest prop_bipartite_iff_bfs_parity;
   ]
