@@ -216,6 +216,7 @@ let resize q new_n =
 (* lint: hot *)
 let push q time payload =
   if Float.is_nan time then invalid_arg "Calendar_queue.push: NaN time";
+  (* lint: allow R10 — the entry record is the queued element itself *)
   let e = { time; seq = q.next_seq; payload } in
   q.next_seq <- q.next_seq + 1;
   let v = virt q time in

@@ -41,17 +41,19 @@ let rec sift_up q i =
 (* lint: hot *)
 let rec sift_down q i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.len && less q.data.(l) q.data.(!smallest) then smallest := l;
-  if r < q.len && less q.data.(r) q.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
+  let smallest = if l < q.len && less q.data.(l) q.data.(i) then l else i in
+  let smallest =
+    if r < q.len && less q.data.(r) q.data.(smallest) then r else smallest
+  in
+  if smallest <> i then begin
+    swap q i smallest;
+    sift_down q smallest
   end
 
 (* lint: hot *)
 let push q time payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
+  (* lint: allow R10 — the entry record is the queued element itself *)
   let entry = { time; seq = q.next_seq; payload } in
   q.next_seq <- q.next_seq + 1;
   if q.len = Array.length q.data then begin
@@ -74,6 +76,7 @@ let pop q =
       q.data.(0) <- q.data.(q.len);
       sift_down q 0
     end;
+    (* lint: allow R10 — the boxed result is this function's contract; the engine loop pops unboxed below *)
     Some (top.time, top.payload)
   end
 

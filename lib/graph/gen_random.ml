@@ -1,4 +1,6 @@
 module Rng = Rumor_prob.Rng
+module Trace = Rumor_obs.Trace
+module Counters = Rumor_obs.Counters
 
 let erdos_renyi ?trace rng ~n ~p =
   if n < 1 then invalid_arg "Gen_random.erdos_renyi: n < 1";
@@ -185,25 +187,39 @@ and random_regular_sparse ?trace rng ~n ~d =
         decr next
       end
     done;
-    if !next < 0 then begin
-      let b = Graph.Builder.create ?trace ~capacity:half ~n () in
-      (* by smaller endpoint: each CSR slice [finish] fills then starts
-         with its lower neighbours in order, and only the upper ones, in
-         list order, are left for its sort *)
-      for a = 0 to n - 1 do
-        for s = a * d to (a * d) + d - 1 do
-          if nbr.(s) > a then Graph.Builder.add_edge b a nbr.(s)
-        done
-      done;
-      Some (Graph.Builder.finish b)
-    end
-    else None
+    !next < 0
   in
   let rec loop tries =
     if tries > 100 then failwith "Gen_random.random_regular: repair failed repeatedly"
-    else match attempt () with Some g -> g | None -> loop (tries + 1)
+    else if not (attempt ()) then loop (tries + 1)
   in
-  loop 0
+  (* the pairing and its repair generate the edges *)
+  (match trace with None -> () | Some tr -> Trace.begin_span tr "graph.edge_gen");
+  loop 0;
+  (match trace with
+  | None -> ()
+  | Some tr ->
+      Trace.end_span tr (* graph.edge_gen *);
+      Counters.add (Counters.counter (Trace.counters tr) "edges_built") half;
+      Trace.begin_span tr "graph.csr_fill");
+  (* The transpose: every vertex now holds its d neighbours in [nbr], so
+     walking a in ascending order and appending a to each neighbour's
+     slice writes every slice sorted — b's slice receives its neighbours
+     in the order a rises.  No edge list, no sort; [cnt] is reused as the
+     fill cursor. *)
+  let slots = Bytes.create (4 * n * d) in
+  Array.fill cnt 0 n 0;
+  for a = 0 to n - 1 do
+    for s = a * d to (a * d) + d - 1 do
+      let b = nbr.(s) in
+      let c = cnt.(b) in
+      Bytes.set_int32_ne slots (4 * ((b * d) + c)) (Int32.of_int a);
+      cnt.(b) <- c + 1
+    done
+  done;
+  let g = Graph.of_csr ~n ~offsets:(Array.init (n + 1) (fun v -> v * d)) ~slots in
+  (match trace with None -> () | Some tr -> Trace.end_span tr (* graph.csr_fill *));
+  g
 
 let preferential_attachment ?trace rng ~n ~m =
   if m < 1 then invalid_arg "Gen_random.preferential_attachment: m < 1";

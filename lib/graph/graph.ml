@@ -4,9 +4,11 @@ module Rng = Rumor_prob.Rng
    the memory of an [int array], and the major GC does not scan them.  Every
    access goes through these bounds-checked primitives, except the
    [Builder]'s fill pass, whose slot indices are in range by construction
-   (see [Builder.fill_slots]) and which writes through [set32u]; [slot] and
-   [set_slot] index by slot, not by byte. *)
+   (see [Builder.fill_slots]) and which writes through [set32u], and
+   [random_neighbor]'s read through [get32u]; [slot] and [set_slot] index
+   by slot, not by byte. *)
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
@@ -43,11 +45,17 @@ let num_edges g = g.m
 let[@inline] degree g u = g.offsets.(u + 1) - g.offsets.(u)
 let[@inline] neighbor g u i = slot g.adj (g.offsets.(u) + i)
 
+(* The walkers' and callers' per-contact draw, inlined into their loops
+   with no call left on a returning path (see [Rng.int]): the isolated
+   case raises directly, and the slot read is unchecked because
+   lo + r < offsets.(u+1) <= 2m, the slot count, for every graph a
+   constructor returns. *)
+(* lint: hot *)
 let[@inline] random_neighbor g rng u =
   let lo = g.offsets.(u) in
   let d = g.offsets.(u + 1) - lo in
-  if d = 0 then invalid_arg "Graph.random_neighbor: isolated vertex";
-  slot g.adj (lo + Rng.int rng d)
+  if d = 0 then raise (Invalid_argument "Graph.random_neighbor: isolated vertex");
+  Int32.to_int (get32u g.adj (4 * (lo + Rng.int rng d)))
 
 let iter_neighbors g u f =
   for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
@@ -324,6 +332,54 @@ module Builder = struct
     { n = nv; m; offsets; adj; min_deg = min_deg_of_offsets nv offsets }
 end
 
+(* Every invariant the [Builder] guarantees, checked on a CSR built
+   elsewhere ([of_csr]) or re-checked on a finished graph ([validate]).
+   Three passes, O(n + m) with no search and no sort: the offsets rise from
+   0 to the slot count; every slice holds in-range ids other than its own
+   vertex, strictly increasing (sorted, no duplicate); and every arc
+   u -> v has its reverse.  The last pass is a cursor walk: with u
+   ascending, the arcs into v arrive in increasing u, so v's sorted slice
+   must list exactly those u, in that order — [cursor.(v)] is where the
+   next one must stand.  Every check passing matches each arc with a
+   distinct reverse arc, which is symmetry. *)
+let check_csr who nv offsets slots =
+  let bad what = invalid_arg (who ^ ": " ^ what) in
+  if nv < 0 || nv > max_vertices then bad "vertex count out of range";
+  if Array.length offsets <> nv + 1 then bad "offsets length is not n + 1";
+  if Bytes.length slots land 3 <> 0 then bad "slot bytes not a multiple of 4";
+  let arcs = Bytes.length slots / 4 in
+  if offsets.(0) <> 0 || offsets.(nv) <> arcs then
+    bad "offsets do not run from 0 to the slot count";
+  for u = 0 to nv - 1 do
+    if offsets.(u + 1) < offsets.(u) then bad "decreasing offsets"
+  done;
+  for u = 0 to nv - 1 do
+    let prev = ref (-1) in
+    for i = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = slot slots i in
+      if v < 0 || v >= nv then bad (Printf.sprintf "neighbour %d of %d out of range" v u);
+      if v = u then bad (Printf.sprintf "self-loop at %d" u);
+      if v = !prev then bad (Printf.sprintf "duplicate edge (%d,%d)" u v);
+      if v < !prev then bad (Printf.sprintf "unsorted slice of %d" u);
+      prev := v
+    done
+  done;
+  let cursor = Array.sub offsets 0 nv in
+  for u = 0 to nv - 1 do
+    for i = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = slot slots i in
+      let c = cursor.(v) in
+      if c >= offsets.(v + 1) || slot slots c <> u then
+        bad (Printf.sprintf "arc %d -> %d has no reverse" u v);
+      cursor.(v) <- c + 1
+    done
+  done
+
+let of_csr ~n:nv ~offsets ~slots =
+  check_csr "Graph.of_csr" nv offsets slots;
+  let m = Bytes.length slots / 8 in
+  { n = nv; m; offsets; adj = slots; min_deg = min_deg_of_offsets nv offsets }
+
 let of_edge_array ~n edges =
   let b = Builder.create ~capacity:(Array.length edges) ~n () in
   Array.iter (fun (u, v) -> Builder.add_edge b u v) edges;
@@ -332,23 +388,8 @@ let of_edge_array ~n edges =
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
 let validate g =
-  if Array.length g.offsets <> g.n + 1 then
-    invalid_arg "Graph.validate: bad offsets length";
-  if g.offsets.(0) <> 0 || g.offsets.(g.n) <> 2 * g.m then
-    invalid_arg "Graph.validate: bad offset endpoints";
-  if Bytes.length g.adj <> 4 * 2 * g.m then invalid_arg "Graph.validate: bad slot count";
-  for u = 0 to g.n - 1 do
-    if g.offsets.(u + 1) < g.offsets.(u) then
-      invalid_arg "Graph.validate: decreasing offsets";
-    for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-      let v = slot g.adj i in
-      if v < 0 || v >= g.n then invalid_arg "Graph.validate: neighbor out of range";
-      if v = u then invalid_arg "Graph.validate: self-loop";
-      if i > g.offsets.(u) && slot g.adj (i - 1) >= v then
-        invalid_arg "Graph.validate: unsorted or duplicate adjacency";
-      if not (mem_edge g v u) then invalid_arg "Graph.validate: asymmetric edge"
-    done
-  done
+  check_csr "Graph.validate" g.n g.offsets g.adj;
+  if Bytes.length g.adj <> 8 * g.m then invalid_arg "Graph.validate: bad edge count"
 
 let pp ppf g =
   Format.fprintf ppf "graph(n=%d, m=%d, deg=[%d..%d]%s)" g.n g.m (min_degree g)

@@ -9,7 +9,7 @@
     access pattern the protocol simulators are built around.
 
     Graphs are simple (no self-loops, no parallel edges) and undirected;
-    {!Builder} enforces this at construction time. *)
+    {!Builder} and {!of_csr} enforce this at construction time. *)
 
 type t
 
@@ -25,12 +25,40 @@ val of_edge_array : n:int -> (int * int) array -> t
 (** Array variant of {!of_edges}.  Both go through {!Builder}.
     @raise Invalid_argument also if [n < 0] or [n > 2^31]. *)
 
+val of_csr : n:int -> offsets:int array -> slots:Bytes.t -> t
+(** [of_csr ~n ~offsets ~slots] wraps a CSR assembled by the caller, after
+    checking every invariant the {!Builder} guarantees.  [slots] holds the
+    neighbour ids as 4-byte native-endian signed ints (write slot [i] with
+    [Bytes.set_int32_ne slots (4 * i)]); vertex [u]'s neighbours fill slots
+    [offsets.(u) .. offsets.(u+1) - 1], strictly increasing.  The graph
+    takes both arrays over without copying: the caller must not write to
+    them afterwards.
+
+    The check is O(n + m), with no sort and no search: one pass over the
+    offsets, one over the slots (range, self-loop, order), and a cursor
+    walk for symmetry — with [u] ascending, the arcs into [v] arrive in
+    increasing [u], so each must stand at [v]'s next unmatched slot.  A
+    generator that writes each slice already sorted (the random-regular
+    transpose, {!Gen_random.random_regular}) thus skips the Builder's
+    hand-off, fill and slice passes.
+    @raise Invalid_argument, with a message naming the defect, on:
+    [n < 0] or [n > 2^31] (["vertex count out of range"]); an offsets
+    array whose length is not [n + 1] (["offsets length is not n + 1"]); a
+    slot buffer whose length is not a multiple of 4; offsets that do not
+    start at 0 and end at the slot count, or that decrease
+    (["decreasing offsets"]); an id outside [0, n) (["out of range"]); a
+    self-loop (["self-loop"]); a repeated neighbour (["duplicate edge"]); a
+    slice out of order (["unsorted slice"]); an arc without its reverse
+    (["has no reverse"]). *)
+
 (** Streaming construction, and the one place a CSR is assembled: endpoints
     accumulate interleaved in one flat int32 Bigarray ([u] then [v], 8 bytes
     an edge, off the OCaml heap, growing by doubling) and {!Builder.finish}
     counts degrees, fills the 32-bit neighbour slots, and sorts and
     duplicate-checks them in place — the edge set is materialized exactly
-    once.  Every generator feeds this path, and {!of_edges} feeds it too.
+    once.  Every generator but the sparse random-regular sampler (which
+    writes its sorted slices itself and goes through {!of_csr}) feeds this
+    path, and {!of_edges} feeds it too.
 
     Edges added as [(u, v)] pairs with [u < v], in strictly ascending order
     of [(u, v)], fill every vertex's slice sorted and duplicate-free by
@@ -86,7 +114,11 @@ val neighbor : t -> int -> int -> int
     access. *)
 
 val random_neighbor : t -> Rumor_prob.Rng.t -> int -> int
-(** [random_neighbor g rng u] is a uniformly random neighbor of [u].
+(** [random_neighbor g rng u] is a uniformly random neighbor of [u]: one
+    {!Rumor_prob.Rng.int} draw on [u]'s degree and one slot read.  It is
+    inlined into the kernels' per-contact loops with no call on any path
+    that returns (the isolated case raises directly, and the slot read is
+    unchecked: it lies inside [u]'s slice by construction).
     @raise Invalid_argument if [u] is isolated. *)
 
 val mem_edge : t -> int -> int -> bool
@@ -146,8 +178,10 @@ val total_degree : t -> int
 (** {1 Validation and display} *)
 
 val validate : t -> unit
-(** Re-checks all CSR invariants (sorted adjacency, symmetry, no loops);
-    intended for tests. @raise Invalid_argument when violated. *)
+(** Re-checks every CSR invariant {!of_csr} checks (sorted, duplicate-free
+    and in-range slices, no loops, symmetry), in O(n + m), and the edge
+    count; intended for tests.
+    @raise Invalid_argument ("Graph.validate: ...") when violated. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: vertex count, edge count, degree range. *)

@@ -87,41 +87,48 @@ let[@inline] draw61 g = Int64.to_int (Int64.logand (bits64 g) 0x1FFFFFFFFFFFFFFF
 (* The high 32 bits of the next output, as a non-negative native int *)
 let[@inline] draw32 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 32)
 
-(* Bounds above 2^30, where x * bound can leave the 63-bit native int:
-   rejection on 61 bits, one division.  A draw r is rejected iff it falls
+(* [int] keeps both rejection loops and its argument checks inline, with
+   no call left on any path that returns: a call anywhere in a kernel's
+   loop makes the compiler spill every value live across it, so each
+   caller's per-contact loop would pay stores and reloads for a branch it
+   almost never takes.  The errors are raised directly for the same
+   reason — [raise] does not return, so nothing is live across it.
+
+   Bounds up to 2^30 use Lemire's multiply-shift: with x uniform on 32
+   bits, m = x * bound (< 2^62, a native int) and m lsr 32 is uniform on
+   [0, bound) once the draws whose low word falls below 2^32 mod bound are
+   rejected.  That threshold, (2^32 - bound) mod bound, needs the one
+   division, and only when the low word is below [bound], which happens
+   with probability bound / 2^32.
+
+   Bounds above 2^30, where x * bound can leave the 63-bit native int,
+   reject on 61 bits with one division a draw: r is rejected iff it falls
    in the incomplete last block, r >= (2^61 / bound) * bound, that is
-   r - r mod bound > 2^61 - bound.  A bound above 2^61 rejects every draw:
-   no 61-bit value clears the test, so refuse it instead of spinning. *)
-let[@inline never] rec int_large g bound =
-  if bound > 1 lsl 61 then invalid_arg "Rng.int: bound above 2^61";
-  let r = draw61 g in
-  let v = r mod bound in
-  if r - v > (1 lsl 61) - bound then int_large g bound else v
-
-(* Lemire's rejection, off the fast path: the low word [m land (2^32-1)]
-   fell below [bound], so it may lie in the 2^32 mod bound values of the
-   over-represented prefix.  Reject those and redraw; the threshold is
-   (2^32 - bound) mod bound = 2^32 mod bound, the one division. *)
-let[@inline never] int_reject g bound m =
-  let threshold = ((1 lsl 32) - bound) mod bound in
-  let m = ref m in
-  while !m land 0xFFFF_FFFF < threshold do
-    m := draw32 g * bound
-  done;
-  !m lsr 32
-
+   r - r mod bound > 2^61 - bound.  A bound above 2^61 would reject every
+   draw, so it is refused instead of spinning. *)
+(* lint: hot *)
 let[@inline] int g bound =
-  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+  if bound <= 0 then raise (Invalid_argument "Rng.int: bound must be positive");
   if bound <= 1 lsl 30 then begin
-    (* Lemire's multiply-shift: with x uniform on 32 bits, m = x * bound
-       (< 2^62, a native int) and m lsr 32 is uniform on [0, bound) once
-       the draws whose low word falls below 2^32 mod bound are rejected;
-       that test needs a division only when the low word is below
-       [bound], which happens with probability bound / 2^32 *)
-    let m = draw32 g * bound in
-    if m land 0xFFFF_FFFF < bound then int_reject g bound m else m lsr 32
+    let m = ref (draw32 g * bound) in
+    if !m land 0xFFFF_FFFF < bound then begin
+      let threshold = ((1 lsl 32) - bound) mod bound in
+      while !m land 0xFFFF_FFFF < threshold do
+        m := draw32 g * bound
+      done
+    end;
+    !m lsr 32
   end
-  else int_large g bound
+  else begin
+    if bound > 1 lsl 61 then raise (Invalid_argument "Rng.int: bound above 2^61");
+    let r = ref (draw61 g) in
+    let v = ref (!r mod bound) in
+    while !r - !v > (1 lsl 61) - bound do
+      r := draw61 g;
+      v := !r mod bound
+    done;
+    !v
+  end
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -133,7 +140,8 @@ let[@inline] float g x =
   let bits = Float.of_int (Int64.to_int (Int64.shift_right_logical (bits64 g) 11)) in
   bits *. (1.0 /. 9007199254740992.0) *. x
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
+(* lint: hot *)
+let[@inline] bool g = Int64.logand (bits64 g) 1L = 1L
 
 let bernoulli g p =
   if p <= 0.0 then false else if p >= 1.0 then true else float g 1.0 < p

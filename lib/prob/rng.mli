@@ -54,6 +54,11 @@ val int : t -> int -> int
     incomplete last block of [bound]-sized blocks, and [r mod bound] is
     the result.
 
+    [int] is inlined with both rejection loops and its argument checks:
+    on every path that returns it makes no call, so a kernel's
+    per-contact loop that draws through it keeps its values in registers
+    (a call, even on a branch never taken, would spill them).
+
     @raise Invalid_argument if [bound <= 0] or [bound > 2^61] (no 61-bit
     draw could be accepted). *)
 
@@ -65,7 +70,8 @@ val float : t -> float -> float
 (** [float g x] is uniform on [0, x).  [float g 1.0] has 53 random bits. *)
 
 val bool : t -> bool
-(** [bool g] is a fair coin flip. *)
+(** [bool g] is a fair coin flip: the low bit of one {!bits64} output,
+    inlined like {!int}. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)

@@ -64,8 +64,20 @@ let reset_tau ~who ~parties = function
       Array.fill tau 0 parties max_int
   | None -> ()
 
-let[@inline] set_tau tau party round =
+(* typed, so the store inlines as an int store, not a polymorphic one *)
+let[@inline] set_tau (tau : int array option) party round =
   match tau with Some tau -> tau.(party) <- round | None -> ()
+
+(* Kernel loops hold no call on any path that returns (DESIGN.md, "Kernel
+   loops"): a call there, even on a branch never taken, makes the
+   compiler spill every value live across it.  So an attached instrument
+   does not fire inside a contact loop.  The loop records each event's
+   varying id in a flat buffer instead, and the events fire after the loop,
+   in the order they happened.  The buffer exists only when an instrument
+   is attached; without one it is empty and never touched, and each kernel
+   keeps a single loop. *)
+let event_buffer obs len =
+  match obs with None -> [||] | Some _ -> Array.make len 0
 
 (* ------------------------------------------------------------------ push *)
 
@@ -79,6 +91,9 @@ let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
   (* order.(0 .. count-1) lists informed vertices in informing order; the
      first [active] of them push this round *)
   let order = Array.make n 0 in
+  let recording = Option.is_some obs in
+  (* called.(i): the vertex order.(i) called this round *)
+  let called = event_buffer obs n in
   Bitset.add informed source;
   order.(0) <- source;
   let count = ref 1 in
@@ -93,13 +108,11 @@ let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
     span_begin_arg trace "push.round" round;
     let c0 = !contacts in
     let active = !count in
-    (* one contact per active vertex, in frontier order; the contact
-       counters stay plain local refs (no closure captures them) *)
+    (* one contact per active vertex, in frontier order; the counters stay
+       plain local refs (no closure captures them) *)
     for i = 0 to active - 1 do
-      let u = order.(i) in
-      let v = Graph.random_neighbor g rng u in
-      incr contacts;
-      Obs.contact obs u v;
+      let v = Graph.random_neighbor g rng order.(i) in
+      if recording then called.(i) <- v;
       if not (Bitset.mem informed v) then begin
         Bitset.add informed v;
         set_tau tau v round;
@@ -107,6 +120,11 @@ let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
         incr count
       end
     done;
+    contacts := !contacts + active;
+    if recording then
+      for i = 0 to active - 1 do
+        Obs.contact obs order.(i) called.(i)
+      done;
     Curve_buf.push curve !count;
     trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
     Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
@@ -127,6 +145,8 @@ let push_pull ?obs ?trace rng g ~source ~max_rounds () =
      push/pull eligibility test reads); [informed] is live *)
   let informed = Bitset.create n in
   let before = Bitset.create n in
+  let recording = Option.is_some obs in
+  let called = event_buffer obs n in
   Bitset.add informed source;
   let count = ref 1 in
   let contacts = ref 0 in
@@ -141,11 +161,10 @@ let push_pull ?obs ?trace rng g ~source ~max_rounds () =
     let c0 = !contacts in
     Bitset.snapshot ~src:informed ~dst:before;
     (* every vertex calls one neighbor; inlined rather than a per-contact
-       closure so [count]/[contacts] stay unboxed *)
+       closure so [count] stays unboxed *)
     for u = 0 to n - 1 do
       let v = Graph.random_neighbor g rng u in
-      incr contacts;
-      Obs.contact obs u v;
+      if recording then called.(u) <- v;
       if Bitset.mem before u then begin
         if not (Bitset.mem informed v) then begin
           Bitset.add informed v;
@@ -157,6 +176,11 @@ let push_pull ?obs ?trace rng g ~source ~max_rounds () =
         incr count
       end
     done;
+    contacts := !contacts + n;
+    if recording then
+      for u = 0 to n - 1 do
+        Obs.contact obs u called.(u)
+      done;
     Curve_buf.push curve !count;
     trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
     Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
@@ -183,17 +207,23 @@ let place_agents ~who rng g agents =
 
 (* One synchronized walker round over a flat position array, consuming [rng]
    in agent order: per agent, the lazy coin (if lazy) then the neighbor
-   draw. *)
+   draw.  With an instrument, [from] (an {!event_buffer} of one slot per
+   agent) keeps each agent's old vertex until the moves fire. *)
 (* lint: hot *)
-let move_agents ?obs ~lazy_walk rng g pos =
+let move_agents obs ~from ~lazy_walk rng g pos =
+  let recording = Option.is_some obs in
   for a = 0 to Array.length pos - 1 do
     let u = pos.(a) in
     let v =
       if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
     in
     pos.(a) <- v;
-    Obs.walker_move obs ~agent:a ~from_:u ~to_:v
-  done
+    if recording then from.(a) <- u
+  done;
+  if recording then
+    for a = 0 to Array.length pos - 1 do
+      Obs.walker_move obs ~agent:a ~from_:from.(a) ~to_:pos.(a)
+    done
 
 (* -------------------------------------------------------- visit-exchange *)
 
@@ -234,29 +264,33 @@ let visit_exchange_sparse ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     let occ = Sparse_walkers.occupied_count w in
     (* phase 2: a vertex holding a walker informed in a previous round gets
        informed (conversions below only land in the informed counts after
-       this sweep, so they cannot inform a vertex until next round) *)
-    for i = 0 to occ - 1 do
-      let v = Sparse_walkers.occupied_vertex w i in
-      if
-        Sparse_walkers.informed_at w v > 0
-        && not (Bitset.mem vertex_informed v)
-      then begin
-        Bitset.add vertex_informed v;
-        set_tau tau v round;
-        incr informed_vertices;
-        incr contacts;
-        last_vertex_round := round
-      end
-    done;
-    (* phase 3: every walker standing on an informed vertex is informed *)
-    for i = 0 to occ - 1 do
-      let v = Sparse_walkers.occupied_vertex w i in
-      if Bitset.mem vertex_informed v then begin
-        let c = Sparse_walkers.inform_all_at w v in
-        informed_agents := !informed_agents + c;
-        contacts := !contacts + c
-      end
-    done;
+       this sweep, so they cannot inform a vertex until next round).  Once
+       every vertex is informed it can inform none, and is skipped. *)
+    if !informed_vertices < n then
+      for i = 0 to occ - 1 do
+        let v = Sparse_walkers.occupied_vertex w i in
+        if
+          Sparse_walkers.informed_at w v > 0
+          && not (Bitset.mem vertex_informed v)
+        then begin
+          Bitset.add vertex_informed v;
+          set_tau tau v round;
+          incr informed_vertices;
+          incr contacts;
+          last_vertex_round := round
+        end
+      done;
+    (* phase 3: every walker standing on an informed vertex is informed;
+       skipped once every walker is *)
+    if !informed_agents < k then
+      for i = 0 to occ - 1 do
+        let v = Sparse_walkers.occupied_vertex w i in
+        if Bitset.mem vertex_informed v then begin
+          let c = Sparse_walkers.inform_all_at w v in
+          informed_agents := !informed_agents + c;
+          contacts := !contacts + c
+        end
+      done;
     span_end trace;
     Obs.occupancy obs ~round ~occupied:occ ~walkers:k;
     if !informed_agents = k && !all_agents_round < 0 then
@@ -286,6 +320,11 @@ let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
   let vertex_informed = Bitset.create n in
   let agent_informed = Bitset.create k in
   let agent_before = Bitset.create k in
+  let recording = Option.is_some obs in
+  (* the agents of a phase's contacts, in order, or the old vertices of a
+     walk, until they fire *)
+  let trail = event_buffer obs k in
+  let nrec = ref 0 in
   let contacts = ref 0 in
   (* round 0: the source is informed, and so is every agent standing on it *)
   Bitset.add vertex_informed source;
@@ -315,35 +354,55 @@ let visit_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     let c0 = !contacts in
     (* phase 1: all agents step in parallel *)
     span_begin trace "walk";
-    move_agents ?obs ~lazy_walk rng g pos;
+    move_agents obs ~from:trail ~lazy_walk rng g pos;
     span_end trace;
     span_begin trace "spread";
-    (* phase 2: agents informed in a previous round inform their vertex *)
-    Bitset.snapshot ~src:agent_informed ~dst:agent_before;
-    for a = 0 to k - 1 do
-      if Bitset.mem agent_before a then begin
-        let v = pos.(a) in
-        if not (Bitset.mem vertex_informed v) then begin
-          Bitset.add vertex_informed v;
-          set_tau tau v round;
-          incr informed_vertices;
-          incr contacts;
-          last_vertex_round := round;
-          Obs.contact obs a v
+    (* phase 2: agents informed in a previous round inform their vertex;
+       skipped once every vertex is informed, when it can inform none *)
+    if !informed_vertices < n then begin
+      Bitset.snapshot ~src:agent_informed ~dst:agent_before;
+      nrec := 0;
+      for a = 0 to k - 1 do
+        if Bitset.mem agent_before a then begin
+          let v = pos.(a) in
+          if not (Bitset.mem vertex_informed v) then begin
+            Bitset.add vertex_informed v;
+            set_tau tau v round;
+            incr informed_vertices;
+            incr contacts;
+            last_vertex_round := round;
+            if recording then begin
+              trail.(!nrec) <- a;
+              incr nrec
+            end
+          end
         end
-      end
-    done;
+      done;
+      for i = 0 to !nrec - 1 do
+        Obs.contact obs trail.(i) pos.(trail.(i))
+      done
+    end;
     (* phase 3: uninformed agents standing on an informed vertex (informed
-       in any round <= this one) become informed *)
-    for a = 0 to k - 1 do
-      if (not (Bitset.mem agent_informed a)) && Bitset.mem vertex_informed pos.(a)
-      then begin
-        Bitset.add agent_informed a;
-        incr informed_agents;
-        incr contacts;
-        Obs.contact obs pos.(a) a
-      end
-    done;
+       in any round <= this one) become informed; skipped once every agent
+       is *)
+    if !informed_agents < k then begin
+      nrec := 0;
+      for a = 0 to k - 1 do
+        if (not (Bitset.mem agent_informed a)) && Bitset.mem vertex_informed pos.(a)
+        then begin
+          Bitset.add agent_informed a;
+          incr informed_agents;
+          incr contacts;
+          if recording then begin
+            trail.(!nrec) <- a;
+            incr nrec
+          end
+        end
+      done;
+      for i = 0 to !nrec - 1 do
+        Obs.contact obs pos.(trail.(i)) trail.(i)
+      done
+    end;
     span_end trace;
     if !informed_agents = k && !all_agents_round < 0 then
       all_agents_round := round;
@@ -441,10 +500,11 @@ let meet_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
 
 (* In-place heapsort of ids.(0 .. len-1) by (pos.(a), a): the meeting
    contacts' (vertex, agent) order, with no scratch array. *)
-let[@inline] precedes pos a b =
+(* typed: on ['a array]s the comparisons would be C calls *)
+let[@inline] precedes (pos : int array) a b =
   pos.(a) < pos.(b) || (pos.(a) = pos.(b) && a < b)
 
-let rec sift_down pos ids i len =
+let rec sift_down pos (ids : int array) i len =
   let c = (2 * i) + 1 in
   if c < len then begin
     let c =
@@ -477,32 +537,32 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
   let k = Array.length pos in
   reset_tau ~who:"Engine.meet_exchange" ~parties:k tau;
   (* the agents, partitioned: order.(0 .. informed-1) are informed, the
-     rest are not.  Informing order.(i) swaps it to the boundary, a slot
-     the pass has already visited, so a pass over the uninformed part
-     meets every agent once, in agent order while nothing has moved. *)
+     rest are not.  Informing a = order.(i) swaps it to the boundary, a
+     slot the pass has already visited, so a pass over the uninformed part
+     meets every agent once, in agent order while nothing has moved.  The
+     swap is written out at each informing site: a local [inform] closure
+     would be a call in the loops. *)
   let order = Array.init k Fun.id in
   let informed = ref 0 in
   let contacts = ref 0 in
-  let inform i round =
-    let a = order.(i) in
-    order.(i) <- order.(!informed);
-    order.(!informed) <- a;
-    incr informed;
-    incr contacts;
-    set_tau tau a round
-  in
   (* [stamp.(v) = round] iff, after round [round]'s walk, v holds an agent
      informed in an earlier round: a witness that informs everyone there *)
   let stamp = Array.make n 0 in
-  (* with an instrument attached, the round's meetings are collected here
-     and fired in (vertex, agent) order *)
-  let met = match obs with None -> [||] | Some _ -> Array.make k 0 in
+  let recording = Option.is_some obs in
+  (* the agents a loop informs, in order, or the old vertices of a walk,
+     until they fire; the meetings fire in (vertex, agent) order *)
+  let met = event_buffer obs k in
   let nmet = ref 0 in
   (* round 0: agents standing on the source are informed *)
   for i = 0 to k - 1 do
-    if pos.(order.(i)) = source then begin
-      Obs.contact obs source order.(i);
-      inform i 0
+    let a = order.(i) in
+    if pos.(a) = source then begin
+      Obs.contact obs source a;
+      order.(i) <- order.(!informed);
+      order.(!informed) <- a;
+      incr informed;
+      incr contacts;
+      set_tau tau a 0
     end
   done;
   let source_active = ref (!informed = 0) in
@@ -516,7 +576,7 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     span_begin_arg trace "meet_exchange.round" round;
     let c0 = !contacts in
     span_begin trace "walk";
-    move_agents ?obs ~lazy_walk rng g pos;
+    move_agents obs ~from:met ~lazy_walk rng g pos;
     span_end trace;
     span_begin trace "spread";
     (* stamp before this round's source hand-off, so its pickups are not
@@ -529,11 +589,23 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
        source is active, so this round has no witnesses and no meetings. *)
     if !source_active then begin
       for i = 0 to k - 1 do
-        if pos.(order.(i)) = source then begin
-          Obs.contact obs source order.(i);
-          inform i round
+        let a = order.(i) in
+        if pos.(a) = source then begin
+          if recording then begin
+            met.(!nmet) <- a;
+            incr nmet
+          end;
+          order.(i) <- order.(!informed);
+          order.(!informed) <- a;
+          incr informed;
+          incr contacts;
+          set_tau tau a round
         end
       done;
+      for i = 0 to !nmet - 1 do
+        Obs.contact obs source met.(i)
+      done;
+      nmet := 0;
       if !informed > 0 then source_active := false
     end;
     (* meetings: every uninformed agent on a stamped vertex is informed.
@@ -542,12 +614,15 @@ let meet_exchange_dense ?obs ?trace ?tau ~lazy_walk rng g ~source ~agents
     for i = !informed to k - 1 do
       let a = order.(i) in
       if stamp.(pos.(a)) = round then begin
-        (match obs with
-        | None -> ()
-        | Some _ ->
-            met.(!nmet) <- a;
-            incr nmet);
-        inform i round
+        if recording then begin
+          met.(!nmet) <- a;
+          incr nmet
+        end;
+        order.(i) <- order.(!informed);
+        order.(!informed) <- a;
+        incr informed;
+        incr contacts;
+        set_tau tau a round
       end
     done;
     if !nmet > 0 then begin
@@ -618,21 +693,11 @@ let combined ?obs ?trace ?(lazy_walk = false) rng g ~source ~agents
   done;
   let curve = Curve_buf.create ~hint:max_rounds in
   Curve_buf.push curve 1;
-  (* hoisted closures: allocated once per run, not per round *)
-  let inform_vertex round v =
-    if vertex_time.(v) = max_int then begin
-      vertex_time.(v) <- round;
-      incr informed_vertices
-    end
-  in
-  let exchange round u v =
-    incr contacts;
-    Obs.contact obs u v;
-    let u_before = vertex_time.(u) < round
-    and v_before = vertex_time.(v) < round in
-    if u_before && not v_before then inform_vertex round v
-    else if v_before && not u_before then inform_vertex round u
-  in
+  let recording = Option.is_some obs in
+  (* the vertices the n callers called, the agents of a spread phase's
+     contacts, or the old vertices of a walk, until they fire *)
+  let trail = event_buffer obs (max n k) in
+  let nrec = ref 0 in
   let t = ref 0 in
   while !informed_vertices < n && !t < max_rounds do
     incr t;
@@ -641,34 +706,69 @@ let combined ?obs ?trace ?(lazy_walk = false) rng g ~source ~agents
     span_begin_arg trace "combined.round" round;
     let c0 = !contacts in
     (* push-pull half: every vertex calls a random neighbor; exchanges use
-       the informed-before-this-round state *)
+       the informed-before-this-round state, and an exchange informs the
+       endpoint that was not informed before, unless this round already
+       did *)
     span_begin trace "push_pull";
     for u = 0 to n - 1 do
-      exchange round u (Graph.random_neighbor g rng u)
+      let v = Graph.random_neighbor g rng u in
+      if recording then trail.(u) <- v;
+      let u_before = vertex_time.(u) < round
+      and v_before = vertex_time.(v) < round in
+      if u_before && not v_before then begin
+        if vertex_time.(v) = max_int then begin
+          vertex_time.(v) <- round;
+          incr informed_vertices
+        end
+      end
+      else if v_before && (not u_before) && vertex_time.(u) = max_int then begin
+        vertex_time.(u) <- round;
+        incr informed_vertices
+      end
     done;
+    contacts := !contacts + n;
+    if recording then
+      for u = 0 to n - 1 do
+        Obs.contact obs u trail.(u)
+      done;
     span_end trace;
     (* visit-exchange half: agents step, previously informed agents inform
        their vertex, uninformed agents learn from informed vertices *)
     span_begin trace "walk";
-    move_agents ?obs ~lazy_walk rng g pos;
+    move_agents obs ~from:trail ~lazy_walk rng g pos;
     span_end trace;
     span_begin trace "spread";
+    nrec := 0;
     for a = 0 to k - 1 do
       if agent_time.(a) < round then begin
         let v = pos.(a) in
         if vertex_time.(v) = max_int then begin
+          vertex_time.(v) <- round;
+          incr informed_vertices;
           incr contacts;
-          Obs.contact obs a v
-        end;
-        inform_vertex round v
+          if recording then begin
+            trail.(!nrec) <- a;
+            incr nrec
+          end
+        end
       end
     done;
+    for i = 0 to !nrec - 1 do
+      Obs.contact obs trail.(i) pos.(trail.(i))
+    done;
+    nrec := 0;
     for a = 0 to k - 1 do
       if agent_time.(a) = max_int && vertex_time.(pos.(a)) <= round then begin
         agent_time.(a) <- round;
         incr contacts;
-        Obs.contact obs pos.(a) a
+        if recording then begin
+          trail.(!nrec) <- a;
+          incr nrec
+        end
       end
+    done;
+    for i = 0 to !nrec - 1 do
+      Obs.contact obs pos.(trail.(i)) trail.(i)
     done;
     span_end trace;
     Curve_buf.push curve !informed_vertices;

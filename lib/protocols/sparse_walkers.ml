@@ -87,7 +87,7 @@ let[@inline] occupied_vertex t i = t.occ.(i)
 let[@inline] uninformed_at t v = t.cnt.(v) land mask
 let[@inline] informed_at t v = t.cnt.(v) lsr shift
 
-let inform_all_at t v =
+let[@inline] inform_all_at t v =
   let x = t.cnt.(v) in
   let cu = x land mask in
   if cu > 0 then t.cnt.(v) <- x - cu + (cu lsl shift);

@@ -8,14 +8,16 @@ let time_to_fraction_curve ?(completed = true) curve q =
   if len = 0 then None
   else begin
     let target = q *. float_of_int curve.(len - 1) in
-    let rec scan t =
-      if t >= len then None
-      else if float_of_int curve.(t) >= target then Some t
-      else scan (t + 1)
-    in
     (* a capped run's final count is its own maximum, so only report the
        milestone if the run completed or q refers to what was reached *)
-    if completed then scan 0 else if target > 0.0 then scan 0 else None
+    if completed || target > 0.0 then begin
+      let t = ref 0 in
+      while !t < len && float_of_int curve.(!t) < target do
+        incr t
+      done;
+      if !t < len then Some !t else None
+    end
+    else None
   end
 
 let time_to_fraction (r : Run_result.t) q =

@@ -274,17 +274,21 @@ let test_curve_buf () =
 (* ------------------------------------- disabled-trace fast path is free *)
 
 let test_disabled_trace_allocation_free () =
-  (* Two disjoint edges: push from 0 can never reach {2, 3}, so the run is
-     capped after exactly max_rounds rounds, and running two caps that
-     differ by many rounds isolates the marginal allocation per round.
-     Minor-heap words are counted exactly (unlike [Gc.allocated_bytes],
-     which nets out promotions and so depends on GC timing).  The random
-     draws allocate (boxed Int64 generator state), so the kernel is
-     compared against a bare loop making the same two neighbor draws per
-     round: what remains is the kernel's own per-round overhead, which the
-     disabled [?trace] plumbing must not grow — a with_span closure or
-     [Some] cells at the three trace sites per round would each add at
-     least 16 B. *)
+  (* Two disjoint edges: from source 0 no kernel can reach {2, 3} (and no
+     agent placed there ever learns the rumor), so every run is capped
+     after exactly max_rounds rounds, and running two caps that differ by
+     many rounds isolates the marginal allocation per round.  Minor-heap
+     words are counted exactly (unlike [Gc.allocated_bytes], which nets
+     out promotions and so depends on GC timing); the curve buffers this
+     long outgrow the minor heap, so what is counted is the kernel's own
+     per-round allocation, beyond its curve.  A random draw may allocate
+     where the compiler does not inline it (boxed Int64 generator state),
+     so each kernel is compared against a bare loop making the same
+     neighbor draws per round: what remains is the
+     kernel's own per-round overhead, which neither the disabled [?trace]
+     plumbing nor the absent [?obs] buffers may grow — a with_span closure,
+     [Some] cells at the trace sites or an event buffer allocated per round
+     would each add at least 16 B. *)
   let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   let minor_bytes f =
     let before = Gc.minor_words () in
@@ -298,32 +302,115 @@ let test_disabled_trace_allocation_free () =
     let a2 = run 12_000 in
     (a2 -. a1) /. 10_000.0
   in
-  let kernel =
-    marginal (fun cap ->
-        let r, a =
-          minor_bytes (fun () -> Engine.push (Rng.of_int 5) g ~source:0 ~max_rounds:cap ())
-        in
-        Alcotest.(check bool) "run capped" false (Run_result.completed r);
-        Alcotest.(check int) "rounds run" cap r.Run_result.rounds_run;
-        a)
-  in
-  let draws =
+  let draws per_round =
     marginal (fun cap ->
         snd
           (minor_bytes (fun () ->
                let rng = Rng.of_int 5 in
                for _ = 1 to cap do
-                 ignore (Sys.opaque_identity (Graph.random_neighbor g rng 0));
-                 ignore (Sys.opaque_identity (Graph.random_neighbor g rng 1))
+                 for u = 0 to per_round - 1 do
+                   ignore (Sys.opaque_identity (Graph.random_neighbor g rng (u land 3)))
+                 done
                done)))
   in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "kernel per-round allocation overhead %.1f B (kernel %.1f, draws %.1f) \
-        < 16 B"
-       (kernel -. draws) kernel draws)
-    true
-    (kernel -. draws < 16.0)
+  (* agents one per vertex: 4 walkers, 2 of them stranded on {2, 3} *)
+  let agents = Placement.One_per_vertex in
+  let kernels =
+    [
+      ("push", 2, fun cap -> Engine.push (Rng.of_int 5) g ~source:0 ~max_rounds:cap ());
+      ("push_pull", 4, fun cap ->
+          Engine.push_pull (Rng.of_int 5) g ~source:0 ~max_rounds:cap ());
+      ("visit_exchange", 4, fun cap ->
+          Engine.visit_exchange (Rng.of_int 5) g ~source:0 ~agents ~max_rounds:cap ());
+      ("meet_exchange", 4, fun cap ->
+          Engine.meet_exchange ~lazy_walk:false (Rng.of_int 5) g ~source:0 ~agents
+            ~max_rounds:cap ());
+      ("combined", 8, fun cap ->
+          Engine.combined (Rng.of_int 5) g ~source:0 ~agents ~max_rounds:cap ());
+    ]
+  in
+  List.iter
+    (fun (name, per_round, kernel) ->
+      let kernel =
+        marginal (fun cap ->
+            let r, a = minor_bytes (fun () -> kernel cap) in
+            Alcotest.(check bool) (name ^ ": run capped") false (Run_result.completed r);
+            Alcotest.(check int) (name ^ ": rounds run") cap r.Run_result.rounds_run;
+            a)
+      in
+      let draws = draws per_round in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s per-round allocation overhead %.1f B (kernel %.1f, draws %.1f) < 16 B"
+           name (kernel -. draws) kernel draws)
+        true
+        (kernel -. draws < 16.0))
+    kernels
+
+(* ------------------------------------------ obs-free path = recorded path *)
+
+(* Every sync kernel keeps one loop, whose events go to a buffer only when
+   an instrument is attached.  The golden digests always attach one, so
+   this pins the other branch, the one the benchmarks time: with [?obs]
+   absent each kernel must return the same result, and fill the same
+   [tau], as with a recording instrument. *)
+let test_obs_free_equals_recorded () =
+  let recorder () = Instrument.Recorder.(instrument (create ())) in
+  List.iter
+    (fun (fname, g) ->
+      let n = Graph.n g in
+      List.iter
+        (fun seed ->
+          let label k = Printf.sprintf "%s %s seed=%d" k fname seed in
+          let same k ~free ~recorded = check_same_result (label k) recorded free in
+          let same_tau k a b = Alcotest.(check (array int)) (label k ^ ": tau") b a in
+          (* push, with and without tau *)
+          let tau_free = Array.make n 0 and tau_rec = Array.make n 0 in
+          let push ?obs ?tau () =
+            Engine.push ?obs ?tau (Rng.of_int seed) g ~source:0 ~max_rounds:100_000 ()
+          in
+          let recorded = push ~obs:(recorder ()) ~tau:tau_rec () in
+          same "push" ~free:(push ~tau:tau_free ()) ~recorded;
+          same "push without tau" ~free:(push ()) ~recorded;
+          same_tau "push" tau_free tau_rec;
+          let push_pull ?obs () =
+            Engine.push_pull ?obs (Rng.of_int seed) g ~source:0 ~max_rounds:100_000 ()
+          in
+          same "push_pull" ~free:(push_pull ()) ~recorded:(push_pull ~obs:(recorder ()) ());
+          List.iter
+            (fun (aname, agents) ->
+              List.iter
+                (fun lazy_walk ->
+                  let k kernel = Printf.sprintf "%s %s lazy=%b" kernel aname lazy_walk in
+                  let visit ?obs tau =
+                    Engine.visit_exchange ?obs ~tau ~lazy_walk (Rng.of_int seed) g ~source:0
+                      ~agents ~max_rounds:100_000 ()
+                  in
+                  let tau_free = Array.make n 0 and tau_rec = Array.make n 0 in
+                  same (k "visit_exchange") ~free:(visit tau_free)
+                    ~recorded:(visit ~obs:(recorder ()) tau_rec);
+                  same_tau (k "visit_exchange") tau_free tau_rec;
+                  let combined ?obs () =
+                    Engine.combined ?obs ~lazy_walk (Rng.of_int seed) g ~source:0 ~agents
+                      ~max_rounds:100_000 ()
+                  in
+                  same (k "combined") ~free:(combined ())
+                    ~recorded:(combined ~obs:(recorder ()) ()))
+                [ false; true ])
+            [ ("stationary12", Placement.Stationary 12);
+              ("one-per-vertex", Placement.One_per_vertex) ];
+          (* meet-exchange: per-agent tau, bipartiteness default *)
+          let agents = Placement.Stationary 14 in
+          let parties = Placement.count agents g in
+          let meet ?obs tau =
+            Engine.meet_exchange ?obs ~tau (Rng.of_int seed) g ~source:0 ~agents
+              ~max_rounds:20_000 ()
+          in
+          let tau_free = Array.make parties 0 and tau_rec = Array.make parties 0 in
+          same "meet_exchange" ~free:(meet tau_free) ~recorded:(meet ~obs:(recorder ()) tau_rec);
+          same_tau "meet_exchange" tau_free tau_rec)
+        seeds)
+    (families ())
 
 (* ---------------------------------------------------- tracing a kernel *)
 
@@ -494,6 +581,8 @@ let suite =
     Alcotest.test_case "max_int cap: O(rounds) allocation" `Quick test_huge_cap_completes;
     Alcotest.test_case "disabled trace allocation-free" `Quick
       test_disabled_trace_allocation_free;
+    Alcotest.test_case "obs-free run = recorded run" `Quick
+      test_obs_free_equals_recorded;
     Alcotest.test_case "max_int cap: walkers" `Quick test_huge_cap_walkers;
     Alcotest.test_case "argument validation" `Quick test_validation;
     Alcotest.test_case "curve buffer" `Quick test_curve_buf;

@@ -132,6 +132,33 @@ let test_random_regular_dense () =
         (Some d) (Graph.regular_degree g))
     [ (10, 7); (12, 9); (20, 15); (16, 12) ]
 
+(* The sparse sampler writes its CSR itself (a transpose of the repaired
+   pairing, checked by Graph.of_csr) instead of streaming its edges into
+   the Builder.  Over 500 draws of each shape, the graph must be exactly
+   the CSR the Builder makes of the same edges: the sparse path at d = 1,
+   d = 2, an odd d and the paper-figs 500x12, the complement path
+   (d > n/2) and the complete graph (d = n - 1). *)
+let test_random_regular_matches_builder () =
+  List.iter
+    (fun (shape, n, d) ->
+      let rng = Rng.of_int ((1000 * n) + d) in
+      for draw = 1 to 500 do
+        let g = Gen.random_regular rng ~n ~d in
+        let b = Graph.Builder.create ~n () in
+        Graph.iter_edges g (Graph.Builder.add_edge b);
+        Csr_check.same
+          (Printf.sprintf "%s (n=%d d=%d) draw %d" shape n d draw)
+          (Graph.Builder.finish b) g
+      done)
+    [
+      ("d = 1", 20, 1);
+      ("d = 2", 30, 2);
+      ("odd d", 40, 5);
+      ("500x12", 500, 12);
+      ("complement", 30, 20);
+      ("d = n - 1", 16, 15);
+    ]
+
 (* Golden digests of random_regular_connected: the CSR (degree prefix sums
    and sorted adjacency) plus the generator's next four outputs, which pin
    its state afterwards.  Recorded from the Hashtbl-based repair; a faster
@@ -247,6 +274,8 @@ let suite =
     Alcotest.test_case "samples vary" `Quick test_random_regular_samples_vary;
     Alcotest.test_case "determinism by seed" `Quick test_determinism_by_seed;
     Alcotest.test_case "dense regular graphs" `Quick test_random_regular_dense;
+    Alcotest.test_case "random regular = its Builder rebuild" `Quick
+      test_random_regular_matches_builder;
     Alcotest.test_case "random regular golden digests" `Quick
       test_random_regular_golden;
     QCheck_alcotest.to_alcotest prop_random_regular_simple;

@@ -509,6 +509,68 @@ let prop_bipartite_iff_bfs_parity =
           if dist.(u) land 1 = dist.(v) land 1 then parity_ok := false);
       Algo.is_bipartite g = !parity_ok)
 
+(* ----------------------------------------------------------- of_csr *)
+
+let slots_of ids =
+  let b = Bytes.create (4 * List.length ids) in
+  List.iteri (fun i v -> Bytes.set_int32_ne b (4 * i) (Int32.of_int v)) ids;
+  b
+
+(* the path 0 - 1 - 2: slices [1], [0; 2], [1] *)
+let path3_offsets () = [| 0; 1; 3; 4 |]
+
+let test_of_csr_accepts_path () =
+  let g = Graph.of_csr ~n:3 ~offsets:(path3_offsets ()) ~slots:(slots_of [ 1; 0; 2; 1 ]) in
+  Csr_check.same "path3" (Graph.of_edges ~n:3 [ (0, 1); (1, 2) ]) g;
+  Alcotest.(check int) "min degree cached" 1 (Graph.min_degree g);
+  Csr_check.same "edgeless" (Graph.of_edges ~n:0 [])
+    (Graph.of_csr ~n:0 ~offsets:[| 0 |] ~slots:Bytes.empty)
+
+(* every malformed input raises the defect its documentation names *)
+let test_of_csr_rejects () =
+  let rejects what msg ~n ~offsets ids =
+    Alcotest.check_raises what (Invalid_argument ("Graph.of_csr: " ^ msg)) (fun () ->
+        ignore (Graph.of_csr ~n ~offsets ~slots:(slots_of ids)))
+  in
+  rejects "negative n" "vertex count out of range" ~n:(-1) ~offsets:[||] [];
+  rejects "offsets length" "offsets length is not n + 1" ~n:3 ~offsets:[| 0; 1; 4 |]
+    [ 1; 0; 2; 1 ];
+  Alcotest.check_raises "ragged slot bytes"
+    (Invalid_argument "Graph.of_csr: slot bytes not a multiple of 4") (fun () ->
+      ignore (Graph.of_csr ~n:1 ~offsets:[| 0; 0 |] ~slots:(Bytes.create 2)));
+  rejects "offset endpoints" "offsets do not run from 0 to the slot count" ~n:3
+    ~offsets:[| 0; 1; 3; 3 |] [ 1; 0; 2; 1 ];
+  rejects "decreasing offsets" "decreasing offsets" ~n:3 ~offsets:[| 0; 3; 1; 4 |]
+    [ 1; 0; 2; 1 ];
+  rejects "id out of range" "neighbour 3 of 1 out of range" ~n:3
+    ~offsets:(path3_offsets ()) [ 1; 0; 3; 1 ];
+  rejects "negative id" "neighbour -1 of 0 out of range" ~n:3
+    ~offsets:(path3_offsets ()) [ -1; 0; 2; 1 ];
+  rejects "self-loop" "self-loop at 1" ~n:3 ~offsets:(path3_offsets ()) [ 1; 1; 2; 1 ];
+  rejects "unsorted slice" "unsorted slice of 1" ~n:3 ~offsets:(path3_offsets ())
+    [ 1; 2; 0; 1 ];
+  rejects "duplicate" "duplicate edge (1,0)" ~n:3 ~offsets:(path3_offsets ())
+    [ 1; 0; 0; 1 ];
+  (* 0 -> 1 and 1 -> 2 with no way back *)
+  rejects "asymmetric arc" "arc 0 -> 1 has no reverse" ~n:3 ~offsets:[| 0; 1; 2; 2 |]
+    [ 1; 2 ];
+  (* 0 -> 2 and 2 -> 0 match, so the cursor walk has already consumed 2's
+     one slot when it meets 1 -> 2 *)
+  rejects "asymmetric, cursor at slice end" "arc 1 -> 2 has no reverse" ~n:4
+    ~offsets:[| 0; 2; 3; 4; 5 |] [ 2; 3; 2; 0; 0 ]
+
+(* the CSR of every Builder graph, read back through first_arc and
+   arc_head, passes of_csr and gives the same graph *)
+let prop_builder_round_trips_of_csr =
+  QCheck.Test.make ~count:200 ~name:"every Builder graph round-trips through of_csr"
+    edge_set
+    (fun (n, raw, _) ->
+      let g = builder_of n (ascending_edges n raw) in
+      let offsets = Array.init (n + 1) (Graph.first_arc g) in
+      let slots = slots_of (List.init (Graph.arc_count g) (Graph.arc_head g)) in
+      Csr_check.same "round trip" g (Graph.of_csr ~n ~offsets ~slots);
+      true)
+
 let suite =
   [
     Alcotest.test_case "vertex/edge counts" `Quick test_counts;
@@ -551,4 +613,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_descent_then_duplicate_rejected;
     QCheck_alcotest.to_alcotest prop_connected_iff_one_component;
     QCheck_alcotest.to_alcotest prop_bipartite_iff_bfs_parity;
+    Alcotest.test_case "of_csr accepts a valid CSR" `Quick test_of_csr_accepts_path;
+    Alcotest.test_case "of_csr names each defect" `Quick test_of_csr_rejects;
+    QCheck_alcotest.to_alcotest prop_builder_round_trips_of_csr;
   ]

@@ -365,6 +365,23 @@ let test_r10_hot_alloc () =
   check_typed_quiet ~only:"R10" "r10_ok.ml";
   check_typed_quiet ~only:"R10" "r10_clean.ml"
 
+(* a hot function with no loop is checked over its whole body, minus the
+   arguments of a raise; one with a loop only inside its loops *)
+let test_r10_loop_free () =
+  guard_typed @@ fun () ->
+  let code, lines =
+    run_lint (typed_args [ "--only"; "R10"; tfixture "r10_loopfree_bad.ml" ])
+  in
+  Alcotest.(check int) "r10_loopfree_bad exits 1" 1 code;
+  (match lines with
+  | [ line ] ->
+      Alcotest.(check bool) "at the tuple" true
+        (has_sub (tfixture "r10_loopfree_bad.ml" ^ ":6:13:") line);
+      Alcotest.(check bool) "says the function has no loop" true
+        (has_sub "no loop" line)
+  | _ -> Alcotest.fail "expected exactly one R10 finding");
+  check_typed_quiet ~only:"R10" "r10_loopfree_clean.ml"
+
 (* the acceptance scenario: --only R10 against a seeded allocating copy of
    an engine round kernel *)
 let test_r10_seeded_kernel () =
@@ -463,6 +480,7 @@ let suite =
       test_r10_hot_alloc;
     Alcotest.test_case "R10 --only run on a seeded engine kernel" `Quick
       test_r10_seeded_kernel;
+    Alcotest.test_case "R10 checks loop-free hot functions" `Quick test_r10_loop_free;
     Alcotest.test_case "R11 flags unsafe writes under Pool closures" `Quick
       test_r11_domain_race;
     Alcotest.test_case "R9 JSON finding carries its chain" `Quick

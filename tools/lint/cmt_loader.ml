@@ -320,6 +320,10 @@ let collect_structure str =
 let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
   let dline, dcol = pos_of vb.vb_loc in
   let loop_depth = ref 0 in
+  let has_loop = ref false in
+  (* > 0 inside the arguments of a raising function: a raise path runs
+     once, so what it allocates is no per-call or per-iteration cost *)
+  let raising = ref 0 in
   let bound = ref [] in
   let calls = ref [] and seen_calls = Hashtbl.create 16 in
   let allocs = ref [] and seen_allocs = Hashtbl.create 8 in
@@ -346,11 +350,11 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
     end
   in
   let add_alloc kind loc =
-    if !loop_depth > 0 then begin
+    if !raising = 0 then begin
       let aline, acol = pos_of loc in
       if not (Hashtbl.mem seen_allocs (aline, acol)) then begin
         Hashtbl.add seen_allocs (aline, acol) ();
-        allocs := { Summary.kind; aline; acol } :: !allocs
+        allocs := { Summary.kind; aline; acol; in_loop = !loop_depth > 0 } :: !allocs
       end
     end
   in
@@ -421,11 +425,13 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
               bound := id :: !bound;
               self.expr self lo;
               self.expr self hi;
+              has_loop := true;
               incr loop_depth;
               self.expr self body;
               decr loop_depth
           | Texp_while (cond, body) ->
               (* the condition re-evaluates every iteration too *)
+              has_loop := true;
               incr loop_depth;
               self.expr self cond;
               self.expr self body;
@@ -449,6 +455,16 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
                 note_mut (desc_of base "<expr>" ^ "." ^ lbl.lbl_name) e.exp_loc;
               Tast_iterator.default_iterator.expr self e
           | Texp_apply (f, args) ->
+              let raises =
+                match f.exp_desc with
+                | Texp_ident (p, _, _) -> (
+                    match Option.map strip_stdlib (path_parts p) with
+                    | Some ([ "raise" ] | [ "raise_notrace" ] | [ "invalid_arg" ] | [ "failwith" ])
+                      ->
+                        true
+                    | _ -> false)
+                | _ -> false
+              in
               (match f.exp_desc with
               | Texp_ident (p, _, _) -> (
                   let parts = Option.map strip_stdlib (path_parts p) in
@@ -517,7 +533,9 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
               | _ ->
                   if returns_arrow e then
                     add_alloc Summary.Partial_app e.exp_loc);
-              Tast_iterator.default_iterator.expr self e
+              if raises then incr raising;
+              Tast_iterator.default_iterator.expr self e;
+              if raises then decr raising
           | _ -> Tast_iterator.default_iterator.expr self e);
     }
   in
@@ -538,6 +556,7 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
     dcol;
     calls = List.rev !calls;
     allocs = List.rev !allocs;
+    has_loop = !has_loop;
     par_calls = List.rev !par_calls;
     mutates = !mutates;
   }
@@ -576,7 +595,7 @@ let read_cmt path : Summary.t option =
 (* Caching                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let cache_version = "rumor-lint-summary/1 ocaml:" ^ Sys.ocaml_version
+let cache_version = "rumor-lint-summary/2 ocaml:" ^ Sys.ocaml_version
 
 let cache_dir = Filename.concat "_build" ".rumor-lint-cache"
 

@@ -283,7 +283,7 @@ let build (summaries : Summary.t list) ~suppress_for : t =
               (add_reach info Summary.Mut
                  (Direct { prim = w.wdesc; oline = w.wline }))
       | None -> ());
-      match info.def.allocs with
+      match List.filter (fun (a : Summary.alloc) -> a.in_loop) info.def.allocs with
       | a :: _ ->
           if not (seed_allowed sup Summary.Alloc a.aline) then
             ignore

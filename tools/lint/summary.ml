@@ -50,7 +50,12 @@ type alloc_kind =
   | Ref_cell
   | Partial_app
 
-type alloc = { kind : alloc_kind; aline : int; acol : int }
+type alloc = {
+  kind : alloc_kind;
+  aline : int;
+  acol : int;
+  in_loop : bool;  (** inside one of the def's own loops *)
+}
 
 (* A mutation of state the function does not own: the written root is
    neither a local binding nor a parameter. *)
@@ -72,7 +77,10 @@ type def = {
   dline : int;
   dcol : int;
   calls : call list;  (** deduplicated by target, first occurrence *)
-  allocs : alloc list;  (** allocation sites inside this def's loops *)
+  allocs : alloc list;
+      (** allocation sites in this def's body, outside the arguments of a
+          raising function ([raise], [invalid_arg], [failwith]) *)
+  has_loop : bool;  (** the body holds a [for] or [while] loop *)
   par_calls : par_call list;
   mutates : write option;  (** first shared-state write, if any *)
 }

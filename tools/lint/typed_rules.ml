@@ -115,7 +115,10 @@ let r10 =
     doc =
       "(* lint: hot *)-marked functions must not allocate per iteration: \
        closures, tuples/records, non-constant constructors, array literals, \
-       ref cells and partial applications inside their loops are flagged";
+       ref cells and partial applications inside their loops are flagged, \
+       and anywhere in the body of a loop-free one (a per-element function \
+       its callers loop over); arguments of raise/invalid_arg/failwith are \
+       exempt";
     applies = Rule.everywhere;
     check =
       (fun tc ->
@@ -123,16 +126,24 @@ let r10 =
           (fun (d : Summary.def) ->
             if not (is_hot tc d) then []
             else
-              List.map
+              List.filter_map
                 (fun (a : Summary.alloc) ->
-                  let msg =
-                    Printf.sprintf
-                      "hot function %s %s inside a loop — hoist it out of the \
-                       iteration or drop the hot marker"
-                      d.dname (alloc_what a.kind)
+                  let where =
+                    if a.in_loop then
+                      Some "inside a loop — hoist it out of the iteration"
+                    else if d.has_loop then None
+                    else
+                      Some
+                        "on every call (it has no loop, so its callers loop \
+                         over it) — move it off the hot path"
                   in
-                  Finding.make_at ~rule:"R10" ~name:"hot-path-alloc"
-                    ~file:tc.rctx.path ~line:a.aline ~col:a.acol msg)
+                  Option.map
+                    (fun where ->
+                      Finding.make_at ~rule:"R10" ~name:"hot-path-alloc"
+                        ~file:tc.rctx.path ~line:a.aline ~col:a.acol
+                        (Printf.sprintf "hot function %s %s %s or drop the hot marker"
+                           d.dname (alloc_what a.kind) where))
+                    where)
                 d.allocs)
           tc.summary.defs);
   }
