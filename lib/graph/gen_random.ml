@@ -74,6 +74,16 @@ let complete_builder ?trace n =
   done;
   Graph.Builder.finish b
 
+(* The regular sampler's scratch tables (stubs, neighbour lists) hold
+   4-byte ids in [Bytes]: half an [int array]'s footprint, 24 KB each for
+   a 500 x 12 draw.  Every index is below n d by construction, hence the
+   unchecked accesses. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] id b i = Int32.to_int (get32u b (4 * i))
+let[@inline] set_id b i v = set32u b (4 * i) (Int32.of_int v)
+
 (* Configuration-model pairing followed by defect repair: loops and parallel
    edges left by the random pairing are removed by random degree-preserving
    edge switches.  This is the standard practical generator; the output
@@ -82,6 +92,11 @@ let complete_builder ?trace n =
 let rec random_regular ?trace rng ~n ~d =
   if d <= 0 || d >= n then invalid_arg "Gen_random.random_regular: need 0 < d < n";
   if n * d mod 2 <> 0 then invalid_arg "Gen_random.random_regular: n*d must be even";
+  (* refused before the pairing sizes its tables by n d *)
+  if n > Graph.max_vertices then
+    invalid_arg
+      (Printf.sprintf "Gen_random.random_regular: %d vertices; ids must fit in 24 bits (n <= %d)"
+         n Graph.max_vertices);
   if d = n - 1 then
     (* the complete graph is the unique (n-1)-regular graph on n vertices,
        and the switch repair cannot operate there *)
@@ -105,47 +120,69 @@ and complement ?trace g =
 and random_regular_sparse ?trace rng ~n ~d =
   let half = n * d / 2 in
   (* The healthy edges as a pair set without hashing: vertex v's slots
-     [v*d, v*d + cnt.(v)) hold the other endpoint of each healthy edge at
-     v.  A vertex has d stubs, so it never holds more than d healthy edges;
-     a lookup scans at most d slots. *)
-  let nbr = Array.make (n * d) 0 in
+     [v*d, v*d + cnt.(v)) of [nbr] hold the other endpoint of each healthy
+     edge at v.  A vertex has d stubs, so it never holds more than d healthy
+     edges; a lookup scans at most d slots. *)
+  let nbr = Bytes.create (4 * n * d) in
   let cnt = Array.make n 0 in
   (* slot of edge {a, b} in a's list, or -1 *)
   let slot a b =
     let s = ref (a * d) and hi = (a * d) + cnt.(a) in
-    while !s < hi && nbr.(!s) <> b do
+    while !s < hi && id nbr !s <> b do
       incr s
     done;
     if !s < hi then !s else -1
   in
   let link a b =
-    nbr.((a * d) + cnt.(a)) <- b;
+    set_id nbr ((a * d) + cnt.(a)) b;
     cnt.(a) <- cnt.(a) + 1
   in
   let unlink a b =
     let s = slot a b in
     cnt.(a) <- cnt.(a) - 1;
-    nbr.(s) <- nbr.((a * d) + cnt.(a))
+    set_id nbr s (id nbr ((a * d) + cnt.(a)))
   in
   (* the pairing: edge i joins stubs 2i and 2i+1, rewired in place by the
      repair switches *)
-  let stubs = Array.make (n * d) 0 in
+  let stubs = Bytes.create (4 * n * d) in
   let attempt () =
     for v = 0 to n - 1 do
-      Array.fill stubs (v * d) d v
+      for s = v * d to (v * d) + d - 1 do
+        set_id stubs s v
+      done
     done;
-    Rng.shuffle rng stubs;
+    (* [Rng.shuffle]'s Fisher-Yates, with the same draws in the same order *)
+    for i = (n * d) - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = id stubs i in
+      set_id stubs i (id stubs j);
+      set_id stubs j t
+    done;
     Array.fill cnt 0 n 0;
     (* a loop, or a repeat of an earlier edge, is defective; [bad] lists
        the defective indices in the order they are found, and [pending]
        flags those not yet repaired *)
-    let bad = Array.make half 0 in
+    let bad = ref (Array.make 64 0) in
     let nbad = ref 0 in
     let pending = Bytes.make half '\000' in
     for i = 0 to half - 1 do
-      let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
-      if u = v || slot u v >= 0 then begin
-        bad.(!nbad) <- i;
+      let u = id stubs (2 * i) and v = id stubs ((2 * i) + 1) in
+      (* [hit] turns negative iff u = v or v stands in one of u's cnt.(u)
+         live slots: a scan of all d slots with the dead ones masked by
+         k - cnt.(u) >= 0, and no exit to mispredict (ids are >= 0, so
+         (x lxor v) - 1 < 0 iff x = v) *)
+      let base = u * d and live = cnt.(u) in
+      let hit = ref ((u lxor v) - 1) in
+      for k = 0 to d - 1 do
+        hit := !hit lor (((id nbr (base + k) lxor v) - 1) land (k - live))
+      done;
+      if !hit < 0 then begin
+        if !nbad = Array.length !bad then begin
+          let grown = Array.make (2 * !nbad) 0 in
+          Array.blit !bad 0 grown 0 !nbad;
+          bad := grown
+        end;
+        !bad.(!nbad) <- i;
         incr nbad;
         Bytes.set pending i '\001'
       end
@@ -161,10 +198,10 @@ and random_regular_sparse ?trace rng ~n ~d =
     let next = ref (!nbad - 1) in
     while !next >= 0 && !switches <= max_switches do
       incr switches;
-      let i = bad.(!next) in
+      let i = !bad.(!next) in
       let j = Rng.int rng half in
-      let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
-      let x = stubs.(2 * j) and y = stubs.((2 * j) + 1) in
+      let u = id stubs (2 * i) and v = id stubs ((2 * i) + 1) in
+      let x = id stubs (2 * j) and y = id stubs ((2 * j) + 1) in
       (* propose (u,x) and (v,y); healthy iff simple and fresh, and j is
          itself healthy (then j is the one edge {x,y}) *)
       let ok =
@@ -177,8 +214,8 @@ and random_regular_sparse ?trace rng ~n ~d =
       if ok then begin
         unlink x y;
         unlink y x;
-        stubs.((2 * i) + 1) <- x;
-        stubs.(2 * j) <- v;
+        set_id stubs ((2 * i) + 1) x;
+        set_id stubs (2 * j) v;
         link u x;
         link x u;
         link v y;
@@ -207,13 +244,13 @@ and random_regular_sparse ?trace rng ~n ~d =
      slice writes every slice sorted — b's slice receives its neighbours
      in the order a rises.  No edge list, no sort; [cnt] is reused as the
      fill cursor. *)
-  let slots = Bytes.create (4 * n * d) in
+  let slots = Graph.Slots.create (n * d) in
   Array.fill cnt 0 n 0;
   for a = 0 to n - 1 do
     for s = a * d to (a * d) + d - 1 do
-      let b = nbr.(s) in
+      let b = id nbr s in
       let c = cnt.(b) in
-      Bytes.set_int32_ne slots (4 * ((b * d) + c)) (Int32.of_int a);
+      Graph.Slots.set slots ((b * d) + c) a;
       cnt.(b) <- c + 1
     done
   done;
@@ -228,10 +265,10 @@ let preferential_attachment ?trace rng ~n ~m =
      endpoint array is exactly degree-proportional sampling *)
   let seed_edges = m * (m + 1) / 2 in
   let total_edges = seed_edges + (m * (n - m - 1)) in
-  let capacity = 2 * total_edges in
-  let endpoints = Array.make capacity 0 in
-  let endpoint_count = ref 0 in
+  (* the Builder refuses an oversize n before the endpoint table is sized *)
   let b = Graph.Builder.create ?trace ~capacity:total_edges ~n () in
+  let endpoints = Array.make (2 * total_edges) 0 in
+  let endpoint_count = ref 0 in
   let add_edge u v =
     Graph.Builder.add_edge b u v;
     endpoints.(!endpoint_count) <- u;

@@ -41,12 +41,20 @@ val random_regular :
     ascending order, appended to its neighbours' slices) writes the CSR
     with every slice already sorted, which {!Graph.of_csr} checks in
     O(n d).  The graph is the CSR the {!Graph.Builder} would make of the
-    same edges, from the same draws.  A 500-vertex 12-regular draw, as in
-    Theorem 1's experiments, costs 185–215 µs (release build, 2-vCPU
-    VM; 250–280 µs through the Builder).  [?trace] records the pairing
-    and repair as ["graph.edge_gen"] and the transpose with its check as
-    ["graph.csr_fill"], plus the ["edges_built"] counter; the complement
-    and complete paths go through the Builder and record its spans.
+    same edges, from the same draws.  The pairing keeps its stubs and
+    neighbour lists as 4-byte ids in bytes, shuffles the stubs with
+    {!Rumor_prob.Rng.shuffle}'s draws written inline, and tests each new
+    pair against all d slots of its vertex in one masked scan with no
+    early exit.  A connected 500-vertex 12-regular draw, as in Theorem 1's
+    experiments, costs 230–340 µs, median 270 (release build, 2-vCPU VM,
+    best of 9 × 1000 draws in each of 6 processes; 253–398 µs, median 384,
+    with [int array] tables and an early-exit scan).  [?trace] records
+    the pairing and repair as ["graph.edge_gen"] and the transpose with
+    its check as ["graph.csr_fill"], plus the ["edges_built"] counter; the
+    complement and complete paths go through the Builder and record its
+    spans.
+    @raise Invalid_argument if [n > Graph.max_vertices], before anything
+    is sized by [n d].
     @raise Failure if 101 pairings in a row exhaust their switch budget. *)
 
 val random_regular_connected :

@@ -1,29 +1,69 @@
 module Rng = Rumor_prob.Rng
 
-(* Neighbour slots are 4-byte native-endian vertex ids in one [Bytes]: half
-   the memory of an [int array], and the major GC does not scan them.  Every
-   access goes through these bounds-checked primitives, except the
-   [Builder]'s fill pass, whose slot indices are in range by construction
-   (see [Builder.fill_slots]) and which writes through [set32u], and
-   [random_neighbor]'s read through [get32u]; [slot] and [set_slot] index
-   by slot, not by byte. *)
+(* Neighbour slots are 3-byte vertex ids in one [Bytes], little-endian
+   whatever the host: slot i fills bytes 3i .. 3i+2, and one pad byte ends
+   the buffer, so every slot reads as one (unaligned) 4-byte load masked
+   to 24 bits.  That is three eighths of an [int array]'s memory, and the
+   major GC does not scan it.  A write must not touch the next slot's
+   bytes, so it is a 16-bit store and a byte store.  [slot] and [set_slot]
+   are bounds-checked (on a buffer of 3k + 1 bytes, the 4-byte load at 3i
+   and the byte store at 3i + 2 fit exactly when 0 <= i < k); the [_u]
+   forms are not, and serve the loops whose slot indices are in range by
+   construction: [random_neighbor], [check_csr] after the offsets pass, and
+   [Builder.fill_slots].  All index by slot, not by byte. *)
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap16 : int -> int = "%bswap16"
+external big_endian : unit -> bool = "%big_endian"
 
-let[@inline] slot adj i = Int32.to_int (get32 adj (4 * i))
-let[@inline] set_slot adj i v = set32 adj (4 * i) (Int32.of_int v)
+(* [big_endian ()] is a compile-time constant: one arm of each folds away *)
+let[@inline] le32 x = if big_endian () then swap32 x else x
+let[@inline] le16 x = if big_endian () then swap16 x else x
+let[@inline] low24 x = Int32.to_int (le32 x) land 0xFF_FFFF
+let[@inline] slot adj i = low24 (get32 adj (3 * i))
+let[@inline] slot_u adj i = low24 (get32u adj (3 * i))
 
-(* slots are read back as signed 32-bit ints, so ids run up to 2^31 - 1 *)
-let max_vertices = 1 lsl 31
+let[@inline] set_slot adj i v =
+  set16 adj (3 * i) (le16 (v land 0xFFFF));
+  Bytes.set adj ((3 * i) + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF))
+
+let[@inline] set_slot_u adj i v =
+  set16u adj (3 * i) (le16 (v land 0xFFFF));
+  Bytes.unsafe_set adj ((3 * i) + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF))
+
+(* ids are 24-bit slots, so they run up to 2^24 - 1 *)
+let max_vertices = 1 lsl 24
+
+module Slots = struct
+  type t = Bytes.t
+
+  let create arcs =
+    if arcs < 0 then invalid_arg "Graph.Slots.create: negative slot count";
+    let b = Bytes.create ((3 * arcs) + 1) in
+    (* the pad byte is read, masked off, by the last slot's load: zero it so
+       the buffer's contents are fully determined *)
+    Bytes.unsafe_set b (3 * arcs) '\000';
+    b
+
+  let get = slot
+
+  let[@inline never] bad_id v =
+    invalid_arg (Printf.sprintf "Graph.Slots.set: id %d outside [0, 2^24)" v)
+
+  let[@inline] set b i v =
+    if v < 0 || v >= max_vertices then bad_id v;
+    set_slot b i v
+end
 
 type t = {
   n : int;
   m : int;                (* number of undirected edges *)
   offsets : int array;    (* length n+1; u's neighbours fill slots offsets.(u) .. offsets.(u+1)-1.
-                             ints, not 32-bit slots: 2m can pass 2^31 *)
-  adj : Bytes.t;          (* 2m slots, sorted within each vertex slice *)
+                             ints, not 4-byte: 2m can pass 2^31 *)
+  adj : Slots.t;          (* 2m slots, sorted within each vertex slice *)
   min_deg : int;          (* cached at construction so min_degree is O(1) *)
 }
 
@@ -55,7 +95,7 @@ let[@inline] random_neighbor g rng u =
   let lo = g.offsets.(u) in
   let d = g.offsets.(u + 1) - lo in
   if d = 0 then raise (Invalid_argument "Graph.random_neighbor: isolated vertex");
-  Int32.to_int (get32u g.adj (4 * (lo + Rng.int rng d)))
+  slot_u g.adj (lo + Rng.int rng d)
 
 let iter_neighbors g u f =
   for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
@@ -204,7 +244,7 @@ module Builder = struct
     if n > max_vertices then
       invalid_arg
         (Printf.sprintf
-           "Graph.Builder.create: %d vertices; ids must fit in 32 bits (n <= %d)" n
+           "Graph.Builder.create: %d vertices; ids must fit in 24 bits (n <= %d)" n
            max_vertices);
     let capacity = max 1 capacity in
     (* the edge-generation span stays open from [create] to [finish]: it
@@ -248,7 +288,7 @@ module Builder = struct
     let i = 2 * b.len in
     if i = Bigarray.Array1.dim b.buf then grow b;
     (* i is even and below the even buffer length, so i + 1 is in range;
-       0 <= u, v < n <= 2^31 fit an int32 *)
+       0 <= u, v < n <= 2^24 fit an int32 *)
     let buf = b.buf in
     Bigarray.Array1.unsafe_set buf i (Int32.of_int u);
     Bigarray.Array1.unsafe_set buf (i + 1) (Int32.of_int v);
@@ -287,15 +327,14 @@ module Builder = struct
   (* lint: hot *)
   let fill_slots (buf : buf) m offsets adj =
     for e = 0 to m - 1 do
-      let u32 = Bigarray.Array1.unsafe_get buf (2 * e)
-      and v32 = Bigarray.Array1.unsafe_get buf ((2 * e) + 1) in
-      let u = Int32.to_int u32 + 1 and v = Int32.to_int v32 + 1 in
-      let cu = Array.unsafe_get offsets u in
-      set32u adj (4 * cu) v32;
-      Array.unsafe_set offsets u (cu + 1);
-      let cv = Array.unsafe_get offsets v in
-      set32u adj (4 * cv) u32;
-      Array.unsafe_set offsets v (cv + 1)
+      let u = Int32.to_int (Bigarray.Array1.unsafe_get buf (2 * e))
+      and v = Int32.to_int (Bigarray.Array1.unsafe_get buf ((2 * e) + 1)) in
+      let cu = Array.unsafe_get offsets (u + 1) in
+      set_slot_u adj cu v;
+      Array.unsafe_set offsets (u + 1) (cu + 1);
+      let cv = Array.unsafe_get offsets (v + 1) in
+      set_slot_u adj cv u;
+      Array.unsafe_set offsets (v + 1) (cv + 1)
     done
 
   let finish b =
@@ -315,7 +354,7 @@ module Builder = struct
     count_degrees buf (2 * m) offsets;
     first_slots offsets nv;
     (* every slot is written: the degrees sum to 2m *)
-    let adj = Bytes.create (4 * 2 * m) in
+    let adj = Slots.create (2 * m) in
     fill_slots buf m offsets adj;
     (* release the endpoint buffer before the slice pass; peak memory is
        CSR + endpoints, never CSR + endpoints + a second edge list *)
@@ -335,7 +374,8 @@ end
 (* Every invariant the [Builder] guarantees, checked on a CSR built
    elsewhere ([of_csr]) or re-checked on a finished graph ([validate]).
    Three passes, O(n + m) with no search and no sort: the offsets rise from
-   0 to the slot count; every slice holds in-range ids other than its own
+   0 to the slot count, so every slot index below lies in [0, arcs) and is
+   read unchecked; every slice holds in-range ids other than its own
    vertex, strictly increasing (sorted, no duplicate); and every arc
    u -> v has its reverse.  The last pass is a cursor walk: with u
    ascending, the arcs into v arrive in increasing u, so v's sorted slice
@@ -346,8 +386,8 @@ let check_csr who nv offsets slots =
   let bad what = invalid_arg (who ^ ": " ^ what) in
   if nv < 0 || nv > max_vertices then bad "vertex count out of range";
   if Array.length offsets <> nv + 1 then bad "offsets length is not n + 1";
-  if Bytes.length slots land 3 <> 0 then bad "slot bytes not a multiple of 4";
-  let arcs = Bytes.length slots / 4 in
+  (* [Slots.create] makes every buffer 3 arcs + 1 bytes *)
+  let arcs = Bytes.length slots / 3 in
   if offsets.(0) <> 0 || offsets.(nv) <> arcs then
     bad "offsets do not run from 0 to the slot count";
   for u = 0 to nv - 1 do
@@ -356,8 +396,8 @@ let check_csr who nv offsets slots =
   for u = 0 to nv - 1 do
     let prev = ref (-1) in
     for i = offsets.(u) to offsets.(u + 1) - 1 do
-      let v = slot slots i in
-      if v < 0 || v >= nv then bad (Printf.sprintf "neighbour %d of %d out of range" v u);
+      let v = slot_u slots i in
+      if v >= nv then bad (Printf.sprintf "neighbour %d of %d out of range" v u);
       if v = u then bad (Printf.sprintf "self-loop at %d" u);
       if v = !prev then bad (Printf.sprintf "duplicate edge (%d,%d)" u v);
       if v < !prev then bad (Printf.sprintf "unsorted slice of %d" u);
@@ -367,9 +407,9 @@ let check_csr who nv offsets slots =
   let cursor = Array.sub offsets 0 nv in
   for u = 0 to nv - 1 do
     for i = offsets.(u) to offsets.(u + 1) - 1 do
-      let v = slot slots i in
+      let v = slot_u slots i in
       let c = cursor.(v) in
-      if c >= offsets.(v + 1) || slot slots c <> u then
+      if c >= offsets.(v + 1) || slot_u slots c <> u then
         bad (Printf.sprintf "arc %d -> %d has no reverse" u v);
       cursor.(v) <- c + 1
     done
@@ -377,7 +417,7 @@ let check_csr who nv offsets slots =
 
 let of_csr ~n:nv ~offsets ~slots =
   check_csr "Graph.of_csr" nv offsets slots;
-  let m = Bytes.length slots / 8 in
+  let m = Bytes.length slots / 6 in
   { n = nv; m; offsets; adj = slots; min_deg = min_deg_of_offsets nv offsets }
 
 let of_edge_array ~n edges =
@@ -389,7 +429,7 @@ let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
 let validate g =
   check_csr "Graph.validate" g.n g.offsets g.adj;
-  if Bytes.length g.adj <> 8 * g.m then invalid_arg "Graph.validate: bad edge count"
+  if Bytes.length g.adj <> (6 * g.m) + 1 then invalid_arg "Graph.validate: bad edge count"
 
 let pp ppf g =
   Format.fprintf ppf "graph(n=%d, m=%d, deg=[%d..%d]%s)" g.n g.m (min_degree g)

@@ -1,10 +1,10 @@
 (** Compact immutable undirected graphs in CSR (compressed sparse row) form.
 
-    Vertices are integers [0 .. n-1], with [n <= 2^31].  The adjacency of
-    each vertex is stored sorted in one flat run of 4-byte neighbour slots
-    (a [Bytes] on the OCaml heap, which the GC does not scan), indexed by an
-    [int array] of [n+1] offsets; a graph holds [8(n+1) + 8m] bytes of
-    payload (see {!csr_bytes}).  This gives O(1) degree queries,
+    Vertices are integers [0 .. n-1], with [n <= 2^24].  The adjacency of
+    each vertex is stored sorted in one flat run of 3-byte neighbour slots
+    (a {!Slots.t}: bytes on the OCaml heap, which the GC does not scan),
+    indexed by an [int array] of [n+1] offsets; a graph holds
+    [8(n+1) + 6m + 1] bytes of payload (see {!csr_bytes}).  This gives O(1) degree queries,
     cache-friendly neighbor iteration, and O(log deg) edge membership — the
     access pattern the protocol simulators are built around.
 
@@ -15,6 +15,32 @@ type t
 
 (** {1 Construction} *)
 
+(** Neighbour-slot buffers, and the one place their format is known.  Slot
+    [i] holds a vertex id in [[0, 2^24)] in bytes [3i .. 3i+2],
+    little-endian on every host, and one pad byte ends the buffer: a
+    buffer of [k] slots is [3k + 1] bytes, so any slot reads as one 4-byte
+    load masked to 24 bits.  A write stores its 3 bytes only, never a
+    neighbour's.  {!of_csr} takes a buffer filled here; the {!Builder}
+    fills its own. *)
+module Slots : sig
+  type t
+
+  val create : int -> t
+  (** [create k] is a buffer of [k] slots, their contents unspecified.
+      @raise Invalid_argument if [k < 0]. *)
+
+  val get : t -> int -> int
+  (** [get b i] reads slot [i].  @raise Invalid_argument unless [0 <= i < k]. *)
+
+  val set : t -> int -> int -> unit
+  (** [set b i v] writes [v] to slot [i], leaving every other slot as it was.
+      @raise Invalid_argument unless [0 <= i < k] and [0 <= v < 2^24]. *)
+end
+
+val max_vertices : int
+(** [2^24], the most vertices a graph may have: ids fill 24-bit slots.
+    Every constructor refuses a larger [n] before sizing anything by it. *)
+
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] vertices from an undirected
     edge list.  Duplicate edges (in either orientation) are rejected.
@@ -23,16 +49,15 @@ val of_edges : n:int -> (int * int) list -> t
 
 val of_edge_array : n:int -> (int * int) array -> t
 (** Array variant of {!of_edges}.  Both go through {!Builder}.
-    @raise Invalid_argument also if [n < 0] or [n > 2^31]. *)
+    @raise Invalid_argument also if [n < 0] or [n > 2^24]. *)
 
-val of_csr : n:int -> offsets:int array -> slots:Bytes.t -> t
+val of_csr : n:int -> offsets:int array -> slots:Slots.t -> t
 (** [of_csr ~n ~offsets ~slots] wraps a CSR assembled by the caller, after
     checking every invariant the {!Builder} guarantees.  [slots] holds the
-    neighbour ids as 4-byte native-endian signed ints (write slot [i] with
-    [Bytes.set_int32_ne slots (4 * i)]); vertex [u]'s neighbours fill slots
-    [offsets.(u) .. offsets.(u+1) - 1], strictly increasing.  The graph
-    takes both arrays over without copying: the caller must not write to
-    them afterwards.
+    neighbour ids, written with {!Slots.set}; vertex [u]'s neighbours fill
+    slots [offsets.(u) .. offsets.(u+1) - 1], strictly increasing.  The
+    graph takes both arrays over without copying: the caller must not write
+    to them afterwards.
 
     The check is O(n + m), with no sort and no search: one pass over the
     offsets, one over the slots (range, self-loop, order), and a cursor
@@ -42,10 +67,10 @@ val of_csr : n:int -> offsets:int array -> slots:Bytes.t -> t
     transpose, {!Gen_random.random_regular}) thus skips the Builder's
     hand-off, fill and slice passes.
     @raise Invalid_argument, with a message naming the defect, on:
-    [n < 0] or [n > 2^31] (["vertex count out of range"]); an offsets
-    array whose length is not [n + 1] (["offsets length is not n + 1"]); a
-    slot buffer whose length is not a multiple of 4; offsets that do not
-    start at 0 and end at the slot count, or that decrease
+    [n < 0] or [n > 2^24] (["vertex count out of range"]); an offsets
+    array whose length is not [n + 1] (["offsets length is not n + 1"]);
+    offsets that do not start at 0 and end at the slot count, or that
+    decrease
     (["decreasing offsets"]); an id outside [0, n) (["out of range"]); a
     self-loop (["self-loop"]); a repeated neighbour (["duplicate edge"]); a
     slice out of order (["unsorted slice"]); an arc without its reverse
@@ -54,7 +79,7 @@ val of_csr : n:int -> offsets:int array -> slots:Bytes.t -> t
 (** Streaming construction, and the one place a CSR is assembled: endpoints
     accumulate interleaved in one flat int32 Bigarray ([u] then [v], 8 bytes
     an edge, off the OCaml heap, growing by doubling) and {!Builder.finish}
-    counts degrees, fills the 32-bit neighbour slots, and sorts and
+    counts degrees, fills the 24-bit neighbour slots, and sorts and
     duplicate-checks them in place — the edge set is materialized exactly
     once.  Every generator but the sparse random-regular sampler (which
     writes its sorted slices itself and goes through {!of_csr}) feeds this
@@ -79,8 +104,8 @@ module Builder : sig
       caller's generation loop), then ["graph.csr_fill"] and ["graph.sort"]
       inside {!finish}, plus an ["edges_built"] scalar counter.
       ["graph.sort"] is empty for a strictly ascending [u < v] stream.
-      @raise Invalid_argument if [n < 0] or [n > 2^31] (vertex ids must fit
-      in a signed 32-bit slot); nothing is allocated first. *)
+      @raise Invalid_argument if [n < 0] or [n > 2^24] (vertex ids must fit
+      in a 24-bit slot); nothing is allocated first. *)
 
   val add_edge : t -> int -> int -> unit
   (** Append one undirected edge.  Duplicates are detected at {!finish}.
@@ -155,9 +180,10 @@ val first_arc : t -> int -> int
     reads a vertex and no closure. *)
 
 val csr_bytes : t -> int
-(** Payload bytes of the CSR arrays, headers excluded: one word per offset
-    and 4 bytes per neighbour slot, [8(n+1) + 8m] on a 64-bit host.  This is
-    what a simulation keeps resident for the graph. *)
+(** Payload bytes of the CSR arrays, headers excluded: one word per offset,
+    3 bytes per neighbour slot and the slot buffer's pad byte,
+    [8(n+1) + 6m + 1] on a 64-bit host.  This is what a simulation keeps
+    resident for the graph. *)
 
 (** {1 Degree statistics} *)
 

@@ -250,8 +250,29 @@ let buf_add_string_literal buf s =
     s;
   Buffer.add_char buf '"'
 
+(* [string_of_int]'s text, written digit by digit from the leading one.
+   The digits come from x = -|k| <= 0, which every int has (min_int has no
+   positive twin); [/] truncates toward zero, so each digit is -(x / p)
+   for the power of ten p at its place. *)
+let buf_add_int buf k =
+  if k < 0 then Buffer.add_char buf '-';
+  let x = ref (if k > 0 then -k else k) in
+  let p = ref 1 in
+  while !x / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    let d = - (!x / !p) in
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + d));
+    x := !x + (d * !p);
+    p := !p / 10
+  done
+
+(* the C routine Printf's [%.17g] ends in, without the format interpreter *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let buf_add_float buf x =
-  if Float.is_finite x then Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  if Float.is_finite x then Buffer.add_string buf (format_float "%.17g" x)
   else Buffer.add_string buf "null"
 
 let to_string_json v =
@@ -259,7 +280,7 @@ let to_string_json v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int k -> Buffer.add_string buf (string_of_int k)
+    | Int k -> buf_add_int buf k
     | Float f -> buf_add_float buf f
     | String s -> buf_add_string_literal buf s
     | List items ->

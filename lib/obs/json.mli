@@ -56,6 +56,10 @@ val buf_add_string_literal : Buffer.t -> string -> unit
     through untouched except for the mandatory escapes, so UTF-8 input
     stays UTF-8. *)
 
+val buf_add_int : Buffer.t -> int -> unit
+(** Append an int as {!string_of_int} spells it, [min_int] included,
+    without building the string. *)
+
 val buf_add_float : Buffer.t -> float -> unit
 (** Append a float as its shortest round-trippable decimal ([%.17g]);
     non-finite values emit as [null]. *)

@@ -44,34 +44,35 @@ let timed f =
 
 let buf_add_json_string = Json.buf_add_string_literal
 let buf_add_float = Json.buf_add_float
+let buf_add_int = Json.buf_add_int
 
 let to_json t =
   let buf = Buffer.create (256 + (8 * Array.length t.informed_curve)) in
   Buffer.add_string buf "{\"seed\":";
-  Buffer.add_string buf (string_of_int t.seed);
+  buf_add_int buf t.seed;
   Buffer.add_string buf ",\"rep\":";
-  Buffer.add_string buf (string_of_int t.rep);
+  buf_add_int buf t.rep;
   Buffer.add_string buf ",\"graph\":";
   buf_add_json_string buf t.graph;
   Buffer.add_string buf ",\"protocol\":";
   buf_add_json_string buf t.protocol;
   Buffer.add_string buf ",\"vertices\":";
-  Buffer.add_string buf (string_of_int t.vertices);
+  buf_add_int buf t.vertices;
   Buffer.add_string buf ",\"broadcast_time\":";
   (match t.broadcast_time with
-  | Some r -> Buffer.add_string buf (string_of_int r)
+  | Some r -> buf_add_int buf r
   | None -> Buffer.add_string buf "null");
   Buffer.add_string buf ",\"rounds_run\":";
-  Buffer.add_string buf (string_of_int t.rounds_run);
+  buf_add_int buf t.rounds_run;
   Buffer.add_string buf ",\"capped\":";
   Buffer.add_string buf (if t.capped then "true" else "false");
   Buffer.add_string buf ",\"contacts\":";
-  Buffer.add_string buf (string_of_int t.contacts);
+  buf_add_int buf t.contacts;
   Buffer.add_string buf ",\"informed_curve\":[";
   Array.iteri
     (fun i x ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int x))
+      buf_add_int buf x)
     t.informed_curve;
   Buffer.add_string buf "],\"wall_seconds\":";
   buf_add_float buf t.wall_seconds;

@@ -266,31 +266,34 @@ let test_builder_edgeless () =
   Alcotest.(check int) "n" 6 (Graph.n g);
   Alcotest.(check int) "m" 0 (Graph.num_edges g)
 
-(* vertex ids live in signed 32-bit slots: n <= 2^31.  Both constructors
-   refuse a larger n up front, before sizing anything by it *)
+(* vertex ids live in 24-bit slots: n <= 2^24.  Every constructor refuses
+   a larger n up front, before sizing anything by it *)
 let test_vertex_limit () =
-  let too_many = (1 lsl 31) + 1 in
+  let too_many = (1 lsl 24) + 1 in
   let refuses label f =
     match f () with
-    | _ -> Alcotest.failf "%s accepted n = 2^31 + 1" label
+    | _ -> Alcotest.failf "%s accepted n = 2^24 + 1" label
     | exception Invalid_argument _ -> ()
   in
   refuses "Builder.create" (fun () -> ignore (Graph.Builder.create ~n:too_many ()));
   refuses "of_edge_array" (fun () -> ignore (Graph.of_edge_array ~n:too_many [||]));
   refuses "of_edges" (fun () -> ignore (Graph.of_edges ~n:too_many [ (0, 1) ]));
+  Alcotest.check_raises "of_csr"
+    (Invalid_argument "Graph.of_csr: vertex count out of range") (fun () ->
+      ignore (Graph.of_csr ~n:too_many ~offsets:[| 0 |] ~slots:(Graph.Slots.create 0)));
   (* the largest n is accepted; [finish] is not called, it would size the
      offsets by n *)
-  let b = Graph.Builder.create ~n:(1 lsl 31) () in
-  Graph.Builder.add_edge b 0 ((1 lsl 31) - 1);
-  Alcotest.(check int) "n = 2^31 builder" (1 lsl 31) (Graph.Builder.vertex_count b)
+  let b = Graph.Builder.create ~n:(1 lsl 24) () in
+  Graph.Builder.add_edge b 0 ((1 lsl 24) - 1);
+  Alcotest.(check int) "n = 2^24 builder" (1 lsl 24) (Graph.Builder.vertex_count b)
 
 let test_csr_bytes () =
   List.iter
     (fun g ->
       let n = Graph.n g and m = Graph.num_edges g in
       Alcotest.(check int)
-        (Format.asprintf "%a: 8(n+1) + 4 bytes per slot" Graph.pp g)
-        ((8 * (n + 1)) + (4 * 2 * m))
+        (Format.asprintf "%a: 8(n+1) + 3 bytes per slot + 1 pad byte" Graph.pp g)
+        ((8 * (n + 1)) + (3 * 2 * m) + 1)
         (Graph.csr_bytes g))
     [
       Graph.of_edges ~n:0 [];
@@ -512,8 +515,8 @@ let prop_bipartite_iff_bfs_parity =
 (* ----------------------------------------------------------- of_csr *)
 
 let slots_of ids =
-  let b = Bytes.create (4 * List.length ids) in
-  List.iteri (fun i v -> Bytes.set_int32_ne b (4 * i) (Int32.of_int v)) ids;
+  let b = Graph.Slots.create (List.length ids) in
+  List.iteri (Graph.Slots.set b) ids;
   b
 
 (* the path 0 - 1 - 2: slices [1], [0; 2], [1] *)
@@ -524,7 +527,7 @@ let test_of_csr_accepts_path () =
   Csr_check.same "path3" (Graph.of_edges ~n:3 [ (0, 1); (1, 2) ]) g;
   Alcotest.(check int) "min degree cached" 1 (Graph.min_degree g);
   Csr_check.same "edgeless" (Graph.of_edges ~n:0 [])
-    (Graph.of_csr ~n:0 ~offsets:[| 0 |] ~slots:Bytes.empty)
+    (Graph.of_csr ~n:0 ~offsets:[| 0 |] ~slots:(Graph.Slots.create 0))
 
 (* every malformed input raises the defect its documentation names *)
 let test_of_csr_rejects () =
@@ -535,17 +538,24 @@ let test_of_csr_rejects () =
   rejects "negative n" "vertex count out of range" ~n:(-1) ~offsets:[||] [];
   rejects "offsets length" "offsets length is not n + 1" ~n:3 ~offsets:[| 0; 1; 4 |]
     [ 1; 0; 2; 1 ];
-  Alcotest.check_raises "ragged slot bytes"
-    (Invalid_argument "Graph.of_csr: slot bytes not a multiple of 4") (fun () ->
-      ignore (Graph.of_csr ~n:1 ~offsets:[| 0; 0 |] ~slots:(Bytes.create 2)));
+  Alcotest.check_raises "slot buffer longer than the offsets"
+    (Invalid_argument "Graph.of_csr: offsets do not run from 0 to the slot count")
+    (fun () ->
+      ignore (Graph.of_csr ~n:1 ~offsets:[| 0; 0 |] ~slots:(Graph.Slots.create 1)));
   rejects "offset endpoints" "offsets do not run from 0 to the slot count" ~n:3
     ~offsets:[| 0; 1; 3; 3 |] [ 1; 0; 2; 1 ];
   rejects "decreasing offsets" "decreasing offsets" ~n:3 ~offsets:[| 0; 3; 1; 4 |]
     [ 1; 0; 2; 1 ];
   rejects "id out of range" "neighbour 3 of 1 out of range" ~n:3
     ~offsets:(path3_offsets ()) [ 1; 0; 3; 1 ];
-  rejects "negative id" "neighbour -1 of 0 out of range" ~n:3
-    ~offsets:(path3_offsets ()) [ -1; 0; 2; 1 ];
+  (* a slot holds [0, 2^24) only: the writer refuses the rest *)
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "slot id %d" v)
+        (Invalid_argument (Printf.sprintf "Graph.Slots.set: id %d outside [0, 2^24)" v))
+        (fun () -> ignore (slots_of [ v ])))
+    [ -1; 1 lsl 24 ];
   rejects "self-loop" "self-loop at 1" ~n:3 ~offsets:(path3_offsets ()) [ 1; 1; 2; 1 ];
   rejects "unsorted slice" "unsorted slice of 1" ~n:3 ~offsets:(path3_offsets ())
     [ 1; 2; 0; 1 ];
@@ -558,6 +568,22 @@ let test_of_csr_rejects () =
      one slot when it meets 1 -> 2 *)
   rejects "asymmetric, cursor at slice end" "arc 1 -> 2 has no reverse" ~n:4
     ~offsets:[| 0; 2; 3; 4; 5 |] [ 2; 3; 2; 0; 0 ]
+
+(* The slot codec: ids written to a slot buffer in any order read back
+   unchanged, so no write touches another slot's bytes.  The first and last
+   slots take the ids whose bytes sit at the 16- and 24-bit edges. *)
+let prop_slot_codec =
+  let edge = QCheck.oneofl [ 0; (1 lsl 16) - 1; 1 lsl 16; (1 lsl 24) - 1 ] in
+  QCheck.Test.make ~count:500 ~name:"slot ids written in any order read back unchanged"
+    QCheck.(quad (list (int_bound ((1 lsl 24) - 1))) edge edge small_nat)
+    (fun (middle, first, last, seed) ->
+      let ids = Array.of_list ((first :: middle) @ [ last ]) in
+      let k = Array.length ids in
+      let order = Array.init k Fun.id in
+      Rng.shuffle (Rng.of_int seed) order;
+      let b = Graph.Slots.create k in
+      Array.iter (fun i -> Graph.Slots.set b i ids.(i)) order;
+      List.for_all (fun i -> Graph.Slots.get b i = ids.(i)) (List.init k Fun.id))
 
 (* the CSR of every Builder graph, read back through first_arc and
    arc_head, passes of_csr and gives the same graph *)
@@ -603,8 +629,8 @@ let suite =
       test_builder_sorts_partly_sorted_slices;
     Alcotest.test_case "builder is single-use" `Quick test_builder_single_use;
     Alcotest.test_case "builder edgeless graph" `Quick test_builder_edgeless;
-    Alcotest.test_case "vertex limit 2^31" `Quick test_vertex_limit;
-    Alcotest.test_case "csr_bytes counts 4-byte slots" `Quick test_csr_bytes;
+    Alcotest.test_case "vertex limit 2^24" `Quick test_vertex_limit;
+    Alcotest.test_case "csr_bytes counts 3-byte slots" `Quick test_csr_bytes;
     QCheck_alcotest.to_alcotest prop_random_graph_validates;
     QCheck_alcotest.to_alcotest prop_csr_matches_reference;
     QCheck_alcotest.to_alcotest prop_arc_head_inverts_edge_index;
@@ -616,4 +642,5 @@ let suite =
     Alcotest.test_case "of_csr accepts a valid CSR" `Quick test_of_csr_accepts_path;
     Alcotest.test_case "of_csr names each defect" `Quick test_of_csr_rejects;
     QCheck_alcotest.to_alcotest prop_builder_round_trips_of_csr;
+    QCheck_alcotest.to_alcotest prop_slot_codec;
   ]

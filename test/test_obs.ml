@@ -201,6 +201,41 @@ let test_record_json_fields () =
   Alcotest.(check bool) "single line" true
     (not (String.contains json '\n'))
 
+(* The record emitter writes numbers without Printf: every int must read as
+   [string_of_int] spells it and every float as [%.17g] does, byte for
+   byte — at the ends of the int range, at each power of ten, at signed
+   zeros, subnormals and the float range's ends, and on random bit
+   patterns (non-finite floats emit as null). *)
+let test_json_numbers_match_stdlib () =
+  let module Json = Rumor_obs.Json in
+  let emit add x =
+    let b = Buffer.create 32 in
+    add b x;
+    Buffer.contents b
+  in
+  let rng = Rng.of_int 97 in
+  let powers = List.init 19 (fun e -> int_of_float (10.0 ** float_of_int e)) in
+  let ints =
+    [ 0; min_int; max_int; min_int + 1; max_int - 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; p + 1; -p; 1 - p; -p - 1 ]) powers
+    @ List.init 20_000 (fun _ -> Int64.to_int (Rng.bits64 rng))
+  in
+  List.iter
+    (fun k -> Alcotest.(check string) "int" (string_of_int k) (emit Json.buf_add_int k))
+    ints;
+  let floats =
+    [ 0.0; -0.0; 1.0; -1.0; 0.1; 1e22; 1e-7; Float.epsilon; Float.min_float;
+      Float.max_float; -.Float.max_float; Int64.float_of_bits 1L;
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; -.Int64.float_of_bits 1L;
+      Float.nan; Float.infinity; Float.neg_infinity ]
+    @ List.init 20_000 (fun _ -> Int64.float_of_bits (Rng.bits64 rng))
+  in
+  List.iter
+    (fun x ->
+      let want = if Float.is_finite x then Printf.sprintf "%.17g" x else "null" in
+      Alcotest.(check string) "float" want (emit Json.buf_add_float x))
+    floats
+
 let test_record_json_null_when_capped () =
   let json =
     Run_record.to_json
@@ -387,6 +422,8 @@ let suite =
     Alcotest.test_case "async meet-exchange K2 default" `Quick
       test_async_meetx_k2_default;
     Alcotest.test_case "record JSON fields" `Quick test_record_json_fields;
+    Alcotest.test_case "JSON numbers match string_of_int and %.17g" `Quick
+      test_json_numbers_match_stdlib;
     Alcotest.test_case "record JSON capped null" `Quick
       test_record_json_null_when_capped;
     Alcotest.test_case "pre-change record with engine flag parses" `Quick

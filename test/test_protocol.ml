@@ -66,6 +66,11 @@ let test_combined_rejects_sparse () =
    line rather than as an escaped exception *)
 let bin_exe name = Filename.concat (Filename.concat ".." "bin") name
 
+let contains s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  go 0
+
 (* exit code and stderr lines of [exe argv] *)
 let run_cli exe argv =
   let err = Filename.temp_file "rumor_cli" ".err" in
@@ -95,7 +100,7 @@ let test_cli_rejects_sparse_combined () =
     (exit_code (walkers "combined" "auto"));
   Alcotest.(check int) "visit-exchange + sparse runs" 0
     (exit_code (walkers "visit-exchange" "sparse"));
-  let usage_error exe argv =
+  let usage_error ?(naming = "") exe argv =
     let code, lines = run_cli exe argv in
     let label = String.concat " " (exe :: argv) in
     Alcotest.(check int) (label ^ " exits 124") 124 code;
@@ -105,7 +110,8 @@ let test_cli_rejects_sparse_combined () =
         Alcotest.(check bool) (label ^ " names the tool") true
           (String.starts_with ~prefix line);
         Alcotest.(check bool) (label ^ " is no internal error") false
-          (String.starts_with ~prefix:(prefix ^ "internal error") line)
+          (String.starts_with ~prefix:(prefix ^ "internal error") line);
+        Alcotest.(check bool) (label ^ " names " ^ naming) true (contains line naming)
     | _ -> Alcotest.failf "%s: want one stderr line, got %d" label
              (List.length lines)
   in
@@ -127,7 +133,12 @@ let test_cli_rejects_sparse_combined () =
       Alcotest.(check int) (p ^ " on path:1 runs") 0
         (exit_code [ "--graph"; "path:1"; "-p"; p; "--reps"; "1" ]))
     [ "push"; "push-pull" ];
-  usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ]
+  usage_error "rumor_graphgen.exe" [ "--graph"; "cycle:0" ];
+  (* one vertex past the 24-bit id limit is refused before anything is
+     sized by n *)
+  List.iter
+    (fun exe -> usage_error ~naming:"16777216" exe [ "--graph"; "path:16777217" ])
+    [ "rumor_run.exe"; "rumor_graphgen.exe" ]
 
 (* a retired protocol, alias or experiment id is unknown to the CLIs: one
    stderr line that lists exactly the accepted names *)
@@ -196,7 +207,7 @@ let test_graphgen_writes_edge_list () =
         (Graph_io.to_edge_list (Graph_io.load out)))
 
 (* --timing reports the graph's CSR payload as [Graph.csr_bytes] counts it:
-   8 bytes per offset and 4 per neighbour slot *)
+   8 bytes per offset, 3 per neighbour slot and one pad byte *)
 let test_graphgen_timing_csr_size () =
   let out = Filename.temp_file "rumor_graphgen" ".txt" in
   Fun.protect
@@ -210,13 +221,10 @@ let test_graphgen_timing_csr_size () =
       in
       Alcotest.(check int) "exits 0" 0 code;
       let n = 400 and m = 400 * 399 / 2 in
-      let want = Printf.sprintf "CSR %.1f MB," (float_of_int ((8 * (n + 1)) + (8 * m)) /. 1e6) in
-      let text = In_channel.with_open_bin out In_channel.input_all in
-      let contains s sub =
-        let ls = String.length s and lsub = String.length sub in
-        let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-        go 0
+      let want =
+        Printf.sprintf "CSR %.1f MB," (float_of_int ((8 * (n + 1)) + (6 * m) + 1) /. 1e6)
       in
+      let text = In_channel.with_open_bin out In_channel.input_all in
       if not (contains text want) then Alcotest.failf "want %S in %S" want text)
 
 let test_dispatch_matches_direct_push () =
