@@ -9,8 +9,8 @@ module Rng = Rumor_prob.Rng
    are bounds-checked (on a buffer of 3k + 1 bytes, the 4-byte load at 3i
    and the byte store at 3i + 2 fit exactly when 0 <= i < k); the [_u]
    forms are not, and serve the loops whose slot indices are in range by
-   construction: [random_neighbor], [check_csr] after the offsets pass, and
-   [Builder.fill_slots].  All index by slot, not by byte. *)
+   construction: [unsafe_random_neighbor], [check_csr] after the offsets
+   pass, and [Builder.fill_slots].  All index by slot, not by byte. *)
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
@@ -50,11 +50,13 @@ module Slots = struct
 
   let get = slot
 
-  let[@inline never] bad_id v =
-    invalid_arg (Printf.sprintf "Graph.Slots.set: id %d outside [0, 2^24)" v)
-
+  (* the error is raised directly, as in [Rng.int]: a call to a cold
+     helper, even one that never returns, would sit inside every caller's
+     fill loop *)
   let[@inline] set b i v =
-    if v < 0 || v >= max_vertices then bad_id v;
+    if v < 0 || v >= max_vertices then
+      raise
+        (Invalid_argument (Printf.sprintf "Graph.Slots.set: id %d outside [0, 2^24)" v));
     set_slot b i v
 end
 
@@ -85,17 +87,23 @@ let num_edges g = g.m
 let[@inline] degree g u = g.offsets.(u + 1) - g.offsets.(u)
 let[@inline] neighbor g u i = slot g.adj (g.offsets.(u) + i)
 
-(* The walkers' and callers' per-contact draw, inlined into their loops
-   with no call left on a returning path (see [Rng.int]): the isolated
-   case raises directly, and the slot read is unchecked because
+(* The kernels' per-contact draw: no check at all, inlined into their
+   loops with no call left on a returning path (see [Rng.below]).  The
+   caller guarantees 0 <= u < n and deg u >= 1, once per run; then
    lo + r < offsets.(u+1) <= 2m, the slot count, for every graph a
-   constructor returns. *)
+   constructor returns, and deg u < 2^24 is a valid [Rng.below] bound. *)
+(* lint: hot *)
+let[@inline] unsafe_random_neighbor g rng u =
+  let lo = Array.unsafe_get g.offsets u in
+  let d = Array.unsafe_get g.offsets (u + 1) - lo in
+  slot_u g.adj (lo + Rng.below rng d)
+
+(* [unsafe_random_neighbor] behind its checks: the bounds-checked offset
+   reads, then the isolated case, raised directly *)
 (* lint: hot *)
 let[@inline] random_neighbor g rng u =
-  let lo = g.offsets.(u) in
-  let d = g.offsets.(u + 1) - lo in
-  if d = 0 then raise (Invalid_argument "Graph.random_neighbor: isolated vertex");
-  slot_u g.adj (lo + Rng.int rng d)
+  if degree g u = 0 then raise (Invalid_argument "Graph.random_neighbor: isolated vertex");
+  unsafe_random_neighbor g rng u
 
 let iter_neighbors g u f =
   for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do

@@ -141,10 +141,26 @@ val neighbor : t -> int -> int -> int
 val random_neighbor : t -> Rumor_prob.Rng.t -> int -> int
 (** [random_neighbor g rng u] is a uniformly random neighbor of [u]: one
     {!Rumor_prob.Rng.int} draw on [u]'s degree and one slot read.  It is
-    inlined into the kernels' per-contact loops with no call on any path
-    that returns (the isolated case raises directly, and the slot read is
-    unchecked: it lies inside [u]'s slice by construction).
-    @raise Invalid_argument if [u] is isolated. *)
+    {!unsafe_random_neighbor} behind its checks (the bounds-checked offset
+    reads and the isolated case), inlined with no call on any path that
+    returns: the isolated case raises directly.
+    @raise Invalid_argument if [u] is out of range or isolated. *)
+
+val unsafe_random_neighbor : t -> Rumor_prob.Rng.t -> int -> int
+(** [unsafe_random_neighbor g rng u] is {!random_neighbor}[ g rng u] with no
+    check: the same draw ({!Rumor_prob.Rng.below} on [u]'s degree, which
+    consumes the generator exactly as [Rng.int] does), the same slot, the
+    same generator state afterwards.  It reads the offsets and the slot
+    unchecked.  The kernels call it in their contact and walk loops after
+    checking once per run that no vertex the loop can reach is isolated.
+
+    Precondition: [0 <= u < n g] and [degree g u >= 1].  Nothing checks it:
+    an out-of-range [u] reads outside the offsets, and an isolated [u]
+    reads the slot after its empty slice (past the buffer for the last
+    vertex) and returns no neighbour of [u].  Degrees are below
+    [max_vertices] = 2^24, so every degree is a valid [Rng.below] bound.
+    Only [lib/prob], [lib/graph], [lib/protocols] and tests may call it
+    (CI greps for it). *)
 
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] tests adjacency by binary search. *)

@@ -252,21 +252,18 @@ let buf_add_string_literal buf s =
 
 (* [string_of_int]'s text, written digit by digit from the leading one.
    The digits come from x = -|k| <= 0, which every int has (min_int has no
-   positive twin); [/] truncates toward zero, so each digit is -(x / p)
-   for the power of ten p at its place. *)
+   positive twin).  Each step divides by the constant 10, which compiles to
+   a multiply and shifts; [/] truncates toward zero, so q = x / 10 <= 0 and
+   the last digit is 10q - x.  The recursion writes the digits of q first
+   and is at most 19 deep. *)
+let rec add_digits buf x =
+  let q = x / 10 in
+  if q < 0 then add_digits buf q;
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (10 * q) - x))
+
 let buf_add_int buf k =
   if k < 0 then Buffer.add_char buf '-';
-  let x = ref (if k > 0 then -k else k) in
-  let p = ref 1 in
-  while !x / !p <= -10 do
-    p := !p * 10
-  done;
-  while !p > 0 do
-    let d = - (!x / !p) in
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + d));
-    x := !x + (d * !p);
-    p := !p / 10
-  done
+  add_digits buf (if k > 0 then -k else k)
 
 (* the C routine Printf's [%.17g] ends in, without the format interpreter *)
 external format_float : string -> float -> string = "caml_format_float"

@@ -52,9 +52,10 @@ let copy g = Bytes.copy g
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let[@inline] bits64 g =
-  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
-  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+(* the state transition alone, from the state words [bits64] has loaded:
+   [skip] runs it without the output, which the compiler (without
+   flambda) would box to discard *)
+let[@inline] advance g s0 s1 s2 s3 =
   let t = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
   let s3 = Int64.logxor s3 s1 in
@@ -63,8 +64,12 @@ let[@inline] bits64 g =
   set64 g 0 s0;
   set64 g 8 s1;
   set64 g 16 (Int64.logxor s2 t);
-  set64 g 24 (rotl s3 45);
-  result
+  set64 g 24 (rotl s3 45)
+
+let[@inline] bits64 g =
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  advance g s0 s1 s2 s3;
+  Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
 let split g = create (bits64 g)
 
@@ -87,19 +92,35 @@ let[@inline] draw61 g = Int64.to_int (Int64.logand (bits64 g) 0x1FFFFFFFFFFFFFFF
 (* The high 32 bits of the next output, as a non-negative native int *)
 let[@inline] draw32 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 32)
 
-(* [int] keeps both rejection loops and its argument checks inline, with
-   no call left on any path that returns: a call anywhere in a kernel's
-   loop makes the compiler spill every value live across it, so each
-   caller's per-contact loop would pay stores and reloads for a branch it
-   almost never takes.  The errors are raised directly for the same
-   reason — [raise] does not return, so nothing is live across it.
+(* [below] is the draw every kernel loop makes, with no argument check:
+   the caller checks once per run that its bounds lie in [1, 2^30], and the
+   loop pays only for the draw.  It keeps its rejection loop inline, with
+   no call on a path that returns: a call anywhere in a kernel's loop makes
+   the compiler spill every value live across it, so each caller's
+   per-contact loop would pay stores and reloads for a branch it almost
+   never takes.
 
-   Bounds up to 2^30 use Lemire's multiply-shift: with x uniform on 32
-   bits, m = x * bound (< 2^62, a native int) and m lsr 32 is uniform on
-   [0, bound) once the draws whose low word falls below 2^32 mod bound are
-   rejected.  That threshold, (2^32 - bound) mod bound, needs the one
-   division, and only when the low word is below [bound], which happens
-   with probability bound / 2^32.
+   It is Lemire's multiply-shift: with x uniform on 32 bits, m = x * bound
+   (< 2^62, a native int) and m lsr 32 is uniform on [0, bound) once the
+   draws whose low word falls below 2^32 mod bound are rejected.  That
+   threshold, (2^32 - bound) mod bound, needs the one division, and only
+   when the low word is below [bound], which happens with probability
+   bound / 2^32.  For bound = 1 the threshold is 0: one output, never
+   rejected, which is what {!skip} advances by. *)
+(* lint: hot *)
+let[@inline] below g bound =
+  let m = ref (draw32 g * bound) in
+  if !m land 0xFFFF_FFFF < bound then begin
+    let threshold = ((1 lsl 32) - bound) mod bound in
+    while !m land 0xFFFF_FFFF < threshold do
+      m := draw32 g * bound
+    done
+  end;
+  !m lsr 32
+
+(* [int] is [below] behind its argument checks, for bounds up to 2^30.  The
+   errors are raised directly — [raise] does not return, so nothing is
+   live across it and the inlined draw stays call-free.
 
    Bounds above 2^30, where x * bound can leave the 63-bit native int,
    reject on 61 bits with one division a draw: r is rejected iff it falls
@@ -109,16 +130,7 @@ let[@inline] draw32 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 32)
 (* lint: hot *)
 let[@inline] int g bound =
   if bound <= 0 then raise (Invalid_argument "Rng.int: bound must be positive");
-  if bound <= 1 lsl 30 then begin
-    let m = ref (draw32 g * bound) in
-    if !m land 0xFFFF_FFFF < bound then begin
-      let threshold = ((1 lsl 32) - bound) mod bound in
-      while !m land 0xFFFF_FFFF < threshold do
-        m := draw32 g * bound
-      done
-    end;
-    !m lsr 32
-  end
+  if bound <= 1 lsl 30 then below g bound
   else begin
     if bound > 1 lsl 61 then raise (Invalid_argument "Rng.int: bound above 2^61");
     let r = ref (draw61 g) in
@@ -129,6 +141,15 @@ let[@inline] int g bound =
     done;
     !v
   end
+
+(* [k] outputs dropped: the state steps [k] times and no output is formed,
+   so nothing is boxed.  Inlined, like [below], so a kernel loop that
+   skips stays call-free. *)
+(* lint: hot *)
+let[@inline] skip g k =
+  for _ = 1 to k do
+    advance g (get64 g 0) (get64 g 8) (get64 g 16) (get64 g 24)
+  done
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

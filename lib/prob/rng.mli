@@ -42,12 +42,9 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int g bound] is exactly uniform on [0, bound), by rejection.
 
-    For [bound <= 2^30] it is Lemire's multiply-shift: the high 32 bits
-    [x] of one {!bits64} output give [m = x * bound], the draw is rejected
-    iff the low 32 bits of [m] are below [2^32 mod bound] (computed, with
-    the one division, only when they are below [bound]), and the result is
-    [m lsr 32].  A draw is rejected with probability below
-    [bound / 2^32 <= 1/4], so most calls take one output and no division.
+    For [bound <= 2^30] it is {!below}: [int] checks its argument and
+    then draws exactly as [below g bound] does, the same value from the
+    same outputs.
 
     For [2^30 < bound <= 2^61] it rejects on 61 bits with one division:
     an output's low 61 bits [r] are rejected iff they fall in the
@@ -55,12 +52,37 @@ val int : t -> int -> int
     the result.
 
     [int] is inlined with both rejection loops and its argument checks:
-    on every path that returns it makes no call, so a kernel's
-    per-contact loop that draws through it keeps its values in registers
-    (a call, even on a branch never taken, would spill them).
+    on every path that returns it makes no call, so a loop that draws
+    through it keeps its values in registers (a call, even on a branch
+    never taken, would spill them).
 
     @raise Invalid_argument if [bound <= 0] or [bound > 2^61] (no 61-bit
     draw could be accepted). *)
+
+val below : t -> int -> int
+(** [below g bound] is {!int}[ g bound] without the argument check: the
+    kernels' per-contact draw, for loops whose bounds were checked once
+    per run.
+
+    It is Lemire's multiply-shift: the high 32 bits [x] of one {!bits64}
+    output give [m = x * bound], the draw is rejected iff the low 32 bits
+    of [m] are below [2^32 mod bound] (computed, with the one division,
+    only when they are below [bound]), and the result is [m lsr 32].  A
+    draw is rejected with probability below [bound / 2^32 <= 1/4], so
+    most calls take one output and no division; [below g 1] takes exactly
+    one output and is never rejected.
+
+    Precondition: [1 <= bound <= 2^30].  Nothing checks it; outside that
+    range the result is not uniform on [0, bound) and need not lie in it
+    (a product past 2^62 wraps).  Every vertex degree qualifies, since
+    degrees are below [Graph.max_vertices] = 2^24.  Only [lib/prob],
+    [lib/graph], [lib/protocols] and tests may call it (CI greps for
+    it). *)
+
+val skip : t -> int -> unit
+(** [skip g k] advances [g] by [k] outputs ([k <= 0]: by none), allocating
+    nothing.  Each output is exactly one [below g 1] (or [int g 1]) draw,
+    which is how push charges a contact whose outcome is known. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform on the inclusive range [lo, hi].

@@ -14,8 +14,8 @@ module Trace = Rumor_obs.Trace
    then draws the ringer:
    - async push: rate |I|, the ringer uniform over the informed vertices
      (an append-only array in informing order);
-   - async push-pull: rate n, the ringer [Rng.int rng n];
-   - meet-exchange: rate k, the ringer [Rng.int rng k] by agent id.
+   - async push-pull: rate n, the ringer [Rng.below rng n];
+   - meet-exchange: rate k, the ringer [Rng.below rng k] by agent id.
 
    Determinism contract: both kernels follow the clock-stream contract
    documented in Async_push's mli — the first [rng] operation splits off
@@ -87,6 +87,17 @@ let push ?obs ?trace rng g ~variant ~source ~max_time =
     invalid_arg "Async_engine.push: source out of range";
   if not (max_time > 0.0) then
     invalid_arg "Async_engine.push: max_time must be positive";
+  (* the ring loop draws unchecked (DESIGN.md, "Kernel loops"), so the
+     callers it can draw are checked here, before any ring: async push's
+     are the source and vertices their neighbours informed, async
+     push-pull's are every vertex.  A run on one vertex never rings. *)
+  let callers_ok =
+    match variant with
+    | Async_push.Async_push -> Graph.degree g source > 0
+    | Async_push.Async_push_pull -> Graph.min_degree g > 0
+  in
+  if n > 1 && not callers_ok then
+    invalid_arg "Graph.random_neighbor: isolated vertex";
   let clock = Rng.split rng in
   let informed = Bitset.create n in
   Bitset.add informed source;
@@ -120,8 +131,8 @@ let push ?obs ?trace rng g ~variant ~source ~max_time =
       curve_marks curve next_mark ~now:t ~count:!informed_count;
       (match variant with
       | Async_push.Async_push ->
-          let u = pool.(Rng.int rng !informed_count) in
-          let v = Graph.random_neighbor g rng u in
+          let u = pool.(Rng.below rng !informed_count) in
+          let v = Graph.unsafe_random_neighbor g rng u in
           Obs.contact obs u v;
           if not (Bitset.mem informed v) then begin
             Bitset.add informed v;
@@ -129,8 +140,8 @@ let push ?obs ?trace rng g ~variant ~source ~max_time =
             incr informed_count
           end
       | Async_push.Async_push_pull ->
-          let u = Rng.int rng n in
-          let v = Graph.random_neighbor g rng u in
+          let u = Rng.below rng n in
+          let v = Graph.unsafe_random_neighbor g rng u in
           Obs.contact obs u v;
           if Bitset.mem informed u && not (Bitset.mem informed v) then begin
             Bitset.add informed v;
@@ -181,7 +192,12 @@ let meet_exchange ?obs ?trace ?lazy_walk ?walkers:(_ : Sparse_walkers.mode optio
   let clock = Rng.split rng in
   let pos = Placement.place rng agents g in
   let k = Array.length pos in
-  (* a graph with positive min degree (cached) has no isolated vertex *)
+  (* the ring loop draws the ringer and its step unchecked: the agent count
+     must be a valid [Rng.below] bound, and no agent may stand on an
+     isolated vertex (a walk then never reaches one).  A graph with positive
+     min degree (cached) has no isolated vertex. *)
+  if k > 1 lsl 30 then
+    invalid_arg "Async_engine.meet_exchange: more than 2^30 agents";
   if Graph.min_degree g = 0 then
     Array.iter
       (fun v ->
@@ -238,10 +254,11 @@ let meet_exchange ?obs ?trace ?lazy_walk ?walkers:(_ : Sparse_walkers.mode optio
       incr rings;
       ring_sample trace ~rings:!rings ~informed:!informed_count;
       curve_marks curve next_mark ~now:t ~count:!informed_count;
-      let a = Rng.int rng k in
+      let a = Rng.below rng k in
       let u = pos.(a) in
       let v =
-        if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
+        if lazy_walk && Rng.bool rng then u
+        else Graph.unsafe_random_neighbor g rng u
       in
       let cu = cell.(u) in
       let bit = cu land 1 in

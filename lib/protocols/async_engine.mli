@@ -41,7 +41,10 @@ val push :
 (** [push rng g ~variant ~source ~max_time] simulates until all vertices
     are informed or continuous time exceeds [max_time].  [?obs] receives
     one [on_contact] per clock ring.
-    @raise Invalid_argument on a bad source or non-positive [max_time]. *)
+    @raise Invalid_argument on a bad source or non-positive [max_time],
+    and, on more than one vertex, before any ring, if a caller may be
+    isolated: the source for async push, any vertex for async push-pull
+    (["Graph.random_neighbor: isolated vertex"]). *)
 
 val meet_exchange :
   ?obs:Rumor_obs.Instrument.t ->
@@ -64,6 +67,7 @@ val meet_exchange :
     draws the ringing agent by id, and gives the same result and [?obs]
     stream.  Its state is one int per agent plus O(n) (three ints per
     agent with [?obs]); there is no O(n)-whatever-k mode.
-    @raise Invalid_argument on a bad source, a non-positive [max_time] or
-    an agent placed on an isolated vertex (checked up front, in O(1) when
-    the graph's minimum degree is positive). *)
+    @raise Invalid_argument on a bad source, a non-positive [max_time],
+    more than 2^30 agents (the ringer draw's bound) or an agent placed on
+    an isolated vertex (checked up front, in O(1) when the graph's minimum
+    degree is positive). *)

@@ -79,23 +79,56 @@ let[@inline] set_tau (tau : int array option) party round =
 let event_buffer obs len =
   match obs with None -> [||] | Some _ -> Array.make len 0
 
+(* Kernel loops draw through [Graph.unsafe_random_neighbor], so each kernel
+   checks once per run, before its first contact, that no vertex its loop
+   can call from is isolated, and raises the error the checked draw would
+   have raised at the first such contact.  [calls] says whether the loop
+   runs at all: a run that makes no contact (n = 1, or a cap of 0 rounds)
+   does not need a neighbour. *)
+let check_callers ~calls ok =
+  if calls && not ok then invalid_arg "Graph.random_neighbor: isolated vertex"
+
 (* ------------------------------------------------------------------ push *)
 
+(* A push frontier entry packs a live vertex (24 bits) with the number of
+   dead vertices informed between the previous live entry and it. *)
+let id_bits = 24
+let id_mask = (1 lsl id_bits) - 1
+
+(* Push informs v through its caller, a neighbour.  A non-source vertex of
+   degree 1 has no other, so once informed it is dead: every contact it
+   makes calls an informed vertex and costs exactly one generator output
+   ([Rng.below _ 1] never rejects).  Such vertices stay out of the frontier
+   [live], which lists the others in informing order; each entry carries
+   the count of dead vertices informed just before it, and [pending] counts
+   those informed since the last entry.  A round walks the entries active
+   at its start, skipping each entry's dead count before its draw, then the
+   dead tail ([pending] at the start): the generator advances exactly as
+   if every informed vertex had called in informing order.
+
+   With an instrument attached, [dead] lists the dead vertices in informing
+   order, and the replay fires each dead contact, (w, w's only neighbour),
+   at its place in that order. *)
 (* lint: hot *)
 let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.push" ~n ~source ~max_rounds;
+  (* every caller but the source was informed by a neighbour *)
+  check_callers ~calls:(n > 1 && max_rounds > 0) (Graph.degree g source > 0);
   reset_tau ~who:"Engine.push" ~parties:n tau;
   set_tau tau source 0;
   let informed = Bitset.create n in
-  (* order.(0 .. count-1) lists informed vertices in informing order; the
-     first [active] of them push this round *)
-  let order = Array.make n 0 in
+  let live = Array.make n 0 in
   let recording = Option.is_some obs in
-  (* called.(i): the vertex order.(i) called this round *)
+  (* called.(i): the vertex the entry live.(i) called this round *)
   let called = event_buffer obs n in
+  let dead = event_buffer obs n in
+  let ndead = ref 0 in
+  let cursor = ref 0 in
   Bitset.add informed source;
-  order.(0) <- source;
+  live.(0) <- source;
+  let nlive = ref 1 in
+  let pending = ref 0 in
   let count = ref 1 in
   let contacts = ref 0 in
   let curve = Curve_buf.create ~hint:max_rounds in
@@ -108,23 +141,48 @@ let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
     span_begin_arg trace "push.round" round;
     let c0 = !contacts in
     let active = !count in
-    (* one contact per active vertex, in frontier order; the counters stay
-       plain local refs (no closure captures them) *)
-    for i = 0 to active - 1 do
-      let v = Graph.random_neighbor g rng order.(i) in
+    let entries = !nlive and tail = !pending in
+    (* the counters stay plain local refs (no closure captures them) *)
+    for i = 0 to entries - 1 do
+      let e = live.(i) in
+      Rng.skip rng (e lsr id_bits);
+      let v = Graph.unsafe_random_neighbor g rng (e land id_mask) in
       if recording then called.(i) <- v;
       if not (Bitset.mem informed v) then begin
         Bitset.add informed v;
         set_tau tau v round;
-        order.(!count) <- v;
-        incr count
+        incr count;
+        if Graph.degree g v = 1 then begin
+          if recording then begin
+            dead.(!ndead) <- v;
+            incr ndead
+          end;
+          incr pending
+        end
+        else begin
+          live.(!nlive) <- v lor (!pending lsl id_bits);
+          incr nlive;
+          pending := 0
+        end
       end
     done;
+    Rng.skip rng tail;
     contacts := !contacts + active;
-    if recording then
-      for i = 0 to active - 1 do
-        Obs.contact obs order.(i) called.(i)
+    if recording then begin
+      cursor := 0;
+      for i = 0 to entries - 1 do
+        let e = live.(i) in
+        for _ = 1 to e lsr id_bits do
+          Obs.contact obs dead.(!cursor) (Graph.neighbor g dead.(!cursor) 0);
+          incr cursor
+        done;
+        Obs.contact obs (e land id_mask) called.(i)
       done;
+      for _ = 1 to tail do
+        Obs.contact obs dead.(!cursor) (Graph.neighbor g dead.(!cursor) 0);
+        incr cursor
+      done
+    end;
     Curve_buf.push curve !count;
     trace_round_end trace ~informed:!count ~contacts_delta:(!contacts - c0);
     Obs.round_end obs ~round ~informed:!count ~contacts:!contacts
@@ -141,6 +199,8 @@ let push ?obs ?trace ?tau rng g ~source ~max_rounds () =
 let push_pull ?obs ?trace rng g ~source ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.push_pull" ~n ~source ~max_rounds;
+  (* every vertex calls, every round *)
+  check_callers ~calls:(n > 1 && max_rounds > 0) (Graph.min_degree g > 0);
   (* [before] is the informed set at the top of the round (the snapshot the
      push/pull eligibility test reads); [informed] is live *)
   let informed = Bitset.create n in
@@ -163,7 +223,7 @@ let push_pull ?obs ?trace rng g ~source ~max_rounds () =
     (* every vertex calls one neighbor; inlined rather than a per-contact
        closure so [count] stays unboxed *)
     for u = 0 to n - 1 do
-      let v = Graph.random_neighbor g rng u in
+      let v = Graph.unsafe_random_neighbor g rng u in
       if recording then called.(u) <- v;
       if Bitset.mem before u then begin
         if not (Bitset.mem informed v) then begin
@@ -207,7 +267,8 @@ let place_agents ~who rng g agents =
 
 (* One synchronized walker round over a flat position array, consuming [rng]
    in agent order: per agent, the lazy coin (if lazy) then the neighbor
-   draw.  With an instrument, [from] (an {!event_buffer} of one slot per
+   draw, unchecked: [place_agents] put no agent on an isolated vertex, and
+   a walk leaves a vertex only for a neighbour, which is not isolated.  With an instrument, [from] (an {!event_buffer} of one slot per
    agent) keeps each agent's old vertex until the moves fire. *)
 (* lint: hot *)
 let move_agents obs ~from ~lazy_walk rng g pos =
@@ -215,7 +276,8 @@ let move_agents obs ~from ~lazy_walk rng g pos =
   for a = 0 to Array.length pos - 1 do
     let u = pos.(a) in
     let v =
-      if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
+      if lazy_walk && Rng.bool rng then u
+      else Graph.unsafe_random_neighbor g rng u
     in
     pos.(a) <- v;
     if recording then from.(a) <- u
@@ -679,6 +741,8 @@ let combined ?obs ?trace ?(lazy_walk = false) rng g ~source ~agents
   let n = Graph.n g in
   check_common ~who:"Engine.combined" ~n ~source ~max_rounds;
   let pos = place_agents ~who:"Engine.combined" rng g agents in
+  (* the push-pull half: every vertex calls, every round *)
+  check_callers ~calls:(n > 1 && max_rounds > 0) (Graph.min_degree g > 0);
   let k = Array.length pos in
   let vertex_time = Array.make n max_int in
   let agent_time = Array.make k max_int in
@@ -711,7 +775,7 @@ let combined ?obs ?trace ?(lazy_walk = false) rng g ~source ~agents
        did *)
     span_begin trace "push_pull";
     for u = 0 to n - 1 do
-      let v = Graph.random_neighbor g rng u in
+      let v = Graph.unsafe_random_neighbor g rng u in
       if recording then trail.(u) <- v;
       let u_before = vertex_time.(u) < round
       and v_before = vertex_time.(v) < round in

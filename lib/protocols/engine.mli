@@ -37,7 +37,14 @@
     stream — no clock reads, no allocation (pinned by an allocation test).
 
     All kernels raise [Invalid_argument] on an out-of-range [source] or a
-    negative [max_rounds].  Per-edge {!Traffic} rides on [?obs]:
+    negative [max_rounds].  Their loops draw unchecked
+    ({!Rumor_graph.Graph.unsafe_random_neighbor}), so each checks once per
+    run, before its first contact, that no vertex it will call from is
+    isolated, and raises [Graph.random_neighbor]'s own
+    ["Graph.random_neighbor: isolated vertex"] otherwise: push checks the
+    source, push–pull and combined every vertex (a run that makes no
+    contact — one vertex, or [max_rounds = 0] — is not refused); the
+    walker kernels refuse an agent placed on an isolated vertex.  Per-edge {!Traffic} rides on [?obs]:
     {!Traffic.calls} for push and push–pull, {!Traffic.steps} for dense
     walkers.
 
@@ -71,6 +78,13 @@ val push :
     uniformly random neighbor and sends it the rumor.  Broadcast completes
     when all vertices are informed.  Work per round is O(informed
     vertices), so a run costs O(sum of the informed curve).
+
+    A non-source vertex of degree 1 is dead once informed (its only
+    neighbour informed it), so it stays out of the frontier: each of its
+    calls still consumes its one generator output, in frontier order, and
+    still counts as a contact and fires [on_contact] with its neighbour,
+    but costs no neighbour lookup.  On a star or double star most of the
+    frontier is such leaves.
 
     [?tau], when given, must have length [n] and is filled with each
     vertex's informing round [tau_u] ([max_int] if never informed) — the

@@ -144,9 +144,10 @@ let[@inline] deposit t v c =
 (* Split [count] walkers of one class (deposit unit [inc]: 1 for uninformed,
    [inf_one] for informed) leaving [u] across its deg(u) neighbor slots
    (plus the lazy self-slot).  Small populations draw one uniform slot per
-   walker, O(count); large ones run the uniform-weight specialization of
-   {!Dist.multinomial} — chained conditional binomials over the CSR slice,
-   O(deg).  Both are exact. *)
+   walker, O(count), through the unchecked [Rng.below] (there
+   1 <= movers < d < 2^24); large ones run the uniform-weight
+   specialization of {!Dist.multinomial} — chained conditional binomials
+   over the CSR slice, O(deg).  Both are exact. *)
 let scatter rng t u count inc =
   if count > 0 then begin
     let g = t.g in
@@ -162,7 +163,7 @@ let scatter rng t u count inc =
     if movers > 0 then
       if movers < d then
         for _ = 1 to movers do
-          deposit t (Graph.neighbor g u (Rng.int rng d)) inc
+          deposit t (Graph.neighbor g u (Rng.below rng d)) inc
         done
       else begin
         let rem = ref movers in

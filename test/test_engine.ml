@@ -412,6 +412,148 @@ let test_obs_free_equals_recorded () =
         seeds)
     (families ())
 
+(* ----------------------------------------- dead-leaf push = plain push *)
+
+(* Push as the paper states it, on the checked draw: each round, every
+   vertex informed before it calls a random neighbour, in informing order.
+   Returns the run and its contact stream. *)
+let reference_push ?tau rng g ~source ~max_rounds =
+  let n = Graph.n g in
+  let order = Array.make n source in
+  let informed = Array.make n false in
+  informed.(source) <- true;
+  Option.iter
+    (fun tau ->
+      Array.fill tau 0 n max_int;
+      tau.(source) <- 0)
+    tau;
+  let count = ref 1 and contacts = ref 0 and t = ref 0 in
+  let curve = ref [ 1 ] and calls = ref [] in
+  while !count < n && !t < max_rounds do
+    incr t;
+    let active = !count in
+    for i = 0 to active - 1 do
+      let u = order.(i) in
+      let v = Graph.random_neighbor g rng u in
+      calls := (u, v) :: !calls;
+      if not informed.(v) then begin
+        informed.(v) <- true;
+        Option.iter (fun tau -> tau.(v) <- !t) tau;
+        order.(!count) <- v;
+        incr count
+      end
+    done;
+    contacts := !contacts + active;
+    curve := !count :: !curve
+  done;
+  ( Run_result.make
+      ~broadcast_time:(if !count = n then Some !t else None)
+      ~rounds_run:!t
+      ~informed_curve:(Array.of_list (List.rev !curve))
+      ~contacts:!contacts (),
+    List.rev !calls )
+
+(* a spine path 0 .. spine-1, each spine vertex carrying [legs] leaves *)
+let caterpillar ~spine ~legs =
+  let path = List.init (spine - 1) (fun i -> (i, i + 1)) in
+  let leaves = List.init (spine * legs) (fun j -> (j / legs, spine + j)) in
+  Graph.of_edges ~n:(spine * (1 + legs)) (path @ leaves)
+
+(* Push keeps the dead leaves (non-source vertices of degree 1) out of its
+   frontier and charges each of their calls one generator output.  On
+   graphs made mostly of such leaves, from centre, leaf and degree-1
+   sources, complete and capped, it must match the reference run field by
+   field: curve, contacts, tau, the generator state afterwards, and the
+   contact stream, which the kernel replays with each dead call at its
+   place; and the instrumented run must equal the bare one. *)
+let test_dead_leaf_push_equals_reference () =
+  let ds = Rumor_graph.Gen_paper.double_star ~leaves_per_star:6 in
+  let graphs =
+    [ ("star centre", Gen.star ~leaves:9, 0);
+      ("star leaf", Gen.star ~leaves:9, 4);
+      ("double star centre", ds.ds_graph, ds.ds_center_a);
+      ("double star leaf", ds.ds_graph, ds.ds_leaf_a);
+      ("path end", Gen.path 12, 0);
+      ("path middle", Gen.path 12, 5);
+      ("caterpillar spine", caterpillar ~spine:5 ~legs:3, 2);
+      ("caterpillar leg", caterpillar ~spine:5 ~legs:3, 9);
+      ("edge", Gen.path 2, 1) ]
+  in
+  List.iter
+    (fun (name, g, source) ->
+      let n = Graph.n g in
+      List.iter
+        (fun (seed, max_rounds) ->
+          let label k = Printf.sprintf "%s seed=%d cap=%d: %s" name seed max_rounds k in
+          let ref_rng = Rng.of_int seed and rng = Rng.of_int seed in
+          let ref_tau = Array.make n 0 and tau = Array.make n 0 in
+          let want, want_calls = reference_push ~tau:ref_tau ref_rng g ~source ~max_rounds in
+          let calls = ref [] in
+          let obs = Instrument.make ~on_contact:(fun u v -> calls := (u, v) :: !calls) () in
+          let got = Engine.push ~obs ~tau rng g ~source ~max_rounds () in
+          check_same_result (label "result") want got;
+          Alcotest.(check (array int)) (label "tau") ref_tau tau;
+          Alcotest.(check (list (pair int int))) (label "contact stream") want_calls
+            (List.rev !calls);
+          Alcotest.(check int64) (label "generator state") (Rng.bits64 ref_rng)
+            (Rng.bits64 rng);
+          let free = Engine.push (Rng.of_int seed) g ~source ~max_rounds () in
+          check_same_result (label "obs-free") got free)
+        [ (1, 10_000); (2, 10_000); (3, 3); (4, 1); (5, 0) ])
+    graphs
+
+(* Each kernel checks once per run that none of its callers is isolated,
+   and raises the checked draw's own error before its first contact; a run
+   that makes no contact needs no neighbour. *)
+let test_isolated_callers () =
+  let isolated = Invalid_argument "Graph.random_neighbor: isolated vertex" in
+  (* an edge 0-1 and the isolated vertex 2 *)
+  let g = Graph.of_edges ~n:3 [ (0, 1) ] in
+  let r = Engine.push (Rng.of_int 1) g ~source:2 ~max_rounds:0 () in
+  Alcotest.(check (array int)) "isolated source, cap 0: returns" [| 1 |]
+    r.Run_result.informed_curve;
+  let single = Graph.of_edges ~n:1 [] in
+  let r = Engine.push (Rng.of_int 1) single ~source:0 ~max_rounds:5 () in
+  Alcotest.(check (option int)) "one vertex: done at round 0" (Some 0)
+    r.Run_result.broadcast_time;
+  ignore (Engine.push_pull (Rng.of_int 1) g ~source:0 ~max_rounds:0 ());
+  (* the refusals: no contact fired, and the generator untouched *)
+  let refused label f =
+    let contacts = ref 0 in
+    let obs = Instrument.make ~on_contact:(fun _ _ -> incr contacts) () in
+    let rng = Rng.of_int 7 in
+    Alcotest.check_raises label isolated (fun () -> f ~obs rng);
+    Alcotest.(check int) (label ^ ": no contact") 0 !contacts;
+    Alcotest.(check int64) (label ^ ": no draw") (Rng.bits64 (Rng.of_int 7)) (Rng.bits64 rng)
+  in
+  refused "push, isolated source" (fun ~obs rng ->
+      ignore (Engine.push ~obs rng g ~source:2 ~max_rounds:5 ()));
+  refused "push_pull" (fun ~obs rng ->
+      ignore (Engine.push_pull ~obs rng g ~source:0 ~max_rounds:5 ()));
+  refused "async push, isolated source" (fun ~obs rng ->
+      ignore
+        (P.Async_engine.push ~obs rng g ~variant:P.Async_push.Async_push ~source:2
+           ~max_time:5.0));
+  refused "async push-pull" (fun ~obs rng ->
+      ignore
+        (P.Async_engine.push ~obs rng g ~variant:P.Async_push.Async_push_pull ~source:0
+           ~max_time:5.0));
+  (* combined places its agents first (stationary: only on 0 and 1), then
+     refuses before its push-pull half calls *)
+  let contacts = ref 0 in
+  let obs = Instrument.make ~on_contact:(fun _ _ -> incr contacts) () in
+  Alcotest.check_raises "combined" isolated (fun () ->
+      ignore
+        (Engine.combined ~obs (Rng.of_int 7) g ~source:0 ~agents:(Placement.Stationary 4)
+           ~max_rounds:5 ()));
+  Alcotest.(check int) "combined: no contact" 0 !contacts;
+  (* async push from a live source never calls the isolated vertex *)
+  let r =
+    P.Async_engine.push (Rng.of_int 7) g ~variant:P.Async_push.Async_push ~source:0
+      ~max_time:50.0
+  in
+  Alcotest.(check int) "async push: the source's component" 2 r.P.Async_push.informed
+
 (* ---------------------------------------------------- tracing a kernel *)
 
 module Trace = Rumor_obs.Trace
@@ -603,4 +745,8 @@ let suite =
       test_trace_counters;
     Alcotest.test_case "walker and combined argument validation" `Quick
       test_walker_validation;
+    Alcotest.test_case "dead-leaf push = reference push" `Quick
+      test_dead_leaf_push_equals_reference;
+    Alcotest.test_case "isolated callers refused before the first contact" `Quick
+      test_isolated_callers;
   ]

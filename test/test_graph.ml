@@ -597,6 +597,31 @@ let prop_builder_round_trips_of_csr =
       Csr_check.same "round trip" g (Graph.of_csr ~n ~offsets ~slots);
       true)
 
+(* [unsafe_random_neighbor] is [random_neighbor] without its checks: on
+   every non-isolated vertex of a random graph (and of stars, whose centre
+   degree reaches the edge count), the same neighbours from the same
+   generator, and the same state afterwards *)
+let prop_unsafe_random_neighbor_equals_checked =
+  QCheck.Test.make ~count:200
+    ~name:"unsafe_random_neighbor = random_neighbor, same state after"
+    QCheck.(pair edge_set bool)
+    (fun ((n, raw, seed), as_star) ->
+      let g =
+        if as_star then builder_of (n + 1) (star_edges (List.init n (fun i -> i + 1)))
+        else builder_of n (ascending_edges n raw)
+      in
+      let a = Rng.of_int seed and b = Rng.of_int seed in
+      for u = 0 to Graph.n g - 1 do
+        if Graph.degree g u > 0 then
+          for _ = 1 to 8 do
+            let want = Graph.random_neighbor g b u in
+            let got = Graph.unsafe_random_neighbor g a u in
+            if got <> want then
+              QCheck.Test.fail_reportf "vertex %d: unsafe %d <> checked %d" u got want
+          done
+      done;
+      List.for_all (fun _ -> Rng.bits64 a = Rng.bits64 b) [ 1; 2; 3; 4 ])
+
 let suite =
   [
     Alcotest.test_case "vertex/edge counts" `Quick test_counts;
@@ -643,4 +668,5 @@ let suite =
     Alcotest.test_case "of_csr names each defect" `Quick test_of_csr_rejects;
     QCheck_alcotest.to_alcotest prop_builder_round_trips_of_csr;
     QCheck_alcotest.to_alcotest prop_slot_codec;
+    QCheck_alcotest.to_alcotest prop_unsafe_random_neighbor_equals_checked;
   ]

@@ -430,6 +430,42 @@ let test_choose () =
   Alcotest.check_raises "empty array" (Invalid_argument "Rng.choose: empty array")
     (fun () -> ignore (Rng.choose g [||]))
 
+(* [below] is [int] without its argument check: for every valid bound the
+   same values from the same outputs, and the same state afterwards.  The
+   fixed bounds are the ends of the kernels' range (a degree-1 vertex, the
+   largest degree 2^24 - 1, the largest unchecked bound 2^30); the random
+   ones from [2^29, 2^30] reject often enough to exercise the redraw. *)
+let prop_below_equals_int =
+  let bound =
+    QCheck.oneof
+      [ QCheck.oneofl [ 1; 2; (1 lsl 24) - 1; 1 lsl 30 ];
+        QCheck.int_range 1 (1 lsl 30);
+        QCheck.int_range (1 lsl 29) (1 lsl 30) ]
+  in
+  QCheck.Test.make ~count:300 ~name:"below = int on [1, 2^30], same state after"
+    QCheck.(pair int bound)
+    (fun (seed, bound) ->
+      let a = Rng.of_int seed and b = Rng.of_int seed in
+      for _ = 1 to 64 do
+        let want = Rng.int b bound in
+        let got = Rng.below a bound in
+        if got <> want then
+          QCheck.Test.fail_reportf "bound %d: below %d <> int %d" bound got want
+      done;
+      List.for_all (fun _ -> Rng.bits64 a = Rng.bits64 b) [ 1; 2; 3; 4 ])
+
+(* [skip g k] is k draws of [int g 1], each one output never rejected *)
+let prop_skip_is_unit_draws =
+  QCheck.Test.make ~count:200 ~name:"skip k = k draws of int _ 1"
+    QCheck.(pair int (int_range (-2) 40))
+    (fun (seed, k) ->
+      let a = Rng.of_int seed and b = Rng.of_int seed in
+      Rng.skip a k;
+      for _ = 1 to k do
+        if Rng.int b 1 <> 0 then QCheck.Test.fail_report "int _ 1 <> 0"
+      done;
+      List.for_all (fun _ -> Rng.bits64 a = Rng.bits64 b) [ 1; 2; 3; 4 ])
+
 let suite =
   [
     Alcotest.test_case "deterministic by seed" `Quick test_deterministic;
@@ -447,6 +483,8 @@ let suite =
       test_int_non_power_of_two_uniformity;
     Alcotest.test_case "int = Lemire / 61-bit reference, same draws" `Quick
       test_int_matches_reference;
+    QCheck_alcotest.to_alcotest prop_below_equals_int;
+    QCheck_alcotest.to_alcotest prop_skip_is_unit_draws;
     Alcotest.test_case "chi2 p-value = closed forms" `Quick test_chi2_p_value;
     Alcotest.test_case "int chi2 uniform at 9 bounds" `Quick test_int_chi2_uniform;
     Alcotest.test_case "int chi2 gate rejects a biased reduction" `Quick
