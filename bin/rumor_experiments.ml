@@ -55,6 +55,27 @@ let write_markdown_report path profile seed elapsed results =
   close_out oc;
   Printf.printf "wrote markdown report to %s\n" path
 
+let print_experiment csv_dir (e : Experiments.t) tables =
+  Printf.printf "\n### %s: %s [%s]\n\n" e.Experiments.id e.Experiments.title
+    e.Experiments.paper_ref;
+  List.iteri
+    (fun i t ->
+      Table.print t;
+      print_newline ();
+      match csv_dir with
+      | None -> ()
+      | Some dir ->
+          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+          let path =
+            Filename.concat dir
+              (Printf.sprintf "%s_%d_%s.csv" e.Experiments.id i
+                 (sanitize e.Experiments.title))
+          in
+          let oc = open_out path in
+          output_string oc (Table.to_csv t);
+          close_out oc)
+    tables
+
 let run list_only profile_text seed csv_dir markdown metrics jobs walkers_text
     trace_path ids =
   if list_only then begin
@@ -78,18 +99,30 @@ let run list_only profile_text seed csv_dir markdown metrics jobs walkers_text
     match profile with
     | Error m -> `Error (false, m)
     | Ok profile -> (
-        let ids = match ids with [] -> None | ids -> Some ids in
+        match Experiments.select ids walkers with
+        | exception Invalid_argument m -> `Error (false, m)
+        | selected -> (
         try
           let started = Clock.now_s () in
           let trace = Option.map (fun _ -> Trace.create ()) trace_path in
+          (* each experiment's tables go out as soon as it finishes, so a
+             long run redirected to a file shows its progress *)
+          let run_selected metrics =
+            let cfg = { Rumor_sim.Sweep.metrics; jobs; walkers; trace } in
+            List.map
+              (fun e ->
+                let tables = Experiments.run_one cfg profile ~seed e in
+                print_experiment csv_dir e tables;
+                flush stdout;
+                (e, tables))
+              selected
+          in
           let results =
             match metrics with
-            | None ->
-                Experiments.run_all ?ids ?trace ~jobs ~walkers profile ~seed
+            | None -> run_selected None
             | Some path ->
                 Rumor_obs.Run_record.with_jsonl_file path (fun sink ->
-                    Experiments.run_all ?ids ?trace ~metrics:sink ~jobs ~walkers
-                      profile ~seed)
+                    run_selected (Some sink))
           in
           (match (trace, trace_path) with
           | Some tr, Some path ->
@@ -100,28 +133,6 @@ let run list_only profile_text seed csv_dir markdown metrics jobs walkers_text
           (match metrics with
           | Some path -> Printf.printf "wrote per-replicate metrics to %s\n" path
           | None -> ());
-          List.iter
-            (fun ((e : Experiments.t), tables) ->
-              Printf.printf "\n### %s: %s [%s]\n\n" e.Experiments.id
-                e.Experiments.title e.Experiments.paper_ref;
-              List.iteri
-                (fun i t ->
-                  Table.print t;
-                  print_newline ();
-                  match csv_dir with
-                  | None -> ()
-                  | Some dir ->
-                      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-                      let path =
-                        Filename.concat dir
-                          (Printf.sprintf "%s_%d_%s.csv" e.Experiments.id i
-                             (sanitize e.Experiments.title))
-                      in
-                      let oc = open_out path in
-                      output_string oc (Table.to_csv t);
-                      close_out oc)
-                tables)
-            results;
           let elapsed = Clock.elapsed_s ~since:started in
           (match markdown with
           | Some path -> write_markdown_report path profile seed elapsed results
@@ -130,9 +141,7 @@ let run list_only profile_text seed csv_dir markdown metrics jobs walkers_text
             (match profile with Experiments.Quick -> "quick" | Experiments.Full -> "full")
             seed;
           `Ok ()
-        with
-        | Invalid_argument m -> `Error (false, m)
-        | Sys_error m -> `Error (false, "cannot write metrics: " ^ m)))
+        with Sys_error m -> `Error (false, "cannot write metrics: " ^ m))))
   end
 
 let list_arg =
@@ -160,8 +169,9 @@ let markdown_arg =
 
 let metrics_arg =
   let doc =
-    "Also write one JSONL record per replicated cell measurement (experiment \
-     id, protocol, informed curve, wall-clock, GC counters) to $(docv)."
+    "Also write one JSONL record per replication of every measured cell \
+     (graph label TABLE/ROW such as E6b/512 (9), protocol, informed curve, \
+     wall-clock, GC counters) to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 

@@ -18,79 +18,109 @@ let pick profile ~quick ~full = match profile with Quick -> quick | Full -> full
 
 let reps profile = pick profile ~quick:5 ~full:15
 
-(* Decorrelated per-cell seeds so adding a column does not shift others. *)
-let cell_seed seed i j = (seed * 1_000_003) + (i * 7919) + j
-
-(* What a suite run threads into every measured cell: [run_all] builds
-   it once and each experiment passes it on to [measure_cell]. *)
-type config = {
-  metrics : Rumor_obs.Run_record.sink option;
-      (** receives every measured cell's run records *)
-  jobs : int;  (** replication parallelism; results are identical for any *)
-  walkers : Protocol.walkers;  (** walker representation of the cells *)
-  trace : Rumor_obs.Trace.t option;  (** suite-wide tracer *)
-}
-
-let default_config =
-  { metrics = None; jobs = 1; walkers = Protocol.Dense; trace = None }
+let cell_seed = Sweep.cell_seed
 
 type t = {
   id : string;
   title : string;
   paper_ref : string;
-  run : config -> profile -> seed:int -> Table.t list;
+  run : Sweep.config -> profile -> seed:int -> Table.t list;
 }
 
-let measure_cell cfg ~seed ~reps ~graph ~spec ~max_rounds =
-  Replicate.broadcast_times ?sink:cfg.metrics ~jobs:cfg.jobs ?trace:cfg.trace
-    ~walkers:cfg.walkers ~seed ~reps ~graph ~spec ~max_rounds ()
+let time_cell = Sweep.time_cell
 
-let time_cell (m : Replicate.measurement) =
-  let s = m.summary in
-  let text = Table.fmt_mean_pm s in
-  if m.capped > 0 then Printf.sprintf ">=%s (%d capped)" text m.capped else text
+(* A sweep row that starts with its label, then every column's time. *)
+let times label ms = label :: Array.to_list (Array.map time_cell ms)
 
-(* A standard sweep: rows indexed by a size label, columns by protocol. *)
-let sweep_table cfg ~title ~claim ~paper_row ~seed ~reps ~max_rounds ~specs ~notes rows =
-  let header = "n" :: List.map Protocol.name specs in
-  let means = Array.make_matrix (List.length rows) (List.length specs) 0.0 in
-  let table_rows =
-    List.mapi
-      (fun i (label, nval, graph) ->
-        let cells =
-          List.mapi
-            (fun j spec ->
-              let m =
-                measure_cell cfg ~seed:(cell_seed seed i j) ~reps ~graph ~spec
-                  ~max_rounds:(max_rounds nval)
-              in
-              means.(i).(j) <- Replicate.mean m;
-              time_cell m)
-            specs
-        in
-        label :: cells)
-      rows
-  in
-  let ns = Array.of_list (List.map (fun (_, nval, _) -> float_of_int nval) rows) in
-  let fit_notes =
-    if Array.length ns >= 2 then
-      List.mapi
-        (fun j spec ->
-          let ts = Array.init (Array.length ns) (fun i -> Float.max means.(i).(j) 0.5) in
-          let pf = Regress.power_fit ns ts in
-          Printf.sprintf "%s: fitted growth exponent %.2f (T ~ n^e; ~0 means polylog)"
-            (Protocol.name spec) pf.Regress.slope)
-        specs
-    else []
-  in
-  Table.make ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) specs)
-    ~notes:(notes @ fit_notes @ [ paper_row ])
-    ~title ~claim ~header table_rows
+(* The ratio of two cells' means, and that as a table cell. *)
+let mean_ratio a b = Replicate.mean a /. Float.max (Replicate.mean b) 1e-9
+let ratio a b = Printf.sprintf "%.2f" (mean_ratio a b)
 
 let alpha = 1.0
 let vx = Protocol.visit_exchange ~alpha ()
 let mx = Protocol.meet_exchange ~alpha ()
 let comb = Protocol.combined ~alpha ()
+
+let ilog2 n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
+  go 0 n
+
+(* The random d-regular graphs of the regular-graph theorems, d = Theta(log n). *)
+let regular_d n = max 6 (ilog2 n)
+let regular_label n = Printf.sprintf "%d (%d)" n (regular_d n)
+
+let regular_graph n =
+  Sweep.Sampled
+    (fun rng -> (Gen_random.random_regular_connected rng ~n ~d:(regular_d n), 0))
+
+(* p = 2 ln n / n is comfortably above the ln n / n threshold; resample
+   the rare disconnected draw like random_regular_connected does *)
+let connected_er rng ~n =
+  let p = 2.0 *. log (float_of_int n) /. float_of_int n in
+  let rec go () =
+    let g = Gen_random.erdos_renyi rng ~n ~p in
+    if Rumor_graph.Algo.is_connected g then g else go ()
+  in
+  go ()
+
+(* The one table of a sweep at the profile's replication count. *)
+let sweep cfg profile ~seed ~id ~title ~claim ~header ~label ~graph ~columns ~max_rounds
+    ~render ~notes rows =
+  [
+    Sweep.run cfg
+      {
+        Sweep.id;
+        title;
+        claim;
+        header;
+        seed;
+        reps = reps profile;
+        rows;
+        label;
+        graph;
+        columns;
+        max_rounds;
+        render;
+        notes;
+      };
+  ]
+
+(* Figure 1's families as fixed-graph builders, each with its source. *)
+let double_star l () =
+  let ds = Gen_paper.double_star ~leaves_per_star:l in
+  (ds.Gen_paper.ds_graph, ds.Gen_paper.ds_leaf_a)
+
+let heavy_tree levels () =
+  let ht = Gen_paper.heavy_binary_tree ~levels in
+  (ht.Gen_paper.ht_graph, ht.Gen_paper.ht_first_leaf)
+
+(* Figure 1's sweeps: one fixed graph per size n, one column per protocol,
+   and each column's fitted growth exponent under the table. *)
+let size_sweep cfg profile ~seed ~id ~title ~claim ~shape ~notes ~cap ~specs rows =
+  let fit_notes measured =
+    let ns = Array.of_list (List.map (fun ((n, _), _) -> float_of_int n) measured) in
+    if Array.length ns < 2 then []
+    else
+      List.mapi
+        (fun j spec ->
+          let ts =
+            Array.of_list
+              (List.map (fun (_, ms) -> Float.max (Replicate.mean ms.(j)) 0.5) measured)
+          in
+          let pf = Regress.power_fit ns ts in
+          Printf.sprintf "%s: fitted growth exponent %.2f (T ~ n^e; ~0 means polylog)"
+            (Protocol.name spec) pf.Regress.slope)
+        specs
+  in
+  sweep cfg profile ~seed ~id ~title ~claim
+    ~header:("n" :: List.map Protocol.name specs)
+    ~label:(fun (n, _) -> string_of_int n)
+    ~graph:(fun (_, build) -> Sweep.Fixed build)
+    ~columns:(List.map Fun.const specs)
+    ~max_rounds:(fun (n, _) -> cap * n)
+    ~render:(fun (n, _) -> times (string_of_int n))
+    ~notes:(fun measured -> notes @ fit_notes measured @ [ shape ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E1: star graph (Fig 1a, Lemma 2)                                    *)
@@ -98,26 +128,16 @@ let comb = Protocol.combined ~alpha ()
 
 let e1_run cfg profile ~seed =
   let leaves = pick profile ~quick:[ 128; 256; 512; 1024 ] ~full:[ 128; 256; 512; 1024; 2048; 4096 ] in
-  let rows =
-    List.map
-      (fun l ->
-        let label = Printf.sprintf "%d" (l + 1) in
-        (label, l + 1, fun _rng -> (Gen_basic.star ~leaves:l, 0)))
-      leaves
-  in
-  [
-    sweep_table cfg ~title:"E1: star S_n, source = center"
-      ~claim:
-        "Lemma 2: E[T_push] = Omega(n log n); T_ppull <= 2; T_visitx, T_meetx = \
-         O(log n) w.h.p."
-      ~paper_row:
-        "expected shape: push exponent ~1 (n log n); others ~0 with small \
-         absolute values"
-      ~seed ~reps:(reps profile)
-      ~max_rounds:(fun n -> 60 * n)
-      ~specs:[ Protocol.push; Protocol.push_pull; vx; mx ]
-      ~notes:[] rows;
-  ]
+  size_sweep cfg profile ~seed ~id:"E1" ~title:"E1: star S_n, source = center"
+    ~claim:
+      "Lemma 2: E[T_push] = Omega(n log n); T_ppull <= 2; T_visitx, T_meetx = \
+       O(log n) w.h.p."
+    ~shape:
+      "expected shape: push exponent ~1 (n log n); others ~0 with small \
+       absolute values"
+    ~notes:[] ~cap:60
+    ~specs:[ Protocol.push; Protocol.push_pull; vx; mx ]
+    (List.map (fun l -> (l + 1, fun () -> (Gen_basic.star ~leaves:l, 0))) leaves)
 
 (* ------------------------------------------------------------------ *)
 (* E2: double star (Fig 1b, Lemma 3)                                   *)
@@ -125,33 +145,17 @@ let e1_run cfg profile ~seed =
 
 let e2_run cfg profile ~seed =
   let leaves = pick profile ~quick:[ 128; 256; 512; 1024 ] ~full:[ 128; 256; 512; 1024; 2048; 4096 ] in
-  let rows =
-    List.map
-      (fun l ->
-        let n = 2 * (l + 1) in
-        ( string_of_int n,
-          n,
-          fun _rng ->
-            let ds = Gen_paper.double_star ~leaves_per_star:l in
-            (ds.Gen_paper.ds_graph, ds.Gen_paper.ds_leaf_a) ))
-      leaves
-  in
-  [
-    sweep_table cfg ~title:"E2: double star S2_n, source = a leaf"
-      ~claim:
-        "Lemma 3: E[T_ppull] = Omega(n); T_visitx, T_meetx = O(log n) w.h.p."
-      ~paper_row:
-        "expected shape: push-pull exponent ~1; visit/meet-exchange ~0"
-      ~seed ~reps:(reps profile)
-      ~max_rounds:(fun n -> 60 * n)
-      ~specs:[ Protocol.push_pull; vx; mx ]
-      ~notes:
-        [
-          "the centers' edge is picked by push-pull with prob O(1/n) per \
-           round; agents cross it with constant probability per round";
-        ]
-      rows;
-  ]
+  size_sweep cfg profile ~seed ~id:"E2" ~title:"E2: double star S2_n, source = a leaf"
+    ~claim:"Lemma 3: E[T_ppull] = Omega(n); T_visitx, T_meetx = O(log n) w.h.p."
+    ~shape:"expected shape: push-pull exponent ~1; visit/meet-exchange ~0"
+    ~notes:
+      [
+        "the centers' edge is picked by push-pull with prob O(1/n) per \
+         round; agents cross it with constant probability per round";
+      ]
+    ~cap:60
+    ~specs:[ Protocol.push_pull; vx; mx ]
+    (List.map (fun l -> (2 * (l + 1), double_star l)) leaves)
 
 (* ------------------------------------------------------------------ *)
 (* E3: heavy binary tree (Fig 1c, Lemma 4)                             *)
@@ -159,34 +163,19 @@ let e2_run cfg profile ~seed =
 
 let e3_run cfg profile ~seed =
   let levels = pick profile ~quick:[ 8; 9; 10; 11 ] ~full:[ 8; 9; 10; 11; 12; 13 ] in
-  let rows =
-    List.map
-      (fun lv ->
-        let n = (1 lsl lv) - 1 in
-        ( string_of_int n,
-          n,
-          fun _rng ->
-            let ht = Gen_paper.heavy_binary_tree ~levels:lv in
-            (ht.Gen_paper.ht_graph, ht.Gen_paper.ht_first_leaf) ))
-      levels
-  in
-  [
-    sweep_table cfg ~title:"E3: heavy binary tree B_n, source = a leaf"
-      ~claim:
-        "Lemma 4: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); T_meetx = \
-         O(log n) w.h.p. for a leaf source"
-      ~paper_row:
-        "expected shape: visit-exchange exponent ~1; push and meet-exchange ~0"
-      ~seed ~reps:(reps profile)
-      ~max_rounds:(fun n -> 100 * n)
-      ~specs:[ Protocol.push; vx; mx ]
-      ~notes:
-        [
-          "almost all stationary mass is on the leaf clique, so no agent \
-           finds the root for Omega(n) rounds";
-        ]
-      rows;
-  ]
+  size_sweep cfg profile ~seed ~id:"E3" ~title:"E3: heavy binary tree B_n, source = a leaf"
+    ~claim:
+      "Lemma 4: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); T_meetx = \
+       O(log n) w.h.p. for a leaf source"
+    ~shape:"expected shape: visit-exchange exponent ~1; push and meet-exchange ~0"
+    ~notes:
+      [
+        "almost all stationary mass is on the leaf clique, so no agent \
+         finds the root for Omega(n) rounds";
+      ]
+    ~cap:100
+    ~specs:[ Protocol.push; vx; mx ]
+    (List.map (fun lv -> ((1 lsl lv) - 1, heavy_tree lv)) levels)
 
 (* ------------------------------------------------------------------ *)
 (* E4: Siamese heavy binary trees (Fig 1d, Lemma 8)                    *)
@@ -194,34 +183,26 @@ let e3_run cfg profile ~seed =
 
 let e4_run cfg profile ~seed =
   let levels = pick profile ~quick:[ 8; 9; 10; 11 ] ~full:[ 8; 9; 10; 11; 12 ] in
-  let rows =
-    List.map
-      (fun lv ->
-        let n = (2 * ((1 lsl lv) - 1)) - 1 in
-        ( string_of_int n,
-          n,
-          fun _rng ->
-            let si = Gen_paper.siamese_heavy_tree ~levels:lv in
-            (si.Gen_paper.si_graph, si.Gen_paper.si_leaf_left) ))
-      levels
-  in
-  [
-    sweep_table cfg ~title:"E4: Siamese heavy binary trees D_n, source = a left leaf"
-      ~claim:
-        "Lemma 8: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); \
-         E[T_meetx] = Omega(n)"
-      ~paper_row:
-        "expected shape: push exponent ~0; both agent protocols ~1"
-      ~seed ~reps:(reps profile)
-      ~max_rounds:(fun n -> 100 * n)
-      ~specs:[ Protocol.push; vx; mx ]
-      ~notes:
-        [
-          "information must cross the shared root; agents reach it only \
-           after Omega(n) rounds in expectation";
-        ]
-      rows;
-  ]
+  size_sweep cfg profile ~seed ~id:"E4"
+    ~title:"E4: Siamese heavy binary trees D_n, source = a left leaf"
+    ~claim:
+      "Lemma 8: T_push = O(log n) w.h.p.; E[T_visitx] = Omega(n); \
+       E[T_meetx] = Omega(n)"
+    ~shape:"expected shape: push exponent ~0; both agent protocols ~1"
+    ~notes:
+      [
+        "information must cross the shared root; agents reach it only \
+         after Omega(n) rounds in expectation";
+      ]
+    ~cap:100
+    ~specs:[ Protocol.push; vx; mx ]
+    (List.map
+       (fun lv ->
+         ( (2 * ((1 lsl lv) - 1)) - 1,
+           fun () ->
+             let si = Gen_paper.siamese_heavy_tree ~levels:lv in
+             (si.Gen_paper.si_graph, si.Gen_paper.si_leaf_left) ))
+       levels)
 
 (* ------------------------------------------------------------------ *)
 (* E5: cycle of stars of cliques (Fig 1e, Lemma 9)                     *)
@@ -229,150 +210,85 @@ let e4_run cfg profile ~seed =
 
 let e5_run cfg profile ~seed =
   let ks = pick profile ~quick:[ 6; 8; 10; 12 ] ~full:[ 6; 8; 10; 12; 14; 16 ] in
-  let measurements =
-    List.mapi
-      (fun i k ->
-        let csc = Gen_paper.cycle_stars_cliques ~k in
-        let n = Graph.n csc.Gen_paper.csc_graph in
-        let graph _rng = (csc.Gen_paper.csc_graph, csc.Gen_paper.csc_a_clique_vertex) in
-        let cap = 500 * k * k in
-        let mv =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:vx ~max_rounds:cap
-        in
-        let mm =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:mx ~max_rounds:cap
-        in
-        (k, n, mv, mm))
-      ks
+  let trend measured =
+    let k0, first = List.hd measured and k1, last = List.hd (List.rev measured) in
+    Printf.sprintf
+      "meetx/visitx ratio moves from %.2f (k=%d) to %.2f (k=%d); Lemma 9 \
+       predicts growth ~ log n"
+      (mean_ratio first.(1) first.(0)) k0 (mean_ratio last.(1) last.(0)) k1
   in
-  let rows =
-    List.map
-      (fun (k, n, mv, mm) ->
-        let ratio = Replicate.mean mm /. Float.max (Replicate.mean mv) 1e-9 in
-        [
-          string_of_int k;
-          string_of_int n;
-          time_cell mv;
-          time_cell mm;
-          Printf.sprintf "%.2f" ratio;
-        ])
-      measurements
-  in
-  let ratios =
-    List.map
-      (fun (_, _, mv, mm) -> Replicate.mean mm /. Float.max (Replicate.mean mv) 1e-9)
-      measurements
-  in
-  let trend =
-    match (ratios, List.rev ratios) with
-    | first :: _, last :: _ ->
-        Printf.sprintf
-          "meetx/visitx ratio moves from %.2f (k=%d) to %.2f (k=%d); Lemma 9 \
-           predicts growth ~ log n"
-          first (List.hd ks) last (List.nth ks (List.length ks - 1))
-    | _ -> ""
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          trend;
-          "ring vertices c_i are never informed in meet-exchange, slowing \
-           each ring hop by a log factor";
-        ]
-      ~title:"E5: cycle-of-stars-of-cliques (k^3+k^2+k vertices), source in a clique"
-      ~claim:
-        "Lemma 9: E[T_visitx] = O(n^{2/3}) while E[T_meetx] = Omega(n^{2/3} \
-         log n): a logarithmic-factor separation on an (almost) regular graph"
-      ~header:[ "k"; "n"; "visit-exchange"; "meet-exchange"; "ratio" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"E5"
+    ~title:"E5: cycle-of-stars-of-cliques (k^3+k^2+k vertices), source in a clique"
+    ~claim:
+      "Lemma 9: E[T_visitx] = O(n^{2/3}) while E[T_meetx] = Omega(n^{2/3} \
+       log n): a logarithmic-factor separation on an (almost) regular graph"
+    ~header:[ "k"; "n"; "visit-exchange"; "meet-exchange"; "ratio" ]
+    ~label:string_of_int
+    ~graph:(fun k ->
+      Sweep.Fixed
+        (fun () ->
+          let csc = Gen_paper.cycle_stars_cliques ~k in
+          (csc.Gen_paper.csc_graph, csc.Gen_paper.csc_a_clique_vertex)))
+    ~columns:(List.map Fun.const [ vx; mx ])
+    ~max_rounds:(fun k -> 500 * k * k)
+    ~render:(fun k ms ->
+      string_of_int k
+      :: times (string_of_int (k + (k * k) + (k * k * k))) ms
+      @ [ ratio ms.(1) ms.(0) ])
+    ~notes:(fun measured ->
+      [
+        trend measured;
+        "ring vertices c_i are never informed in meet-exchange, slowing \
+         each ring hop by a log factor";
+      ])
+    ks
 
 (* ------------------------------------------------------------------ *)
 (* E6: push vs visit-exchange on regular graphs (Theorem 1)            *)
 (* ------------------------------------------------------------------ *)
 
-let ilog2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
-let e6_family_table cfg ~title ~seed ~profile rows =
-  let specs = [ Protocol.push; vx ] in
-  let measurements =
-    List.mapi
-      (fun i (label, _nval, graph) ->
-        let mp =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:(List.nth specs 0) ~max_rounds:100_000
-        in
-        let mv =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:(List.nth specs 1) ~max_rounds:100_000
-        in
-        (label, mp, mv))
-      rows
-  in
-  let table_rows =
-    List.map
-      (fun (label, mp, mv) ->
-        let ratio = Replicate.mean mp /. Float.max (Replicate.mean mv) 1e-9 in
-        [ label; time_cell mp; time_cell mv; Printf.sprintf "%.2f" ratio ])
-      measurements
-  in
-  Table.make
-    ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-    ~notes:
-      [
-        "Theorem 1 predicts the ratio stays within constant bounds as n \
-         grows (no drift to 0 or infinity)";
-      ]
-    ~title
+(* Rows are (label, graph) pairs, one table per regular family. *)
+let e6_table cfg profile ~seed ~id ~title rows =
+  sweep cfg profile ~seed ~id ~title
     ~claim:
       "Theorem 1: on d-regular graphs with d = Omega(log n), T_push and \
        T_visitx are asymptotically equal up to constants"
     ~header:[ "n (d)"; "push"; "visit-exchange"; "push/visitx" ]
-    table_rows
+    ~label:fst ~graph:snd
+    ~columns:(List.map Fun.const [ Protocol.push; vx ])
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun (label, _) ms -> times label ms @ [ ratio ms.(0) ms.(1) ])
+    ~notes:(fun _ ->
+      [
+        "Theorem 1 predicts the ratio stays within constant bounds as n \
+         grows (no drift to 0 or infinity)";
+      ])
+    rows
 
 let e6_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096; 8192 ] in
-  let rr_rows =
-    List.map
-      (fun n ->
-        let d = max 6 (ilog2 n) in
-        ( Printf.sprintf "%d (%d)" n d,
-          n,
-          fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0) ))
-      ns
-  in
+  let rr_rows = List.map (fun n -> (regular_label n, regular_graph n)) ns in
   let hc_dims = pick profile ~quick:[ 8; 9; 10; 11 ] ~full:[ 8; 9; 10; 11; 12; 13 ] in
   let hc_rows =
     List.map
       (fun dim ->
         ( Printf.sprintf "%d (%d)" (1 lsl dim) dim,
-          1 lsl dim,
-          fun _rng -> (Gen_basic.hypercube ~dim, 0) ))
+          Sweep.Fixed (fun () -> (Gen_basic.hypercube ~dim, 0)) ))
       hc_dims
   in
   let neck_sizes = pick profile ~quick:[ (8, 16); (16, 16); (32, 16) ] ~full:[ (8, 16); (16, 16); (32, 16); (64, 16) ] in
   let neck_rows =
     List.map
       (fun (cliques, s) ->
-        let n = cliques * s in
-        ( Printf.sprintf "%d (%d)" n (s - 1),
-          n,
-          fun _rng -> (Gen_basic.necklace ~cliques ~clique_size:s, 0) ))
+        ( Printf.sprintf "%d (%d)" (cliques * s) (s - 1),
+          Sweep.Fixed (fun () -> (Gen_basic.necklace ~cliques ~clique_size:s, 0)) ))
       neck_sizes
   in
-  [
-    e6_family_table cfg ~title:"E6a: random d-regular, d = max(6, log2 n)" ~seed ~profile rr_rows;
-    e6_family_table cfg ~title:"E6b: hypercube (d = log2 n exactly)" ~seed:(seed + 1) ~profile hc_rows;
-    e6_family_table cfg
+  e6_table cfg profile ~seed ~id:"E6a" ~title:"E6a: random d-regular, d = max(6, log2 n)" rr_rows
+  @ e6_table cfg profile ~seed:(seed + 1) ~id:"E6b" ~title:"E6b: hypercube (d = log2 n exactly)" hc_rows
+  @ e6_table cfg profile ~seed:(seed + 2) ~id:"E6c"
       ~title:"E6c: necklace of 16-cliques (15-regular, diameter Theta(n)): both protocols polynomial, ratio still constant"
-      ~seed:(seed + 2) ~profile neck_rows;
-  ]
+      neck_rows
 
 (* ------------------------------------------------------------------ *)
 (* E7: visit-exchange vs meet-exchange on regular graphs (Theorem 23)  *)
@@ -380,51 +296,25 @@ let e6_run cfg profile ~seed =
 
 let e7_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096 ] in
-  let measurements =
-    List.mapi
-      (fun i n ->
-        let d = max 6 (ilog2 n) in
-        let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-        let mvx =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:vx ~max_rounds:100_000
-        in
-        let mmx =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:mx ~max_rounds:100_000
-        in
-        (n, d, mvx, mmx))
-      ns
-  in
-  let rows =
-    List.map
-      (fun (n, d, mvx, mmx) ->
-        let gap = Replicate.mean mmx -. Replicate.mean mvx in
-        let norm = gap /. log (float_of_int n) in
-        [
-          Printf.sprintf "%d (%d)" n d;
-          time_cell mvx;
-          time_cell mmx;
-          Printf.sprintf "%.1f" gap;
-          Printf.sprintf "%.2f" norm;
-        ])
-      measurements
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "Theorem 23 bounds T_visitx <= T_meetx + c log n: the (meetx - \
-           visitx) gap should stay O(log n), i.e. the last column bounded";
-        ]
-      ~title:"E7: meet-exchange vs visit-exchange on random d-regular"
-      ~claim:
-        "Theorem 23: P[T_visitx <= k + c log n] >= P[T_meetx <= k] - n^-lambda \
-         — meet-exchange is never more than an additive O(log n) faster"
-      ~header:[ "n (d)"; "visit-exchange"; "meet-exchange"; "gap"; "gap/ln n" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"E7"
+    ~title:"E7: meet-exchange vs visit-exchange on random d-regular"
+    ~claim:
+      "Theorem 23: P[T_visitx <= k + c log n] >= P[T_meetx <= k] - n^-lambda \
+       — meet-exchange is never more than an additive O(log n) faster"
+    ~header:[ "n (d)"; "visit-exchange"; "meet-exchange"; "gap"; "gap/ln n" ]
+    ~label:regular_label ~graph:regular_graph
+    ~columns:(List.map Fun.const [ vx; mx ])
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun n ms ->
+      let gap = Replicate.mean ms.(1) -. Replicate.mean ms.(0) in
+      times (regular_label n) ms
+      @ [ Printf.sprintf "%.1f" gap; Printf.sprintf "%.2f" (gap /. log (float_of_int n)) ])
+    ~notes:(fun _ ->
+      [
+        "Theorem 23 bounds T_visitx <= T_meetx + c log n: the (meetx - \
+         visitx) gap should stay O(log n), i.e. the last column bounded";
+      ])
+    ns
 
 (* ------------------------------------------------------------------ *)
 (* E8: logarithmic lower bounds (Theorems 24, 25)                      *)
@@ -432,60 +322,43 @@ let e7_run cfg profile ~seed =
 
 let e8_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096; 8192 ] in
-  let measurements =
-    List.mapi
-      (fun i n ->
-        let d = max 6 (ilog2 n) in
-        let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-        let mvx =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:vx ~max_rounds:100_000
-        in
-        let mmx =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:mx ~max_rounds:100_000
-        in
-        (n, d, mvx, mmx))
-      ns
-  in
-  let rows =
-    List.map
-      (fun (n, d, mvx, mmx) ->
-        let ln = log (float_of_int n) in
-        [
-          Printf.sprintf "%d (%d)" n d;
-          Printf.sprintf "%.1f" ln;
-          time_cell mvx;
-          Printf.sprintf "%.2f" (mvx.Replicate.summary.Stats.min /. ln);
-          time_cell mmx;
-          Printf.sprintf "%.2f" (mmx.Replicate.summary.Stats.min /. ln);
-        ])
-      measurements
-  in
-  let ns_f = Array.of_list (List.map (fun (n, _, _, _) -> float_of_int n) measurements) in
-  let fit_for label extract =
-    let ts = Array.of_list (List.map extract measurements) in
+  let fit_for measured j label =
+    let ns_f = Array.of_list (List.map (fun (n, _) -> float_of_int n) measured) in
+    let ts = Array.of_list (List.map (fun (_, ms) -> Replicate.mean ms.(j)) measured) in
     let lf = Regress.log_fit ns_f ts in
     Printf.sprintf "%s: T ~ %.2f * ln n + %.2f (log-linear fit, r2=%.2f)" label
       lf.Regress.slope lf.Regress.intercept lf.Regress.r2
   in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          fit_for "visit-exchange" (fun (_, _, mvx, _) -> Replicate.mean mvx);
-          fit_for "meet-exchange" (fun (_, _, _, mmx) -> Replicate.mean mmx);
-          "Theorems 24/25: even the minimum over replications stays >= c ln n \
-           with c > 0";
-        ]
-      ~title:"E8: Omega(log n) lower bounds on random d-regular"
-      ~claim:
-        "Theorems 24, 25: T_visitx and T_meetx are Omega(log n) w.h.p. on \
-         d-regular graphs with d = Omega(log n), |A| = O(n)"
-      ~header:[ "n (d)"; "ln n"; "visitx"; "min/ln n"; "meetx"; "min/ln n" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"E8"
+    ~title:"E8: Omega(log n) lower bounds on random d-regular"
+    ~claim:
+      "Theorems 24, 25: T_visitx and T_meetx are Omega(log n) w.h.p. on \
+       d-regular graphs with d = Omega(log n), |A| = O(n)"
+    ~header:[ "n (d)"; "ln n"; "visitx"; "min/ln n"; "meetx"; "min/ln n" ]
+    ~label:regular_label ~graph:regular_graph
+    ~columns:(List.map Fun.const [ vx; mx ])
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun n ms ->
+      let ln = log (float_of_int n) in
+      let min_over_ln (m : Replicate.measurement) =
+        Printf.sprintf "%.2f" (m.summary.Stats.min /. ln)
+      in
+      [
+        regular_label n;
+        Printf.sprintf "%.1f" ln;
+        time_cell ms.(0);
+        min_over_ln ms.(0);
+        time_cell ms.(1);
+        min_over_ln ms.(1);
+      ])
+    ~notes:(fun measured ->
+      [
+        fit_for measured 0 "visit-exchange";
+        fit_for measured 1 "meet-exchange";
+        "Theorems 24/25: even the minimum over replications stays >= c ln n \
+         with c > 0";
+      ])
+    ns
 
 (* ------------------------------------------------------------------ *)
 (* E9: the Section 5 coupling invariants (Lemmas 13, 14, Eq. 3)        *)
@@ -575,7 +448,7 @@ let e9_run _cfg profile ~seed =
   let rows =
     List.mapi
       (fun i n ->
-        let d = max 6 (ilog2 n) in
+        let d = regular_d n in
         let master = Rng.of_int (cell_seed seed i 0) in
         let violations = ref 0 in
         let congestion_mismatches = ref 0 in
@@ -647,57 +520,33 @@ let e9_run _cfg profile ~seed =
 (* ------------------------------------------------------------------ *)
 
 let e10_run cfg profile ~seed =
-  let reps = reps profile in
-  let size = pick profile ~quick:1024 ~full:4096 in
+  let leaves = pick profile ~quick:1024 ~full:4096 / 2 in
   let levels = pick profile ~quick:11 ~full:13 in
-  let ds = Gen_paper.double_star ~leaves_per_star:(size / 2) in
-  let ht = Gen_paper.heavy_binary_tree ~levels in
-  let n_ds = Graph.n ds.Gen_paper.ds_graph in
-  let n_ht = Graph.n ht.Gen_paper.ht_graph in
-  let families =
+  let rows =
     [
-      ( "double star",
-        n_ds,
-        fun _rng -> (ds.Gen_paper.ds_graph, ds.Gen_paper.ds_leaf_a) );
-      ( "heavy binary tree",
-        n_ht,
-        fun _rng -> (ht.Gen_paper.ht_graph, ht.Gen_paper.ht_first_leaf) );
+      ("double star", 2 * (leaves + 1), double_star leaves);
+      ("heavy binary tree", (1 lsl levels) - 1, heavy_tree levels);
     ]
   in
-  let specs = [ Protocol.push_pull; vx; comb ] in
-  let rows =
-    List.mapi
-      (fun i (label, n, graph) ->
-        let cells =
-          List.mapi
-            (fun j spec ->
-              let m =
-                measure_cell cfg ~seed:(cell_seed seed i j) ~reps ~graph ~spec
-                  ~max_rounds:(60 * n)
-              in
-              time_cell m)
-            specs
-        in
-        Printf.sprintf "%s (n=%d)" label n :: cells)
-      families
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "push-pull is polynomial on the double star; visit-exchange is \
-           polynomial on the heavy tree; the combination is logarithmic on \
-           both";
-        ]
-      ~title:"E10: combining push-pull with visit-exchange"
-      ~claim:
-        "Section 1: \"agent-based information dissemination, separately or \
-         in combination with push-pull, can significantly improve the \
-         broadcast time\""
-      ~header:[ "graph"; "push-pull"; "visit-exchange"; "combined" ]
-      rows;
-  ]
+  let label (family, n, _) = Printf.sprintf "%s (n=%d)" family n in
+  sweep cfg profile ~seed ~id:"E10" ~title:"E10: combining push-pull with visit-exchange"
+    ~claim:
+      "Section 1: \"agent-based information dissemination, separately or \
+       in combination with push-pull, can significantly improve the \
+       broadcast time\""
+    ~header:[ "graph"; "push-pull"; "visit-exchange"; "combined" ]
+    ~label
+    ~graph:(fun (_, _, build) -> Sweep.Fixed build)
+    ~columns:(List.map Fun.const [ Protocol.push_pull; vx; comb ])
+    ~max_rounds:(fun (_, n, _) -> 60 * n)
+    ~render:(fun row -> times (label row))
+    ~notes:(fun _ ->
+      [
+        "push-pull is polynomial on the double star; visit-exchange is \
+         polynomial on the heavy tree; the combination is logarithmic on \
+         both";
+      ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* A1: agent density (Section 9 open problem)                          *)
@@ -705,40 +554,29 @@ let e10_run cfg profile ~seed =
 
 let a1_run cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
-  let d = max 6 (ilog2 n) in
-  let alphas = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
-  let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-  let rows =
-    List.mapi
-      (fun i a ->
-        let mvx =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:(Protocol.visit_exchange ~alpha:a ())
-            ~max_rounds:100_000
-        in
-        let mmx =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:(Protocol.meet_exchange ~alpha:a ())
-            ~max_rounds:100_000
-        in
-        [ Printf.sprintf "%.2f" a; time_cell mvx; time_cell mmx ])
-      alphas
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "the paper assumes |A| = Theta(n) and leaves sub-linear agent \
-           counts open (Section 9); broadcast slows gracefully as alpha \
-           shrinks";
-        ]
-      ~title:
-        (Printf.sprintf "A1: agent density sweep on random %d-regular, n = %d" d n)
-      ~claim:"ablation: |A| = alpha n for alpha in [1/4, 4]"
-      ~header:[ "alpha"; "visit-exchange"; "meet-exchange" ]
-      rows;
-  ]
+  let label = Printf.sprintf "%.2f" in
+  sweep cfg profile ~seed ~id:"A1"
+    ~title:
+      (Printf.sprintf "A1: agent density sweep on random %d-regular, n = %d"
+         (regular_d n) n)
+    ~claim:"ablation: |A| = alpha n for alpha in [1/4, 4]"
+    ~header:[ "alpha"; "visit-exchange"; "meet-exchange" ]
+    ~label
+    ~graph:(fun _ -> regular_graph n)
+    ~columns:
+      [
+        (fun alpha -> Protocol.visit_exchange ~alpha ());
+        (fun alpha -> Protocol.meet_exchange ~alpha ());
+      ]
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun a -> times (label a))
+    ~notes:(fun _ ->
+      [
+        "the paper assumes |A| = Theta(n) and leaves sub-linear agent \
+         counts open (Section 9); broadcast slows gracefully as alpha \
+         shrinks";
+      ])
+    [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* A2: lazy vs non-lazy walks on a bipartite graph (Section 3)         *)
@@ -746,83 +584,57 @@ let a1_run cfg profile ~seed =
 
 let a2_run cfg profile ~seed =
   let leaves = pick profile ~quick:512 ~full:2048 in
-  let graph _rng = (Gen_basic.star ~leaves, 0) in
   let cap = 2000 in
-  let cases =
+  let meetx laziness =
+    Protocol.Meet_exchange { agents = Placement.Linear alpha; laziness }
+  in
+  sweep cfg profile ~seed ~id:"A2"
+    ~title:(Printf.sprintf "A2: lazy walks on the bipartite star (n = %d)" (leaves + 1))
+    ~claim:
+      "Section 3: on bipartite graphs meet-exchange may never finish; lazy \
+       walks guarantee E[T_meetx] < infinity"
+    ~header:[ "variant"; "broadcast time"; "completed" ]
+    ~label:fst
+    ~graph:(fun _ -> Sweep.Fixed (fun () -> (Gen_basic.star ~leaves, 0)))
+    ~columns:[ snd ] ~max_rounds:(Fun.const cap)
+    ~render:(fun (label, _) ms ->
+      let m = ms.(0) in
+      let runs = Array.length m.Replicate.times in
+      [ label; time_cell m; Printf.sprintf "%d/%d" (runs - m.Replicate.capped) runs ])
+    ~notes:(fun _ ->
+      [
+        "the star is bipartite: non-lazy walks split into parity classes \
+         that never meet, so T_meetx = infinity unless walks are lazy \
+         (Section 3's remark)";
+        Printf.sprintf "round cap: %d" cap;
+      ])
     [
-      ("meet-exchange, lazy", Protocol.Meet_exchange { agents = Placement.Linear alpha; laziness = Protocol.Lazy_on });
-      ("meet-exchange, non-lazy", Protocol.Meet_exchange { agents = Placement.Linear alpha; laziness = Protocol.Lazy_off });
+      ("meet-exchange, lazy", meetx Protocol.Lazy_on);
+      ("meet-exchange, non-lazy", meetx Protocol.Lazy_off);
     ]
-  in
-  let rows =
-    List.mapi
-      (fun i (label, spec) ->
-        let m =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec ~max_rounds:cap
-        in
-        [
-          label;
-          time_cell m;
-          Printf.sprintf "%d/%d" (Array.length m.Replicate.times - m.Replicate.capped)
-            (Array.length m.Replicate.times);
-        ])
-      cases
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "the star is bipartite: non-lazy walks split into parity classes \
-           that never meet, so T_meetx = infinity unless walks are lazy \
-           (Section 3's remark)";
-          Printf.sprintf "round cap: %d" cap;
-        ]
-      ~title:(Printf.sprintf "A2: lazy walks on the bipartite star (n = %d)" (leaves + 1))
-      ~claim:
-        "Section 3: on bipartite graphs meet-exchange may never finish; lazy \
-         walks guarantee E[T_meetx] < infinity"
-      ~header:[ "variant"; "broadcast time"; "completed" ]
-      rows;
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* A3: stationary vs one-agent-per-vertex placement (Section 1)        *)
 (* ------------------------------------------------------------------ *)
 
 let a3_run cfg profile ~seed =
-  let ns = pick profile ~quick:[ 512; 1024 ] ~full:[ 512; 1024; 2048; 4096 ] in
-  let rows =
-    List.mapi
-      (fun i n ->
-        let d = max 6 (ilog2 n) in
-        let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-        let m_st =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:vx ~max_rounds:100_000
-        in
-        let m_opv =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:(Protocol.Visit_exchange { agents = Placement.One_per_vertex; laziness = Protocol.Lazy_off })
-            ~max_rounds:100_000
-        in
-        [ Printf.sprintf "%d (%d)" n d; time_cell m_st; time_cell m_opv ])
-      ns
+  let one_per_vertex =
+    Protocol.Visit_exchange { agents = Placement.One_per_vertex; laziness = Protocol.Lazy_off }
   in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "Section 1: \"our results for regular graphs hold also in the case \
-           where there is exactly one agent starting from each node\"";
-        ]
-      ~title:"A3: initial placement, stationary vs one-per-vertex (visit-exchange)"
-      ~claim:"placement choice does not change the broadcast time asymptotics on regular graphs"
-      ~header:[ "n (d)"; "stationary"; "one-per-vertex" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"A3"
+    ~title:"A3: initial placement, stationary vs one-per-vertex (visit-exchange)"
+    ~claim:"placement choice does not change the broadcast time asymptotics on regular graphs"
+    ~header:[ "n (d)"; "stationary"; "one-per-vertex" ]
+    ~label:regular_label ~graph:regular_graph
+    ~columns:(List.map Fun.const [ vx; one_per_vertex ])
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun n -> times (regular_label n))
+    ~notes:(fun _ ->
+      [
+        "Section 1: \"our results for regular graphs hold also in the case \
+         where there is exactly one agent starting from each node\"";
+      ])
+    (pick profile ~quick:[ 512; 1024 ] ~full:[ 512; 1024; 2048; 4096 ])
 
 (* ------------------------------------------------------------------ *)
 (* A4: bandwidth fairness (Section 1)                                  *)
@@ -885,113 +697,44 @@ let a4_run _cfg profile ~seed =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* A5: synchronous vs asynchronous rumor spreading (Section 2)         *)
-(* ------------------------------------------------------------------ *)
-
-let a5_run _cfg profile ~seed =
-  let ns = pick profile ~quick:[ 256; 512; 1024 ] ~full:[ 256; 512; 1024; 2048; 4096 ] in
-  let reps = reps profile in
-  let rows =
-    List.mapi
-      (fun i n ->
-        let d = max 6 (ilog2 n) in
-        let master = Rng.of_int (cell_seed seed i 0) in
-        let sync = Stats.create () and async_p = Stats.create () and async_pp = Stats.create () in
-        for _ = 1 to reps do
-          let rng = Rng.split master in
-          let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r = P.Engine.push rng g ~source:0 ~max_rounds:100_000 () in
-          Stats.add_int sync (P.Run_result.time_exn r);
-          (match
-             (P.Async_engine.push rng g ~variant:P.Async_push.Async_push ~source:0
-                ~max_time:1e6)
-               .P.Async_push.broadcast_time
-           with
-          | Some t -> Stats.add async_p t
-          | None -> ());
-          match
-            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull
-               ~source:0 ~max_time:1e6)
-              .P.Async_push.broadcast_time
-          with
-          | Some t -> Stats.add async_pp t
-          | None -> ()
-        done;
-        [
-          Printf.sprintf "%d (%d)" n d;
-          Printf.sprintf "%.1f" (Stats.mean sync);
-          Printf.sprintf "%.1f" (Stats.mean async_p);
-          Printf.sprintf "%.2f" (Stats.mean async_p /. Stats.mean sync);
-          Printf.sprintf "%.1f" (Stats.mean async_pp);
-        ])
-      ns
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "async time is continuous (one unit = one expected clock ring per \
-           vertex), directly comparable to synchronous rounds";
-          "Sauerwald [41]: on regular graphs asynchronous push matches \
-           synchronous push asymptotically — the ratio column should stay \
-           near a constant";
-        ]
-      ~title:"A5: synchronous vs asynchronous push on random d-regular"
-      ~claim:
-        "Section 2 (related work): asynchronous push has the same broadcast \
-         time as synchronous push on regular graphs"
-      ~header:[ "n (d)"; "sync push"; "async push"; "async/sync"; "async push-pull" ]
-      rows;
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* R1: sub-linear agents on random regular graphs (Section 9; [14])    *)
 (* ------------------------------------------------------------------ *)
 
+(* R1 and R2: meet-exchange with k agents from stationarity (lazy iff the
+   graph is bipartite), one row per k, read against a predicted time. *)
+let k_agents_sweep cfg profile ~seed ~id ~title ~claim ~header ~graph ~cap ~predicted ~notes ks =
+  sweep cfg profile ~seed ~id ~title ~claim ~header ~label:string_of_int
+    ~graph:(Fun.const graph) ~columns:
+      [
+        (fun k ->
+          Protocol.Meet_exchange { agents = Placement.Stationary k; laziness = Protocol.Lazy_auto });
+      ] ~max_rounds:(Fun.const cap)
+    ~render:(fun k ms ->
+      let p = predicted (float_of_int k) in
+      times (string_of_int k) ms
+      @ [ Printf.sprintf "%.0f" p; Printf.sprintf "%.2f" (Replicate.mean ms.(0) /. p) ])
+    ~notes:(Fun.const notes) ks
+
 let r1_run cfg profile ~seed =
   let n = pick profile ~quick:1024 ~full:4096 in
-  let d = max 6 (ilog2 n) in
   let ks = pick profile ~quick:[ 8; 16; 32; 64; 128 ] ~full:[ 8; 16; 32; 64; 128; 256; 512 ] in
-  let rows =
-    List.mapi
-      (fun i k ->
-        let graph rng = (Gen_random.random_regular_connected rng ~n ~d, 0) in
-        let spec =
-          Protocol.Meet_exchange
-            { agents = Placement.Stationary k; laziness = Protocol.Lazy_auto }
-        in
-        let m =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
-            ~max_rounds:(200 * n)
-        in
-        let t = Replicate.mean m in
-        let predicted = float_of_int n *. log (float_of_int k) /. float_of_int k in
-        [
-          string_of_int k;
-          time_cell m;
-          Printf.sprintf "%.0f" predicted;
-          Printf.sprintf "%.2f" (t /. predicted);
-        ])
-      ks
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf "random %d-regular, n = %d, k agents from stationarity" d n;
-          "Cooper-Frieze-Radzik [14]: E[T_meetx] = O(n log k / k) for k <= n \
-           random walks on random regular graphs — the last column should \
-           stay bounded as k varies";
-        ]
-      ~title:"R1: meet-exchange with k << n agents on random regular graphs"
-      ~claim:
-        "Section 9 open problem (sub-linear agents), calibrated against the \
-         [14] bound E[T] = O(n log k / k)"
-      ~header:[ "k"; "meet-exchange"; "n ln k / k"; "T / (n ln k / k)" ]
-      rows;
-  ]
+  k_agents_sweep cfg profile ~seed ~id:"R1"
+    ~title:"R1: meet-exchange with k << n agents on random regular graphs"
+    ~claim:
+      "Section 9 open problem (sub-linear agents), calibrated against the \
+       [14] bound E[T] = O(n log k / k)"
+    ~header:[ "k"; "meet-exchange"; "n ln k / k"; "T / (n ln k / k)" ]
+    ~graph:(regular_graph n) ~cap:(200 * n)
+    ~predicted:(fun k -> float_of_int n *. log k /. k)
+    ~notes:
+      [
+        Printf.sprintf "random %d-regular, n = %d, k agents from stationarity"
+          (regular_d n) n;
+        "Cooper-Frieze-Radzik [14]: E[T_meetx] = O(n log k / k) for k <= n \
+         random walks on random regular graphs — the last column should \
+         stay bounded as k varies";
+      ]
+    ks
 
 (* ------------------------------------------------------------------ *)
 (* R2: sub-linear agents on the torus (Section 9; [39], [35])          *)
@@ -1001,45 +744,23 @@ let r2_run cfg profile ~seed =
   let side = pick profile ~quick:24 ~full:48 in
   let n = side * side in
   let ks = pick profile ~quick:[ 4; 16; 64; 256 ] ~full:[ 4; 16; 64; 256; 1024 ] in
-  let rows =
-    List.mapi
-      (fun i k ->
-        let graph _rng = (Gen_basic.torus ~rows:side ~cols:side, 0) in
-        let spec =
-          Protocol.Meet_exchange
-            { agents = Placement.Stationary k; laziness = Protocol.Lazy_auto }
-        in
-        let m =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph ~spec
-            ~max_rounds:(500 * n)
-        in
-        let t = Replicate.mean m in
-        let predicted = float_of_int n /. sqrt (float_of_int k) in
-        [
-          string_of_int k;
-          time_cell m;
-          Printf.sprintf "%.0f" predicted;
-          Printf.sprintf "%.2f" (t /. predicted);
-        ])
-      ks
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf "%dx%d torus (n = %d), k agents, lazy walks (bipartite)" side side n;
-          "Pettarin et al. [39]: broadcast time on the 2-d grid is \
-           Theta~(n / sqrt k) — the normalized column should stay within a \
-           polylog band as k grows";
-        ]
-      ~title:"R2: meet-exchange with k agents on the 2-d torus"
-      ~claim:
-        "Section 2 (related work [39], [35]): k random walks spread a rumor \
-         on the 2-d grid in Theta~(n / sqrt k) rounds"
-      ~header:[ "k"; "meet-exchange"; "n / sqrt k"; "T / (n / sqrt k)" ]
-      rows;
-  ]
+  k_agents_sweep cfg profile ~seed ~id:"R2"
+    ~title:"R2: meet-exchange with k agents on the 2-d torus"
+    ~claim:
+      "Section 2 (related work [39], [35]): k random walks spread a rumor \
+       on the 2-d grid in Theta~(n / sqrt k) rounds"
+    ~header:[ "k"; "meet-exchange"; "n / sqrt k"; "T / (n / sqrt k)" ]
+    ~graph:(Sweep.Fixed (fun () -> (Gen_basic.torus ~rows:side ~cols:side, 0)))
+    ~cap:(500 * n)
+    ~predicted:(fun k -> float_of_int n /. sqrt k)
+    ~notes:
+      [
+        Printf.sprintf "%dx%d torus (n = %d), k agents, lazy walks (bipartite)" side side n;
+        "Pettarin et al. [39]: broadcast time on the 2-d grid is \
+         Theta~(n / sqrt k) — the normalized column should stay within a \
+         polylog band as k grows";
+      ]
+    ks
 
 (* ------------------------------------------------------------------ *)
 (* R6: push-pull vs the conductance bound (Section 2; [11])            *)
@@ -1058,45 +779,33 @@ let r6_run cfg profile ~seed =
       ("cycle n=128", Gen_basic.cycle 128, 0);
     ]
   in
-  let rows =
-    List.mapi
-      (fun i (label, g, source) ->
-        let n = Graph.n g in
-        let phi = Rumor_graph.Spectral.conductance_sweep ~iterations:2000 g in
-        let bound = log (float_of_int n) /. phi in
-        let m =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile)
-            ~graph:(fun _rng -> (g, source))
-            ~spec:Protocol.push_pull ~max_rounds:(1000 * n)
-        in
-        let t = Replicate.mean m in
-        [
-          label;
-          time_cell m;
+  sweep cfg profile ~seed ~id:"R6" ~title:"R6: push-pull against the conductance bound"
+    ~claim:
+      "Section 2 (related work [11]): push-pull completes in O(phi^-1 log \
+       n) rounds on any graph with conductance phi"
+    ~header:[ "graph"; "push-pull"; "phi"; "ln n / phi"; "T*phi/ln n" ]
+    ~label:(fun (label, _, _) -> label)
+    ~graph:(fun (_, g, source) -> Sweep.Fixed (fun () -> (g, source)))
+    ~columns:[ Fun.const Protocol.push_pull ]
+    ~max_rounds:(fun (_, g, _) -> 1000 * Graph.n g)
+    ~render:(fun (label, g, _) ms ->
+      let phi = Rumor_graph.Spectral.conductance_sweep ~iterations:2000 g in
+      let bound = log (float_of_int (Graph.n g)) /. phi in
+      times label ms
+      @ [
           Printf.sprintf "%.4f" phi;
           Printf.sprintf "%.0f" bound;
-          Printf.sprintf "%.2f" (t /. bound);
+          Printf.sprintf "%.2f" (Replicate.mean ms.(0) /. bound);
         ])
-      families
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          "phi is the sweep-cut conductance estimate (exact on the \
-           bottleneck families); the bound is (1/phi) ln n";
-          "Chierichetti et al. [11]: T_ppull = O(phi^-1 log n) — the last \
-           column must stay bounded by a constant across four orders of \
-           magnitude of phi";
-        ]
-      ~title:"R6: push-pull against the conductance bound"
-      ~claim:
-        "Section 2 (related work [11]): push-pull completes in O(phi^-1 log \
-         n) rounds on any graph with conductance phi"
-      ~header:[ "graph"; "push-pull"; "phi"; "ln n / phi"; "T*phi/ln n" ]
-      rows;
-  ]
+    ~notes:(fun _ ->
+      [
+        "phi is the sweep-cut conductance estimate (exact on the \
+         bottleneck families); the bound is (1/phi) ln n";
+        "Chierichetti et al. [11]: T_ppull = O(phi^-1 log n) — the last \
+         column must stay bounded by a constant across four orders of \
+         magnitude of phi";
+      ])
+    families
 
 (* ------------------------------------------------------------------ *)
 (* R7: meet-exchange vs the exact meeting time (Section 2; [16])       *)
@@ -1172,10 +881,13 @@ let a8_run _cfg profile ~seed =
   let n = pick profile ~quick:256 ~full:1024 in
   let families =
     [
-      ("star (bipartite)", (fun _rng -> (Gen_basic.star ~leaves:(n - 1), 0)), true);
+      ( "star (bipartite)",
+        (let star = Gen_basic.star ~leaves:(n - 1) in
+         fun _rng -> (star, 0)),
+        true );
       ( "random regular",
         (fun rng ->
-          (Gen_random.random_regular_connected rng ~n ~d:(max 6 (ilog2 n)), 0)),
+          (Gen_random.random_regular_connected rng ~n ~d:(regular_d n), 0)),
         false );
     ]
   in
@@ -1245,93 +957,60 @@ let a8_run _cfg profile ~seed =
 (* A9: sync/async push agree to a constant (Section 2, [41])           *)
 (* ------------------------------------------------------------------ *)
 
-(* The async kernel's end-to-end sanity gate.  Sauerwald [41] shows
+(* The async kernels' end-to-end sanity gate.  Sauerwald [41] shows
    asynchronous push matches synchronous push asymptotically on regular
    graphs, and both are Theta(log n) on G(n,p) above the connectivity
    threshold — so the mean async/sync ratio must sit inside a fixed
-   constant band.  Unlike A5 (which calls the kernels directly), both
-   columns here go through Protocol/measure_cell, so the async column runs
-   on Async_engine's superposed-clock kernel exactly as every other suite
-   cell does; the verdict column doubles as a Theorem-level regression
-   check on that kernel. *)
+   constant band.  Every column goes through Protocol, as every other
+   suite cell does, so the async columns run on Async_engine's
+   superposed-clock kernel; the verdict column doubles as a Theorem-level
+   regression check on that kernel. *)
 let a9_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512 ] ~full:[ 512; 1024; 2048; 4096 ] in
-  let reps = reps profile in
   let lo = 1.0 /. 3.0 and hi = 3.0 in
-  (* p = 2 ln n / n is comfortably above the ln n / n threshold; resample
-     the rare disconnected draw like random_regular_connected does *)
-  let connected_er rng ~n ~p =
-    let rec go () =
-      let g = Gen_random.erdos_renyi rng ~n ~p in
-      if Rumor_graph.Algo.is_connected g then g else go ()
-    in
-    go ()
-  in
-  let models =
-    [
-      ( "G(n,p)",
-        fun n ->
-          let p = 2.0 *. log (float_of_int n) /. float_of_int n in
-          fun rng -> (connected_er rng ~n ~p, 0) );
-      ( "random regular",
-        fun n ->
-          let d = max 6 (ilog2 n) in
-          fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0) );
-    ]
-  in
+  let gnp n = Sweep.Sampled (fun rng -> (connected_er rng ~n, 0)) in
+  (* row i is model index * |ns| + size index *)
   let rows =
-    List.concat
-      (List.mapi
-         (fun mi (model, graph_of_n) ->
-           List.mapi
-             (fun ni n ->
-               let i = (mi * List.length ns) + ni in
-               let graph = graph_of_n n in
-               let m_sync =
-                 measure_cell cfg ~seed:(cell_seed seed i 0) ~reps ~graph
-                   ~spec:Protocol.push ~max_rounds:100_000
-               in
-               let m_async =
-                 measure_cell cfg ~seed:(cell_seed seed i 1) ~reps ~graph
-                   ~spec:Protocol.async_push ~max_rounds:100_000
-               in
-               let ratio = Replicate.mean m_async /. Replicate.mean m_sync in
-               [
-                 model;
-                 string_of_int n;
-                 time_cell m_sync;
-                 time_cell m_async;
-                 Printf.sprintf "%.2f" ratio;
-                 (if ratio >= lo && ratio <= hi then "ok" else "FAIL");
-               ])
-             ns)
-         models)
+    List.concat_map
+      (fun (model, graph) -> List.map (fun n -> (model, n, graph n)) ns)
+      [ ("G(n,p)", gnp); ("random regular", regular_graph) ]
   in
-  [
-    Table.make
-      ~aligns:
-        [
-          Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right;
-        ]
-      ~notes:
-        [
-          "async push times are continuous and rounded up to integer marks \
-           by to_run_result; one time unit = one expected clock ring per \
-           vertex, directly comparable to a synchronous round";
-          Printf.sprintf
-            "verdict is ok iff the mean async/sync ratio lies in [%.2f, %.2f] \
-             — the constant band the asymptotic agreement predicts" lo hi;
-          "the async column runs on the superposed-clock kernel \
-           (Async_engine), making this a Theorem-level check of that kernel";
-        ]
-      ~title:"A9: sync vs async push on G(n,p) and random regular"
-      ~claim:
-        "Section 2 ([41]): asynchronous push completes within a constant \
-         factor of synchronous push on G(n,p) and random-regular graphs"
-      ~header:[ "graph"; "n"; "sync push"; "async push"; "async/sync"; "verdict" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"A9"
+    ~title:"A9: sync vs async push on G(n,p) and random regular"
+    ~claim:
+      "Section 2 ([41]): asynchronous push completes within a constant \
+       factor of synchronous push on G(n,p) and random-regular graphs"
+    ~header:
+      [ "graph"; "n"; "sync push"; "async push"; "async/sync"; "async push-pull"; "verdict" ]
+    ~label:(fun (model, n, _) -> Printf.sprintf "%s %d" model n)
+    ~graph:(fun (_, _, graph) -> graph)
+    ~columns:(List.map Fun.const [ Protocol.push; Protocol.async_push; Protocol.async_push_pull ])
+    ~max_rounds:(Fun.const 100_000)
+    ~render:(fun (model, n, _) ms ->
+      let r = Replicate.mean ms.(1) /. Replicate.mean ms.(0) in
+      [
+        model;
+        string_of_int n;
+        time_cell ms.(0);
+        time_cell ms.(1);
+        Printf.sprintf "%.2f" r;
+        time_cell ms.(2);
+        (if r >= lo && r <= hi then "ok" else "FAIL");
+      ])
+    ~notes:(fun _ ->
+      [
+        "async times are continuous and rounded up to integer marks by \
+         to_run_result; one time unit = one expected clock ring per \
+         vertex, directly comparable to a synchronous round";
+        Printf.sprintf
+          "verdict is ok iff the mean async/sync push ratio lies in [%.2f, \
+           %.2f] — the constant band the asymptotic agreement predicts; \
+           async push-pull is shown alongside, ungated"
+          lo hi;
+        "the async columns run on the superposed-clock kernel \
+         (Async_engine), making this a Theorem-level check of that kernel";
+      ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* A10: dense vs sparse walker representations agree distributionally  *)
@@ -1352,13 +1031,6 @@ let a10_run cfg profile ~seed =
   let seeds_per_cell = 3 in
   let phi = 1.618033988749895 in
   let lo = 1.0 /. phi and hi = phi in
-  let connected_er rng ~n ~p =
-    let rec go () =
-      let g = Gen_random.erdos_renyi rng ~n ~p in
-      if Rumor_graph.Algo.is_connected g then g else go ()
-    in
-    go ()
-  in
   let side = int_of_float (Float.round (sqrt (float_of_int n))) in
   let families =
     [
@@ -1368,12 +1040,9 @@ let a10_run cfg profile ~seed =
       ( Printf.sprintf "torus %dx%d" side side,
         let g = Gen_basic.torus ~rows:side ~cols:side in
         fun _rng -> (g, 0) );
-      ( "G(n,p)",
-        let p = 2.0 *. log (float_of_int n) /. float_of_int n in
-        fun rng -> (connected_er rng ~n ~p, 0) );
+      ("G(n,p)", fun rng -> (connected_er rng ~n, 0));
       ( "random regular",
-        let d = max 6 (ilog2 n) in
-        fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0) );
+        fun rng -> (Gen_random.random_regular_connected rng ~n ~d:(regular_d n), 0) );
     ]
   in
   let specs = [ ("visit-exchange", vx); ("meet-exchange", mx) ] in
@@ -1382,8 +1051,8 @@ let a10_run cfg profile ~seed =
      of a pair, so the comparison is paired: same graphs, same placements,
      independent walk randomness past the divergence point. *)
   let measure_walkers ~walkers ~seed ~graph ~spec =
-    measure_cell { cfg with walkers } ~seed ~reps ~graph ~spec
-      ~max_rounds:(100 * n)
+    Replicate.broadcast_times ?sink:cfg.Sweep.metrics ~graph_name:"A10" ~jobs:cfg.jobs
+      ?trace:cfg.trace ~walkers ~seed ~reps ~graph ~spec ~max_rounds:(100 * n) ()
   in
   let rows =
     List.concat
@@ -1393,15 +1062,12 @@ let a10_run cfg profile ~seed =
              (fun si (sname, spec) ->
                let i = (fi * List.length specs) + si in
                let mean_over walkers =
-                 let acc = ref 0.0 in
-                 for s = 0 to seeds_per_cell - 1 do
-                   let m =
-                     measure_walkers ~walkers ~seed:(cell_seed seed i s) ~graph
-                       ~spec
-                   in
-                   acc := !acc +. Replicate.mean m
-                 done;
-                 !acc /. float_of_int seeds_per_cell
+                 let mean s =
+                   Replicate.mean
+                     (measure_walkers ~walkers ~seed:(cell_seed seed i s) ~graph ~spec)
+                 in
+                 List.fold_left ( +. ) 0.0 (List.init seeds_per_cell mean)
+                 /. float_of_int seeds_per_cell
                in
                let dense = mean_over Protocol.Dense in
                let sparse = mean_over Protocol.Sparse in
@@ -1454,53 +1120,37 @@ let a10_run cfg profile ~seed =
 (* ------------------------------------------------------------------ *)
 
 let r9_run cfg profile ~seed =
-  let ns = pick profile ~quick:[ 512; 1024; 2048 ] ~full:[ 512; 1024; 2048; 4096; 8192 ] in
   let m = 4 in
-  let rows =
-    List.mapi
-      (fun i n ->
-        let graph rng = (Gen_random.preferential_attachment rng ~n ~m, 0) in
-        let m_push =
-          measure_cell cfg ~seed:(cell_seed seed i 0) ~reps:(reps profile) ~graph
-            ~spec:Protocol.push ~max_rounds:(100 * n)
-        in
-        let m_ppull =
-          measure_cell cfg ~seed:(cell_seed seed i 1) ~reps:(reps profile) ~graph
-            ~spec:Protocol.push_pull ~max_rounds:(100 * n)
-        in
-        let m_vx =
-          measure_cell cfg ~seed:(cell_seed seed i 2) ~reps:(reps profile) ~graph
-            ~spec:vx ~max_rounds:(100 * n)
-        in
-        [
-          string_of_int n;
-          time_cell m_push;
-          time_cell m_ppull;
-          Printf.sprintf "%.2f" (Replicate.mean m_push /. Replicate.mean m_ppull);
-          time_cell m_vx;
-        ])
-      ns
-  in
-  [
-    Table.make
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~notes:
-        [
-          Printf.sprintf
-            "Barabasi-Albert preferential attachment, m = %d edges per new \
-             vertex (power-law degrees)" m;
-          "Chierichetti-Lattanzi-Panconesi [12] and Doerr-Fouz-Friedrich \
-           [17]: push-pull is fast (even sublogarithmic) on \
-           preferential-attachment graphs while push pays for the hubs' \
-           coupon collection — the push/push-pull ratio should grow with n";
-        ]
-      ~title:"R9: push vs push-pull on preferential-attachment graphs"
-      ~claim:
-        "Section 1/2 (related work [12], [17]): push-pull is significantly \
-         faster than push on social-network models"
-      ~header:[ "n"; "push"; "push-pull"; "push/ppull"; "visit-exchange" ]
-      rows;
-  ]
+  sweep cfg profile ~seed ~id:"R9"
+    ~title:"R9: push vs push-pull on preferential-attachment graphs"
+    ~claim:
+      "Section 1/2 (related work [12], [17]): push-pull is significantly \
+       faster than push on social-network models"
+    ~header:[ "n"; "push"; "push-pull"; "push/ppull"; "visit-exchange" ]
+    ~label:string_of_int
+    ~graph:(fun n ->
+      Sweep.Sampled (fun rng -> (Gen_random.preferential_attachment rng ~n ~m, 0)))
+    ~columns:(List.map Fun.const [ Protocol.push; Protocol.push_pull; vx ])
+    ~max_rounds:(fun n -> 100 * n)
+    ~render:(fun n ms ->
+      [
+        string_of_int n;
+        time_cell ms.(0);
+        time_cell ms.(1);
+        ratio ms.(0) ms.(1);
+        time_cell ms.(2);
+      ])
+    ~notes:(fun _ ->
+      [
+        Printf.sprintf
+          "Barabasi-Albert preferential attachment, m = %d edges per new \
+           vertex (power-law degrees)" m;
+        "Chierichetti-Lattanzi-Panconesi [12] and Doerr-Fouz-Friedrich \
+         [17]: push-pull is fast (even sublogarithmic) on \
+         preferential-attachment graphs while push pays for the hubs' \
+         coupon collection — the push/push-pull ratio should grow with n";
+      ])
+    (pick profile ~quick:[ 512; 1024; 2048 ] ~full:[ 512; 1024; 2048; 4096; 8192 ])
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -1522,7 +1172,6 @@ let all =
     { id = "A2"; title = "lazy walk ablation"; paper_ref = "Section 3"; run = a2_run };
     { id = "A3"; title = "placement ablation"; paper_ref = "Section 1"; run = a3_run };
     { id = "A4"; title = "bandwidth fairness ablation"; paper_ref = "Section 1"; run = a4_run };
-    { id = "A5"; title = "sync vs async rumor spreading"; paper_ref = "Section 2, [41]"; run = a5_run };
     { id = "A8"; title = "continuous-time meet-exchange"; paper_ref = "Section 2, [33], [34]"; run = a8_run };
     { id = "A9"; title = "sync vs async push constant-factor gate"; paper_ref = "Section 2, [41]"; run = a9_run };
     { id = "A10"; title = "dense vs sparse walker distributional gate"; paper_ref = "Sections 3, 9"; run = a10_run };
@@ -1537,16 +1186,15 @@ let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> String.uppercase_ascii e.id = id) all
 
-let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
-    profile ~seed =
+let select ids walkers =
   let selected =
     match ids with
-    | None -> all
-    | Some wanted ->
-        List.filter_map
+    | [] -> all
+    | wanted ->
+        List.map
           (fun id ->
             match find id with
-            | Some e -> Some e
+            | Some e -> e
             | None ->
                 invalid_arg
                   (Printf.sprintf "unknown experiment %s (known: %s)" id
@@ -1559,16 +1207,13 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
     invalid_arg
       "--walkers sparse cannot run E10: the combined protocol has no \
        sparse-walker kernel (pick other experiments, or dense/auto walkers)";
-  let run_one e =
-    (* label each record with the experiment id, which is more useful
-       downstream than the anonymous per-cell graph closures *)
-    let metrics =
-      Option.map
-        (fun sink r -> sink { r with Rumor_obs.Run_record.graph = e.id })
-        metrics
-    in
-    let cfg = { metrics; jobs; walkers; trace } in
-    (* one span per experiment, so the trace timeline reads as E1, E2, ... *)
-    Rumor_obs.Trace.with_span trace e.id (fun () -> e.run cfg profile ~seed)
-  in
-  List.map (fun e -> (e, run_one e)) selected
+  selected
+
+let run_one (cfg : Sweep.config) profile ~seed e =
+  (* one span per experiment, so the trace timeline reads as E1, E2, ... *)
+  Rumor_obs.Trace.with_span cfg.trace e.id (fun () -> e.run cfg profile ~seed)
+
+let run_all ?(ids = []) ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
+    profile ~seed =
+  let cfg = { Sweep.metrics; jobs; walkers; trace } in
+  List.map (fun e -> (e, run_one cfg profile ~seed e)) (select ids walkers)

@@ -17,7 +17,7 @@ let test_expected_ids_present () =
       | None -> Alcotest.failf "experiment %s missing" id)
     [
       "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "A1"; "A2";
-      "A3"; "A4"; "A5"; "A8"; "A9"; "A10"; "R1"; "R2"; "R6"; "R7"; "R9";
+      "A3"; "A4"; "A8"; "A9"; "A10"; "R1"; "R2"; "R6"; "R7"; "R9";
     ]
 
 let test_find_case_insensitive () =
@@ -34,7 +34,7 @@ let test_every_experiment_has_paper_ref () =
     Experiments.all
 
 let test_run_all_unknown_id_rejected () =
-  Alcotest.(check int) "kept experiments" 23 (List.length Experiments.all);
+  Alcotest.(check int) "kept experiments" 22 (List.length Experiments.all);
   (* the retired related-work scenarios are unknown ids too *)
   List.iter
     (fun id ->
@@ -54,7 +54,7 @@ let test_run_all_unknown_id_rejected () =
 let run_one id =
   match Experiments.find id with
   | None -> Alcotest.failf "experiment %s missing" id
-  | Some e -> e.Experiments.run Experiments.default_config Experiments.Quick ~seed:3
+  | Some e -> e.Experiments.run Rumor_sim.Sweep.default_config Experiments.Quick ~seed:3
 
 let test_e9_invariants_zero () =
   match run_one "E9" with

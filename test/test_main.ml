@@ -43,6 +43,7 @@ let () =
       ("sim.replicate", Test_replicate.suite);
       ("sim.table", Test_table.suite);
       ("sim.sparkline", Test_sparkline.suite);
+      ("sim.sweep", Test_sweep.suite);
       ("sim.experiments", Test_experiments.suite);
       ("sim.invariants", Test_invariants.suite);
       ("sim.curve_stats", Test_curve_stats.suite);
