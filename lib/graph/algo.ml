@@ -69,8 +69,117 @@ let component_count g =
   let label = components g in
   Array.fold_left max (-1) label + 1
 
-(* one BFS from vertex 0 over a byte-per-vertex seen set; no labels *)
+(* Reachability from vertex 0 needs no BFS levels, so the search may change
+   direction (Beamer, Asanovic and Patterson, SC 2012).  It runs top-down,
+   level by level, while the frontier (the level about to be scanned) is
+   thin, then switches to bottom-up sweeps over the unseen vertices: each
+   scans its slice only until it finds a seen neighbour, and one seen
+   earlier in the same sweep counts.  The sweeps list the unseen vertices
+   in the queue's own tail, from position [tail] on, and swap each newly
+   seen one to position [tail], so queue.(0 .. tail-1) stays the seen set
+   in discovery order.
+
+   After a full sweep, no vertex still unseen has a neighbour seen before
+   that sweep began: its whole slice was scanned and none was seen then.
+   So a sweep that sees nothing settles the answer (false), and a sweep
+   whose failed vertices keep more than half of the unseen arcs hands back
+   to top-down search from the sweep's first discovery: the earlier queue
+   needs no scan.  The sweeps skip the vertices of degree 0, so each vertex
+   they visit has an arc and a sweep costs at most twice the unseen arcs;
+   each sweep that goes on halves those.  Top-down scans a vertex at most
+   once, so the whole run is O(n + m).
+
+   Every index below is in range by construction: arc heads are vertex
+   ids, below n in any graph a constructor returns; a vertex enters the
+   queue once, so [tail] < n while one is still unseen; and head <= tail,
+   p < n.  Hence the unchecked accesses in the loops. *)
+
+type cursors = { mutable head : int; mutable tail : int }
+
+(* Beamer et al.'s alpha: a frontier wider than 1/14 of the unseen
+   vertices is worth a bottom-up sweep *)
+let wide = 14
+
+(* Top-down search from [c.head], a level boundary, until all n vertices
+   are seen or the queue runs out.  With [switch] it stops instead at the
+   first level boundary where the level is wide: it holds more than
+   1/[wide] of the unseen vertices, and at least n arcs at a lower bound of
+   the mean degree of the vertices scanned so far (each found
+   (tail-1)/head new ones, plus the arc back to its parent).  The arc floor
+   pays for the sweeps' O(n) listing pass with top-down scans saved, and
+   keeps trees and paths top-down: there a sweep saves nothing. *)
 (* lint: hot *)
+let top_down g seen queue c ~switch =
+  let n = Graph.n g in
+  let head = ref c.head and tail = ref c.tail and go = ref true in
+  while !go && !head < !tail && !tail < n do
+    let level = !tail - !head in
+    if switch && level * wide > n - !tail && level * (!tail - 1 + !head) >= n * !head
+    then go := false
+    else begin
+      let stop = !tail in
+      while !head < stop && !tail < n do
+        let u = Array.unsafe_get queue !head in
+        incr head;
+        for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+          let v = Graph.arc_head g i in
+          if Bytes.unsafe_get seen v = '\000' then begin
+            Bytes.unsafe_set seen v '\001';
+            Array.unsafe_set queue !tail v;
+            incr tail
+          end
+        done
+      done
+    end
+  done;
+  c.head <- !head;
+  c.tail <- !tail
+
+(* Bottom-up sweeps over the vertices not in queue.(0 .. c.tail-1), until
+   one settles the answer or hands back; [c.head] goes to the last sweep's
+   start, where top-down search goes on (at once done if that sweep saw
+   nothing).  An unseen vertex of degree 0 is never seen, so it is left
+   out of the list: queue.(tail .. last-1) holds the unseen vertices with
+   an arc. *)
+(* lint: hot *)
+let sweep_bottom_up g seen queue c =
+  let n = Graph.n g in
+  let tail = ref c.tail in
+  let p = ref !tail and unseen_arcs = ref 0 in
+  for v = 0 to n - 1 do
+    let dv = Graph.degree g v in
+    if Bytes.unsafe_get seen v = '\000' && dv > 0 then begin
+      Array.unsafe_set queue !p v;
+      incr p;
+      unseen_arcs := !unseen_arcs + dv
+    end
+  done;
+  let last = !p in
+  let head = ref (-1) and failed_arcs = ref 0 and i = ref 0 in
+  while !head < 0 do
+    let start = !tail in
+    failed_arcs := 0;
+    for p = start to last - 1 do
+      let w = Array.unsafe_get queue p in
+      let lo = Graph.first_arc g w and hi = Graph.first_arc g (w + 1) in
+      i := lo;
+      while !i < hi && Bytes.unsafe_get seen (Graph.arc_head g !i) = '\000' do
+        incr i
+      done;
+      if !i < hi then begin
+        Bytes.unsafe_set seen w '\001';
+        Array.unsafe_set queue p (Array.unsafe_get queue !tail);
+        Array.unsafe_set queue !tail w;
+        incr tail
+      end
+      else failed_arcs := !failed_arcs + (hi - lo)
+    done;
+    if !tail = last || !tail = start || 2 * !failed_arcs > !unseen_arcs then head := start
+    else unseen_arcs := !failed_arcs
+  done;
+  c.head <- !head;
+  c.tail <- !tail
+
 let is_connected g =
   let n = Graph.n g in
   n <= 1
@@ -78,20 +187,13 @@ let is_connected g =
   let seen = Bytes.make n '\000' in
   let queue = Array.make n 0 (* queue.(0) = 0, the start *) in
   Bytes.set seen 0 '\001';
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail && !tail < n do
-    let u = queue.(!head) in
-    incr head;
-    for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
-      let v = Graph.arc_head g i in
-      if Bytes.get seen v = '\000' then begin
-        Bytes.set seen v '\001';
-        queue.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  !tail = n
+  let c = { head = 0; tail = 1 } in
+  top_down g seen queue c ~switch:true;
+  if c.head < c.tail && c.tail < n then begin
+    sweep_bottom_up g seen queue c;
+    top_down g seen queue c ~switch:false
+  end;
+  c.tail = n
 
 let eccentricity g src =
   let dist = bfs_distances g src in

@@ -75,13 +75,14 @@ let complete_builder ?trace n =
   Graph.Builder.finish b
 
 (* The regular sampler's scratch tables (stubs, neighbour lists) hold
-   4-byte ids in [Bytes]: half an [int array]'s footprint, 24 KB each for
-   a 500 x 12 draw.  Every index is below n d by construction, hence the
+   unsigned 4-byte entries in [Bytes]: vertex ids, or stub indices below
+   n d <= 2^32.  That is half an [int array]'s footprint, 24 KB each for a
+   500 x 12 draw.  Every index is below n d by construction, hence the
    unchecked accesses. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-let[@inline] id b i = Int32.to_int (get32u b (4 * i))
+let[@inline] id b i = Int32.to_int (get32u b (4 * i)) land 0xFFFF_FFFF
 let[@inline] set_id b i v = set32u b (4 * i) (Int32.of_int v)
 
 (* Configuration-model pairing followed by defect repair: loops and parallel
@@ -118,6 +119,10 @@ and complement ?trace g =
   Graph.Builder.finish b
 
 and random_regular_sparse ?trace rng ~n ~d =
+  if n * d > 1 lsl 32 then
+    invalid_arg
+      (Printf.sprintf "Gen_random.random_regular: %d stubs; stub indices must fit in 32 bits"
+         (n * d));
   let half = n * d / 2 in
   (* The healthy edges as a pair set without hashing: vertex v's slots
      [v*d, v*d + cnt.(v)) of [nbr] hold the other endpoint of each healthy
@@ -125,6 +130,8 @@ and random_regular_sparse ?trace rng ~n ~d =
      edges; a lookup scans at most d slots. *)
   let nbr = Bytes.create (4 * n * d) in
   let cnt = Array.make n 0 in
+  (* the pair test's stamps: [mark.(x) = u] once a pair {u, x} is seen at u *)
+  let mark = Array.make n (-1) in
   (* slot of edge {a, b} in a's list, or -1 *)
   let slot a b =
     let s = ref (a * d) and hi = (a * d) + cnt.(a) in
@@ -158,37 +165,53 @@ and random_regular_sparse ?trace rng ~n ~d =
       set_id stubs i (id stubs j);
       set_id stubs j t
     done;
+    (* A loop, or a repeat of an earlier pair, is defective: the healthy
+       pairs are the first occurrences of the non-loop pairs, and a pair
+       {u, x} is first at u exactly when it is first at x.  First, [nbr]
+       lists each vertex's d stubs in ascending order (w's in its slots
+       [w*d, w*d + d)), so that its pairs come in index order.  Then, at
+       each vertex u, the partner x of each pair is stamped with u in
+       [mark]: a partner that is u (a loop) or already stamped u (a repeat)
+       flags the pair in [pending], and any other is written back into u's
+       own slots, below the stub being read.  That leaves in [nbr] the
+       healthy edges at each vertex in pair order, as linking them pair by
+       pair would.  Last, one ascending pass lists the defective indices in
+       [bad], in index order; [pending] flags those not yet repaired. *)
     Array.fill cnt 0 n 0;
-    (* a loop, or a repeat of an earlier edge, is defective; [bad] lists
-       the defective indices in the order they are found, and [pending]
-       flags those not yet repaired *)
+    for s = 0 to (n * d) - 1 do
+      let w = id stubs s in
+      let c = Array.unsafe_get cnt w in
+      set_id nbr ((w * d) + c) s;
+      Array.unsafe_set cnt w (c + 1)
+    done;
+    Array.fill mark 0 n (-1);
+    let pending = Bytes.make half '\000' in
+    for u = 0 to n - 1 do
+      let c = ref (u * d) in
+      for k = u * d to (u * d) + d - 1 do
+        let s = id nbr k in
+        let x = id stubs (s lxor 1) in
+        if x = u || Array.unsafe_get mark x = u then
+          Bytes.unsafe_set pending (s lsr 1) '\001'
+        else begin
+          Array.unsafe_set mark x u;
+          set_id nbr !c x;
+          incr c
+        end
+      done;
+      Array.unsafe_set cnt u (!c - (u * d))
+    done;
     let bad = ref (Array.make 64 0) in
     let nbad = ref 0 in
-    let pending = Bytes.make half '\000' in
     for i = 0 to half - 1 do
-      let u = id stubs (2 * i) and v = id stubs ((2 * i) + 1) in
-      (* [hit] turns negative iff u = v or v stands in one of u's cnt.(u)
-         live slots: a scan of all d slots with the dead ones masked by
-         k - cnt.(u) >= 0, and no exit to mispredict (ids are >= 0, so
-         (x lxor v) - 1 < 0 iff x = v) *)
-      let base = u * d and live = cnt.(u) in
-      let hit = ref ((u lxor v) - 1) in
-      for k = 0 to d - 1 do
-        hit := !hit lor (((id nbr (base + k) lxor v) - 1) land (k - live))
-      done;
-      if !hit < 0 then begin
+      if Bytes.unsafe_get pending i <> '\000' then begin
         if !nbad = Array.length !bad then begin
           let grown = Array.make (2 * !nbad) 0 in
           Array.blit !bad 0 grown 0 !nbad;
           bad := grown
         end;
         !bad.(!nbad) <- i;
-        incr nbad;
-        Bytes.set pending i '\001'
-      end
-      else begin
-        link u v;
-        link v u
+        incr nbad
       end
     done;
     (* Repair each defective pair by switching with a random healthy edge,

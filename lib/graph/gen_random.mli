@@ -32,9 +32,8 @@ val random_regular :
     contiguity-equivalent for the structural properties measured here.
     For [2d > n] it samples the [(n-1-d)]-regular complement instead, and
     [d = n-1] is the complete graph.  Requires [n*d] even, [0 < d < n].
-    A pair test scans one vertex's at most d healthy edges, so a pairing
-    costs O(n d^2) and a switch proposal O(d): instant for the
-    d = O(log n) range used here.
+    Testing a pairing costs O(n d), and a switch proposal O(d): it scans
+    one vertex's at most d healthy edges.
 
     The sparse path ([2d <= n]) builds no edge list: once repaired, every
     vertex holds its d neighbours, and one transpose (each vertex a, in
@@ -42,19 +41,28 @@ val random_regular :
     with every slice already sorted, which {!Graph.of_csr} checks in
     O(n d).  The graph is the CSR the {!Graph.Builder} would make of the
     same edges, from the same draws.  The pairing keeps its stubs and
-    neighbour lists as 4-byte ids in bytes, shuffles the stubs with
-    {!Rumor_prob.Rng.shuffle}'s draws written inline, and tests each new
-    pair against all d slots of its vertex in one masked scan with no
-    early exit.  A connected 500-vertex 12-regular draw, as in Theorem 1's
-    experiments, costs 230–340 µs, median 270 (release build, 2-vCPU VM,
-    best of 9 × 1000 draws in each of 6 processes; 253–398 µs, median 384,
-    with [int array] tables and an early-exit scan).  [?trace] records
+    neighbour lists as 4-byte entries in bytes and shuffles the stubs
+    with {!Rumor_prob.Rng.shuffle}'s draws written inline.  A pair is
+    defective iff it is a loop or repeats an earlier pair.  The test finds
+    these in three linear passes rather than pair by pair: it groups each
+    vertex's d stubs in index order, stamps each partner with the vertex
+    to flag loops and repeats (a pair is a first occurrence at one end
+    exactly when it is one at the other), and lists the flagged pairs in
+    index order.  That flags the same pairs, and leaves the same healthy
+    lists in the same order, as testing each pair against the healthy
+    edges before it, so the repair makes the same draws.  A connected
+    500-vertex 12-regular draw, as in Theorem 1's experiments, costs
+    149–160 µs, median 155 (release build, 2-vCPU VM, best of 9 × 1000
+    draws in each of 6 processes, alternating; 196–206 µs, median 200, on
+    the same host with the pair-by-pair test, a masked scan of all d
+    slots, and a top-down connectivity check).  [?trace] records
     the pairing and repair as ["graph.edge_gen"] and the transpose with
     its check as ["graph.csr_fill"], plus the ["edges_built"] counter; the
     complement and complete paths go through the Builder and record its
     spans.
-    @raise Invalid_argument if [n > Graph.max_vertices], before anything
-    is sized by [n d].
+    @raise Invalid_argument if [n > Graph.max_vertices], or if the sparse
+    path would need [n d > 2^32] stubs (its 4-byte entries hold stub
+    indices), before anything is sized by [n d].
     @raise Failure if 101 pairings in a row exhaust their switch budget. *)
 
 val random_regular_connected :

@@ -7,55 +7,64 @@ let pi_weights g =
   let total = float_of_int (Graph.total_degree g) in
   Array.init (Graph.n g) (fun v -> float_of_int (Graph.degree g v) /. total)
 
+(* the neighbour sum runs over u's CSR slice in slot order, with a local
+   float accumulator: no closure, and no float boxed per arc *)
+(* lint: hot *)
 let lazy_step g x y =
   let n = Graph.n g in
+  let sum = ref 0.0 in
   for u = 0 to n - 1 do
-    let sum = Graph.fold_neighbors g u (fun acc v -> acc +. x.(v)) 0.0 in
-    y.(u) <- (0.5 *. x.(u)) +. (0.5 *. sum /. float_of_int (Graph.degree g u))
+    sum := 0.0;
+    for i = Graph.first_arc g u to Graph.first_arc g (u + 1) - 1 do
+      sum := !sum +. x.(Graph.arc_head g i)
+    done;
+    y.(u) <- (0.5 *. x.(u)) +. (0.5 *. !sum /. float_of_int (Graph.degree g u))
   done
+
+(* The pi-weighted inner product and the steps of one iteration, inlined
+   into [iterate] so that no float is boxed per iteration. *)
+let[@inline] dot pi x y =
+  let sum = ref 0.0 in
+  for v = 0 to Array.length pi - 1 do
+    sum := !sum +. (pi.(v) *. x.(v) *. y.(v))
+  done;
+  !sum
+
+(* remove the component along the constant vector *)
+let[@inline] deflate pi x =
+  let mean = ref 0.0 in
+  for v = 0 to Array.length pi - 1 do
+    mean := !mean +. (pi.(v) *. x.(v))
+  done;
+  for v = 0 to Array.length pi - 1 do
+    x.(v) <- x.(v) -. !mean
+  done
+
+let[@inline] normalize pi x =
+  let norm = sqrt (dot pi x x) in
+  if norm > 0.0 then
+    for v = 0 to Array.length pi - 1 do
+      x.(v) <- x.(v) /. norm
+    done
 
 let iterate ?(iterations = 300) g =
   if not (Algo.is_connected g) then invalid_arg "Spectral: disconnected graph";
   let n = Graph.n g in
   if iterations < 1 then invalid_arg "Spectral: iterations < 1";
   let pi = pi_weights g in
-  let dot x y =
-    let sum = ref 0.0 in
-    for v = 0 to n - 1 do
-      sum := !sum +. (pi.(v) *. x.(v) *. y.(v))
-    done;
-    !sum
-  in
-  let deflate x =
-    (* remove the component along the constant vector *)
-    let mean = ref 0.0 in
-    for v = 0 to n - 1 do
-      mean := !mean +. (pi.(v) *. x.(v))
-    done;
-    for v = 0 to n - 1 do
-      x.(v) <- x.(v) -. !mean
-    done
-  in
-  let normalize x =
-    let norm = sqrt (dot x x) in
-    if norm > 0.0 then
-      for v = 0 to n - 1 do
-        x.(v) <- x.(v) /. norm
-      done
-  in
   (* deterministic, aperiodic initial vector *)
   let x = Array.init n (fun v -> sin (float_of_int (v + 1))) in
   let y = Array.make n 0.0 in
-  deflate x;
-  normalize x;
+  deflate pi x;
+  normalize pi x;
   for _ = 1 to iterations do
     lazy_step g x y;
     Array.blit y 0 x 0 n;
-    deflate x;
-    normalize x
+    deflate pi x;
+    normalize pi x
   done;
   lazy_step g x y;
-  let lambda = dot x y /. dot x x in
+  let lambda = dot pi x y /. dot pi x x in
   (x, lambda)
 
 let spectral_gap ?iterations g =

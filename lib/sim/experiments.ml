@@ -1050,8 +1050,11 @@ let a10_run cfg profile ~seed =
      setting.  The same cell seed drives the dense and sparse measurement
      of a pair, so the comparison is paired: same graphs, same placements,
      independent walk randomness past the divergence point. *)
-  let measure_walkers ~walkers ~seed ~graph ~spec =
-    Replicate.broadcast_times ?sink:cfg.Sweep.metrics ~graph_name:"A10" ~jobs:cfg.jobs
+  (* records are labelled A10/<family>/<walkers>, one group per family
+     and representation *)
+  let measure_walkers ~family ~walkers ~seed ~graph ~spec =
+    let graph_name = Printf.sprintf "A10/%s/%s" family (Protocol.walkers_name walkers) in
+    Replicate.broadcast_times ?sink:cfg.Sweep.metrics ~graph_name ~jobs:cfg.jobs
       ?trace:cfg.trace ~walkers ~seed ~reps ~graph ~spec ~max_rounds:(100 * n) ()
   in
   let rows =
@@ -1064,7 +1067,8 @@ let a10_run cfg profile ~seed =
                let mean_over walkers =
                  let mean s =
                    Replicate.mean
-                     (measure_walkers ~walkers ~seed:(cell_seed seed i s) ~graph ~spec)
+                     (measure_walkers ~family ~walkers ~seed:(cell_seed seed i s) ~graph
+                        ~spec)
                  in
                  List.fold_left ( +. ) 0.0 (List.init seeds_per_cell mean)
                  /. float_of_int seeds_per_cell

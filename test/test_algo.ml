@@ -39,7 +39,7 @@ let test_components () =
 let test_connected_trivial () =
   Alcotest.(check bool) "single vertex" true (Algo.is_connected (Graph.of_edges ~n:1 []))
 
-(* [is_connected] is one BFS from vertex 0; it must agree with the
+(* [is_connected] searches from vertex 0; it must agree with the
    component labelling, under which the empty graph has no component and
    still counts as connected *)
 let test_connected_agrees_with_components () =
@@ -74,6 +74,106 @@ let test_connected_agrees_with_components () =
     (Printf.sprintf "both outcomes seen (%d of %d connected)" !connected !total)
     true
     (!connected > 0 && !connected < !total)
+
+(* [is_connected] changes direction once its frontier is wide: bottom-up
+   sweeps over the unseen vertices, each stopping at its first seen
+   neighbour, then top-down search again.  Fixed shapes: long thin ones
+   that stay top-down (a path whose ids run backwards along it, a star),
+   wide ones that sweep (cliques, G(n, p) on either side of the
+   connectivity threshold ln n / n), isolated vertices, and the smallest
+   n.  Each answer is pinned and must match the component count. *)
+let test_connected_fixed_shapes () =
+  let check label want g =
+    (* the empty graph has no component and still counts as connected *)
+    Alcotest.(check bool) (label ^ ": one component") want
+      (Graph.n g = 0 || Algo.component_count g = 1);
+    Alcotest.(check bool) label want (Algo.is_connected g)
+  in
+  let n = 10_000 in
+  (* 0 at one end, then n-1, n-2, ..., 1 *)
+  let id k = if k = 0 then 0 else n - k in
+  let backwards = List.init (n - 1) (fun k -> (id k, id (k + 1))) in
+  check "backwards path" true (Graph.of_edges ~n backwards);
+  check "backwards path, middle edge cut" false
+    (Graph.of_edges ~n (List.filteri (fun k _ -> k <> n / 2) backwards));
+  let clique ids =
+    List.concat_map (fun u -> List.filter_map (fun v -> if u < v then Some (u, v) else None) ids) ids
+  in
+  (* K_40 on the even ids and K_40 on the odd ids *)
+  let evens = List.init 40 (fun k -> 2 * k) and odds = List.init 40 (fun k -> (2 * k) + 1) in
+  let two = clique evens @ clique odds in
+  check "two cliques joined by one edge" true (Graph.of_edges ~n:80 ((77, 78) :: two));
+  check "two cliques" false (Graph.of_edges ~n:80 two);
+  check "clique plus an isolated last vertex" false
+    (Graph.of_edges ~n:41 (clique (List.init 40 Fun.id)));
+  check "star" true (Gen.star ~leaves:500);
+  check "star centred at the last vertex" true
+    (Graph.of_edges ~n:501 (List.init 500 (fun k -> (k, 500))));
+  check "n = 0" true (Graph.of_edges ~n:0 []);
+  check "n = 1" true (Graph.of_edges ~n:1 []);
+  check "n = 2, no edge" false (Graph.of_edges ~n:2 []);
+  check "n = 2, one edge" true (Graph.of_edges ~n:2 [ (0, 1) ]);
+  let gnp seed c =
+    let nf = float_of_int n in
+    Rumor_graph.Gen_random.erdos_renyi (Rumor_prob.Rng.of_int seed) ~n
+      ~p:(c *. log nf /. nf)
+  in
+  check "G(1e4, 1.25 ln n / n)" true (gnp 1 1.25);
+  check "G(1e4, 0.5 ln n / n)" false (gnp 2 0.5);
+  (* two G(5000, p) above the threshold, on the even and the odd ids:
+     the sweeps run, and the last sees nothing *)
+  let halves =
+    List.concat_map
+      (fun side ->
+        let h = Rumor_graph.Gen_random.erdos_renyi (Rumor_prob.Rng.of_int (3 + side)) ~n:5000
+            ~p:(2.0 *. log 5000.0 /. 5000.0)
+        in
+        let edges = ref [] in
+        Graph.iter_edges h (fun u v -> edges := ((2 * u) + side, (2 * v) + side) :: !edges);
+        !edges)
+      [ 0; 1 ]
+  in
+  check "two G(5000, p) interleaved" false (Graph.of_edges ~n halves);
+  check "two G(5000, p) interleaved, joined by one edge" true
+    (Graph.of_edges ~n ((n - 2, n - 1) :: halves))
+
+(* Random graphs from nearly empty to dense: [density] below 80 takes p up
+   to twice the threshold ln n / n, above it up to 1.  [shape] 0 keeps the
+   sample, 1 cuts every edge at up to three random vertices, and 2 gives
+   each isolated vertex an edge to a random one, so that none is left. *)
+let prop_connected_iff_one_component =
+  QCheck.Test.make ~count:400 ~name:"is_connected = (component_count = 1) on G(n, p)"
+    QCheck.(quad (int_range 2 400) (int_range 0 99) (int_range 0 2) (int_range 0 1_000_000))
+    (fun (n, density, shape, seed) ->
+      let rng = Rumor_prob.Rng.of_int seed in
+      let nf = float_of_int n in
+      let p =
+        if density < 80 then Float.min 1.0 (float_of_int density /. 40.0 *. log nf /. nf)
+        else float_of_int (density - 79) /. 20.0
+      in
+      let g = Rumor_graph.Gen_random.erdos_renyi rng ~n ~p in
+      let edges = ref [] in
+      Graph.iter_edges g (fun u v -> edges := (u, v) :: !edges);
+      let g =
+        match shape with
+        | 0 -> g
+        | 1 ->
+            let cut = List.init 3 (fun _ -> Rumor_prob.Rng.int rng n) in
+            Graph.of_edges ~n
+              (List.filter (fun (u, v) -> not (List.mem u cut || List.mem v cut)) !edges)
+        | _ ->
+            let extra = ref [] in
+            for v = 0 to n - 1 do
+              if Graph.degree g v = 0 then begin
+                let w = (v + 1 + Rumor_prob.Rng.int rng (n - 1)) mod n in
+                extra := (min v w, max v w) :: !extra
+              end
+            done;
+            let key (u, v) = (u * n) + v in
+            Graph.of_edges ~n
+              (List.sort_uniq (fun e f -> Int.compare (key e) (key f)) (!edges @ !extra))
+      in
+      Algo.is_connected g = (Algo.component_count g = 1))
 
 let test_eccentricity () =
   let g = Gen.path 7 in
@@ -137,6 +237,8 @@ let suite =
     Alcotest.test_case "connected trivial" `Quick test_connected_trivial;
     Alcotest.test_case "is_connected = one component" `Quick
       test_connected_agrees_with_components;
+    Alcotest.test_case "is_connected on fixed shapes" `Quick test_connected_fixed_shapes;
+    QCheck_alcotest.to_alcotest prop_connected_iff_one_component;
     Alcotest.test_case "eccentricity" `Quick test_eccentricity;
     Alcotest.test_case "eccentricity disconnected" `Quick test_eccentricity_disconnected;
     Alcotest.test_case "diameter" `Quick test_diameter;

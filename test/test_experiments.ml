@@ -115,6 +115,23 @@ let test_tables_render_and_csv () =
         (run_one id))
     [ "A2"; "A4" ]
 
+(* A10 runs four graph families under both walker representations; its
+   records are labelled A10/<family>/<walkers>, one group per pair *)
+let test_a10_labels () =
+  let labels = ref [] in
+  let metrics (r : Rumor_obs.Run_record.t) = labels := r.graph :: !labels in
+  let (_ : (Experiments.t * Table.t list) list) =
+    Experiments.run_all ~ids:[ "A10" ] ~metrics Experiments.Quick ~seed:1
+  in
+  Alcotest.(check (list string))
+    "one label per family and representation"
+    [
+      "A10/G(n,p)/dense"; "A10/G(n,p)/sparse"; "A10/complete/dense"; "A10/complete/sparse";
+      "A10/random regular/dense"; "A10/random regular/sparse"; "A10/torus 16x16/dense";
+      "A10/torus 16x16/sparse";
+    ]
+    (List.sort_uniq String.compare !labels)
+
 let suite =
   [
     Alcotest.test_case "ids unique" `Quick test_ids_unique;
@@ -126,4 +143,5 @@ let suite =
     Alcotest.test_case "A2 shows the bipartite stall" `Slow test_a2_shows_stall;
     Alcotest.test_case "A4 fairness direction" `Slow test_a4_fairness_direction;
     Alcotest.test_case "tables render and export" `Slow test_tables_render_and_csv;
+    Alcotest.test_case "A10 records name family and walkers" `Slow test_a10_labels;
   ]

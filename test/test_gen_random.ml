@@ -72,10 +72,17 @@ let test_random_regular_invalid () =
      ignore (Gen.random_regular rng ~n:5 ~d:5);
      Alcotest.fail "d >= n accepted"
    with Invalid_argument _ -> ());
+  (try
+     ignore (Gen.random_regular rng ~n:5 ~d:0);
+     Alcotest.fail "d = 0 accepted"
+   with Invalid_argument _ -> ());
+  (* 2^24 x 258 stubs: past the 4-byte stub indices, refused before the
+     tables are sized *)
   try
-    ignore (Gen.random_regular rng ~n:5 ~d:0);
-    Alcotest.fail "d = 0 accepted"
-  with Invalid_argument _ -> ()
+    ignore (Gen.random_regular rng ~n:(1 lsl 24) ~d:258);
+    Alcotest.fail "n d > 2^32 accepted"
+  with Invalid_argument m ->
+    Alcotest.(check bool) ("message: " ^ m) true (String.ends_with ~suffix:"32 bits" m)
 
 let test_random_regular_connected () =
   let rng = Rng.of_int 68 in
@@ -158,6 +165,128 @@ let test_random_regular_matches_builder () =
       ("complement", 30, 20);
       ("d = n - 1", 16, 15);
     ]
+
+(* The sparse regular sampler as it stood with its on-line pair test, kept
+   here as a reference: pairs are tested in index order, and a pair (u, v)
+   is defective iff it is a loop or v already stands in one of the
+   cnt.(u) healthy slots of u, found by a masked scan of all d slots.
+   The shuffle, the latest-first switch repair and the retries are the
+   sampler's, with the same draws in the same order.  The library now
+   flags first occurrences in one pass per vertex; it must flag exactly
+   these pairs and leave the healthy lists in this order, so the repair
+   makes the same draws and builds the same graph. *)
+let reference_random_regular rng ~n ~d =
+  let half = n * d / 2 in
+  let nbr = Array.make (n * d) 0 and cnt = Array.make n 0 in
+  let slot a b =
+    let s = ref (a * d) and hi = (a * d) + cnt.(a) in
+    while !s < hi && nbr.(!s) <> b do
+      incr s
+    done;
+    if !s < hi then !s else -1
+  in
+  let link a b =
+    nbr.((a * d) + cnt.(a)) <- b;
+    cnt.(a) <- cnt.(a) + 1
+  in
+  let unlink a b =
+    let s = slot a b in
+    cnt.(a) <- cnt.(a) - 1;
+    nbr.(s) <- nbr.((a * d) + cnt.(a))
+  in
+  let stubs = Array.make (n * d) 0 in
+  let attempt () =
+    Array.iteri (fun s _ -> stubs.(s) <- s / d) stubs;
+    for i = (n * d) - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = stubs.(i) in
+      stubs.(i) <- stubs.(j);
+      stubs.(j) <- t
+    done;
+    Array.fill cnt 0 n 0;
+    let bad = ref [] (* latest-found first *) and pending = Array.make half false in
+    for i = 0 to half - 1 do
+      let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+      let base = u * d and live = cnt.(u) in
+      let hit = ref ((u lxor v) - 1) in
+      for k = 0 to d - 1 do
+        hit := !hit lor (((nbr.(base + k) lxor v) - 1) land (k - live))
+      done;
+      if !hit < 0 then begin
+        bad := i :: !bad;
+        pending.(i) <- true
+      end
+      else begin
+        link u v;
+        link v u
+      end
+    done;
+    let switches = ref 0 in
+    let max_switches = (200 * (List.length !bad + 1)) + 1000 in
+    let rec repair todo =
+      match todo with
+      | [] -> true
+      | _ when !switches > max_switches -> false
+      | i :: rest ->
+          incr switches;
+          let j = Rng.int rng half in
+          let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+          let x = stubs.(2 * j) and y = stubs.((2 * j) + 1) in
+          if
+            j <> i && u <> x && v <> y
+            && slot u x < 0
+            && slot v y < 0
+            && (not ((u = v && x = y) || (u = y && x = v)))
+            && not pending.(j)
+          then begin
+            unlink x y;
+            unlink y x;
+            stubs.((2 * i) + 1) <- x;
+            stubs.(2 * j) <- v;
+            link u x;
+            link x u;
+            link v y;
+            link y v;
+            pending.(i) <- false;
+            repair rest
+          end
+          else repair todo
+    in
+    repair !bad
+  in
+  let rec loop tries =
+    if tries > 100 then Alcotest.fail "reference: repair failed repeatedly"
+    else if not (attempt ()) then loop (tries + 1)
+  in
+  loop 0;
+  Graph.of_edges ~n (List.init half (fun i -> (stubs.(2 * i), stubs.((2 * i) + 1))))
+
+(* [random_regular] against the reference: the same graph by Csr_check.same,
+   and the generator left in the same state (its next output) *)
+let agrees_with_reference ~n ~d ~seed =
+  let label = Printf.sprintf "n=%d d=%d seed=%d" n d seed in
+  let rng_ref = Rng.of_int seed and rng = Rng.of_int seed in
+  let want = reference_random_regular rng_ref ~n ~d in
+  Csr_check.same label want (Gen.random_regular rng ~n ~d);
+  Alcotest.(check int64) (label ^ ": next output") (Rng.bits64 rng_ref) (Rng.bits64 rng)
+
+let test_random_regular_matches_reference () =
+  List.iter
+    (fun (n, d) ->
+      for seed = 1 to 20 do
+        agrees_with_reference ~n ~d ~seed
+      done)
+    [ (20, 1); (30, 2); (40, 5); (9, 4); (500, 12); (30, 12) ]
+
+(* random sparse shapes: 4 <= n <= 200, 1 <= d <= n/2, n d even *)
+let prop_random_regular_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"random regular = the on-line pair test reference"
+    QCheck.(triple (int_range 4 200) (int_range 0 10_000) (int_range 0 1_000_000))
+    (fun (n, dseed, seed) ->
+      let d = 1 + (dseed mod (n / 2)) in
+      let d = if n * d mod 2 = 0 then d else if d > 1 then d - 1 else 2 in
+      agrees_with_reference ~n ~d ~seed;
+      true)
 
 (* Golden digests of random_regular_connected: the CSR (degree prefix sums
    and sorted adjacency) plus the generator's next four outputs, which pin
@@ -278,5 +407,8 @@ let suite =
       test_random_regular_matches_builder;
     Alcotest.test_case "random regular golden digests" `Quick
       test_random_regular_golden;
+    Alcotest.test_case "random regular = on-line pair test reference" `Quick
+      test_random_regular_matches_reference;
     QCheck_alcotest.to_alcotest prop_random_regular_simple;
+    QCheck_alcotest.to_alcotest prop_random_regular_matches_reference;
   ]

@@ -146,9 +146,24 @@ let test_gap_orders_families () =
     (Printf.sprintf "K16 gap %.3f > C16 gap %.3f" fast slow)
     true (fast > slow)
 
+(* R6 runs thousands of power iterations a graph.  The neighbour sums and
+   the inner products keep their floats unboxed, so one spectral_gap call
+   allocates the same words however many iterations it runs: its vectors
+   and weights, nothing per iteration or per arc. *)
+let test_gap_allocation_flat () =
+  let g = Gen.torus ~rows:16 ~cols:16 in
+  let words iterations =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Spectral.spectral_gap ~iterations g));
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let few = words 10 and many = words 1000 in
+  if many > few then Alcotest.failf "%.0f words at 10 iterations, %.0f at 1000" few many
+
 let suite =
   [
     Alcotest.test_case "complete graph gap" `Quick test_complete_gap;
+    Alcotest.test_case "gap allocation flat in iterations" `Quick test_gap_allocation_flat;
     Alcotest.test_case "cycle gap" `Quick test_cycle_gap;
     Alcotest.test_case "hypercube gap" `Quick test_hypercube_gap;
     Alcotest.test_case "relaxation time" `Quick test_relaxation_time;
