@@ -17,12 +17,11 @@ type t = {
   buf : float array;
   mutable pos : int;  (* next unread slot; [filled] when drained *)
   mutable filled : int;  (* valid prefix of [buf] *)
-  mutable refills : int;
 }
 
 let create ?(batch = 4096) rng =
   if batch < 1 then invalid_arg "Exp_stream.create: batch < 1";
-  { rng; buf = Array.make batch 0.0; pos = 0; filled = 0; refills = 0 }
+  { rng; buf = Array.make batch 0.0; pos = 0; filled = 0 }
 
 let refill t =
   let n = Array.length t.buf in
@@ -30,8 +29,7 @@ let refill t =
     t.buf.(i) <- Dist.exponential t.rng 1.0
   done;
   t.pos <- 0;
-  t.filled <- n;
-  t.refills <- t.refills + 1
+  t.filled <- n
 
 (* lint: hot *)
 let next t =
@@ -39,6 +37,3 @@ let next t =
   let x = t.buf.(t.pos) in
   t.pos <- t.pos + 1;
   x
-
-let batch t = Array.length t.buf
-let drawn t = t.refills * Array.length t.buf

@@ -21,10 +21,3 @@ val create : ?batch:int -> Rumor_prob.Rng.t -> t
 val next : t -> float
 (** The next Exp(1) gap, refilling the buffer from the generator when it
     is drained. *)
-
-val batch : t -> int
-(** The buffer size this stream refills with. *)
-
-val drawn : t -> int
-(** Total samples drawn from the generator so far (refills × batch);
-    at least the number of [next] calls, ahead by at most [batch - 1]. *)

@@ -1,6 +1,7 @@
 (** Graph algorithms used for validation and for calibrating experiments
     (broadcast time is trivially bounded below by source eccentricity). *)
 
+(* lint: allow R12 — the exact distances the walk and broadcast tests check against *)
 val bfs_distances : Graph.t -> int -> int array
 (** [bfs_distances g src] is the array of hop distances from [src];
     unreachable vertices get [-1]. *)
@@ -21,12 +22,15 @@ val is_connected : Graph.t -> bool
     connected G(10^4, 1.25 ln n / n) it reads about 1.5 arcs a vertex, of
     the 11.6 a vertex there are; paths and trees stay top-down. *)
 
+(* lint: allow R12 — the labelling is_connected is checked against *)
 val component_count : Graph.t -> int
 
+(* lint: allow R12 — the labelling is_connected and is_bipartite are checked against *)
 val components : Graph.t -> int array
 (** [components g] labels each vertex with a component id in
     [0 .. component_count - 1]; ids are assigned in order of discovery. *)
 
+(* lint: allow R12 — the lower bound the broadcast-time tests check against *)
 val eccentricity : Graph.t -> int -> int
 (** [eccentricity g src] is the maximum BFS distance from [src].
     @raise Invalid_argument if [g] is disconnected. *)

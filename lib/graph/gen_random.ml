@@ -158,7 +158,7 @@ and random_regular_sparse ?trace rng ~n ~d =
         set_id stubs s v
       done
     done;
-    (* [Rng.shuffle]'s Fisher-Yates, with the same draws in the same order *)
+    (* Fisher-Yates, one [Rng.int rng (i + 1)] per position from the top *)
     for i = (n * d) - 1 downto 1 do
       let j = Rng.int rng (i + 1) in
       let t = id stubs i in

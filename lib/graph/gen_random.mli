@@ -20,6 +20,7 @@ val gnm : ?trace:Rumor_obs.Trace.t -> Rumor_prob.Rng.t -> n:int -> m:int -> Grap
 (** [gnm rng ~n ~m] samples a uniform simple graph with exactly [m] edges
     (rejection on duplicates; requires [m] at most n(n-1)/2). *)
 
+(* lint: allow R12 — its tests pin the pairing draw for draw against a reference *)
 val random_regular :
   ?trace:Rumor_obs.Trace.t -> Rumor_prob.Rng.t -> n:int -> d:int -> Graph.t
 (** [random_regular rng ~n ~d] samples a d-regular simple graph by the
@@ -42,7 +43,7 @@ val random_regular :
     O(n d).  The graph is the CSR the {!Graph.Builder} would make of the
     same edges, from the same draws.  The pairing keeps its stubs and
     neighbour lists as 4-byte entries in bytes and shuffles the stubs
-    with {!Rumor_prob.Rng.shuffle}'s draws written inline.  A pair is
+    by Fisher–Yates, one [Rng.int] per stub from the top.  A pair is
     defective iff it is a loop or repeats an earlier pair.  The test finds
     these in three linear passes rather than pair by pair: it groups each
     vertex's d stubs in index order, stamps each partner with the vertex

@@ -271,9 +271,6 @@ module Builder = struct
       btrace = trace;
     }
 
-  let vertex_count b = b.bn
-  let edge_count b = b.len
-
   let grow b =
     let old = Bigarray.Array1.dim b.buf in
     (* room for [old] edges: twice the [old / 2] held now *)

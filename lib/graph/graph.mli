@@ -29,6 +29,7 @@ module Slots : sig
   (** [create k] is a buffer of [k] slots, their contents unspecified.
       @raise Invalid_argument if [k < 0]. *)
 
+  (* lint: allow R12 — the slot codec test reads slots back with it *)
   val get : t -> int -> int
   (** [get b i] reads slot [i].  @raise Invalid_argument unless [0 <= i < k]. *)
 
@@ -41,15 +42,12 @@ val max_vertices : int
 (** [2^24], the most vertices a graph may have: ids fill 24-bit slots.
     Every constructor refuses a larger [n] before sizing anything by it. *)
 
+(* lint: allow R12 — tests build their small graphs with it *)
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] vertices from an undirected
     edge list.  Duplicate edges (in either orientation) are rejected.
     @raise Invalid_argument on self-loops, out-of-range endpoints, or
     duplicates. *)
-
-val of_edge_array : n:int -> (int * int) array -> t
-(** Array variant of {!of_edges}.  Both go through {!Builder}.
-    @raise Invalid_argument also if [n < 0] or [n > 2^24]. *)
 
 val of_csr : n:int -> offsets:int array -> slots:Slots.t -> t
 (** [of_csr ~n ~offsets ~slots] wraps a CSR assembled by the caller, after
@@ -113,9 +111,6 @@ module Builder : sig
       test, an 8-byte store, and the ascending-stream check.
       @raise Invalid_argument on out-of-range endpoints, self-loops, or a
       finished builder. *)
-
-  val edge_count : t -> int
-  val vertex_count : t -> int
 
   val finish : t -> graph
   (** Build the CSR graph and invalidate the builder (its edge buffer is
@@ -208,9 +203,6 @@ val min_degree : t -> int
     to skip its per-agent isolated-vertex scan on min-degree-positive
     graphs. *)
 
-val max_degree : t -> int
-val is_regular : t -> bool
-
 val regular_degree : t -> int option
 (** [Some d] if every vertex has degree [d]. *)
 
@@ -219,6 +211,7 @@ val total_degree : t -> int
 
 (** {1 Validation and display} *)
 
+(* lint: allow R12 — the CSR invariant check every generator test runs *)
 val validate : t -> unit
 (** Re-checks every CSR invariant {!of_csr} checks (sorted, duplicate-free
     and in-range slices, no loops, symmetry), in O(n + m), and the edge

@@ -7,15 +7,5 @@
 val to_edge_list : Graph.t -> string
 (** Serialize to the edge-list format (edges with [u < v], sorted). *)
 
-val of_edge_list : string -> Graph.t
-(** Parse the edge-list format. @raise Invalid_argument on malformed
-    input. *)
-
 val to_dot : ?name:string -> Graph.t -> string
 (** Graphviz [graph { ... }] source. *)
-
-val save : Graph.t -> string -> unit
-(** [save g path] writes {!to_edge_list} output to [path]. *)
-
-val load : string -> Graph.t
-(** [load path] reads a graph written by {!save}. *)

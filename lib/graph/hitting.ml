@@ -43,10 +43,6 @@ let hitting_times ?(lazy_walk = false) g target =
     Array.init n (fun v -> if v = target then 0.0 else scale *. h.(index.(v)))
   end
 
-let hitting_time ?lazy_walk g u v = (hitting_times ?lazy_walk g v).(u)
-
-let commute_time g u v = hitting_time g u v +. hitting_time g v u
-
 (* Meeting time of two independent walks: the product chain on ordered
    pairs (a, b), absorbing on the diagonal.  m(a,b) = 1 + average over the
    joint next states of m; for lazy walks each walk independently stays

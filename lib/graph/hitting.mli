@@ -19,15 +19,6 @@ val hitting_times : ?lazy_walk:bool -> Graph.t -> int -> float array
     @raise Invalid_argument if [g] is disconnected or [target] is out of
     range. *)
 
-val hitting_time : ?lazy_walk:bool -> Graph.t -> int -> int -> float
-(** [hitting_time g u v] is the expected time for a walk started at [u] to
-    reach [v]. *)
-
-val commute_time : Graph.t -> int -> int -> float
-(** [commute_time g u v] = hitting u->v + hitting v->u.  For a connected
-    graph this equals [2 m R_eff(u,v)] (effective resistance), which tests
-    exploit on trees where [R_eff] is the path length. *)
-
 val max_meeting_time : ?lazy_walk:bool -> ?max_n:int -> Graph.t -> float
 (** [max_meeting_time g] is the exact maximum over start pairs of the
     expected time until two independent walks occupy the same vertex

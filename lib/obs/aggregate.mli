@@ -39,13 +39,6 @@ type group = {
 type t = group list
 (** Sorted by [(graph, protocol)]. *)
 
-val metric_of_samples : float array -> metric
-(** Summary + p90/p99 (via {!Rumor_prob.Stats.quantile}) of a non-empty
-    sample.  @raise Invalid_argument on an empty sample. *)
-
-val alloc_words : Run_record.gc_counters -> float
-(** Total words allocated: [minor +. major -. promoted]. *)
-
 val of_records : Run_record.t list -> t
 (** Group and summarize; records with the same [(graph, protocol)] label
     land in one group regardless of seed or rep, so multi-seed sweeps

@@ -59,10 +59,7 @@ val passed : report -> bool
 
 (** {1 Snapshot persistence} *)
 
-val to_json : Aggregate.t -> string
 val of_json : string -> (Aggregate.t, string) result
 (** Loaded groups carry an empty [mean_curve]. *)
 
 val save : string -> Aggregate.t -> unit
-val load : string -> (Aggregate.t, string) result
-(** [Error] covers both I/O and parse failures, prefixed with the path. *)

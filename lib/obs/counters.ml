@@ -76,7 +76,6 @@ let observe h x =
   h.h_counts.(!i) <- h.h_counts.(!i) + 1
 
 let bucket_counts h = Array.copy h.h_counts
-let bounds h = Array.copy h.h_bounds
 
 let merge_into ~dst ~src =
   List.iter

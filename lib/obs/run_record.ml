@@ -85,12 +85,6 @@ let to_json t =
   Buffer.add_string buf "}}";
   Buffer.contents buf
 
-let output oc t =
-  output_string oc (to_json t);
-  output_char oc '\n'
-
-let to_channel oc t = output oc t
-
 let with_jsonl_file ?(append = false) path f =
   let oc =
     if append then
@@ -99,7 +93,10 @@ let with_jsonl_file ?(append = false) path f =
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> f (to_channel oc))
+    (fun () ->
+      f (fun t ->
+          output_string oc (to_json t);
+          output_char oc '\n'))
 
 (* --- reading back ----------------------------------------------------- *)
 

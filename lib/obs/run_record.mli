@@ -53,20 +53,15 @@ type t = {
 }
 
 type sink = t -> unit
-(** A consumer of records; see {!to_channel} and {!with_jsonl_file}. *)
+(** A consumer of records; see {!with_jsonl_file}. *)
 
 val timed : (unit -> 'a) -> 'a * float * gc_counters
 (** [timed f] runs [f ()] and returns its result together with elapsed
     wall-clock seconds and the GC allocation delta. *)
 
+(* lint: allow R12 — the record codec tests encode with it *)
 val to_json : t -> string
 (** Single-line JSON rendering of the record (no trailing newline). *)
-
-val output : out_channel -> t -> unit
-(** Write [to_json] plus a newline. *)
-
-val to_channel : out_channel -> sink
-(** A sink writing JSONL to the channel. *)
 
 val with_jsonl_file : ?append:bool -> string -> (sink -> 'a) -> 'a
 (** [with_jsonl_file path f] opens [path], hands [f] a sink appending one

@@ -1,5 +1,5 @@
 (* A deliberately small fork/join pool: [create] only fixes the parallelism
-   degree; each [init]/[map] spawns its workers, drains a shared atomic
+   degree; each [init_traced] spawns its workers, drains a shared atomic
    counter in chunks, and joins everything before returning.  Spawning per
    call (rather than parking persistent workers on a condition variable)
    keeps teardown trivially correct — no domain outlives the call that
@@ -15,15 +15,13 @@ let create ~jobs =
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
   { jobs = max 1 jobs }
 
-let jobs t = t.jobs
-
 (* First failure wins; the losers of the compare-and-set race are dropped,
    and the remaining workers stop claiming new chunks. *)
 type failure = { exn : exn; bt : Printexc.raw_backtrace }
 
 (* lint: hot *)
 let init_traced ?trace ?(label = "pool.chunk") t n f =
-  if n < 0 then invalid_arg "Pool.init: negative length";
+  if n < 0 then invalid_arg "Pool.init_traced: negative length";
   if t.jobs = 1 || n <= 1 then
     (* Sequential execution still emits one span per item when traced, so a
        trace of a replicated run shows the same per-chunk spans at every
@@ -125,6 +123,3 @@ let init_traced ?trace ?(label = "pool.chunk") t n f =
             index was claimed and no worker failed *))
           results
   end
-
-let init t n f = init_traced t n (fun ~trace:_ i -> f i)
-let map t f a = init t (Array.length a) (fun i -> f a.(i))

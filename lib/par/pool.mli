@@ -4,7 +4,7 @@
     [Atomic] (lint rule R7 confines concurrency primitives to [lib/par/]).
     Work is scheduled in chunks off a shared atomic counter, so a slow item
     never serializes the rest of its pre-assigned stripe; all spawned
-    domains are joined before [init]/[map] returns, even when a worker
+    domains are joined before {!init_traced} returns, even when a worker
     raises.
 
     The pool runs item computations concurrently but promises nothing about
@@ -15,7 +15,7 @@
 
 type t
 (** A parallelism degree.  Creating a pool allocates nothing and spawns no
-    domains; workers are forked per {!init}/{!map} call and joined before it
+    domains; workers are forked per {!init_traced} call and joined before it
     returns, so a pool value can be kept and reused freely. *)
 
 val create : jobs:int -> t
@@ -24,16 +24,21 @@ val create : jobs:int -> t
     sequential loop.  [jobs = 0] means [Domain.recommended_domain_count ()].
     @raise Invalid_argument if [jobs < 0]. *)
 
-val jobs : t -> int
-(** The resolved parallelism degree (after the [0] default expansion). *)
-
 val init_traced :
   ?trace:Rumor_obs.Trace.t ->
   ?label:string ->
   t ->
   int ->
   (trace:Rumor_obs.Trace.t option -> int -> 'a) -> 'a array
-(** {!init} with per-worker tracing.  When [trace] is present, every worker
+(** [init_traced t n f] is [Array.init n (f ~trace)] computed by the
+    pool's workers.  [f] is called exactly once per index on some worker
+    domain, in no particular order; indices never overlap, so [f] may
+    freely write to per-index slots of shared arrays.  If any call raises,
+    the first failure (in completion order, not index order) is re-raised
+    with its backtrace after all workers have been joined; remaining
+    workers stop at their next chunk boundary.
+
+    When [trace] is present, every worker
     runs under its own tracer — the calling domain records straight into
     [trace], each spawned domain into a {!Rumor_obs.Trace.fork}ed child that
     is merged back after the domain joins — and [f] receives the tracer of
@@ -43,18 +48,5 @@ val init_traced :
     each worker's lifetime in a ["pool.worker"] span, and the fork/join
     edges are marked with instants on the parent — which is what makes idle
     gaps between chunks visible in the rendered trace.  When [trace] is
-    [None] (the default), [f] sees [~trace:None] and the call compiles down
-    to exactly {!init}: no clocks, no allocation. *)
-
-val init : t -> int -> (int -> 'a) -> 'a array
-(** [init t n f] is [Array.init n f] computed by [jobs t] workers.  [f] is
-    called exactly once per index on some worker domain, in no particular
-    order; indices never overlap, so [f] may freely write to per-index slots
-    of shared arrays.  If any call raises, the first failure (in completion
-    order, not index order) is re-raised with its backtrace after all
-    workers have been joined; remaining workers stop at their next chunk
-    boundary.
+    [None] (the default), [f] sees [~trace:None]: no clocks, no allocation.
     @raise Invalid_argument if [n < 0]. *)
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f a] is [Array.map f a] computed like {!init}. *)

@@ -9,10 +9,3 @@ val solve : float array array -> float array -> float array
     pivoting.  [a] and [b] are not modified.
     @raise Invalid_argument on non-square/mismatched input or a (numerically)
     singular matrix. *)
-
-val mat_vec : float array array -> float array -> float array
-(** [mat_vec a x] is the product [a x].
-    @raise Invalid_argument on dimension mismatch. *)
-
-val residual_norm : float array array -> float array -> float array -> float
-(** [residual_norm a x b] is [max_i |(a x - b)_i|], for checking solutions. *)

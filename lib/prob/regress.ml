@@ -36,6 +36,3 @@ let power_fit ns ts =
 let log_fit ns ts =
   require_positive "log_fit" ns;
   linear_fit (Array.map log ns) ts
-
-let pp_fit ppf f =
-  Format.fprintf ppf "slope=%.3f intercept=%.3f r2=%.3f" f.slope f.intercept f.r2

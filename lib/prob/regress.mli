@@ -10,11 +10,6 @@ type fit = {
   r2 : float;  (** coefficient of determination of the linear fit *)
 }
 
-val linear_fit : float array -> float array -> fit
-(** [linear_fit xs ys] is the ordinary least-squares line [y = slope*x +
-    intercept].  @raise Invalid_argument if lengths differ or fewer than two
-    points. *)
-
 val power_fit : float array -> float array -> fit
 (** [power_fit ns ts] fits [t = C * n^e] by linear regression on log–log
     scale; [slope] is the empirical growth exponent [e].  Points with
@@ -24,5 +19,3 @@ val log_fit : float array -> float array -> fit
 (** [log_fit ns ts] fits [t = a * ln n + b]; [slope] is [a].  A process that
     is Theta(log n) has a stable positive [a] and a {!power_fit} exponent
     tending to 0. *)
-
-val pp_fit : Format.formatter -> fit -> unit

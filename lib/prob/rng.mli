@@ -12,10 +12,6 @@
 type t
 (** A mutable pseudo-random generator. *)
 
-val create : int64 -> t
-(** [create seed] builds a generator from an arbitrary 64-bit seed.  Any
-    seed value is acceptable, including [0L]. *)
-
 val of_int : int -> t
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 
@@ -84,10 +80,6 @@ val skip : t -> int -> unit
     nothing.  Each output is exactly one [below g 1] (or [int g 1]) draw,
     which is how push charges a contact whose outcome is known. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform on the inclusive range [lo, hi].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float g x] is uniform on [0, x).  [float g 1.0] has 53 random bits. *)
 
@@ -97,11 +89,3 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)
-
-val shuffle : t -> int array -> unit
-(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates).  To
-    permute other values, shuffle an array of their indices. *)
-
-val choose : t -> 'a array -> 'a
-(** [choose g a] is a uniformly random element of [a].
-    @raise Invalid_argument if [a] is empty. *)

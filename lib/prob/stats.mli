@@ -1,7 +1,7 @@
 (** Summary statistics for replicated simulation measurements.
 
     {!t} is a streaming accumulator (Welford's algorithm, numerically stable)
-    for mean/variance/extrema; {!summary} additionally computes order
+    for the mean and standard deviation; {!summary} additionally computes order
     statistics from the full sample, which the experiment tables report. *)
 
 type t
@@ -11,23 +11,11 @@ val create : unit -> t
 val add : t -> float -> unit
 val add_int : t -> int -> unit
 
-val count : t -> int
 val mean : t -> float
 (** Mean of the values seen so far; [nan] if empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [nan] if fewer than two values. *)
-
 val stddev : t -> float
-val min_value : t -> float
-val max_value : t -> float
-
-val std_error : t -> float
-(** Standard error of the mean, [stddev / sqrt count]. *)
-
-val ci95_halfwidth : t -> float
-(** Half-width of the normal-approximation 95% confidence interval for the
-    mean ([1.96 * std_error]). *)
+(** Unbiased sample standard deviation; [nan] if fewer than two values. *)
 
 (** Whole-sample summary with order statistics. *)
 type summary = {
@@ -48,22 +36,5 @@ val summarize : float array -> summary
     unlike the unspecified polymorphic-compare ordering).
     @raise Invalid_argument on an empty sample. *)
 
-val summarize_ints : int array -> summary
-
 val quantile : float array -> float -> float
 (** [quantile sorted q] with [q] in [0,1] on an already-sorted array. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-
-(** Fixed-width histogram over [lo, hi). *)
-module Histogram : sig
-  type h
-
-  val create : lo:float -> hi:float -> bins:int -> h
-  val add : h -> float -> unit
-  val counts : h -> int array
-  val total : h -> int
-  val underflow : h -> int
-  val overflow : h -> int
-  val bin_edges : h -> float array
-end

@@ -13,8 +13,9 @@
     [27], Angel et al. [4]) shows asynchronous push has the same broadcast
     time as synchronous push on regular graphs, while asynchronous and
     synchronous push-pull can differ by a sqrt(log n) factor in general.
-    Ablation A5 checks the regular-graph equivalence empirically, and
-    experiment A9 the sync/async agreement at Theorem granularity.
+    Experiment A9 checks the regular-graph equivalence empirically on its
+    random-regular rows, and the sync/async agreement at Theorem
+    granularity.
 
     {2 Clock-stream contract}
 

@@ -24,5 +24,3 @@ let[@inline] add t i =
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t byte) lor (1 lsl (i land 7))))
 
 let snapshot ~src ~dst = Bytes.blit src 0 dst 0 (Bytes.length src)
-
-let clear t = Bytes.fill t 0 (Bytes.length t) '\000'

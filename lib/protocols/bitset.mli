@@ -15,5 +15,3 @@ val add : t -> int -> unit
 
 val snapshot : src:t -> dst:t -> unit
 (** Copy [src] into [dst]; both must have been created with the same [n]. *)
-
-val clear : t -> unit

@@ -46,9 +46,6 @@ let create rng graph ~source =
     visitx_done = false;
   }
 
-let graph c = c.graph
-let source c = c.source
-
 let shared_choice c u i =
   let v = c.lists.(u) in
   while Ivec.length v <= i do

@@ -28,9 +28,7 @@ val create : Rumor_prob.Rng.t -> Rumor_graph.Graph.t -> source:int -> t
 (** [create rng g ~source].  The generator is split internally; a given
     [rng] seed determines the whole coupled experiment. *)
 
-val graph : t -> Rumor_graph.Graph.t
-val source : t -> int
-
+(* lint: allow R12 — tests check the shared choices are memoized and uniform *)
 val shared_choice : t -> int -> int -> int
 (** [shared_choice c u i] is [w_u(i)] (0-based [i]), generating and
     memoizing it if not yet drawn.  Exposed for tests. *)

@@ -31,12 +31,4 @@ let push b v =
   b.data.(b.len) <- v;
   b.len <- b.len + 1
 
-let get b i =
-  if i < 0 || i >= b.len then invalid_arg "Curve_buf.get: index out of range";
-  b.data.(i)
-
-let set_last b v =
-  if b.len = 0 then invalid_arg "Curve_buf.set_last: empty buffer";
-  b.data.(b.len - 1) <- v
-
 let contents b = Array.sub b.data 0 b.len

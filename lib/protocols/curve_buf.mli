@@ -18,12 +18,5 @@ val push : t -> int -> unit
 
 val length : t -> int
 
-val get : t -> int -> int
-(** @raise Invalid_argument out of range. *)
-
-val set_last : t -> int -> unit
-(** Overwrite the most recently pushed point.
-    @raise Invalid_argument on an empty buffer. *)
-
 val contents : t -> int array
 (** Fresh array of the points pushed so far, in order. *)

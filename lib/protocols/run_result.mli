@@ -28,6 +28,7 @@ type t = {
           agent-free protocols or capped runs *)
 }
 
+(* lint: allow R12 — tests assert completion with it *)
 val completed : t -> bool
 val time_exn : t -> int
 (** Broadcast time; @raise Invalid_argument on a capped run. *)

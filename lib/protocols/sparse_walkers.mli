@@ -30,6 +30,7 @@ module Placement = Rumor_agents.Placement
     agents. *)
 type mode = Dense | Sparse | Auto
 
+(* lint: allow R12 — the Auto boundary test reads it *)
 val auto_threshold : int
 
 val mode_to_string : mode -> string
@@ -60,6 +61,7 @@ val occupied_vertex : t -> int -> int
 (** [occupied_vertex t i] for [0 <= i < occupied_count t]: the [i]-th
     occupied vertex in ascending order.  Unchecked. *)
 
+(* lint: allow R12 — the walker conservation tests count with it *)
 val uninformed_at : t -> int -> int
 val informed_at : t -> int -> int
 

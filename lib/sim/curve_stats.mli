@@ -2,30 +2,16 @@
 
     Broadcast time is the curve's completion round; these helpers extract
     the intermediate milestones (time to reach a fraction of the
-    population, per-round growth) that examples and ablations report. *)
+    population) that examples and ablations report. *)
 
 val time_to_fraction_curve : ?completed:bool -> int array -> float -> int option
-(** Curve-level form of {!time_to_fraction}, for curves that arrive without
-    a [Run_result.t] around them (e.g. from a {!Rumor_obs.Run_record.t}).
+(** [time_to_fraction_curve curve q] is the first round at which at least
+    [q] of the final informed count is reached ([q] in (0, 1]); [None] for
+    an empty curve or when the curve never reaches the fraction.
     [completed] (default true) says whether the run finished; on a capped
     run the final count is the curve's own maximum, so milestones are only
-    meaningful relative to what was actually reached. *)
-
-val time_to_fraction : Rumor_protocols.Run_result.t -> float -> int option
-(** [time_to_fraction r q] is the first round at which at least [q] of the
-    final informed count is reached ([q] in (0, 1]); [None] for an empty
-    curve or when the curve never reaches the fraction (capped runs).
+    meaningful relative to what was actually reached.
     @raise Invalid_argument if [q] is outside (0, 1]. *)
 
 val half_time : Rumor_protocols.Run_result.t -> int option
-(** [time_to_fraction r 0.5]. *)
-
-val growth_rates : Rumor_protocols.Run_result.t -> float array
-(** [growth_rates r] is the per-round multiplicative growth
-    [curve.(t) / curve.(t-1)] (rounds where the previous count was 0 yield
-    [nan]).  The maximum of this array is the empirical "doubling quality"
-    of the protocol on that instance. *)
-
-val peak_growth : Rumor_protocols.Run_result.t -> float
-(** Largest finite entry of {!growth_rates}; [1.0] for a single-round or
-    flat curve. *)
+(** The round at which half of [r]'s final informed count is reached. *)

@@ -291,36 +291,12 @@ let e6_run cfg profile ~seed =
       neck_rows
 
 (* ------------------------------------------------------------------ *)
-(* E7: visit-exchange vs meet-exchange on regular graphs (Theorem 23)  *)
+(* E7: the agent protocols on regular graphs (Theorems 23-25)          *)
 (* ------------------------------------------------------------------ *)
 
+(* One sweep measures both theorems' cells: the meet/visit gap of
+   Theorem 23 and the Omega(log n) lower bounds of Theorems 24 and 25. *)
 let e7_run cfg profile ~seed =
-  let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096 ] in
-  sweep cfg profile ~seed ~id:"E7"
-    ~title:"E7: meet-exchange vs visit-exchange on random d-regular"
-    ~claim:
-      "Theorem 23: P[T_visitx <= k + c log n] >= P[T_meetx <= k] - n^-lambda \
-       — meet-exchange is never more than an additive O(log n) faster"
-    ~header:[ "n (d)"; "visit-exchange"; "meet-exchange"; "gap"; "gap/ln n" ]
-    ~label:regular_label ~graph:regular_graph
-    ~columns:(List.map Fun.const [ vx; mx ])
-    ~max_rounds:(Fun.const 100_000)
-    ~render:(fun n ms ->
-      let gap = Replicate.mean ms.(1) -. Replicate.mean ms.(0) in
-      times (regular_label n) ms
-      @ [ Printf.sprintf "%.1f" gap; Printf.sprintf "%.2f" (gap /. log (float_of_int n)) ])
-    ~notes:(fun _ ->
-      [
-        "Theorem 23 bounds T_visitx <= T_meetx + c log n: the (meetx - \
-         visitx) gap should stay O(log n), i.e. the last column bounded";
-      ])
-    ns
-
-(* ------------------------------------------------------------------ *)
-(* E8: logarithmic lower bounds (Theorems 24, 25)                      *)
-(* ------------------------------------------------------------------ *)
-
-let e8_run cfg profile ~seed =
   let ns = pick profile ~quick:[ 256; 512; 1024; 2048 ] ~full:[ 256; 512; 1024; 2048; 4096; 8192 ] in
   let fit_for measured j label =
     let ns_f = Array.of_list (List.map (fun (n, _) -> float_of_int n) measured) in
@@ -329,12 +305,15 @@ let e8_run cfg profile ~seed =
     Printf.sprintf "%s: T ~ %.2f * ln n + %.2f (log-linear fit, r2=%.2f)" label
       lf.Regress.slope lf.Regress.intercept lf.Regress.r2
   in
-  sweep cfg profile ~seed ~id:"E8"
-    ~title:"E8: Omega(log n) lower bounds on random d-regular"
+  sweep cfg profile ~seed ~id:"E7"
+    ~title:"E7: visit-exchange and meet-exchange on random d-regular"
     ~claim:
-      "Theorems 24, 25: T_visitx and T_meetx are Omega(log n) w.h.p. on \
+      "Theorem 23: P[T_visitx <= k + c log n] >= P[T_meetx <= k] - n^-lambda \
+       — meet-exchange is never more than an additive O(log n) faster; \
+       Theorems 24, 25: T_visitx and T_meetx are Omega(log n) w.h.p. on \
        d-regular graphs with d = Omega(log n), |A| = O(n)"
-    ~header:[ "n (d)"; "ln n"; "visitx"; "min/ln n"; "meetx"; "min/ln n" ]
+    ~header:
+      [ "n (d)"; "ln n"; "visit-exchange"; "min/ln n"; "meet-exchange"; "min/ln n"; "gap"; "gap/ln n" ]
     ~label:regular_label ~graph:regular_graph
     ~columns:(List.map Fun.const [ vx; mx ])
     ~max_rounds:(Fun.const 100_000)
@@ -343,6 +322,7 @@ let e8_run cfg profile ~seed =
       let min_over_ln (m : Replicate.measurement) =
         Printf.sprintf "%.2f" (m.summary.Stats.min /. ln)
       in
+      let gap = Replicate.mean ms.(1) -. Replicate.mean ms.(0) in
       [
         regular_label n;
         Printf.sprintf "%.1f" ln;
@@ -350,9 +330,13 @@ let e8_run cfg profile ~seed =
         min_over_ln ms.(0);
         time_cell ms.(1);
         min_over_ln ms.(1);
+        Printf.sprintf "%.1f" gap;
+        Printf.sprintf "%.2f" (gap /. ln);
       ])
     ~notes:(fun measured ->
       [
+        "Theorem 23 bounds T_visitx <= T_meetx + c log n: the (meetx - \
+         visitx) gap should stay O(log n), i.e. the last column bounded";
         fit_for measured 0 "visit-exchange";
         fit_for measured 1 "meet-exchange";
         "Theorems 24/25: even the minimum over replications stays >= c ln n \
@@ -1168,8 +1152,12 @@ let all =
     { id = "E4"; title = "Siamese heavy trees"; paper_ref = "Fig 1(d), Lemma 8"; run = e4_run };
     { id = "E5"; title = "cycle of stars of cliques"; paper_ref = "Fig 1(e), Lemma 9"; run = e5_run };
     { id = "E6"; title = "push ~ visit-exchange on regular graphs"; paper_ref = "Theorem 1 (10, 19)"; run = e6_run };
-    { id = "E7"; title = "visit-exchange vs meet-exchange"; paper_ref = "Theorem 23"; run = e7_run };
-    { id = "E8"; title = "logarithmic lower bounds"; paper_ref = "Theorems 24, 25"; run = e8_run };
+    {
+      id = "E7";
+      title = "visit-exchange vs meet-exchange, and their Omega(log n) lower bounds";
+      paper_ref = "Theorems 23, 24, 25";
+      run = e7_run;
+    };
     { id = "E9"; title = "coupling invariants"; paper_ref = "Section 5, Lemmas 13/14"; run = e9_run };
     { id = "E10"; title = "push-pull + visit-exchange combination"; paper_ref = "Section 1"; run = e10_run };
     { id = "A1"; title = "agent density ablation"; paper_ref = "Section 9"; run = a1_run };
@@ -1216,8 +1204,3 @@ let select ids walkers =
 let run_one (cfg : Sweep.config) profile ~seed e =
   (* one span per experiment, so the trace timeline reads as E1, E2, ... *)
   Rumor_obs.Trace.with_span cfg.trace e.id (fun () -> e.run cfg profile ~seed)
-
-let run_all ?(ids = []) ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
-    profile ~seed =
-  let cfg = { Sweep.metrics; jobs; walkers; trace } in
-  List.map (fun e -> (e, run_one cfg profile ~seed e)) (select ids walkers)

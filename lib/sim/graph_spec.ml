@@ -82,9 +82,6 @@ let parse text =
       | _ -> fail "er expects N,P, got %S" args)
   | other -> fail "unknown graph family %S (known: %s)" other (String.concat ", " families)
 
-let parse_exn text =
-  match parse text with Ok t -> t | Error m -> invalid_arg ("Graph_spec: " ^ m)
-
 let to_string = function
   | Complete n -> Printf.sprintf "complete:%d" n
   | Path n -> Printf.sprintf "path:%d" n

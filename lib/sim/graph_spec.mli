@@ -22,9 +22,6 @@ type t
 val parse : string -> (t, string) result
 (** Parse a spec; the error is a human-readable message. *)
 
-val parse_exn : string -> t
-(** @raise Invalid_argument on a malformed spec. *)
-
 val to_string : t -> string
 (** Canonical rendering of the parsed spec. *)
 

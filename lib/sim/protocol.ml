@@ -28,9 +28,6 @@ let combined ?(alpha = 1.0) () =
 let async_push = Async_push
 let async_push_pull = Async_push_pull
 
-let async_meet_exchange ?(alpha = 1.0) () =
-  Async_meet_exchange { agents = Placement.Linear alpha; laziness = Lazy_auto }
-
 let name = function
   | Push -> "push"
   | Push_pull -> "push-pull"

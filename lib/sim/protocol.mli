@@ -35,10 +35,6 @@ val combined : ?alpha:float -> unit -> spec
 val async_push : spec
 val async_push_pull : spec
 
-val async_meet_exchange : ?alpha:float -> unit -> spec
-(** Continuous-time meet-exchange with [Linear alpha] agents (default 1.0)
-    and [Lazy_auto] walks, mirroring {!meet_exchange}. *)
-
 val name : spec -> string
 (** Short stable name: "push", "push-pull", "visit-exchange",
     "meet-exchange", "combined", "async-push", "async-push-pull",

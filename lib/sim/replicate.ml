@@ -94,5 +94,3 @@ let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
       Protocol.run ?trace ?walkers spec rng g ~source ~max_rounds)
 
 let mean m = m.summary.Stats.mean
-let median m = m.summary.Stats.median
-let max_time m = m.summary.Stats.max

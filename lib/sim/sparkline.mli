@@ -10,6 +10,3 @@ val render : ?width:int -> ?ascii:bool -> float array -> string
     values are clamped to 0. *)
 
 val render_ints : ?width:int -> ?ascii:bool -> int array -> string
-
-val with_scale : ?width:int -> ?ascii:bool -> float array -> string
-(** Like {!render}, suffixed with [" (max <value>)"]. *)

@@ -9,9 +9,6 @@ type config = {
   trace : Trace.t option;
 }
 
-let default_config =
-  { metrics = None; jobs = 1; walkers = Protocol.Dense; trace = None }
-
 type graph =
   | Fixed of (unit -> Graph.t * int)
   | Sampled of (Rng.t -> Graph.t * int)

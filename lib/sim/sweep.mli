@@ -16,9 +16,6 @@ type config = {
   trace : Rumor_obs.Trace.t option;  (** records every cell's reps *)
 }
 
-val default_config : config
-(** No sink, one job, dense walkers, no tracer. *)
-
 (** How a row's graph and source are made. *)
 type graph =
   | Fixed of (unit -> Rumor_graph.Graph.t * int)

@@ -24,6 +24,7 @@ val make :
   string list list ->
   t
 
+(* lint: allow R12 — tests read the printed table through it *)
 val render : t -> string
 (** Multi-line rendering, ends with a newline. *)
 
@@ -42,11 +43,5 @@ val to_markdown : t -> string
 
 (** {1 Cell formatting helpers} *)
 
-val fmt_float : float -> string
-(** Compact float: integers render bare, otherwise one decimal. *)
-
 val fmt_mean_pm : Rumor_prob.Stats.summary -> string
 (** ["mean ± ci"] style cell using the normal 95% interval. *)
-
-val fmt_opt_time : float -> capped:bool -> string
-(** Render a broadcast time, marking capped measurements with [">="]. *)

@@ -5,7 +5,7 @@
 let total = ref 0
 
 let sum_unsafe pool (xs : int array) =
-  Rumor_par.Pool.init pool (Array.length xs) (fun i ->
+  Rumor_par.Pool.init_traced pool (Array.length xs) (fun ~trace:_ i ->
       total := !total + xs.(i);
       i)
 
@@ -14,6 +14,6 @@ let counter = ref 0
 let bump () = counter := !counter + 1
 
 let count_unsafe pool n =
-  Rumor_par.Pool.init pool n (fun i ->
+  Rumor_par.Pool.init_traced pool n (fun ~trace:_ i ->
       bump ();
       i)

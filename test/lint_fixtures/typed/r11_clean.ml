@@ -3,7 +3,7 @@
    parameter. *)
 
 let fill pool (out : int array) =
-  Rumor_par.Pool.init pool (Array.length out) (fun i ->
+  Rumor_par.Pool.init_traced pool (Array.length out) (fun ~trace:_ i ->
       let scaled = i * 2 in
       out.(i) <- scaled;
       scaled)

@@ -3,7 +3,7 @@
 let total = ref 0
 
 let sum_unsafe pool (xs : int array) =
-  Rumor_par.Pool.init pool (Array.length xs) (fun i ->
+  Rumor_par.Pool.init_traced pool (Array.length xs) (fun ~trace:_ i ->
       (* lint: allow R11 — single-domain pool in this fixture's contract *)
       total := !total + xs.(i);
       i)

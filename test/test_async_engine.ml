@@ -574,7 +574,7 @@ let test_modes_and_obs_agree () =
                   check_meet_result (label ^ " sparse") dense
                     (run P.Sparse_walkers.Sparse);
                   check_meet_result (label ^ " obs") dense
-                    (run ~obs:Instrument.nop P.Sparse_walkers.Dense))
+                    (run ~obs:(Instrument.make ()) P.Sparse_walkers.Dense))
                 [ None; Some true; Some false ])
             [
               ("stationary12", Placement.Stationary 12);
@@ -588,7 +588,7 @@ let test_modes_and_obs_agree () =
 (* an agent on an isolated vertex is rejected before the first ring, in
    either walker mode: an edge 0-1 plus the isolated vertex 2 *)
 let test_isolated_agent_rejected () =
-  let g = Graph.of_edge_array ~n:3 [| (0, 1) |] in
+  let g = Graph.of_edges ~n:3 [ (0, 1) ] in
   List.iter
     (fun walkers ->
       Alcotest.check_raises

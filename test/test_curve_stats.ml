@@ -10,37 +10,23 @@ let synthetic ?(bt = Some 4) curve =
     ~informed_curve:curve ~contacts:0 ()
 
 let test_time_to_fraction () =
-  let r = synthetic [| 1; 2; 4; 8; 16 |] in
-  Alcotest.(check (option int)) "full" (Some 4) (Curve_stats.time_to_fraction r 1.0);
-  Alcotest.(check (option int)) "half" (Some 3) (Curve_stats.half_time r);
-  Alcotest.(check (option int)) "quarter" (Some 2) (Curve_stats.time_to_fraction r 0.25);
-  Alcotest.(check (option int)) "tiny fraction hits round 0" (Some 0)
-    (Curve_stats.time_to_fraction r 0.01)
+  let curve = [| 1; 2; 4; 8; 16 |] in
+  let at = Curve_stats.time_to_fraction_curve curve in
+  Alcotest.(check (option int)) "full" (Some 4) (at 1.0);
+  Alcotest.(check (option int)) "half" (Some 3) (Curve_stats.half_time (synthetic curve));
+  Alcotest.(check (option int)) "quarter" (Some 2) (at 0.25);
+  Alcotest.(check (option int)) "tiny fraction hits round 0" (Some 0) (at 0.01)
 
 let test_fraction_bounds () =
-  let r = synthetic [| 1; 2 |] in
+  let curve = [| 1; 2 |] in
   (try
-     ignore (Curve_stats.time_to_fraction r 0.0);
+     ignore (Curve_stats.time_to_fraction_curve curve 0.0);
      Alcotest.fail "q = 0 accepted"
    with Invalid_argument _ -> ());
   try
-    ignore (Curve_stats.time_to_fraction r 1.5);
+    ignore (Curve_stats.time_to_fraction_curve curve 1.5);
     Alcotest.fail "q > 1 accepted"
   with Invalid_argument _ -> ()
-
-let test_growth_rates () =
-  let r = synthetic [| 1; 2; 6; 6 |] in
-  let rates = Curve_stats.growth_rates r in
-  Alcotest.(check int) "length" 3 (Array.length rates);
-  Alcotest.(check (float 1e-9)) "double" 2.0 rates.(0);
-  Alcotest.(check (float 1e-9)) "triple" 3.0 rates.(1);
-  Alcotest.(check (float 1e-9)) "flat" 1.0 rates.(2);
-  Alcotest.(check (float 1e-9)) "peak" 3.0 (Curve_stats.peak_growth r)
-
-let test_flat_curve () =
-  let r = synthetic ~bt:(Some 0) [| 5 |] in
-  Alcotest.(check int) "no rates" 0 (Array.length (Curve_stats.growth_rates r));
-  Alcotest.(check (float 1e-9)) "peak defaults to 1" 1.0 (Curve_stats.peak_growth r)
 
 let test_on_real_run () =
   let g = Gen.complete 64 in
@@ -48,7 +34,7 @@ let test_on_real_run () =
     Rumor_protocols.Engine.push (Rng.of_int 601) g ~source:0 ~max_rounds:10_000 ()
   in
   let half = Curve_stats.half_time r in
-  let full = Curve_stats.time_to_fraction r 1.0 in
+  let full = Curve_stats.time_to_fraction_curve r.Run_result.informed_curve 1.0 in
   (match (half, full) with
   | Some h, Some f ->
       Alcotest.(check bool) "half before full" true (h <= f);
@@ -56,13 +42,14 @@ let test_on_real_run () =
         r.Run_result.broadcast_time (Some f)
   | _ -> Alcotest.fail "milestones missing");
   (* push at most doubles *)
-  Alcotest.(check bool) "peak growth <= 2" true (Curve_stats.peak_growth r <= 2.0)
+  let c = r.Run_result.informed_curve in
+  for t = 1 to Array.length c - 1 do
+    if c.(t) > 2 * c.(t - 1) then Alcotest.failf "round %d more than doubles" t
+  done
 
 let suite =
   [
     Alcotest.test_case "time to fraction" `Quick test_time_to_fraction;
     Alcotest.test_case "fraction bounds" `Quick test_fraction_bounds;
-    Alcotest.test_case "growth rates" `Quick test_growth_rates;
-    Alcotest.test_case "flat curve" `Quick test_flat_curve;
     Alcotest.test_case "on a real run" `Quick test_on_real_run;
   ]

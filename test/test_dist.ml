@@ -8,7 +8,7 @@ let sample_mean_var n f =
   for _ = 1 to n do
     Rumor_prob.Stats.add stats (f ())
   done;
-  (Rumor_prob.Stats.mean stats, Rumor_prob.Stats.variance stats)
+  (Rumor_prob.Stats.mean stats, Rumor_prob.Stats.stddev stats ** 2.0)
 
 let check_close label expected actual tolerance =
   if Float.abs (expected -. actual) > tolerance then
@@ -22,7 +22,8 @@ let test_binomial_moments () =
       let mean, var =
         sample_mean_var 40_000 (fun () -> float_of_int (Dist.binomial g n p))
       in
-      let em = Dist.binomial_mean n p and ev = Dist.binomial_variance n p in
+      let em = float_of_int n *. p in
+      let ev = em *. (1.0 -. p) in
       check_close (Printf.sprintf "Bin(%d,%.2f) mean" n p) em mean (0.05 *. em +. 0.05);
       check_close (Printf.sprintf "Bin(%d,%.2f) var" n p) ev var (0.1 *. ev +. 0.1))
     [ (10, 0.5); (100, 0.1); (100, 0.9); (1000, 0.01); (33, 0.3) ]
@@ -48,55 +49,6 @@ let test_binomial_invalid () =
      ignore (Dist.binomial g 10 1.5);
      Alcotest.fail "p>1 accepted"
    with Invalid_argument _ -> ())
-
-let test_geometric_moments () =
-  let g = Rng.of_int 25 in
-  List.iter
-    (fun p ->
-      let mean, var =
-        sample_mean_var 40_000 (fun () -> float_of_int (Dist.geometric g p))
-      in
-      check_close
-        (Printf.sprintf "Geom(%.2f) mean" p)
-        (Dist.geometric_mean p) mean
-        (0.05 *. Dist.geometric_mean p);
-      check_close
-        (Printf.sprintf "Geom(%.2f) var" p)
-        (Dist.geometric_variance p) var
-        (0.15 *. (Dist.geometric_variance p +. 1.0)))
-    [ 0.1; 0.3; 0.7 ]
-
-let test_geometric_support () =
-  let g = Rng.of_int 26 in
-  Alcotest.(check int) "p=1 is always 1" 1 (Dist.geometric g 1.0);
-  for _ = 1 to 1000 do
-    if Dist.geometric g 0.2 < 1 then Alcotest.fail "geometric below 1"
-  done
-
-let test_geometric_invalid () =
-  let g = Rng.of_int 27 in
-  try
-    ignore (Dist.geometric g 0.0);
-    Alcotest.fail "p=0 accepted"
-  with Invalid_argument _ -> ()
-
-let test_poisson_moments () =
-  let g = Rng.of_int 28 in
-  (* includes lambda over the recursion threshold of 30 *)
-  List.iter
-    (fun lambda ->
-      let mean, var =
-        sample_mean_var 40_000 (fun () -> float_of_int (Dist.poisson g lambda))
-      in
-      check_close (Printf.sprintf "Poisson(%.1f) mean" lambda) lambda mean
-        (0.05 *. lambda +. 0.05);
-      check_close (Printf.sprintf "Poisson(%.1f) var" lambda) lambda var
-        (0.12 *. lambda +. 0.1))
-    [ 0.5; 4.0; 25.0; 80.0 ]
-
-let test_poisson_zero () =
-  let g = Rng.of_int 29 in
-  Alcotest.(check int) "lambda=0" 0 (Dist.poisson g 0.0)
 
 let test_exponential_mean () =
   let g = Rng.of_int 30 in
@@ -153,39 +105,6 @@ let test_exponential_invalid () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; -.Float.infinity ]
 
-let test_categorical_frequencies () =
-  let g = Rng.of_int 32 in
-  let w = [| 1.0; 2.0; 7.0 |] in
-  let counts = Array.make 3 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let i = Dist.categorical g w in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      let expected = w.(i) /. 10.0 in
-      let actual = float_of_int c /. float_of_int n in
-      check_close (Printf.sprintf "category %d" i) expected actual 0.01)
-    counts
-
-let test_categorical_invalid () =
-  let g = Rng.of_int 33 in
-  (try
-     ignore (Dist.categorical g [||]);
-     Alcotest.fail "empty weights accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Dist.categorical g [| 0.0; 0.0 |]);
-    Alcotest.fail "zero weights accepted"
-  with Invalid_argument _ -> ()
-
-let test_categorical_point_mass () =
-  let g = Rng.of_int 34 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "all mass on index 1" 1 (Dist.categorical g [| 0.0; 5.0; 0.0 |])
-  done
-
 let test_multinomial_conservation () =
   let g = Rng.of_int 35 in
   for trial = 1 to 200 do
@@ -202,9 +121,9 @@ let test_multinomial_conservation () =
   done
 
 let test_multinomial_frequencies () =
-  (* chi-square goodness of fit against the cell probabilities: with 3
-     cells (2 degrees of freedom) the 99.9% quantile is 13.8, so a correct
-     sampler fails with probability ~0.001 on this fixed seed *)
+  (* chi-square goodness of fit against the cell probabilities at
+     alpha = 0.001: a correct sampler fails with probability ~0.001 on
+     this fixed seed *)
   let g = Rng.of_int 36 in
   let w = [| 1.0; 2.0; 7.0 |] in
   let total_w = 10.0 in
@@ -215,15 +134,11 @@ let test_multinomial_frequencies () =
     Array.iteri (fun i x -> counts.(i) <- counts.(i) + x) c
   done;
   let total = float_of_int (n * reps) in
-  let chi2 = ref 0.0 in
-  Array.iteri
-    (fun i c ->
-      let expected = total *. w.(i) /. total_w in
-      let d = float_of_int c -. expected in
-      chi2 := !chi2 +. (d *. d /. expected))
-    counts;
-  if !chi2 > 13.8 then
-    Alcotest.failf "chi-square %.2f exceeds the 99.9%% quantile 13.8" !chi2
+  let expected = Array.map (fun wi -> total *. wi /. total_w) w in
+  let p = Chi2.test counts expected in
+  Alcotest.(check bool)
+    (Printf.sprintf "chi2 = %.2f, p = %.4f >= 0.001" (Chi2.statistic counts expected) p)
+    true (p >= 0.001)
 
 let test_multinomial_degenerate () =
   let g = Rng.of_int 37 in
@@ -281,17 +196,9 @@ let suite =
     Alcotest.test_case "binomial support" `Quick test_binomial_support;
     Alcotest.test_case "binomial extremes" `Quick test_binomial_extremes;
     Alcotest.test_case "binomial invalid args" `Quick test_binomial_invalid;
-    Alcotest.test_case "geometric moments" `Quick test_geometric_moments;
-    Alcotest.test_case "geometric support" `Quick test_geometric_support;
-    Alcotest.test_case "geometric invalid args" `Quick test_geometric_invalid;
-    Alcotest.test_case "poisson moments" `Quick test_poisson_moments;
-    Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "exponential law (KS and tail mass)" `Quick test_exponential_law;
     Alcotest.test_case "exponential invalid args" `Quick test_exponential_invalid;
-    Alcotest.test_case "categorical frequencies" `Quick test_categorical_frequencies;
-    Alcotest.test_case "categorical invalid args" `Quick test_categorical_invalid;
-    Alcotest.test_case "categorical point mass" `Quick test_categorical_point_mass;
     Alcotest.test_case "multinomial conservation" `Quick test_multinomial_conservation;
     Alcotest.test_case "multinomial frequencies" `Quick test_multinomial_frequencies;
     Alcotest.test_case "multinomial degenerate" `Quick test_multinomial_degenerate;

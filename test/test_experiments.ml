@@ -4,6 +4,14 @@
 module Experiments = Rumor_sim.Experiments
 module Table = Rumor_sim.Table
 
+let find id =
+  match Experiments.select [ id ] Rumor_sim.Protocol.Dense with
+  | [ e ] -> Some e
+  | _ | (exception Invalid_argument _) -> None
+
+let config =
+  { Rumor_sim.Sweep.metrics = None; jobs = 1; walkers = Rumor_sim.Protocol.Dense; trace = None }
+
 let test_ids_unique () =
   let ids = List.map (fun (e : Experiments.t) -> e.Experiments.id) Experiments.all in
   Alcotest.(check int) "no duplicate ids" (List.length ids)
@@ -12,19 +20,19 @@ let test_ids_unique () =
 let test_expected_ids_present () =
   List.iter
     (fun id ->
-      match Experiments.find id with
+      match find id with
       | Some _ -> ()
       | None -> Alcotest.failf "experiment %s missing" id)
     [
-      "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "A1"; "A2";
+      "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E9"; "E10"; "A1"; "A2";
       "A3"; "A4"; "A8"; "A9"; "A10"; "R1"; "R2"; "R6"; "R7"; "R9";
     ]
 
 let test_find_case_insensitive () =
-  (match Experiments.find "e9" with
+  (match find "e9" with
   | Some e -> Alcotest.(check string) "found" "E9" e.Experiments.id
   | None -> Alcotest.fail "lowercase lookup failed");
-  Alcotest.(check bool) "unknown id" true (Experiments.find "E99" = None)
+  Alcotest.(check bool) "unknown id" true (find "E99" = None)
 
 let test_every_experiment_has_paper_ref () =
   List.iter
@@ -34,12 +42,12 @@ let test_every_experiment_has_paper_ref () =
     Experiments.all
 
 let test_run_all_unknown_id_rejected () =
-  Alcotest.(check int) "kept experiments" 22 (List.length Experiments.all);
+  Alcotest.(check int) "kept experiments" 21 (List.length Experiments.all);
   (* the retired related-work scenarios are unknown ids too *)
   List.iter
     (fun id ->
-      Alcotest.(check bool) (id ^ " unknown") true (Experiments.find id = None);
-      match Experiments.run_all ~ids:[ "E1"; id ] Experiments.Quick ~seed:1 with
+      Alcotest.(check bool) (id ^ " unknown") true (find id = None);
+      match Experiments.select [ "E1"; id ] Rumor_sim.Protocol.Dense with
       | _ -> Alcotest.failf "unknown id %s accepted" id
       | exception Invalid_argument m ->
           let prefix = Printf.sprintf "unknown experiment %s (known: E1, " id in
@@ -52,9 +60,9 @@ let test_run_all_unknown_id_rejected () =
    and 14), so we assert exact zeros. *)
 
 let run_one id =
-  match Experiments.find id with
+  match find id with
   | None -> Alcotest.failf "experiment %s missing" id
-  | Some e -> e.Experiments.run Rumor_sim.Sweep.default_config Experiments.Quick ~seed:3
+  | Some e -> e.Experiments.run config Experiments.Quick ~seed:3
 
 let test_e9_invariants_zero () =
   match run_one "E9" with
@@ -120,8 +128,9 @@ let test_tables_render_and_csv () =
 let test_a10_labels () =
   let labels = ref [] in
   let metrics (r : Rumor_obs.Run_record.t) = labels := r.graph :: !labels in
-  let (_ : (Experiments.t * Table.t list) list) =
-    Experiments.run_all ~ids:[ "A10" ] ~metrics Experiments.Quick ~seed:1
+  let (_ : Table.t list) =
+    Experiments.run_one { config with metrics = Some metrics } Experiments.Quick ~seed:1
+      (Option.get (find "A10"))
   in
   Alcotest.(check (list string))
     "one label per family and representation"

@@ -116,13 +116,10 @@ let test_rejects_out_of_range () =
 
 let test_regularity () =
   let g = triangle () in
-  Alcotest.(check bool) "triangle regular" true (Graph.is_regular g);
   Alcotest.(check (option int)) "degree 2" (Some 2) (Graph.regular_degree g);
   let star = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3) ] in
-  Alcotest.(check bool) "star not regular" false (Graph.is_regular star);
   Alcotest.(check (option int)) "no regular degree" None (Graph.regular_degree star);
-  Alcotest.(check int) "min degree" 1 (Graph.min_degree star);
-  Alcotest.(check int) "max degree" 3 (Graph.max_degree star)
+  Alcotest.(check int) "min degree" 1 (Graph.min_degree star)
 
 (* arc_head inverts edge_index, so vertex v heads exactly deg v arcs *)
 let test_arc_head () =
@@ -167,8 +164,6 @@ let test_builder_matches_of_edges () =
   let edges = [ (3, 1); (0, 4); (1, 0); (2, 4); (0, 2) ] in
   let b = Graph.Builder.create ~n:5 () in
   List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
-  Alcotest.(check int) "edge_count" 5 (Graph.Builder.edge_count b);
-  Alcotest.(check int) "vertex_count" 5 (Graph.Builder.vertex_count b);
   Csr_check.same "builder = of_edges" (Graph.of_edges ~n:5 edges) (Graph.Builder.finish b)
 
 let test_builder_grows_past_capacity () =
@@ -276,16 +271,14 @@ let test_vertex_limit () =
     | exception Invalid_argument _ -> ()
   in
   refuses "Builder.create" (fun () -> ignore (Graph.Builder.create ~n:too_many ()));
-  refuses "of_edge_array" (fun () -> ignore (Graph.of_edge_array ~n:too_many [||]));
   refuses "of_edges" (fun () -> ignore (Graph.of_edges ~n:too_many [ (0, 1) ]));
   Alcotest.check_raises "of_csr"
     (Invalid_argument "Graph.of_csr: vertex count out of range") (fun () ->
       ignore (Graph.of_csr ~n:too_many ~offsets:[| 0 |] ~slots:(Graph.Slots.create 0)));
-  (* the largest n is accepted; [finish] is not called, it would size the
-     offsets by n *)
+  (* the largest n is accepted, and so is its last vertex id; [finish] is
+     not called, it would size the offsets by n *)
   let b = Graph.Builder.create ~n:(1 lsl 24) () in
-  Graph.Builder.add_edge b 0 ((1 lsl 24) - 1);
-  Alcotest.(check int) "n = 2^24 builder" (1 lsl 24) (Graph.Builder.vertex_count b)
+  Graph.Builder.add_edge b 0 ((1 lsl 24) - 1)
 
 let test_csr_bytes () =
   List.iter
@@ -580,7 +573,9 @@ let prop_slot_codec =
       let ids = Array.of_list ((first :: middle) @ [ last ]) in
       let k = Array.length ids in
       let order = Array.init k Fun.id in
-      Rng.shuffle (Rng.of_int seed) order;
+      let g = Rng.of_int seed in
+      let keys = Array.init k (fun _ -> Rng.bits64 g) in
+      Array.sort (fun i j -> Int64.compare keys.(i) keys.(j)) order;
       let b = Graph.Slots.create k in
       Array.iter (fun i -> Graph.Slots.set b i ids.(i)) order;
       List.for_all (fun i -> Graph.Slots.get b i = ids.(i)) (List.init k Fun.id))

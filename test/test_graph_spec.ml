@@ -4,8 +4,10 @@ module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
 module Graph_spec = Rumor_sim.Graph_spec
 
+let parse_exn text = Result.get_ok (Graph_spec.parse text)
+
 let build text =
-  Graph_spec.build (Rng.of_int 1) (Graph_spec.parse_exn text)
+  Graph_spec.build (Rng.of_int 1) (parse_exn text)
 
 let test_families_build () =
   List.iter
@@ -54,16 +56,16 @@ let test_case_insensitive_family () =
 let test_roundtrip_to_string () =
   List.iter
     (fun text ->
-      let s = Graph_spec.parse_exn text in
+      let s = parse_exn text in
       Alcotest.(check string) "canonical form" text (Graph_spec.to_string s))
     [ "complete:7"; "grid:3x4"; "random-regular:20,3"; "er:30,0.2"; "csc:3" ]
 
 let test_is_random () =
   Alcotest.(check bool) "random-regular" true
-    (Graph_spec.is_random (Graph_spec.parse_exn "random-regular:10,3"));
-  Alcotest.(check bool) "er" true (Graph_spec.is_random (Graph_spec.parse_exn "er:10,0.5"));
-  Alcotest.(check bool) "ba" true (Graph_spec.is_random (Graph_spec.parse_exn "ba:10,2"));
-  Alcotest.(check bool) "star" false (Graph_spec.is_random (Graph_spec.parse_exn "star:5"))
+    (Graph_spec.is_random (parse_exn "random-regular:10,3"));
+  Alcotest.(check bool) "er" true (Graph_spec.is_random (parse_exn "er:10,0.5"));
+  Alcotest.(check bool) "ba" true (Graph_spec.is_random (parse_exn "ba:10,2"));
+  Alcotest.(check bool) "star" false (Graph_spec.is_random (parse_exn "star:5"))
 
 let test_parse_errors () =
   List.iter
@@ -74,7 +76,7 @@ let test_parse_errors () =
     [ "unknown:3"; "star"; "star:x"; "grid:3"; "grid:3,4"; "er:10"; "random-regular:10" ]
 
 let test_random_spec_uses_rng () =
-  let spec = Graph_spec.parse_exn "random-regular:30,3" in
+  let spec = parse_exn "random-regular:30,3" in
   let g1, _ = Graph_spec.build (Rng.of_int 1) spec in
   let g2, _ = Graph_spec.build (Rng.of_int 2) spec in
   let differs = ref false in

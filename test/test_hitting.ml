@@ -46,9 +46,9 @@ let test_star_closed_form () =
      leaf -> other leaf is 2l *)
   let l = 6 in
   let g = Gen.star ~leaves:l in
-  check "leaf->center" 1.0 (Hitting.hitting_time g 1 0);
-  check "center->leaf" (float_of_int ((2 * l) - 1)) (Hitting.hitting_time g 0 1);
-  check "leaf->leaf" (float_of_int (2 * l)) (Hitting.hitting_time g 2 1)
+  check "leaf->center" 1.0 ((Hitting.hitting_times g 0).(1));
+  check "center->leaf" (float_of_int ((2 * l) - 1)) ((Hitting.hitting_times g 1).(0));
+  check "leaf->leaf" (float_of_int (2 * l)) ((Hitting.hitting_times g 1).(2))
 
 let test_lazy_doubles () =
   let g = Gen.cycle 7 in
@@ -63,12 +63,13 @@ let test_commute_time_on_tree () =
   let g = Gen.complete_binary_tree ~levels:4 in
   let m = float_of_int (Graph.num_edges g) in
   let dist = Rumor_graph.Algo.bfs_distances g 0 in
+  let to_root = Hitting.hitting_times g 0 in
   List.iter
     (fun v ->
       check
         (Printf.sprintf "commute(0,%d)" v)
         (2.0 *. m *. float_of_int dist.(v))
-        (Hitting.commute_time g 0 v))
+        ((Hitting.hitting_times g v).(0) +. to_root.(v)))
     [ 1; 4; 10; 14 ]
 
 let test_invalid () =
@@ -136,7 +137,7 @@ let test_simulation_matches_exact_hitting () =
   (* the round kernel's walk time must match the solved value; this
      validates the walk step and Rng end to end against ground truth *)
   let g = Gen.complete 8 in
-  let exact = Hitting.hitting_time g 0 7 in
+  let exact = (Hitting.hitting_times g 7).(0) in
   let empirical = mean_hitting_run ~seed:401 ~trials:4000 g ~start:0 ~target:7 in
   Alcotest.(check bool)
     (Printf.sprintf "empirical %.2f vs exact %.2f" empirical exact)
@@ -145,7 +146,7 @@ let test_simulation_matches_exact_hitting () =
 
 let test_simulation_matches_exact_on_path () =
   let g = Gen.path 6 in
-  let exact = Hitting.hitting_time g 5 0 in
+  let exact = (Hitting.hitting_times g 0).(5) in
   let empirical = mean_hitting_run ~seed:402 ~trials:3000 g ~start:5 ~target:0 in
   Alcotest.(check bool)
     (Printf.sprintf "empirical %.2f vs exact %.2f" empirical exact)

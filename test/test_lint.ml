@@ -306,7 +306,7 @@ let test_json_format_round_trip () =
         (Json.to_string (json_member "rule" f))
   | _ -> Alcotest.fail "expected exactly one finding in the JSON document"
 
-(* --- the typed rules (R9-R11) over the compiled fixture library -------- *)
+(* --- the typed rules (R9-R12) over the compiled fixture libraries ------ *)
 
 let typed_root = Filename.concat fixture_root "typed"
 let tfixture name = Filename.concat typed_root name
@@ -423,6 +423,41 @@ let test_r11_domain_race () =
   check_typed_quiet ~only:"R11" "r11_ok.ml";
   check_typed_quiet ~only:"R11" "r11_clean.ml"
 
+(* a top-level [let () =] body is analysed like a named definition *)
+let test_r9_toplevel_body () =
+  guard_typed @@ fun () ->
+  let code, lines =
+    run_lint (typed_args [ "--only"; "R9"; tfixture "r9_toplevel.ml" ])
+  in
+  Alcotest.(check int) "r9_toplevel exits 1" 1 code;
+  match lines with
+  | [ line ] ->
+      Alcotest.(check bool) "at the let () line" true
+        (has_sub (tfixture "r9_toplevel.ml" ^ ":4:") line);
+      Alcotest.(check bool) "chain ends at the primitive" true
+        (has_sub "Random.int" line)
+  | _ -> Alcotest.fail "expected exactly one R9 finding"
+
+(* R12's verdict on each export of the two-module fixture: a caller in
+   another module or in a top-level body counts, a test's does not *)
+let test_r12_unused_exports () =
+  guard_typed @@ fun () ->
+  let mli = tfixture "r12/lib/r12_exports.mli" in
+  let code, lines = run_lint (typed_args [ "--only"; "R12"; mli ]) in
+  Alcotest.(check int) "r12_exports exits 1" 1 code;
+  let flagged name =
+    List.exists (fun l -> has_sub ("R12_exports." ^ name ^ " is exported") l) lines
+  in
+  Alcotest.(check bool) "used from another module" false (flagged "used");
+  Alcotest.(check bool) "used by nothing" true (flagged "unused");
+  Alcotest.(check bool) "used only from test/" true (flagged "tested");
+  Alcotest.(check bool) "used only from a let () main" false (flagged "main_only");
+  Alcotest.(check bool) "used only in a functor body" false (flagged "functor_only");
+  Alcotest.(check bool) "suppressed" false (flagged "kept");
+  Alcotest.(check int) "two findings" 2 (List.length lines);
+  Alcotest.(check bool) "reported at the val line" true
+    (List.exists (has_sub (mli ^ ":6:0: [R12 unused-export]")) lines)
+
 let test_json_chain_field () =
   guard_typed @@ fun () ->
   let code, lines =
@@ -485,4 +520,8 @@ let suite =
       test_r11_domain_race;
     Alcotest.test_case "R9 JSON finding carries its chain" `Quick
       test_json_chain_field;
+    Alcotest.test_case "R9 sees a top-level let () body" `Quick
+      test_r9_toplevel_body;
+    Alcotest.test_case "R12 verdict per export of its fixture" `Quick
+      test_r12_unused_exports;
   ]

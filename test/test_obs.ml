@@ -120,7 +120,7 @@ let test_nop_does_not_change_result () =
     P.Engine.push_pull ?obs (Rng.of_int 97) (Gen.complete 40) ~source:0
       ~max_rounds:10_000 ()
   in
-  let plain = run None and instrumented = run (Some Obs.nop) in
+  let plain = run None and instrumented = run (Some (Obs.make ())) in
   Alcotest.(check (option int)) "same broadcast time"
     plain.P.Run_result.broadcast_time instrumented.P.Run_result.broadcast_time;
   Alcotest.(check int) "same contacts" plain.P.Run_result.contacts

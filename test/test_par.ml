@@ -12,32 +12,27 @@ module Stats = Rumor_prob.Stats
 
 (* --- the pool itself -------------------------------------------------- *)
 
+let init pool n f = Pool.init_traced pool n (fun ~trace:_ i -> f i)
+
 let test_init_matches_sequential () =
   let f i = (i * 37) mod 101 in
   let pool = Pool.create ~jobs:4 in
   Alcotest.(check (array int)) "init = Array.init" (Array.init 100 f)
-    (Pool.init pool 100 f)
-
-let test_map_matches_sequential () =
-  let a = Array.init 64 (fun i -> i - 17) in
-  let f x = (x * x) + 3 in
-  let pool = Pool.create ~jobs:3 in
-  Alcotest.(check (array int)) "map = Array.map" (Array.map f a)
-    (Pool.map pool f a)
+    (init pool 100 f)
 
 let test_more_jobs_than_items () =
   let pool = Pool.create ~jobs:8 in
   Alcotest.(check (array int)) "8 jobs, 3 items" [| 0; 2; 4 |]
-    (Pool.init pool 3 (fun i -> 2 * i))
+    (init pool 3 (fun i -> 2 * i))
 
 let test_empty_and_singleton () =
   let pool = Pool.create ~jobs:4 in
-  Alcotest.(check (array int)) "empty" [||] (Pool.init pool 0 (fun i -> i));
-  Alcotest.(check (array int)) "singleton" [| 7 |] (Pool.init pool 1 (fun _ -> 7))
+  Alcotest.(check (array int)) "empty" [||] (init pool 0 (fun i -> i));
+  Alcotest.(check (array int)) "singleton" [| 7 |] (init pool 1 (fun _ -> 7))
 
 let test_jobs_zero_resolves () =
-  Alcotest.(check bool) "0 = all cores, at least one" true
-    (Pool.jobs (Pool.create ~jobs:0) >= 1)
+  Alcotest.(check (array int)) "0 = all cores, at least one" (Array.init 20 succ)
+    (init (Pool.create ~jobs:0) 20 succ)
 
 let test_negative_jobs_rejected () =
   try
@@ -49,12 +44,12 @@ exception Boom of int
 
 let test_exception_propagates () =
   let pool = Pool.create ~jobs:4 in
-  match Pool.init pool 50 (fun i -> if i = 23 then raise (Boom i) else i) with
+  match init pool 50 (fun i -> if i = 23 then raise (Boom i) else i) with
   | (_ : int array) -> Alcotest.fail "worker failure swallowed"
   | exception Boom 23 -> ()
   | exception Boom i -> Alcotest.fail (Printf.sprintf "wrong payload %d" i)
 
-(* without a tracer, init_traced is init: every item sees [~trace:None] *)
+(* without a tracer every item sees [~trace:None] *)
 let test_init_traced_untraced () =
   let pool = Pool.create ~jobs:3 in
   let traced = Array.make 50 true in
@@ -73,23 +68,20 @@ let test_negative_length_rejected () =
     (fun jobs ->
       Alcotest.check_raises
         (Printf.sprintf "jobs %d" jobs)
-        (Invalid_argument "Pool.init: negative length")
-        (fun () -> ignore (Pool.init (Pool.create ~jobs) (-1) Fun.id)))
+        (Invalid_argument "Pool.init_traced: negative length")
+        (fun () -> ignore (init (Pool.create ~jobs) (-1) Fun.id)))
     [ 1; 4 ]
 
 (* a pool holds no workers between calls, so a failed call leaves it as
    usable as a fresh one *)
 let test_reusable_after_failure () =
   let pool = Pool.create ~jobs:4 in
-  (match Pool.init pool 40 (fun i -> if i = 5 then raise (Boom i) else i) with
+  (match init pool 40 (fun i -> if i = 5 then raise (Boom i) else i) with
   | (_ : int array) -> Alcotest.fail "worker failure swallowed"
   | exception Boom _ -> ());
-  Alcotest.(check (array int)) "map after a failed init"
-    (Array.init 40 (fun i -> i + 1))
-    (Pool.map pool succ (Array.init 40 Fun.id));
   Alcotest.(check (array int)) "init again"
     (Array.init 40 (fun i -> 2 * i))
-    (Pool.init pool 40 (fun i -> 2 * i))
+    (init pool 40 (fun i -> 2 * i))
 
 (* --- jobs-invariance of Replicate ------------------------------------- *)
 
@@ -154,8 +146,6 @@ let suite =
   [
     Alcotest.test_case "init matches sequential" `Quick
       test_init_matches_sequential;
-    Alcotest.test_case "map matches sequential" `Quick
-      test_map_matches_sequential;
     Alcotest.test_case "more jobs than items" `Quick test_more_jobs_than_items;
     Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
     Alcotest.test_case "jobs 0 resolves to >= 1" `Quick test_jobs_zero_resolves;

@@ -19,7 +19,7 @@ let test_names () =
   Alcotest.(check string) "async-push-pull" "async-push-pull"
     (Protocol.name Protocol.async_push_pull);
   Alcotest.(check string) "async-meetx" "async-meet-exchange"
-    (Protocol.name (Protocol.async_meet_exchange ()))
+    (Protocol.name (Protocol.Async_meet_exchange { agents = Linear 1.0; laziness = Lazy_auto }))
 
 (* the CLI's -p menu: every listed name parses back to a spec of that name,
    carrying the given agent law and laziness *)
@@ -201,10 +201,9 @@ let test_graphgen_writes_edge_list () =
       in
       Alcotest.(check int) "exits 0" 0 code;
       Alcotest.(check (list string)) "nothing on stderr" [] errs;
-      let module Graph_io = Rumor_graph.Graph_io in
       Alcotest.(check string) "edge list of cycle:7"
-        (Graph_io.to_edge_list (Gen.cycle 7))
-        (Graph_io.to_edge_list (Graph_io.load out)))
+        (Rumor_graph.Graph_io.to_edge_list (Gen.cycle 7))
+        (In_channel.with_open_bin out In_channel.input_all))
 
 (* --timing reports the graph's CSR payload as [Graph.csr_bytes] counts it:
    8 bytes per offset, 3 per neighbour slot and one pad byte *)
@@ -253,7 +252,7 @@ let test_all_protocols_complete () =
       Protocol.combined ();
       Protocol.async_push;
       Protocol.async_push_pull;
-      Protocol.async_meet_exchange ();
+      Protocol.Async_meet_exchange { agents = Linear 1.0; laziness = Lazy_auto };
     ]
 
 (* the async specs are the Async_engine DES kernels projected through
@@ -285,7 +284,7 @@ let test_async_dispatch_matches_direct () =
           P.Async_push.to_run_result
             (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull
                ~source:0 ~max_time:10_000.0) );
-      ( Protocol.async_meet_exchange (),
+      ( Protocol.Async_meet_exchange { agents = Linear 1.0; laziness = Lazy_auto },
         fun rng ->
           P.Async_meet_exchange.to_run_result
             (P.Async_engine.meet_exchange rng g ~source:0

@@ -57,8 +57,8 @@ let test_broadcast_times_wrapper () =
   in
   Alcotest.(check int) "five reps" 5 (Array.length m.Replicate.times);
   Alcotest.(check bool) "mean positive" true (Replicate.mean m > 0.0);
-  Alcotest.(check bool) "median positive" true (Replicate.median m > 0.0);
-  Alcotest.(check bool) "max >= mean" true (Replicate.max_time m >= Replicate.mean m)
+  Alcotest.(check bool) "median positive" true (m.Replicate.summary.median > 0.0);
+  Alcotest.(check bool) "max >= mean" true (m.Replicate.summary.max >= Replicate.mean m)
 
 let test_graph_resampled_per_replication () =
   (* with a random graph model, the per-rep generator drives graph sampling;

@@ -99,7 +99,7 @@ let test_create_invalid () =
      Alcotest.fail "zero agents accepted"
    with Invalid_argument _ -> ());
   (* a graph with an isolated vertex: 0-1 edge plus isolated 2 *)
-  let g = Graph.of_edge_array ~n:3 [| (0, 1) |] in
+  let g = Graph.of_edges ~n:3 [ (0, 1) ] in
   try
     ignore
       (SW.create ~lazy_walk:false (Rng.of_int 96) g (Placement.All_at (2, 4)));

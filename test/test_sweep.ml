@@ -34,7 +34,7 @@ let mixed_rows =
       Sweep.Sampled (fun rng -> (Gen_random.random_regular_connected rng ~n:32 ~d:4, 0)) );
   ]
 
-let config jobs = { Sweep.default_config with jobs }
+let config jobs = { Sweep.metrics = None; jobs; walkers = Rumor_sim.Protocol.Dense; trace = None }
 
 let test_fixed_built_once_per_row () =
   List.iter
@@ -96,8 +96,9 @@ let test_records_name_their_row () =
 let test_e1_rows_have_distinct_labels () =
   let labels = ref [] in
   let metrics (r : Rumor_obs.Run_record.t) = labels := r.graph :: !labels in
-  let (_ : (Experiments.t * Table.t list) list) =
-    Experiments.run_all ~ids:[ "E1" ] ~metrics Experiments.Quick ~seed:1
+  let (_ : Table.t list) =
+    Experiments.run_one { (config 1) with metrics = Some metrics } Experiments.Quick ~seed:1
+      (List.hd (Experiments.select [ "E1" ] Rumor_sim.Protocol.Dense))
   in
   Alcotest.(check (list string))
     "one label per star size"

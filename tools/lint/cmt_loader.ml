@@ -74,15 +74,10 @@ let nth_some_arg args n =
   let somes = List.filter_map (fun ((_ : Asttypes.arg_label), a) -> a) args in
   List.nth_opt somes n
 
-(* Names worth pre-filtering as parallel-run entry points; Effects does
-   the exact canonical match later (Rumor_par.Pool.init / init_traced /
-   map). *)
-let par_entry_suffix = function
-  | [] -> false
-  | parts -> (
-      match List.rev parts with
-      | ("init" | "init_traced" | "map") :: _ -> true
-      | _ -> false)
+(* Names worth pre-filtering as the parallel-run entry point; R11 does
+   the exact canonical match later (Rumor_par.Pool.init_traced). *)
+let par_entry_suffix parts =
+  match List.rev parts with "init_traced" :: _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Ident sets (tiny, list-backed: defs are small)                     *)
@@ -278,11 +273,15 @@ let rec unwrap_mod me =
   | d -> d
 
 (* Collect (ident, dotted name, binding) for every top-level [let] —
-   including inside literal submodules, prefixed "Sub.f" — plus the
-   [module X = P] aliases (dune's generated wrapper modules are exactly
-   these, which is what lets Effects undo the __ name mangling). *)
+   including inside literal submodules and functor bodies, prefixed
+   "Sub.f" — plus the [module X = P] aliases (dune's generated wrapper
+   modules are exactly these, which is what lets Effects undo the __ name
+   mangling) and the modules applied as [module X = F (P)].  A binding
+   that names no single value ([let () = main ()], the body of every
+   executable) gets no ident and a def named after its line, so its calls
+   are still analysed. *)
 let collect_structure str =
-  let defs = ref [] and aliases = ref [] in
+  let defs = ref [] and aliases = ref [] and functor_args = ref [] in
   let rec items prefix its = List.iter (item prefix) its
   and item prefix it =
     match it.str_desc with
@@ -291,8 +290,10 @@ let collect_structure str =
           (fun vb ->
             match vb.vb_pat.pat_desc with
             | Tpat_var (id, _) ->
-                defs := (id, prefix ^ Ident.name id, vb) :: !defs
-            | _ -> ())
+                defs := (Some id, prefix ^ Ident.name id, vb) :: !defs
+            | _ ->
+                let line = fst (pos_of vb.vb_loc) in
+                defs := (None, Printf.sprintf "%slet@%d" prefix line, vb) :: !defs)
           vbs
     | Tstr_module mb -> mbinding prefix mb
     | Tstr_recmodule mbs -> List.iter (mbinding prefix) mbs
@@ -308,10 +309,20 @@ let collect_structure str =
             | Some parts -> aliases := (name, parts) :: !aliases
             | None -> ())
         | Tmod_structure s -> items (name ^ ".") s.str_items
+        | Tmod_functor (_, body) -> (
+            match unwrap_mod body with
+            | Tmod_structure s -> items (name ^ ".") s.str_items
+            | _ -> ())
+        | Tmod_apply (_, arg, _) -> (
+            match unwrap_mod arg with
+            | Tmod_ident (p, _) ->
+                Option.iter (fun ps -> functor_args := ps :: !functor_args)
+                  (path_parts p)
+            | _ -> ())
         | _ -> ())
   in
   items "" str.str_items;
-  (List.rev !defs, List.rev !aliases)
+  (List.rev !defs, List.rev !aliases, List.rev !functor_args)
 
 (* ------------------------------------------------------------------ *)
 (* Per-definition analysis                                            *)
@@ -566,8 +577,10 @@ let analyze_def ~def_idents dname (vb : value_binding) : Summary.def =
 (* ------------------------------------------------------------------ *)
 
 let extract (cmt : Cmt_format.cmt_infos) (str : structure) : Summary.t =
-  let raw_defs, aliases = collect_structure str in
-  let def_idents = List.map (fun (id, full, _) -> (id, full)) raw_defs in
+  let raw_defs, aliases, functor_args = collect_structure str in
+  let def_idents =
+    List.filter_map (fun (id, full, _) -> Option.map (fun id -> (id, full)) id) raw_defs
+  in
   let defs =
     List.map (fun (_, full, vb) -> analyze_def ~def_idents full vb) raw_defs
   in
@@ -579,6 +592,7 @@ let extract (cmt : Cmt_format.cmt_infos) (str : structure) : Summary.t =
       | Some d -> Digest.to_hex d
       | None -> "");
     aliases;
+    functor_args;
     defs;
   }
 
@@ -595,7 +609,7 @@ let read_cmt path : Summary.t option =
 (* Caching                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let cache_version = "rumor-lint-summary/2 ocaml:" ^ Sys.ocaml_version
+let cache_version = "rumor-lint-summary/3 ocaml:" ^ Sys.ocaml_version
 
 let cache_dir = Filename.concat "_build" ".rumor-lint-cache"
 
@@ -652,14 +666,11 @@ let load path : Summary.t option =
 (* Discovery                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Directories never worth scanning for cmts: demo/scratch code is not
-   part of the linted tree (same default as the driver's source walk). *)
-let skip_dirs = [ "scratch"; "examples" ]
-
+(* Every cmt is loaded, examples and perfbench included: they are not
+   linted, but their calls are the callers R12 looks for. *)
 let rec walk_cmts path acc =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list
-    |> List.filter (fun name -> not (List.mem name skip_dirs))
     |> List.fold_left
          (fun acc name -> walk_cmts (Filename.concat path name) acc)
          acc

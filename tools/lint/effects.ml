@@ -35,9 +35,11 @@ type t = {
   local_aliases : (string, (string, string list) Hashtbl.t) Hashtbl.t;
   by_digest : (string, Summary.t) Hashtbl.t;
   modnames : string list;
+  referenced : (string, unit) Hashtbl.t;
+      (** definitions named from another module outside the tests (R12) *)
 }
 
-(* "Rumor_par__Pool.init" -> "Rumor_par.Pool.init": undo dune's wrapped
+(* "Rumor_par__Pool.create" -> "Rumor_par.Pool.create": undo dune's wrapped
    library mangling for display and for canonical comparisons. *)
 let display key =
   let b = Buffer.create (String.length key) in
@@ -60,6 +62,18 @@ let under_par_source source =
 
 let under_obs_source source =
   Rules.under_obs { Rule.path = source; scope = Rule.Lib; mli_exists = false }
+
+(* Test code: the innermost lib/, bin/, test/ or lint_fixtures/ directory
+   on the source path is test/ or lint_fixtures/. test/test_rng.ml is,
+   and so is every fixture, except those under a fixture's own lib/. *)
+let test_source source =
+  match
+    List.find_opt
+      (fun d -> List.mem d [ "lib"; "bin"; "test"; "lint_fixtures" ])
+      (List.rev (String.split_on_char '/' (Filename.dirname source)))
+  with
+  | Some ("test" | "lint_fixtures") -> true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Builtin effect classification                                      *)
@@ -257,7 +271,42 @@ let build (summaries : Summary.t list) ~suppress_for : t =
     Hashtbl.fold (fun k _ acc -> k :: acc) infos [] |> List.sort String.compare
   in
   let modnames = List.map (fun (s : Summary.t) -> s.modname) summaries in
-  let t = { infos; order; global_aliases; local_aliases; by_digest; modnames } in
+  let referenced = Hashtbl.create 256 in
+  let t =
+    { infos; order; global_aliases; local_aliases; by_digest; modnames; referenced }
+  in
+  (* every cross-module reference made outside the tests; an unresolved
+     one (an [external], say) is kept under its resolved name, and a
+     functor argument under its unit's name *)
+  List.iter
+    (fun (s : Summary.t) ->
+      if not (test_source s.source) then
+        List.iter
+          (fun parts ->
+            Hashtbl.replace referenced
+              (String.concat "." (rewrite t ~modname:s.modname parts))
+              ())
+          s.functor_args)
+    summaries;
+  List.iter
+    (fun key ->
+      let info = Hashtbl.find infos key in
+      if not (test_source info.source) then
+        List.iter
+          (fun (c : Summary.call) ->
+            match c.target with
+            | Summary.Local _ -> ()
+            | Summary.Global _ ->
+                let resolved = resolve t ~modname:info.modname c.target in
+                let callee, unit =
+                  match find_info t ~modname:info.modname resolved with
+                  | Some i -> (i.key, i.modname)
+                  | None -> (resolved, List.hd (String.split_on_char '.' resolved))
+                in
+                if not (String.equal unit info.modname) then
+                  Hashtbl.replace referenced callee ())
+          info.def.calls)
+    order;
   (* seed direct facts *)
   List.iter
     (fun key ->
@@ -325,3 +374,5 @@ let build (summaries : Summary.t list) ~suppress_for : t =
   t
 
 let summary_for_digest t digest = Hashtbl.find_opt t.by_digest digest
+
+let referenced t key = Hashtbl.mem t.referenced key

@@ -7,7 +7,7 @@
    with compiler-libs and runs the rule registry over each implementation.
    With --typed (or --only naming a typed rule) it additionally loads the
    .cmt files under --cmt-root, builds the interprocedural effect fixpoint
-   (see Effects) and runs the typedtree rules R9-R11 over every input file
+   (see Effects) and runs the typedtree rules R9-R12 over every input file
    whose digest matches a compiled module. Exit codes mirror rumor_report's
    contract:
 
@@ -104,7 +104,7 @@ let spec =
        lint_fixtures/ are always skipped unless named explicitly)" );
     ( "--typed",
       Arg.Set typed,
-      " run the typedtree rules (R9-R11) against the cmts under --cmt-root" );
+      " run the typedtree rules (R9-R12) against the cmts under --cmt-root" );
     ( "--cmt-root",
       Arg.String (fun s -> cmt_root := Some s),
       "DIR where to discover .cmt files (default: _build/default if present, \
@@ -250,13 +250,14 @@ let lint_file rules path =
           Findings findings)
 
 (* ------------------------------------------------------------------ *)
-(* The typed pass (R9-R11 over cmts)                                  *)
+(* The typed pass (R9-R12 over cmts)                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Inputs are matched to compiled modules by source digest, so the pass
    is immune to path spelling differences between the walk and the cmts
-   (workspace root vs _build/default). A file with no matching cmt is
-   skipped: only compiled code can be analyzed. *)
+   (workspace root vs _build/default); an interface goes by the digest
+   of its .ml. A file with no matching cmt is skipped: only compiled code
+   can be analyzed. *)
 let typed_pass trules files =
   let croot =
     match !cmt_root with
@@ -266,6 +267,22 @@ let typed_pass trules files =
         if Sys.file_exists d && Sys.is_directory d then d else "."
   in
   let summaries = Cmt_loader.load_all croot in
+  (* a cmt older than its source (a native-only build leaves an
+     executable's cmt behind) hides the calls made since: say so *)
+  let stale =
+    List.filter
+      (fun (s : Summary.t) ->
+        s.digest <> "" && Sys.file_exists s.source
+        && not (String.equal s.digest (Digest.to_hex (Digest.file s.source))))
+      summaries
+  in
+  (match stale with
+  | [] -> ()
+  | s :: _ ->
+      Printf.eprintf
+        "rumor_lint: note: %d cmts under %s are older than their sources \
+         (%s among them); run `dune build @check` first\n"
+        (List.length stale) croot s.source);
   let sup_cache = Hashtbl.create 32 in
   let suppress_for source =
     match Hashtbl.find_opt sup_cache source with
@@ -283,41 +300,48 @@ let typed_pass trules files =
   in
   let env = Effects.build summaries ~suppress_for in
   let matched = ref 0 in
+  let exports path source =
+    if Filename.check_suffix path ".ml" then []
+    else
+      let lexbuf = Lexing.from_string source in
+      Location.init lexbuf path;
+      match Parse.interface lexbuf with
+      | sg -> Typed_rules.exports_of_signature sg
+      (* lint: allow R6 — the parse pass already reports a broken interface *)
+      | exception _ -> []
+  in
   let findings =
     List.concat_map
       (fun path ->
-        if not (Filename.check_suffix path ".ml") then []
-        else
-          match Digest.file path with
-          | exception Sys_error _ -> []
-          | digest -> (
-              match
-                Effects.summary_for_digest env (Digest.to_hex digest)
-              with
-              | None -> []
-              | Some summary -> (
-                  incr matched;
-                  match read_file path with
-                  | exception Sys_error _ -> []
-                  | source ->
-                      let ctx = ctx_of_path path in
-                      let suppressions = Suppress.scan source in
-                      let tc =
-                        {
-                          Typed_rules.rctx = ctx;
-                          summary;
-                          env;
-                          hot_lines = Suppress.hot_lines source;
-                        }
-                      in
-                      List.concat_map
-                        (fun (r : Typed_rules.t) ->
-                          if r.applies ctx then r.check tc else [])
-                        trules
-                      |> List.filter (fun (f : Finding.t) ->
-                             not
-                               (Suppress.allows suppressions ~line:f.line
-                                  ~id:f.rule ~name:f.name)))))
+        match Digest.file (Filename.remove_extension path ^ ".ml") with
+        | exception Sys_error _ -> []
+        | digest -> (
+            match Effects.summary_for_digest env (Digest.to_hex digest) with
+            | None -> []
+            | Some summary -> (
+                incr matched;
+                match read_file path with
+                | exception Sys_error _ -> []
+                | source ->
+                    let ctx = ctx_of_path path in
+                    let suppressions = Suppress.scan source in
+                    let tc =
+                      {
+                        Typed_rules.rctx = ctx;
+                        summary;
+                        env;
+                        hot_lines = Suppress.hot_lines source;
+                        exports = exports path source;
+                      }
+                    in
+                    List.concat_map
+                      (fun (r : Typed_rules.t) ->
+                        if r.applies ctx then r.check tc else [])
+                      trules
+                    |> List.filter (fun (f : Finding.t) ->
+                           not
+                             (Suppress.allows suppressions ~line:f.line
+                                ~id:f.rule ~name:f.name)))))
       files
   in
   if !matched = 0 && List.exists (fun p -> Filename.check_suffix p ".ml") files
@@ -366,7 +390,7 @@ let print_json findings errors =
 (* ------------------------------------------------------------------ *)
 
 let print_rule_table () =
-  let bin_ctx = { Rule.path = ""; scope = Rule.Bin; mli_exists = true } in
+  let bin_ctx = { Rule.path = "bin/x.ml"; scope = Rule.Bin; mli_exists = true } in
   List.iter
     (fun (r : Rule.t) ->
       let scopes = if r.applies bin_ctx then "everywhere" else "lib/ only" in

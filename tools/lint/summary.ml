@@ -91,6 +91,9 @@ type t = {
   digest : string;  (** hex digest of the source, "" when absent *)
   aliases : (string * string list) list;
       (** [module X = P] bindings, including dune wrapper modules *)
+  functor_args : string list list;
+      (** modules applied as [F (P)] at top level: all their values count
+          as used *)
   defs : def list;
 }
 

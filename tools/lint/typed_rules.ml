@@ -1,16 +1,19 @@
-(* Typedtree-based rules R9-R11: these see one module's Summary plus the
+(* Typedtree-based rules R9-R12: these see one module's Summary plus the
    whole-program Effects fixpoint, unlike the parsetree rules in Rules
    which see one file's AST in isolation.
 
    Findings are reported against the *input source file* (tctx.rctx.path)
    so the ordinary per-line suppression comments in that file apply,
-   exactly as for R1-R8. *)
+   exactly as for R1-R8. R9-R11 read an implementation; R12 reads an
+   interface, matched to the summary of its .ml. *)
 
 type tctx = {
   rctx : Rule.ctx;
   summary : Summary.t;
   env : Effects.t;
   hot_lines : int list;  (** lines bearing a [(* lint: hot *)] marker *)
+  exports : (string * int * int) list;
+      (** an interface's values as (name, line, col), [] for a .ml *)
 }
 
 type t = {
@@ -22,6 +25,8 @@ type t = {
 }
 
 let key_of tc (d : Summary.def) = tc.summary.modname ^ "." ^ d.dname
+
+let impl_only (ctx : Rule.ctx) = Filename.check_suffix ctx.path ".ml"
 
 (* ------------------------------------------------------------------ *)
 (* R9 effect-confinement                                              *)
@@ -55,7 +60,7 @@ let r9 =
       "lib functions must not transitively reach global RNG / stdout / \
        concurrency / wall-clock primitives outside their sanctioned layer \
        (interprocedural closure of R2/R3/R7/R8, with the call chain printed)";
-    applies = Rule.lib_only;
+    applies = (fun ctx -> Rule.lib_only ctx && impl_only ctx);
     check =
       (fun tc ->
         let facts =
@@ -119,7 +124,7 @@ let r10 =
        and anywhere in the body of a loop-free one (a per-element function \
        its callers loop over); arguments of raise/invalid_arg/failwith are \
        exempt";
-    applies = Rule.everywhere;
+    applies = impl_only;
     check =
       (fun tc ->
         List.concat_map
@@ -152,25 +157,21 @@ let r10 =
 (* R11 domain-race heuristic                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical names of the parallel-run entry points whose closure runs
+(* The canonical name of the parallel-run entry point whose closure runs
    on worker domains. *)
-let par_entry_points =
-  [
-    "Rumor_par.Pool.init";
-    "Rumor_par.Pool.init_traced";
-    "Rumor_par.Pool.map";
-  ]
+let par_entry_point = "Rumor_par.Pool.init_traced"
 
 let r11 =
   {
     id = "R11";
     name = "domain-race";
     doc =
-      "mutable state written from a closure passed to Pool.init/init_traced/\
-       map is flagged unless the write is closure-local or indexed by a \
+      "mutable state written from a closure passed to Pool.init_traced is \
+       flagged unless the write is closure-local or indexed by a \
        value derived from the closure's parameters; calls from the closure \
        into shared-state mutators are chased transitively";
-    applies = (fun ctx -> Rule.lib_only ctx && not (Rules.under_par ctx));
+    applies =
+      (fun ctx -> Rule.lib_only ctx && impl_only ctx && not (Rules.under_par ctx));
     check =
       (fun tc ->
         List.concat_map
@@ -181,7 +182,7 @@ let r11 =
                   Effects.resolve tc.env ~modname:tc.summary.modname pc.fn
                 in
                 let entry = Effects.display resolved in
-                if not (List.mem entry par_entry_points) then []
+                if not (String.equal entry par_entry_point) then []
                 else
                   let write_findings =
                     List.map
@@ -255,4 +256,57 @@ let r11 =
           tc.summary.defs);
   }
 
-let all = [ r9; r10; r11 ]
+(* ------------------------------------------------------------------ *)
+(* R12 unused-export                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The values an interface exports: its top-level [val]s and those of
+   its literal submodule signatures, prefixed "Sub.v" like Summary defs. *)
+let exports_of_signature (sg : Parsetree.signature) =
+  let rec items prefix sg = List.concat_map (item prefix) sg
+  and item prefix (it : Parsetree.signature_item) =
+    match it.psig_desc with
+    | Psig_value vd ->
+        let p = vd.pval_loc.loc_start in
+        [ (prefix ^ vd.pval_name.txt, p.pos_lnum, p.pos_cnum - p.pos_bol) ]
+    | Psig_module
+        {
+          pmd_name = { txt = Some name; _ };
+          pmd_type = { pmty_desc = Pmty_signature sg; _ };
+          _;
+        } ->
+        items (prefix ^ name ^ ".") sg
+    | _ -> []
+  in
+  items "" sg
+
+let r12 =
+  {
+    id = "R12";
+    name = "unused-export";
+    doc =
+      "a lib .mli value that no other module outside test/ and \
+       lint_fixtures/ names (lib, bin, examples and perfbench callers \
+       count, top-level [let () =] bodies included) is flagged at its val";
+    applies = (fun ctx -> Rule.lib_only ctx && not (impl_only ctx));
+    check =
+      (fun tc ->
+        List.filter_map
+          (fun (name, line, col) ->
+            if
+              Effects.referenced tc.env tc.summary.modname
+              || Effects.referenced tc.env (tc.summary.modname ^ "." ^ name)
+            then None
+            else
+              Some
+                (Finding.make_at ~rule:"R12" ~name:"unused-export"
+                   ~file:tc.rctx.path ~line ~col
+                   (Printf.sprintf
+                      "%s is exported, but only its own module and the tests \
+                       use it — take it out of the interface (delete it if \
+                       nothing is left using it) or keep it with a reason"
+                      (Effects.display (tc.summary.modname ^ "." ^ name)))))
+          tc.exports);
+  }
+
+let all = [ r9; r10; r11; r12 ]
