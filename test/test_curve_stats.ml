@@ -28,6 +28,20 @@ let test_fraction_bounds () =
     Alcotest.fail "q > 1 accepted"
   with Invalid_argument _ -> ()
 
+let test_growth_rates () =
+  let r = synthetic [| 1; 2; 6; 6 |] in
+  let rates = Curve_stats.growth_rates r in
+  Alcotest.(check int) "length" 3 (Array.length rates);
+  Alcotest.(check (float 1e-9)) "double" 2.0 rates.(0);
+  Alcotest.(check (float 1e-9)) "triple" 3.0 rates.(1);
+  Alcotest.(check (float 1e-9)) "flat" 1.0 rates.(2);
+  Alcotest.(check (float 1e-9)) "peak" 3.0 (Curve_stats.peak_growth r)
+
+let test_flat_curve () =
+  let r = synthetic ~bt:(Some 0) [| 5 |] in
+  Alcotest.(check int) "no rates" 0 (Array.length (Curve_stats.growth_rates r));
+  Alcotest.(check (float 1e-9)) "peak defaults to 1" 1.0 (Curve_stats.peak_growth r)
+
 let test_on_real_run () =
   let g = Gen.complete 64 in
   let r =
@@ -51,5 +65,7 @@ let suite =
   [
     Alcotest.test_case "time to fraction" `Quick test_time_to_fraction;
     Alcotest.test_case "fraction bounds" `Quick test_fraction_bounds;
+    Alcotest.test_case "growth rates" `Quick test_growth_rates;
+    Alcotest.test_case "flat curve" `Quick test_flat_curve;
     Alcotest.test_case "on a real run" `Quick test_on_real_run;
   ]

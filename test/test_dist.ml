@@ -50,6 +50,50 @@ let test_binomial_invalid () =
      Alcotest.fail "p>1 accepted"
    with Invalid_argument _ -> ())
 
+let test_geometric_moments () =
+  let g = Rng.of_int 25 in
+  List.iter
+    (fun p ->
+      let mean, var =
+        sample_mean_var 40_000 (fun () -> float_of_int (Dist.geometric g p))
+      in
+      let em = 1.0 /. p and ev = (1.0 -. p) /. (p *. p) in
+      check_close (Printf.sprintf "Geom(%.2f) mean" p) em mean (0.05 *. em);
+      check_close (Printf.sprintf "Geom(%.2f) var" p) ev var (0.15 *. (ev +. 1.0)))
+    [ 0.1; 0.3; 0.7 ]
+
+let test_geometric_support () =
+  let g = Rng.of_int 26 in
+  Alcotest.(check int) "p=1 is always 1" 1 (Dist.geometric g 1.0);
+  for _ = 1 to 1000 do
+    if Dist.geometric g 0.2 < 1 then Alcotest.fail "geometric below 1"
+  done
+
+let test_geometric_invalid () =
+  let g = Rng.of_int 27 in
+  try
+    ignore (Dist.geometric g 0.0);
+    Alcotest.fail "p=0 accepted"
+  with Invalid_argument _ -> ()
+
+let test_poisson_moments () =
+  let g = Rng.of_int 28 in
+  (* includes lambda over the recursion threshold of 30 *)
+  List.iter
+    (fun lambda ->
+      let mean, var =
+        sample_mean_var 40_000 (fun () -> float_of_int (Dist.poisson g lambda))
+      in
+      check_close (Printf.sprintf "Poisson(%.1f) mean" lambda) lambda mean
+        (0.05 *. lambda +. 0.05);
+      check_close (Printf.sprintf "Poisson(%.1f) var" lambda) lambda var
+        (0.12 *. lambda +. 0.1))
+    [ 0.5; 4.0; 25.0; 80.0 ]
+
+let test_poisson_zero () =
+  let g = Rng.of_int 29 in
+  Alcotest.(check int) "lambda=0" 0 (Dist.poisson g 0.0)
+
 let test_exponential_mean () =
   let g = Rng.of_int 30 in
   let mean, _ = sample_mean_var 40_000 (fun () -> Dist.exponential g 2.0) in
@@ -104,6 +148,39 @@ let test_exponential_invalid () =
       | x -> Alcotest.failf "rate %g accepted, drew %g" rate x
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; -.Float.infinity ]
+
+let test_categorical_frequencies () =
+  let g = Rng.of_int 32 in
+  let w = [| 1.0; 2.0; 7.0 |] in
+  let counts = Array.make 3 0 in
+  let n = 50_000 in
+  for _ = 1 to n do
+    let i = Dist.categorical g w in
+    counts.(i) <- counts.(i) + 1
+  done;
+  Array.iteri
+    (fun i c ->
+      let expected = w.(i) /. 10.0 in
+      let actual = float_of_int c /. float_of_int n in
+      check_close (Printf.sprintf "category %d" i) expected actual 0.01)
+    counts
+
+let test_categorical_invalid () =
+  let g = Rng.of_int 33 in
+  (try
+     ignore (Dist.categorical g [||]);
+     Alcotest.fail "empty weights accepted"
+   with Invalid_argument _ -> ());
+  try
+    ignore (Dist.categorical g [| 0.0; 0.0 |]);
+    Alcotest.fail "zero weights accepted"
+  with Invalid_argument _ -> ()
+
+let test_categorical_point_mass () =
+  let g = Rng.of_int 34 in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "all mass on index 1" 1 (Dist.categorical g [| 0.0; 5.0; 0.0 |])
+  done
 
 let test_multinomial_conservation () =
   let g = Rng.of_int 35 in
@@ -196,9 +273,17 @@ let suite =
     Alcotest.test_case "binomial support" `Quick test_binomial_support;
     Alcotest.test_case "binomial extremes" `Quick test_binomial_extremes;
     Alcotest.test_case "binomial invalid args" `Quick test_binomial_invalid;
+    Alcotest.test_case "geometric moments" `Quick test_geometric_moments;
+    Alcotest.test_case "geometric support" `Quick test_geometric_support;
+    Alcotest.test_case "geometric invalid args" `Quick test_geometric_invalid;
+    Alcotest.test_case "poisson moments" `Quick test_poisson_moments;
+    Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "exponential law (KS and tail mass)" `Quick test_exponential_law;
     Alcotest.test_case "exponential invalid args" `Quick test_exponential_invalid;
+    Alcotest.test_case "categorical frequencies" `Quick test_categorical_frequencies;
+    Alcotest.test_case "categorical invalid args" `Quick test_categorical_invalid;
+    Alcotest.test_case "categorical point mass" `Quick test_categorical_point_mass;
     Alcotest.test_case "multinomial conservation" `Quick test_multinomial_conservation;
     Alcotest.test_case "multinomial frequencies" `Quick test_multinomial_frequencies;
     Alcotest.test_case "multinomial degenerate" `Quick test_multinomial_degenerate;

@@ -322,6 +322,17 @@ let test_baseline_snapshot_roundtrip () =
           Alcotest.(check bool) "snapshot preserves everything but curves" true
             (agg' = List.map (fun g -> { g with Aggregate.mean_curve = [||] }) agg))
 
+let test_baseline_save_load () =
+  with_temp_file (fun path ->
+      let agg = agg_with_wall 1.0 in
+      Baseline.save path agg;
+      match Baseline.load path with
+      | Ok agg' -> Alcotest.(check bool) "load inverts save" true (agg = agg')
+      | Error msg -> Alcotest.fail msg);
+  match Baseline.load "/nonexistent/rumor_baseline.json" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "loading a missing file succeeded"
+
 (* --- the CLI gate, end to end ----------------------------------------- *)
 
 let report_exe = Filename.concat (Filename.concat ".." "bin") "rumor_report.exe"
@@ -493,6 +504,7 @@ let suite =
       test_baseline_missing_and_added;
     Alcotest.test_case "baseline snapshot roundtrip" `Quick
       test_baseline_snapshot_roundtrip;
+    Alcotest.test_case "baseline save/load" `Quick test_baseline_save_load;
     Alcotest.test_case "rumor_report check exit codes" `Quick
       test_cli_check_exit_codes;
     Alcotest.test_case "rumor_report tolerance must be finite and >= 0" `Quick

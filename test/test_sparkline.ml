@@ -41,6 +41,13 @@ let test_render_ints () =
   Alcotest.(check int) "length" 3 (String.length line);
   Alcotest.(check char) "last at max" '@' line.[2]
 
+let test_with_scale () =
+  let text = Sparkline.with_scale ~ascii:true [| 1.0; 4.0 |] in
+  let suffix = " (max 4)" in
+  let len = String.length text and slen = String.length suffix in
+  Alcotest.(check bool) "mentions the max" true
+    (len >= slen && String.sub text (len - slen) slen = suffix)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -50,4 +57,5 @@ let suite =
     Alcotest.test_case "all zero" `Quick test_all_zero;
     Alcotest.test_case "downsampling keeps peaks" `Quick test_downsampling_keeps_peak;
     Alcotest.test_case "render_ints" `Quick test_render_ints;
+    Alcotest.test_case "with_scale" `Quick test_with_scale;
   ]

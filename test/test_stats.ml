@@ -1,5 +1,5 @@
-(* Tests for Rumor_prob.Stats: streaming accumulator, summaries and
-   quantiles. *)
+(* Tests for Rumor_prob.Stats: streaming accumulator, summaries, quantiles,
+   histogram. *)
 
 module Stats = Rumor_prob.Stats
 
@@ -36,6 +36,12 @@ let test_numerical_stability () =
   let t = feed [ offset +. 1.0; offset +. 2.0; offset +. 3.0 ] in
   Alcotest.(check (float 1e-6)) "stddev" 1.0 (Stats.stddev t)
 
+let test_std_error_and_ci () =
+  let t = feed [ 1.0; 2.0; 3.0; 4.0 ] in
+  let sd = Stats.stddev t in
+  Alcotest.(check (float 1e-9)) "std error" (sd /. 2.0) (Stats.std_error t);
+  Alcotest.(check (float 1e-9)) "ci95" (1.96 *. sd /. 2.0) (Stats.ci95_halfwidth t)
+
 let test_quantile_interpolation () =
   let sorted = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "q0" 1.0 (Stats.quantile sorted 0.0);
@@ -51,6 +57,10 @@ let test_summarize () =
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
   Alcotest.(check (float 1e-9)) "max" 5.0 s.Stats.max
 
+let test_summarize_ints () =
+  let s = Stats.summarize_ints [| 10; 20 |] in
+  Alcotest.(check (float 1e-9)) "mean" 15.0 s.Stats.mean
+
 let test_summarize_empty () =
   try
     ignore (Stats.summarize [||]);
@@ -61,6 +71,31 @@ let test_summarize_does_not_mutate () =
   let xs = [| 3.0; 1.0; 2.0 |] in
   let (_ : Stats.summary) = Stats.summarize xs in
   Alcotest.(check (array (float 1e-9))) "input unchanged" [| 3.0; 1.0; 2.0 |] xs
+
+let test_histogram_binning () =
+  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
+  List.iter (Stats.Histogram.add h) [ 0.0; 1.9; 2.0; 9.99; -1.0; 10.0; 5.5 ];
+  Alcotest.(check (array int)) "counts" [| 2; 1; 1; 0; 1 |] (Stats.Histogram.counts h);
+  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
+  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
+  Alcotest.(check int) "total" 7 (Stats.Histogram.total h)
+
+let test_histogram_edges () =
+  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
+  let edges = Stats.Histogram.bin_edges h in
+  Alcotest.(check int) "edge count" 5 (Array.length edges);
+  Alcotest.(check (float 1e-9)) "first" 0.0 edges.(0);
+  Alcotest.(check (float 1e-9)) "last" 1.0 edges.(4)
+
+let test_histogram_invalid () =
+  (try
+     ignore (Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0);
+     Alcotest.fail "bins=0 accepted"
+   with Invalid_argument _ -> ());
+  try
+    ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:3);
+    Alcotest.fail "hi=lo accepted"
+  with Invalid_argument _ -> ()
 
 let prop_welford_matches_naive =
   QCheck.Test.make ~count:100 ~name:"welford matches two-pass computation"
@@ -83,9 +118,14 @@ let suite =
     Alcotest.test_case "single value" `Quick test_single_value;
     Alcotest.test_case "add_int" `Quick test_add_int;
     Alcotest.test_case "numerical stability" `Quick test_numerical_stability;
+    Alcotest.test_case "std error and ci" `Quick test_std_error_and_ci;
     Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
     Alcotest.test_case "summarize" `Quick test_summarize;
+    Alcotest.test_case "summarize ints" `Quick test_summarize_ints;
     Alcotest.test_case "summarize empty" `Quick test_summarize_empty;
     Alcotest.test_case "summarize does not mutate" `Quick test_summarize_does_not_mutate;
+    Alcotest.test_case "histogram binning" `Quick test_histogram_binning;
+    Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
+    Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
     QCheck_alcotest.to_alcotest prop_welford_matches_naive;
   ]
