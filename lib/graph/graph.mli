@@ -42,6 +42,7 @@ val max_vertices : int
 (** [2^24], the most vertices a graph may have: ids fill 24-bit slots.
     Every constructor refuses a larger [n] before sizing anything by it. *)
 
+(* lint: allow R12 — tests build their small graphs with it *)
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] vertices from an undirected
     edge list.  Duplicate edges (in either orientation) are rejected.

@@ -4,34 +4,6 @@ let to_edge_list g =
   Graph.iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
   Buffer.contents buf
 
-let of_edge_list text =
-  let lines = String.split_on_char '\n' text in
-  let n = ref (-1) in
-  let edges = ref [] in
-  let parse_line lineno line =
-    let line = String.trim line in
-    if line = "" || line.[0] = '#' then ()
-    else
-      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-      | [ "n"; count ] ->
-          if !n >= 0 then invalid_arg "Graph_io.of_edge_list: duplicate header";
-          (match int_of_string_opt count with
-          | Some c when c >= 0 -> n := c
-          | _ -> invalid_arg "Graph_io.of_edge_list: bad vertex count")
-      | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some u, Some v -> edges := (u, v) :: !edges
-          | _ ->
-              invalid_arg
-                (Printf.sprintf "Graph_io.of_edge_list: bad edge on line %d" lineno))
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Graph_io.of_edge_list: malformed line %d" lineno)
-  in
-  List.iteri parse_line lines;
-  if !n < 0 then invalid_arg "Graph_io.of_edge_list: missing 'n <count>' header";
-  Graph.of_edges ~n:!n !edges
-
 let to_dot ?(name = "g") g =
   let buf = Buffer.create (16 * Graph.num_edges g) in
   Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
@@ -39,18 +11,3 @@ let to_dot ?(name = "g") g =
       Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let save g path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_edge_list g))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let buf = really_input_string ic len in
-      of_edge_list buf)

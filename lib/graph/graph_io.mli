@@ -1,24 +1,11 @@
-(** Textual import/export of graphs.
+(** Textual export of graphs.
 
-    The edge-list format is one [u v] pair per line with a leading header
-    line [n <vertices>]; lines starting with ['#'] are comments.  DOT export
-    is provided for eyeballing small instances with Graphviz. *)
+    The edge-list format is a header line [n <vertices>] followed by one
+    [u v] pair per line.  DOT export is provided for eyeballing small
+    instances with Graphviz. *)
 
 val to_edge_list : Graph.t -> string
 (** Serialize to the edge-list format (edges with [u < v], sorted). *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val of_edge_list : string -> Graph.t
-(** Parse the edge-list format. @raise Invalid_argument on malformed
-    input. *)
-
 val to_dot : ?name:string -> Graph.t -> string
 (** Graphviz [graph { ... }] source. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val save : Graph.t -> string -> unit
-(** [save g path] writes {!to_edge_list} output to [path]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val load : string -> Graph.t
-(** [load path] reads a graph written by {!save}. *)

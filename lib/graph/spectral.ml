@@ -74,8 +74,6 @@ let spectral_gap ?iterations g =
     Float.max 0.0 (1.0 -. lambda)
   end
 
-let relaxation_time ?iterations g = 1.0 /. spectral_gap ?iterations g
-
 let second_eigenvector ?iterations g = fst (iterate ?iterations g)
 
 let cut_conductance g side =
@@ -130,38 +128,5 @@ let conductance_exact ?(max_n = 20) g =
     side.(0) <- false;
     let phi = cut_conductance g side in
     if phi < !best then best := phi
-  done;
-  !best
-
-let vertex_expansion_exact ?(max_n = 20) g =
-  let n = Graph.n g in
-  if n > max_n then
-    invalid_arg
-      (Printf.sprintf "Spectral.vertex_expansion_exact: n = %d exceeds max_n = %d" n
-         max_n);
-  if n < 2 then invalid_arg "Spectral.vertex_expansion_exact: trivial graph";
-  let best = ref infinity in
-  let in_s = Array.make n false in
-  (* enumerate every nonempty subset; only those of size <= n/2 count *)
-  for mask = 1 to (1 lsl n) - 1 do
-    let size = ref 0 in
-    for v = 0 to n - 1 do
-      let inside = mask land (1 lsl v) <> 0 in
-      in_s.(v) <- inside;
-      if inside then incr size
-    done;
-    if 2 * !size <= n then begin
-      let boundary = ref 0 in
-      for v = 0 to n - 1 do
-        if not in_s.(v) then begin
-          let touches =
-            Graph.fold_neighbors g v (fun acc w -> acc || in_s.(w)) false
-          in
-          if touches then incr boundary
-        end
-      done;
-      let h = float_of_int !boundary /. float_of_int !size in
-      if h < !best then best := h
-    end
   done;
   !best

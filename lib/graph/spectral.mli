@@ -20,16 +20,6 @@ val spectral_gap : ?iterations:int -> Graph.t -> float
     deflated power iteration.  In [0, 1]; larger means faster mixing.
     @raise Invalid_argument on a disconnected graph. *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val relaxation_time : ?iterations:int -> Graph.t -> float
-(** [1 / spectral_gap]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val cut_conductance : Graph.t -> bool array -> float
-(** [cut_conductance g side] is [cut(S, V-S) / min(vol S, vol V-S)] for the
-    cut indicated by [side].  @raise Invalid_argument if either side is
-    empty. *)
-
 val conductance_sweep : ?iterations:int -> Graph.t -> float
 (** Upper bound on the graph conductance: the best sweep cut of the second
     eigenvector.  Exact on graphs whose minimum cut is a sweep cut of the
@@ -38,11 +28,3 @@ val conductance_sweep : ?iterations:int -> Graph.t -> float
 val conductance_exact : ?max_n:int -> Graph.t -> float
 (** Exact conductance by exhaustive enumeration of all 2^(n-1) cuts; guarded
     by [max_n] (default 20). @raise Invalid_argument on larger graphs. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val vertex_expansion_exact : ?max_n:int -> Graph.t -> float
-(** Exact vertex expansion [min over nonempty S with |S| <= n/2 of
-    |boundary(S)| / |S|], where [boundary(S)] is the set of vertices outside
-    [S] adjacent to [S] — the quantity in Giakkoupis's vertex-expansion
-    bound for push-pull ([26] in the paper's related work).  Exhaustive over
-    all cuts; guarded by [max_n] (default 20). *)

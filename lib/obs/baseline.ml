@@ -212,12 +212,6 @@ let of_json text =
   in
   go [] groups
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let save path agg =
   let oc = open_out path in
   Fun.protect
@@ -225,11 +219,3 @@ let save path agg =
     (fun () ->
       output_string oc (to_json agg);
       output_char oc '\n')
-
-let load path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match of_json text with
-      | Ok agg -> Ok agg
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -63,7 +63,3 @@ val of_json : string -> (Aggregate.t, string) result
 (** Loaded groups carry an empty [mean_curve]. *)
 
 val save : string -> Aggregate.t -> unit
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val load : string -> (Aggregate.t, string) result
-(** [Error] covers both I/O and parse failures, prefixed with the path. *)

@@ -36,35 +36,6 @@ let binomial g n p =
   end
   else binomial_by_waiting g n p
 
-let geometric g p =
-  if not (p > 0.0 && p <= 1.0) then invalid_arg "Dist.geometric: p outside (0,1]";
-  if Float.equal p 1.0 then 1
-  else begin
-    let u = 1.0 -. Rng.float g 1.0 in
-    let k = int_of_float (ceil (log u /. log1p (-.p))) in
-    if k < 1 then 1 else k
-  end
-
-let rec poisson g lambda =
-  if lambda < 0.0 then invalid_arg "Dist.poisson: lambda < 0";
-  if Float.equal lambda 0.0 then 0
-  else if lambda < 30.0 then begin
-    (* Knuth: multiply uniforms until the product drops below e^-lambda *)
-    let threshold = exp (-.lambda) in
-    let k = ref 0 in
-    let prod = ref (1.0 -. Rng.float g 1.0) in
-    while !prod > threshold do
-      incr k;
-      prod := !prod *. (1.0 -. Rng.float g 1.0)
-    done;
-    !k
-  end
-  else
-    (* Split lambda = lambda/2 + lambda/2 and recurse; Poisson is additive,
-       so this is exact and reduces to the small-lambda case in O(log) depth. *)
-    let half = lambda /. 2.0 in
-    poisson g half + poisson g (lambda -. half)
-
 (* Ziggurat for Exp(1) (Marsaglia & Tsang 2000), 256 layers.  Layer i >= 1
    is the rectangle [0, x_i] x [f x_i, f x_(i+1)] under f x = e^-x, with
    x_1 = r > x_2 > ... > x_256 = 0; layer 0 is the base strip [0, r] x
@@ -118,20 +89,6 @@ let[@inline never] rec zig_slow g i x =
 let[@inline] exponential g rate =
   if not (rate > 0.0) then invalid_arg "Dist.exponential: rate must be positive";
   zig_try g zig_slow /. rate
-
-let categorical g w =
-  let n = Array.length w in
-  if n = 0 then invalid_arg "Dist.categorical: empty weights";
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if not (total > 0.0) then invalid_arg "Dist.categorical: non-positive total";
-  let x = Rng.float g total in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
 
 (* Chained conditional binomials: bin i receives Bin(remaining, w_i / rest)
    where rest is the weight mass not yet assigned.  Each split reuses

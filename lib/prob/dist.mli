@@ -5,23 +5,11 @@
     determinism. *)
 
 val binomial : Rng.t -> int -> float -> int
-(** [binomial g n p] samples Bin(n, p).  Uses direct inversion for small
-    [n*p] and the waiting-time (geometric skip) method otherwise; exact for
-    all parameter ranges, O(n*p + 1) expected time.
+(** [binomial g n p] samples Bin(n, p): [n] Bernoulli trials for
+    [n <= 32], and the waiting-time (geometric skip) method otherwise, on
+    [1 - p] when [p > 1/2]; exact for all parameter ranges,
+    O(n * min(p, 1 - p) + 1) expected time past [n = 32].
     @raise Invalid_argument if [n < 0] or [p] is outside [0, 1]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val geometric : Rng.t -> float -> int
-(** [geometric g p] samples the number of Bernoulli(p) trials up to and
-    including the first success; support {1, 2, ...}, mean [1/p].
-    @raise Invalid_argument if [p <= 0.] or [p > 1.]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val poisson : Rng.t -> float -> int
-(** [poisson g lambda] samples Poisson(lambda): Knuth's product method for
-    [lambda < 30], and above that the sum of two draws at [lambda / 2]
-    (Poisson is additive), which is exact.
-    @raise Invalid_argument if [lambda < 0.]. *)
 
 val exponential : Rng.t -> float -> float
 (** [exponential g rate] samples Exp(rate), mean [1/rate], as an Exp(1)
@@ -39,12 +27,6 @@ val exponential : Rng.t -> float -> float
     return r plus a fresh Exp(1) draw.  So one draw takes one or more
     outputs of [g].
     @raise Invalid_argument unless [rate > 0.] (so also for a NaN rate). *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val categorical : Rng.t -> float array -> int
-(** [categorical g w] samples index [i] with probability [w.(i) / sum w] by
-    linear scan, O(length w) per draw. @raise Invalid_argument on empty or
-    non-positive total weight. *)
 
 val multinomial : Rng.t -> int -> float array -> int array
 (** [multinomial g n w] splits [n] trials across [Array.length w] bins with

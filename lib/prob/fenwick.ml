@@ -13,17 +13,7 @@ let create n =
   done;
   { tree = Array.make (n + 1) 0; n; top = !top; total = 0 }
 
-let size t = t.n
 let total t = t.total
-
-let add t i delta =
-  if i < 0 || i >= t.n then invalid_arg "Fenwick.add: index out of range";
-  t.total <- t.total + delta;
-  let j = ref (i + 1) in
-  while !j <= t.n do
-    t.tree.(!j) <- t.tree.(!j) + delta;
-    j := !j + !j land (- !j)
-  done
 
 let of_counts counts =
   let t = create (Array.length counts) in
@@ -35,18 +25,6 @@ let of_counts counts =
   done;
   Array.iter (fun c -> t.total <- t.total + c) counts;
   t
-
-let prefix t i =
-  if i < 0 || i > t.n then invalid_arg "Fenwick.prefix: index out of range";
-  let acc = ref 0 in
-  let j = ref i in
-  while !j > 0 do
-    acc := !acc + t.tree.(!j);
-    j := !j - !j land (- !j)
-  done;
-  !acc
-
-let get t i = prefix t (i + 1) - prefix t i
 
 (* Binary-lifting descent: find the leaf holding rank r without a search
    over prefix sums — O(log n) array reads, no allocation. *)

@@ -1,53 +1,22 @@
 (** Fenwick (binary indexed) tree over non-negative integer counts, to
     sample an index with probability proportional to its count: [find t r]
     with [r] uniform on [0, total t) picks index [i] with probability
-    [get t i / total t], in O(log n); {!find_into} does so with no
-    allocation.  No kernel uses it; perfbench's
-    [prob.fenwick_find_ns] probe times it.
-
-    Counts must stay non-negative; [add] with a delta that would drive a
-    slot negative is not checked. *)
+    [c.(i) / total t], in O(log n).  No kernel uses it; perfbench's
+    [prob.fenwick_find_ns] probe times it. *)
 
 type t
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val create : int -> t
-(** [create n] is an all-zero tree over indices [0, n).
-    @raise Invalid_argument if [n < 0]. *)
 
 val of_counts : int array -> t
 (** [of_counts c] builds the tree holding the non-negative counts [c] in
     O(n). *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val size : t -> int
-
 val total : t -> int
-(** Sum of all counts; maintained incrementally, O(1). *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val add : t -> int -> int -> unit
-(** [add t i delta] adds [delta] to slot [i].
-    @raise Invalid_argument if [i] is out of range. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val get : t -> int -> int
-(** [get t i] is the current count at [i]; O(log n). *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val prefix : t -> int -> int
-(** [prefix t i] is the sum of slots [0, i); O(log n).
-    @raise Invalid_argument if [i] is outside [0, size t]. *)
+(** Sum of all counts, O(1). *)
 
 val find : t -> int -> (int * int)
 (** [find t r] for [0 <= r < total t] returns [(i, residual)] where [i] is
-    the unique index with [prefix t i <= r < prefix t (i+1)] and
-    [residual = r - prefix t i] (uniform on the slot's count when [r] is
-    uniform — callers reuse it as a second draw).  Allocates the pair.
-    @raise Invalid_argument if [r] is outside [0, total t). *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val find_into : t -> int -> residual:int ref -> int
-(** [find_into t r ~residual] is [find t r] without the pair: it returns
-    [i] and stores the residual in [residual]; O(log n), no allocation.
+    the unique index with [c.(0) + ... + c.(i-1) <= r < c.(0) + ... + c.(i)]
+    and [residual] is [r] less the first of those sums (uniform on the
+    slot's count when [r] is uniform — callers reuse it as a second draw).
+    Allocates the pair.
     @raise Invalid_argument if [r] is outside [0, total t). *)

@@ -49,13 +49,3 @@ let solve a b =
     x.(col) <- !sum /. m.(col).(col)
   done;
   x
-
-let mat_vec a x =
-  let n = check_square a in
-  if Array.length x <> n then invalid_arg "Linalg.mat_vec: dimension mismatch";
-  Array.init n (fun i ->
-      let sum = ref 0.0 in
-      for j = 0 to n - 1 do
-        sum := !sum +. (a.(i).(j) *. x.(j))
-      done;
-      !sum)

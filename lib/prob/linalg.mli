@@ -9,8 +9,3 @@ val solve : float array array -> float array -> float array
     pivoting.  [a] and [b] are not modified.
     @raise Invalid_argument on non-square/mismatched input or a (numerically)
     singular matrix. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val mat_vec : float array array -> float array -> float array
-(** [mat_vec a x] is the product [a x].
-    @raise Invalid_argument on dimension mismatch. *)

@@ -151,10 +151,6 @@ let[@inline] skip g k =
     advance g (get64 g 0) (get64 g 8) (get64 g 16) (get64 g 24)
   done
 
-let int_in g lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int g (hi - lo + 1)
-
 let[@inline] float g x =
   (* 53 random bits mapped to [0,1), scaled by x; they fit an OCaml int,
      and [Float.of_int] converts inline where [Int64.to_float] is a C call *)
@@ -166,17 +162,3 @@ let[@inline] bool g = Int64.logand (bits64 g) 1L = 1L
 
 let bernoulli g p =
   if p <= 0.0 then false else if p >= 1.0 then true else float g 1.0 < p
-
-(* int array, not 'a array: on a polymorphic array every swap store goes
-   through the write barrier *)
-let shuffle g (a : int array) =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int g (Array.length a))

@@ -80,11 +80,6 @@ val skip : t -> int -> unit
     nothing.  Each output is exactly one [below g 1] (or [int g 1]) draw,
     which is how push charges a contact whose outcome is known. *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform on the inclusive range [lo, hi].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float g x] is uniform on [0, x).  [float g 1.0] has 53 random bits. *)
 
@@ -94,13 +89,3 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val shuffle : t -> int array -> unit
-(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates).  To
-    permute other values, shuffle an array of their indices. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val choose : t -> 'a array -> 'a
-(** [choose g a] is a uniformly random element of [a].
-    @raise Invalid_argument if [a] is empty. *)

@@ -14,11 +14,6 @@ let mean t = if t.count = 0 then nan else t.mean
 let variance t = if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
 let stddev t = sqrt (variance t)
 
-let std_error t =
-  if t.count < 2 then nan else stddev t /. sqrt (float_of_int t.count)
-
-let ci95_halfwidth t = 1.96 *. std_error t
-
 type summary = {
   n : int;
   mean : float;
@@ -61,39 +56,3 @@ let summarize xs =
     max = sorted.(n - 1);
   }
 
-let summarize_ints xs = summarize (Array.map float_of_int xs)
-
-module Histogram = struct
-  type h = {
-    lo : float;
-    hi : float;
-    bins : int array;
-    mutable under : int;
-    mutable over : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins <= 0";
-    if not (hi > lo) then invalid_arg "Histogram.create: hi <= lo";
-    { lo; hi; bins = Array.make bins 0; under = 0; over = 0 }
-
-  let add h x =
-    if x < h.lo then h.under <- h.under + 1
-    else if x >= h.hi then h.over <- h.over + 1
-    else begin
-      let k = Array.length h.bins in
-      let i = int_of_float (float_of_int k *. (x -. h.lo) /. (h.hi -. h.lo)) in
-      let i = if i >= k then k - 1 else i in
-      h.bins.(i) <- h.bins.(i) + 1
-    end
-
-  let counts h = Array.copy h.bins
-  let total h = Array.fold_left ( + ) 0 h.bins + h.under + h.over
-  let underflow h = h.under
-  let overflow h = h.over
-
-  let bin_edges h =
-    let k = Array.length h.bins in
-    Array.init (k + 1) (fun i ->
-        h.lo +. (float_of_int i *. (h.hi -. h.lo) /. float_of_int k))
-end

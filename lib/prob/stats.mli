@@ -17,15 +17,6 @@ val mean : t -> float
 val stddev : t -> float
 (** Unbiased sample standard deviation; [nan] if fewer than two values. *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val std_error : t -> float
-(** Standard error of the mean, [stddev / sqrt count]. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val ci95_halfwidth : t -> float
-(** Half-width of the normal-approximation 95% confidence interval for the
-    mean ([1.96 * std_error]). *)
-
 (** Whole-sample summary with order statistics. *)
 type summary = {
   n : int;
@@ -45,28 +36,5 @@ val summarize : float array -> summary
     unlike the unspecified polymorphic-compare ordering).
     @raise Invalid_argument on an empty sample. *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val summarize_ints : int array -> summary
-
 val quantile : float array -> float -> float
 (** [quantile sorted q] with [q] in [0,1] on an already-sorted array. *)
-
-(** Fixed-width histogram over [lo, hi). *)
-module Histogram : sig
-  type h
-
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val create : lo:float -> hi:float -> bins:int -> h
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val add : h -> float -> unit
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val counts : h -> int array
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val total : h -> int
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val underflow : h -> int
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val overflow : h -> int
-  (* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-  val bin_edges : h -> float array
-end

@@ -24,17 +24,3 @@ let half_time (r : Run_result.t) =
   time_to_fraction_curve
     ~completed:(r.Run_result.broadcast_time <> None)
     r.Run_result.informed_curve 0.5
-
-let growth_rates (r : Run_result.t) =
-  let curve = r.Run_result.informed_curve in
-  let len = Array.length curve in
-  if len <= 1 then [||]
-  else
-    Array.init (len - 1) (fun i ->
-        let prev = curve.(i) and next = curve.(i + 1) in
-        if prev = 0 then nan else float_of_int next /. float_of_int prev)
-
-let peak_growth r =
-  Array.fold_left
-    (fun acc x -> if Float.is_nan x then acc else Float.max acc x)
-    1.0 (growth_rates r)

@@ -2,7 +2,7 @@
 
     Broadcast time is the curve's completion round; these helpers extract
     the intermediate milestones (time to reach a fraction of the
-    population, per-round growth) that examples and ablations report. *)
+    population) that examples and ablations report. *)
 
 val time_to_fraction_curve : ?completed:bool -> int array -> float -> int option
 (** [time_to_fraction_curve curve q] is the first round at which at least
@@ -15,15 +15,3 @@ val time_to_fraction_curve : ?completed:bool -> int array -> float -> int option
 
 val half_time : Rumor_protocols.Run_result.t -> int option
 (** The round at which half of [r]'s final informed count is reached. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val growth_rates : Rumor_protocols.Run_result.t -> float array
-(** [growth_rates r] is the per-round multiplicative growth
-    [curve.(t) / curve.(t-1)] (rounds where the previous count was 0 yield
-    [nan]).  The maximum of this array is the empirical "doubling quality"
-    of the protocol on that instance. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val peak_growth : Rumor_protocols.Run_result.t -> float
-(** Largest finite entry of {!growth_rates}; [1.0] for a single-round or
-    flat curve. *)

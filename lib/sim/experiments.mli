@@ -51,7 +51,7 @@ val run_one : Sweep.config -> profile -> seed:int -> t -> Table.t list
     {!Rumor_obs.Run_record.t}.  A {!Sweep} cell labels its records
     ["<table id>/<row label>"] (["E1/129"], ["E6b/512 (9)"]), so records of
     different graphs never share a label; A10's cells, which measure
-    outside a sweep, label theirs with the experiment id.  [cfg.jobs]
+    outside a sweep, label theirs ["A10/<family>/<walkers>"].  [cfg.jobs]
     parallelizes only the replicated cells, and tables and records are
     bit-identical for every setting: the experiments that drive their own
     sequential loops (E9, A4, A8, R7) ignore it.  A10 always measures both

@@ -30,7 +30,3 @@ let render ?(width = 60) ?(ascii = false) xs =
   end
 
 let render_ints ?width ?ascii xs = render ?width ?ascii (Array.map float_of_int xs)
-
-let with_scale ?width ?ascii xs =
-  let max_v = Array.fold_left (fun acc x -> Float.max acc x) 0.0 xs in
-  Printf.sprintf "%s (max %g)" (render ?width ?ascii xs) max_v

@@ -10,7 +10,3 @@ val render : ?width:int -> ?ascii:bool -> float array -> string
     values are clamped to 0. *)
 
 val render_ints : ?width:int -> ?ascii:bool -> int array -> string
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val with_scale : ?width:int -> ?ascii:bool -> float array -> string
-(** Like {!render}, suffixed with [" (max <value>)"]. *)

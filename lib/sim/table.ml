@@ -97,6 +97,3 @@ let fmt_mean_pm (s : Rumor_prob.Stats.summary) =
     else 1.96 *. s.stddev /. sqrt (float_of_int s.n)
   in
   Printf.sprintf "%s ±%s" (fmt_float s.mean) (fmt_float ci)
-
-let fmt_opt_time x ~capped =
-  if capped then ">=" ^ fmt_float x else fmt_float x

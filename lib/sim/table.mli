@@ -43,13 +43,5 @@ val to_markdown : t -> string
 
 (** {1 Cell formatting helpers} *)
 
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val fmt_float : float -> string
-(** Compact float: integers render bare, otherwise one decimal. *)
-
 val fmt_mean_pm : Rumor_prob.Stats.summary -> string
 (** ["mean ± ci"] style cell using the normal 95% interval. *)
-
-(* lint: allow R12 — kept with its tests; ROADMAP item 15 *)
-val fmt_opt_time : float -> capped:bool -> string
-(** Render a broadcast time, marking capped measurements with [">="]. *)

@@ -227,6 +227,28 @@ let prop_bfs_distances_are_metric_like =
       Graph.iter_edges g (fun u v -> if abs (dist.(u) - dist.(v)) > 1 then ok := false);
       !ok)
 
+(* the labelling against its definition on sparse G(n, p): two vertices
+   share a label iff a BFS from one reaches the other, and labels are
+   0, 1, ... in the order their first vertex appears *)
+let prop_components_definition =
+  QCheck.Test.make ~count:200 ~name:"components = BFS reachability, labels in order"
+    QCheck.(triple (int_range 1 60) (int_range 0 30) (int_range 0 1_000_000))
+    (fun (n, density, seed) ->
+      let rng = Rumor_prob.Rng.of_int seed in
+      let p = Float.min 1.0 (float_of_int density /. 10.0 /. float_of_int n) in
+      let g = Rumor_graph.Gen_random.erdos_renyi rng ~n ~p in
+      let labels = Algo.components g in
+      let next = ref 0 and ok = ref true in
+      for u = 0 to n - 1 do
+        if labels.(u) = !next then incr next
+        else if labels.(u) > !next then ok := false;
+        let dist = Algo.bfs_distances g u in
+        for v = 0 to n - 1 do
+          if labels.(u) = labels.(v) <> (dist.(v) >= 0) then ok := false
+        done
+      done;
+      !ok && !next = Algo.component_count g)
+
 let suite =
   [
     Alcotest.test_case "bfs on path" `Quick test_bfs_on_path;
@@ -246,4 +268,5 @@ let suite =
     Alcotest.test_case "bipartiteness" `Quick test_bipartite;
     Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
     QCheck_alcotest.to_alcotest prop_bfs_distances_are_metric_like;
+    QCheck_alcotest.to_alcotest prop_components_definition;
   ]

@@ -600,6 +600,27 @@ let test_isolated_agent_rejected () =
                ~agents:(Placement.All_at (2, 3)) ~max_time:10.0)))
     [ P.Sparse_walkers.Dense; P.Sparse_walkers.Sparse ]
 
+(* the Poisson-clock stream hands out exactly the Exp(1) draws, in draw
+   order, whatever its batch *)
+let test_clock_stream_draws () =
+  let module Exp_stream = Rumor_des.Exp_stream in
+  let reference =
+    let g = Rng.of_int 71 in
+    Array.init 10_000 (fun _ -> Rumor_prob.Dist.exponential g 1.0)
+  in
+  List.iter
+    (fun batch ->
+      let s = Exp_stream.create ~batch (Rng.of_int 71) in
+      Array.iteri
+        (fun k x ->
+          let y = Exp_stream.next s in
+          if not (Float.equal x y) then
+            Alcotest.failf "batch %d: draw %d is %g, want %g" batch k y x)
+        reference)
+    [ 1; 3; 4096; 20_000 ];
+  Alcotest.check_raises "batch 0" (Invalid_argument "Exp_stream.create: batch < 1") (fun () ->
+      ignore (Exp_stream.create ~batch:0 (Rng.of_int 1)))
+
 let suite =
   [
     Alcotest.test_case "K_n oracle: mean = sum of 1/rate" `Quick test_kn_oracle;
@@ -622,4 +643,5 @@ let suite =
     Alcotest.test_case "walker modes and obs agree" `Quick test_modes_and_obs_agree;
     Alcotest.test_case "agent on isolated vertex rejected" `Quick
       test_isolated_agent_rejected;
+    Alcotest.test_case "clock stream = exponential draws, any batch" `Quick test_clock_stream_draws;
   ]

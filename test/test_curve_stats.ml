@@ -28,20 +28,6 @@ let test_fraction_bounds () =
     Alcotest.fail "q > 1 accepted"
   with Invalid_argument _ -> ()
 
-let test_growth_rates () =
-  let r = synthetic [| 1; 2; 6; 6 |] in
-  let rates = Curve_stats.growth_rates r in
-  Alcotest.(check int) "length" 3 (Array.length rates);
-  Alcotest.(check (float 1e-9)) "double" 2.0 rates.(0);
-  Alcotest.(check (float 1e-9)) "triple" 3.0 rates.(1);
-  Alcotest.(check (float 1e-9)) "flat" 1.0 rates.(2);
-  Alcotest.(check (float 1e-9)) "peak" 3.0 (Curve_stats.peak_growth r)
-
-let test_flat_curve () =
-  let r = synthetic ~bt:(Some 0) [| 5 |] in
-  Alcotest.(check int) "no rates" 0 (Array.length (Curve_stats.growth_rates r));
-  Alcotest.(check (float 1e-9)) "peak defaults to 1" 1.0 (Curve_stats.peak_growth r)
-
 let test_on_real_run () =
   let g = Gen.complete 64 in
   let r =
@@ -61,11 +47,45 @@ let test_on_real_run () =
     if c.(t) > 2 * c.(t - 1) then Alcotest.failf "round %d more than doubles" t
   done
 
+(* a capped run reports the milestones of what it reached; an empty curve
+   and a capped run that informed no one have none *)
+let test_capped_and_empty () =
+  Alcotest.(check (option int)) "capped half" (Some 2)
+    (Curve_stats.half_time (synthetic ~bt:None [| 1; 1; 3; 3; 3 |]));
+  Alcotest.(check (option int)) "empty curve" None
+    (Curve_stats.time_to_fraction_curve [||] 0.5);
+  Alcotest.(check (option int)) "capped at zero" None
+    (Curve_stats.time_to_fraction_curve ~completed:false [| 0; 0 |] 0.5)
+
+(* on a non-decreasing curve the milestone is the first round whose count
+   reaches q times the final count, and it does not move back as q grows *)
+let prop_first_round_reaching =
+  QCheck.Test.make ~count:300 ~name:"milestone is the first round reaching q"
+    QCheck.(pair (list_of_size (Gen.int_range 1 30) (int_range 0 5)) (int_range 1 100))
+    (fun (steps, pct) ->
+      (* running sums of the steps, from 1 *)
+      let curve = Array.of_list steps in
+      curve.(0) <- curve.(0) + 1;
+      for t = 1 to Array.length curve - 1 do
+        curve.(t) <- curve.(t - 1) + curve.(t)
+      done;
+      let q = float_of_int pct /. 100.0 in
+      let target = q *. float_of_int curve.(Array.length curve - 1) in
+      match Curve_stats.time_to_fraction_curve curve q with
+      | None -> false
+      | Some t ->
+          float_of_int curve.(t) >= target
+          && (t = 0 || float_of_int curve.(t - 1) < target)
+          && (pct = 100
+             || match Curve_stats.time_to_fraction_curve curve (q +. 0.01) with
+                | Some t' -> t' >= t
+                | None -> false))
+
 let suite =
   [
     Alcotest.test_case "time to fraction" `Quick test_time_to_fraction;
     Alcotest.test_case "fraction bounds" `Quick test_fraction_bounds;
-    Alcotest.test_case "growth rates" `Quick test_growth_rates;
-    Alcotest.test_case "flat curve" `Quick test_flat_curve;
     Alcotest.test_case "on a real run" `Quick test_on_real_run;
+    Alcotest.test_case "capped and empty curves" `Quick test_capped_and_empty;
+    QCheck_alcotest.to_alcotest prop_first_round_reaching;
   ]

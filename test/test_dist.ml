@@ -50,50 +50,6 @@ let test_binomial_invalid () =
      Alcotest.fail "p>1 accepted"
    with Invalid_argument _ -> ())
 
-let test_geometric_moments () =
-  let g = Rng.of_int 25 in
-  List.iter
-    (fun p ->
-      let mean, var =
-        sample_mean_var 40_000 (fun () -> float_of_int (Dist.geometric g p))
-      in
-      let em = 1.0 /. p and ev = (1.0 -. p) /. (p *. p) in
-      check_close (Printf.sprintf "Geom(%.2f) mean" p) em mean (0.05 *. em);
-      check_close (Printf.sprintf "Geom(%.2f) var" p) ev var (0.15 *. (ev +. 1.0)))
-    [ 0.1; 0.3; 0.7 ]
-
-let test_geometric_support () =
-  let g = Rng.of_int 26 in
-  Alcotest.(check int) "p=1 is always 1" 1 (Dist.geometric g 1.0);
-  for _ = 1 to 1000 do
-    if Dist.geometric g 0.2 < 1 then Alcotest.fail "geometric below 1"
-  done
-
-let test_geometric_invalid () =
-  let g = Rng.of_int 27 in
-  try
-    ignore (Dist.geometric g 0.0);
-    Alcotest.fail "p=0 accepted"
-  with Invalid_argument _ -> ()
-
-let test_poisson_moments () =
-  let g = Rng.of_int 28 in
-  (* includes lambda over the recursion threshold of 30 *)
-  List.iter
-    (fun lambda ->
-      let mean, var =
-        sample_mean_var 40_000 (fun () -> float_of_int (Dist.poisson g lambda))
-      in
-      check_close (Printf.sprintf "Poisson(%.1f) mean" lambda) lambda mean
-        (0.05 *. lambda +. 0.05);
-      check_close (Printf.sprintf "Poisson(%.1f) var" lambda) lambda var
-        (0.12 *. lambda +. 0.1))
-    [ 0.5; 4.0; 25.0; 80.0 ]
-
-let test_poisson_zero () =
-  let g = Rng.of_int 29 in
-  Alcotest.(check int) "lambda=0" 0 (Dist.poisson g 0.0)
-
 let test_exponential_mean () =
   let g = Rng.of_int 30 in
   let mean, _ = sample_mean_var 40_000 (fun () -> Dist.exponential g 2.0) in
@@ -148,39 +104,6 @@ let test_exponential_invalid () =
       | x -> Alcotest.failf "rate %g accepted, drew %g" rate x
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; -.Float.infinity ]
-
-let test_categorical_frequencies () =
-  let g = Rng.of_int 32 in
-  let w = [| 1.0; 2.0; 7.0 |] in
-  let counts = Array.make 3 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let i = Dist.categorical g w in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      let expected = w.(i) /. 10.0 in
-      let actual = float_of_int c /. float_of_int n in
-      check_close (Printf.sprintf "category %d" i) expected actual 0.01)
-    counts
-
-let test_categorical_invalid () =
-  let g = Rng.of_int 33 in
-  (try
-     ignore (Dist.categorical g [||]);
-     Alcotest.fail "empty weights accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Dist.categorical g [| 0.0; 0.0 |]);
-    Alcotest.fail "zero weights accepted"
-  with Invalid_argument _ -> ()
-
-let test_categorical_point_mass () =
-  let g = Rng.of_int 34 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "all mass on index 1" 1 (Dist.categorical g [| 0.0; 5.0; 0.0 |])
-  done
 
 let test_multinomial_conservation () =
   let g = Rng.of_int 35 in
@@ -267,26 +190,64 @@ let prop_binomial_complement =
       let m2 = float_of_int !s2 /. float_of_int reps in
       Float.abs (m1 +. m2 -. float_of_int n) < 0.2 *. float_of_int n +. 2.0)
 
+(* [exponential g rate] is an Exp(1) draw divided by [rate]: from equal
+   generator states, every rate gives the same draw scaled *)
+let test_exponential_scales () =
+  let g = Rng.of_int 32 in
+  for _ = 1 to 1000 do
+    let a = Rng.copy g and b = Rng.copy g in
+    let unit = Dist.exponential a 1.0 and scaled = Dist.exponential b 2.5 in
+    Alcotest.(check (float 0.0)) "Exp(1) / 2.5" (unit /. 2.5) scaled;
+    Alcotest.(check int64) "same outputs taken" (Rng.bits64 a) (Rng.bits64 b);
+    ignore (Dist.exponential g 1.0)
+  done
+
+(* the exact law of all three branches (direct trials for n <= 32, waiting
+   times for p <= 1/2, and its mirror for p > 1/2) against the pmf; the
+   tails with fewer than 5 expected draws are pooled into their end cells *)
+let test_binomial_law () =
+  let g = Rng.of_int 24 in
+  let draws = 20_000 in
+  List.iter
+    (fun (n, p) ->
+      let pmf = Array.make (n + 1) 0.0 in
+      pmf.(0) <- (1.0 -. p) ** float_of_int n;
+      for k = 0 to n - 1 do
+        pmf.(k + 1) <- pmf.(k) *. float_of_int (n - k) /. float_of_int (k + 1) *. p /. (1.0 -. p)
+      done;
+      let expect k = float_of_int draws *. pmf.(k) in
+      let lo = ref 0 and hi = ref n in
+      while expect !lo < 5.0 do incr lo done;
+      while expect !hi < 5.0 do decr hi done;
+      let cell k = if k < !lo then 0 else if k > !hi then !hi - !lo else k - !lo in
+      let observed = Array.make (!hi - !lo + 1) 0 in
+      let expected = Array.make (!hi - !lo + 1) 0.0 in
+      Array.iteri (fun k q -> expected.(cell k) <- expected.(cell k) +. (float_of_int draws *. q)) pmf;
+      for _ = 1 to draws do
+        let c = cell (Dist.binomial g n p) in
+        observed.(c) <- observed.(c) + 1
+      done;
+      let pv = Chi2.test observed expected in
+      Alcotest.(check bool)
+        (Printf.sprintf "Bin(%d, %.2f): chi2 = %.2f, p = %.4f >= 0.001" n p
+           (Chi2.statistic observed expected) pv)
+        true (pv >= 0.001))
+    [ (20, 0.3); (60, 0.2); (60, 0.8) ]
+
 let suite =
   [
     Alcotest.test_case "binomial moments" `Quick test_binomial_moments;
     Alcotest.test_case "binomial support" `Quick test_binomial_support;
     Alcotest.test_case "binomial extremes" `Quick test_binomial_extremes;
     Alcotest.test_case "binomial invalid args" `Quick test_binomial_invalid;
-    Alcotest.test_case "geometric moments" `Quick test_geometric_moments;
-    Alcotest.test_case "geometric support" `Quick test_geometric_support;
-    Alcotest.test_case "geometric invalid args" `Quick test_geometric_invalid;
-    Alcotest.test_case "poisson moments" `Quick test_poisson_moments;
-    Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "exponential law (KS and tail mass)" `Quick test_exponential_law;
     Alcotest.test_case "exponential invalid args" `Quick test_exponential_invalid;
-    Alcotest.test_case "categorical frequencies" `Quick test_categorical_frequencies;
-    Alcotest.test_case "categorical invalid args" `Quick test_categorical_invalid;
-    Alcotest.test_case "categorical point mass" `Quick test_categorical_point_mass;
     Alcotest.test_case "multinomial conservation" `Quick test_multinomial_conservation;
     Alcotest.test_case "multinomial frequencies" `Quick test_multinomial_frequencies;
     Alcotest.test_case "multinomial degenerate" `Quick test_multinomial_degenerate;
     Alcotest.test_case "multinomial invalid args" `Quick test_multinomial_invalid;
     QCheck_alcotest.to_alcotest prop_binomial_complement;
+    Alcotest.test_case "exponential scales an Exp(1) draw" `Quick test_exponential_scales;
+    Alcotest.test_case "binomial law (chi2, every branch)" `Quick test_binomial_law;
   ]

@@ -716,6 +716,39 @@ let test_walker_validation () =
   raises "Engine.combined" (fun ~source ~max_rounds ->
       Engine.combined (Rng.of_int 1) g ~source ~agents ~max_rounds ())
 
+(* the informed-state bit set against a bool array, over sizes that end
+   inside and on byte boundaries *)
+let prop_bitset_membership =
+  QCheck.Test.make ~count:200 ~name:"bitset mem agrees with a bool array"
+    QCheck.(pair (int_range 0 200) (list small_nat))
+    (fun (n, adds) ->
+      let s = P.Bitset.create n and reference = Array.make n false in
+      List.iter
+        (fun i ->
+          if n > 0 then begin
+            P.Bitset.add s (i mod n);
+            reference.(i mod n) <- true
+          end)
+        adds;
+      Array.for_all Fun.id (Array.mapi (fun i b -> Bool.equal b (P.Bitset.mem s i)) reference))
+
+(* a snapshot copies every bit, and later adds to either side stay there *)
+let test_bitset_snapshot () =
+  let n = 77 in
+  let src = P.Bitset.create n and dst = P.Bitset.create n in
+  List.iter (P.Bitset.add src) [ 0; 7; 8; 63; 76 ];
+  P.Bitset.add dst 5;
+  P.Bitset.snapshot ~src ~dst;
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "bit %d" i) (P.Bitset.mem src i) (P.Bitset.mem dst i)
+  done;
+  P.Bitset.add src 30;
+  P.Bitset.add dst 40;
+  Alcotest.(check bool) "src add stays in src" false (P.Bitset.mem dst 30);
+  Alcotest.(check bool) "dst add stays in dst" false (P.Bitset.mem src 40);
+  Alcotest.check_raises "negative size" (Invalid_argument "Bitset.create: negative size")
+    (fun () -> ignore (P.Bitset.create (-1)))
+
 let suite =
   [
     Alcotest.test_case "max_int cap: O(rounds) allocation" `Quick test_huge_cap_completes;
@@ -747,4 +780,6 @@ let suite =
       test_dead_leaf_push_equals_reference;
     Alcotest.test_case "isolated callers refused before the first contact" `Quick
       test_isolated_callers;
+    QCheck_alcotest.to_alcotest prop_bitset_membership;
+    Alcotest.test_case "bitset snapshot" `Quick test_bitset_snapshot;
   ]

@@ -141,6 +141,48 @@ let test_a10_labels () =
     ]
     (List.sort_uniq String.compare !labels)
 
+(* E7 measures visit- and meet-exchange once per row; every derived column
+   (ln n, each protocol's min/ln n, the gap and gap/ln n) is recomputed here
+   from the records of its own row and protocol *)
+let test_e7_columns () =
+  let records = ref [] in
+  let metrics (r : Rumor_obs.Run_record.t) = records := r :: !records in
+  let tables =
+    Experiments.run_one { config with metrics = Some metrics } Experiments.Quick ~seed:1
+      (Option.get (find "E7"))
+  in
+  let times label protocol =
+    List.filter_map
+      (fun (r : Rumor_obs.Run_record.t) ->
+        if String.equal r.graph ("E7/" ^ label) && String.equal r.protocol protocol then
+          Option.map float_of_int r.broadcast_time
+        else None)
+      !records
+    |> Array.of_list
+  in
+  match tables with
+  | [ t ] ->
+      Alcotest.(check int) "quick rows" 4 (List.length t.Table.rows);
+      List.iter
+        (fun row ->
+          match row with
+          | [ label; ln_cell; _; vmin; _; mmin; gap; gap_ln ] ->
+              let n = int_of_string (List.hd (String.split_on_char ' ' label)) in
+              let ln = log (float_of_int n) in
+              let vx = times label "visit-exchange" and mx = times label "meet-exchange" in
+              let s_vx = Rumor_prob.Stats.summarize vx and s_mx = Rumor_prob.Stats.summarize mx in
+              let g = s_mx.mean -. s_vx.mean in
+              Alcotest.(check string) (label ^ " ln n") (Printf.sprintf "%.1f" ln) ln_cell;
+              Alcotest.(check string) (label ^ " visitx min/ln n")
+                (Printf.sprintf "%.2f" (s_vx.min /. ln)) vmin;
+              Alcotest.(check string) (label ^ " meetx min/ln n")
+                (Printf.sprintf "%.2f" (s_mx.min /. ln)) mmin;
+              Alcotest.(check string) (label ^ " gap") (Printf.sprintf "%.1f" g) gap;
+              Alcotest.(check string) (label ^ " gap/ln n") (Printf.sprintf "%.2f" (g /. ln)) gap_ln
+          | _ -> Alcotest.fail "E7 row width")
+        t.Table.rows
+  | _ -> Alcotest.fail "E7 renders one table"
+
 let suite =
   [
     Alcotest.test_case "ids unique" `Quick test_ids_unique;
@@ -153,4 +195,5 @@ let suite =
     Alcotest.test_case "A4 fairness direction" `Slow test_a4_fairness_direction;
     Alcotest.test_case "tables render and export" `Slow test_tables_render_and_csv;
     Alcotest.test_case "A10 records name family and walkers" `Slow test_a10_labels;
+    Alcotest.test_case "E7 derived columns" `Quick test_e7_columns;
   ]

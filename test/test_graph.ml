@@ -119,7 +119,12 @@ let test_regularity () =
   Alcotest.(check (option int)) "degree 2" (Some 2) (Graph.regular_degree g);
   let star = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3) ] in
   Alcotest.(check (option int)) "no regular degree" None (Graph.regular_degree star);
-  Alcotest.(check int) "min degree" 1 (Graph.min_degree star)
+  Alcotest.(check int) "min degree" 1 (Graph.min_degree star);
+  (* max_degree and is_regular reach callers through pp *)
+  let shown g = Format.asprintf "%a" Graph.pp g in
+  Alcotest.(check string) "triangle pp" "graph(n=3, m=3, deg=[2..2], regular)"
+    (shown g);
+  Alcotest.(check string) "star pp" "graph(n=4, m=3, deg=[1..3])" (shown star)
 
 (* arc_head inverts edge_index, so vertex v heads exactly deg v arcs *)
 let test_arc_head () =

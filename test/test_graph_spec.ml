@@ -83,6 +83,34 @@ let test_random_spec_uses_rng () =
   Graph.iter_edges g1 (fun u v -> if not (Graph.mem_edge g2 u v) then differs := true);
   Alcotest.(check bool) "different seeds, different graphs" true !differs
 
+(* [families] is the help text's list: each family the parser accepts is in
+   it once, and the unknown-family message names them all *)
+let test_families_listed () =
+  let sorted = List.sort_uniq String.compare Graph_spec.families in
+  Alcotest.(check int) "no duplicates" (List.length Graph_spec.families) (List.length sorted);
+  List.iter
+    (fun text ->
+      let family = List.hd (String.split_on_char ':' text) in
+      Alcotest.(check bool) (family ^ " listed") true (List.mem family Graph_spec.families))
+    [
+      "complete:7"; "path:9"; "cycle:5"; "star:10"; "double-star:10"; "tree:4"; "heavy-tree:4";
+      "siamese:4"; "csc:3"; "grid:3x4"; "torus:3x5"; "hypercube:5"; "necklace:3x4"; "barbell:4,2";
+      "lollipop:4,3"; "random-regular:20,3"; "er:30,0.2"; "gnm:10,12"; "ba:50,3";
+    ];
+  match Graph_spec.parse "unknown:3" with
+  | Ok _ -> Alcotest.fail "unknown family accepted"
+  | Error msg ->
+      List.iter
+        (fun family ->
+          let needle = family ^ "," and last = family ^ ")" in
+          let contains n =
+            let ln = String.length n and lm = String.length msg in
+            let rec go i = i + ln <= lm && (String.sub msg i ln = n || go (i + 1)) in
+            go 0
+          in
+          Alcotest.(check bool) (family ^ " in the message") true (contains needle || contains last))
+        Graph_spec.families
+
 let suite =
   [
     Alcotest.test_case "all families build" `Quick test_families_build;
@@ -92,4 +120,5 @@ let suite =
     Alcotest.test_case "is_random" `Quick test_is_random;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "random specs use the rng" `Quick test_random_spec_uses_rng;
+    Alcotest.test_case "families listed" `Quick test_families_listed;
   ]

@@ -188,6 +188,39 @@ let test_simulation_matches_exact_meeting () =
     true
     (Float.abs (empirical -. exact) < 0.1 *. exact)
 
+(* on random connected graphs (a random tree plus random chords) the
+   solution satisfies the walk's one-step equations: h(target) = 0 and
+   h(v) = 1 + the mean of h over v's neighbours; the lazy walk's times are
+   twice these *)
+let prop_one_step_equations =
+  QCheck.Test.make ~count:100 ~name:"hitting times solve the one-step equations"
+    QCheck.(triple (int_range 2 16) (int_range 0 20) int)
+    (fun (n, chords, seed) ->
+      let rng = Rng.of_int seed in
+      let edges = Hashtbl.create 32 in
+      let add u v = if u <> v then Hashtbl.replace edges (min u v, max u v) () in
+      for v = 1 to n - 1 do
+        add (Rng.int rng v) v
+      done;
+      for _ = 1 to chords do
+        add (Rng.int rng n) (Rng.int rng n)
+      done;
+      let g = Graph.of_edges ~n (Hashtbl.fold (fun e () acc -> e :: acc) edges []) in
+      let target = Rng.int rng n in
+      let h = Hitting.hitting_times g target in
+      let lazy_h = Hitting.hitting_times ~lazy_walk:true g target in
+      let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a) in
+      let ok = ref (Float.equal h.(target) 0.0) in
+      for v = 0 to n - 1 do
+        if v <> target then begin
+          let sum = Graph.fold_neighbors g v (fun acc w -> acc +. h.(w)) 0.0 in
+          let deg = float_of_int (Graph.degree g v) in
+          if not (close h.(v) (1.0 +. (sum /. deg))) then ok := false
+        end;
+        if not (close lazy_h.(v) (2.0 *. h.(v))) then ok := false
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "path closed form" `Quick test_path_closed_form;
@@ -209,4 +242,5 @@ let suite =
       test_simulation_matches_exact_hitting;
     Alcotest.test_case "simulation matches exact (path)" `Quick
       test_simulation_matches_exact_on_path;
+    QCheck_alcotest.to_alcotest prop_one_step_equations;
   ]

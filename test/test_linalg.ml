@@ -12,7 +12,12 @@ let check_vec label expected actual =
 (* max_i |(a x - b)_i|: how far [x] is from solving [a x = b] *)
 let residual a x b =
   Array.fold_left max 0.0
-    (Array.mapi (fun i ax -> Float.abs (ax -. b.(i))) (Linalg.mat_vec a x))
+    (Array.mapi
+       (fun i row ->
+         let ax = ref 0.0 in
+         Array.iteri (fun j aij -> ax := !ax +. (aij *. x.(j))) row;
+         Float.abs (!ax -. b.(i)))
+       a)
 
 let test_identity () =
   let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
@@ -66,12 +71,8 @@ let test_inputs_not_mutated () =
   Alcotest.(check (array (float 1e-12))) "matrix row 0 intact" [| 2.0; 1.0 |] a.(0);
   Alcotest.(check (array (float 1e-12))) "rhs intact" [| 5.0; 10.0 |] b
 
-let test_mat_vec () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  check_vec "mat_vec" [| 5.0; 11.0 |] (Linalg.mat_vec a [| 1.0; 2.0 |])
-
 let prop_solve_then_multiply =
-  QCheck.Test.make ~count:50 ~name:"solve is a right inverse of mat_vec"
+  QCheck.Test.make ~count:50 ~name:"solve leaves a small residual"
     QCheck.(pair (int_range 1 8) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Rumor_prob.Rng.of_int seed in
@@ -95,6 +96,5 @@ let suite =
     Alcotest.test_case "singular rejected" `Quick test_singular_rejected;
     Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
     Alcotest.test_case "inputs not mutated" `Quick test_inputs_not_mutated;
-    Alcotest.test_case "mat_vec" `Quick test_mat_vec;
     QCheck_alcotest.to_alcotest prop_solve_then_multiply;
   ]

@@ -404,6 +404,58 @@ let test_record_sees_capped_runs () =
   Alcotest.(check (list bool)) "records flag caps" [ true; true; true ]
     !capped_flags
 
+(* the one wall clock: microseconds are seconds scaled, elapsed time is
+   measured from a reading *)
+let test_clock () =
+  let module Clock = Rumor_obs.Clock in
+  let s = Clock.now_s () in
+  let us = Clock.now_us () in
+  Alcotest.(check bool) "now_us = 1e6 * now_s, a second apart at most" true
+    (us >= s *. 1e6 && us -. (s *. 1e6) < 1e6);
+  let e = Clock.elapsed_s ~since:s in
+  Alcotest.(check bool) "elapsed since a reading is small and not negative" true
+    (e >= 0.0 && e < 60.0);
+  Alcotest.(check bool) "elapsed since an hour ago" true
+    (Clock.elapsed_s ~since:(s -. 3600.0) >= 3600.0)
+
+let test_timed () =
+  let result, seconds, gc = Run_record.timed (fun () -> Array.length (Array.make 1000 0.0)) in
+  Alcotest.(check int) "result passed through" 1000 result;
+  Alcotest.(check bool) "elapsed >= 0" true (seconds >= 0.0);
+  Alcotest.(check bool) "the float array counted" true
+    (gc.Run_record.minor_words +. gc.Run_record.major_words >= 1000.0)
+
+(* the option helpers the kernels call: nothing happens without an
+   instrument, and each helper reaches its own hook *)
+let test_option_helpers () =
+  Obs.round_start None 1;
+  Obs.round_end None ~round:1 ~informed:2 ~contacts:3;
+  Obs.contact None 0 1;
+  Obs.walker_move None ~agent:0 ~from_:0 ~to_:1;
+  Obs.occupancy None ~round:1 ~occupied:1 ~walkers:1;
+  let r = Obs.Recorder.create () in
+  let obs = Some (Obs.Recorder.instrument r) in
+  Obs.round_start obs 1;
+  Obs.contact obs 0 1;
+  Obs.contact obs 1 2;
+  Obs.walker_move obs ~agent:0 ~from_:0 ~to_:1;
+  Obs.occupancy obs ~round:1 ~occupied:4 ~walkers:9;
+  Obs.round_end obs ~round:1 ~informed:3 ~contacts:2;
+  Alcotest.(check int) "round started" 1 (Obs.Recorder.rounds_started r);
+  Alcotest.(check int) "contacts" 2 (Obs.Recorder.contacts r);
+  Alcotest.(check int) "walker moves" 1 (Obs.Recorder.walker_moves r);
+  Alcotest.(check int) "occupancy events" 1 (Obs.Recorder.occupancy_events r);
+  Alcotest.(check (option int)) "occupied" (Some 4) (Obs.Recorder.last_occupied r);
+  Alcotest.(check int) "round ended" 1 (Obs.Recorder.rounds_ended r);
+  Alcotest.(check (array int)) "curve" [| 3 |] (Obs.Recorder.curve r);
+  (* omitted hooks of [make] are no-ops *)
+  let starts = ref 0 in
+  let only_starts = Some (Obs.make ~on_round_start:(fun _ -> incr starts) ()) in
+  Obs.round_start only_starts 1;
+  Obs.contact only_starts 0 1;
+  Obs.round_end only_starts ~round:1 ~informed:1 ~contacts:1;
+  Alcotest.(check int) "only the given hook ran" 1 !starts
+
 let suite =
   [
     Alcotest.test_case "hooks fire rounds_run times" `Quick
@@ -438,4 +490,7 @@ let suite =
     Alcotest.test_case "on_capped fail raises" `Quick test_on_capped_fail_raises;
     Alcotest.test_case "records see capped runs" `Quick
       test_record_sees_capped_runs;
+    Alcotest.test_case "clock readings" `Quick test_clock;
+    Alcotest.test_case "timed result, time and allocation" `Quick test_timed;
+    Alcotest.test_case "option helpers reach their hooks" `Quick test_option_helpers;
   ]

@@ -322,17 +322,6 @@ let test_baseline_snapshot_roundtrip () =
           Alcotest.(check bool) "snapshot preserves everything but curves" true
             (agg' = List.map (fun g -> { g with Aggregate.mean_curve = [||] }) agg))
 
-let test_baseline_save_load () =
-  with_temp_file (fun path ->
-      let agg = agg_with_wall 1.0 in
-      Baseline.save path agg;
-      match Baseline.load path with
-      | Ok agg' -> Alcotest.(check bool) "load inverts save" true (agg = agg')
-      | Error msg -> Alcotest.fail msg);
-  match Baseline.load "/nonexistent/rumor_baseline.json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loading a missing file succeeded"
-
 (* --- the CLI gate, end to end ----------------------------------------- *)
 
 let report_exe = Filename.concat (Filename.concat ".." "bin") "rumor_report.exe"
@@ -478,6 +467,59 @@ let test_cli_compare_and_summary_inputs () =
                     Alcotest.(check int) "summary of a missing file exits 2" 2
                       (run [ "summary"; empty ^ ".missing" ])))))
 
+(* broadcast and contacts get 10%, wall-clock 50%, allocation 15% *)
+let test_default_tolerances () =
+  let t = Baseline.default_tolerances in
+  Alcotest.(check (list (float 0.0))) "broadcast, contacts, wall, alloc"
+    [ 0.10; 0.10; 0.50; 0.15 ]
+    [ t.Baseline.broadcast; t.contacts; t.wall; t.alloc ];
+  let agg ~bt ~contacts ~wall ~minor =
+    Aggregate.of_records [ record ~broadcast_time:bt ~contacts ~wall ~minor () ]
+  in
+  let baseline = agg ~bt:10 ~contacts:100 ~wall:1.0 ~minor:1000.0 in
+  let regressed current =
+    List.map
+      (fun (c : Baseline.check) -> c.Baseline.metric)
+      (Baseline.regressions (Baseline.check ~baseline ~current ()))
+  in
+  Alcotest.(check (list string)) "each metric inside its own tolerance" []
+    (regressed (agg ~bt:11 ~contacts:110 ~wall:1.5 ~minor:1150.0));
+  Alcotest.(check (list string)) "each metric past its own tolerance"
+    [ "broadcast"; "contacts"; "wall_seconds"; "alloc_words" ]
+    (regressed (agg ~bt:12 ~contacts:111 ~wall:1.6 ~minor:1160.0))
+
+(* JSON has no non-finite numbers: they are written as null and read back
+   as nan; finite floats round-trip exactly *)
+let test_json_non_finite () =
+  let emit x =
+    let b = Buffer.create 16 in
+    Json.buf_add_float b x;
+    Buffer.contents b
+  in
+  List.iter
+    (fun x -> Alcotest.(check string) (Printf.sprintf "%g" x) "null" (emit x))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check bool) "null reads as nan" true
+    (match Json.to_float (Json.parse "null") with Some x -> Float.is_nan x | None -> false);
+  List.iter
+    (fun x ->
+      match Option.bind (Json.parse_result (emit x) |> Result.to_option) Json.to_float with
+      | Some y -> Alcotest.(check (float 0.0)) (emit x) x y
+      | None -> Alcotest.failf "%s does not read back" (emit x))
+    [ 0.1; -2.5e-300; 1e300; 3.0; Float.pi ]
+
+(* the writer's escapes: the mandatory ones, \u00XX for the other control
+   bytes, UTF-8 untouched; and the reader takes every one back *)
+let test_json_string_literal () =
+  let emit s =
+    let b = Buffer.create 16 in
+    Json.buf_add_string_literal b s;
+    Buffer.contents b
+  in
+  let s = "q\"b\\n\nr\rt\t\x01\x1f é" in
+  Alcotest.(check string) "escaped text" {|"q\"b\\n\nr\rt\t\u0001\u001f é"|} (emit s);
+  Alcotest.(check (option string)) "reads back" (Some s) (Json.to_string (Json.parse (emit s)))
+
 let suite =
   [
     Alcotest.test_case "json values" `Quick test_json_values;
@@ -504,11 +546,13 @@ let suite =
       test_baseline_missing_and_added;
     Alcotest.test_case "baseline snapshot roundtrip" `Quick
       test_baseline_snapshot_roundtrip;
-    Alcotest.test_case "baseline save/load" `Quick test_baseline_save_load;
     Alcotest.test_case "rumor_report check exit codes" `Quick
       test_cli_check_exit_codes;
     Alcotest.test_case "rumor_report tolerance must be finite and >= 0" `Quick
       test_cli_tolerance_validation;
     Alcotest.test_case "rumor_report compare/summary inputs" `Quick
       test_cli_compare_and_summary_inputs;
+    Alcotest.test_case "baseline default tolerances" `Quick test_default_tolerances;
+    Alcotest.test_case "json non-finite floats" `Quick test_json_non_finite;
+    Alcotest.test_case "json string literal escapes" `Quick test_json_string_literal;
   ]

@@ -316,16 +316,6 @@ let test_int_bound_above_2_61 () =
   let x = Rng.int (Rng.of_int 1) (1 lsl 61) in
   Alcotest.(check bool) "2^61 in range" true (x >= 0 && x < 1 lsl 61)
 
-let test_int_in () =
-  let g = Rng.of_int 2 in
-  for _ = 1 to 1000 do
-    let x = Rng.int_in g (-5) 5 in
-    if x < -5 || x > 5 then Alcotest.failf "int_in out of range: %d" x
-  done;
-  Alcotest.(check int) "singleton range" 3 (Rng.int_in g 3 3);
-  Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range")
-    (fun () -> ignore (Rng.int_in g 4 3))
-
 let test_float_range () =
   let g = Rng.of_int 3 in
   for _ = 1 to 10_000 do
@@ -389,43 +379,6 @@ let test_bernoulli_rate () =
   let p = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) (Printf.sprintf "p=%.3f near 0.3" p) true (Float.abs (p -. 0.3) < 0.01)
 
-let test_shuffle_is_permutation () =
-  let g = Rng.of_int 8 in
-  let a = Array.init 100 (fun i -> i) in
-  Rng.shuffle g a;
-  let sorted = Array.copy a in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 100 (fun i -> i)) sorted
-
-let test_shuffle_uniform_small () =
-  (* all 6 permutations of 3 elements should appear with roughly equal
-     frequency *)
-  let g = Rng.of_int 9 in
-  let counts = Hashtbl.create 6 in
-  let n = 60_000 in
-  for _ = 1 to n do
-    let a = [| 0; 1; 2 |] in
-    Rng.shuffle g a;
-    let key = (a.(0) * 9) + (a.(1) * 3) + a.(2) in
-    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-  done;
-  Alcotest.(check int) "six permutations observed" 6 (Hashtbl.length counts);
-  Hashtbl.iter
-    (fun _ c ->
-      let ratio = float_of_int c /. (float_of_int n /. 6.0) in
-      if ratio < 0.9 || ratio > 1.1 then Alcotest.failf "permutation ratio %.3f" ratio)
-    counts
-
-let test_choose () =
-  let g = Rng.of_int 10 in
-  let a = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    let x = Rng.choose g a in
-    Alcotest.(check bool) "chosen element is in the array" true (Array.mem x a)
-  done;
-  Alcotest.check_raises "empty array" (Invalid_argument "Rng.choose: empty array")
-    (fun () -> ignore (Rng.choose g [||]))
-
 (* [below] is [int] without its argument check: for every valid bound the
    same values from the same outputs, and the same state afterwards.  The
    fixed bounds are the ends of the kernels' range (a degree-1 vertex, the
@@ -462,6 +415,32 @@ let prop_skip_is_unit_draws =
       done;
       List.for_all (fun _ -> Rng.bits64 a = Rng.bits64 b) [ 1; 2; 3; 4 ])
 
+(* [float g x] scales the same 53-bit uniform for every [x] *)
+let test_float_scales () =
+  let g = Rng.of_int 91 in
+  for _ = 1 to 1000 do
+    let a = Rng.copy g and b = Rng.copy g in
+    Alcotest.(check (float 0.0)) "x * float 1" (6.5 *. Rng.float a 1.0) (Rng.float b 6.5);
+    ignore (Rng.bits64 g)
+  done
+
+(* a certain outcome takes no draw; any other takes exactly one float *)
+let test_bernoulli_draws () =
+  let g = Rng.of_int 92 in
+  let same label a b = Alcotest.(check int64) label (Rng.bits64 a) (Rng.bits64 b) in
+  List.iter
+    (fun p ->
+      let a = Rng.copy g in
+      ignore (Rng.bernoulli a p);
+      same (Printf.sprintf "p = %g draws nothing" p) a (Rng.copy g))
+    [ 0.0; -1.0; 1.0; 2.0 ];
+  List.iter
+    (fun p ->
+      let a = Rng.copy g and b = Rng.copy g in
+      Alcotest.(check bool) (Printf.sprintf "p = %g" p) (Rng.float b 1.0 < p) (Rng.bernoulli a p);
+      same (Printf.sprintf "p = %g draws one float" p) a b)
+    [ 1e-9; 0.3; 0.5; 0.999 ]
+
 let suite =
   [
     Alcotest.test_case "deterministic by seed" `Quick test_deterministic;
@@ -487,7 +466,6 @@ let suite =
       test_int_chi2_rejects_bias;
     Alcotest.test_case "int refuses bounds above 2^61" `Quick
       test_int_bound_above_2_61;
-    Alcotest.test_case "int_in range and errors" `Quick test_int_in;
     Alcotest.test_case "float in [0,1)" `Quick test_float_range;
     Alcotest.test_case "float mean" `Quick test_float_mean;
     Alcotest.test_case "float = Int64.to_float form, same bits" `Quick
@@ -495,7 +473,6 @@ let suite =
     Alcotest.test_case "bool balance" `Quick test_bool_balance;
     Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
     Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
-    Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
-    Alcotest.test_case "shuffle uniform on 3 elements" `Quick test_shuffle_uniform_small;
-    Alcotest.test_case "choose" `Quick test_choose;
+    Alcotest.test_case "float scales one uniform" `Quick test_float_scales;
+    Alcotest.test_case "bernoulli draws" `Quick test_bernoulli_draws;
   ]

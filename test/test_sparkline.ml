@@ -41,12 +41,14 @@ let test_render_ints () =
   Alcotest.(check int) "length" 3 (String.length line);
   Alcotest.(check char) "last at max" '@' line.[2]
 
-let test_with_scale () =
-  let text = Sparkline.with_scale ~ascii:true [| 1.0; 4.0 |] in
-  let suffix = " (max 4)" in
-  let len = String.length text and slen = String.length suffix in
-  Alcotest.(check bool) "mentions the max" true
-    (len >= slen && String.sub text (len - slen) slen = suffix)
+let test_blocks_by_default () =
+  Alcotest.(check string) "block glyphs" " \u{2584}\u{2588}" (Sparkline.render [| 0.0; 4.0; 8.0 |])
+
+let test_negative_clamped () =
+  Alcotest.(check string) "below zero draws as zero" " @"
+    (Sparkline.render ~ascii:true [| -5.0; 10.0 |]);
+  Alcotest.(check string) "all negative is flat" "  "
+    (Sparkline.render ~ascii:true [| -1.0; -2.0 |])
 
 let suite =
   [
@@ -57,5 +59,6 @@ let suite =
     Alcotest.test_case "all zero" `Quick test_all_zero;
     Alcotest.test_case "downsampling keeps peaks" `Quick test_downsampling_keeps_peak;
     Alcotest.test_case "render_ints" `Quick test_render_ints;
-    Alcotest.test_case "with_scale" `Quick test_with_scale;
+    Alcotest.test_case "block glyphs by default" `Quick test_blocks_by_default;
+    Alcotest.test_case "negative values clamped" `Quick test_negative_clamped;
   ]

@@ -1,5 +1,5 @@
-(* Tests for Rumor_prob.Stats: streaming accumulator, summaries, quantiles,
-   histogram. *)
+(* Tests for Rumor_prob.Stats: streaming accumulator, summaries and
+   quantiles. *)
 
 module Stats = Rumor_prob.Stats
 
@@ -36,12 +36,6 @@ let test_numerical_stability () =
   let t = feed [ offset +. 1.0; offset +. 2.0; offset +. 3.0 ] in
   Alcotest.(check (float 1e-6)) "stddev" 1.0 (Stats.stddev t)
 
-let test_std_error_and_ci () =
-  let t = feed [ 1.0; 2.0; 3.0; 4.0 ] in
-  let sd = Stats.stddev t in
-  Alcotest.(check (float 1e-9)) "std error" (sd /. 2.0) (Stats.std_error t);
-  Alcotest.(check (float 1e-9)) "ci95" (1.96 *. sd /. 2.0) (Stats.ci95_halfwidth t)
-
 let test_quantile_interpolation () =
   let sorted = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "q0" 1.0 (Stats.quantile sorted 0.0);
@@ -57,10 +51,6 @@ let test_summarize () =
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
   Alcotest.(check (float 1e-9)) "max" 5.0 s.Stats.max
 
-let test_summarize_ints () =
-  let s = Stats.summarize_ints [| 10; 20 |] in
-  Alcotest.(check (float 1e-9)) "mean" 15.0 s.Stats.mean
-
 let test_summarize_empty () =
   try
     ignore (Stats.summarize [||]);
@@ -71,31 +61,6 @@ let test_summarize_does_not_mutate () =
   let xs = [| 3.0; 1.0; 2.0 |] in
   let (_ : Stats.summary) = Stats.summarize xs in
   Alcotest.(check (array (float 1e-9))) "input unchanged" [| 3.0; 1.0; 2.0 |] xs
-
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.0; 1.9; 2.0; 9.99; -1.0; 10.0; 5.5 ];
-  Alcotest.(check (array int)) "counts" [| 2; 1; 1; 0; 1 |] (Stats.Histogram.counts h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "total" 7 (Stats.Histogram.total h)
-
-let test_histogram_edges () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let edges = Stats.Histogram.bin_edges h in
-  Alcotest.(check int) "edge count" 5 (Array.length edges);
-  Alcotest.(check (float 1e-9)) "first" 0.0 edges.(0);
-  Alcotest.(check (float 1e-9)) "last" 1.0 edges.(4)
-
-let test_histogram_invalid () =
-  (try
-     ignore (Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0);
-     Alcotest.fail "bins=0 accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:3);
-    Alcotest.fail "hi=lo accepted"
-  with Invalid_argument _ -> ()
 
 let prop_welford_matches_naive =
   QCheck.Test.make ~count:100 ~name:"welford matches two-pass computation"
@@ -111,6 +76,35 @@ let prop_welford_matches_naive =
       Float.abs (Stats.mean t -. mean) < 1e-6
       && Float.abs ((Stats.stddev t ** 2.0) -. var) < 1e-5 *. (1.0 +. var))
 
+(* an even sample: the quartiles interpolate between order statistics *)
+let test_summarize_quartiles () =
+  let s = Stats.summarize [| 8.0; 2.0; 6.0; 4.0 |] in
+  Alcotest.(check (float 1e-9)) "q25" 3.5 s.Stats.q25;
+  Alcotest.(check (float 1e-9)) "median" 5.0 s.Stats.median;
+  Alcotest.(check (float 1e-9)) "q75" 6.5 s.Stats.q75;
+  Alcotest.(check (float 1e-9)) "stddev" (sqrt (20.0 /. 3.0)) s.Stats.stddev
+
+(* Float.compare orders NaN before every number *)
+let test_summarize_nan_first () =
+  let s = Stats.summarize [| 3.0; nan; 1.0 |] in
+  Alcotest.(check bool) "min is nan" true (Float.is_nan s.Stats.min);
+  Alcotest.(check (float 1e-9)) "max" 3.0 s.Stats.max;
+  Alcotest.(check bool) "mean is nan" true (Float.is_nan s.Stats.mean)
+
+let prop_summary_ordered =
+  QCheck.Test.make ~count:200 ~name:"summary order statistics agree with quantile"
+    QCheck.(array_of_size (Gen.int_range 1 40) (float_range (-50.0) 50.0))
+    (fun xs ->
+      let s = Stats.summarize xs in
+      let sorted = Array.copy xs in
+      Array.sort Float.compare sorted;
+      s.Stats.n = Array.length xs
+      && Float.equal s.Stats.min sorted.(0)
+      && Float.equal s.Stats.max sorted.(Array.length xs - 1)
+      && Float.equal s.Stats.median (Stats.quantile sorted 0.5)
+      && s.Stats.min <= s.Stats.q25 && s.Stats.q25 <= s.Stats.median
+      && s.Stats.median <= s.Stats.q75 && s.Stats.q75 <= s.Stats.max)
+
 let suite =
   [
     Alcotest.test_case "mean/variance exact" `Quick test_mean_variance_exact;
@@ -118,14 +112,12 @@ let suite =
     Alcotest.test_case "single value" `Quick test_single_value;
     Alcotest.test_case "add_int" `Quick test_add_int;
     Alcotest.test_case "numerical stability" `Quick test_numerical_stability;
-    Alcotest.test_case "std error and ci" `Quick test_std_error_and_ci;
     Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
     Alcotest.test_case "summarize" `Quick test_summarize;
-    Alcotest.test_case "summarize ints" `Quick test_summarize_ints;
     Alcotest.test_case "summarize empty" `Quick test_summarize_empty;
     Alcotest.test_case "summarize does not mutate" `Quick test_summarize_does_not_mutate;
-    Alcotest.test_case "histogram binning" `Quick test_histogram_binning;
-    Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
-    Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
     QCheck_alcotest.to_alcotest prop_welford_matches_naive;
+    Alcotest.test_case "summarize quartiles" `Quick test_summarize_quartiles;
+    Alcotest.test_case "summarize orders nan first" `Quick test_summarize_nan_first;
+    QCheck_alcotest.to_alcotest prop_summary_ordered;
   ]

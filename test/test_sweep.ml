@@ -105,6 +105,34 @@ let test_e1_rows_have_distinct_labels () =
     [ "E1/1025"; "E1/129"; "E1/257"; "E1/513" ]
     (List.sort_uniq String.compare !labels)
 
+(* cell seeds are pinned (the recorded tables depend on them) and distinct
+   across every grid the experiments use *)
+let test_cell_seeds () =
+  Alcotest.(check int) "cell (0, 0) of seed 1" 1_000_003 (Sweep.cell_seed 1 0 0);
+  Alcotest.(check int) "cell (2, 3) of seed 1" (1_000_003 + (2 * 7919) + 3) (Sweep.cell_seed 1 2 3);
+  List.iter
+    (fun seed ->
+      let seen = Hashtbl.create 4096 in
+      for i = 0 to 63 do
+        for j = 0 to 31 do
+          let s = Sweep.cell_seed seed i j in
+          if Hashtbl.mem seen s then Alcotest.failf "seed %d: cell (%d, %d) repeats" seed i j;
+          Hashtbl.add seen s ()
+        done
+      done)
+    [ 1; 2; 42 ]
+
+let test_time_cell () =
+  let m capped =
+    {
+      Rumor_sim.Replicate.times = [| 10.0; 10.0 |];
+      capped;
+      summary = Rumor_prob.Stats.summarize [| 10.0; 10.0 |];
+    }
+  in
+  Alcotest.(check string) "complete cell" "10 ±0" (Sweep.time_cell (m 0));
+  Alcotest.(check string) "capped cell" ">=10 ±0 (2 capped)" (Sweep.time_cell (m 2))
+
 let suite =
   [
     Alcotest.test_case "Fixed builds once per row" `Quick test_fixed_built_once_per_row;
@@ -112,4 +140,6 @@ let suite =
     Alcotest.test_case "same table at jobs 1 and 2" `Quick test_jobs_same_table;
     Alcotest.test_case "records name their row" `Quick test_records_name_their_row;
     Alcotest.test_case "E1 rows have distinct labels" `Slow test_e1_rows_have_distinct_labels;
+    Alcotest.test_case "cell seeds pinned and distinct" `Quick test_cell_seeds;
+    Alcotest.test_case "time cell marks capped reps" `Quick test_time_cell;
   ]

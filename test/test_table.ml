@@ -68,21 +68,21 @@ let test_markdown_pipe_escaped () =
   in
   Alcotest.(check bool) "pipe escaped" true (contains "x\\|y" (Table.to_markdown t))
 
-let test_fmt_float () =
-  Alcotest.(check string) "integral" "42" (Table.fmt_float 42.0);
-  Alcotest.(check string) "fractional" "3.5" (Table.fmt_float 3.5);
-  Alcotest.(check string) "rounded" "3.1" (Table.fmt_float 3.14159)
-
-let test_fmt_opt_time () =
-  Alcotest.(check string) "normal" "12" (Table.fmt_opt_time 12.0 ~capped:false);
-  Alcotest.(check string) "capped" ">=12" (Table.fmt_opt_time 12.0 ~capped:true)
-
 let test_fmt_mean_pm () =
   let cell xs = Table.fmt_mean_pm (Rumor_prob.Stats.summarize xs) in
   Alcotest.(check string) "no spread" "10 ±0" (cell [| 10.0; 10.0; 10.0; 10.0 |]);
   (* integers render bare, everything else with one decimal *)
   Alcotest.(check string) "fractional" "3.5 ±1.0" (cell [| 3.0; 4.0 |]);
   Alcotest.(check string) "rounded" "3.1 ±0" (cell [| 3.14159 |])
+
+(* a column with no entry in [aligns] is right-aligned *)
+let test_missing_aligns_default_right () =
+  let make aligns =
+    Table.make ?aligns ~title:"t" ~claim:"" ~header:[ "a"; "b" ] [ [ "x"; "1" ] ]
+  in
+  Alcotest.(check bool) "no aligns" true (contains "|---:|---:|" (Table.to_markdown (make None)));
+  Alcotest.(check bool) "first column only" true
+    (contains "|:---|---:|" (Table.to_markdown (make (Some [ Table.Left ]))))
 
 let suite =
   [
@@ -94,7 +94,6 @@ let suite =
     Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
     Alcotest.test_case "markdown" `Quick test_markdown;
     Alcotest.test_case "markdown pipe escaping" `Quick test_markdown_pipe_escaped;
-    Alcotest.test_case "fmt_float" `Quick test_fmt_float;
-    Alcotest.test_case "fmt_opt_time" `Quick test_fmt_opt_time;
     Alcotest.test_case "fmt_mean_pm" `Quick test_fmt_mean_pm;
+    Alcotest.test_case "missing aligns default to right" `Quick test_missing_aligns_default_right;
   ]

@@ -313,6 +313,105 @@ let test_rumor_run_trace () =
             Alcotest.(check int) "rumor_report trace profiles it" 0
               (run report_exe [ "trace"; trace_path ])))
 
+(* --- counter registry ------------------------------------------------- *)
+
+(* a counter is found again by name; bumps are monotonic *)
+let test_counter_by_name () =
+  let cs = Counters.create () in
+  Alcotest.(check bool) "fresh registry empty" true (Counters.is_empty cs);
+  Counters.incr (Counters.counter cs "contacts");
+  Counters.add (Counters.counter cs "contacts") 4;
+  Alcotest.(check int) "one cell per name" 5 (Counters.value (Counters.counter cs "contacts"));
+  Alcotest.(check bool) "no longer empty" false (Counters.is_empty cs);
+  Alcotest.check_raises "negative bump"
+    (Invalid_argument "Counters.add: negative bump on \"contacts\"") (fun () ->
+      Counters.add (Counters.counter cs "contacts") (-1))
+
+(* x lands in the first bucket with x <= bound, past the last in overflow *)
+let test_histogram_buckets () =
+  let cs = Counters.create () in
+  let h = Counters.histogram cs "per_round" ~buckets:[| 1.0; 10.0; 100.0 |] in
+  List.iter (Counters.observe h) [ 0.5; 1.0; 5.0; 100.0; 1000.0; 101.0 ];
+  Alcotest.(check (array int)) "bucket counts" [| 2; 1; 1; 2 |] (Counters.bucket_counts h);
+  let again = Counters.histogram cs "per_round" ~buckets:[| 1.0; 10.0; 100.0 |] in
+  Counters.observe again 2.0;
+  Alcotest.(check (array int)) "same cells by name" [| 2; 2; 1; 2 |] (Counters.bucket_counts h);
+  let refused label f =
+    match f () with
+    | (_ : Counters.histogram) -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "empty bounds" (fun () -> Counters.histogram cs "e" ~buckets:[||]);
+  refused "non-increasing bounds" (fun () -> Counters.histogram cs "d" ~buckets:[| 2.0; 2.0 |]);
+  refused "other bounds, same name" (fun () ->
+      Counters.histogram cs "per_round" ~buckets:[| 1.0; 10.0 |])
+
+(* counters add, histograms add cell by cell, new names are created *)
+let test_merge_into () =
+  let dst = Counters.create () and src = Counters.create () in
+  Counters.add (Counters.counter dst "a") 2;
+  Counters.add (Counters.counter src "a") 3;
+  Counters.add (Counters.counter src "b") 7;
+  let bounds = [| 1.0; 2.0 |] in
+  Counters.observe (Counters.histogram dst "h" ~buckets:bounds) 0.0;
+  Counters.observe (Counters.histogram src "h" ~buckets:bounds) 0.0;
+  Counters.observe (Counters.histogram src "h" ~buckets:bounds) 5.0;
+  Counters.merge_into ~dst ~src;
+  Alcotest.(check int) "a adds" 5 (Counters.value (Counters.counter dst "a"));
+  Alcotest.(check int) "b created" 7 (Counters.value (Counters.counter dst "b"));
+  Alcotest.(check (array int)) "h adds" [| 2; 0; 1 |]
+    (Counters.bucket_counts (Counters.histogram dst "h" ~buckets:bounds));
+  Alcotest.(check int) "src keeps its values" 3 (Counters.value (Counters.counter src "a"));
+  let other = Counters.create () in
+  ignore (Counters.histogram other "h" ~buckets:[| 3.0 |]);
+  match Counters.merge_into ~dst ~src:other with
+  | () -> Alcotest.fail "mismatched histogram bounds merged"
+  | exception Invalid_argument _ -> ()
+
+let test_counters_json_roundtrip () =
+  let cs = Counters.create () in
+  Counters.add (Counters.counter cs "rounds") 12;
+  Counters.add (Counters.counter cs "contacts") 345;
+  Counters.observe (Counters.histogram cs "per_round" ~buckets:[| 1.0; 10.0 |]) 4.0;
+  let text = Json.to_string_json (Counters.to_json cs) in
+  Alcotest.(check string) "names sorted"
+    {|{"counters":{"contacts":345,"rounds":12},"histograms":{"per_round":{"bounds":[1,10],"counts":[0,1,0]}}}|}
+    text;
+  match Counters.of_json (Json.parse text) with
+  | Error msg -> Alcotest.fail msg
+  | Ok back ->
+      Alcotest.(check string) "fixpoint" text (Json.to_string_json (Counters.to_json back))
+
+(* --- spans around failures and worker tracers ------------------------- *)
+
+let test_with_span_exceptions () =
+  let t = Trace.create () in
+  (match Trace.with_span (Some t) "failing" (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "span closed" 0 (Trace.open_spans t);
+  Alcotest.(check int) "span recorded" 1 (Trace.events t);
+  Alcotest.(check int) "no tracer: just runs" 42 (Trace.with_span None "bare" (fun () -> 42))
+
+(* join appends the child's events and folds its counters in, once the
+   child is balanced *)
+let test_fork_join () =
+  let parent = Trace.create () in
+  Counters.add (Counters.counter (Trace.counters parent) "contacts") 1;
+  let child = Trace.fork parent ~tid:5 in
+  Alcotest.(check int) "child tid" 5 (Trace.tid child);
+  Alcotest.(check int) "child starts empty" 0 (Trace.events child);
+  Trace.begin_span child "work";
+  Alcotest.check_raises "open child refused"
+    (Invalid_argument "Trace.join: child has open spans") (fun () -> Trace.join parent child);
+  Trace.end_span child;
+  Trace.instant child "mark";
+  Counters.add (Counters.counter (Trace.counters child) "contacts") 9;
+  Trace.join parent child;
+  Alcotest.(check int) "events appended" 2 (Trace.events parent);
+  Alcotest.(check int) "counters folded" 10
+    (Counters.value (Counters.counter (Trace.counters parent) "contacts"))
+
 let suite =
   [
     Alcotest.test_case "nesting balance" `Quick test_nesting_balance;
@@ -328,4 +427,10 @@ let suite =
       test_report_trace_exit_codes;
     Alcotest.test_case "rumor_run --trace: rep and round spans" `Quick
       test_rumor_run_trace;
+    Alcotest.test_case "counters found by name, monotonic" `Quick test_counter_by_name;
+    Alcotest.test_case "histogram buckets and bounds" `Quick test_histogram_buckets;
+    Alcotest.test_case "counters merge_into" `Quick test_merge_into;
+    Alcotest.test_case "counters JSON round trip" `Quick test_counters_json_roundtrip;
+    Alcotest.test_case "with_span closes on exceptions" `Quick test_with_span_exceptions;
+    Alcotest.test_case "fork and join" `Quick test_fork_join;
   ]

@@ -177,6 +177,36 @@ let test_r_faster_or_equal_than_plain () =
     true
     (mean_r <= (1.5 *. mean_plain) +. 3.0)
 
+(* iteration skips dead slots in slot order; a moved agent is found where
+   it stands *)
+let test_pool_iter_and_move () =
+  let p = Pool.create ~capacity:8 in
+  let slots = List.init 5 (fun v -> Pool.spawn p v) in
+  Pool.kill p (List.nth slots 1);
+  Pool.kill p (List.nth slots 3);
+  let seen = ref [] in
+  Pool.iter_alive p (fun s -> seen := s :: !seen);
+  Alcotest.(check (list int)) "live slots in order" [ 0; 2; 4 ] (List.rev !seen);
+  Pool.set_position p 2 7;
+  Alcotest.(check int) "moved" 7 (Pool.position p 2);
+  Alcotest.(check (option int)) "found at its new vertex" (Some 2) (Pool.find_alive_at p 7);
+  Alcotest.(check (option int)) "gone from the old one" None (Pool.find_alive_at p 2)
+
+(* a recycled slot holds a fresh, uninformed agent *)
+let test_pool_reuse_is_fresh () =
+  let p = Pool.create ~capacity:2 in
+  let a = Pool.spawn p 1 in
+  Pool.set_informed_at p a 3;
+  Alcotest.(check int) "informed at 3" 3 (Pool.informed_at p a);
+  Pool.kill p a;
+  Alcotest.check_raises "dead slot refused"
+    (Invalid_argument "Agent_pool.set_informed_at: dead slot") (fun () ->
+      Pool.set_informed_at p a 4);
+  let b = Pool.spawn p 6 in
+  Alcotest.(check int) "slot recycled" a b;
+  Alcotest.(check int) "uninformed" Pool.uninformed (Pool.informed_at p b);
+  Alcotest.(check int) "at its new vertex" 6 (Pool.position p b)
+
 let suite =
   [
     Alcotest.test_case "pool spawn/kill" `Quick test_pool_spawn_kill;
@@ -200,4 +230,6 @@ let suite =
       test_r_added_agents_adopt_vertex_state;
     Alcotest.test_case "r-visitx: not slower than plain" `Quick
       test_r_faster_or_equal_than_plain;
+    Alcotest.test_case "pool iteration and moves" `Quick test_pool_iter_and_move;
+    Alcotest.test_case "pool recycled slot is fresh" `Quick test_pool_reuse_is_fresh;
   ]

@@ -267,22 +267,6 @@ let typed_pass trules files =
         if Sys.file_exists d && Sys.is_directory d then d else "."
   in
   let summaries = Cmt_loader.load_all croot in
-  (* a cmt older than its source (a native-only build leaves an
-     executable's cmt behind) hides the calls made since: say so *)
-  let stale =
-    List.filter
-      (fun (s : Summary.t) ->
-        s.digest <> "" && Sys.file_exists s.source
-        && not (String.equal s.digest (Digest.to_hex (Digest.file s.source))))
-      summaries
-  in
-  (match stale with
-  | [] -> ()
-  | s :: _ ->
-      Printf.eprintf
-        "rumor_lint: note: %d cmts under %s are older than their sources \
-         (%s among them); run `dune build @check` first\n"
-        (List.length stale) croot s.source);
   let sup_cache = Hashtbl.create 32 in
   let suppress_for source =
     match Hashtbl.find_opt sup_cache source with
