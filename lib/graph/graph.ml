@@ -386,26 +386,36 @@ end
    ascending, the arcs into v arrive in increasing u, so v's sorted slice
    must list exactly those u, in that order — [cursor.(v)] is where the
    next one must stand.  Every check passing matches each arc with a
-   distinct reverse arc, which is symmetry. *)
+   distinct reverse arc, which is symmetry.  Each error is raised directly,
+   as in [Slots.set], so the passes make no call on any path that goes
+   on. *)
 let check_csr who nv offsets slots =
-  let bad what = invalid_arg (who ^ ": " ^ what) in
-  if nv < 0 || nv > max_vertices then bad "vertex count out of range";
-  if Array.length offsets <> nv + 1 then bad "offsets length is not n + 1";
+  if nv < 0 || nv > max_vertices then
+    raise (Invalid_argument (who ^ ": vertex count out of range"));
+  if Array.length offsets <> nv + 1 then
+    raise (Invalid_argument (who ^ ": offsets length is not n + 1"));
   (* [Slots.create] makes every buffer 3 arcs + 1 bytes *)
   let arcs = Bytes.length slots / 3 in
   if offsets.(0) <> 0 || offsets.(nv) <> arcs then
-    bad "offsets do not run from 0 to the slot count";
+    raise (Invalid_argument (who ^ ": offsets do not run from 0 to the slot count"));
   for u = 0 to nv - 1 do
-    if offsets.(u + 1) < offsets.(u) then bad "decreasing offsets"
+    if offsets.(u + 1) < offsets.(u) then
+      raise (Invalid_argument (who ^ ": decreasing offsets"))
   done;
+  let prev = ref (-1) in
   for u = 0 to nv - 1 do
-    let prev = ref (-1) in
+    prev := -1;
     for i = offsets.(u) to offsets.(u + 1) - 1 do
       let v = slot_u slots i in
-      if v >= nv then bad (Printf.sprintf "neighbour %d of %d out of range" v u);
-      if v = u then bad (Printf.sprintf "self-loop at %d" u);
-      if v = !prev then bad (Printf.sprintf "duplicate edge (%d,%d)" u v);
-      if v < !prev then bad (Printf.sprintf "unsorted slice of %d" u);
+      if v >= nv then
+        raise
+          (Invalid_argument
+             (Printf.sprintf "%s: neighbour %d of %d out of range" who v u));
+      if v = u then raise (Invalid_argument (Printf.sprintf "%s: self-loop at %d" who u));
+      if v = !prev then
+        raise (Invalid_argument (Printf.sprintf "%s: duplicate edge (%d,%d)" who u v));
+      if v < !prev then
+        raise (Invalid_argument (Printf.sprintf "%s: unsorted slice of %d" who u));
       prev := v
     done
   done;
@@ -415,7 +425,8 @@ let check_csr who nv offsets slots =
       let v = slot_u slots i in
       let c = cursor.(v) in
       if c >= offsets.(v + 1) || slot_u slots c <> u then
-        bad (Printf.sprintf "arc %d -> %d has no reverse" u v);
+        raise
+          (Invalid_argument (Printf.sprintf "%s: arc %d -> %d has no reverse" who u v));
       cursor.(v) <- c + 1
     done
   done
@@ -424,6 +435,91 @@ let of_csr ~n:nv ~offsets ~slots =
   check_csr "Graph.of_csr" nv offsets slots;
   let m = Bytes.length slots / 6 in
   { n = nv; m; offsets; adj = slots; min_deg = min_deg_of_offsets nv offsets }
+
+(* [of_upper_rows]: the CSR of a graph given each vertex's upper
+   neighbours, row u holding u's columns v > u in strictly ascending order.
+   One pass counts each column's lower degree, one prefix sum adds the
+   rows' lengths, and one pass over the rows in ascending u appends v to
+   u's slice and u to v's.  Vertex w's slice then receives its lower
+   neighbours x from rows x < w, in increasing x, before its own row's
+   upper neighbours, in increasing order: every slice is sorted.  The fill
+   checks u < v and strict ascent within each row, which makes every slice
+   duplicate- and loop-free, and every edge is written to both ends: the
+   graph is symmetric by construction, with no sort and no check pass
+   after. *)
+
+(* The defect in row u where column v follows [prev] (u itself before the
+   first column) and does not rise above it. *)
+let[@inline never] row_defect u prev v =
+  if v <= u then
+    Printf.sprintf "Graph.of_upper_rows: column %d of row %d is not above its row" v u
+  else if v = prev then Printf.sprintf "Graph.of_upper_rows: repeated column %d in row %d" v u
+  else Printf.sprintf "Graph.of_upper_rows: row %d descends (%d after %d)" u v prev
+
+(* Lower degrees at [offsets.(v+1)], with each column checked to lie in
+   [0, n) first: the later passes index by columns unchecked. *)
+(* lint: hot *)
+let count_lower nv (cols : Builder.buf) offsets =
+  for i = 0 to Bigarray.Array1.dim cols - 1 do
+    let v = Int32.to_int (Bigarray.Array1.unsafe_get cols i) in
+    if v < 0 || v >= nv then
+      raise
+        (Invalid_argument
+           (Printf.sprintf "Graph.of_upper_rows: column %d outside [0, %d)" v nv));
+    Array.unsafe_set offsets (v + 1) (Array.unsafe_get offsets (v + 1) + 1)
+  done
+
+(* The fill, as [Builder.fill_slots] but row by row: [offsets.(u+1)] is u's
+   cursor, advanced once per row entry and once per column u, deg u times
+   in all.  [row_ends] has been checked to rise from 0 to the column
+   count, so every column index is in range, and [count_lower] checked
+   every column against n. *)
+(* lint: hot *)
+let fill_upper_rows nv row_ends (cols : Builder.buf) offsets adj =
+  let prev = ref 0 and cu = ref 0 in
+  for u = 0 to nv - 1 do
+    prev := u;
+    (* row u writes no column u, so u's cursor stays in a register *)
+    cu := Array.unsafe_get offsets (u + 1);
+    for i = Array.unsafe_get row_ends u to Array.unsafe_get row_ends (u + 1) - 1 do
+      let v = Int32.to_int (Bigarray.Array1.unsafe_get cols i) in
+      if v <= !prev then raise (Invalid_argument (row_defect u !prev v));
+      prev := v;
+      set_slot_u adj !cu v;
+      incr cu;
+      let cv = Array.unsafe_get offsets (v + 1) in
+      set_slot_u adj cv u;
+      Array.unsafe_set offsets (v + 1) (cv + 1)
+    done;
+    Array.unsafe_set offsets (u + 1) !cu
+  done
+
+let of_upper_rows ~n:nv ~row_ends ~cols =
+  if nv < 0 || nv > max_vertices then
+    invalid_arg "Graph.of_upper_rows: vertex count out of range";
+  if Array.length row_ends <> nv + 1 then
+    invalid_arg "Graph.of_upper_rows: row_ends length is not n + 1";
+  let m = Bigarray.Array1.dim cols in
+  if row_ends.(0) <> 0 || row_ends.(nv) <> m then
+    invalid_arg "Graph.of_upper_rows: row_ends do not run from 0 to the column count";
+  for u = 0 to nv - 1 do
+    if row_ends.(u + 1) < row_ends.(u) then
+      invalid_arg "Graph.of_upper_rows: decreasing row_ends"
+  done;
+  let offsets = Array.make (nv + 1) 0 in
+  count_lower nv cols offsets;
+  (* degrees become first slots, as in [Builder.first_slots]; u's degree is
+     its lower count plus its row's length *)
+  let start = ref 0 in
+  for u = 0 to nv - 1 do
+    let d = offsets.(u + 1) + row_ends.(u + 1) - row_ends.(u) in
+    offsets.(u + 1) <- !start;
+    start := !start + d
+  done;
+  (* every slot is written: the degrees sum to 2m *)
+  let adj = Slots.create (2 * m) in
+  fill_upper_rows nv row_ends cols offsets adj;
+  { n = nv; m; offsets; adj; min_deg = min_deg_of_offsets nv offsets }
 
 let of_edge_array ~n edges =
   let b = Builder.create ~capacity:(Array.length edges) ~n () in

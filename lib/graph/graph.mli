@@ -9,7 +9,8 @@
     access pattern the protocol simulators are built around.
 
     Graphs are simple (no self-loops, no parallel edges) and undirected;
-    {!Builder} and {!of_csr} enforce this at construction time. *)
+    {!Builder}, {!of_csr} and {!of_upper_rows} enforce this at construction
+    time. *)
 
 type t
 
@@ -74,14 +75,46 @@ val of_csr : n:int -> offsets:int array -> slots:Slots.t -> t
     slice out of order (["unsorted slice"]); an arc without its reverse
     (["has no reverse"]). *)
 
-(** Streaming construction, and the one place a CSR is assembled: endpoints
+val of_upper_rows :
+  n:int ->
+  row_ends:int array ->
+  cols:(int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  t
+(** [of_upper_rows ~n ~row_ends ~cols] builds the graph whose edges are
+    given row by row, each once, from its smaller end: row [u] is
+    [cols.{row_ends.(u)} .. cols.{row_ends.(u+1) - 1}], the neighbours
+    [v > u] of [u] in strictly ascending order.  [row_ends] has [n + 1]
+    entries, rising from [0] to [Bigarray.Array1.dim cols].  The
+    {!Gen_random.erdos_renyi} sampler stages its rows this way: 4 bytes an
+    edge, against the {!Builder}'s 8.
+
+    One pass counts each column's lower degree, a prefix sum adds the
+    rows' lengths, and one fill pass over the rows in ascending [u]
+    appends [v] to [u]'s slice and [u] to [v]'s.  A vertex's lower
+    neighbours thus arrive in increasing order before its own row, so
+    every slice comes out sorted; the fill checks [u < v < n] and strict
+    ascent within each row, which makes every slice free of duplicates and
+    loops, and symmetry holds by construction.  No sort and no check pass
+    follow: the result is the CSR {!of_edges} makes of the same edges,
+    with the same guarantees.  Neither array is kept.
+    @raise Invalid_argument, with a message naming the defect, on: [n < 0]
+    or [n > 2^24] (["vertex count out of range"]); a [row_ends] whose
+    length is not [n + 1] (["row_ends length is not n + 1"]), that does
+    not start at 0 and end at the column count (["row_ends do not run from
+    0 to the column count"]), or that decreases (["decreasing
+    row_ends"]); a column outside [[0, n)] (["outside"]); a column not
+    above its row (["is not above its row"]); a column repeated within its
+    row (["repeated column"]); a row out of order (["descends"]). *)
+
+(** Streaming construction from edges in any order: endpoints
     accumulate interleaved in one flat int32 Bigarray ([u] then [v], 8 bytes
     an edge, off the OCaml heap, growing by doubling) and {!Builder.finish}
     counts degrees, fills the 24-bit neighbour slots, and sorts and
     duplicate-checks them in place — the edge set is materialized exactly
-    once.  Every generator but the sparse random-regular sampler (which
-    writes its sorted slices itself and goes through {!of_csr}) feeds this
-    path, and {!of_edges} feeds it too.
+    once.  Every generator but two feeds this path, and {!of_edges} feeds
+    it too: the sparse random-regular sampler writes its sorted slices
+    itself and goes through {!of_csr}, and G(n, p) for [p < 1] stages its
+    upper rows for {!of_upper_rows}.
 
     Edges added as [(u, v)] pairs with [u < v], in strictly ascending order
     of [(u, v)], fill every vertex's slice sorted and duplicate-free by

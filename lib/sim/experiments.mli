@@ -26,7 +26,9 @@ type profile =
                FILE] writes: minutes overall *)
 
 type t = {
-  id : string;  (** "E1" ... "E10", "A1" ... "A4", "A8" ... "A10", "R1", "R2", "R6", "R7", "R9" *)
+  id : string;
+      (** "E1" ... "E7", "E9", "E10", "A1" ... "A4", "A8" ... "A10", "R1", "R2", "R6",
+          "R7", "R9" *)
   title : string;
   paper_ref : string;  (** e.g. "Fig 1(b), Lemma 3" *)
   run : Sweep.config -> profile -> seed:int -> Table.t list;

@@ -31,10 +31,88 @@ let test_erdos_renyi_density () =
 
 let test_erdos_renyi_invalid () =
   let rng = Rng.of_int 63 in
+  (try
+     ignore (Gen.erdos_renyi rng ~n:5 ~p:1.5);
+     Alcotest.fail "p > 1 accepted"
+   with Invalid_argument _ -> ());
+  (* refused before the row table is sized by n *)
   try
-    ignore (Gen.erdos_renyi rng ~n:5 ~p:1.5);
-    Alcotest.fail "p > 1 accepted"
-  with Invalid_argument _ -> ()
+    ignore (Gen.erdos_renyi rng ~n:((1 lsl 24) + 1) ~p:0.5);
+    Alcotest.fail "n > 2^24 accepted"
+  with Invalid_argument m ->
+    Alcotest.(check bool) ("message: " ^ m) true (String.ends_with ~suffix:"16777216)" m)
+
+(* The G(n, p) sampler as it stood edge by edge, kept here as a reference:
+   one geometric skip per edge, decoded into (row, column) with a running
+   row cursor and streamed into the Builder.  The library now draws the
+   skips in blocks and stages each row's columns for Graph.of_upper_rows;
+   it must make the same draws and build the same graph. *)
+let reference_erdos_renyi rng ~n ~p =
+  let total = n * (n - 1) / 2 in
+  let b =
+    Graph.Builder.create
+      ~capacity:(if p >= 1.0 then total else 1 + int_of_float (p *. float_of_int total))
+      ~n ()
+  in
+  if p >= 1.0 then
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        Graph.Builder.add_edge b u v
+      done
+    done
+  else if p > 0.0 then begin
+    let log1mp = log1p (-.p) in
+    let idx = ref (-1) and row = ref 0 and row_start = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let u = 1.0 -. Rng.float rng 1.0 in
+      let gap = int_of_float (ceil (log u /. log1mp)) in
+      let gap = if gap < 1 then 1 else gap in
+      idx := !idx + gap;
+      if !idx >= total then continue := false
+      else begin
+        while !idx - !row_start >= n - 1 - !row do
+          row_start := !row_start + (n - 1 - !row);
+          incr row
+        done;
+        Graph.Builder.add_edge b !row (!row + 1 + (!idx - !row_start))
+      end
+    done
+  end;
+  Graph.Builder.finish b
+
+(* [erdos_renyi] against the reference: the same graph by Csr_check.same,
+   and the generator left in the same state (its next output) *)
+let er_agrees_with_reference ~n ~p ~seed =
+  let label = Printf.sprintf "n=%d p=%g seed=%d" n p seed in
+  let rng_ref = Rng.of_int seed and rng = Rng.of_int seed in
+  let want = reference_erdos_renyi rng_ref ~n ~p in
+  Csr_check.same label want (Gen.erdos_renyi rng ~n ~p);
+  Alcotest.(check int64) (label ^ ": next output") (Rng.bits64 rng_ref) (Rng.bits64 rng)
+
+(* p = 0, tiny p (mostly edgeless, a block never fills), mid p (blocks
+   fill and the column buffer grows past its mean-sized start) and p close
+   to 1 (every row full, skips of 1), for 1 <= n <= 300 *)
+let prop_erdos_renyi_matches_reference =
+  let p_of (regime, x) =
+    match regime with
+    | 0 -> 0.0
+    | 1 -> 1e-4 *. x
+    | 2 -> 0.005 +. (0.5 *. x)
+    | _ -> 1.0 -. (1e-3 *. x)
+  in
+  QCheck.Test.make ~count:300 ~name:"erdos_renyi = the edge-by-edge Builder reference"
+    QCheck.(triple (int_range 1 300) (pair (int_range 0 3) (float_bound_inclusive 1.0))
+              (int_range 0 1_000_000))
+    (fun (n, regime, seed) ->
+      er_agrees_with_reference ~n ~p:(p_of regime) ~seed;
+      true)
+
+(* the benchmark's graphs: G(10^4, 1.25 ln n / n), two draws *)
+let test_erdos_renyi_matches_reference_at_scale () =
+  let n = 10_000 in
+  let p = 1.25 *. log (float_of_int n) /. float_of_int n in
+  List.iter (fun seed -> er_agrees_with_reference ~n ~p ~seed) [ 1; 2 ]
 
 let test_gnm_exact () =
   let rng = Rng.of_int 64 in
@@ -396,6 +474,9 @@ let suite =
       test_preferential_attachment_invalid;
     Alcotest.test_case "erdos-renyi density" `Quick test_erdos_renyi_density;
     Alcotest.test_case "erdos-renyi invalid" `Quick test_erdos_renyi_invalid;
+    Alcotest.test_case "erdos-renyi = reference at n = 10^4" `Quick
+      test_erdos_renyi_matches_reference_at_scale;
+    QCheck_alcotest.to_alcotest prop_erdos_renyi_matches_reference;
     Alcotest.test_case "gnm exact counts" `Quick test_gnm_exact;
     Alcotest.test_case "gnm invalid" `Quick test_gnm_invalid;
     Alcotest.test_case "random regular degrees" `Quick test_random_regular_degrees;

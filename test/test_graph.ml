@@ -280,6 +280,11 @@ let test_vertex_limit () =
   Alcotest.check_raises "of_csr"
     (Invalid_argument "Graph.of_csr: vertex count out of range") (fun () ->
       ignore (Graph.of_csr ~n:too_many ~offsets:[| 0 |] ~slots:(Graph.Slots.create 0)));
+  Alcotest.check_raises "of_upper_rows"
+    (Invalid_argument "Graph.of_upper_rows: vertex count out of range") (fun () ->
+      ignore
+        (Graph.of_upper_rows ~n:too_many ~row_ends:[| 0 |]
+           ~cols:(Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout 0)));
   (* the largest n is accepted, and so is its last vertex id; [finish] is
      not called, it would size the offsets by n *)
   let b = Graph.Builder.create ~n:(1 lsl 24) () in
@@ -597,6 +602,76 @@ let prop_builder_round_trips_of_csr =
       Csr_check.same "round trip" g (Graph.of_csr ~n ~offsets ~slots);
       true)
 
+(* ---------------------------------------------------- of_upper_rows *)
+
+let cols_of ids =
+  let a = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout (List.length ids) in
+  List.iteri (fun i v -> a.{i} <- Int32.of_int v) ids;
+  a
+
+(* each vertex's upper neighbours, as [of_upper_rows] takes them *)
+let upper_rows_of g =
+  let n = Graph.n g in
+  let rows = List.init n (fun u -> List.filter (fun v -> v > u) (Csr_check.neighbours g u)) in
+  let row_ends = Array.make (n + 1) 0 in
+  List.iteri (fun u row -> row_ends.(u + 1) <- row_ends.(u) + List.length row) rows;
+  (row_ends, cols_of (List.concat rows))
+
+let test_of_upper_rows_accepts () =
+  (* the triangle 0-1-2 with a pendant 3 on 1: rows [1; 2], [2; 3], [], [] *)
+  let g = Graph.of_upper_rows ~n:4 ~row_ends:[| 0; 2; 4; 4; 4 |] ~cols:(cols_of [ 1; 2; 2; 3 ]) in
+  Csr_check.same "triangle + pendant"
+    (Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 2); (1, 3) ])
+    g;
+  Alcotest.(check int) "min degree cached" 1 (Graph.min_degree g);
+  Csr_check.same "edgeless" (Graph.of_edges ~n:0 [])
+    (Graph.of_upper_rows ~n:0 ~row_ends:[| 0 |] ~cols:(cols_of []));
+  Csr_check.same "isolated vertices" (Graph.of_edges ~n:3 [])
+    (Graph.of_upper_rows ~n:3 ~row_ends:[| 0; 0; 0; 0 |] ~cols:(cols_of []))
+
+(* every malformed input raises the one defect its documentation names *)
+let test_of_upper_rows_rejects () =
+  let rejects what msg ~n ~row_ends ids =
+    Alcotest.check_raises what (Invalid_argument ("Graph.of_upper_rows: " ^ msg)) (fun () ->
+        ignore (Graph.of_upper_rows ~n ~row_ends ~cols:(cols_of ids)))
+  in
+  rejects "negative n" "vertex count out of range" ~n:(-1) ~row_ends:[||] [];
+  rejects "row_ends length" "row_ends length is not n + 1" ~n:3 ~row_ends:[| 0; 1; 2 |]
+    [ 1; 2 ];
+  rejects "row_ends short of the columns" "row_ends do not run from 0 to the column count"
+    ~n:3 ~row_ends:[| 0; 1; 1; 1 |] [ 1; 2 ];
+  rejects "row_ends past the columns" "row_ends do not run from 0 to the column count"
+    ~n:3 ~row_ends:[| 0; 2; 3; 3 |] [ 1; 2 ];
+  rejects "row_ends not from 0" "row_ends do not run from 0 to the column count" ~n:3
+    ~row_ends:[| 1; 1; 2; 2 |] [ 1; 2 ];
+  rejects "decreasing row_ends" "decreasing row_ends" ~n:3 ~row_ends:[| 0; 2; 1; 2 |]
+    [ 1; 2 ];
+  rejects "column >= n" "column 3 outside [0, 3)" ~n:3 ~row_ends:[| 0; 1; 2; 2 |] [ 1; 3 ];
+  rejects "negative column" "column -1 outside [0, 3)" ~n:3 ~row_ends:[| 0; 1; 1; 1 |]
+    [ -1 ];
+  rejects "column = its row" "column 1 of row 1 is not above its row" ~n:3
+    ~row_ends:[| 0; 1; 2; 2 |] [ 1; 1 ];
+  rejects "column below its row" "column 0 of row 2 is not above its row" ~n:3
+    ~row_ends:[| 0; 1; 1; 2 |] [ 1; 0 ];
+  rejects "repeated column" "repeated column 2 in row 0" ~n:3 ~row_ends:[| 0; 2; 2; 2 |]
+    [ 2; 2 ];
+  rejects "descending row" "row 0 descends (1 after 2)" ~n:3 ~row_ends:[| 0; 2; 2; 2 |]
+    [ 2; 1 ];
+  (* a later row's defect, after earlier rows filled their slots *)
+  rejects "descending later row" "row 1 descends (2 after 3)" ~n:4
+    ~row_ends:[| 0; 3; 5; 5; 5 |] [ 1; 2; 3; 3; 2 ]
+
+(* every Builder graph, handed over as its upper rows, comes back as the
+   same CSR *)
+let prop_builder_round_trips_of_upper_rows =
+  QCheck.Test.make ~count:200 ~name:"every Builder graph round-trips through of_upper_rows"
+    edge_set
+    (fun (n, raw, _) ->
+      let g = builder_of n (ascending_edges n raw) in
+      let row_ends, cols = upper_rows_of g in
+      Csr_check.same "round trip" g (Graph.of_upper_rows ~n ~row_ends ~cols);
+      true)
+
 (* [unsafe_random_neighbor] is [random_neighbor] without its checks: on
    every non-isolated vertex of a random graph (and of stars, whose centre
    degree reaches the edge count), the same neighbours from the same
@@ -667,6 +742,9 @@ let suite =
     Alcotest.test_case "of_csr accepts a valid CSR" `Quick test_of_csr_accepts_path;
     Alcotest.test_case "of_csr names each defect" `Quick test_of_csr_rejects;
     QCheck_alcotest.to_alcotest prop_builder_round_trips_of_csr;
+    Alcotest.test_case "of_upper_rows accepts valid rows" `Quick test_of_upper_rows_accepts;
+    Alcotest.test_case "of_upper_rows names each defect" `Quick test_of_upper_rows_rejects;
+    QCheck_alcotest.to_alcotest prop_builder_round_trips_of_upper_rows;
     QCheck_alcotest.to_alcotest prop_slot_codec;
     QCheck_alcotest.to_alcotest prop_unsafe_random_neighbor_equals_checked;
   ]

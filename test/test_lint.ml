@@ -458,6 +458,30 @@ let test_r12_unused_exports () =
   Alcotest.(check bool) "reported at the val line" true
     (List.exists (has_sub (mli ^ ":6:0: [R12 unused-export]")) lines)
 
+(* an allow that silences nothing is a finding of its own rule, reported
+   only when that rule ran on the file *)
+let test_stale_allow () =
+  guard_typed @@ fun () ->
+  let fixture = tfixture "stale_allow.ml" in
+  let code, lines = run_lint (typed_args [ "--only"; "R10"; fixture ]) in
+  Alcotest.(check int) "stale_allow exits 1" 1 code;
+  (match lines with
+  | [ line ] ->
+      Alcotest.(check bool) "at the allow comment" true
+        (has_sub (fixture ^ ":10:7: [R10 hot-path-alloc]") line);
+      Alcotest.(check bool) "says it is stale" true (has_sub "stale suppression" line)
+  | _ -> Alcotest.fail "expected exactly one stale-allow finding");
+  check_typed_quiet ~only:"R9" "stale_allow.ml";
+  (* the syntactic pass: a stale R1 allow, judged only when R1 runs *)
+  with_temp_ml "(* lint: allow R1 — nothing here compares *)\nlet x = 1\n" @@ fun path ->
+  let code, lines = run_lint [ "--only"; "R1"; path ] in
+  Alcotest.(check int) "stale R1 allow exits 1" 1 code;
+  Alcotest.(check bool) "reported as R1 at line 1" true
+    (List.exists (has_sub ":1:3: [R1 poly-compare] stale suppression") lines);
+  let code, lines = run_lint [ "--only"; "R5"; path ] in
+  Alcotest.(check int) "not judged when R1 did not run" 0 code;
+  Alcotest.(check int) "no findings" 0 (List.length lines)
+
 let test_json_chain_field () =
   guard_typed @@ fun () ->
   let code, lines =
@@ -524,4 +548,5 @@ let suite =
       test_r9_toplevel_body;
     Alcotest.test_case "R12 verdict per export of its fixture" `Quick
       test_r12_unused_exports;
+    Alcotest.test_case "stale allow is a finding of its rule" `Quick test_stale_allow;
   ]

@@ -15,8 +15,10 @@
      1  at least one finding
      2  parse or I/O error (reported on stderr)
 
-   Suppression: a line containing  (* lint: allow R1 — reason *)  silences
-   the listed rules on that line and the next one. *)
+   Suppression: a line holding the comment  (* lint: allow RN — reason *)
+   silences the listed rules on that line and the next one, and an allow
+   naming a rule that ran on the file but silenced nothing is itself a
+   finding (see Suppress.stale). *)
 
 let usage = "rumor_lint [options] <file-or-dir>...\noptions:"
 
@@ -234,20 +236,25 @@ let lint_file rules path =
       | Ok structures ->
           let ctx = ctx_of_path path in
           let suppressions = Suppress.scan source in
+          (* no rule runs on an interface *)
+          let ran =
+            match structures with
+            | [] -> []
+            | _ :: _ -> List.filter (fun (r : Rule.t) -> r.applies ctx) rules
+          in
           let findings =
             List.concat_map
-              (fun str ->
-                List.concat_map
-                  (fun (r : Rule.t) ->
-                    if r.applies ctx then r.check ctx str else [])
-                  rules)
+              (fun str -> List.concat_map (fun (r : Rule.t) -> r.check ctx str) ran)
               structures
             |> List.filter (fun (f : Finding.t) ->
                    not
                      (Suppress.allows suppressions ~line:f.line ~id:f.rule
                         ~name:f.name))
           in
-          Findings findings)
+          Findings
+            (findings
+            @ Suppress.stale suppressions ~file:path
+                ~ran:(List.map (fun (r : Rule.t) -> (r.id, r.name)) ran)))
 
 (* ------------------------------------------------------------------ *)
 (* The typed pass (R9-R12 over cmts)                                  *)
@@ -308,7 +315,18 @@ let typed_pass trules files =
                 | exception Sys_error _ -> []
                 | source ->
                     let ctx = ctx_of_path path in
-                    let suppressions = Suppress.scan source in
+                    (* an implementation shares the table [Effects.build]
+                       consulted, so an allow that only silenced a seed
+                       counts as used *)
+                    let suppressions =
+                      match
+                        if Filename.check_suffix path ".ml" then
+                          suppress_for summary.Summary.source
+                        else None
+                      with
+                      | Some table -> table
+                      | None -> Suppress.scan source
+                    in
                     let tc =
                       {
                         Typed_rules.rctx = ctx;
@@ -318,14 +336,20 @@ let typed_pass trules files =
                         exports = exports path source;
                       }
                     in
-                    List.concat_map
-                      (fun (r : Typed_rules.t) ->
-                        if r.applies ctx then r.check tc else [])
-                      trules
-                    |> List.filter (fun (f : Finding.t) ->
-                           not
-                             (Suppress.allows suppressions ~line:f.line
-                                ~id:f.rule ~name:f.name)))))
+                    let ran =
+                      List.filter (fun (r : Typed_rules.t) -> r.applies ctx) trules
+                    in
+                    let findings =
+                      List.concat_map (fun (r : Typed_rules.t) -> r.check tc) ran
+                      |> List.filter (fun (f : Finding.t) ->
+                             not
+                               (Suppress.allows suppressions ~line:f.line
+                                  ~id:f.rule ~name:f.name))
+                    in
+                    findings
+                    @ Suppress.stale suppressions ~file:path
+                        ~ran:
+                          (List.map (fun (r : Typed_rules.t) -> (r.id, r.name)) ran))))
       files
   in
   if !matched = 0 && List.exists (fun p -> Filename.check_suffix p ".ml") files
